@@ -6,6 +6,7 @@
 package rocc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"rocc/internal/netsim"
@@ -90,5 +91,44 @@ func TestSteadyStateStepAllocsSharded(t *testing.T) {
 		perEvent, allocsPerCall, eventsPerCall)
 	if perEvent > 1 {
 		t.Fatalf("sharded steady-state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
+	}
+}
+
+// TestFlowCompletionAllocs extends the gate to flow churn: once a flow
+// has been started, carrying it to completion and dropping it from the
+// registry after the grace period (the path every FB_Hadoop flow takes)
+// must not allocate — in particular no closure per removal timer.
+func TestFlowCompletionAllocs(t *testing.T) {
+	engine := sim.New()
+	net := netsim.New(engine, 1)
+	sw := net.AddSwitch("s", netsim.BufferConfig{})
+	a := net.AddHost("a")
+	c := net.AddHost("c")
+	net.Connect(a, sw, netsim.Gbps(100), 1500*sim.Nanosecond)
+	net.Connect(sw, c, netsim.Gbps(100), 1500*sim.Nanosecond)
+	net.ComputeRoutes()
+
+	const flows = 2000
+	start := func() {
+		for i := 0; i < flows; i++ {
+			net.StartFlow(a, c, netsim.FlowConfig{Size: 3 * netsim.MTUPayload})
+		}
+	}
+	// Prime the packet pool, the event free list and the registry map.
+	start()
+	engine.Run()
+
+	start()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	engine.Run()
+	runtime.ReadMemStats(&after)
+	if n := net.ActiveFlowCount(); n != 0 {
+		t.Fatalf("%d flows still registered after the run", n)
+	}
+	perFlow := float64(after.Mallocs-before.Mallocs) / flows
+	t.Logf("flow completion: %.3f allocs/flow", perFlow)
+	if perFlow > 0.1 {
+		t.Fatalf("completing and removing a flow allocates %.2f objects, want 0", perFlow)
 	}
 }

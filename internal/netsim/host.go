@@ -13,7 +13,7 @@ type Host struct {
 	net  *Network
 	id   NodeID
 	Name string
-	port *Port
+	nic  [1]*Port // the single NIC port; an array so that Ports need not allocate
 
 	// RPDelay is the NIC reaction delay applied to incoming congestion
 	// notifications before the flow controller sees them (15 µs in §6).
@@ -51,14 +51,14 @@ func (h *Host) Engine() *sim.Engine { return h.eng }
 // Ports returns the host's single NIC port, or nothing before the host
 // is connected.
 func (h *Host) Ports() []*Port {
-	if h.port == nil {
+	if h.nic[0] == nil {
 		return nil
 	}
-	return []*Port{h.port}
+	return h.nic[:]
 }
 
 // NIC returns the host's NIC port.
-func (h *Host) NIC() *Port { return h.port }
+func (h *Host) NIC() *Port { return h.nic[0] }
 
 // ActiveFlows returns the number of flows with data left to send.
 func (h *Host) ActiveFlows() int {
@@ -73,12 +73,12 @@ func (h *Host) ActiveFlows() int {
 
 // Kick re-arms the NIC scheduler. Flow controllers call this (through
 // Network.Kick) after timers change pacing state.
-func (h *Host) Kick() { h.port.kick() }
+func (h *Host) Kick() { h.nic[0].kick() }
 
 // addFlow registers a sending flow with the NIC scheduler.
 func (h *Host) addFlow(f *Flow) {
 	h.flows = append(h.flows, f)
-	h.port.kick()
+	h.nic[0].kick()
 }
 
 // refill is the NIC pull hook: pick the next transmittable packet, or
@@ -147,7 +147,7 @@ func (h *Host) scheduleWake(at sim.Time) {
 
 // hostWake re-arms the NIC scheduler; scheduled via AtCall so pacing
 // wake-ups reuse pooled event slots instead of allocating a closure.
-func hostWake(a, _ any) { a.(*Host).port.kick() }
+func hostWake(a, _ any) { a.(*Host).nic[0].kick() }
 
 // hostCNPReady delivers a CNP to its flow's reaction point after the NIC
 // reaction delay. The flow is looked up at fire time (flow ids are never
@@ -159,7 +159,7 @@ func hostCNPReady(a, b any) {
 	pkt := b.(*Packet)
 	if f := h.net.flows[pkt.Flow]; f != nil {
 		f.CC.OnCNP(h.eng.Now(), pkt)
-		h.port.kick()
+		h.nic[0].kick()
 	}
 	h.net.ReleasePacket(pkt)
 }
@@ -174,8 +174,8 @@ func (h *Host) Arrive(pkt *Packet, inPort int) {
 	now := h.eng.Now()
 	switch pkt.Kind {
 	case KindPause:
-		if h.port.acceptPause(pkt) {
-			h.port.SetPaused(pkt.PauseOn)
+		if h.nic[0].acceptPause(pkt) {
+			h.nic[0].SetPaused(pkt.PauseOn)
 		}
 		h.net.ReleasePacket(pkt)
 	case KindData:
@@ -210,5 +210,5 @@ func (h *Host) Arrive(pkt *Packet, inPort int) {
 // Send transmits a locally generated control packet (ACK, CNP response)
 // through the NIC.
 func (h *Host) Send(pkt *Packet) {
-	h.port.Enqueue(pkt)
+	h.nic[0].Enqueue(pkt)
 }

@@ -174,12 +174,12 @@ func (n *Network) Connect(a, b Node, rate Rate, delay sim.Time) (*Port, *Port) {
 func (n *Network) attach(node Node, p *Port) {
 	switch v := node.(type) {
 	case *Host:
-		if v.port != nil {
+		if v.nic[0] != nil {
 			panic("netsim: host " + v.Name + " already has a NIC port")
 		}
 		p.Index = 0
 		p.Refill = v.refill
-		v.port = p
+		v.nic[0] = p
 	case *Switch:
 		v.addPort(p)
 	default:
@@ -196,22 +196,20 @@ func (n *Network) ComputeRoutes() {
 	for _, s := range n.switches {
 		s.routes = make(map[NodeID][]int)
 	}
+	// NodeIDs are dense, so one distance slice and one queue (a node is
+	// queued at most once) serve every destination's search.
+	dist := make([]int32, len(n.nodes))
+	queue := make([]Node, 0, len(n.nodes))
 	for _, dst := range n.hosts {
-		dist := n.bfs(dst)
+		n.bfs(dst, dist, queue)
 		for _, s := range n.switches {
-			if s.failed {
-				continue
-			}
-			ds, ok := dist[s.id]
-			if !ok {
+			ds := dist[s.id]
+			if s.failed || ds < 0 {
 				continue
 			}
 			var next []int
 			for i, p := range s.ports {
-				if p.linkDown {
-					continue
-				}
-				if dp, ok := dist[p.PeerNode.ID()]; ok && dp == ds-1 {
+				if !p.linkDown && dist[p.PeerNode.ID()] == ds-1 {
 					next = append(next, i)
 				}
 			}
@@ -222,13 +220,16 @@ func (n *Network) ComputeRoutes() {
 	}
 }
 
-// bfs returns hop distances from every node to dst over live links.
-func (n *Network) bfs(dst Node) map[NodeID]int {
-	dist := map[NodeID]int{dst.ID(): 0}
-	queue := []Node{dst}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+// bfs fills dist with the hop distance from every node to dst over live
+// links, -1 where dst is unreachable. queue is empty scratch space.
+func (n *Network) bfs(dst Node, dist []int32, queue []Node) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[dst.ID()] = 0
+	queue = append(queue, dst)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, p := range cur.Ports() {
 			peer := p.PeerNode
 			if peer == nil || p.linkDown {
@@ -237,13 +238,12 @@ func (n *Network) bfs(dst Node) map[NodeID]int {
 			if s, ok := peer.(*Switch); ok && s.failed {
 				continue
 			}
-			if _, seen := dist[peer.ID()]; !seen {
+			if dist[peer.ID()] < 0 {
 				dist[peer.ID()] = dist[cur.ID()] + 1
 				queue = append(queue, peer)
 			}
 		}
 	}
-	return dist
 }
 
 // StartFlow begins a flow from src to dst with the given configuration.
@@ -293,15 +293,20 @@ func (n *Network) removeFlowLater(f *Flow) {
 	if s, ok := f.CC.(interface{ Stop() }); ok {
 		s.Stop()
 	}
-	id := f.ID
-	n.Engine.After(removeGrace, func() {
-		if n.flows[id] == f {
-			delete(n.flows, id)
-			if n.OnFlowRemoved != nil {
-				n.OnFlowRemoved(f)
-			}
+	n.Engine.AfterCall(removeGrace, flowRemove, n, f)
+}
+
+// flowRemove drops a completed flow from the registry once its grace
+// period is over; scheduled via AfterCall so that a flow's completion
+// allocates no closure.
+func flowRemove(a, b any) {
+	n, f := a.(*Network), b.(*Flow)
+	if n.flows[f.ID] == f {
+		delete(n.flows, f.ID)
+		if n.OnFlowRemoved != nil {
+			n.OnFlowRemoved(f)
 		}
-	})
+	}
 }
 
 // removeGrace is how long a completed flow stays addressable for late
@@ -382,7 +387,7 @@ func (n *Network) LinkDownDrops() uint64 {
 		}
 	}
 	for _, h := range n.hosts {
-		total += h.port.LinkDownDrops
+		total += h.nic[0].LinkDownDrops
 	}
 	return total
 }
@@ -422,11 +427,11 @@ func (n *Network) FlowPathCPs(flow FlowID, src, dst NodeID) []CPID {
 		return nil
 	}
 	h, ok := n.nodes[src].(*Host)
-	if !ok || h.port == nil {
+	if !ok || h.nic[0] == nil {
 		return nil
 	}
 	probe := Packet{Flow: flow, Dst: dst}
-	node := h.port.PeerNode
+	node := h.nic[0].PeerNode
 	var out []CPID
 	for hops := 0; hops <= n.maxHops(); hops++ {
 		sw, ok := node.(*Switch)

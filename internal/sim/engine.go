@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // event is one scheduled callback slot. Slots are owned by the engine:
 // after an event fires or is cancelled its slot returns to an engine free
 // list and is reused by a later At/After, so a steady-state simulation
@@ -35,7 +33,13 @@ type event struct {
 	cb   Callback
 	a, b any
 
-	index  int // heap index, -1 once popped or cancelled
+	// Position in the pending-event set (queue.go): which structure holds
+	// the event, its index while in a heap, its neighbours while linked
+	// into a ring bucket. A free slot links to the next free one.
+	index      int
+	next, prev *event
+	loc        uint8
+
 	engine *Engine
 }
 
@@ -80,50 +84,15 @@ func (h Handle) Cancel() {
 		return
 	}
 	ev := h.ev
-	if ev.index >= 0 {
-		heap.Remove(&ev.engine.events, ev.index)
-	}
+	ev.engine.q.remove(ev)
 	ev.engine.recycle(ev)
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].k1 != h[j].k1 {
-		return h[i].k1 < h[j].k1
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with New.
 type Engine struct {
 	now        Time
-	events     eventHeap
-	free       []*event // recycled slots, reused by At/After
+	free       *event // recycled slots, linked through next, reused by At/After
 	seq        uint64
 	stopped    bool
 	fired      uint64
@@ -136,8 +105,13 @@ type Engine struct {
 
 	// group, when non-nil, marks this engine as the global lane of a
 	// sharded Group: Run/RunUntil/Stop delegate to the group's windowed
-	// coordinator instead of draining this heap alone.
+	// coordinator instead of draining this queue alone.
 	group *Group
+
+	// q holds the pending events and pops them in (at, k1, seq) order. It
+	// is last because it embeds the bucket ring (about 8 KB, see
+	// queue.go); the scalars above stay on the leading cache lines.
+	q queue
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -147,7 +121,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -164,10 +138,8 @@ func (e *Engine) EventSlots() uint64 { return e.allocated }
 // acquire returns a free event slot, allocating only when the free list
 // is empty (cold start or a new pending high-water mark).
 func (e *Engine) acquire() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if ev := e.free; ev != nil {
+		e.free, ev.next = ev.next, nil
 		return ev
 	}
 	e.allocated++
@@ -182,23 +154,29 @@ func (e *Engine) recycle(ev *event) {
 	ev.cb = nil
 	ev.a = nil
 	ev.b = nil
-	ev.index = -1
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
-// schedule inserts an acquired, filled slot into the heap.
+// schedule stamps an acquired, filled slot with the engine's next seq and
+// the inherited lane, and queues it.
 func (e *Engine) schedule(ev *event, t Time) Handle {
-	if t < e.now {
-		panic("sim: scheduling event in the past")
-	}
 	e.seq++
-	ev.at = t
 	ev.seq = e.seq
 	ev.k1 = e.curCtx
 	ev.ctx = e.curCtx
-	heap.Push(&e.events, ev)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
+	return e.enqueue(ev, t)
+}
+
+// enqueue inserts a fully keyed slot into the pending set.
+func (e *Engine) enqueue(ev *event, t Time) Handle {
+	if t < e.now {
+		panic("sim: scheduling event in the past")
+	}
+	ev.at = t
+	e.q.push(ev)
+	if n := e.q.len(); n > e.maxPending {
+		e.maxPending = n
 	}
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -251,18 +229,10 @@ func (e *Engine) AtKeyed(t Time, lane, seq, ctx uint64, cb Callback, a, b any) H
 	ev.cb = cb
 	ev.a = a
 	ev.b = b
-	if t < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	ev.at = t
 	ev.seq = seq
 	ev.k1 = lane
 	ev.ctx = ctx
-	heap.Push(&e.events, ev)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	return e.enqueue(ev, t)
 }
 
 // Stop makes Run and RunUntil return after the current event completes.
@@ -278,10 +248,10 @@ func (e *Engine) Stop() {
 // event was executed. The slot is recycled before the callback runs, so
 // callbacks scheduling new events reuse it immediately.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	ev := e.q.pop()
+	if ev == nil {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
 	e.now = ev.at
 	e.curCtx = ev.ctx
 	fn, cb, a, b := ev.fn, ev.cb, ev.a, ev.b
@@ -308,33 +278,26 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= end, then sets the clock to
-// end. Events scheduled after end remain pending. On the global lane of a
-// sharded Group it runs the group's windowed schedule.
+// end. Events scheduled after end remain pending. A run interrupted by
+// Stop leaves the clock at the last event fired, so that a later Run
+// resumes without moving it backwards. On the global lane of a sharded
+// Group it runs the group's windowed schedule.
 func (e *Engine) RunUntil(end Time) {
 	if e.group != nil {
 		e.group.RunUntil(end)
 		return
 	}
 	e.stopped = false
-	for !e.stopped {
-		if len(e.events) == 0 || e.events[0].at > end {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.q.peekAt() <= end && e.Step() {
 	}
-	if e.now < end {
+	if e.now < end && !e.stopped {
 		e.now = end
 	}
 }
 
 // nextAt returns the timestamp of the earliest pending event, or
-// maxTime when the heap is empty.
-func (e *Engine) nextAt() Time {
-	if len(e.events) == 0 {
-		return maxTime
-	}
-	return e.events[0].at
-}
+// maxTime when none is pending.
+func (e *Engine) nextAt() Time { return e.q.peekAt() }
 
 // runWindow executes every pending event strictly before w, then
 // fast-forwards the clock to w and resets the inherited lane. It is the
@@ -342,7 +305,7 @@ func (e *Engine) nextAt() Time {
 // causally closed within the shard (cross-shard influence cannot arrive
 // before w), so shards run their windows concurrently.
 func (e *Engine) runWindow(w Time) {
-	for len(e.events) > 0 && e.events[0].at < w {
+	for e.q.peekAt() < w {
 		e.Step()
 	}
 	if e.now < w {

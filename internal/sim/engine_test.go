@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,31 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestRunUntilStoppedKeepsClock: a RunUntil cut short by Stop must leave
+// the clock at the last event fired, not at its end time — otherwise a
+// resumed Run moves the clock backwards and scheduling between the two
+// panics as "in the past".
+func TestRunUntilStoppedKeepsClock(t *testing.T) {
+	e := New()
+	var fired []Time
+	note := func() { fired = append(fired, e.Now()) }
+	e.At(10, func() { note(); e.Stop() })
+	e.At(20, note)
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Fatalf("Now() = %v after Stop at 10 inside RunUntil(100), want 10", e.Now())
+	}
+	e.At(15, note) // legal: 15 is not in the past
+	e.Run()
+	if want := []Time{10, 15, 20}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+	e.RunUntil(100)
+	if e.Now() != 100 {
+		t.Errorf("Now() = %v after an uninterrupted RunUntil(100), want 100", e.Now())
+	}
+}
+
 func TestAfterNegativeClamps(t *testing.T) {
 	e := New()
 	fired := false
@@ -313,7 +339,7 @@ func TestStaleHandleCancelIsInert(t *testing.T) {
 	}
 	fired := false
 	h2 := e.At(20, func() { fired = true }) // reuses h1's slot
-	h1.Cancel()                            // stale: must be a no-op
+	h1.Cancel()                             // stale: must be a no-op
 	e.Run()
 	if !fired {
 		t.Fatal("stale Cancel killed the slot's new occupant")

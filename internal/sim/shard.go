@@ -279,8 +279,10 @@ func (g *Group) runUntil(bound Time, drain bool) {
 		if g.onBarrier != nil {
 			g.onBarrier(w)
 		}
-		for !g.stopped && len(g.global.events) > 0 &&
-			g.global.events[0].at <= w && g.global.events[0].at < bound {
+		for !g.stopped {
+			if at := g.global.nextAt(); at > w || at >= bound {
+				break
+			}
 			g.global.Step()
 		}
 	}

@@ -4,7 +4,8 @@
 //
 // The engine is single-goroutine by design. All model code runs inside
 // event callbacks; determinism follows from the total order on
-// (time, insertion sequence).
+// (time, lane, seq) — which is (time, insertion sequence) on an unsharded
+// engine, where every event is on lane 0.
 package sim
 
 import "fmt"

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -103,63 +104,81 @@ func TestClientPacingApproximatesOfferedRate(t *testing.T) {
 // queue under control. Real-time and scheduler-dependent, so tolerances
 // are loose and the whole test is skipped in -short runs.
 func TestUniformScenarioConverges(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("real-time testbed run (skipped under -short and -race)")
-	}
 	cfg := DefaultConfig()
-	res, err := Run(cfg, Uniform, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ideal := cfg.DrainRate / 3 / 1e6
-	for i, r := range res.ClientRates {
-		if r < ideal*0.6 || r > ideal*1.2 {
-			t.Errorf("client %d at %.1f Mb/s, ideal %.1f", i, r, ideal)
+	runRealTime(t, cfg, Uniform, func(res Result) (missed []string) {
+		ideal := cfg.DrainRate / 3 / 1e6
+		for i, r := range res.ClientRates {
+			if r < ideal*0.6 || r > ideal*1.2 {
+				missed = append(missed, fmt.Sprintf("client %d at %.1f Mb/s, ideal %.1f", i, r, ideal))
+			}
 		}
-	}
-	// Fairness across the three equal clients must be tight even when
-	// absolute throughput drifts with scheduling.
-	min, max := res.ClientRates[0], res.ClientRates[0]
-	for _, r := range res.ClientRates {
-		if r < min {
-			min = r
+		// Fairness across the three equal clients must be tight even when
+		// absolute throughput drifts with scheduling.
+		min, max := res.ClientRates[0], res.ClientRates[0]
+		for _, r := range res.ClientRates {
+			if r < min {
+				min = r
+			}
+			if r > max {
+				max = r
+			}
 		}
-		if r > max {
-			max = r
+		if (max-min)/max > 0.15 {
+			missed = append(missed, fmt.Sprintf("client rates spread too wide: %v", res.ClientRates))
 		}
-	}
-	if (max-min)/max > 0.15 {
-		t.Errorf("client rates spread too wide: %v", res.ClientRates)
-	}
-	if res.SteadyQueKB > float64(cfg.CP.QmaxBytes)/1000 {
-		t.Errorf("queue %.0f KB above Qmax", res.SteadyQueKB)
-	}
-	if res.CNPs == 0 {
-		t.Error("no CNPs delivered")
-	}
+		if res.SteadyQueKB > float64(cfg.CP.QmaxBytes)/1000 {
+			missed = append(missed, fmt.Sprintf("queue %.0f KB above Qmax", res.SteadyQueKB))
+		}
+		if res.CNPs == 0 {
+			missed = append(missed, "no CNPs delivered")
+		}
+		return missed
+	})
 }
 
 func TestMixedScenarioProtectsInnocents(t *testing.T) {
+	cfg := DefaultConfig()
+	runRealTime(t, cfg, Mixed, func(res Result) (missed []string) {
+		// Client 3 offers 10% of the drain rate: far below fair share, it
+		// must get (nearly) everything it asks for.
+		innocent := res.ClientRates[2]
+		offered := 0.1 * cfg.DrainRate / 1e6
+		if innocent < offered*0.8 {
+			missed = append(missed, fmt.Sprintf("innocent flow got %.1f of %.1f Mb/s", innocent, offered))
+		}
+		// Client 1 (greedy) must get more than the lower offers but not
+		// starve them.
+		if res.ClientRates[0] < res.ClientRates[2] {
+			missed = append(missed, fmt.Sprintf("greedy flow below innocent flow: %v", res.ClientRates))
+		}
+		return missed
+	})
+}
+
+// runRealTime runs a 3 s scenario over real UDP loopback and applies
+// check to its result. The run measures goroutine scheduling on whatever
+// else the host is doing, so it gets up to three attempts and fails only
+// if all three miss the tolerances. Every attempt's rates are logged, so
+// a real regression stays visible.
+func runRealTime(t *testing.T, cfg Config, scenario Scenario, check func(Result) []string) {
+	t.Helper()
 	if testing.Short() || raceEnabled {
 		t.Skip("real-time testbed run (skipped under -short and -race)")
 	}
-	cfg := DefaultConfig()
-	res, err := Run(cfg, Mixed, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	const attempts = 3
+	for i := 1; i <= attempts; i++ {
+		res, err := Run(cfg, scenario, 3*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missed := check(res)
+		t.Logf("attempt %d: client rates %.1f Mb/s, queue %.0f KB, %d CNPs, missed %q",
+			i, res.ClientRates, res.SteadyQueKB, res.CNPs, missed)
+		if len(missed) == 0 {
+			return
+		}
 	}
-	// Client 3 offers 10% of the drain rate: far below fair share, it
-	// must get (nearly) everything it asks for.
-	innocent := res.ClientRates[2]
-	offered := 0.1 * cfg.DrainRate / 1e6
-	if innocent < offered*0.8 {
-		t.Errorf("innocent flow got %.1f of %.1f Mb/s", innocent, offered)
-	}
-	// Client 1 (greedy) must get more than the lower offers but not
-	// starve them.
-	if res.ClientRates[0] < res.ClientRates[2] {
-		t.Errorf("greedy flow below innocent flow: %v", res.ClientRates)
-	}
+	t.Fatalf("all %d attempts missed the tolerances", attempts)
 }
 
 func TestCNPDropProbValidated(t *testing.T) {
