@@ -1,11 +1,11 @@
 // Allocation-regression gate for the zero-allocation hot path: once the
-// event free list and the packet pool are primed, steady-state stepping
-// of the saturated-link topology (the BenchmarkEnginePacketEvents
-// workload) must not allocate. The gate is ≤1 alloc/event to absorb
-// incidental runtime noise; the measured value is 0.
+// event free lists and the packet pools are primed, steady-state
+// execution of saturated links must not allocate. The gate is ≤1
+// alloc/event to absorb incidental runtime noise; the measured value is 0.
 package rocc_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -14,83 +14,57 @@ import (
 	"rocc/internal/topology"
 )
 
+// TestSteadyStateStepAllocs runs the gate on one shard and on two:
+// windowed execution — keyed arrivals, barriers and, across the cut,
+// mailbox handoffs and pool ownership transfers — must stay
+// allocation-free per event. Traffic is symmetric across the cut so the
+// shard-local pools balance (cross-shard handoffs re-home packets to the
+// receiving shard's pool; one-directional traffic would drain the
+// sender's free list forever).
 func TestSteadyStateStepAllocs(t *testing.T) {
-	engine := sim.New()
-	net := netsim.New(engine, 1)
-	sw := net.AddSwitch("s", netsim.BufferConfig{})
-	a := net.AddHost("a")
-	c := net.AddHost("c")
-	net.Connect(a, sw, netsim.Gbps(100), 1500*sim.Nanosecond)
-	net.Connect(sw, c, netsim.Gbps(100), 1500*sim.Nanosecond)
-	net.ComputeRoutes()
-	net.StartFlow(a, c, netsim.FlowConfig{Size: -1})
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			engine := sim.New()
+			net := netsim.New(engine, 1)
+			s0 := net.AddSwitch("s0", netsim.BufferConfig{})
+			s1 := net.AddSwitch("s1", netsim.BufferConfig{})
+			a := net.AddHost("a")
+			b := net.AddHost("b")
+			net.Connect(a, s0, netsim.Gbps(100), 1500*sim.Nanosecond)
+			net.Connect(b, s1, netsim.Gbps(100), 1500*sim.Nanosecond)
+			net.Connect(s0, s1, netsim.Gbps(100), 1500*sim.Nanosecond)
+			net.ComputeRoutes()
 
-	// Prime the pipeline: packet pool, event free list, heap capacity.
-	for i := 0; i < 200_000; i++ {
-		engine.Step()
-	}
+			g := topology.PartitionAuto(net, k).Apply(net)
+			if g.Shards() != k {
+				t.Fatalf("partition gave %d shards, want %d", g.Shards(), k)
+			}
+			net.StartFlow(a, b, netsim.FlowConfig{Size: -1})
+			net.StartFlow(b, a, netsim.FlowConfig{Size: -1})
 
-	const batch = 1000
-	allocsPerBatch := testing.AllocsPerRun(50, func() {
-		for i := 0; i < batch; i++ {
-			engine.Step()
-		}
-	})
-	perEvent := allocsPerBatch / batch
-	t.Logf("steady state: %.4f allocs/event (%.1f per %d-event batch)",
-		perEvent, allocsPerBatch, batch)
-	if perEvent > 1 {
-		t.Fatalf("steady-state stepping allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
-	}
-}
+			// Prime: pools, free lists, mailbox slices, worker machinery.
+			end := 2 * sim.Millisecond
+			engine.RunUntil(end)
 
-// TestSteadyStateStepAllocsSharded is the same gate for the sharded
-// engine: once the per-shard event free lists and packet pools are
-// primed, windowed execution across two shards — mailbox handoffs,
-// ownership transfers, barriers — must stay allocation-free per event.
-// Traffic is symmetric across the cut so the shard-local pools balance
-// (cross-shard handoffs re-home packets to the receiving shard's pool;
-// one-directional traffic would drain the sender's free list forever).
-func TestSteadyStateStepAllocsSharded(t *testing.T) {
-	engine := sim.New()
-	net := netsim.New(engine, 1)
-	s0 := net.AddSwitch("s0", netsim.BufferConfig{})
-	s1 := net.AddSwitch("s1", netsim.BufferConfig{})
-	a := net.AddHost("a")
-	b := net.AddHost("b")
-	net.Connect(a, s0, netsim.Gbps(100), 1500*sim.Nanosecond)
-	net.Connect(b, s1, netsim.Gbps(100), 1500*sim.Nanosecond)
-	net.Connect(s0, s1, netsim.Gbps(100), 1500*sim.Nanosecond)
-	net.ComputeRoutes()
-
-	g := topology.PartitionAuto(net, 2).Apply(net)
-	if g.Shards() != 2 {
-		t.Fatalf("partition gave %d shards, want 2", g.Shards())
-	}
-	net.StartFlow(a, b, netsim.FlowConfig{Size: -1})
-	net.StartFlow(b, a, netsim.FlowConfig{Size: -1})
-
-	// Prime: pools, free lists, mailbox slices, worker machinery.
-	end := 2 * sim.Millisecond
-	engine.RunUntil(end)
-
-	const runs = 20
-	const step = 200 * sim.Microsecond
-	firedBefore := g.Fired()
-	allocsPerCall := testing.AllocsPerRun(runs, func() {
-		end += step
-		engine.RunUntil(end)
-	})
-	// AllocsPerRun runs the closure runs+1 times (one warm-up).
-	eventsPerCall := float64(g.Fired()-firedBefore) / float64(runs+1)
-	if eventsPerCall < 1000 {
-		t.Fatalf("only %.0f events per window batch; workload too idle to gate", eventsPerCall)
-	}
-	perEvent := allocsPerCall / eventsPerCall
-	t.Logf("sharded steady state: %.4f allocs/event (%.1f per ~%.0f-event window batch, 2 shards)",
-		perEvent, allocsPerCall, eventsPerCall)
-	if perEvent > 1 {
-		t.Fatalf("sharded steady-state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
+			const runs = 20
+			const step = 200 * sim.Microsecond
+			firedBefore := g.Fired()
+			allocsPerCall := testing.AllocsPerRun(runs, func() {
+				end += step
+				engine.RunUntil(end)
+			})
+			// AllocsPerRun runs the closure runs+1 times (one warm-up).
+			eventsPerCall := float64(g.Fired()-firedBefore) / float64(runs+1)
+			if eventsPerCall < 1000 {
+				t.Fatalf("only %.0f events per window batch; workload too idle to gate", eventsPerCall)
+			}
+			perEvent := allocsPerCall / eventsPerCall
+			t.Logf("steady state: %.4f allocs/event (%.1f per ~%.0f-event window batch)",
+				perEvent, allocsPerCall, eventsPerCall)
+			if perEvent > 1 {
+				t.Fatalf("steady state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
+			}
+		})
 	}
 }
 

@@ -416,9 +416,14 @@ func BenchmarkEnginePacketEvents(b *testing.B) {
 	net.Connect(sw, c, netsim.Gbps(100), 1500*sim.Nanosecond)
 	net.ComputeRoutes()
 	net.StartFlow(a, c, netsim.FlowConfig{Size: -1})
+	// One op is one event: run in 10 µs slices (a few hundred events)
+	// until b.N have fired. Engine.Step would time a barrier per
+	// timestamp, not the event path.
+	g := net.Group()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Step()
+	for end, target := sim.Time(0), g.Fired()+uint64(b.N); g.Fired() < target; {
+		end += 10 * sim.Microsecond
+		engine.RunUntil(end)
 	}
 }
 
@@ -440,7 +445,7 @@ func BenchmarkExtensionQoS(b *testing.B) {
 		for j, src := range star.Sources {
 			f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 				Size: -1, MaxRate: netsim.Gbps(36),
-				CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+				CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 			})
 			classOf[f.ID] = j % 2
 			flows = append(flows, f)

@@ -17,7 +17,6 @@
 //	-load      average load level for §6.3 runs (default 0.7)
 //	-reps      repetitions per experiment cell (default 1; the paper uses 5);
 //	           rep r runs with seed+r, results merged as mean ± 95% CI
-//	-runs      deprecated alias for -reps (kept for old scripts)
 //	-workers   parallel workers for repetition fan-out (default 0 = GOMAXPROCS);
 //	           results are merged in repetition order, so -workers never
 //	           changes the output, only the wall time
@@ -56,11 +55,9 @@
 //	           mode (PFC-only or CC-only lossy; default 0.25)
 //	-rogue-prob soak: probability a scenario hosts rogue senders policed
 //	           by switch-side defenses (default 0)
-//	-shards    engine shards for fat-tree runs (-1 = auto: GOMAXPROCS on a
-//	           multi-core machine, legacy single loop on one core; 0 =
-//	           legacy; N >= 1 all produce identical output)
+//	-shards    engine shards for fat-tree runs (N >= 1, default 1; every N
+//	           produces identical output, so it only moves wall time)
 //	-flows     scale: concurrent persistent flows (default 100000)
-//	-bench-out scale: path for the scaling-bench JSON (default BENCH_10.json)
 package main
 
 import (
@@ -91,7 +88,6 @@ var (
 	fullFlag = flag.Bool("full", false, "use the paper's full fat-tree scale")
 	loadFlag = flag.Float64("load", 0.7, "average load level for §6.3 runs")
 	repsFlag = flag.Int("reps", 1, "repetitions per experiment cell (paper: 5)")
-	runsFlag = flag.Int("runs", 1, "deprecated alias for -reps")
 	workFlag = flag.Int("workers", 0, "parallel workers for repetitions (0 = GOMAXPROCS)")
 	plotFlag = flag.Bool("plot", false, "render ASCII charts for series-producing experiments")
 	csvFlag  = flag.String("csv", "", "directory to write raw CSV outputs into")
@@ -169,6 +165,10 @@ func main() {
 	}
 	var err error
 	if proto, err = experiments.ParseProtocol(*protoFlag); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := checkShards(*shardsFlag); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -272,16 +272,12 @@ func dur(def sim.Time) sim.Time {
 	return def
 }
 
-// repCount merges -reps with its deprecated alias -runs.
+// repCount is -reps, at least one.
 func repCount() int {
-	r := *repsFlag
-	if *runsFlag > r {
-		r = *runsFlag
+	if *repsFlag < 1 {
+		return 1
 	}
-	if r < 1 {
-		r = 1
-	}
-	return r
+	return *repsFlag
 }
 
 // reportErr prints a failed repetition (e.g. a captured panic) without
@@ -567,7 +563,7 @@ func fctConfig(p experiments.Protocol, wl *workload.CDF, seed int64) experiments
 		Workload: wl,
 		Load:     *loadFlag,
 		Seed:     seed,
-		Shards:   shardCount(),
+		Shards:   *shardsFlag,
 	}
 	if *fullFlag {
 		cfg.FatTree = topology.PaperFatTree()
@@ -816,7 +812,7 @@ func runQoS() {
 	for i, src := range star.Sources {
 		f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		})
 		classIdx[f.ID] = i % 2
 		flows = append(flows, f)

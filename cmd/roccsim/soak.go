@@ -37,7 +37,7 @@ func runSoak() {
 		Budget:  *budgetFlag,
 		Workers: *workFlag,
 		Gen:     gen,
-		Run:     chaos.RunOptions{Shards: shardCount()},
+		Run:     chaos.RunOptions{Shards: *shardsFlag},
 		Shrink:  *shrinkFlag,
 		OutDir:  *soakOutFlag,
 		OnScenario: func(v chaos.Verdict) {

@@ -30,7 +30,7 @@ func main() {
 	for i, src := range star.Sources {
 		f := star.Net.StartFlow(src, star.Dst, rocc.FlowConfig{
 			Size: -1, MaxRate: rocc.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		})
 		classIdx[f.ID] = i % 2
 		flows = append(flows, f)

@@ -81,7 +81,7 @@ func forgeTick(a, _ any) {
 	if victim == nil {
 		return
 	}
-	pkt := f.net.AcquirePacket()
+	pkt := f.net.AcquirePacket(f.host)
 	pkt.Flow = f.cfg.Victim
 	pkt.Src = f.host.ID()
 	pkt.Dst = victim.Src().ID()

@@ -21,7 +21,7 @@ func forgeRig(opts roccnet.RPOptions, forge ForgeConfig) (*roccnet.FlowCC, *nets
 	net.Connect(b, sw, netsim.Gbps(40), 1500)
 	net.Connect(c, sw, netsim.Gbps(40), 1500)
 	net.ComputeRoutes()
-	cc := roccnet.NewFlowCC(engine, a, opts)
+	cc := roccnet.NewFlowCC(a, opts)
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1, CC: cc})
 	forge.Victim = f.ID
 	fg := NewForger(c, forge)

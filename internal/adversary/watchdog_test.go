@@ -60,7 +60,7 @@ func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 		t.Error("StuckDisabled true during a healthy cooldown")
 	}
 	// The storm keeps screaming: its pause frames bounce off.
-	pause := net.AcquirePacket()
+	pause := net.AcquirePacket(s0)
 	pause.Kind = netsim.KindPause
 	pause.Cls = netsim.ClassCtrl
 	pause.Size = netsim.PauseBytes

@@ -44,11 +44,11 @@ type RunOptions struct {
 	// shrinker's mode; verdicts stay deterministic either way).
 	StopOnFirst bool
 
-	// Shards runs the scenario on the sharded parallel engine with that
-	// many shards (fat-trees cut pod-aligned, other topologies
-	// switch-aligned; clamped to the topology's pod/switch count). 0
-	// keeps the legacy single-heap engine. Verdicts and counters are
-	// byte-identical for every Shards >= 1 at a fixed scenario.
+	// Shards runs the scenario on that many engine shards (fat-trees cut
+	// pod-aligned, other topologies switch-aligned; clamped to the
+	// topology's pod/switch count; the zero value means one). Verdicts
+	// and counters are byte-identical at every shard count for a fixed
+	// scenario.
 	Shards int
 
 	// Telemetry, when set, is attached to the network so a repro run
@@ -136,14 +136,12 @@ func Run(sc Scenario, opts RunOptions) (Result, error) {
 	if o.Telemetry != nil {
 		net.SetTelemetry(o.Telemetry.Registry, o.Telemetry.Recorder)
 	}
-	if o.Shards > 0 {
-		// Shard before any protocol attachment so CPs, markers and
-		// defenses schedule on their node's shard engine.
-		if fab.ft != nil {
-			topology.PartitionFatTree(fab.ft, o.Shards).Apply(net)
-		} else {
-			topology.PartitionAuto(net, o.Shards).Apply(net)
-		}
+	// Shard before any protocol attachment so CPs, markers and defenses
+	// schedule on their node's shard engine.
+	if fab.ft != nil {
+		topology.PartitionFatTree(fab.ft, o.Shards).Apply(net)
+	} else {
+		topology.PartitionAuto(net, o.Shards).Apply(net)
 	}
 
 	protos := sc.Protocols()

@@ -128,7 +128,7 @@ func (r *Receiver) OnData(now sim.Time, pkt *netsim.Packet) *netsim.Packet {
 	}
 	r.lastCNP[pkt.Flow] = now
 	r.CNPsSent++
-	cnp := r.host.Network().AcquirePacketFor(r.host)
+	cnp := r.host.Network().AcquirePacket(r.host)
 	cnp.Flow = pkt.Flow
 	cnp.Src = r.host.ID()
 	cnp.Dst = pkt.Src

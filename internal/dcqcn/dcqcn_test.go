@@ -111,7 +111,7 @@ func newSenderFixture() (*sim.Engine, *netsim.Host, *FlowCC) {
 	h := net.AddHost("h")
 	sw := net.AddSwitch("s", netsim.BufferConfig{})
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
-	cc := NewFlowCC(engine, h, DefaultConfig(40))
+	cc := NewFlowCC(h, DefaultConfig(40))
 	return engine, h, cc
 }
 
@@ -207,7 +207,7 @@ func TestSenderByteCounterStage(t *testing.T) {
 }
 
 func TestStopCancelsTimers(t *testing.T) {
-	engine, _, cc := newSenderFixture()
+	engine, h, cc := newSenderFixture()
 	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP})
 	cc.Stop()
 	r := cc.CurrentRate().Mbps()
@@ -215,8 +215,8 @@ func TestStopCancelsTimers(t *testing.T) {
 	if cc.CurrentRate().Mbps() != r {
 		t.Error("timers still firing after Stop")
 	}
-	if engine.Pending() != 0 {
-		t.Errorf("%d events still pending after Stop", engine.Pending())
+	if n := h.Network().Group().Pending(); n != 0 {
+		t.Errorf("%d events still pending after Stop", n)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // local link rate, so mixed-speed fabrics get correctly scaled marking
 // curves and rate steps.
 type Ops struct {
-	// Rand drives probabilistic marking; all markers built by this
-	// descriptor share it (one stream per fabric).
+	// Rand seeds probabilistic marking: every marker built by this
+	// descriptor splits its own stream off it, in attach order.
 	Rand *sim.Rand
 
 	// Config maps a link/NIC rate to DCQCN parameters. Nil selects
@@ -37,15 +37,11 @@ func (o *Ops) Features() netsim.CCFeatures {
 
 // AttachPort implements netsim.CongestionOps.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
-	r := o.Rand
-	if net.Sharded() {
-		// Sharded fabrics give each marker its own stream, seeded
-		// deterministically from the shared one at attach order: markers
-		// on different shards draw concurrently, and a shared stream
-		// would race (and make draw order partition-dependent).
-		r = o.Rand.Split()
-	}
-	return NewMarker(o.config(port.LinkRate.Gbps()), r)
+	// Each marker draws from its own stream, seeded deterministically
+	// from the shared one at attach order: markers on different shards
+	// draw concurrently, and a shared stream would race (and make draw
+	// order partition-dependent).
+	return NewMarker(o.config(port.LinkRate.Gbps()), o.Rand.Split())
 }
 
 // NewReceiver implements netsim.CongestionOps: at most one CNP per flow
@@ -56,7 +52,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src.Engine(), src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: DCQCN needs no flow ACKs.

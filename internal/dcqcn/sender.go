@@ -28,13 +28,14 @@ type FlowCC struct {
 	Increases int
 }
 
-// NewFlowCC builds a DCQCN rate controller starting at line rate.
-func NewFlowCC(engine *sim.Engine, host *netsim.Host, cfg Config) *FlowCC {
+// NewFlowCC builds a DCQCN rate controller starting at line rate. Its
+// timers run on the host's engine.
+func NewFlowCC(host *netsim.Host, cfg Config) *FlowCC {
 	if cfg.RmaxMbps == 0 {
 		cfg.RmaxMbps = host.NIC().LinkRate.Mbps()
 	}
 	cc := &FlowCC{
-		engine: engine,
+		engine: host.Engine(),
 		host:   host,
 		cfg:    cfg,
 		rc:     cfg.RmaxMbps,

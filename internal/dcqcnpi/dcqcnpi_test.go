@@ -115,7 +115,7 @@ func TestPIMarkerStabilizesQueue(t *testing.T) {
 	for _, s := range srcs {
 		net.StartFlow(s, dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: dcqcn.NewFlowCC(engine, s, ep),
+			CC: dcqcn.NewFlowCC(s, ep),
 		})
 	}
 	var sum, n float64

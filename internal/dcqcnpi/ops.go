@@ -10,8 +10,8 @@ import (
 // switch egress ports with DCQCN's unchanged endpoints (receiver CNPs and
 // the g/α rate controller).
 type Ops struct {
-	// Rand drives probabilistic marking; shared across this fabric's
-	// markers.
+	// Rand seeds probabilistic marking; every marker splits its own
+	// stream off it, in attach order.
 	Rand *sim.Rand
 
 	// Config maps a port link rate to PI marker parameters. Nil selects
@@ -48,12 +48,8 @@ func (o *Ops) Features() netsim.CCFeatures {
 // AttachPort implements netsim.CongestionOps: install the PI marker and
 // start its probability-update timer.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
-	r := o.Rand
-	if net.Sharded() {
-		// Per-marker stream in sharded runs (see dcqcn.Ops.AttachPort).
-		r = o.Rand.Split()
-	}
-	return Attach(net, port, o.config(port.LinkRate.Gbps()), r)
+	// Per-marker stream (see dcqcn.Ops.AttachPort).
+	return Attach(net, port, o.config(port.LinkRate.Gbps()), o.Rand.Split())
 }
 
 // NewReceiver implements netsim.CongestionOps: DCQCN's receiver,
@@ -64,7 +60,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps: DCQCN's sender, unchanged.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return dcqcn.NewFlowCC(src.Engine(), src, o.endpoint(src.NIC().LinkRate.Gbps()))
+	return dcqcn.NewFlowCC(src, o.endpoint(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: no flow ACKs needed.

@@ -76,7 +76,7 @@ func (r *Receiver) OnData(now sim.Time, pkt *netsim.Packet) *netsim.Packet {
 	if !pkt.CE {
 		return nil
 	}
-	echo := r.host.Network().AcquirePacketFor(r.host)
+	echo := r.host.Network().AcquirePacket(r.host)
 	echo.Flow = pkt.Flow
 	echo.Src = r.host.ID()
 	echo.Dst = pkt.Src

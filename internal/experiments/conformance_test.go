@@ -61,7 +61,7 @@ func TestOpsFlowCCContract(t *testing.T) {
 			if at < 0 {
 				t.Fatalf("negative eligible time %v", at)
 			}
-			pkt := star.Net.AcquirePacket()
+			pkt := star.Net.AcquirePacket(star.Sources[0])
 			pkt.Kind = netsim.KindData
 			pkt.Payload = 1000
 			cc.OnSent(0, pkt)

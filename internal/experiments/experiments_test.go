@@ -284,7 +284,10 @@ func TestStabilityRunners(t *testing.T) {
 
 func TestFig19BaselineVerification(t *testing.T) {
 	for _, p := range []Protocol{ProtoDCQCN, ProtoHPCC} {
-		r := RunFig19(p, 8*sim.Millisecond, 1)
+		// The figure's own 20 ms phase: at 8 ms DCQCN's N=4 aggregate sits
+		// on the floor below (30.0–33.9 across seeds 1–4) and passes or
+		// fails by seed; at 20 ms it reads 38 at every seed.
+		r := RunFig19(p, 20*sim.Millisecond, 1)
 		if len(r.PhaseN) != 7 {
 			t.Fatalf("%s: phases = %d", p, len(r.PhaseN))
 		}

@@ -109,7 +109,7 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	for i, src := range star.Sources {
 		// Staleness handling on: the point of the scenario is measuring
 		// how fast flows re-home when feedback stops.
-		ccs[i] = roccnet.NewFlowCC(engine, src, roccnet.RPOptions{StaleK: core.DefaultStaleK})
+		ccs[i] = roccnet.NewFlowCC(src, roccnet.RPOptions{StaleK: core.DefaultStaleK})
 		flows[i] = star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size:    -1,
 			MaxRate: offered,

@@ -49,11 +49,9 @@ type FCTConfig struct {
 	Warmup   sim.Time // flows starting before Warmup are not recorded
 	Seed     int64
 
-	// Shards selects the parallel event engine: > 0 runs the fabric on
-	// a pod-aligned sharded engine group with that many shards (clamped
-	// to the edge count), 0 keeps the legacy single-heap engine. Fixed
-	// seeds produce byte-identical results for every Shards >= 1; the
-	// legacy engine is its own (also deterministic) baseline.
+	// Shards cuts the fabric pod-aligned onto that many engine shards
+	// (clamped to the edge count; the zero value means one). Fixed seeds
+	// produce byte-identical results at every shard count.
 	Shards int
 
 	// IncastFanIn, when > 1, groups arrivals into synchronized incasts:
@@ -113,11 +111,9 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
 	applyBufferMode(ft, cfg.Mode)
-	if cfg.Shards > 0 {
-		// Shard before any protocol attachment so CP tickers and markers
-		// land on their node's shard engine.
-		topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
-	}
+	// Shard before any protocol attachment so CP tickers and markers land
+	// on their node's shard engine.
+	topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
 
 	stack := NewStack(ft.Net, cfg.Protocol, 16*sim.Microsecond)
 	stack.EnableAllSwitchPorts()

@@ -358,11 +358,19 @@ type Fig12aRow struct {
 
 // RunFig12a reproduces Fig. 12a for one protocol.
 func RunFig12a(proto Protocol, duration sim.Time, seed int64) Fig12aRow {
+	return runFig12a(proto, duration, seed, 1)
+}
+
+// runFig12a is RunFig12a on the given number of engine shards; the row
+// is the same with both switches on one and with the inter-switch link
+// as the cut (the determinism test's seam).
+func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12aRow {
 	if duration == 0 {
 		duration = 40 * sim.Millisecond
 	}
 	engine := sim.New()
 	m := topology.BuildMultiBottleneck(engine, seed)
+	topology.PartitionAuto(m.Net, shards).Apply(m.Net)
 	stack := NewStack(m.Net, proto, 10*sim.Microsecond)
 	stack.EnablePorts(m.Inter, m.Access)
 	// Also enable every other egress port so the protocol sees all

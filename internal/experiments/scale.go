@@ -30,7 +30,7 @@ func ScaleFatTree() topology.FatTreeConfig {
 // the ScaleFatTree fabric saturated with persistent random-pair flows,
 // run for a fixed slice of virtual time at one shard count.
 type ScaleBenchConfig struct {
-	Shards   int // >= 1: sharded engine group (clamped to pods); 0: legacy single heap
+	Shards   int // engine shards, clamped to pods (the zero value means one)
 	Seed     int64
 	Protocol Protocol
 	FatTree  topology.FatTreeConfig
@@ -56,23 +56,20 @@ func (c *ScaleBenchConfig) fill() {
 	}
 }
 
-// ScaleBenchResult is one BENCH_10.json row: throughput of the event
-// engine at one shard count, plus a digest of the end state for the
-// cross-shard-count byte-identity check.
+// ScaleBenchResult is one row of the scaling table: throughput of the
+// event engine at one shard count, plus a digest of the end state for
+// the cross-shard-count byte-identity check.
 type ScaleBenchResult struct {
-	Shards       int     `json:"shards"`
-	Hosts        int     `json:"hosts"`
-	Flows        int     `json:"flows"`
-	VirtualMS    float64 `json:"virtual_ms"`
-	Events       uint64  `json:"events"`
-	WallSec      float64 `json:"wall_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Shards       int
+	Events       uint64
+	WallSec      float64
+	EventsPerSec float64
 
 	// Digest fingerprints the run's observable end state (per-host
 	// delivered bytes, drops, events fired). Fixed-seed runs must report
-	// the same digest at every Shards >= 1 — the determinism contract,
+	// the same digest at every shard count — the determinism contract,
 	// checked here over the full 1024-host fabric.
-	Digest string `json:"digest"`
+	Digest string
 }
 
 // RunScaleBench runs one scaling cell and measures wall-clock event
@@ -81,12 +78,9 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	cfg.fill()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
-	var g *sim.Group
-	if cfg.Shards > 0 {
-		// Shard before protocol attachment so switch-side elements land on
-		// their node's shard engine.
-		g = topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
-	}
+	// Shard before protocol attachment so switch-side elements land on
+	// their node's shard engine.
+	g := topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
 
 	stack := NewStack(ft.Net, cfg.Protocol, 16*sim.Microsecond)
 	stack.EnableAllSwitchPorts()
@@ -116,10 +110,7 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	engine.RunUntil(cfg.Duration)
 	wall := time.Since(start).Seconds()
 
-	fired := engine.Fired()
-	if g != nil {
-		fired = g.Fired()
-	}
+	fired := g.Fired()
 
 	h := fnv.New64a()
 	var buf [8]byte
@@ -135,9 +126,6 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 
 	return ScaleBenchResult{
 		Shards:       cfg.Shards,
-		Hosts:        len(hosts),
-		Flows:        cfg.Flows,
-		VirtualMS:    cfg.Duration.Seconds() * 1e3,
 		Events:       fired,
 		WallSec:      wall,
 		EventsPerSec: float64(fired) / wall,

@@ -69,3 +69,20 @@ func TestFCTShardDeterminismAllProtocols(t *testing.T) {
 		})
 	}
 }
+
+// TestFig12aShardDeterminism extends the contract beyond FCT and soak to
+// the first micro figure with two switches: the Fig. 12a row is the same
+// whether both switches share a shard or the inter-switch link is the
+// cut, for an RNG-marking, an INT-window and a switch-rate protocol.
+func TestFig12aShardDeterminism(t *testing.T) {
+	for _, p := range []Protocol{ProtoDCQCN, ProtoHPCC, ProtoRoCC} {
+		one := runFig12a(p, 4*sim.Millisecond, 1, 1)
+		two := runFig12a(p, 4*sim.Millisecond, 1, 2)
+		if one.D[0] == 0 {
+			t.Errorf("%s: D0 delivered nothing; run too short to prove anything", p)
+		}
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("%s: shards=2 diverged from shards=1:\n  1: %v\n  2: %v", p, one.D, two.D)
+		}
+	}
+}

@@ -250,22 +250,12 @@ func (f *Flow) onDataArrive(now sim.Time, pkt *Packet) {
 	if advanced && !f.done && f.Size >= 0 && f.rcvdContig >= f.Size {
 		f.done = true
 		f.FinishTime = now
-		if f.net.group != nil {
-			// Sharded: completion callbacks mutate the flow registry and
-			// may start new flows or stop the run — global-lane work.
-			// Defer to the window barrier; the coordinator replays the
-			// list in (FinishTime, dst, flow) order, which is
-			// partition-independent.
-			st := &f.net.shardSt[f.dst.shard]
-			st.done = append(st.done, f)
-			return
-		}
-		if f.net.OnFlowDone != nil {
-			f.net.OnFlowDone(f)
-		}
-		if !f.Reliable {
-			f.net.removeFlowLater(f)
-		}
+		// Completion callbacks mutate the flow registry and may start new
+		// flows or stop the run — global-lane work. Defer to the window
+		// barrier; the coordinator replays the list in (FinishTime, dst,
+		// flow) order, which is partition-independent.
+		st := &f.net.shardSt[f.dst.shard]
+		st.done = append(st.done, f)
 	}
 }
 
@@ -274,7 +264,7 @@ func (f *Flow) onDataArrive(now sim.Time, pkt *Packet) {
 // aliasing the data packet's slice would dangle once the data packet
 // returns to the pool.
 func (f *Flow) sendAck(now sim.Time, data *Packet, nack bool) {
-	ack := f.net.AcquirePacketFor(f.dst)
+	ack := f.net.AcquirePacket(f.dst)
 	ack.Flow = f.ID
 	ack.Src = f.dstID
 	ack.Dst = f.srcID
@@ -296,14 +286,10 @@ func (f *Flow) onAckArrive(now sim.Time, pkt *Packet) {
 		if f.Reliable {
 			if f.Size >= 0 && f.ackedSeq >= f.Size {
 				f.rtoEv.Cancel()
-				if f.net.group != nil {
-					// Sharded: registry mutation and controller teardown
-					// defer to the window barrier (see onDataArrive).
-					st := &f.net.shardSt[f.src.shard]
-					st.retire = append(st.retire, retireReq{f: f, at: now})
-				} else {
-					f.net.removeFlowLater(f)
-				}
+				// Registry mutation and controller teardown defer to the
+				// window barrier (see onDataArrive).
+				st := &f.net.shardSt[f.src.shard]
+				st.retire = append(st.retire, retireReq{f: f, at: now})
 			} else {
 				f.armRTO(now)
 			}

@@ -27,8 +27,8 @@ type Host struct {
 	rrIndex int
 	wake    sim.Handle
 
-	// eng is the engine this host's events run on (the network engine
-	// until EnableSharding re-homes the host onto a shard).
+	// eng is the shard engine this host's events run on (shard 0 until
+	// EnableSharding re-homes the host).
 	eng   *sim.Engine
 	shard int
 
@@ -43,9 +43,9 @@ func (h *Host) ID() NodeID { return h.id }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// Engine returns the engine this host's events run on: the network
-// engine, or the host's shard engine in sharded runs. Per-flow
-// controllers (reaction points) must schedule their timers here.
+// Engine returns the shard engine this host's events run on. Per-flow
+// controllers (reaction points) must schedule their timers here, not on
+// the network's global lane.
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
 // Ports returns the host's single NIC port, or nothing before the host

@@ -81,11 +81,10 @@ type Network struct {
 	stalePauseDrops      uint64
 	watchdogPauseIgnores uint64
 
-	// pool recycles Packet structs; see pool.go for the lifecycle contract.
-	// In sharded runs (EnableSharding) pools replaces it with one
-	// shard-local free list per shard, and shardSt carries each shard's
-	// deferred flow completions.
-	pool    packetPool
+	// group is the engine group the network runs on: one shard from New,
+	// K after EnableSharding (shard.go). pools recycles Packet structs,
+	// one shard-local free list per shard (pool.go has the lifecycle
+	// contract); shardSt carries each shard's deferred flow completions.
 	group   *sim.Group
 	pools   []packetPool
 	shardSt []shardState
@@ -95,8 +94,8 @@ type Network struct {
 	doneScratch   []*Flow
 	retireScratch []retireReq
 
-	// portSeq numbers ports in creation order; the sharded engine keys
-	// every directed link's arrival lane by it.
+	// portSeq numbers ports in creation order; every directed link's
+	// arrival lane is keyed by it.
 	portSeq uint64
 
 	// longestPause is the longest completed PFC pause interval seen so
@@ -112,20 +111,26 @@ type Network struct {
 	tm  netMetrics
 }
 
-// New creates an empty network on the given engine.
+// New creates an empty network with engine as its global lane: timers,
+// monitors and workload arrivals scheduled on engine run at window
+// barriers, and engine.Run/RunUntil/Step drive the whole network. The
+// nodes themselves live on a one-shard sim.Group wrapped around engine
+// until EnableSharding re-cuts them.
 func New(engine *sim.Engine, seed int64) *Network {
-	return &Network{
+	n := &Network{
 		Engine:         engine,
 		Rand:           sim.NewRand(seed),
 		flows:          make(map[FlowID]*Flow),
 		DefaultRPDelay: 15 * sim.Microsecond,
 		PauseStormSpan: sim.Millisecond,
 	}
+	n.adopt(sim.NewGroup(engine, 1, DefaultLookahead), true)
+	return n
 }
 
 // AddHost creates a host.
 func (n *Network) AddHost(name string) *Host {
-	h := &Host{net: n, id: NodeID(len(n.nodes)), Name: name, RPDelay: n.DefaultRPDelay, eng: n.Engine}
+	h := &Host{net: n, id: NodeID(len(n.nodes)), Name: name, RPDelay: n.DefaultRPDelay, eng: n.group.Shard(0)}
 	n.nodes = append(n.nodes, h)
 	n.hosts = append(n.hosts, h)
 	return h
@@ -139,7 +144,7 @@ func (n *Network) AddSwitch(name string, buf BufferConfig) *Switch {
 		Name:   name,
 		Buffer: buf,
 		routes: make(map[NodeID][]int),
-		eng:    n.Engine,
+		eng:    n.group.Shard(0),
 	}
 	n.nodes = append(n.nodes, s)
 	n.switches = append(n.switches, s)
@@ -161,14 +166,25 @@ func (n *Network) Flow(id FlowID) *Flow { return n.flows[id] }
 // Connect links two nodes with a full-duplex link of the given rate and
 // propagation delay, returning the two port ends (a's, then b's).
 func (n *Network) Connect(a, b Node, rate Rate, delay sim.Time) (*Port, *Port) {
-	pa := &Port{net: n, owner: a, LinkRate: rate, PropDelay: delay, eng: n.Engine, arrLane: laneArrBase | n.portSeq}
-	pb := &Port{net: n, owner: b, LinkRate: rate, PropDelay: delay, eng: n.Engine, arrLane: laneArrBase | (n.portSeq + 1)}
-	n.portSeq += 2
+	pa, pb := n.newPort(a, b, rate, delay), n.newPort(b, a, rate, delay)
 	n.attach(a, pa)
 	n.attach(b, pb)
 	pa.PeerNode, pa.PeerPort = b, pb.Index
 	pb.PeerNode, pb.PeerPort = a, pa.Index
 	return pa, pb
+}
+
+// newPort builds owner's end of a link to peer, homed on owner's shard.
+func (n *Network) newPort(owner, peer Node, rate Rate, delay sim.Time) *Port {
+	sh := nodeShard(owner)
+	p := &Port{
+		net: n, owner: owner, LinkRate: rate, PropDelay: delay,
+		eng: n.group.Shard(sh), shard: sh,
+		peerShard: nodeShard(peer), peerCtx: localLane(peer.ID()),
+		arrLane: laneArrBase | n.portSeq,
+	}
+	n.portSeq++
+	return p
 }
 
 func (n *Network) attach(node Node, p *Port) {

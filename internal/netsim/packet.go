@@ -136,7 +136,7 @@ type Packet struct {
 	pc pcheck
 
 	// pool is the index of the shard-local pool that owns this packet
-	// (always 0 unsharded). Cross-shard handoffs re-stamp it at the
+	// (always 0 on one shard). Cross-shard handoffs re-stamp it at the
 	// mailbox drain, so acquire and release always touch the pool of the
 	// shard currently holding the packet.
 	pool int32
@@ -162,7 +162,7 @@ func (pkt *Packet) reset() {
 
 // dataPacket builds a payload packet for a flow from the network pool.
 func dataPacket(f *Flow, seq int64, payload int, last bool, now sim.Time) *Packet {
-	pkt := f.net.AcquirePacketFor(f.src)
+	pkt := f.net.AcquirePacket(f.src)
 	pkt.Flow = f.ID
 	pkt.Src = f.srcID
 	pkt.Dst = f.dstID

@@ -1,10 +1,12 @@
 package netsim
 
-// packetPool is the network-owned free list of Packet structs. The
-// simulator is single-threaded (one engine drives one network), so the
-// pool needs no locking. Packets acquired here carry their INT/EchoINT
-// backing arrays across cycles, so a warmed-up simulation sends, stamps
-// and acknowledges without touching the allocator.
+// packetPool is one shard's free list of Packet structs. The network
+// owns one per engine shard (Network.pools) and each is touched only
+// from its own shard's event context — or on the coordinator with every
+// shard quiesced — so the pools need no locking. Packets acquired here
+// carry their INT/EchoINT backing arrays across cycles, so a warmed-up
+// simulation sends, stamps and acknowledges without touching the
+// allocator.
 //
 // The lifecycle contract the pool enforces (and poolcheck polices):
 //
@@ -33,39 +35,27 @@ type packetPool struct {
 // packet is sent; flipping mid-run is safe (the free list is simply
 // ignored or resumed) but pointless.
 func (n *Network) SetPooling(on bool) {
-	n.pool.disabled = !on
 	for i := range n.pools {
 		n.pools[i].disabled = !on
 	}
 }
 
 // PoolingEnabled reports whether packet reuse is active.
-func (n *Network) PoolingEnabled() bool { return !n.pool.disabled }
+func (n *Network) PoolingEnabled() bool { return !n.pools[0].disabled }
 
-// AcquirePacket returns a zeroed packet owned by the caller. Protocol
-// elements that inject packets (CNP generators, receiver hooks) must use
-// this instead of &Packet{} so the hot path stays allocation-free; the
-// network releases the packet at its terminal point.
-//
-// In sharded runs this form has no shard context, so it returns a fresh
-// unpooled packet (safe from any goroutine; the GC reclaims it).
-// In-context callers use AcquirePacketFor, which stays pooled.
-func (n *Network) AcquirePacket() *Packet {
-	if n.group != nil || n.pool.disabled {
-		pkt := &Packet{}
-		n.preallocINT(pkt)
-		return pkt
-	}
-	return n.acquireFrom(0)
+// AcquirePacket returns a zeroed packet owned by the caller, drawn from
+// the pool of the shard node lives on. Protocol elements that inject
+// packets (CNP generators, receiver hooks, the NIC itself) must use this
+// instead of &Packet{} so the hot path stays allocation-free, and must
+// name the node whose event context they run in so the free list stays
+// shard-local; the network releases the packet at its terminal point.
+func (n *Network) AcquirePacket(node Node) *Packet {
+	return n.acquireFrom(int32(nodeShard(node)))
 }
 
-// acquireFrom pops a packet from one shard-local pool (pool 0 doubles as
-// the unsharded pool).
+// acquireFrom pops a packet from one shard-local pool.
 func (n *Network) acquireFrom(idx int32) *Packet {
-	p := &n.pool
-	if n.pools != nil {
-		p = &n.pools[idx]
-	}
+	p := &n.pools[idx]
 	if p.disabled {
 		pkt := &Packet{pool: idx}
 		n.preallocINT(pkt)
@@ -108,14 +98,11 @@ func (n *Network) ReleasePacket(pkt *Packet) {
 		return
 	}
 	pkt.stampRelease()
-	p := &n.pool
-	if n.pools != nil {
-		// Sharded: the packet returns to the free list of the shard that
-		// currently owns it — cross-shard handoffs re-stamped pkt.pool at
-		// the mailbox drain, so release always lands on the caller's own
-		// (data-race-free) pool.
-		p = &n.pools[pkt.pool]
-	}
+	// The packet returns to the free list of the shard that currently
+	// owns it — cross-shard handoffs re-stamped pkt.pool at the mailbox
+	// drain, so release always lands on the caller's own
+	// (data-race-free) pool.
+	p := &n.pools[pkt.pool]
 	p.released++
 	p.live--
 	if p.disabled {
@@ -133,8 +120,8 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 	// The clone joins the original's pool: cloning happens on the sending
 	// side of a link, and the duplicate crosses the same link (and the
 	// same ownership transfer) as the original. A clone of an unpooled
-	// packet stays unpooled — in sharded runs pkt.pool says nothing about
-	// which shard is holding it.
+	// packet stays unpooled — its pkt.pool says nothing about which shard
+	// is holding it.
 	var c *Packet
 	if pkt.pooled {
 		c = n.acquireFrom(pkt.pool)
@@ -163,11 +150,8 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 // a delayed-delivery event. After a full drain (engine queue empty, all
 // port queues empty) this must be zero — the chaos packet-accounting
 // invariant — and it can only go negative through a double release.
-// Sharded runs sum the shard-local pools (read between windows).
+// It sums the shard-local pools, so read it between windows.
 func (n *Network) OutstandingPackets() int64 {
-	if n.pools == nil {
-		return n.pool.live
-	}
 	total := int64(0)
 	for i := range n.pools {
 		total += n.pools[i].live
@@ -177,9 +161,6 @@ func (n *Network) OutstandingPackets() int64 {
 
 // PacketsAcquired returns the lifetime count of pool acquisitions.
 func (n *Network) PacketsAcquired() uint64 {
-	if n.pools == nil {
-		return n.pool.acquired
-	}
 	total := uint64(0)
 	for i := range n.pools {
 		total += n.pools[i].acquired
@@ -190,11 +171,7 @@ func (n *Network) PacketsAcquired() uint64 {
 // PacketSlots returns how many Packet structs the pool ever allocated.
 // In an allocation-free steady state this stops growing: it tracks the
 // peak number of simultaneously live packets, not the number sent.
-// Sharded runs sum the shard-local pools.
 func (n *Network) PacketSlots() uint64 {
-	if n.pools == nil {
-		return n.pool.allocated
-	}
 	total := uint64(0)
 	for i := range n.pools {
 		total += n.pools[i].allocated

@@ -6,16 +6,23 @@ import (
 	"rocc/internal/sim"
 )
 
-func TestPacketPoolRecyclesStructs(t *testing.T) {
+// poolFixture is an empty network plus the host its packets are acquired
+// for.
+func poolFixture() (*Network, *Host) {
 	net := New(sim.New(), 1)
-	p1 := net.AcquirePacket()
+	return net, net.AddHost("h")
+}
+
+func TestPacketPoolRecyclesStructs(t *testing.T) {
+	net, h := poolFixture()
+	p1 := net.AcquirePacket(h)
 	if !p1.pooled {
 		t.Fatal("acquired packet not marked pooled")
 	}
 	p1.Seq = 99
 	p1.INT = append(p1.INT, INTRecord{QLen: 7})
 	net.ReleasePacket(p1)
-	p2 := net.AcquirePacket()
+	p2 := net.AcquirePacket(h)
 	if p2 != p1 {
 		t.Fatal("pool did not reuse the released struct")
 	}
@@ -31,9 +38,9 @@ func TestPacketPoolRecyclesStructs(t *testing.T) {
 }
 
 func TestPacketPoolAccounting(t *testing.T) {
-	net := New(sim.New(), 1)
-	a := net.AcquirePacket()
-	b := net.AcquirePacket()
+	net, h := poolFixture()
+	a := net.AcquirePacket(h)
+	b := net.AcquirePacket(h)
 	if got := net.OutstandingPackets(); got != 2 {
 		t.Fatalf("outstanding = %d, want 2", got)
 	}
@@ -51,35 +58,35 @@ func TestPacketPoolAccounting(t *testing.T) {
 }
 
 func TestReleaseUnpooledPacketIsNoOp(t *testing.T) {
-	net := New(sim.New(), 1)
+	net, h := poolFixture()
 	net.ReleasePacket(nil)
 	net.ReleasePacket(&Packet{Seq: 5}) // hand-built, as tests construct them
 	if got := net.OutstandingPackets(); got != 0 {
 		t.Fatalf("outstanding = %d after unpooled releases, want 0", got)
 	}
-	if p := net.AcquirePacket(); p.Seq != 0 {
+	if p := net.AcquirePacket(h); p.Seq != 0 {
 		t.Fatal("hand-built packet leaked into the free list")
 	}
 }
 
 func TestEnsureCNPIsInline(t *testing.T) {
-	net := New(sim.New(), 1)
-	pkt := net.AcquirePacket()
+	net, h := poolFixture()
+	pkt := net.AcquirePacket(h)
 	info := pkt.EnsureCNP()
 	info.RateUnits = 42
 	if pkt.CNP != &pkt.cnpStore || pkt.CNP.RateUnits != 42 {
 		t.Fatal("EnsureCNP did not attach the embedded store")
 	}
 	net.ReleasePacket(pkt)
-	again := net.AcquirePacket()
+	again := net.AcquirePacket(h)
 	if again.CNP != nil || again.cnpStore.RateUnits != 0 {
 		t.Fatal("CNP payload survived the pool cycle")
 	}
 }
 
 func TestClonePacketIsIndependent(t *testing.T) {
-	net := New(sim.New(), 1)
-	orig := net.AcquirePacket()
+	net, h := poolFixture()
+	orig := net.AcquirePacket(h)
 	orig.Flow = 3
 	orig.INT = append(orig.INT, INTRecord{QLen: 1})
 	orig.EnsureCNP().RateUnits = 7
@@ -93,7 +100,7 @@ func TestClonePacketIsIndependent(t *testing.T) {
 	}
 	// Releasing and recycling the original must not disturb the clone.
 	net.ReleasePacket(orig)
-	reused := net.AcquirePacket()
+	reused := net.AcquirePacket(h)
 	reused.INT = append(reused.INT, INTRecord{QLen: 99})
 	reused.EnsureCNP().RateUnits = 99
 	if c.INT[0].QLen != 1 || c.CNP.RateUnits != 7 {
@@ -105,15 +112,15 @@ func TestClonePacketIsIndependent(t *testing.T) {
 }
 
 func TestUnpooledCloneIsIndependent(t *testing.T) {
-	net := New(sim.New(), 1)
-	orig := net.AcquirePacket()
+	net, h := poolFixture()
+	orig := net.AcquirePacket(h)
 	orig.EnsureCNP().RateUnits = 5
 	c := orig.Clone()
 	if c.pooled {
 		t.Fatal("Packet.Clone produced a pooled packet")
 	}
 	net.ReleasePacket(orig)
-	net.AcquirePacket().EnsureCNP().RateUnits = 88
+	net.AcquirePacket(h).EnsureCNP().RateUnits = 88
 	if c.CNP.RateUnits != 5 {
 		t.Fatal("recycling the original corrupted the unpooled clone")
 	}
@@ -124,14 +131,14 @@ func TestUnpooledCloneIsIndependent(t *testing.T) {
 }
 
 func TestSetPoolingOffAllocatesFresh(t *testing.T) {
-	net := New(sim.New(), 1)
+	net, h := poolFixture()
 	net.SetPooling(false)
-	a := net.AcquirePacket()
+	a := net.AcquirePacket(h)
 	if a.pooled {
 		t.Fatal("pooling disabled but packet marked pooled")
 	}
 	net.ReleasePacket(a)
-	if b := net.AcquirePacket(); b == a {
+	if b := net.AcquirePacket(h); b == a {
 		t.Fatal("pooling disabled but struct was reused")
 	}
 	if net.OutstandingPackets() != 0 {
@@ -140,10 +147,10 @@ func TestSetPoolingOffAllocatesFresh(t *testing.T) {
 }
 
 func TestAcquireReleaseZeroAlloc(t *testing.T) {
-	net := New(sim.New(), 1)
-	net.ReleasePacket(net.AcquirePacket()) // warm the free list
+	net, h := poolFixture()
+	net.ReleasePacket(net.AcquirePacket(h)) // warm the free list
 	allocs := testing.AllocsPerRun(1000, func() {
-		pkt := net.AcquirePacket()
+		pkt := net.AcquirePacket(h)
 		pkt.INT = append(pkt.INT, INTRecord{})
 		net.ReleasePacket(pkt)
 	})

@@ -2,11 +2,7 @@
 
 package netsim
 
-import (
-	"testing"
-
-	"rocc/internal/sim"
-)
+import "testing"
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
@@ -19,15 +15,15 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestPoolcheckDoubleReleasePanics(t *testing.T) {
-	net := New(sim.New(), 1)
-	pkt := net.AcquirePacket()
+	net, h := poolFixture()
+	pkt := net.AcquirePacket(h)
 	net.ReleasePacket(pkt)
 	mustPanic(t, "double release", func() { net.ReleasePacket(pkt) })
 }
 
 func TestPoolcheckUseAfterReleasePanics(t *testing.T) {
-	net := New(sim.New(), 1)
-	pkt := net.AcquirePacket()
+	net, h := poolFixture()
+	pkt := net.AcquirePacket(h)
 	pkt.checkLive("test use") // live: must not panic
 	net.ReleasePacket(pkt)
 	mustPanic(t, "use after release", func() { pkt.checkLive("test use") })

@@ -48,9 +48,9 @@ type Port struct {
 	linkDown bool     // packets transmitted while down are lost
 	upSince  sim.Time // when the link last (re-)established at this end
 
-	// Sharded-engine wiring (see shard.go). eng is the engine this
-	// port's events run on — the network engine until EnableSharding
-	// re-homes the owner onto a shard. arrLane keys this directed link's
+	// Engine-group wiring (see shard.go). eng is the shard engine this
+	// port's events run on — its owner's, shard 0 until EnableSharding
+	// re-homes the owner. arrLane keys this directed link's
 	// arrival lane (creation-order port id), linkSeq sequences arrivals
 	// within it, and peerShard/peerCtx cache the far end's shard and
 	// local lane.
@@ -71,7 +71,7 @@ type Port struct {
 	TxBytes       uint64 // all classes
 	TxDataBytes   uint64
 	TxPackets     uint64
-	LinkDownDrops uint64 // packets lost to a downed link
+	LinkDownDrops uint64   // packets lost to a downed link
 	pausedFor     sim.Time // completed pause intervals
 	pausedAt      sim.Time
 }
@@ -120,9 +120,9 @@ func (p *Port) SetLosslessOff(off bool) {
 // Owner returns the node the port belongs to.
 func (p *Port) Owner() Node { return p.owner }
 
-// Engine returns the engine this port's events run on: the network
-// engine, or the owner's shard engine in sharded runs. Switch-side
-// congestion-control attachments must schedule their timers here.
+// Engine returns the shard engine this port's events run on (its
+// owner's). Switch-side congestion-control attachments must schedule
+// their timers here, not on the network's global lane.
 func (p *Port) Engine() *sim.Engine { return p.eng }
 
 // QueueBytes returns the queued bytes of one class (excluding the packet
@@ -333,7 +333,7 @@ func portArrive(a, b any) {
 // faulty link can lose them — the peer then stays paused (or unpaused)
 // until the link-up reset clears the state.
 func (p *Port) sendPauseFrame(on bool) {
-	pkt := p.net.AcquirePacketFor(p.owner)
+	pkt := p.net.AcquirePacket(p.owner)
 	pkt.Kind = KindPause
 	pkt.Cls = ClassCtrl
 	pkt.Size = PauseBytes

@@ -1,16 +1,17 @@
 package netsim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rocc/internal/sim"
 )
 
-// This file is the dataplane's side of the sharded engine (sim.Group):
-// node→shard assignment, per-shard packet pools with ownership transfer
-// on cross-shard handoff, and the deferred flow-completion machinery
-// that keeps flow-registry mutation and user callbacks on the global
-// lane.
+// This file is the dataplane's side of the engine group (sim.Group)
+// every network runs on: node→shard assignment, per-shard packet pools
+// with ownership transfer on cross-shard handoff, and the deferred
+// flow-completion machinery that keeps flow-registry mutation and user
+// callbacks on the global lane.
 //
 // Lane encoding for the (at, k1, seq) event keys — see sim.event.k1:
 //
@@ -44,18 +45,37 @@ type retireReq struct {
 	at sim.Time
 }
 
-// Sharded reports whether the network runs on a sharded engine group.
-func (n *Network) Sharded() bool { return n.group != nil }
+// DefaultLookahead is the window of the one-shard group a network is
+// born on: the paper's per-link propagation delay (§6), which is also
+// what every cut of the paper's fabrics reports. The window sets the
+// barrier cadence, barriers decide when deferred flow completions
+// replay, and so the value is part of every run's digest.
+const DefaultLookahead = 1500 * sim.Nanosecond
 
-// Group returns the engine group the network was sharded onto, or nil.
+// Group returns the engine group the network runs on.
 func (n *Network) Group() *sim.Group { return n.group }
 
-// EnableSharding partitions the network across the shards of g:
-// assign[nodeID] names the shard owning each node. Call it after the
-// topology is complete (every Connect done) and before any traffic or
-// protocol attachments. g's global lane must be the engine the network
-// was built on; every existing scheduling site against n.Engine keeps
-// working and runs at window barriers.
+// adopt makes g the network's engine group: one packet pool and one
+// deferred-completion list per shard, and the barrier hooks.
+func (n *Network) adopt(g *sim.Group, pooling bool) {
+	n.group = g
+	n.pools = make([]packetPool, g.Shards())
+	for i := range n.pools {
+		n.pools[i].disabled = !pooling
+	}
+	n.shardSt = make([]shardState, g.Shards())
+	g.OnBarrier(n.drainShardCompletions)
+	g.SetTransfer(n.transferOwnership)
+}
+
+// EnableSharding re-homes the network from the one-shard group it was
+// born on onto the shards of g: assign[nodeID] names the shard owning
+// each node. Call it after the topology is complete (every Connect done)
+// and before any traffic or protocol attachments: the network must
+// still be idle, and sim.NewGroup has already panicked if a node lane
+// fired or holds an event (an attached ticker, say). g's global lane
+// must be the engine the network was built on; every scheduling site
+// against n.Engine keeps working and runs at window barriers.
 //
 // The lookahead contract is the caller's (the topology partitioner's)
 // responsibility: every link between nodes on different shards must
@@ -70,13 +90,8 @@ func (n *Network) EnableSharding(g *sim.Group, assign []int) {
 	if len(n.flows) > 0 || n.nextFlow != 0 {
 		panic("netsim: EnableSharding must run before any traffic")
 	}
-	n.group = g
+	n.adopt(g, n.PoolingEnabled())
 	k := g.Shards()
-	n.pools = make([]packetPool, k)
-	for i := range n.pools {
-		n.pools[i].disabled = n.pool.disabled
-	}
-	n.shardSt = make([]shardState, k)
 	for id, node := range n.nodes {
 		sh := assign[id]
 		if sh < 0 || sh >= k {
@@ -90,25 +105,15 @@ func (n *Network) EnableSharding(g *sim.Group, assign []int) {
 			v.eng, v.shard = eng, sh
 		}
 		for _, p := range node.Ports() {
-			p.eng, p.shard = eng, sh
-		}
-		for _, p := range node.Ports() {
-			if p.PropDelay < g.Lookahead() && assign[p.PeerNode.ID()] != sh {
+			p.eng, p.shard, p.peerShard = eng, sh, assign[p.PeerNode.ID()]
+			if p.peerShard != sh && p.PropDelay < g.Lookahead() {
 				panic("netsim: cross-shard link faster than group lookahead")
 			}
 		}
 	}
-	for _, node := range n.nodes {
-		for _, p := range node.Ports() {
-			p.peerShard = assign[p.PeerNode.ID()]
-			p.peerCtx = localLane(p.PeerNode.ID())
-		}
-	}
-	g.OnBarrier(n.drainShardCompletions)
-	g.SetTransfer(n.transferOwnership)
 }
 
-// nodeShard returns the shard a node lives on (0 when unsharded).
+// nodeShard returns the shard a node lives on.
 func nodeShard(node Node) int {
 	switch v := node.(type) {
 	case *Host:
@@ -117,18 +122,6 @@ func nodeShard(node Node) int {
 		return v.shard
 	}
 	return 0
-}
-
-// AcquirePacketFor returns a pooled packet owned by node's shard.
-// Protocol elements running inside a node's event context (CNP
-// generators, receiver hooks) must use this in sharded runs so the
-// free-list stays shard-local; unsharded it is identical to
-// AcquirePacket.
-func (n *Network) AcquirePacketFor(node Node) *Packet {
-	if n.group == nil {
-		return n.AcquirePacket()
-	}
-	return n.acquireFrom(int32(nodeShard(node)))
 }
 
 // transferOwnership moves a mailbox-handoff packet to the destination
@@ -173,15 +166,9 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 			}
 			st.done = st.done[:0]
 		}
-		sort.Slice(n.doneScratch, func(a, b int) bool {
-			x, y := n.doneScratch[a], n.doneScratch[b]
-			if x.FinishTime != y.FinishTime {
-				return x.FinishTime < y.FinishTime
-			}
-			if x.dstID != y.dstID {
-				return x.dstID < y.dstID
-			}
-			return x.ID < y.ID
+		slices.SortFunc(n.doneScratch, func(x, y *Flow) int {
+			return cmp.Or(cmp.Compare(x.FinishTime, y.FinishTime),
+				cmp.Compare(x.dstID, y.dstID), cmp.Compare(x.ID, y.ID))
 		})
 		for _, f := range n.doneScratch {
 			if n.OnFlowDone != nil {
@@ -202,15 +189,9 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 			}
 			st.retire = st.retire[:0]
 		}
-		sort.Slice(n.retireScratch, func(a, b int) bool {
-			x, y := n.retireScratch[a], n.retireScratch[b]
-			if x.at != y.at {
-				return x.at < y.at
-			}
-			if x.f.srcID != y.f.srcID {
-				return x.f.srcID < y.f.srcID
-			}
-			return x.f.ID < y.f.ID
+		slices.SortFunc(n.retireScratch, func(x, y retireReq) int {
+			return cmp.Or(cmp.Compare(x.at, y.at),
+				cmp.Compare(x.f.srcID, y.f.srcID), cmp.Compare(x.f.ID, y.f.ID))
 		})
 		for _, r := range n.retireScratch {
 			n.removeFlowLater(r.f)
@@ -218,17 +199,13 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 	}
 }
 
-// scheduleArrival puts a serialized packet's arrival on the right heap:
-// legacy AfterCall when unsharded; otherwise the keyed form, through the
-// cross-shard mailbox when the peer lives elsewhere and a window is
-// executing. The (lane, seq) pair comes from the transmitting port, so
-// arrival order at equal timestamps is partition-independent.
+// scheduleArrival puts a serialized packet's arrival on the peer's heap
+// in keyed form, through the cross-shard mailbox when the peer lives
+// elsewhere and a window is executing. The (lane, seq) pair comes from
+// the transmitting port, so arrival order at equal timestamps is
+// partition-independent.
 func (p *Port) scheduleArrival(delay sim.Time, pkt *Packet) {
 	g := p.net.group
-	if g == nil {
-		p.net.Engine.AfterCall(delay, portArrive, p, pkt)
-		return
-	}
 	if delay < 0 {
 		delay = 0
 	}

@@ -89,21 +89,19 @@ func TestFlapDuringPauseNoDeadlock(t *testing.T) {
 	nic := srcs[0].NIC()
 	swPort := peerPort(nic) // switch side of the access link, the pause sender
 
-	// Step in sub-propagation increments until the switch has just sent a
-	// pause frame; it is then in flight for LinkDelay (1500 ns).
-	var pausesSeen int
+	// Step in sub-propagation increments until the switch has sent this
+	// NIC a pause frame that has not landed yet (sent-Xoff on record, NIC
+	// not paused); it is in flight for LinkDelay (1500 ns).
+	s := swPort.owner.(*Switch)
 	flapped := false
 	for when := sim.Time(0); when < 5*sim.Millisecond; when += 500 * sim.Nanosecond {
 		engine.RunUntil(when)
-		s := swPort.owner.(*Switch)
-		if s.PauseFrames > pausesSeen {
-			pausesSeen = s.PauseFrames
-			if when > 200*sim.Microsecond { // let the incast establish first
-				net.FailLink(nic)
-				net.RestoreLink(nic)
-				flapped = true
-				break
-			}
+		if when > 200*sim.Microsecond && // let the incast establish first
+			s.pausedIngress[swPort.Index] && !nic.Paused() {
+			net.FailLink(nic)
+			net.RestoreLink(nic)
+			flapped = true
+			break
 		}
 	}
 	if !flapped {

@@ -83,8 +83,8 @@ type Switch struct {
 	// ComputeRoutes skips it until RestoreSwitch (see topofail.go).
 	failed bool
 
-	// eng is the engine this switch's events run on (the network engine
-	// until EnableSharding re-homes the switch onto a shard).
+	// eng is the shard engine this switch's events run on (shard 0 until
+	// EnableSharding re-homes the switch).
 	eng   *sim.Engine
 	shard int
 
@@ -112,9 +112,9 @@ type Switch struct {
 // ID returns the switch's node id.
 func (s *Switch) ID() NodeID { return s.id }
 
-// Engine returns the engine this switch's events run on: the network
-// engine, or the switch's shard engine in sharded runs. Switch-side
-// congestion points and defense tickers must schedule their timers here.
+// Engine returns the shard engine this switch's events run on.
+// Switch-side congestion points and defense tickers must schedule their
+// timers here, not on the network's global lane.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
 
 // Ports returns the switch's ports.

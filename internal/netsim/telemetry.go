@@ -68,28 +68,12 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder)
 		return
 	}
 	n.reg = reg
-	// The sim.* gauges report fabric-wide truth: in sharded runs they
-	// aggregate over every shard engine plus the global lane (the group
-	// is consulted at snapshot time, so attach order vs. EnableSharding
-	// does not matter).
-	reg.GaugeFunc("sim.events_fired", func() float64 {
-		if n.group != nil {
-			return float64(n.group.Fired())
-		}
-		return float64(n.Engine.Fired())
-	})
-	reg.GaugeFunc("sim.events_pending", func() float64 {
-		if n.group != nil {
-			return float64(n.group.Pending())
-		}
-		return float64(n.Engine.Pending())
-	})
-	reg.GaugeFunc("sim.events_max_pending", func() float64 {
-		if n.group != nil {
-			return float64(n.group.MaxPending())
-		}
-		return float64(n.Engine.MaxPending())
-	})
+	// The sim.* gauges report fabric-wide truth: they aggregate over
+	// every shard engine plus the global lane (the group is consulted at
+	// snapshot time, so attach order vs. EnableSharding does not matter).
+	reg.GaugeFunc("sim.events_fired", func() float64 { return float64(n.group.Fired()) })
+	reg.GaugeFunc("sim.events_pending", func() float64 { return float64(n.group.Pending()) })
+	reg.GaugeFunc("sim.events_max_pending", func() float64 { return float64(n.group.MaxPending()) })
 	reg.GaugeFunc("netsim.active_flows", func() float64 { return float64(n.ActiveFlowCount()) })
 	reg.GaugeFunc("netsim.pfc.longest_pause_span_ns", func() float64 {
 		return float64(n.LongestPauseSpan())

@@ -43,8 +43,8 @@ func TestNetworkTelemetryCounters(t *testing.T) {
 	for _, g := range snap.Gauges {
 		gauges[g.Name] = g.Value
 	}
-	if gauges["sim.events_fired"] != float64(engine.Fired()) {
-		t.Errorf("events_fired gauge = %v, engine says %d", gauges["sim.events_fired"], engine.Fired())
+	if gauges["sim.events_fired"] != float64(net.Group().Fired()) {
+		t.Errorf("events_fired gauge = %v, group says %d", gauges["sim.events_fired"], net.Group().Fired())
 	}
 	if gauges["sim.events_max_pending"] < 1 {
 		t.Error("max pending gauge not tracked")

@@ -141,7 +141,7 @@ func TestRestoredSwitchForwardsOnlyAfterReconverge(t *testing.T) {
 	if len(sw.routes) != 0 {
 		t.Fatal("failed switch kept forwarding state")
 	}
-	pkt := net.AcquirePacket()
+	pkt := net.AcquirePacket(sw)
 	pkt.Dst = b.ID()
 	pkt.Kind = KindData
 	pkt.Cls = ClassData
@@ -156,7 +156,7 @@ func TestRestoredSwitchForwardsOnlyAfterReconverge(t *testing.T) {
 func TestLoopDropAtHopCap(t *testing.T) {
 	_, net, _, b, sw := pair(Gbps(40))
 	net.routesDynamic = true
-	pkt := net.AcquirePacket()
+	pkt := net.AcquirePacket(sw)
 	pkt.Dst = b.ID()
 	pkt.Kind = KindData
 	pkt.Cls = ClassData

@@ -36,7 +36,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src.Engine(), src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: QCN needs no flow ACKs.

@@ -104,7 +104,7 @@ func (cp *CP) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 		return
 	}
 	cp.FbSent++
-	cnp := cp.net.AcquirePacketFor(cp.sw)
+	cnp := cp.net.AcquirePacket(cp.sw)
 	cnp.Flow = pkt.Flow
 	cnp.Src = cp.sw.ID()
 	cnp.Dst = f.Src().ID()
@@ -137,12 +137,13 @@ type FlowCC struct {
 	Cuts int
 }
 
-// NewFlowCC builds a QCN rate controller starting at line rate.
-func NewFlowCC(engine *sim.Engine, host *netsim.Host, cfg Config) *FlowCC {
+// NewFlowCC builds a QCN rate controller starting at line rate. Its
+// timer runs on the host's engine.
+func NewFlowCC(host *netsim.Host, cfg Config) *FlowCC {
 	if cfg.RmaxMbps == 0 {
 		cfg.RmaxMbps = host.NIC().LinkRate.Mbps()
 	}
-	cc := &FlowCC{engine: engine, host: host, cfg: cfg, rc: cfg.RmaxMbps, rt: cfg.RmaxMbps}
+	cc := &FlowCC{engine: host.Engine(), host: host, cfg: cfg, rc: cfg.RmaxMbps, rt: cfg.RmaxMbps}
 	cc.armTimer()
 	return cc
 }

@@ -58,12 +58,12 @@ func TestRPCutProportionalToFb(t *testing.T) {
 	sw := net.AddSwitch("s", netsim.BufferConfig{})
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
 	cfg := DefaultConfig(40)
-	cc := NewFlowCC(engine, h, cfg)
+	cc := NewFlowCC(h, cfg)
 	small := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 1}}
 	big := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 63}}
 	cc.OnCNP(0, small)
 	afterSmall := cc.CurrentRate().Mbps()
-	cc2 := NewFlowCC(engine, h, cfg)
+	cc2 := NewFlowCC(h, cfg)
 	cc2.OnCNP(0, big)
 	afterBig := cc2.CurrentRate().Mbps()
 	if afterSmall <= afterBig {
@@ -83,7 +83,7 @@ func TestRPRecovery(t *testing.T) {
 	h := net.AddHost("h")
 	sw := net.AddSwitch("s", netsim.BufferConfig{})
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
-	cc := NewFlowCC(engine, h, DefaultConfig(40))
+	cc := NewFlowCC(h, DefaultConfig(40))
 	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 40}})
 	cut := cc.CurrentRate().Mbps()
 	engine.RunUntil(50 * sim.Millisecond)
@@ -99,7 +99,7 @@ func TestRPIgnoresMalformedCNP(t *testing.T) {
 	h := net.AddHost("h")
 	sw := net.AddSwitch("s", netsim.BufferConfig{})
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
-	cc := NewFlowCC(engine, h, DefaultConfig(40))
+	cc := NewFlowCC(h, DefaultConfig(40))
 	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP}) // no payload
 	if cc.Cuts != 0 {
 		t.Error("cut on CNP without Fb payload")
@@ -109,7 +109,7 @@ func TestRPIgnoresMalformedCNP(t *testing.T) {
 
 func TestEndToEndQueueBounded(t *testing.T) {
 	engine, net, a, b, sw, _ := cpFixture()
-	cc := NewFlowCC(engine, a, DefaultConfig(40))
+	cc := NewFlowCC(a, DefaultConfig(40))
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1, MaxRate: netsim.Gbps(36), CC: cc})
 	engine.RunUntil(20 * sim.Millisecond)
 	// Single flow at 90% offered: QCN must keep the queue in the vicinity

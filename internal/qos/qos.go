@@ -130,7 +130,7 @@ func (cp *CP) update() {
 		if units < 1 {
 			units = 1
 		}
-		cnp := cp.net.AcquirePacketFor(cp.sw)
+		cnp := cp.net.AcquirePacket(cp.sw)
 		cnp.Flow = f.ID
 		cnp.Src = cp.sw.ID()
 		cnp.Dst = f.Src().ID()

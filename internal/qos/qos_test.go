@@ -26,7 +26,7 @@ func runClasses(t *testing.T, weights []float64, nPerClass int) []float64 {
 	for i, src := range star.Sources {
 		f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		})
 		classOf[f.ID] = i % len(weights)
 		flows = append(flows, f)
@@ -85,7 +85,7 @@ func TestIntraClassFairness(t *testing.T) {
 	for i, src := range star.Sources {
 		f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		})
 		classOf[f.ID] = i / 2 // flows 0,1 class 0; flows 2,3 class 1
 		flows = append(flows, f)
@@ -110,7 +110,7 @@ func TestQueueStaysControlled(t *testing.T) {
 	for i, src := range star.Sources {
 		f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		})
 		classOf[f.ID] = i % 2
 	}
@@ -134,7 +134,7 @@ func TestDefaultsSingleClass(t *testing.T) {
 	for _, src := range star.Sources {
 		flows = append(flows, star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(engine, src, roccnet.RPOptions{}),
+			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
 		}))
 	}
 	engine.RunUntil(15 * sim.Millisecond)

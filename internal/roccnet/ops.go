@@ -47,7 +47,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src.Engine(), src, *o.RP)
+	return NewFlowCC(src, *o.RP)
 }
 
 // AckEvery implements netsim.CongestionOps: RoCC needs no flow ACKs.

@@ -60,9 +60,9 @@ type CP struct {
 	CNPsSent uint64
 
 	// Telemetry (nil-safe; resolved from the network at Attach).
-	rec      *telemetry.Recorder
-	tmCNPs   *telemetry.Counter
-	tmFair   *telemetry.Histogram
+	rec    *telemetry.Recorder
+	tmCNPs *telemetry.Counter
+	tmFair *telemetry.Histogram
 }
 
 // Attach installs a RoCC congestion point on the given egress port of sw
@@ -98,8 +98,8 @@ func Attach(net *netsim.Network, sw *netsim.Switch, port *netsim.Port, opts CPOp
 		name := fmt.Sprintf("rocc.cp.n%dp%d.fair_rate_mbps", sw.ID(), port.Index)
 		reg.GaugeFunc(name, cp.FairRateMbps)
 	}
-	// The fair-rate timer runs on the switch's engine so sharded runs
-	// keep every CP local to its shard.
+	// The fair-rate timer runs on the switch's engine, so every CP stays
+	// local to its shard.
 	cp.tick = port.Engine().NewTicker(opts.T, cp.update)
 	return cp
 }
@@ -167,7 +167,7 @@ func (cp *CP) update() {
 		if f == nil {
 			continue
 		}
-		cnp := cp.net.AcquirePacketFor(cp.sw)
+		cnp := cp.net.AcquirePacket(cp.sw)
 		cnp.Flow = f.ID
 		cnp.Src = cp.sw.ID()
 		cnp.Dst = f.Src().ID()

@@ -17,7 +17,7 @@ func TestFairnessAcrossN(t *testing.T) {
 		var flows []*netsim.Flow
 		for _, src := range srcs {
 			flows = append(flows, net.StartFlow(src, dst, netsim.FlowConfig{
-				Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, src, RPOptions{}),
+				Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 			}))
 		}
 		engine.RunUntil(15 * sim.Millisecond)
@@ -46,7 +46,7 @@ func TestQueueStabilizesAtQref(t *testing.T) {
 	net, srcs, dst, cp := buildStar(t, engine, 4, 40)
 	for _, src := range srcs {
 		net.StartFlow(src, dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, src, RPOptions{}),
+			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 		})
 	}
 	var sum, count float64
@@ -66,10 +66,10 @@ func TestQueueStabilizesAtQref(t *testing.T) {
 func TestCNPCarriesCPIdentity(t *testing.T) {
 	engine := sim.New()
 	net, srcs, dst, cp := buildStar(t, engine, 2, 40)
-	cc := NewFlowCC(engine, srcs[0], RPOptions{})
+	cc := NewFlowCC(srcs[0], RPOptions{})
 	net.StartFlow(srcs[0], dst, netsim.FlowConfig{Size: -1, MaxRate: netsim.Gbps(36), CC: cc})
 	net.StartFlow(srcs[1], dst, netsim.FlowConfig{
-		Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, srcs[1], RPOptions{}),
+		Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(srcs[1], RPOptions{}),
 	})
 	engine.RunUntil(5 * sim.Millisecond)
 	if !cc.RP().Installed() {
@@ -84,10 +84,10 @@ func TestCNPCarriesCPIdentity(t *testing.T) {
 func TestFastRecoveryUninstallsAfterCongestionEnds(t *testing.T) {
 	engine := sim.New()
 	net, srcs, dst, _ := buildStar(t, engine, 2, 40)
-	cc0 := NewFlowCC(engine, srcs[0], RPOptions{})
+	cc0 := NewFlowCC(srcs[0], RPOptions{})
 	f0 := net.StartFlow(srcs[0], dst, netsim.FlowConfig{Size: -1, MaxRate: netsim.Gbps(36), CC: cc0})
 	f1 := net.StartFlow(srcs[1], dst, netsim.FlowConfig{
-		Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, srcs[1], RPOptions{}),
+		Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(srcs[1], RPOptions{}),
 	})
 	engine.RunUntil(8 * sim.Millisecond)
 	if !cc0.RP().Installed() {
@@ -127,7 +127,7 @@ func TestHostComputedModeConverges(t *testing.T) {
 	for _, src := range srcs {
 		net.StartFlow(src, dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: NewFlowCC(engine, src, RPOptions{HostRegistry: registry}),
+			CC: NewFlowCC(src, RPOptions{HostRegistry: registry}),
 		})
 	}
 	engine.RunUntil(15 * sim.Millisecond)
@@ -165,7 +165,7 @@ func TestFlowTableVariantsAllConverge(t *testing.T) {
 		Attach(net, sw, swPort, CPOptions{Table: mk()})
 		for _, src := range srcs {
 			net.StartFlow(src, dst, netsim.FlowConfig{
-				Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, src, RPOptions{}),
+				Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 			})
 		}
 		engine.RunUntil(15 * sim.Millisecond)
@@ -184,7 +184,7 @@ func TestMinSignalSuppressesIdleCNPs(t *testing.T) {
 	net, srcs, dst, cp := buildStar(t, engine, 1, 40)
 	// A single source at 50% load never congests the bottleneck.
 	net.StartFlow(srcs[0], dst, netsim.FlowConfig{
-		Size: -1, MaxRate: netsim.Gbps(20), CC: NewFlowCC(engine, srcs[0], RPOptions{}),
+		Size: -1, MaxRate: netsim.Gbps(20), CC: NewFlowCC(srcs[0], RPOptions{}),
 	})
 	engine.RunUntil(5 * sim.Millisecond)
 	if cp.CNPsSent != 0 {
@@ -208,7 +208,7 @@ func TestMDEngagesOnBurst(t *testing.T) {
 	net, srcs, dst, cp := buildStar(t, engine, 8, 40)
 	for _, src := range srcs {
 		net.StartFlow(src, dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, src, RPOptions{}),
+			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 		})
 	}
 	engine.RunUntil(2 * sim.Millisecond)
@@ -222,7 +222,7 @@ func TestCNPsAreICMPLikeAndPrioritized(t *testing.T) {
 	net, srcs, dst, cp := buildStar(t, engine, 4, 40)
 	for _, src := range srcs {
 		net.StartFlow(src, dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(engine, src, RPOptions{}),
+			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 		})
 	}
 	engine.RunUntil(5 * sim.Millisecond)
@@ -245,7 +245,7 @@ func TestCNPsAreICMPLikeAndPrioritized(t *testing.T) {
 func TestOnCNPRejectsMalformedFeedback(t *testing.T) {
 	engine := sim.New()
 	_, srcs, _, _ := buildStar(t, engine, 1, 40)
-	cc := NewFlowCC(engine, srcs[0], RPOptions{})
+	cc := NewFlowCC(srcs[0], RPOptions{})
 	cpid := netsim.CPID{Node: 3}
 	cnp := func(info netsim.CNPInfo) *netsim.Packet {
 		info.CP = cpid

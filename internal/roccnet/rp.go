@@ -103,14 +103,15 @@ type FlowCC struct {
 	flow int64 // learned from the first packet seen, for event labelling
 }
 
-// NewFlowCC builds a reaction point for a flow originating at host.
-func NewFlowCC(engine *sim.Engine, host *netsim.Host, opts RPOptions) *FlowCC {
+// NewFlowCC builds a reaction point for a flow originating at host. Its
+// recovery timer runs on the host's engine.
+func NewFlowCC(host *netsim.Host, opts RPOptions) *FlowCC {
 	opts.fill()
 	if opts.RmaxMbps == 0 {
 		opts.RmaxMbps = host.NIC().LinkRate.Mbps()
 	}
 	cc := &FlowCC{
-		engine: engine,
+		engine: host.Engine(),
 		host:   host,
 		opts:   opts,
 	}

@@ -37,7 +37,7 @@ func TestStarConvergesToFairRate(t *testing.T) {
 	net, srcs, dst, cp := buildStar(t, engine, 2, 40)
 	var flows []*netsim.Flow
 	for _, src := range srcs {
-		cc := NewFlowCC(engine, src, RPOptions{})
+		cc := NewFlowCC(src, RPOptions{})
 		flows = append(flows, net.StartFlow(src, dst, netsim.FlowConfig{
 			Size:    -1,
 			MaxRate: netsim.Gbps(36), // 90% offered load

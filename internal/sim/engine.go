@@ -11,12 +11,12 @@ type event struct {
 	gen uint64 // bumped on every recycle; Handles carry the gen they saw
 
 	// k1 is the ordering lane: events with equal timestamps sort by
-	// (k1, seq). Legacy (unsharded) scheduling leaves k1 at zero, so the
-	// order degenerates to the historical (at, seq) and stays
-	// byte-identical. Sharded runs use lanes to make same-timestamp
-	// ordering independent of how the topology is partitioned: a lane is
-	// shared only by events whose relative seq order is itself
-	// partition-independent (see shard.go and DESIGN.md §14).
+	// (k1, seq). A bare engine (no Group) leaves k1 at zero, so its order
+	// degenerates to (at, seq). Models on a Group use lanes to make
+	// same-timestamp ordering independent of how the topology is
+	// partitioned: a lane is shared only by events whose relative seq
+	// order is itself partition-independent (see shard.go and DESIGN.md
+	// §14).
 	//
 	// ctx is the lane inherited by children: while this event's callback
 	// runs, any event it schedules via At/After/AtCall/AfterCall is
@@ -100,11 +100,11 @@ type Engine struct {
 	allocated  uint64 // event slots ever allocated (pool high-water mark)
 
 	// curCtx is the lane of the event currently executing (zero between
-	// events and for all legacy scheduling). New events inherit it.
+	// events and on a bare engine). New events inherit it.
 	curCtx uint64
 
 	// group, when non-nil, marks this engine as the global lane of a
-	// sharded Group: Run/RunUntil/Stop delegate to the group's windowed
+	// Group: Run/RunUntil/Step/Stop delegate to the group's windowed
 	// coordinator instead of draining this queue alone.
 	group *Group
 
@@ -244,10 +244,22 @@ func (e *Engine) Stop() {
 	}
 }
 
-// Step executes the single earliest pending event. It reports whether an
-// event was executed. The slot is recycled before the callback runs, so
-// callbacks scheduling new events reuse it immediately.
+// Step executes the single earliest pending event and reports whether an
+// event was executed. On the global lane of a Group one lane cannot be
+// stepped alone: Step there runs the whole group through the earliest
+// pending timestamp across all lanes (every event at that instant), and
+// reports whether anything was pending.
 func (e *Engine) Step() bool {
+	if e.group != nil {
+		return e.group.step()
+	}
+	return e.fire()
+}
+
+// fire pops and executes this engine's earliest pending event. The slot
+// is recycled before the callback runs, so callbacks scheduling new
+// events reuse it immediately.
+func (e *Engine) fire() bool {
 	ev := e.q.pop()
 	if ev == nil {
 		return false
@@ -273,7 +285,7 @@ func (e *Engine) Run() {
 		return
 	}
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.fire() {
 	}
 }
 
@@ -288,7 +300,7 @@ func (e *Engine) RunUntil(end Time) {
 		return
 	}
 	e.stopped = false
-	for !e.stopped && e.q.peekAt() <= end && e.Step() {
+	for !e.stopped && e.q.peekAt() <= end && e.fire() {
 	}
 	if e.now < end && !e.stopped {
 		e.now = end
@@ -306,7 +318,7 @@ func (e *Engine) nextAt() Time { return e.q.peekAt() }
 // before w), so shards run their windows concurrently.
 func (e *Engine) runWindow(w Time) {
 	for e.q.peekAt() < w {
-		e.Step()
+		e.fire()
 	}
 	if e.now < w {
 		e.now = w

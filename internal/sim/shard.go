@@ -69,7 +69,12 @@ type mailboxEntry struct {
 // NewGroup wraps an existing engine as the global lane of a sharded
 // group with k shard engines. lookahead must be positive: it is the
 // minimum cross-shard handoff delay the model guarantees. The global
-// engine's Run/RunUntil/Stop delegate to the group from here on.
+// engine's Run/RunUntil/Step/Stop delegate to the group from here on.
+//
+// An engine that already leads a group may be re-grouped while that
+// group's shards are idle — they have fired nothing and hold nothing —
+// which is how a model born on one shard is re-cut onto k before it
+// runs. The old group is dropped; events on the global lane carry over.
 func NewGroup(global *Engine, k int, lookahead Time) *Group {
 	if k < 1 {
 		panic("sim: group needs at least one shard")
@@ -77,8 +82,8 @@ func NewGroup(global *Engine, k int, lookahead Time) *Group {
 	if lookahead <= 0 {
 		panic("sim: group lookahead must be positive")
 	}
-	if global.group != nil {
-		panic("sim: engine already belongs to a group")
+	if old := global.group; old != nil && !old.shardsIdle() {
+		panic("sim: engine's group has already fired or holds shard events")
 	}
 	g := &Group{
 		global:    global,
@@ -92,6 +97,23 @@ func NewGroup(global *Engine, k int, lookahead Time) *Group {
 	}
 	global.group = g
 	return g
+}
+
+// shardsIdle reports whether no shard has fired, queued or been sent an
+// event: the state in which the group can be replaced without losing
+// anything.
+func (g *Group) shardsIdle() bool {
+	for _, sh := range g.shards {
+		if sh.fired != 0 || sh.Pending() != 0 {
+			return false
+		}
+	}
+	for _, box := range g.mailboxes {
+		if len(box) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Global returns the group's global-lane engine (the one the model was
@@ -242,6 +264,31 @@ func (g *Group) RunUntil(end Time) { g.runUntil(end+1, false) }
 // Stop makes the group's run return after the current barrier completes.
 func (g *Group) Stop() { g.stopped = true }
 
+// nextAt returns the earliest pending timestamp across the global lane
+// and every shard, or maxTime when nothing is pending.
+func (g *Group) nextAt() Time {
+	next := g.global.nextAt()
+	for _, sh := range g.shards {
+		if t := sh.nextAt(); t < next {
+			next = t
+		}
+	}
+	return next
+}
+
+// step is Engine.Step on the global lane: it runs every lane through the
+// earliest pending timestamp, barrier included, and reports whether
+// anything was pending. A stepped run barriers at every event time, so
+// it replays deferred barrier work more often than Run does.
+func (g *Group) step() bool {
+	next := g.nextAt()
+	if next == maxTime {
+		return false
+	}
+	g.RunUntil(next)
+	return true
+}
+
 // runUntil is the coordinator loop. bound is exclusive: events at
 // timestamps < bound execute. With drain set, bound is ignored for the
 // final clock (Run semantics); otherwise clocks finish at bound-1.
@@ -251,12 +298,7 @@ func (g *Group) runUntil(bound Time, drain bool) {
 	g.startWorkers()
 	defer g.stopWorkers()
 	for !g.stopped {
-		next := g.global.nextAt()
-		for _, sh := range g.shards {
-			if t := sh.nextAt(); t < next {
-				next = t
-			}
-		}
+		next := g.nextAt()
 		if next >= bound {
 			break
 		}
@@ -283,7 +325,7 @@ func (g *Group) runUntil(bound Time, drain bool) {
 			if at := g.global.nextAt(); at > w || at >= bound {
 				break
 			}
-			g.global.Step()
+			g.global.fire()
 		}
 	}
 	if !drain && !g.stopped {

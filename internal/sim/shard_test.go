@@ -296,3 +296,92 @@ func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestStepOnGlobalLaneAdvancesGroup: Step on a group's global lane cannot
+// step that one lane alone. It runs every lane through the earliest
+// pending timestamp — global events, shard events and the barrier hook at
+// that instant — and reports false only once nothing is pending anywhere.
+func TestStepOnGlobalLaneAdvancesGroup(t *testing.T) {
+	global := New()
+	g := NewGroup(global, 2, 10)
+	lanes := []*Engine{global, g.Shard(0), g.Shard(1)}
+	ran := make([][]Time, len(lanes)) // per lane: one writer each
+	at := func(lane int, when Time) {
+		e := lanes[lane]
+		e.At(when, func() { ran[lane] = append(ran[lane], e.Now()) })
+	}
+	barriers := 0
+	g.OnBarrier(func(Time) { barriers++ })
+	at(0, 5)
+	at(1, 5)
+	at(2, 5)
+	at(2, 7)
+	at(0, 20)
+
+	for i, w := range []struct {
+		now  Time
+		want [][]Time // what each lane ran in this step
+	}{
+		{5, [][]Time{{5}, {5}, {5}}},
+		{7, [][]Time{nil, nil, {7}}},
+		{20, [][]Time{{20}, nil, nil}},
+	} {
+		for lane := range ran {
+			ran[lane] = nil
+		}
+		before := barriers
+		if !global.Step() {
+			t.Fatalf("step %d: reported nothing pending", i)
+		}
+		if !reflect.DeepEqual(ran, w.want) {
+			t.Errorf("step %d: lanes ran %v, want %v", i, ran, w.want)
+		}
+		for lane, e := range lanes {
+			if e.Now() != w.now {
+				t.Errorf("step %d: lane %d clock reads %d, want %d", i, lane, e.Now(), w.now)
+			}
+		}
+		if barriers == before {
+			t.Errorf("step %d crossed no barrier", i)
+		}
+	}
+	if global.Step() {
+		t.Error("Step reported work on a drained group")
+	}
+	if g.Fired() != 5 {
+		t.Errorf("fired %d events, want 5", g.Fired())
+	}
+}
+
+// TestNewGroupReplacesIdleGroup: an engine may be re-grouped while its
+// group's shards have fired nothing and hold nothing — global-lane events
+// carry over — and not afterwards.
+func TestNewGroupReplacesIdleGroup(t *testing.T) {
+	global := New()
+	NewGroup(global, 1, 10)
+	ran := false
+	global.At(3, func() { ran = true })
+	g := NewGroup(global, 2, 10) // born group idle: replaced
+	g.Shard(1).At(1, func() {})
+	global.Run()
+	if !ran || g.Fired() != 2 {
+		t.Errorf("after re-grouping: global event ran=%v, fired=%d, want true, 2", ran, g.Fired())
+	}
+
+	for name, dirty := range map[string]func(*Group){
+		"pending": func(g *Group) { g.Shard(0).At(1, func() {}) },
+		"fired":   func(g *Group) { g.Shard(0).At(1, func() {}); g.Run() },
+		"mailbox": func(g *Group) { g.Send(0, 0, 1, 0, 0, 0, func(a, b any) {}, nil, nil) },
+	} {
+		e := New()
+		dirty(NewGroup(e, 1, 10))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: re-grouping a used group did not panic", name)
+				}
+			}()
+			NewGroup(e, 2, 10)
+		}()
+	}
+}

@@ -4,8 +4,9 @@
 //
 // The engine is single-goroutine by design. All model code runs inside
 // event callbacks; determinism follows from the total order on
-// (time, lane, seq) — which is (time, insertion sequence) on an unsharded
-// engine, where every event is on lane 0.
+// (time, lane, seq) — which is (time, insertion sequence) on a bare
+// engine, where every event is on lane 0. A Group (shard.go) runs one
+// such engine per shard plus a global lane.
 package sim
 
 import "fmt"

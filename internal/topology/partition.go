@@ -5,8 +5,8 @@ import (
 	"rocc/internal/sim"
 )
 
-// Partition maps every node of a built network onto one of K shards for
-// the parallel event engine (sim.Group). The cut respects the lookahead
+// Partition maps every node of a built network onto one of K shards of
+// the event engine group (sim.Group). The cut respects the lookahead
 // contract: every link crossing shards keeps at least Lookahead() of
 // propagation delay, so conservative windowed execution never delivers a
 // packet into a shard's past.
@@ -19,13 +19,16 @@ type Partition struct {
 
 // Lookahead returns the minimum propagation delay over cross-shard
 // links — the window width the engine group may run ahead by. A
-// single-shard partition has no cross-shard links; it reports LinkDelay
-// so NewGroup still gets a positive window.
+// single-shard partition has no cross-shard links; it keeps
+// netsim.DefaultLookahead, the window the network was born with, so
+// applying it changes nothing about the run.
 func (p Partition) Lookahead() sim.Time { return p.lookahead }
 
-// Apply shards the network onto a fresh engine group built over its
-// existing engine and returns the group. Call after the topology is
-// complete and before any protocol attachments or traffic.
+// Apply re-homes the network from the one-shard group it was born on
+// onto a fresh K-shard group over the same engine, and returns that
+// group. Call after the topology is complete and before any protocol
+// attachments or traffic: it panics once a node lane has fired or holds
+// an event.
 func (p Partition) Apply(net *netsim.Network) *sim.Group {
 	g := sim.NewGroup(net.Engine, p.K, p.lookahead)
 	net.EnableSharding(g, p.Assign)
@@ -47,8 +50,9 @@ func finish(net *netsim.Network, k int, assign []int) Partition {
 	}
 	if la == 0 {
 		// No cross-shard links (k == 1, or a degenerate cut): any positive
-		// window works; the fabric's uniform link delay is the natural one.
-		la = LinkDelay
+		// window is safe, but the window is part of the run's digest, so
+		// keep the one every network is born with.
+		la = netsim.DefaultLookahead
 	}
 	return Partition{K: k, Assign: assign, lookahead: la}
 }

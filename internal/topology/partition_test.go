@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"rocc/internal/netsim"
@@ -138,7 +139,7 @@ func TestPartitionApplyRunsSharded(t *testing.T) {
 		HostRate: netsim.Gbps(40), CoreRate: netsim.Gbps(40),
 	})
 	g := PartitionFatTree(ft, 4).Apply(ft.Net)
-	if !ft.Net.Sharded() || ft.Net.Group() != g {
+	if ft.Net.Group() != g {
 		t.Fatal("network not sharded after Apply")
 	}
 	if g.Shards() != 4 || g.Lookahead() != LinkDelay {
@@ -151,4 +152,74 @@ func TestPartitionApplyRunsSharded(t *testing.T) {
 	if !f.Done() {
 		t.Errorf("cross-shard flow did not complete (delivered %d)", f.DeliveredBytes())
 	}
+}
+
+// TestBornGroupedEqualsOneShardApply: a network is on a one-shard group
+// from construction, and PartitionAuto(net, 1).Apply re-homes it onto an
+// identical one — same lookahead, so the same barrier cadence — so a run
+// with the Apply and a run without it are the same run.
+func TestBornGroupedEqualsOneShardApply(t *testing.T) {
+	type done struct {
+		ID netsim.FlowID
+		At sim.Time
+	}
+	type outcome struct {
+		Order []done // OnFlowDone calls, in call order
+		Rx    []uint64
+		Fired uint64
+		Now   sim.Time
+	}
+	run := func(apply bool) outcome {
+		engine := sim.New()
+		m := BuildMultiBottleneck(engine, 1)
+		if got := m.Net.Group().Lookahead(); got != netsim.DefaultLookahead {
+			t.Fatalf("born lookahead %v, want %v", got, netsim.DefaultLookahead)
+		}
+		if apply {
+			p := PartitionAuto(m.Net, 1)
+			if p.Lookahead() != netsim.DefaultLookahead {
+				t.Fatalf("one-shard cut lookahead %v, want the born %v", p.Lookahead(), netsim.DefaultLookahead)
+			}
+			if g := p.Apply(m.Net); g.Shards() != 1 || m.Net.Group() != g {
+				t.Fatalf("Apply(1): shards=%d, adopted=%v", g.Shards(), m.Net.Group() == g)
+			}
+		}
+		var out outcome
+		m.Net.OnFlowDone = func(f *netsim.Flow) { out.Order = append(out.Order, done{f.ID, f.FinishTime}) }
+		// Same-size flows into one sink finish within a window of each
+		// other, so the barrier replay order is exercised.
+		for round := 0; round < 3; round++ {
+			for i := 0; i <= 4; i++ {
+				m.Net.StartFlow(m.A[i], m.B[0], netsim.FlowConfig{Size: int64(20+round) * netsim.MTUPayload})
+			}
+			m.Net.StartFlow(m.B5, m.B[0], netsim.FlowConfig{Size: int64(20+round) * netsim.MTUPayload})
+		}
+		engine.Run()
+		for _, h := range m.Net.Hosts() {
+			out.Rx = append(out.Rx, h.RxDataBytes)
+		}
+		out.Fired, out.Now = m.Net.Group().Fired(), engine.Now()
+		return out
+	}
+	born, applied := run(false), run(true)
+	if len(born.Order) != 18 {
+		t.Fatalf("%d flows completed, want 18", len(born.Order))
+	}
+	if !reflect.DeepEqual(born, applied) {
+		t.Errorf("runs differ:\nborn:    %+v\napplied: %+v", born, applied)
+	}
+}
+
+// TestApplyOnBusyNetworkPanics: re-homing is for a still-idle network. A
+// node lane that already holds an event (a CP ticker attached too early)
+// would be orphaned on the old shard engine, so Apply refuses.
+func TestApplyOnBusyNetworkPanics(t *testing.T) {
+	m := BuildMultiBottleneck(sim.New(), 1)
+	m.S0.Engine().After(sim.Microsecond, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("Apply on a network with a pending node-lane event did not panic")
+		}
+	}()
+	PartitionAuto(m.Net, 2).Apply(m.Net)
 }

@@ -140,8 +140,8 @@ func EnableRoCC(net *Network, sw *Switch, port *Port, opts CPOptions) *SwitchCP 
 }
 
 // NewRoCCFlowCC builds the RoCC reaction point as a flow controller.
-func NewRoCCFlowCC(engine *Engine, host *Host, opts RPOptions) FlowCC {
-	return roccnet.NewFlowCC(engine, host, opts)
+func NewRoCCFlowCC(host *Host, opts RPOptions) FlowCC {
+	return roccnet.NewFlowCC(host, opts)
 }
 
 // Topologies (§6).

@@ -92,7 +92,7 @@ func TestFacadeConstructors(t *testing.T) {
 	port, _ := net.Connect(sw, b, rocc.Gbps(40), 1500*rocc.Nanosecond)
 	net.ComputeRoutes()
 	cp := rocc.EnableRoCC(net, sw, port, rocc.CPOptions{})
-	cc := rocc.NewRoCCFlowCC(engine, a, rocc.RPOptions{})
+	cc := rocc.NewRoCCFlowCC(a, rocc.RPOptions{})
 	net.StartFlow(a, b, rocc.FlowConfig{Size: -1, MaxRate: rocc.Gbps(36), CC: cc})
 	engine.RunUntil(5 * rocc.Millisecond)
 	if cp.FairRateMbps() <= 0 {
