@@ -2,9 +2,9 @@
 // evaluation (§6, App. A), plus ablations of RoCC's design choices.
 // Each iteration runs the complete experiment at a laptop-scale
 // configuration; the figures' key quantities are attached as custom
-// benchmark metrics, and `go run ./cmd/roccsim <fig> -full` reproduces
-// the paper-scale version. Shapes (who wins, by what factor) match the
-// paper; EXPERIMENTS.md records paper-vs-measured values.
+// benchmark metrics, and `go run ./cmd/roccsim -dur 100ms <fig>`
+// reproduces the paper-scale version. Shapes (who wins, by what factor)
+// match the paper; EXPERIMENTS.md records paper-vs-measured values.
 package rocc_test
 
 import (
@@ -313,12 +313,12 @@ func ablationStar(b *testing.B, cpOpts roccnet.CPOptions, rpOpts roccnet.RPOptio
 	for i := 0; i < b.N; i++ {
 		engine := sim.New()
 		star := topology.BuildStar(engine, int64(i+1), 10, netsim.Gbps(40))
-		stack := experiments.NewStack(star.Net, experiments.ProtoRoCC, 0)
-		stack.RoCCOpts = cpOpts
-		stack.RoCCRP = rpOpts
-		stack.EnablePort(star.Bottleneck)
+		mix := experiments.NewMix(star.Net, 0)
+		mix.RoCCOpts = cpOpts
+		mix.RoCCRP = rpOpts
+		mix.EnablePort(experiments.ProtoRoCC, star.Bottleneck)
 		for _, src := range star.Sources {
-			stack.StartFlow(src, star.Dst, -1, netsim.Gbps(36))
+			mix.StartFlow(experiments.ProtoRoCC, src, star.Dst, -1, netsim.Gbps(36))
 		}
 		sampler := experiments.NewSampler(engine, 0)
 		queue := sampler.Queue("q", star.Bottleneck)
@@ -378,11 +378,11 @@ func BenchmarkAblationFlowTables(b *testing.B) {
 func ablationStarOnce(b *testing.B, report bool, cpOpts roccnet.CPOptions) {
 	engine := sim.New()
 	star := topology.BuildStar(engine, 1, 10, netsim.Gbps(40))
-	stack := experiments.NewStack(star.Net, experiments.ProtoRoCC, 0)
-	stack.RoCCOpts = cpOpts
-	stack.EnablePort(star.Bottleneck)
+	mix := experiments.NewMix(star.Net, 0)
+	mix.RoCCOpts = cpOpts
+	mix.EnablePort(experiments.ProtoRoCC, star.Bottleneck)
 	for _, src := range star.Sources {
-		stack.StartFlow(src, star.Dst, -1, netsim.Gbps(36))
+		mix.StartFlow(experiments.ProtoRoCC, src, star.Dst, -1, netsim.Gbps(36))
 	}
 	sampler := experiments.NewSampler(engine, 0)
 	queue := sampler.Queue("q", star.Bottleneck)

@@ -13,7 +13,6 @@
 //
 //	-dur       duration of timed experiments (default per experiment)
 //	-seed      RNG seed (default 1)
-//	-full      use the paper's full fat-tree scale (3x3x30) and durations
 //	-load      average load level for §6.3 runs (default 0.7)
 //	-reps      repetitions per experiment cell (default 1; the paper uses 5);
 //	           rep r runs with seed+r, results merged as mean ± 95% CI
@@ -85,7 +84,6 @@ import (
 var (
 	durFlag  = flag.Duration("dur", 0, "duration of timed experiments (virtual time)")
 	seedFlag = flag.Int64("seed", 1, "RNG seed")
-	fullFlag = flag.Bool("full", false, "use the paper's full fat-tree scale")
 	loadFlag = flag.Float64("load", 0.7, "average load level for §6.3 runs")
 	repsFlag = flag.Int("reps", 1, "repetitions per experiment cell (paper: 5)")
 	workFlag = flag.Int("workers", 0, "parallel workers for repetitions (0 = GOMAXPROCS)")
@@ -558,21 +556,15 @@ func runFig13() {
 }
 
 func fctConfig(p experiments.Protocol, wl *workload.CDF, seed int64) experiments.FCTConfig {
-	cfg := experiments.FCTConfig{
+	return experiments.FCTConfig{
 		Protocol: p,
 		Workload: wl,
+		FatTree:  topology.PaperFatTree(),
 		Load:     *loadFlag,
+		Duration: dur(30 * sim.Millisecond),
 		Seed:     seed,
 		Shards:   *shardsFlag,
 	}
-	if *fullFlag {
-		cfg.FatTree = topology.PaperFatTree()
-		cfg.Duration = dur(100 * sim.Millisecond)
-	} else {
-		cfg.FatTree = topology.PaperFatTree()
-		cfg.Duration = dur(30 * sim.Millisecond)
-	}
-	return cfg
 }
 
 func runFCTFigs(name string) {

@@ -17,17 +17,17 @@ func main() {
 	// egress toward the destination is the bottleneck.
 	star := rocc.BuildStar(engine, 1, 4, rocc.Gbps(40))
 
-	// Wire the RoCC protocol stack: the congestion point on the
-	// bottleneck port, a reaction point per flow.
-	stack := rocc.NewStack(star.Net, rocc.ProtoRoCC, 0)
-	stack.EnablePort(star.Bottleneck)
+	// Wire RoCC: the congestion point on the bottleneck port, a
+	// reaction point per flow.
+	mix := rocc.NewMix(star.Net, 0)
+	mix.EnablePort(rocc.ProtoRoCC, star.Bottleneck)
 	for _, src := range star.Sources {
 		// Persistent flows offering 90% of the link rate each: 4x36 Gb/s
 		// into a 40 Gb/s bottleneck.
-		stack.StartFlow(src, star.Dst, -1, rocc.Gbps(36))
+		mix.StartFlow(rocc.ProtoRoCC, src, star.Dst, -1, rocc.Gbps(36))
 	}
 
-	cp := stack.CPs[star.Bottleneck]
+	cp := mix.CPs[star.Bottleneck]
 	fmt.Println("t(ms)  fair-rate(Gb/s)  queue(KB)   [ideal: 10 Gb/s, 150 KB]")
 	for t := rocc.Millisecond; t <= 15*rocc.Millisecond; t += rocc.Millisecond {
 		engine.RunUntil(t)

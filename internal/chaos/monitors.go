@@ -6,7 +6,6 @@ import (
 
 	"rocc/internal/adversary"
 	"rocc/internal/core"
-	"rocc/internal/experiments"
 	"rocc/internal/faults"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
@@ -52,7 +51,6 @@ type Runtime struct {
 	Scenario Scenario
 	Engine   *sim.Engine
 	Net      *netsim.Network
-	Stack    *experiments.Stack
 	Injector *faults.Injector // nil when the scenario has no faults
 
 	// Flows holds the started flow for each Scenario.Flows index (nil

@@ -161,12 +161,9 @@ func Run(sc Scenario, opts RunOptions) (Result, error) {
 	for _, p := range protos {
 		mix.Activate(p)
 	}
-	stack := mix.Use(protos[0])
 	if mode.CCEnabled() {
 		mix.EnableAllSwitchPorts()
-		for _, h := range net.Hosts() {
-			mix.AttachReceivers(h)
-		}
+		mix.AttachReceivers()
 	}
 
 	var policers []*adversary.Policer
@@ -208,7 +205,6 @@ func Run(sc Scenario, opts RunOptions) (Result, error) {
 		Scenario:  sc,
 		Engine:    engine,
 		Net:       net,
-		Stack:     stack,
 		Flows:     make([]*netsim.Flow, len(sc.Flows)),
 		Policers:  policers,
 		Watchdogs: watchdogs,
@@ -230,20 +226,21 @@ func Run(sc Scenario, opts RunOptions) (Result, error) {
 				rateCap = netsim.Mbps(fs.MaxRateMbps)
 			}
 			var f *netsim.Flow
-			if mode.CCEnabled() && fs.Rogue != "" {
-				// Rogue sender: the genuine controller is built and wired,
-				// then wrapped in the named misbehaviour. The kind adapts
-				// to the protocol's actual feedback channel (CNP-deaf is
-				// vacuous for schemes that never see a CNP).
-				kind, _ := adversary.ParseRogueKind(fs.Rogue) // Validate vetted it
-				kind = experiments.EffectiveRogueKind(sc.FlowProtocol(i), kind)
-				blastRate := src.Ports()[0].LinkRate
-				f = mix.StartWrappedFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable,
-					func(cc netsim.FlowCC) netsim.FlowCC {
+			if mode.CCEnabled() {
+				var wrap func(netsim.FlowCC) netsim.FlowCC
+				if fs.Rogue != "" {
+					// Rogue sender: the genuine controller is built and
+					// wired, then wrapped in the named misbehaviour. The
+					// kind adapts to the protocol's actual feedback channel
+					// (CNP-deaf is vacuous for schemes that never see a CNP).
+					kind, _ := adversary.ParseRogueKind(fs.Rogue) // Validate vetted it
+					kind = experiments.EffectiveRogueKind(sc.FlowProtocol(i), kind)
+					blastRate := src.Ports()[0].LinkRate
+					wrap = func(cc netsim.FlowCC) netsim.FlowCC {
 						return adversary.WrapRogue(kind, cc, blastRate)
-					})
-			} else if mode.CCEnabled() {
-				f = mix.StartCustomFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable)
+					}
+				}
+				f = mix.StartWrappedFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable, wrap)
 			} else {
 				// PFC-only: no controller — sources blast at their caps and
 				// hop-by-hop pause is the only brake.

@@ -149,7 +149,7 @@ func RunExp(cfg ExpConfig) ExpResult {
 		Start: func(t Transfer) *netsim.Flow {
 			src, dst := hosts[t.From], hosts[t.To]
 			if mix != nil {
-				return mix.StartCustomFlow(cfg.Protocol, src, dst, t.Bytes, 0, reliable)
+				return mix.StartWrappedFlow(cfg.Protocol, src, dst, t.Bytes, 0, reliable, nil)
 			}
 			return net.StartFlow(src, dst, netsim.FlowConfig{Size: t.Bytes, Reliable: reliable})
 		},

@@ -76,50 +76,30 @@ func TestOpsFlowCCContract(t *testing.T) {
 }
 
 // TestMixSingleProtocolMatchesStack pins the fast path: a Mix hosting
-// one protocol must produce exactly the results of the Stack API (which
-// is now a view over Mix — this guards the equivalence as both evolve).
+// one protocol installs each element directly, as a one-protocol stack
+// would: every port and host carries the protocol's own element, never a
+// per-flow demultiplexer (portMux, receiverMux).
 func TestMixSingleProtocolMatchesStack(t *testing.T) {
 	for _, p := range AllProtocols() {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			run := func(useMix bool) ([]int64, int) {
-				engine := sim.New()
-				star := topology.BuildStar(engine, 3, 4, netsim.Gbps(40))
-				var flows []*netsim.Flow
-				if useMix {
-					mix := NewMix(star.Net, 0)
-					mix.Activate(p)
-					mix.EnableAllSwitchPorts()
-					mix.AttachReceivers()
-					for _, src := range star.Sources {
-						flows = append(flows, mix.StartFlow(p, src, star.Dst, 150_000, 0))
+			engine := sim.New()
+			star := topology.BuildStar(engine, 3, 4, netsim.Gbps(40))
+			mix := NewMix(star.Net, 0)
+			mix.Activate(p)
+			mix.EnableAllSwitchPorts()
+			mix.AttachReceivers()
+			for _, sw := range star.Net.Switches() {
+				for _, port := range sw.Ports() {
+					if cc := mix.ports[port].ccs[0]; port.CC != cc {
+						t.Fatalf("%s port %d: CC %T, want the protocol's element %T", sw.Name, port.Index, port.CC, cc)
 					}
-				} else {
-					stack := NewStack(star.Net, p, 0)
-					stack.EnableAllSwitchPorts()
-					for _, h := range star.Net.Hosts() {
-						stack.AttachReceiver(h)
-					}
-					for _, src := range star.Sources {
-						flows = append(flows, stack.StartFlow(src, star.Dst, 150_000, 0))
-					}
-				}
-				engine.RunUntil(10 * sim.Millisecond)
-				var got []int64
-				for _, f := range flows {
-					got = append(got, f.DeliveredBytes())
-				}
-				return got, star.Net.TotalDrops()
-			}
-			stackBytes, stackDrops := run(false)
-			mixBytes, mixDrops := run(true)
-			for i := range stackBytes {
-				if stackBytes[i] != mixBytes[i] {
-					t.Errorf("flow %d: stack delivered %d, mix delivered %d", i, stackBytes[i], mixBytes[i])
 				}
 			}
-			if stackDrops != mixDrops {
-				t.Errorf("drops: stack %d, mix %d", stackDrops, mixDrops)
+			for _, h := range star.Net.Hosts() {
+				if hook := mix.receivers[h].hooks[0]; hook != nil && h.Receiver != hook {
+					t.Fatalf("host %s: receiver %T, want the protocol's hook %T", h.Name, h.Receiver, hook)
+				}
 			}
 		})
 	}
@@ -228,11 +208,10 @@ func TestTimelyAckCadenceFollowsConfig(t *testing.T) {
 		cfg.AckEvery = 8
 		return cfg
 	}
-	stack := mix.Use(ProtoTIMELY)
-	if got := stack.AckEvery(star.Sources[0]); got != 8 {
+	if got := mix.Ops(ProtoTIMELY).AckEvery(star.Sources[0]); got != 8 {
 		t.Errorf("AckEvery = %d, want the configured 8", got)
 	}
-	f := stack.StartFlow(star.Sources[0], star.Dst, 10_000, 0)
+	f := mix.StartFlow(ProtoTIMELY, star.Sources[0], star.Dst, 10_000, 0)
 	if f.AckEvery != 8 {
 		t.Errorf("flow AckEvery = %d, want 8", f.AckEvery)
 	}

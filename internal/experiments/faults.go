@@ -101,7 +101,7 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	star := topology.BuildStar(engine, cfg.Seed, cfg.N, netsim.Gbps(cfg.Gbps))
 	roccnet.Attach(star.Net, star.Switch, star.Bottleneck, roccnet.CPOptions{})
 
-	// Flows are wired by hand (not through Stack) so the per-flow RPs
+	// Flows are wired by hand (not through Mix) so the per-flow RPs
 	// stay reachable for the staleness and rejection counters.
 	offered := netsim.Gbps(cfg.Gbps * 0.9)
 	ccs := make([]*roccnet.FlowCC, cfg.N)

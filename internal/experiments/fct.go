@@ -115,11 +115,12 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	// on their node's shard engine.
 	topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
 
-	stack := NewStack(ft.Net, cfg.Protocol, 16*sim.Microsecond)
-	stack.EnableAllSwitchPorts()
+	mix := NewMix(ft.Net, 16*sim.Microsecond)
+	mix.Activate(cfg.Protocol)
+	mix.EnableAllSwitchPorts()
 	for _, hosts := range ft.Hosts {
 		for _, h := range hosts {
-			stack.AttachReceiver(h)
+			mix.AttachReceiver(cfg.Protocol, h)
 		}
 	}
 
@@ -147,9 +148,9 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	lambda := workload.ArrivalRate(cfg.Workload, uplinkCapacity/float64(senders), cfg.Load)
 	start := func(src, dst *netsim.Host, size int) {
 		if cfg.Mode == Lossy {
-			stack.StartReliableFlow(src, dst, int64(size))
+			mix.StartWrappedFlow(cfg.Protocol, src, dst, int64(size), 0, true, nil)
 		} else {
-			stack.StartFlow(src, dst, int64(size), 0)
+			mix.StartFlow(cfg.Protocol, src, dst, int64(size), 0)
 		}
 	}
 	var gens []*workload.Poisson

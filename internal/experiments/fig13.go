@@ -50,20 +50,21 @@ func RunFig13Sim(scenario Fig13Scenario, duration sim.Time, seed int64) Fig13Res
 	}
 	engine := sim.New()
 	star := topology.BuildStar(engine, seed, 3, netsim.Gbps(10))
-	stack := NewStack(star.Net, ProtoRoCC, 0)
-	stack.RoCCOpts = roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond}
-	stack.EnablePort(star.Bottleneck)
+	mix := NewMix(star.Net, 0)
+	mix.RoCCOpts = roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond}
+	mix.Activate(ProtoRoCC)
+	mix.EnablePort(ProtoRoCC, star.Bottleneck)
 
 	offered := []netsim.Rate{netsim.Gbps(10), netsim.Gbps(10), netsim.Gbps(10)}
 	if scenario == Fig13Mixed {
 		offered = []netsim.Rate{netsim.Gbps(10), netsim.Gbps(3), netsim.Gbps(1)}
 	}
 	for i, src := range star.Sources {
-		stack.StartFlow(src, star.Dst, -1, offered[i])
+		mix.StartFlow(ProtoRoCC, src, star.Dst, -1, offered[i])
 	}
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	cp := stack.CPs[star.Bottleneck]
+	cp := mix.CPs[star.Bottleneck]
 	rate := sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
 	engine.RunUntil(duration)
 

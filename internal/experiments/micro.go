@@ -54,18 +54,19 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, cfg.N, netsim.Gbps(cfg.Gbps))
 	cfg.Telemetry.attach(star.Net)
-	stack := NewStack(star.Net, cfg.Protocol, 0)
-	stack.EnablePort(star.Bottleneck)
-	stack.AttachReceiver(star.Dst)
+	mix := NewMix(star.Net, 0)
+	mix.Activate(cfg.Protocol)
+	mix.EnablePort(cfg.Protocol, star.Bottleneck)
+	mix.AttachReceiver(cfg.Protocol, star.Dst)
 	offered := netsim.Gbps(cfg.Gbps * 0.9)
 	for _, src := range star.Sources {
-		stack.StartFlow(src, star.Dst, -1, offered)
+		mix.StartFlow(cfg.Protocol, src, star.Dst, -1, offered)
 	}
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
 	var rate *stats.Series
 	if cfg.Protocol == ProtoRoCC {
-		cp := stack.CPs[star.Bottleneck]
+		cp := mix.CPs[star.Bottleneck]
 		rate = sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
 	} else {
 		rate = sampler.PortThroughput("bottleneck", star.Bottleneck)
@@ -182,16 +183,17 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, cfg.Peak, netsim.Gbps(cfg.Gbps))
 	cfg.Telemetry.attach(star.Net)
-	stack := NewStack(star.Net, cfg.Protocol, 0)
-	stack.EnablePort(star.Bottleneck)
-	stack.AttachReceiver(star.Dst)
+	mix := NewMix(star.Net, 0)
+	mix.Activate(cfg.Protocol)
+	mix.EnablePort(cfg.Protocol, star.Bottleneck)
+	mix.AttachReceiver(cfg.Protocol, star.Dst)
 	offered := netsim.Gbps(cfg.Gbps * 0.9)
 
 	flows := make([]*netsim.Flow, 0, cfg.Peak)
 	setCount := func(n int) {
 		for len(flows) < n {
 			src := star.Sources[len(flows)]
-			flows = append(flows, stack.StartFlow(src, star.Dst, -1, offered))
+			flows = append(flows, mix.StartFlow(cfg.Protocol, src, star.Dst, -1, offered))
 		}
 		for len(flows) > n {
 			flows[len(flows)-1].Stop()
@@ -212,7 +214,7 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 	queue := sampler.Queue("queue", star.Bottleneck)
 	var rate *stats.Series
 	if cfg.Protocol == ProtoRoCC {
-		cp := stack.CPs[star.Bottleneck]
+		cp := mix.CPs[star.Bottleneck]
 		rate = sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
 	} else {
 		rate = sampler.PortThroughput("bottleneck", star.Bottleneck)
@@ -286,13 +288,14 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 	}
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, cfg.N, netsim.Gbps(cfg.Gbps))
-	stack := NewStack(star.Net, proto, 8*sim.Microsecond)
-	stack.EnablePort(star.Bottleneck)
-	stack.AttachReceiver(star.Dst)
+	mix := NewMix(star.Net, 8*sim.Microsecond)
+	mix.Activate(proto)
+	mix.EnablePort(proto, star.Bottleneck)
+	mix.AttachReceiver(proto, star.Dst)
 	offered := netsim.Gbps(cfg.Gbps * 0.9)
 	flows := make([]*netsim.Flow, cfg.N)
 	for i, src := range star.Sources {
-		flows[i] = stack.StartFlow(src, star.Dst, -1, offered)
+		flows[i] = mix.StartFlow(proto, src, star.Dst, -1, offered)
 	}
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
@@ -371,27 +374,28 @@ func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12a
 	engine := sim.New()
 	m := topology.BuildMultiBottleneck(engine, seed)
 	topology.PartitionAuto(m.Net, shards).Apply(m.Net)
-	stack := NewStack(m.Net, proto, 10*sim.Microsecond)
-	stack.EnablePorts(m.Inter, m.Access)
+	mix := NewMix(m.Net, 10*sim.Microsecond)
+	mix.Activate(proto)
+	mix.EnablePorts(proto, m.Inter, m.Access)
 	// Also enable every other egress port so the protocol sees all
 	// potential CPs, as a deployment would.
 	for _, sw := range m.Net.Switches() {
 		for _, p := range sw.Ports() {
 			if p != m.Inter && p != m.Access && p.CC == nil {
-				stack.EnablePort(p)
+				mix.EnablePort(proto, p)
 			}
 		}
 	}
 	for _, b := range m.B {
-		stack.AttachReceiver(b)
+		mix.AttachReceiver(proto, b)
 	}
 	offered := netsim.Gbps(10 * 0.9)
 	var flows [6]*netsim.Flow
-	flows[0] = stack.StartFlow(m.A[0], m.B[0], -1, offered) // D0: two CPs
+	flows[0] = mix.StartFlow(proto, m.A[0], m.B[0], -1, offered) // D0: two CPs
 	for i := 1; i <= 4; i++ {
-		flows[i] = stack.StartFlow(m.A[i], m.B[i], -1, offered)
+		flows[i] = mix.StartFlow(proto, m.A[i], m.B[i], -1, offered)
 	}
-	flows[5] = stack.StartFlow(m.B5, m.B[0], -1, offered) // D5: access CP only
+	flows[5] = mix.StartFlow(proto, m.B5, m.B[0], -1, offered) // D5: access CP only
 
 	half := duration / 2
 	engine.RunUntil(half)
@@ -425,15 +429,16 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 	}
 	engine := sim.New()
 	a := topology.BuildAsymmetric(engine, seed)
-	stack := NewStack(a.Net, proto, 12*sim.Microsecond)
-	stack.EnableAllSwitchPorts()
-	stack.AttachReceiver(a.Dst)
+	mix := NewMix(a.Net, 12*sim.Microsecond)
+	mix.Activate(proto)
+	mix.EnableAllSwitchPorts()
+	mix.AttachReceiver(proto, a.Dst)
 	var flows [7]*netsim.Flow
 	for i, src := range a.Slow {
-		flows[i] = stack.StartFlow(src, a.Dst, -1, netsim.Gbps(40*0.9))
+		flows[i] = mix.StartFlow(proto, src, a.Dst, -1, netsim.Gbps(40*0.9))
 	}
 	for i, src := range a.Fast {
-		flows[5+i] = stack.StartFlow(src, a.Dst, -1, netsim.Gbps(100*0.9))
+		flows[5+i] = mix.StartFlow(proto, src, a.Dst, -1, netsim.Gbps(100*0.9))
 	}
 	half := duration / 2
 	engine.RunUntil(half)
@@ -475,15 +480,16 @@ func RunFig19(proto Protocol, phase sim.Time, seed int64) Fig19Result {
 	counts := []int{1, 2, 3, 4, 3, 2, 1}
 	engine := sim.New()
 	star := topology.BuildStar(engine, seed, 4, netsim.Gbps(40))
-	stack := NewStack(star.Net, proto, 8*sim.Microsecond)
-	stack.EnablePort(star.Bottleneck)
-	stack.AttachReceiver(star.Dst)
+	mix := NewMix(star.Net, 8*sim.Microsecond)
+	mix.Activate(proto)
+	mix.EnablePort(proto, star.Bottleneck)
+	mix.AttachReceiver(proto, star.Dst)
 
 	var flows []*netsim.Flow
 	setCount := func(n int) {
 		for len(flows) < n {
 			src := star.Sources[len(flows)]
-			flows = append(flows, stack.StartFlow(src, star.Dst, -1, 0))
+			flows = append(flows, mix.StartFlow(proto, src, star.Dst, -1, 0))
 		}
 		for len(flows) > n {
 			flows[len(flows)-1].Stop()

@@ -55,8 +55,8 @@ func RegisterOps(p Protocol, f OpsFactory) { opsRegistry[p] = f }
 // packet-feature capacities (Network.INTHopCap) to the max over the set,
 // and hands each flow its own controller. A port or host shared by a
 // single protocol keeps that protocol's element installed directly — the
-// pre-mix fast path, byte-identical to a single-protocol Stack — while
-// sharing by two or more protocols inserts a per-flow demultiplexer.
+// fast path every one-protocol experiment runs on — while sharing by two
+// or more protocols inserts a per-flow demultiplexer.
 type Mix struct {
 	Engine  *sim.Engine
 	Net     *netsim.Network
@@ -146,14 +146,6 @@ func (m *Mix) Activate(proto Protocol) { m.Ops(proto) }
 // Active returns the protocols instantiated so far, in first-use order.
 func (m *Mix) Active() []Protocol { return m.active }
 
-// Use returns a single-protocol view of the composer — the Stack API —
-// so per-protocol wiring and flow starts read naturally in mixed-fabric
-// code.
-func (m *Mix) Use(proto Protocol) *Stack {
-	m.Activate(proto)
-	return &Stack{Mix: m, Proto: proto}
-}
-
 // portState tracks one port's attachments: which protocols enabled it
 // (idempotency) and the switch-side elements in attach order (mux
 // construction).
@@ -230,8 +222,7 @@ func (m *Mix) EnablePorts(proto Protocol, ports ...*netsim.Port) {
 }
 
 // EnableAllSwitchPorts attaches every active protocol on every switch
-// egress port — the mixed-fabric wiring sweep. Activate (or Use) the
-// protocols first.
+// egress port — the wiring sweep. Activate the protocols first.
 func (m *Mix) EnableAllSwitchPorts() {
 	for _, sw := range m.Net.Switches() {
 		for _, p := range sw.Ports() {
@@ -417,36 +408,16 @@ func (m *Mix) NewFlowCC(proto Protocol, src *netsim.Host) netsim.FlowCC {
 // StartFlow launches a flow under one protocol: its controller, its ACK
 // cadence, its per-packet header overhead.
 func (m *Mix) StartFlow(proto Protocol, src, dst *netsim.Host, size int64, maxRate netsim.Rate) *netsim.Flow {
-	ops := m.Ops(proto)
-	return m.register(ops, m.Net.StartFlow(src, dst, netsim.FlowConfig{
-		Size:        size,
-		MaxRate:     maxRate,
-		CC:          ops.NewFlowCC(m.Net, src),
-		AckEvery:    ops.AckEvery(src),
-		ExtraHeader: ops.Features().ExtraHeaderBytes,
-	}))
+	return m.StartWrappedFlow(proto, src, dst, size, maxRate, false, nil)
 }
 
-// StartCustomFlow launches a flow with a caller-chosen rate cap and
-// reliability mode — the generalized entry point chaos scenarios use to
-// mix capped persistent flows with reliable finite transfers.
-func (m *Mix) StartCustomFlow(proto Protocol, src, dst *netsim.Host, size int64, maxRate netsim.Rate, reliable bool) *netsim.Flow {
-	ops := m.Ops(proto)
-	return m.register(ops, m.Net.StartFlow(src, dst, netsim.FlowConfig{
-		Size:        size,
-		MaxRate:     maxRate,
-		CC:          ops.NewFlowCC(m.Net, src),
-		Reliable:    reliable,
-		AckEvery:    ops.AckEvery(src),
-		ExtraHeader: ops.Features().ExtraHeaderBytes,
-	}))
-}
-
-// StartWrappedFlow is StartCustomFlow with an interposer on the flow's
-// controller: wrap receives the protocol's freshly built FlowCC and
-// returns the controller the flow actually runs — how the adversary
-// layer turns any protocol's sender into a rogue (CNP-deaf, ECN-blind,
-// blasting) without the protocol knowing. A nil wrap is StartCustomFlow.
+// StartWrappedFlow is StartFlow with a reliability mode and an
+// interposer on the flow's controller: wrap receives the protocol's
+// freshly built FlowCC and returns the controller the flow actually
+// runs — how the adversary layer turns any protocol's sender into a
+// rogue (CNP-deaf, ECN-blind, blasting) without the protocol knowing.
+// A nil wrap runs the protocol's controller as built; reliable selects
+// go-back-N (App. A.2's lossy runs).
 func (m *Mix) StartWrappedFlow(proto Protocol, src, dst *netsim.Host, size int64, maxRate netsim.Rate, reliable bool, wrap func(netsim.FlowCC) netsim.FlowCC) *netsim.Flow {
 	ops := m.Ops(proto)
 	cc := ops.NewFlowCC(m.Net, src)
@@ -459,17 +430,6 @@ func (m *Mix) StartWrappedFlow(proto Protocol, src, dst *netsim.Host, size int64
 		CC:          cc,
 		Reliable:    reliable,
 		AckEvery:    ops.AckEvery(src),
-		ExtraHeader: ops.Features().ExtraHeaderBytes,
-	}))
-}
-
-// StartReliableFlow launches a go-back-N flow (App. A.2's lossy runs).
-func (m *Mix) StartReliableFlow(proto Protocol, src, dst *netsim.Host, size int64) *netsim.Flow {
-	ops := m.Ops(proto)
-	return m.register(ops, m.Net.StartFlow(src, dst, netsim.FlowConfig{
-		Size:        size,
-		CC:          ops.NewFlowCC(m.Net, src),
-		Reliable:    true,
 		ExtraHeader: ops.Features().ExtraHeaderBytes,
 	}))
 }

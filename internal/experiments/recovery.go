@@ -129,11 +129,8 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	// staleness re-homing so CP loss degrades instead of wedging.
 	mix.RoCCRP.StaleK = core.DefaultStaleK
 	mix.Activate(cfg.Protocol)
-	mix.Use(cfg.Protocol)
 	mix.EnableAllSwitchPorts()
-	for _, h := range net.Hosts() {
-		mix.AttachReceivers(h)
-	}
+	mix.AttachReceivers()
 
 	// Cross-edge persistent flows: host h of edge e sends to host h of
 	// edge e+1, so every flow crosses the core and feels the failure.
@@ -141,8 +138,8 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	for e := range ft.Hosts {
 		for h, src := range ft.Hosts[e] {
 			dst := ft.Hosts[(e+1)%len(ft.Hosts)][h]
-			flows = append(flows, mix.StartCustomFlow(cfg.Protocol, src, dst,
-				-1, netsim.Mbps(cfg.RateMbps), true))
+			flows = append(flows, mix.StartWrappedFlow(cfg.Protocol, src, dst,
+				-1, netsim.Mbps(cfg.RateMbps), true, nil))
 		}
 	}
 

@@ -133,11 +133,8 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		mix.RoCCRP.MaxCNPAge = 250 * sim.Microsecond
 	}
 	mix.Activate(cfg.Protocol)
-	mix.Use(cfg.Protocol)
 	mix.EnableAllSwitchPorts()
-	for _, h := range net.Hosts() {
-		mix.AttachReceivers(h)
-	}
+	mix.AttachReceivers()
 
 	var policer *adversary.Policer
 	var watchdog *adversary.Watchdog
@@ -159,7 +156,7 @@ func RunRogue(cfg RogueConfig) RogueResult {
 
 	victims := make([]*netsim.Flow, cfg.Victims)
 	for i := range victims {
-		victims[i] = mix.StartCustomFlow(cfg.Protocol, star.Sources[i], star.Dst, -1, 0, false)
+		victims[i] = mix.StartFlow(cfg.Protocol, star.Sources[i], star.Dst, -1, 0)
 	}
 	rogues := make([]*netsim.Flow, cfg.Rogues)
 	kind := EffectiveRogueKind(cfg.Protocol, cfg.Kind)
@@ -183,8 +180,8 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		for i, f := range rogues {
 			snapR[i] = f.DeliveredBytes()
 		}
-		probe = mix.StartCustomFlow(cfg.Protocol, star.Sources[0], star.Dst,
-			int64(cfg.ProbeKB)*netsim.KB, 0, false)
+		probe = mix.StartFlow(cfg.Protocol, star.Sources[0], star.Dst,
+			int64(cfg.ProbeKB)*netsim.KB, 0)
 	})
 
 	engine.RunUntil(cfg.Duration)

@@ -82,12 +82,13 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	// their node's shard engine.
 	g := topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
 
-	stack := NewStack(ft.Net, cfg.Protocol, 16*sim.Microsecond)
-	stack.EnableAllSwitchPorts()
+	mix := NewMix(ft.Net, 16*sim.Microsecond)
+	mix.Activate(cfg.Protocol)
+	mix.EnableAllSwitchPorts()
 	var hosts []*netsim.Host
 	for _, hs := range ft.Hosts {
 		for _, h := range hs {
-			stack.AttachReceiver(h)
+			mix.AttachReceiver(cfg.Protocol, h)
 			hosts = append(hosts, h)
 		}
 	}
@@ -103,7 +104,7 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 		for dst == src {
 			dst = hosts[rand.Intn(len(hosts))]
 		}
-		stack.StartFlow(src, dst, -1, 0)
+		mix.StartFlow(cfg.Protocol, src, dst, -1, 0)
 	}
 
 	start := time.Now()

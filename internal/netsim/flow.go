@@ -20,7 +20,8 @@ type FlowConfig struct {
 	CC FlowCC
 
 	// Reliable enables go-back-N loss recovery with per-packet cumulative
-	// ACKs (App. A.2). Requires AckEvery == 0 or 1.
+	// ACKs (App. A.2); the receiver acknowledges every packet whatever
+	// AckEvery says.
 	Reliable bool
 
 	// AckEvery makes the receiver acknowledge every N-th data packet (with

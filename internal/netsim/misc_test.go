@@ -1,10 +1,10 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 
 	"rocc/internal/sim"
+	"rocc/internal/telemetry"
 )
 
 func TestPausedForAccounting(t *testing.T) {
@@ -162,61 +162,30 @@ func (fakeNode) ID() NodeID                 { return 999 }
 func (fakeNode) Ports() []*Port             { return nil }
 func (fakeNode) Arrive(pkt *Packet, in int) {}
 
-func TestTracerRecordsPortEvents(t *testing.T) {
-	engine, net, a, b, sw := pair(Gbps(40))
-	port := sw.Port(1) // toward b
-	port.Tracer = NewTracer(8)
-	f := net.StartFlow(a, b, FlowConfig{Size: 5000})
-	engine.RunUntil(sim.Millisecond)
-	if !f.Done() {
-		t.Fatal("flow incomplete")
-	}
-	events := port.Tracer.Events()
-	if len(events) == 0 {
-		t.Fatal("no events traced")
-	}
-	// 5 packets enqueue + 5 dequeue = 10 total; ring keeps last 8.
-	if port.Tracer.Total() != 10 {
-		t.Errorf("Total = %d, want 10", port.Tracer.Total())
-	}
-	if len(events) != 8 {
-		t.Errorf("retained %d, want ring size 8", len(events))
-	}
-	// Oldest-first ordering by time.
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatal("events not oldest-first")
-		}
-	}
-	var sb strings.Builder
-	port.Tracer.Dump(&sb)
-	if !strings.Contains(sb.String(), "dequeue") {
-		t.Error("dump missing dequeue events")
-	}
-}
-
+// TestTracerPauseEvents checks that the flight recorder traces PFC:
+// under congestion the upstream sender's NIC is paused and resumed, and
+// each completed pause lands as a pfc/pause span on that port.
 func TestTracerPauseEvents(t *testing.T) {
-	engine, net, srcs, dst, sw, _ := congested(BufferConfig{
+	engine, net, srcs, dst, _, _ := congested(BufferConfig{
 		PFCEnabled:   true,
 		PFCThreshold: 40 * KB,
 	})
-	// The pause lands on the upstream sender's NIC port.
-	in := srcs[0].NIC()
-	in.Tracer = NewTracer(64)
-	srcs[1].NIC().Tracer = in.Tracer
-	_ = sw
+	rec := telemetry.NewRecorder(1<<14, 0, 0)
+	net.SetTelemetry(telemetry.New(), rec)
 	f1 := net.StartFlow(srcs[0], dst, FlowConfig{Size: -1})
 	f2 := net.StartFlow(srcs[1], dst, FlowConfig{Size: -1})
 	engine.RunUntil(2 * sim.Millisecond)
-	pauses := 0
-	for _, e := range in.Tracer.Events() {
-		if e.What == "pause" || e.What == "resume" {
-			pauses++
-		}
-	}
-	if pauses == 0 {
-		t.Error("no pause/resume events traced under PFC")
-	}
 	f1.Stop()
 	f2.Stop()
+	in := srcs[0].NIC()
+	spans := 0
+	for _, e := range rec.Events() {
+		if e.Kind == telemetry.KindSpan && e.Cat == "pfc" && e.Name == "pause" &&
+			e.Node == int64(srcs[0].ID()) && e.Tid == int64(in.Index) {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Errorf("no pfc/pause span recorded on %s's NIC under PFC (%d events retained)", srcs[0].Name, len(rec.Events()))
+	}
 }

@@ -41,10 +41,6 @@ type Port struct {
 	// perfect link.
 	Fault FaultHook
 
-	// Tracer, when set, records this port's enqueue/dequeue/pause events
-	// into a bounded ring for debugging.
-	Tracer *Tracer
-
 	linkDown bool     // packets transmitted while down are lost
 	upSince  sim.Time // when the link last (re-)established at this end
 
@@ -187,7 +183,6 @@ func (p *Port) Enqueue(pkt *Packet) {
 	c := pkt.Cls
 	p.queues[c].Push(pkt)
 	p.queueBytes[c] += pkt.Size
-	p.trace("enqueue", pkt)
 	if c == ClassData {
 		p.net.recordQueueDepth(p)
 	}
@@ -203,19 +198,12 @@ func (p *Port) SetPaused(on bool) {
 	now := p.eng.Now()
 	if on {
 		p.pausedAt = now
-		p.trace("pause", pauseTraceStub)
 	} else {
 		p.pausedFor += now - p.pausedAt
-		p.trace("resume", pauseTraceStub)
 		p.net.recordPauseSpan(p, p.pausedAt, now)
 		p.kick()
 	}
 }
-
-// pauseTraceStub stands in for a packet in pause/resume trace records,
-// which carry no per-packet data. Tracers only read fields, so one shared
-// stub avoids allocating a throwaway Packet per pause transition.
-var pauseTraceStub = &Packet{Kind: KindPause}
 
 // nextPacket pops the highest-priority transmittable packet, consulting the
 // Refill hook when the data queue is empty.
@@ -249,7 +237,6 @@ func (p *Port) kick() {
 	}
 	p.busy = true
 	now := p.eng.Now()
-	p.trace("dequeue", pkt)
 	if pkt.Kind == KindData {
 		if p.OnDequeue != nil {
 			p.OnDequeue(pkt, p.queueBytes[ClassData])

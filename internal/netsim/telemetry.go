@@ -190,30 +190,3 @@ func (n *Network) recordWatchdogDrop(s *Switch, pkt *Packet) {
 		Value: float64(pkt.Size),
 	})
 }
-
-// EmitTo replays the tracer's retained ring into a telemetry recorder,
-// bridging per-port debug traces into the unified event stream (and from
-// there into the Chrome-trace exporter). Pause/resume pairs become
-// instants here — the live path in SetPaused emits proper spans.
-func (t *Tracer) EmitTo(rec *telemetry.Recorder) {
-	for _, e := range t.Events() {
-		kind := telemetry.KindCounter
-		name := "qdepth_bytes"
-		v := float64(e.QLen)
-		if e.What == "pause" || e.What == "resume" || e.What == "drop" {
-			kind = telemetry.KindInstant
-			name = e.What
-			v = float64(e.Bytes)
-		}
-		rec.Record(telemetry.Event{
-			At:    int64(e.At),
-			Kind:  kind,
-			Cat:   "netsim",
-			Name:  name,
-			Node:  int64(e.Node),
-			Tid:   int64(e.Port),
-			Flow:  int64(e.Flow),
-			Value: v,
-		})
-	}
-}

@@ -121,25 +121,3 @@ func TestTelemetryDropCounterMatchesSwitch(t *testing.T) {
 		t.Errorf("telemetry drops = %d, switch says %d", got, sw.Drops)
 	}
 }
-
-func TestTracerEmitTo(t *testing.T) {
-	engine, net, a, b, sw := pair(Gbps(40))
-	tr := NewTracer(64)
-	sw.Port(1).Tracer = tr
-	f := net.StartFlow(a, b, FlowConfig{Size: 20 * 1000})
-	engine.RunUntil(5 * sim.Millisecond)
-	if !f.Done() || tr.Total() == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	rec := telemetry.NewRecorder(256, 0, 0)
-	tr.EmitTo(rec)
-	evs := rec.Events()
-	if uint64(len(evs)) != uint64(len(tr.Events())) {
-		t.Fatalf("emitted %d events, tracer retained %d", len(evs), len(tr.Events()))
-	}
-	for _, e := range evs {
-		if e.Cat != "netsim" || e.Name == "" {
-			t.Fatalf("malformed bridged event: %+v", e)
-		}
-	}
-}

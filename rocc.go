@@ -13,10 +13,10 @@
 //
 //	engine := rocc.NewEngine()
 //	star := rocc.BuildStar(engine, 1, 4, rocc.Gbps(40))
-//	stack := rocc.NewStack(star.Net, rocc.ProtoRoCC, 0)
-//	stack.EnablePort(star.Bottleneck)
+//	mix := rocc.NewMix(star.Net, 0)
+//	mix.EnablePort(rocc.ProtoRoCC, star.Bottleneck)
 //	for _, src := range star.Sources {
-//		stack.StartFlow(src, star.Dst, -1, rocc.Gbps(36))
+//		mix.StartFlow(rocc.ProtoRoCC, src, star.Dst, -1, rocc.Gbps(36))
 //	}
 //	engine.RunUntil(20 * rocc.Millisecond)
 //
@@ -181,17 +181,15 @@ func BuildFatTree(engine *Engine, seed int64, cfg FatTreeConfig) *FatTree {
 // PaperFatTree returns the paper's 3×3×30 fat-tree configuration.
 func PaperFatTree() FatTreeConfig { return topology.PaperFatTree() }
 
-// Protocol stacks and experiment runners.
+// Protocols and their wiring.
 type (
 	// Protocol names a congestion-control scheme under test.
 	Protocol = experiments.Protocol
-	// Stack wires a protocol into a built network.
-	Stack = experiments.Stack
-	// Mix composes several protocols on one fabric, assigning a
-	// congestion-control scheme per flow.
+	// Mix wires congestion control into a built network: each scheme's
+	// switch and receiver elements, and a protocol per flow.
 	Mix = experiments.Mix
 	// CongestionOps is the descriptor one scheme implements to plug into
-	// a Stack or Mix: switch attachment, receiver hook, flow controller,
+	// a Mix: switch attachment, receiver hook, flow controller,
 	// ACK cadence and packet-feature requirements.
 	CongestionOps = netsim.CongestionOps
 	// CCFeatures are the packet-level capacities a scheme requires.
@@ -209,21 +207,16 @@ const (
 	ProtoDCTCP   = experiments.ProtoDCTCP
 )
 
-// NewStack builds a protocol stack for a network. baseRTT parameterizes
-// window-based protocols; zero uses a 10 µs default.
-func NewStack(net *Network, proto Protocol, baseRTT Time) *Stack {
-	return experiments.NewStack(net, proto, baseRTT)
-}
-
-// NewMix builds a multi-protocol composer for a network. Activate (or
-// Use) protocols, wire ports and receivers, then start flows with a
-// protocol each.
+// NewMix builds the congestion-control composer for a network: wire
+// ports and receivers, then start flows, naming a protocol each time.
+// baseRTT parameterizes window-based protocols; zero uses a 10 µs
+// default.
 func NewMix(net *Network, baseRTT Time) *Mix {
 	return experiments.NewMix(net, baseRTT)
 }
 
 // RegisterProtocol installs a custom congestion-control scheme under a
-// name, making it available to Stack, Mix, and the chaos soak.
+// name, making it available to Mix and the chaos soak.
 func RegisterProtocol(p Protocol, factory func(m *Mix) CongestionOps) {
 	experiments.RegisterOps(p, factory)
 }

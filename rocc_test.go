@@ -12,15 +12,15 @@ import (
 func TestQuickstart(t *testing.T) {
 	engine := rocc.NewEngine()
 	star := rocc.BuildStar(engine, 1, 4, rocc.Gbps(40))
-	stack := rocc.NewStack(star.Net, rocc.ProtoRoCC, 0)
-	stack.EnablePort(star.Bottleneck)
+	mix := rocc.NewMix(star.Net, 0)
+	mix.EnablePort(rocc.ProtoRoCC, star.Bottleneck)
 	var flows []*rocc.Flow
 	for _, src := range star.Sources {
-		flows = append(flows, stack.StartFlow(src, star.Dst, -1, rocc.Gbps(36)))
+		flows = append(flows, mix.StartFlow(rocc.ProtoRoCC, src, star.Dst, -1, rocc.Gbps(36)))
 	}
 	engine.RunUntil(15 * rocc.Millisecond)
 
-	cp := stack.CPs[star.Bottleneck]
+	cp := mix.CPs[star.Bottleneck]
 	if got := cp.FairRateMbps() / 1000; math.Abs(got-10) > 1 {
 		t.Errorf("fair rate %.2f Gb/s, want ~10", got)
 	}
