@@ -21,56 +21,72 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// goldenRuns lists the subcommands pinned byte-for-byte, each at a -dur
-// short enough to keep the whole test a few seconds long. Between them
-// they reach every Mix flow-start and wiring path the figures use.
+// goldenRuns lists the runs pinned byte-for-byte: a golden file name
+// under testdata/ and roccsim's arguments, each at a -dur short enough to
+// keep the whole test a few seconds long. Between them they reach every
+// Mix flow-start and wiring path the figures use, and the -reps 2 runs
+// reach every repetition merge (series, Fig 11 rows, FCT bins, Table 3
+// means, Fig 17 tier sums, fold pairs). Runs that share a golden file
+// differ only in -workers, which must never move an output byte.
 var goldenRuns = []struct {
-	name, dur string
+	golden, args string
 }{
-	{"fig8", "3ms"},
-	{"fig9", "3ms"},
-	{"fig11", "3ms"},
-	{"fig12a", "3ms"},
-	{"fig12b", "3ms"},
-	{"fig13", "3ms"},
-	{"fig14", "2ms"},
-	{"table3", "2ms"},
-	{"fig17", "2ms"},
-	{"fig18", "2ms"},
-	{"fig19", "3ms"},
-	{"fig20", "2ms"},
-	{"faults", "3ms"},
-	{"qos", "3ms"},
-	{"rollout", "3ms"},
-	{"recovery", "2ms"},
-	{"rogue", "3ms"},
+	{"fig8", "-dur 3ms fig8"},
+	{"fig9", "-dur 3ms fig9"},
+	{"fig11", "-dur 3ms fig11"},
+	{"fig12a", "-dur 3ms fig12a"},
+	{"fig12a", "-dur 3ms -workers 1 fig12a"},
+	{"fig12b", "-dur 3ms fig12b"},
+	{"fig13", "-dur 3ms fig13"},
+	{"fig14", "-dur 2ms fig14"},
+	{"fig15", "-dur 2ms fig15"},
+	{"fig16", "-dur 2ms fig16"},
+	{"table3", "-dur 2ms table3"},
+	{"fig17", "-dur 2ms fig17"},
+	{"fig18", "-dur 2ms fig18"},
+	{"fig19", "-dur 3ms fig19"},
+	{"fig20", "-dur 2ms fig20"},
+	{"faults", "-dur 3ms faults"},
+	{"qos", "-dur 3ms qos"},
+	{"rollout", "-dur 3ms rollout"},
+	{"recovery", "-dur 2ms recovery"},
+	{"rogue", "-dur 3ms rogue"},
+	{"collective", "-dur 5ms -msg 65536 -iters 1 -ranks 4 collective"},
+	{"fig8_reps2", "-dur 3ms -reps 2 fig8"},
+	{"fig11_reps2", "-dur 3ms -reps 2 fig11"},
+	{"fig11_reps2", "-dur 3ms -reps 2 -workers 1 fig11"},
+	{"fig14_reps2", "-dur 2ms -reps 2 fig14"},
+	{"table3_reps2", "-dur 2ms -reps 2 table3"},
+	{"fig17_reps2", "-dur 2ms -reps 2 fig17"},
+	{"fig18_reps2", "-dur 2ms -reps 2 fig18"},
 }
 
-// TestGoldenOutputs runs each subcommand in a child process and compares
-// its stdout, minus the trailing wall-time line, with
-// testdata/<name>.golden.
+// TestGoldenOutputs runs each entry of goldenRuns in a child process and
+// compares its stdout, minus the trailing wall-time line, with
+// testdata/<golden>.golden.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 17 simulations")
+		t.Skip("runs 28 simulations")
 	}
 	for _, g := range goldenRuns {
-		t.Run(g.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-dur", g.dur, g.name)
+		t.Run(g.args, func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command(os.Args[0], strings.Fields(g.args)...)
 			cmd.Env = append(os.Environ(), asMainEnv+"=1")
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			out, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("roccsim -dur %s %s: %v\n%s", g.dur, g.name, err, stderr.Bytes())
+				t.Fatalf("roccsim %s: %v\n%s", g.args, err, stderr.Bytes())
 			}
 			got := dropWallTime(string(out))
-			want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
+			want, err := os.ReadFile(filepath.Join("testdata", g.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != string(want) {
-				t.Errorf("roccsim -dur %s %s: stdout differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s",
-					g.dur, g.name, g.name, got, want)
+				t.Errorf("roccsim %s: stdout differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s",
+					g.args, g.golden, got, want)
 			}
 		})
 	}
