@@ -14,6 +14,7 @@ import (
 	"rocc/internal/experiments"
 	"rocc/internal/flowtable"
 	"rocc/internal/fluid"
+	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/qos"
 	"rocc/internal/roccnet"
@@ -204,9 +205,12 @@ func benchFCT(b *testing.B, wl *workload.CDF, metric func(experiments.FCTResult)
 // Comparing the Serial and Parallel4 variants shows the wall-clock win
 // the -workers flag buys (EXPERIMENTS.md records the measured speedup).
 func benchFCTReps(b *testing.B, workers int) {
-	cfg := fctConfig(experiments.ProtoRoCC, workload.WebSearch(), 1)
+	var cells []experiments.FCTConfig
+	for seed := int64(1); seed <= 4; seed++ {
+		cells = append(cells, fctConfig(experiments.ProtoRoCC, workload.WebSearch(), seed))
+	}
 	for i := 0; i < b.N; i++ {
-		rs := experiments.RunFCTReps(cfg, 4, workers)
+		rs := harness.Run(cells, workers, experiments.RunFCT)
 		for _, r := range rs {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -221,7 +225,7 @@ func benchFCTReps(b *testing.B, workers int) {
 func BenchmarkFig14RepsSerial(b *testing.B)    { benchFCTReps(b, 1) }
 func BenchmarkFig14RepsParallel4(b *testing.B) { benchFCTReps(b, 4) }
 
-func lastPopulated(bins []int, r experiments.FCTResult, pick func(i int) float64) float64 {
+func lastPopulated(r experiments.FCTResult, pick func(i int) float64) float64 {
 	for i := len(r.Bins) - 1; i >= 0; i-- {
 		if r.Bins[i].Count > 0 {
 			return pick(i)
@@ -232,19 +236,19 @@ func lastPopulated(bins []int, r experiments.FCTResult, pick func(i int) float64
 
 func BenchmarkFig14AvgFCT(b *testing.B) {
 	benchFCT(b, workload.WebSearch(), func(r experiments.FCTResult) (string, float64) {
-		return "elephant-avg-ms", lastPopulated(nil, r, func(i int) float64 { return r.Bins[i].AvgMs })
+		return "elephant-avg-ms", lastPopulated(r, func(i int) float64 { return r.Bins[i].AvgMs })
 	})
 }
 
 func BenchmarkFig15P90FCT(b *testing.B) {
 	benchFCT(b, workload.WebSearch(), func(r experiments.FCTResult) (string, float64) {
-		return "elephant-p90-ms", lastPopulated(nil, r, func(i int) float64 { return r.Bins[i].P90Ms })
+		return "elephant-p90-ms", lastPopulated(r, func(i int) float64 { return r.Bins[i].P90Ms })
 	})
 }
 
 func BenchmarkFig16P99FCT(b *testing.B) {
 	benchFCT(b, workload.FBHadoop(), func(r experiments.FCTResult) (string, float64) {
-		return "tail-p99-ms", lastPopulated(nil, r, func(i int) float64 { return r.Bins[i].P99Ms })
+		return "tail-p99-ms", lastPopulated(r, func(i int) float64 { return r.Bins[i].P99Ms })
 	})
 }
 
@@ -266,11 +270,26 @@ func BenchmarkFig17bPFC(b *testing.B) {
 	})
 }
 
+// fold runs one Fig. 18 / Fig. 20 pair: the lossless cell and its
+// variant-mode twin at the same seed, in parallel.
+func fold(b *testing.B, p experiments.Protocol, seed int64, mode experiments.BufferMode) experiments.FoldResult {
+	base := fctConfig(p, workload.FBHadoop(), seed)
+	variant := base
+	variant.Mode = mode
+	rs := harness.Run([]experiments.FCTConfig{base, variant}, 2, experiments.RunFCT)
+	for _, r := range rs {
+		if r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+	return experiments.MakeFold(rs[0].Value, rs[1].Value)
+}
+
 func BenchmarkFig18UnlimitedBuffer(b *testing.B) {
 	for _, p := range experiments.ComparisonProtocols() {
 		b.Run(string(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.RunFold(fctConfig(p, workload.FBHadoop(), int64(i+1)), experiments.Unlimited)
+				r := fold(b, p, int64(i+1), experiments.Unlimited)
 				if i == 0 {
 					b.ReportMetric(r.BufferFold, "buffer-fold")
 				}
@@ -296,7 +315,7 @@ func BenchmarkFig20Lossy(b *testing.B) {
 	for _, p := range experiments.ComparisonProtocols() {
 		b.Run(string(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.RunFold(fctConfig(p, workload.FBHadoop(), int64(i+1)), experiments.Lossy)
+				r := fold(b, p, int64(i+1), experiments.Lossy)
 				if i == 0 {
 					b.ReportMetric(r.RetxShare*100, "retx-pct")
 				}

@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 
 	"rocc/internal/collective"
-	"rocc/internal/experiments"
 	"rocc/internal/export"
+	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 )
@@ -56,15 +56,7 @@ func runCollective() {
 		modes = []netsim.OperatingMode{m}
 	}
 
-	var cells []collective.ExpConfig
-	for _, p := range experiments.AllProtocols() {
-		for _, m := range modes {
-			c := base
-			c.Protocol = p
-			c.Mode = m
-			cells = append(cells, c)
-		}
-	}
+	cells := collective.Cells(base, modes)
 	filled := base.Filled()
 	fmt.Printf("collective: %s, %d ranks x %s x %d chunks, %d iters, fat-tree 2x2 (kill %s, deadline %.0f ms)\n",
 		filled.Collective.Pattern, filled.Collective.Participants,
@@ -72,7 +64,7 @@ func runCollective() {
 		filled.Collective.Iterations, filled.Kill, filled.Deadline.Seconds()*1e3)
 	fmt.Println("  cell = iteration completion time p50/p99 (ms); modes that cannot finish show why")
 
-	rs := collective.RunGrid(cells, *workFlag)
+	rs := harness.Run(cells, *workFlag, collective.RunExp)
 
 	results := make([]collective.ExpResult, 0, len(rs))
 	fmt.Printf("  %-9s", "protocol")
@@ -80,19 +72,19 @@ func runCollective() {
 		fmt.Printf(" %-22s", m)
 	}
 	fmt.Println()
-	for i, p := range experiments.AllProtocols() {
-		fmt.Printf("  %-9s", p)
-		for j := range modes {
-			r := rs[i*len(modes)+j]
-			if r.Err != nil {
-				reportErr(fmt.Sprintf("collective %s/%s", p, modes[j]), 0, r.Err)
-				fmt.Printf(" %-22s", "error")
-				continue
-			}
-			results = append(results, r.Value)
-			fmt.Printf(" %-22s", cellLabel(r.Value))
+	for i, c := range cells {
+		if i%len(modes) == 0 {
+			fmt.Printf("  %-9s", c.Protocol)
 		}
-		fmt.Println()
+		label := "error"
+		for _, v := range collect(fmt.Sprintf("collective %s/%s", c.Protocol, c.Mode), rs[i:i+1]) {
+			results = append(results, v)
+			label = cellLabel(v)
+		}
+		fmt.Printf(" %-22s", label)
+		if i%len(modes) == len(modes)-1 {
+			fmt.Println()
+		}
 	}
 
 	fmt.Printf("  %-9s %-8s %-9s %5s %10s %8s %10s\n",

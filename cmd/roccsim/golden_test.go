@@ -69,7 +69,7 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Skip("runs 28 simulations")
 	}
 	for _, g := range goldenRuns {
-		t.Run(g.args, func(t *testing.T) {
+		t.Run(g.golden, func(t *testing.T) {
 			t.Parallel()
 			cmd := exec.Command(os.Args[0], strings.Fields(g.args)...)
 			cmd.Env = append(os.Environ(), asMainEnv+"=1")

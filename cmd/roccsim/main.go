@@ -16,18 +16,20 @@
 //	-load      average load level for §6.3 runs (default 0.7)
 //	-reps      repetitions per experiment cell (default 1; the paper uses 5);
 //	           rep r runs with seed+r, results merged as mean ± 95% CI
-//	-workers   parallel workers for repetition fan-out (default 0 = GOMAXPROCS);
-//	           results are merged in repetition order, so -workers never
-//	           changes the output, only the wall time
-//	-plot      render queue/rate series as ASCII charts (fig8, fig9, fig13)
+//	-workers   parallel workers for the cells of every multi-cell table
+//	           (default 0 = GOMAXPROCS); results are merged in cell order,
+//	           so -workers never changes the output, only the wall time.
+//	           scale stays serial: its rows are wall-clock timings
+//	-plot      render queue/rate series as ASCII charts (fig8, fig9)
 //	-csv       directory to write raw series/bin CSVs into
 //	-protocol  protocol under test for fig8/fig9 (rocc, dcqcn, dcqcn+pi,
 //	           hpcc, timely, qcn, dctcp); comparison figures sweep their
 //	           own protocol sets and ignore this
 //	-trace     write a Chrome trace-event JSON of the run's flight
-//	           recorder to this file (load in chrome://tracing or Perfetto)
+//	           recorder to this file (load in chrome://tracing or Perfetto);
+//	           fig8, fig9 and all only, a usage error elsewhere
 //	-metrics   print the telemetry registry snapshot after the run; with
-//	           -csv also writes metrics.csv
+//	           -csv also writes metrics.csv; fig8, fig9 and all only
 //	-cpuprofile  write a CPU profile of the run (go tool pprof)
 //	-memprofile  write an allocation profile taken after the run
 //	-cnp-loss  faults: CNP loss probability (-1 = sweep 5/10/20%)
@@ -60,6 +62,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,6 +73,7 @@ import (
 
 	"rocc/internal/experiments"
 	"rocc/internal/export"
+	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/plot"
 	"rocc/internal/qos"
@@ -86,7 +90,7 @@ var (
 	seedFlag = flag.Int64("seed", 1, "RNG seed")
 	loadFlag = flag.Float64("load", 0.7, "average load level for §6.3 runs")
 	repsFlag = flag.Int("reps", 1, "repetitions per experiment cell (paper: 5)")
-	workFlag = flag.Int("workers", 0, "parallel workers for repetitions (0 = GOMAXPROCS)")
+	workFlag = flag.Int("workers", 0, "parallel workers for the cells of every multi-cell table (0 = GOMAXPROCS)")
 	plotFlag = flag.Bool("plot", false, "render ASCII charts for series-producing experiments")
 	csvFlag  = flag.String("csv", "", "directory to write raw CSV outputs into")
 	fanFlag  = flag.Int("fanin", 0, "synchronized incast fan-in for fig18/fig20 (0 = smooth Poisson; 30 = paper incast level)")
@@ -94,8 +98,8 @@ var (
 	flapFlag = flag.Duration("link-flap", 0, "faults: link-flap period (0 = default 5ms, down 10% of it)")
 
 	protoFlag   = flag.String("protocol", "rocc", "protocol under test for fig8/fig9 (rocc|dcqcn|dcqcn+pi|hpcc|timely|qcn|dctcp)")
-	traceFlag   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics snapshot after the run")
+	traceFlag   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (fig8, fig9, all)")
+	metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics snapshot after the run (fig8, fig9, all)")
 
 	cpuproFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memproFlag = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
@@ -170,6 +174,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := checkTelemetry(name, *traceFlag != "" || *metricsFlag); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *traceFlag != "" || *metricsFlag {
 		runTel = experiments.NewRunTelemetry()
 	}
@@ -216,10 +224,19 @@ func main() {
 	fmt.Printf("\n(wall time %v)\n", time.Since(start).Round(time.Millisecond))
 }
 
+// checkTelemetry rejects -trace and -metrics on a subcommand that
+// attaches no telemetry bundle: only fig8 and fig9 record one (and all,
+// which runs them), so anywhere else the flags would write an empty
+// trace.
+func checkTelemetry(name string, asked bool) error {
+	if !asked || name == "fig8" || name == "fig9" || name == "all" {
+		return nil
+	}
+	return fmt.Errorf("-trace/-metrics: %s records no telemetry (only fig8, fig9 and all do)", name)
+}
+
 // emitTelemetry writes the -trace Chrome trace and the -metrics snapshot
-// collected over the run. Experiments that don't attach the bundle (only
-// fig8 and fig9 do) leave it empty; that still produces a valid, empty
-// trace rather than an error.
+// collected over the run.
 func emitTelemetry() {
 	if runTel == nil {
 		return
@@ -278,10 +295,34 @@ func repCount() int {
 	return *repsFlag
 }
 
-// reportErr prints a failed repetition (e.g. a captured panic) without
-// aborting the rest of the sweep.
-func reportErr(what string, rep int, err error) {
-	fmt.Fprintf(os.Stderr, "%s rep %d failed: %v\n", what, rep, err)
+// repCells expands each cell into -reps repetitions, cell-major:
+// repetition r of cells[i] lands at i*reps+r and runs with seed -seed+r.
+// This is the one place a repetition's seed is derived.
+func repCells[C any](cells []C, seed func(*C) *int64) []C {
+	reps := repCount()
+	out := make([]C, 0, len(cells)*reps)
+	for _, c := range cells {
+		for r := 0; r < reps; r++ {
+			*seed(&c) = *seedFlag + int64(r)
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// collect returns the values of a group of cell results — one table
+// row's repetitions, or one single-run cell — and reports each failed
+// cell (a captured panic) on stderr without aborting the sweep.
+func collect[R any](what string, rs []harness.Result[R]) []R {
+	var vals []R
+	for rep, r := range rs {
+		if r.Err != nil {
+			fmt.Fprintf(os.Stderr, "%s rep %d failed: %v\n", what, rep, r.Err)
+			continue
+		}
+		vals = append(vals, r.Value)
+	}
+	return vals
 }
 
 func run(name string) {
@@ -383,48 +424,30 @@ func runFig7(which string) {
 
 func runFig8() {
 	fmt.Printf("Fig 8: fairness and stability as load increases (90%% offered load, %s)\n", proto)
-	reps := repCount()
-	// Flatten the (B, N, rep) grid into one harness fan-out; results come
-	// back slotted by cell index, so the printed order never changes.
-	type point struct {
-		gbps float64
-		n    int
+	var cells []experiments.Fig8Config
+	for _, gbps := range []float64{40, 100} {
+		for _, n := range []int{2, 10, 100} {
+			cells = append(cells, experiments.Fig8Config{
+				N: n, Gbps: gbps, Duration: dur(20 * sim.Millisecond), Protocol: proto,
+			})
+		}
 	}
+	cells = repCells(cells, func(c *experiments.Fig8Config) *int64 { return &c.Seed })
 	// All cells aggregate counters into the shared registry; the flight
 	// recorder rides on the first cell only, so the Chrome trace shows one
 	// coherent run instead of interleaved virtual clocks.
-	var regOnly *experiments.RunTelemetry
 	if runTel != nil {
-		regOnly = &experiments.RunTelemetry{Registry: runTel.Registry}
-	}
-	var points []point
-	var cfgs []experiments.Fig8Config
-	for _, gbps := range []float64{40, 100} {
-		for _, n := range []int{2, 10, 100} {
-			points = append(points, point{gbps, n})
-			for rep := 0; rep < reps; rep++ {
-				tel := regOnly
-				if len(cfgs) == 0 {
-					tel = runTel
-				}
-				cfgs = append(cfgs, experiments.Fig8Config{
-					N: n, Gbps: gbps, Duration: dur(20 * sim.Millisecond), Seed: *seedFlag + int64(rep),
-					Protocol: proto, Telemetry: tel,
-				})
-			}
+		regOnly := &experiments.RunTelemetry{Registry: runTel.Registry}
+		for i := range cells {
+			cells[i].Telemetry = regOnly
 		}
+		cells[0].Telemetry = runTel
 	}
-	rs := experiments.RunFig8Grid(cfgs, *workFlag)
-	for i, pt := range points {
-		var runs []experiments.Fig8Result
-		for rep := 0; rep < reps; rep++ {
-			r := rs[i*reps+rep]
-			if r.Err != nil {
-				reportErr(fmt.Sprintf("fig8 B=%.0fG N=%d", pt.gbps, pt.n), rep, r.Err)
-				continue
-			}
-			runs = append(runs, r.Value)
-		}
+	rs := harness.Run(cells, *workFlag, experiments.RunFig8)
+	reps := repCount()
+	for i := 0; i < len(cells); i += reps {
+		c := cells[i]
+		runs := collect(fmt.Sprintf("fig8 B=%.0fG N=%d", c.Gbps, c.N), rs[i:i+reps])
 		if len(runs) == 0 {
 			continue
 		}
@@ -443,12 +466,12 @@ func runFig8() {
 		// report aggregate bottleneck throughput (ideal B).
 		label, ideal := "fair", runs[0].ExpectedRate
 		if proto != experiments.ProtoRoCC {
-			label, ideal = "tput", pt.gbps
+			label, ideal = "tput", c.Gbps
 		}
 		fmt.Printf("  B=%3.0fG N=%-3d queue=%6.0f KB (ref %s)  %s=%7.2f Gb/s (ideal %.2f)  conv=%.1f ms  pfc=%d\n",
-			pt.gbps, pt.n, queKB/nr, map[float64]string{40: "150", 100: "300"}[pt.gbps],
+			c.Gbps, c.N, queKB/nr, map[float64]string{40: "150", 100: "300"}[c.Gbps],
 			label, rate/nr, ideal, conv/nr*1e3, int(pfc/nr))
-		emitSeries(fmt.Sprintf("fig8_B%.0f_N%d", pt.gbps, pt.n),
+		emitSeries(fmt.Sprintf("fig8_B%.0f_N%d", c.Gbps, c.N),
 			experiments.AverageSeries(queues...), experiments.AverageSeries(rates...))
 	}
 }
@@ -472,20 +495,19 @@ func runFig9() {
 func runFig11() {
 	fmt.Println("Fig 11: comparison on N=10, B=40G (fairness / stability / convergence)")
 	fmt.Printf("  %-9s %22s %16s %8s %6s\n", "protocol", "per-flow rate (Gb/s)", "queue (KB)", "util", "Jain")
+	type cell struct {
+		p   experiments.Protocol
+		cfg experiments.Fig11Config
+	}
+	var cells []cell
+	for _, p := range experiments.MicroProtocols() {
+		cells = append(cells, cell{p, experiments.Fig11Config{Duration: dur(40 * sim.Millisecond)}})
+	}
+	cells = repCells(cells, func(c *cell) *int64 { return &c.cfg.Seed })
+	rs := harness.Run(cells, *workFlag, func(c cell) experiments.Fig11Row { return experiments.RunFig11(c.p, c.cfg) })
 	reps := repCount()
-	protos := experiments.MicroProtocols()
-	grid := experiments.RunFig11Grid(protos, experiments.Fig11Config{
-		Duration: dur(40 * sim.Millisecond), Seed: *seedFlag,
-	}, reps, *workFlag)
-	for i, p := range protos {
-		var rows []experiments.Fig11Row
-		for _, r := range grid[i] {
-			if r.Err != nil {
-				reportErr("fig11 "+string(p), r.Index%reps, r.Err)
-				continue
-			}
-			rows = append(rows, r.Value)
-		}
+	for i := 0; i < len(cells); i += reps {
+		rows := collect("fig11 "+string(cells[i].p), rs[i:i+reps])
 		if len(rows) == 0 {
 			continue
 		}
@@ -527,44 +549,74 @@ func averageFig11(rows []experiments.Fig11Row) experiments.Fig11Row {
 
 func runFig12a() {
 	fmt.Println("Fig 12a: multi-bottleneck fairness (ideal: D0=D5=5, D1..D4=8.75 Gb/s)")
-	for _, p := range experiments.ComparisonProtocols() {
-		r := experiments.RunFig12a(p, dur(40*sim.Millisecond), *seedFlag)
-		fmt.Printf("  %-9s D0=%5.2f  D1..4=%5.2f %5.2f %5.2f %5.2f  D5=%5.2f\n",
-			p, r.D[0], r.D[1], r.D[2], r.D[3], r.D[4], r.D[5])
+	protos := experiments.ComparisonProtocols()
+	rs := harness.Run(protos, *workFlag, func(p experiments.Protocol) experiments.Fig12aRow {
+		return experiments.RunFig12a(p, dur(40*sim.Millisecond), *seedFlag)
+	})
+	for i, p := range protos {
+		for _, r := range collect("fig12a "+string(p), rs[i:i+1]) {
+			fmt.Printf("  %-9s D0=%5.2f  D1..4=%5.2f %5.2f %5.2f %5.2f  D5=%5.2f\n",
+				p, r.D[0], r.D[1], r.D[2], r.D[3], r.D[4], r.D[5])
+		}
 	}
 }
 
 func runFig12b() {
 	fmt.Println("Fig 12b: asymmetric-topology fairness (ideal: every flow 14.3 Gb/s)")
-	for _, p := range experiments.ComparisonProtocols() {
-		r := experiments.RunFig12b(p, dur(40*sim.Millisecond), *seedFlag)
-		fmt.Printf("  %-9s slow(D0..D4)=%6.2f  fast(D5..D6)=%6.2f Gb/s\n", p, r.SlowAvg, r.FastAvg)
+	protos := experiments.ComparisonProtocols()
+	rs := harness.Run(protos, *workFlag, func(p experiments.Protocol) experiments.Fig12bRow {
+		return experiments.RunFig12b(p, dur(40*sim.Millisecond), *seedFlag)
+	})
+	for i, p := range protos {
+		for _, r := range collect("fig12b "+string(p), rs[i:i+1]) {
+			fmt.Printf("  %-9s slow(D0..D4)=%6.2f  fast(D5..D6)=%6.2f Gb/s\n", p, r.SlowAvg, r.FastAvg)
+		}
 	}
 }
 
 func runFig13() {
 	fmt.Println("Fig 13: testbed-twin simulation (3x10G; see cmd/rocclab for real sockets)")
-	for _, sc := range []experiments.Fig13Scenario{experiments.Fig13Uniform, experiments.Fig13Mixed} {
-		r := experiments.RunFig13Sim(sc, dur(100*sim.Millisecond), *seedFlag)
+	scenarios := []experiments.Fig13Scenario{experiments.Fig13Uniform, experiments.Fig13Mixed}
+	rs := harness.Run(scenarios, *workFlag, func(sc experiments.Fig13Scenario) experiments.Fig13Result {
+		return experiments.RunFig13Sim(sc, dur(100*sim.Millisecond), *seedFlag)
+	})
+	for i, sc := range scenarios {
 		want := "3.33"
 		if sc == experiments.Fig13Mixed {
 			want = "6.00"
 		}
-		fmt.Printf("  sim-%s: queue=%5.0f KB (ref 75)  fair=%5.2f Gb/s (ideal %s)\n",
-			sc, r.SteadyQueKB, r.SteadyRate, want)
+		for _, r := range collect("fig13 sim-"+string(sc), rs[i:i+1]) {
+			fmt.Printf("  sim-%s: queue=%5.0f KB (ref 75)  fair=%5.2f Gb/s (ideal %s)\n",
+				sc, r.SteadyQueKB, r.SteadyRate, want)
+		}
 	}
 }
 
-func fctConfig(p experiments.Protocol, wl *workload.CDF, seed int64) experiments.FCTConfig {
+// fctConfig is the §6.3 run of one protocol on one workload at -load
+// and -shards; repCells sets its seed.
+func fctConfig(p experiments.Protocol, wl *workload.CDF) experiments.FCTConfig {
 	return experiments.FCTConfig{
 		Protocol: p,
 		Workload: wl,
 		FatTree:  topology.PaperFatTree(),
 		Load:     *loadFlag,
 		Duration: dur(30 * sim.Millisecond),
-		Seed:     seed,
 		Shards:   *shardsFlag,
 	}
+}
+
+// fctSeed is repCells' seed accessor for FCT cells.
+func fctSeed(c *experiments.FCTConfig) *int64 { return &c.Seed }
+
+// runFCTSweep runs every protocol of the comparison set on wl for -reps
+// repetitions, returning the configurations and their results
+// cell-major: protocol i's repetitions are rs[i*reps : (i+1)*reps].
+func runFCTSweep(wl *workload.CDF) ([]experiments.FCTConfig, []harness.Result[experiments.FCTResult]) {
+	var cfgs []experiments.FCTConfig
+	for _, p := range experiments.ComparisonProtocols() {
+		cfgs = append(cfgs, fctConfig(p, wl))
+	}
+	return cfgs, harness.Run(repCells(cfgs, fctSeed), *workFlag, experiments.RunFCT)
 }
 
 func runFCTFigs(name string) {
@@ -573,20 +625,17 @@ func runFCTFigs(name string) {
 	fmt.Printf("%s: %s FCT per flow-size bin (load %.0f%%)\n", name, metric, *loadFlag*100)
 	for _, wl := range []*workload.CDF{workload.WebSearch(), workload.FBHadoop()} {
 		fmt.Printf("-- %s traffic --\n", wl.Name())
-		for _, p := range experiments.ComparisonProtocols() {
-			rs := experiments.RunFCTReps(fctConfig(p, wl, *seedFlag), reps, *workFlag)
+		cfgs, rs := runFCTSweep(wl)
+		for i, cfg := range cfgs {
+			p := cfg.Protocol
 			var runs [][]stats.BinStat
-			for _, r := range rs {
-				if r.Err != nil {
-					reportErr(name+" "+string(p), r.Index, r.Err)
-					continue
-				}
-				runs = append(runs, r.Value.Bins)
+			for _, r := range collect(name+" "+string(p), rs[i*reps:(i+1)*reps]) {
+				runs = append(runs, r.Bins)
 			}
 			bins, ci := experiments.MergeBins(runs)
 			emitBins(name+"_"+wl.Name(), string(p), bins)
 			fmt.Printf("  %-9s", p)
-			for i, b := range bins {
+			for k, b := range bins {
 				v := b.AvgMs
 				switch name {
 				case "fig15":
@@ -595,7 +644,7 @@ func runFCTFigs(name string) {
 					v = b.P99Ms
 				}
 				if reps > 1 {
-					fmt.Printf(" %s:%.3f±%.3f", sizeLabel(b.UpperBytes), v, ci[i])
+					fmt.Printf(" %s:%.3f±%.3f", sizeLabel(b.UpperBytes), v, ci[k])
 				} else {
 					fmt.Printf(" %s:%.3f", sizeLabel(b.UpperBytes), v)
 				}
@@ -609,22 +658,18 @@ func runTable3() {
 	fmt.Printf("Table 3: flow-level average rate allocation (FB_Hadoop, load %.0f%%)\n", *loadFlag*100)
 	fmt.Printf("  %-9s %14s %16s\n", "protocol", "avg rate (Mb/s)", "std dev (Mb/s)")
 	reps := repCount()
-	for _, p := range experiments.ComparisonProtocols() {
-		rs := experiments.RunFCTReps(fctConfig(p, workload.FBHadoop(), *seedFlag), reps, *workFlag)
+	cfgs, rs := runFCTSweep(workload.FBHadoop())
+	for i, cfg := range cfgs {
 		var means, stds []float64
-		for _, r := range rs {
-			if r.Err != nil {
-				reportErr("table3 "+string(p), r.Index, r.Err)
-				continue
-			}
-			row := experiments.Table3FromResult(r.Value)
+		for _, r := range collect("table3 "+string(cfg.Protocol), rs[i*reps:(i+1)*reps]) {
+			row := experiments.Table3FromResult(r)
 			means = append(means, row.MeanMbps)
 			stds = append(stds, row.StdMbps)
 		}
 		if len(means) == 0 {
 			continue
 		}
-		fmt.Printf("  %-9s %14.2f %16.2f\n", p, stats.Mean(means), stats.Mean(stds))
+		fmt.Printf("  %-9s %14.2f %16.2f\n", cfg.Protocol, stats.Mean(means), stats.Mean(stds))
 	}
 }
 
@@ -632,26 +677,22 @@ func runFig17() {
 	fmt.Printf("Fig 17: average queue size and PFC activation per CP tier (WebSearch, load %.0f%%)\n", *loadFlag*100)
 	fmt.Printf("  %-9s %26s %26s\n", "protocol", "avg queue KB (core/in/out)", "PFC frames (core/in/out)")
 	reps := repCount()
-	for _, p := range experiments.ComparisonProtocols() {
-		rs := experiments.RunFCTReps(fctConfig(p, workload.WebSearch(), *seedFlag), reps, *workFlag)
+	cfgs, rs := runFCTSweep(workload.WebSearch())
+	for i, cfg := range cfgs {
+		runs := collect("fig17 "+string(cfg.Protocol), rs[i*reps:(i+1)*reps])
+		if len(runs) == 0 {
+			continue
+		}
 		var tiers [3]experiments.TierStats
-		n := 0
-		for _, r := range rs {
-			if r.Err != nil {
-				reportErr("fig17 "+string(p), r.Index, r.Err)
-				continue
-			}
-			n++
-			for t, src := range []experiments.TierStats{r.Value.Core, r.Value.IngressEdge, r.Value.EgressEdge} {
+		for _, r := range runs {
+			for t, src := range []experiments.TierStats{r.Core, r.IngressEdge, r.EgressEdge} {
 				tiers[t].AvgQueueKB += src.AvgQueueKB
 				tiers[t].PFCFrames += src.PFCFrames
 			}
 		}
-		if n == 0 {
-			continue
-		}
+		n := len(runs)
 		fmt.Printf("  %-9s %8.0f /%6.0f /%6.0f %10d /%6d /%6d\n",
-			p, tiers[0].AvgQueueKB/float64(n), tiers[1].AvgQueueKB/float64(n), tiers[2].AvgQueueKB/float64(n),
+			cfg.Protocol, tiers[0].AvgQueueKB/float64(n), tiers[1].AvgQueueKB/float64(n), tiers[2].AvgQueueKB/float64(n),
 			tiers[0].PFCFrames/n, tiers[1].PFCFrames/n, tiers[2].PFCFrames/n)
 	}
 }
@@ -663,27 +704,32 @@ func runFold(name string, mode experiments.BufferMode, wl *workload.CDF) {
 	}
 	fmt.Printf("%s: FCT fold increase under %s (%s, load %.0f%%, fan-in %d)\n", name, label, wl.Name(), *loadFlag*100, *fanFlag)
 	reps := repCount()
-	for _, p := range experiments.ComparisonProtocols() {
-		cfg := fctConfig(p, wl, *seedFlag)
+	protos := experiments.ComparisonProtocols()
+	var cfgs []experiments.FCTConfig
+	for _, p := range protos {
+		cfg := fctConfig(p, wl)
 		cfg.IncastFanIn = *fanFlag // -fanin 30 reproduces the paper's incast level; see EXPERIMENTS.md
-		rs := experiments.RunFoldReps(cfg, mode, reps, *workFlag)
-		var runs []experiments.FoldResult
-		for _, r := range rs {
-			if r.Err != nil {
-				reportErr(name+" "+string(p), r.Index, r.Err)
-				continue
-			}
-			runs = append(runs, r.Value)
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	// Every repetition is a [lossless, variant] pair of cells.
+	var cells []experiments.FCTConfig
+	for _, c := range repCells(cfgs, fctSeed) {
+		variant := c
+		variant.Mode = mode
+		cells = append(cells, c, variant)
+	}
+	rs := harness.Run(cells, *workFlag, experiments.RunFCT)
+	for i, p := range protos {
+		runs := collect(name+" "+string(p), foldPairs(rs[2*i*reps:2*(i+1)*reps]))
 		if len(runs) == 0 {
 			continue
 		}
 		rows, ci, retxShare, bufferFold := experiments.MergeFolds(runs)
 		fmt.Printf("  %-9s", p)
-		for i, row := range rows {
+		for k, row := range rows {
 			if row.Fold > 0 {
 				if reps > 1 {
-					fmt.Printf(" %s:%.1fx±%.1f", sizeLabel(row.UpperBytes), row.Fold, ci[i])
+					fmt.Printf(" %s:%.1fx±%.1f", sizeLabel(row.UpperBytes), row.Fold, ci[k])
 				} else {
 					fmt.Printf(" %s:%.1fx", sizeLabel(row.UpperBytes), row.Fold)
 				}
@@ -698,14 +744,32 @@ func runFold(name string, mode experiments.BufferMode, wl *workload.CDF) {
 	}
 }
 
+// foldPairs folds consecutive [lossless, variant] results into one
+// result per repetition; a pair fails if either of its cells did.
+func foldPairs(rs []harness.Result[experiments.FCTResult]) []harness.Result[experiments.FoldResult] {
+	folds := make([]harness.Result[experiments.FoldResult], len(rs)/2)
+	for r := range folds {
+		base, variant := rs[2*r], rs[2*r+1]
+		if folds[r].Err = errors.Join(base.Err, variant.Err); folds[r].Err == nil {
+			folds[r].Value = experiments.MakeFold(base.Value, variant.Value)
+		}
+	}
+	return folds
+}
+
 func runFig19() {
 	fmt.Println("Fig 19 (App A.1): baseline verification ladder N: 1->4->1")
-	for _, p := range []experiments.Protocol{experiments.ProtoDCQCN, experiments.ProtoHPCC} {
-		r := experiments.RunFig19(p, dur(20*sim.Millisecond), *seedFlag)
-		fmt.Printf("  %-9s\n", p)
-		for i := range r.PhaseN {
-			fmt.Printf("    N=%d rates: %s (ideal %.1f each)\n",
-				r.PhaseN[i], experiments.FormatGbps(r.PhaseRates[i]), 40.0/float64(r.PhaseN[i]))
+	protos := []experiments.Protocol{experiments.ProtoDCQCN, experiments.ProtoHPCC}
+	rs := harness.Run(protos, *workFlag, func(p experiments.Protocol) experiments.Fig19Result {
+		return experiments.RunFig19(p, dur(20*sim.Millisecond), *seedFlag)
+	})
+	for i, p := range protos {
+		for _, r := range collect("fig19 "+string(p), rs[i:i+1]) {
+			fmt.Printf("  %-9s\n", p)
+			for k, n := range r.PhaseN {
+				fmt.Printf("    N=%d rates: %s (ideal %.1f each)\n",
+					n, experiments.FormatGbps(r.PhaseRates[k]), 40.0/float64(n))
+			}
 		}
 	}
 }
@@ -732,27 +796,24 @@ func runFaultsExp() {
 		losses = []float64{*cnpFlag}
 	}
 	cells := experiments.FaultsCells(base, losses, sim.Time(flapFlag.Nanoseconds()))
-	rs := experiments.RunFaultsGrid(cells, *workFlag)
+	rs := harness.Run(cells, *workFlag, experiments.RunFaults)
 	var ref float64 // fault-free throughput, cells[0]
 	fmt.Printf("  %-20s %16s %10s %7s %7s %6s %6s\n",
 		"fault", "tput Gb/s", "queue KB", "jain", "stale", "rej", "lost")
-	for i, r := range rs {
-		if r.Err != nil {
-			reportErr("faults "+cells[i].Label(), 0, r.Err)
-			continue
+	for i, c := range cells {
+		for _, v := range collect("faults "+c.Label(), rs[i:i+1]) {
+			if i == 0 {
+				ref = v.ThroughputGbps
+			}
+			degr := ""
+			if i > 0 && ref > 0 {
+				degr = fmt.Sprintf("(%+.1f%%)", (v.ThroughputGbps/ref-1)*100)
+			}
+			lost := v.Faults.CNPsLost + v.Faults.CNPsStalled + v.Faults.Corrupted
+			fmt.Printf("  %-20s %7.2f %8s %10.1f %7.4f %7d %6d %6d\n",
+				v.Config.Label(), v.ThroughputGbps, degr, v.QueueMeanKB, v.Jain,
+				v.StaleRecoveries, v.CNPsRejected, lost)
 		}
-		v := r.Value
-		if i == 0 {
-			ref = v.ThroughputGbps
-		}
-		degr := ""
-		if i > 0 && ref > 0 {
-			degr = fmt.Sprintf("(%+.1f%%)", (v.ThroughputGbps/ref-1)*100)
-		}
-		lost := v.Faults.CNPsLost + v.Faults.CNPsStalled + v.Faults.Corrupted
-		fmt.Printf("  %-20s %7.2f %8s %10.1f %7.4f %7d %6d %6d\n",
-			v.Config.Label(), v.ThroughputGbps, degr, v.QueueMeanKB, v.Jain,
-			v.StaleRecoveries, v.CNPsRejected, lost)
 	}
 }
 
@@ -769,23 +830,20 @@ func runRecoveryExp() {
 		cfg.HostsPerEdge, cfg.FailAt.Seconds()*1e3, cfg.RestoreAt.Seconds()*1e3,
 		netsim.DefaultReconvergeDelay.Seconds()*1e6)
 	cells := experiments.RecoveryCells(base)
-	rs := experiments.RunRecoveryGrid(cells, *workFlag)
+	rs := harness.Run(cells, *workFlag, experiments.RunRecovery)
 	fmt.Printf("  %-8s %-7s %10s %9s %7s %9s %6s %7s %8s\n",
 		"protocol", "kill", "base Gb/s", "dip Gb/s", "depth", "t90 us", "jain", "blkhole", "retx KB")
-	for i, r := range rs {
-		if r.Err != nil {
-			reportErr(fmt.Sprintf("recovery %s/%s", cells[i].Protocol, cells[i].Kill), 0, r.Err)
-			continue
+	for i, c := range cells {
+		for _, v := range collect(fmt.Sprintf("recovery %s/%s", c.Protocol, c.Kill), rs[i:i+1]) {
+			t90 := "never"
+			if v.T90 >= 0 {
+				t90 = fmt.Sprintf("%.0f", v.T90.Seconds()*1e6)
+			}
+			fmt.Printf("  %-8s %-7s %10.2f %9.2f %6.1f%% %9s %6.3f %7d %8.0f\n",
+				v.Config.Protocol, v.Config.Kill, v.BaselineGbps, v.DipGbps,
+				v.DipDepth*100, t90, v.JainPostRecovery, v.BlackholeDrops,
+				float64(v.RetxBytes)/1e3)
 		}
-		v := r.Value
-		t90 := "never"
-		if v.T90 >= 0 {
-			t90 = fmt.Sprintf("%.0f", v.T90.Seconds()*1e6)
-		}
-		fmt.Printf("  %-8s %-7s %10.2f %9.2f %6.1f%% %9s %6.3f %7d %8.0f\n",
-			v.Config.Protocol, v.Config.Kill, v.BaselineGbps, v.DipGbps,
-			v.DipDepth*100, t90, v.JainPostRecovery, v.BlackholeDrops,
-			float64(v.RetxBytes)/1e3)
 	}
 }
 

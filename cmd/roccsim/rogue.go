@@ -39,48 +39,43 @@ func runRogueExp() {
 	fmt.Printf("rogue containment: %d victims + K %s rogues on a %.0fG star, %.0f ms, goodput over the second half\n",
 		cfg.Victims, cfg.Kind, cfg.LinkRate.Gbps(), cfg.Duration.Seconds()*1e3)
 	cells := experiments.RogueCells(base)
-	rs := experiments.RunRogueGrid(cells, *workFlag)
+	rs := harness.Run(cells, *workFlag, experiments.RunRogue)
 	fmt.Printf("  %-8s %2s %-9s %12s %11s %6s %9s %5s %5s %7s %6s %6s\n",
 		"protocol", "K", "defense", "victim Gb/s", "rogue Gb/s", "jain", "probe us", "det", "rel", "pdrops", "wtrips", "spoof")
-	for i, r := range rs {
-		if r.Err != nil {
-			reportErr(fmt.Sprintf("rogue %s/K=%d", cells[i].Protocol, cells[i].Rogues), 0, r.Err)
-			continue
+	var results []experiments.RogueResult
+	for i, c := range cells {
+		for _, v := range collect(fmt.Sprintf("rogue %s/K=%d", c.Protocol, c.Rogues), rs[i:i+1]) {
+			results = append(results, v)
+			def := "off"
+			if v.Config.Defended {
+				def = "on"
+			}
+			probe := "never"
+			if v.ProbeFCT >= 0 {
+				probe = fmt.Sprintf("%.0f", v.ProbeFCT.Seconds()*1e6)
+			}
+			fmt.Printf("  %-8s %2d %-9s %12.2f %11.2f %6.3f %9s %5d %5d %7d %6d %6d\n",
+				v.Config.Protocol, v.Config.Rogues, def, v.VictimGbps, v.RogueGbps,
+				v.JainVictims, probe, v.Detections, v.Releases, v.PolicedDrops,
+				v.WatchdogTrips, v.SpoofRejects)
 		}
-		v := r.Value
-		def := "off"
-		if v.Config.Defended {
-			def = "on"
-		}
-		probe := "never"
-		if v.ProbeFCT >= 0 {
-			probe = fmt.Sprintf("%.0f", v.ProbeFCT.Seconds()*1e6)
-		}
-		fmt.Printf("  %-8s %2d %-9s %12.2f %11.2f %6.3f %9s %5d %5d %7d %6d %6d\n",
-			v.Config.Protocol, v.Config.Rogues, def, v.VictimGbps, v.RogueGbps,
-			v.JainVictims, probe, v.Detections, v.Releases, v.PolicedDrops,
-			v.WatchdogTrips, v.SpoofRejects)
 	}
-	writeRogueMetrics(cells, rs)
+	writeRogueMetrics(results)
 }
 
 // writeRogueMetrics exports the sweep as rogue_metrics.csv when -csv is
 // set: one gauge per cell metric, named rogue.<proto>.k<K>.<def>.<what>.
-func writeRogueMetrics(cells []experiments.RogueConfig, rs []harness.Result[experiments.RogueResult]) {
+func writeRogueMetrics(results []experiments.RogueResult) {
 	if *csvFlag == "" {
 		return
 	}
 	reg := telemetry.New()
-	for i, r := range rs {
-		if r.Err != nil {
-			continue
-		}
-		v := r.Value
+	for _, v := range results {
 		def := "undefended"
 		if v.Config.Defended {
 			def = "defended"
 		}
-		prefix := fmt.Sprintf("rogue.%s.k%d.%s.", cells[i].Protocol, cells[i].Rogues, def)
+		prefix := fmt.Sprintf("rogue.%s.k%d.%s.", v.Config.Protocol, v.Config.Rogues, def)
 		for _, m := range []struct {
 			name  string
 			value float64

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"rocc/internal/experiments"
+	"rocc/internal/harness"
 	"rocc/internal/sim"
 )
 
@@ -20,35 +21,37 @@ func runRollout() {
 		Seed:     *seedFlag,
 		Duration: dur(20 * sim.Millisecond),
 	}
-	printHeader := func() {
-		fmt.Printf("  %-9s %6s %6s %10s %8s %11s %11s\n",
-			"protocol", "share", "flows", "mean Gb/s", "Jain", "FCT avg ms", "FCT p99 ms")
-	}
-	printRows := func(rows []experiments.RolloutRow) {
-		for _, r := range rows {
-			fmt.Printf("  %-9s %6.2f %6d %10.2f %8.4f %11.3f %11.3f\n",
-				r.Proto, r.Share, r.Flows, r.MeanGbps, r.Jain, r.FCTMeanMs, r.FCTP99Ms)
-		}
-	}
+	var cells []experiments.RolloutConfig
+	var labels []string
 	if *mixFlag != "" {
 		shares, err := experiments.ParseMixSpec(*mixFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg := base
-		cfg.Shares = shares
+		base.Shares = shares
+		cells, labels = append(cells, base), append(labels, *mixFlag)
 		fmt.Printf("rollout: mixed-protocol fabric (%s), 2-edge fat-tree, 2:1 oversubscribed core\n", *mixFlag)
-		printHeader()
-		printRows(experiments.RunRollout(cfg))
-		return
+	} else {
+		for _, frac := range experiments.DefaultRolloutFracs {
+			cfg := base
+			cfg.Shares = experiments.RoCCShares(frac)
+			cells, labels = append(cells, cfg), append(labels, fmt.Sprintf("RoCC fraction %.2f", frac))
+		}
+		fmt.Println("rollout: RoCC fraction sweep vs DCQCN, 2-edge fat-tree, 2:1 oversubscribed core")
 	}
-	fmt.Println("rollout: RoCC fraction sweep vs DCQCN, 2-edge fat-tree, 2:1 oversubscribed core")
-	for _, frac := range experiments.DefaultRolloutFracs {
-		cfg := base
-		cfg.Shares = experiments.RoCCShares(frac)
-		fmt.Printf("-- RoCC fraction %.2f --\n", frac)
-		printHeader()
-		printRows(experiments.RunRollout(cfg))
+	rs := harness.Run(cells, *workFlag, experiments.RunRollout)
+	for i, label := range labels {
+		if *mixFlag == "" {
+			fmt.Printf("-- %s --\n", label)
+		}
+		fmt.Printf("  %-9s %6s %6s %10s %8s %11s %11s\n",
+			"protocol", "share", "flows", "mean Gb/s", "Jain", "FCT avg ms", "FCT p99 ms")
+		for _, rows := range collect("rollout "+label, rs[i:i+1]) {
+			for _, r := range rows {
+				fmt.Printf("  %-9s %6.2f %6d %10.2f %8.4f %11.3f %11.3f\n",
+					r.Proto, r.Share, r.Flows, r.MeanGbps, r.Jain, r.FCTMeanMs, r.FCTP99Ms)
+			}
+		}
 	}
 }

@@ -23,3 +23,25 @@ func TestCheckShards(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		asked bool
+		ok    bool
+	}{
+		{"fig8", true, true},
+		{"fig9", true, true},
+		{"all", true, true},
+		{"fig14", false, true}, // no flag, nothing to check
+		{"fig14", true, false},
+		{"fig13", true, false},
+		{"collective", true, false},
+		{"soak", true, false},
+	} {
+		err := checkTelemetry(tc.name, tc.asked)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkTelemetry(%q, %v) = %v; want ok=%v", tc.name, tc.asked, err, tc.ok)
+		}
+	}
+}

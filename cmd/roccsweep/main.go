@@ -70,10 +70,10 @@ func main() {
 		})
 	}
 
-	rs := harness.Run(len(cells), harness.Options{Workers: *workers}, func(i int) (fluid.Result, error) {
+	rs := harness.Run(cells, *workers, func(c cell) fluid.Result {
 		return fluid.Run(fluid.Config{
-			CP: cells[i].cfg, N: cells[i].n, LinkMbps: *gbps * 1000, T: 40e-6, Steps: 6000,
-		}), nil
+			CP: c.cfg, N: c.n, LinkMbps: *gbps * 1000, T: 40e-6, Steps: 6000,
+		})
 	})
 
 	var rows [][]string

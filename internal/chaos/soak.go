@@ -48,8 +48,8 @@ type SoakOptions struct {
 	// (a Chrome trace of its replay).
 	OutDir string
 
-	// OnScenario, if set, is called as each verdict lands (completion
-	// order; serialized by the harness).
+	// OnScenario, if set, is called with each verdict in scenario order
+	// as its batch completes.
 	OnScenario func(v Verdict)
 }
 
@@ -166,9 +166,11 @@ func Soak(opts SoakOptions) Report {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			break
 		}
-		base := rep.Scenarios
-		results := harness.Run(remaining, harness.Options{Workers: o.Workers}, func(cell int) (Verdict, error) {
-			idx := base + cell
+		indices := make([]int, remaining)
+		for i := range indices {
+			indices[i] = rep.Scenarios + i
+		}
+		results := harness.Run(indices, o.Workers, func(idx int) Verdict {
 			sc := Generate(o.Seed+int64(idx), o.Gen)
 			v := Verdict{
 				Index:    idx,
@@ -191,12 +193,12 @@ func Soak(opts SoakOptions) Report {
 				v.Err = err.Error()
 			}
 			v.Result = res
-			return v, nil
+			return v
 		})
-		for _, r := range results {
+		for i, r := range results {
 			v := r.Value
 			if r.Err != nil { // cell panic
-				v.Index = base + r.Index
+				v.Index = indices[i]
 				v.Seed = o.Seed + int64(v.Index)
 				v.Err = r.Err.Error()
 			}

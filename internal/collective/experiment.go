@@ -5,7 +5,6 @@ import (
 	"rocc/internal/core"
 	"rocc/internal/experiments"
 	"rocc/internal/faults"
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
@@ -212,12 +211,12 @@ func RunExp(cfg ExpConfig) ExpResult {
 	return res
 }
 
-// Cells builds the headline sweep: every protocol × every operating
-// mode on the shared base configuration.
-func Cells(base ExpConfig) []ExpConfig {
+// Cells builds the headline sweep: every protocol × each of modes on
+// the shared base configuration, protocol-major.
+func Cells(base ExpConfig, modes []netsim.OperatingMode) []ExpConfig {
 	var cells []ExpConfig
 	for _, p := range experiments.AllProtocols() {
-		for _, m := range netsim.AllOperatingModes() {
+		for _, m := range modes {
 			c := base
 			c.Protocol = p
 			c.Mode = m
@@ -225,13 +224,4 @@ func Cells(base ExpConfig) []ExpConfig {
 		}
 	}
 	return cells
-}
-
-// RunGrid runs cells across workers; cell i lands at out[i] regardless
-// of completion order, so a sweep is byte-identical at any worker
-// count (each cell owns a private engine seeded from its config).
-func RunGrid(cfgs []ExpConfig, workers int) []harness.Result[ExpResult] {
-	return harness.Run(len(cfgs), harness.Options{Workers: workers}, func(i int) (ExpResult, error) {
-		return RunExp(cfgs[i]), nil
-	})
 }

@@ -49,10 +49,8 @@ func TestRunExpCompletesAllModes(t *testing.T) {
 func TestRunGridWorkerCountInvariance(t *testing.T) {
 	base := smallCfg()
 	base.Collective.Iterations = 1
-	cells := Cells(base)[:6] // RoCC and DCQCN across the three modes
+	cells := Cells(base, netsim.AllOperatingModes())[:6] // TIMELY and QCN across the three modes
 	values := func(rs []harness.Result[ExpResult]) []ExpResult {
-		// Elapsed is wall-clock and legitimately varies; the simulated
-		// outcomes must not.
 		out := make([]ExpResult, len(rs))
 		for i, r := range rs {
 			if r.Err != nil {
@@ -62,8 +60,8 @@ func TestRunGridWorkerCountInvariance(t *testing.T) {
 		}
 		return out
 	}
-	serial := values(RunGrid(cells, 1))
-	fanned := values(RunGrid(cells, 4))
+	serial := values(harness.Run(cells, 1, RunExp))
+	fanned := values(harness.Run(cells, 4, RunExp))
 	if !reflect.DeepEqual(serial, fanned) {
 		t.Fatal("grid results differ between 1 and 4 workers")
 	}
@@ -119,7 +117,11 @@ func TestCollectiveSurvivesLinkKill(t *testing.T) {
 }
 
 func TestCellsCoverGrid(t *testing.T) {
-	cells := Cells(smallCfg())
+	one := Cells(smallCfg(), []netsim.OperatingMode{netsim.ModePFCOnly})
+	if len(one) != len(experiments.AllProtocols()) || one[0].Mode != netsim.ModePFCOnly {
+		t.Fatalf("one-mode sweep = %d cells, first mode %v", len(one), one[0].Mode)
+	}
+	cells := Cells(smallCfg(), netsim.AllOperatingModes())
 	if len(cells) != len(experiments.AllProtocols())*3 {
 		t.Fatalf("cells = %d, want %d", len(cells), len(experiments.AllProtocols())*3)
 	}

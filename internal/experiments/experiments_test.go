@@ -238,7 +238,11 @@ func TestFCTUnlimitedModeNoPFC(t *testing.T) {
 }
 
 func TestRunFoldShapes(t *testing.T) {
-	r := RunFold(smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless), Unlimited)
+	r := MakeFold(RunFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless)),
+		RunFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Unlimited)))
+	if r.Protocol != ProtoRoCC {
+		t.Errorf("fold protocol = %q", r.Protocol)
+	}
 	if len(r.Rows) != 10 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

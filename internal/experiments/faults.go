@@ -5,7 +5,6 @@ import (
 
 	"rocc/internal/core"
 	"rocc/internal/faults"
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
@@ -139,17 +138,12 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 
 	half := cfg.Duration / 2
 	engine.RunUntil(half)
-	mid := make([]int64, cfg.N)
-	for i, f := range flows {
-		mid[i] = f.DeliveredBytes()
-	}
+	mid := delivered(flows)
 	engine.RunUntil(cfg.Duration)
 
-	window := (cfg.Duration - half).Seconds()
-	perFlow := make([]float64, cfg.N)
+	perFlow := windowGbps(delivered(flows), mid, cfg.Duration-half)
 	res := FaultsResult{Config: cfg, Faults: inj.Stats(), PFCFrames: star.Net.TotalPFCFrames()}
-	for i, f := range flows {
-		perFlow[i] = float64(f.DeliveredBytes()-mid[i]) * 8 / window / 1e9
+	for i := range flows {
 		res.ThroughputGbps += perFlow[i]
 		rp := ccs[i].RP()
 		res.StaleRecoveries += rp.StaleRecoveries
@@ -164,14 +158,6 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 		}
 	}
 	return res
-}
-
-// RunFaultsGrid runs robustness cells across workers; cell i uses
-// cfgs[i] and lands at out[i] regardless of completion order.
-func RunFaultsGrid(cfgs []FaultsConfig, workers int) []harness.Result[FaultsResult] {
-	return harness.Run(len(cfgs), harness.Options{Workers: workers}, func(i int) (FaultsResult, error) {
-		return RunFaults(cfgs[i]), nil
-	})
 }
 
 // FaultsCells builds the default robustness sweep around a base

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
@@ -247,23 +246,6 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	}
 	res.RetxBytes = ft.Net.RetxBytesTotal
 	return res
-}
-
-// RunFCTReps runs cfg for reps repetitions with derived seeds
-// (cfg.Seed + rep) fanned across workers (<= 0 selects GOMAXPROCS).
-// Results come back ordered by repetition index regardless of
-// completion order, so the rows are byte-identical to a serial sweep; a
-// repetition that panics is reported on its own Result instead of
-// killing the sweep.
-func RunFCTReps(cfg FCTConfig, reps, workers int) []harness.Result[FCTResult] {
-	if reps <= 0 {
-		reps = 1
-	}
-	return harness.Run(reps, harness.Options{Workers: workers}, func(rep int) (FCTResult, error) {
-		c := cfg
-		c.Seed = harness.Seed(cfg.Seed, rep)
-		return RunFCT(c), nil
-	})
 }
 
 func applyBufferMode(ft *topology.FatTree, mode BufferMode) {

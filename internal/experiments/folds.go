@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"rocc/internal/harness"
-	"rocc/internal/stats"
-)
+import "rocc/internal/stats"
 
 // FoldRow compares per-bin average FCT between a variant run and the
 // lossless baseline (the "fold increase" annotations of Figs. 18 and 20).
@@ -24,82 +21,24 @@ type FoldResult struct {
 	BufferFold float64 // variant avg buffer / base avg buffer (Fig. 18)
 }
 
-// RunFold runs the same workload under Lossless and under the given
-// variant mode, returning per-bin fold increases. Fig. 18 uses
-// mode=Unlimited, Fig. 20 mode=Lossy. The base and variant runs own
-// private engines and the same seed, so they execute as two parallel
-// harness cells with output identical to the old serial pair.
-func RunFold(cfg FCTConfig, mode BufferMode) FoldResult {
-	cfg.fill()
-	rs := harness.Run(2, harness.Options{Workers: 2}, func(i int) (FCTResult, error) {
-		c := cfg
-		c.Mode = Lossless
-		if i == 1 {
-			c.Mode = mode
-		}
-		return RunFCT(c), nil
-	})
-	vals, err := harness.Values(rs)
-	if err != nil {
-		panic(err) // preserve pre-harness behaviour: a crashed run aborts the fold
-	}
-	return makeFold(cfg, vals[0], vals[1])
-}
-
-// RunFoldReps runs reps fold pairs with derived seeds across workers.
-// Each repetition's base and variant are separate cells (2×reps cells
-// total), merged back into FoldResults in repetition order.
-func RunFoldReps(cfg FCTConfig, mode BufferMode, reps, workers int) []harness.Result[FoldResult] {
-	if reps <= 0 {
-		reps = 1
-	}
-	cfg.fill()
-	rs := harness.Run(2*reps, harness.Options{Workers: workers}, func(cell int) (FCTResult, error) {
-		c := cfg
-		c.Seed = harness.Seed(cfg.Seed, cell/2)
-		c.Mode = Lossless
-		if cell%2 == 1 {
-			c.Mode = mode
-		}
-		return RunFCT(c), nil
-	})
-	out := make([]harness.Result[FoldResult], reps)
-	for rep := 0; rep < reps; rep++ {
-		base, variant := rs[2*rep], rs[2*rep+1]
-		out[rep].Index = rep
-		out[rep].Elapsed = base.Elapsed + variant.Elapsed
-		if base.Err != nil {
-			out[rep].Err = base.Err
-			continue
-		}
-		if variant.Err != nil {
-			out[rep].Err = variant.Err
-			continue
-		}
-		repCfg := cfg
-		repCfg.Seed = harness.Seed(cfg.Seed, rep)
-		out[rep].Value = makeFold(repCfg, base.Value, variant.Value)
-	}
-	return out
-}
-
-// makeFold assembles the per-bin fold comparison from a finished
-// base/variant pair.
-func makeFold(cfg FCTConfig, baseRes, varRes FCTResult) FoldResult {
-	res := FoldResult{Protocol: cfg.Protocol, Base: baseRes, Variant: varRes}
-	for i, b := range baseRes.Bins {
-		v := varRes.Bins[i]
+// MakeFold pairs a lossless run with a variant run of the same
+// configuration and seed into per-bin fold increases (Fig. 18: variant
+// Unlimited; Fig. 20: variant Lossy). The protocol is read from base.
+func MakeFold(base, variant FCTResult) FoldResult {
+	res := FoldResult{Protocol: base.Config.Protocol, Base: base, Variant: variant}
+	for i, b := range base.Bins {
+		v := variant.Bins[i]
 		row := FoldRow{UpperBytes: b.UpperBytes, BaseAvgMs: b.AvgMs, VarAvgMs: v.AvgMs}
 		if b.AvgMs > 0 && b.Count > 0 && v.Count > 0 {
 			row.Fold = v.AvgMs / b.AvgMs
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	if varRes.TotalBytes > 0 {
-		res.RetxShare = float64(varRes.RetxBytes) / float64(varRes.TotalBytes)
+	if variant.TotalBytes > 0 {
+		res.RetxShare = float64(variant.RetxBytes) / float64(variant.TotalBytes)
 	}
-	if baseRes.AvgBufferKB > 0 {
-		res.BufferFold = varRes.AvgBufferKB / baseRes.AvgBufferKB
+	if base.AvgBufferKB > 0 {
+		res.BufferFold = variant.AvgBufferKB / base.AvgBufferKB
 	}
 	return res
 }

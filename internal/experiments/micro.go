@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
@@ -88,15 +87,6 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 	// up to ±N·ΔF/2 of quantization noise the PI keeps correcting).
 	res.ConvergedAt = convergenceTime(rate, res.SteadyRate, 0.15)
 	return res
-}
-
-// RunFig8Grid runs one Fig. 8 point per config across workers. Each
-// cell owns a private engine, so the results are identical to running
-// the configs serially, in the same order.
-func RunFig8Grid(cfgs []Fig8Config, workers int) []harness.Result[Fig8Result] {
-	return harness.Run(len(cfgs), harness.Options{Workers: workers}, func(i int) (Fig8Result, error) {
-		return RunFig8(cfgs[i]), nil
-	})
 }
 
 // convergenceTime returns the earliest time after which the series'
@@ -303,17 +293,10 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 
 	half := cfg.Duration / 2
 	engine.RunUntil(half)
-	mid := make([]int64, len(flows))
-	for i, f := range flows {
-		mid[i] = f.DeliveredBytes()
-	}
+	mid := delivered(flows)
 	engine.RunUntil(cfg.Duration)
 
-	window := (cfg.Duration - half).Seconds()
-	perFlow := make([]float64, len(flows))
-	for i, f := range flows {
-		perFlow[i] = float64(f.DeliveredBytes()-mid[i]) * 8 / window / 1e9
-	}
+	perFlow := windowGbps(delivered(flows), mid, cfg.Duration-half)
 	sum := stats.Summarize(perFlow)
 	row := Fig11Row{
 		Protocol:     proto,
@@ -329,26 +312,6 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 		Throughput:   tput,
 	}
 	return row
-}
-
-// RunFig11Grid fans the (protocol × repetition) cells of the six-way
-// comparison across workers. Repetition rep of protocol protos[p] uses
-// seed cfg.Seed + rep and lands at out[p][rep] regardless of completion
-// order, so the grid is deterministic for any worker count.
-func RunFig11Grid(protos []Protocol, cfg Fig11Config, reps, workers int) [][]harness.Result[Fig11Row] {
-	if reps <= 0 {
-		reps = 1
-	}
-	rs := harness.Run(len(protos)*reps, harness.Options{Workers: workers}, func(cell int) (Fig11Row, error) {
-		c := cfg
-		c.Seed = harness.Seed(cfg.Seed, cell%reps)
-		return RunFig11(protos[cell/reps], c), nil
-	})
-	out := make([][]harness.Result[Fig11Row], len(protos))
-	for p := range protos {
-		out[p] = rs[p*reps : (p+1)*reps]
-	}
-	return out
 }
 
 // Fig12aRow is one protocol's per-flow average throughput on the
@@ -390,7 +353,7 @@ func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12a
 		mix.AttachReceiver(proto, b)
 	}
 	offered := netsim.Gbps(10 * 0.9)
-	var flows [6]*netsim.Flow
+	flows := make([]*netsim.Flow, 6)
 	flows[0] = mix.StartFlow(proto, m.A[0], m.B[0], -1, offered) // D0: two CPs
 	for i := 1; i <= 4; i++ {
 		flows[i] = mix.StartFlow(proto, m.A[i], m.B[i], -1, offered)
@@ -399,16 +362,10 @@ func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12a
 
 	half := duration / 2
 	engine.RunUntil(half)
-	var mid [6]int64
-	for i, f := range flows {
-		mid[i] = f.DeliveredBytes()
-	}
+	mid := delivered(flows)
 	engine.RunUntil(duration)
 	row := Fig12aRow{Protocol: proto}
-	window := (duration - half).Seconds()
-	for i, f := range flows {
-		row.D[i] = float64(f.DeliveredBytes()-mid[i]) * 8 / window / 1e9
-	}
+	copy(row.D[:], windowGbps(delivered(flows), mid, duration-half))
 	return row
 }
 
@@ -433,7 +390,7 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 	mix.Activate(proto)
 	mix.EnableAllSwitchPorts()
 	mix.AttachReceiver(proto, a.Dst)
-	var flows [7]*netsim.Flow
+	flows := make([]*netsim.Flow, 7)
 	for i, src := range a.Slow {
 		flows[i] = mix.StartFlow(proto, src, a.Dst, -1, netsim.Gbps(40*0.9))
 	}
@@ -442,16 +399,10 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 	}
 	half := duration / 2
 	engine.RunUntil(half)
-	var mid [7]int64
-	for i, f := range flows {
-		mid[i] = f.DeliveredBytes()
-	}
+	mid := delivered(flows)
 	engine.RunUntil(duration)
 	row := Fig12bRow{Protocol: proto}
-	window := (duration - half).Seconds()
-	for i, f := range flows {
-		row.D[i] = float64(f.DeliveredBytes()-mid[i]) * 8 / window / 1e9
-	}
+	copy(row.D[:], windowGbps(delivered(flows), mid, duration-half))
 	for i := 0; i < 5; i++ {
 		row.SlowAvg += row.D[i] / 5
 	}
@@ -497,29 +448,14 @@ func RunFig19(proto Protocol, phase sim.Time, seed int64) Fig19Result {
 		}
 	}
 	res := Fig19Result{Protocol: proto}
-	type snapshot struct{ delivered []int64 }
-	var snaps []snapshot
-	takeSnap := func() {
-		s := snapshot{delivered: make([]int64, 4)}
-		for i, f := range flows {
-			s.delivered[i] = f.DeliveredBytes()
-		}
-		_ = s
-		snaps = append(snaps, s)
-	}
 	for i, n := range counts {
 		setCount(n)
 		// Measure over the second half of the phase.
 		engine.RunUntil(sim.Time(i)*phase + phase/2)
-		takeSnap()
+		mid := delivered(flows)
 		engine.RunUntil(sim.Time(i+1) * phase)
-		rates := make([]float64, n)
-		last := snaps[len(snaps)-1]
-		for j := 0; j < n && j < len(flows); j++ {
-			rates[j] = float64(flows[j].DeliveredBytes()-last.delivered[j]) * 8 / (phase / 2).Seconds() / 1e9
-		}
 		res.PhaseN = append(res.PhaseN, n)
-		res.PhaseRates = append(res.PhaseRates, rates)
+		res.PhaseRates = append(res.PhaseRates, windowGbps(delivered(flows), mid, phase/2))
 	}
 	return res
 }

@@ -4,78 +4,97 @@ import (
 	"reflect"
 	"testing"
 
+	"rocc/internal/harness"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/topology"
 	"rocc/internal/workload"
 )
 
+// values unpacks a sweep's results, failing the test on any failed cell.
+func values[R any](t *testing.T, rs []harness.Result[R]) []R {
+	t.Helper()
+	out := make([]R, len(rs))
+	for i, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("cell %d: %v", i, r.Err)
+		}
+		out[i] = r.Value
+	}
+	return out
+}
+
 func TestFig11GridDeterministicAcrossWorkers(t *testing.T) {
-	cfg := Fig11Config{Duration: 4 * sim.Millisecond, Seed: 1}
-	protos := []Protocol{ProtoRoCC, ProtoDCQCN}
-	serial := RunFig11Grid(protos, cfg, 2, 1)
-	parallel := RunFig11Grid(protos, cfg, 2, 8)
-	for p := range protos {
-		for rep := range serial[p] {
-			s, par := serial[p][rep], parallel[p][rep]
-			if s.Err != nil || par.Err != nil {
-				t.Fatalf("cell (%d,%d) errored: %v / %v", p, rep, s.Err, par.Err)
-			}
-			if !reflect.DeepEqual(s.Value, par.Value) {
-				t.Errorf("proto %s rep %d: workers=8 row differs from workers=1", protos[p], rep)
-			}
+	type cell struct {
+		p    Protocol
+		seed int64
+	}
+	var cells []cell
+	for _, p := range []Protocol{ProtoRoCC, ProtoDCQCN} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cells = append(cells, cell{p, seed})
+		}
+	}
+	run := func(c cell) Fig11Row {
+		return RunFig11(c.p, Fig11Config{Duration: 4 * sim.Millisecond, Seed: c.seed})
+	}
+	serial := values(t, harness.Run(cells, 1, run))
+	parallel := values(t, harness.Run(cells, 8, run))
+	for i, c := range cells {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("proto %s seed %d: workers=8 row differs from workers=1", c.p, c.seed)
 		}
 	}
 }
 
+// fctReps is cfg at seeds 1 and 2, the cells of a two-repetition sweep.
+func fctReps(cfg FCTConfig) []FCTConfig {
+	cells := []FCTConfig{cfg, cfg}
+	cells[0].Seed, cells[1].Seed = 1, 2
+	return cells
+}
+
 func TestFCTRepsDeterministicAcrossWorkers(t *testing.T) {
-	cfg := FCTConfig{
+	cells := fctReps(FCTConfig{
 		Protocol: ProtoRoCC,
 		Workload: workload.FBHadoop(),
 		Load:     0.7,
 		FatTree:  topology.ScaledFatTree(4),
 		Duration: 4 * sim.Millisecond,
-		Seed:     1,
-	}
-	serial := RunFCTReps(cfg, 2, 1)
-	parallel := RunFCTReps(cfg, 2, 4)
+	})
+	serial := values(t, harness.Run(cells, 1, RunFCT))
+	parallel := values(t, harness.Run(cells, 4, RunFCT))
 	for rep := range serial {
-		if serial[rep].Err != nil || parallel[rep].Err != nil {
-			t.Fatalf("rep %d errored: %v / %v", rep, serial[rep].Err, parallel[rep].Err)
-		}
-		if !reflect.DeepEqual(serial[rep].Value, parallel[rep].Value) {
+		if !reflect.DeepEqual(serial[rep], parallel[rep]) {
 			t.Errorf("rep %d: workers=4 result differs from workers=1", rep)
 		}
 	}
-	// Derived seeds must follow the serial convention base+rep.
-	if serial[0].Value.Config.Seed != 1 || serial[1].Value.Config.Seed != 2 {
-		t.Errorf("derived seeds = %d, %d; want 1, 2",
-			serial[0].Value.Config.Seed, serial[1].Value.Config.Seed)
-	}
 	// And the repetitions must actually differ (the seeds are live).
-	if reflect.DeepEqual(serial[0].Value.Bins, serial[1].Value.Bins) {
+	if reflect.DeepEqual(serial[0].Bins, serial[1].Bins) {
 		t.Error("rep 0 and rep 1 produced identical bins; seeds not applied")
 	}
 }
 
+// TestRunFoldRepsMatchesRunFold: a fold sweep is [lossless, variant]
+// cell pairs per repetition; run in parallel and paired with MakeFold,
+// repetition 0 must equal the same pair run serially.
 func TestRunFoldRepsMatchesRunFold(t *testing.T) {
 	cfg := smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless)
 	cfg.Duration = 4 * sim.Millisecond
-	direct := RunFold(cfg, Unlimited)
-	reps := RunFoldReps(cfg, Unlimited, 2, 4)
-	if len(reps) != 2 {
-		t.Fatalf("reps = %d", len(reps))
+	var cells []FCTConfig
+	for _, c := range fctReps(cfg) {
+		variant := c
+		variant.Mode = Unlimited
+		cells = append(cells, c, variant)
 	}
-	for _, r := range reps {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+	rs := values(t, harness.Run(cells, 4, RunFCT))
+	reps := []FoldResult{MakeFold(rs[0], rs[1]), MakeFold(rs[2], rs[3])}
+
+	direct := MakeFold(RunFCT(cells[0]), RunFCT(cells[1]))
+	if !reflect.DeepEqual(direct.Rows, reps[0].Rows) {
+		t.Errorf("parallel rep 0 != serial fold:\n%+v\n%+v", direct.Rows, reps[0].Rows)
 	}
-	// Rep 0 uses the base seed, so it must reproduce RunFold exactly.
-	if !reflect.DeepEqual(direct.Rows, reps[0].Value.Rows) {
-		t.Errorf("RunFoldReps rep 0 != RunFold:\n%+v\n%+v", direct.Rows, reps[0].Value.Rows)
-	}
-	rows, ci, _, bufFold := MergeFolds([]FoldResult{reps[0].Value, reps[1].Value})
+	rows, ci, _, bufFold := MergeFolds(reps)
 	if len(rows) != len(direct.Rows) || len(ci) != len(rows) {
 		t.Fatalf("merged rows = %d, ci = %d", len(rows), len(ci))
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"rocc/internal/core"
 	"rocc/internal/faults"
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
@@ -178,12 +177,9 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	// Recovery snapshot: per-flow delivered bytes once the restored
 	// fabric has reconverged (plus a scheduling margin).
 	snapAt := cfg.RestoreAt + netsim.DefaultReconvergeDelay + 100*sim.Microsecond
+	// A run that ends before snapAt measures from zero.
 	snap := make([]int64, len(flows))
-	engine.At(snapAt, func() {
-		for i, f := range flows {
-			snap[i] = f.DeliveredBytes()
-		}
-	})
+	engine.At(snapAt, func() { snap = delivered(flows) })
 
 	engine.RunUntil(cfg.Duration)
 	for _, f := range flows {
@@ -243,21 +239,8 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	}
 
 	// Post-recovery fairness over per-flow deltas since the snapshot.
-	perFlow := make([]float64, len(flows))
-	window := (cfg.Duration - snapAt).Seconds()
-	for i, f := range flows {
-		perFlow[i] = float64(f.DeliveredBytes()-snap[i]) * 8 / window / 1e9
-	}
-	res.JainPostRecovery = stats.JainIndex(perFlow)
+	res.JainPostRecovery = stats.JainIndex(windowGbps(delivered(flows), snap, cfg.Duration-snapAt))
 	return res
-}
-
-// RunRecoveryGrid runs recovery cells across workers; cell i uses
-// cfgs[i] and lands at out[i] regardless of completion order.
-func RunRecoveryGrid(cfgs []RecoveryConfig, workers int) []harness.Result[RecoveryResult] {
-	return harness.Run(len(cfgs), harness.Options{Workers: workers}, func(i int) (RecoveryResult, error) {
-		return RunRecovery(cfgs[i]), nil
-	})
 }
 
 // RecoveryCells builds the full sweep: every protocol through a link

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rocc/internal/harness"
 	"rocc/internal/sim"
 )
 
@@ -97,13 +98,10 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 		shortRecovery(ProtoDCQCN, KillLink),
 		shortRecovery(ProtoTIMELY, KillSwitch),
 	}
-	serial := RunRecoveryGrid(cells, 1)
-	parallel := RunRecoveryGrid(cells, 4)
+	serial := values(t, harness.Run(cells, 1, RunRecovery))
+	parallel := values(t, harness.Run(cells, 4, RunRecovery))
 	for i := range cells {
-		if serial[i].Err != nil || parallel[i].Err != nil {
-			t.Fatalf("cell %d errored: %v / %v", i, serial[i].Err, parallel[i].Err)
-		}
-		if !reflect.DeepEqual(serial[i].Value, parallel[i].Value) {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Errorf("cell %d (%s/%s) differs between -workers 1 and 4",
 				i, cells[i].Protocol, cells[i].Kill)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"rocc/internal/adversary"
 	"rocc/internal/core"
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
@@ -170,16 +169,10 @@ func RunRogue(cfg RogueConfig) RogueResult {
 
 	// Second-half measurement window plus the FCT probe at its start.
 	half := cfg.Duration / 2
-	snapV := make([]int64, len(victims))
-	snapR := make([]int64, len(rogues))
+	var snapV, snapR []int64
 	var probe *netsim.Flow
 	engine.At(half, func() {
-		for i, f := range victims {
-			snapV[i] = f.DeliveredBytes()
-		}
-		for i, f := range rogues {
-			snapR[i] = f.DeliveredBytes()
-		}
+		snapV, snapR = delivered(victims), delivered(rogues)
 		probe = mix.StartFlow(cfg.Protocol, star.Sources[0], star.Dst,
 			int64(cfg.ProbeKB)*netsim.KB, 0)
 	})
@@ -187,16 +180,14 @@ func RunRogue(cfg RogueConfig) RogueResult {
 	engine.RunUntil(cfg.Duration)
 
 	res := RogueResult{Config: cfg, ProbeFCT: -1}
-	window := (cfg.Duration - half).Seconds()
-	perVictim := make([]float64, len(victims))
-	for i, f := range victims {
-		perVictim[i] = float64(f.DeliveredBytes()-snapV[i]) * 8 / window / 1e9
-		res.VictimGbps += perVictim[i]
+	perVictim := windowGbps(delivered(victims), snapV, cfg.Duration-half)
+	for _, g := range perVictim {
+		res.VictimGbps += g
 	}
 	res.VictimGbps /= float64(len(victims))
 	res.JainVictims = stats.JainIndex(perVictim)
-	for i, f := range rogues {
-		res.RogueGbps += float64(f.DeliveredBytes()-snapR[i]) * 8 / window / 1e9
+	for _, g := range windowGbps(delivered(rogues), snapR, cfg.Duration-half) {
+		res.RogueGbps += g
 	}
 	res.RogueGbps /= float64(len(rogues))
 	if probe != nil && probe.Done() {
@@ -228,14 +219,6 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		f.Stop()
 	}
 	return res
-}
-
-// RunRogueGrid runs rogue cells across workers; cell i uses cfgs[i] and
-// lands at out[i] regardless of completion order.
-func RunRogueGrid(cfgs []RogueConfig, workers int) []harness.Result[RogueResult] {
-	return harness.Run(len(cfgs), harness.Options{Workers: workers}, func(i int) (RogueResult, error) {
-		return RunRogue(cfgs[i]), nil
-	})
 }
 
 // RogueCells builds the full sweep: every protocol × K ∈ {1, 2, 4}

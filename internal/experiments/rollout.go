@@ -187,18 +187,9 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 	}
 
 	winStart, winEnd := cfg.Duration/4, cfg.Duration/2
-	startBytes := make([]int64, n)
-	endBytes := make([]int64, n)
-	engine.At(winStart, func() {
-		for i, f := range persistent {
-			startBytes[i] = f.DeliveredBytes()
-		}
-	})
-	engine.At(winEnd, func() {
-		for i, f := range persistent {
-			endBytes[i] = f.DeliveredBytes()
-		}
-	})
+	var startBytes, endBytes []int64
+	engine.At(winStart, func() { startBytes = delivered(persistent) })
+	engine.At(winEnd, func() { endBytes = delivered(persistent) })
 
 	// FCT probes: one finite flow per sender, staggered a few µs apart so
 	// the measurement is a rollout's background churn, not a pure incast.
@@ -231,7 +222,7 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 		engine.RunUntil(t + cfg.Duration/4)
 	}
 
-	windowSec := (winEnd - winStart).Seconds()
+	goodput := windowGbps(endBytes, startBytes, winEnd-winStart)
 	rows := make([]RolloutRow, 0, len(cfg.Shares))
 	for _, s := range cfg.Shares {
 		var rates, fcts []float64
@@ -239,7 +230,7 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 			if p != s.Proto {
 				continue
 			}
-			rates = append(rates, float64(endBytes[i]-startBytes[i])*8/windowSec/1e9)
+			rates = append(rates, goodput[i])
 			if fctSec[i] > 0 {
 				fcts = append(fcts, fctSec[i])
 			}

@@ -70,6 +70,26 @@ func (s *Sampler) Throughput(name string, flow *netsim.Flow) *stats.Series {
 	return series
 }
 
+// delivered snapshots every flow's delivered-byte counter, one end of a
+// goodput measurement window.
+func delivered(flows []*netsim.Flow) []int64 {
+	bytes := make([]int64, len(flows))
+	for i, f := range flows {
+		bytes[i] = f.DeliveredBytes()
+	}
+	return bytes
+}
+
+// windowGbps is each flow's goodput in Gb/s over a window of the given
+// length, from the delivered snapshots at its start (then) and end (now).
+func windowGbps(now, then []int64, window sim.Time) []float64 {
+	rates := make([]float64, len(now))
+	for i := range now {
+		rates[i] = float64(now[i]-then[i]) * 8 / window.Seconds() / 1e9
+	}
+	return rates
+}
+
 // AverageSeries returns the point-wise mean of several repetitions'
 // series — the averaged queue/rate curve the paper plots over its five
 // runs. All runs must be sampled on the same schedule (same period and

@@ -2,21 +2,17 @@
 // bounded worker pool. The paper's evaluation reports every figure as
 // an average over repeated runs; each (experiment × protocol ×
 // repetition) cell owns a private sim.Engine and seed, so cells are
-// embarrassingly parallel. The harness provides the scaffolding every
-// repetition sweep shares:
+// embarrassingly parallel. Run provides what every sweep shares:
 //
-//   - GOMAXPROCS-bounded workers (Options.Workers),
+//   - bounded workers (at most GOMAXPROCS by default, never more than
+//     there are cells),
 //   - deterministic ordered merge: results are slotted by cell index,
 //     never by completion order, so a parallel sweep is byte-identical
 //     to a serial one,
-//   - derived per-cell seeds (Seed = base + repetition index),
-//   - per-cell panic capture: a crashed repetition becomes a reported
-//     error on its own Result instead of killing the whole sweep,
-//   - per-cell wall-clock and progress instrumentation (Result.Elapsed,
-//     Options.OnCell).
+//   - per-cell panic capture: a crashed cell becomes a reported error on
+//     its own Result instead of killing the whole sweep.
 //
-// With Workers = 1 the cells run sequentially in index order, which is
-// exactly the pre-harness serial behaviour.
+// With one worker the cells run sequentially in index order.
 package harness
 
 import (
@@ -24,105 +20,55 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // Result is the outcome of one cell.
-type Result[T any] struct {
-	Index   int           // cell index in [0, n)
-	Value   T             // fn's return value; zero when Err != nil
-	Err     error         // non-nil if the cell returned an error or panicked
-	Elapsed time.Duration // wall-clock time the cell took on its worker
+type Result[R any] struct {
+	Value R     // fn's return value; zero when Err != nil
+	Err   error // non-nil if the cell panicked
 }
 
-// Options configures a Run.
-type Options struct {
-	// Workers bounds the number of concurrently executing cells.
-	// Values <= 0 select runtime.GOMAXPROCS(0). It is further capped at
-	// the number of cells.
-	Workers int
-
-	// OnCell, if set, is invoked as each cell finishes (in completion
-	// order, which is nondeterministic). Calls are serialized by the
-	// harness, so the callback needs no locking of its own.
-	OnCell func(index int, elapsed time.Duration, err error)
-}
-
-// Seed derives the per-repetition RNG seed from a base seed, matching
-// the serial convention the runners always used (base + repetition).
-func Seed(base int64, rep int) int64 { return base + int64(rep) }
-
-// Run executes fn for every cell index in [0, n) across the worker pool
-// and returns the results ordered by cell index. A cell that panics is
-// recovered into its Result's Err; the remaining cells still run.
-func Run[T any](n int, opts Options, fn func(cell int) (T, error)) []Result[T] {
-	results := make([]Result[T], n)
-	for i := range results {
-		results[i].Index = i
-	}
-	if n == 0 {
+// Run calls fn on every cell across the worker pool and returns the
+// results in cell order. workers <= 0 selects runtime.GOMAXPROCS(0). A
+// cell that panics is recovered into its Result's Err; the remaining
+// cells still run.
+func Run[C, R any](cells []C, workers int, fn func(C) R) []Result[R] {
+	results := make([]Result[R], len(cells))
+	if len(cells) == 0 {
 		return results
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if workers > len(cells) {
+		workers = len(cells)
 	}
 
-	cells := make(chan int)
+	next := make(chan int)
 	var wg sync.WaitGroup
-	var cbMu sync.Mutex
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range cells {
-				start := time.Now()
-				v, err := runCell(i, fn)
-				elapsed := time.Since(start)
-				results[i].Value = v
-				results[i].Err = err
-				results[i].Elapsed = elapsed
-				if opts.OnCell != nil {
-					cbMu.Lock()
-					opts.OnCell(i, elapsed, err)
-					cbMu.Unlock()
-				}
+			for i := range next {
+				results[i] = runCell(i, cells[i], fn)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		cells <- i
+	for i := range cells {
+		next <- i
 	}
-	close(cells)
+	close(next)
 	wg.Wait()
 	return results
 }
 
 // runCell invokes fn with panic capture.
-func runCell[T any](i int, fn func(int) (T, error)) (v T, err error) {
+func runCell[C, R any](i int, cell C, fn func(C) R) (res Result[R]) {
 	defer func() {
 		if r := recover(); r != nil {
-			var zero T
-			v = zero
-			err = fmt.Errorf("harness: cell %d panicked: %v\n%s", i, r, debug.Stack())
+			res = Result[R]{Err: fmt.Errorf("harness: cell %d panicked: %v\n%s", i, r, debug.Stack())}
 		}
 	}()
-	return fn(i)
-}
-
-// Values unpacks results into a value slice in cell order, returning
-// the first error by cell index (not completion order), if any.
-func Values[T any](results []Result[T]) ([]T, error) {
-	vals := make([]T, len(results))
-	var first error
-	for i, r := range results {
-		vals[i] = r.Value
-		if r.Err != nil && first == nil {
-			first = r.Err
-		}
-	}
-	return vals, first
+	return Result[R]{Value: fn(cell)}
 }

@@ -1,39 +1,44 @@
 package harness
 
 import (
-	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// ints returns the cells 0..n-1.
+func ints(n int) []int {
+	cells := make([]int, n)
+	for i := range cells {
+		cells[i] = i
+	}
+	return cells
+}
+
 func TestRunSlotsResultsByIndex(t *testing.T) {
 	// Later cells finish first (descending sleep), yet results must come
 	// back in cell order.
 	n := 8
-	rs := Run(n, Options{Workers: 4}, func(i int) (int, error) {
+	rs := Run(ints(n), 4, func(i int) int {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
-		return i * i, nil
+		return i * i
 	})
 	if len(rs) != n {
 		t.Fatalf("results = %d, want %d", len(rs), n)
 	}
 	for i, r := range rs {
-		if r.Index != i || r.Value != i*i || r.Err != nil {
+		if r.Value != i*i || r.Err != nil {
 			t.Errorf("cell %d: %+v", i, r)
-		}
-		if r.Elapsed <= 0 {
-			t.Errorf("cell %d: no elapsed time recorded", i)
 		}
 	}
 }
 
 func TestRunSingleWorkerIsSequential(t *testing.T) {
 	var order []int
-	Run(5, Options{Workers: 1}, func(i int) (int, error) {
+	Run(ints(5), 1, func(i int) int {
 		order = append(order, i) // safe: one worker, no concurrency
-		return 0, nil
+		return 0
 	})
 	for i, got := range order {
 		if got != i {
@@ -44,7 +49,7 @@ func TestRunSingleWorkerIsSequential(t *testing.T) {
 
 func TestRunBoundsConcurrency(t *testing.T) {
 	var active, peak atomic.Int64
-	Run(16, Options{Workers: 3}, func(i int) (int, error) {
+	Run(ints(16), 3, func(int) int {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -54,7 +59,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		active.Add(-1)
-		return 0, nil
+		return 0
 	})
 	if p := peak.Load(); p > 3 {
 		t.Errorf("peak concurrency %d, want <= 3", p)
@@ -62,11 +67,11 @@ func TestRunBoundsConcurrency(t *testing.T) {
 }
 
 func TestRunCapturesPanics(t *testing.T) {
-	rs := Run(5, Options{Workers: 2}, func(i int) (int, error) {
+	rs := Run(ints(5), 2, func(i int) int {
 		if i == 3 {
 			panic("boom")
 		}
-		return i, nil
+		return i
 	})
 	for i, r := range rs {
 		if i == 3 {
@@ -81,65 +86,9 @@ func TestRunCapturesPanics(t *testing.T) {
 	}
 }
 
-func TestRunPropagatesErrors(t *testing.T) {
-	sentinel := errors.New("cell error")
-	rs := Run(4, Options{Workers: 4}, func(i int) (string, error) {
-		if i == 1 {
-			return "", sentinel
-		}
-		return "ok", nil
-	})
-	vals, err := Values(rs)
-	if !errors.Is(err, sentinel) {
-		t.Errorf("Values error = %v, want sentinel", err)
-	}
-	if vals[0] != "ok" || vals[2] != "ok" || vals[3] != "ok" {
-		t.Errorf("vals = %v", vals)
-	}
-}
-
-func TestValuesNoError(t *testing.T) {
-	rs := Run(3, Options{}, func(i int) (int, error) { return i + 1, nil })
-	vals, err := Values(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || vals[0] != 1 || vals[2] != 3 {
-		t.Errorf("vals = %v", vals)
-	}
-}
-
-func TestOnCellSerializedAndComplete(t *testing.T) {
-	// A plain (unsynchronized) counter: the harness guarantees OnCell
-	// calls are serialized, so this is race-free and must total n.
-	seen := 0
-	var sumElapsed time.Duration
-	Run(32, Options{Workers: 8, OnCell: func(i int, d time.Duration, err error) {
-		seen++
-		sumElapsed += d
-		if err != nil {
-			t.Errorf("cell %d: %v", i, err)
-		}
-	}}, func(i int) (int, error) {
-		return i, nil
-	})
-	if seen != 32 {
-		t.Errorf("OnCell fired %d times, want 32", seen)
-	}
-	if sumElapsed < 0 {
-		t.Error("negative elapsed total")
-	}
-}
-
 func TestRunZeroCells(t *testing.T) {
-	rs := Run(0, Options{}, func(i int) (int, error) { return 0, nil })
+	rs := Run(nil, 0, func(i int) int { return 0 })
 	if len(rs) != 0 {
 		t.Errorf("results = %v", rs)
-	}
-}
-
-func TestSeedDerivation(t *testing.T) {
-	if Seed(7, 0) != 7 || Seed(7, 4) != 11 {
-		t.Error("Seed must be base + rep")
 	}
 }

@@ -286,15 +286,12 @@ func TestECMPTablesDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	}
 	want := build()
 	for _, workers := range []int{1, 4, 8} {
-		rs := harness.Run(16, harness.Options{Workers: workers}, func(i int) (string, error) {
-			return build(), nil
-		})
-		tables, err := harness.Values(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, got := range tables {
-			if got != want {
+		rs := harness.Run(make([]struct{}, 16), workers, func(struct{}) string { return build() })
+		for i, r := range rs {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if got := r.Value; got != want {
 				t.Fatalf("workers=%d cell %d: route table diverged:\n got %s\nwant %s",
 					workers, i, got, want)
 			}

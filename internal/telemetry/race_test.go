@@ -20,7 +20,11 @@ func TestConcurrentRegistryUnderHarness(t *testing.T) {
 	rec := NewRecorder(256, 8, 32)
 	c := reg.Counter("hammer.count")
 	h := reg.Histogram("hammer.hist")
-	rs := harness.Run(cells, harness.Options{Workers: 8}, func(cell int) (int, error) {
+	ids := make([]int, cells)
+	for i := range ids {
+		ids[i] = i
+	}
+	rs := harness.Run(ids, 8, func(cell int) int {
 		g := reg.Gauge("hammer.gauge") // get-or-create races with other cells
 		for i := 0; i < perCell; i++ {
 			c.Inc()
@@ -33,10 +37,12 @@ func TestConcurrentRegistryUnderHarness(t *testing.T) {
 				_ = rec.Events()
 			}
 		}
-		return cell, nil
+		return cell
 	})
-	if _, err := harness.Values(rs); err != nil {
-		t.Fatal(err)
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
 	}
 	if got := c.Value(); got != cells*perCell {
 		t.Errorf("counter = %d, want %d", got, cells*perCell)

@@ -244,9 +244,10 @@ func TestPoissonDeterministicAcrossWorkers(t *testing.T) {
 		Count int
 	}
 	run := func(workers int) []arrivals {
-		rs := harness.Run(6, harness.Options{Workers: workers}, func(cell int) (arrivals, error) {
+		seeds := []int64{100, 101, 102, 103, 104, 105}
+		rs := harness.Run(seeds, workers, func(seed int64) arrivals {
 			engine := sim.New()
-			r := sim.NewRand(100 + int64(cell))
+			r := sim.NewRand(seed)
 			var a arrivals
 			gen := NewPoisson(engine, r, WebSearch(), 50000, func(size int) {
 				a.Sizes = append(a.Sizes, size)
@@ -254,7 +255,7 @@ func TestPoissonDeterministicAcrossWorkers(t *testing.T) {
 			engine.RunUntil(10 * sim.Millisecond)
 			gen.Stop()
 			a.Count = gen.Started
-			return a, nil
+			return a
 		})
 		out := make([]arrivals, len(rs))
 		for i, r := range rs {
