@@ -31,7 +31,8 @@ type Table interface {
 }
 
 // orderedSet is a map plus stable insertion order, shared by the
-// implementations so feedback order is deterministic.
+// bounded, ElephantTrap and BubbleCache ablation tables so feedback
+// order is deterministic. QueueTable keeps the same order without a map.
 type orderedSet struct {
 	index map[FlowID]int
 	order []FlowID

@@ -1,13 +1,32 @@
 package netsim
 
 // RouteTables returns every switch's current table: switch → destination
-// host → equal-cost egress port indices.
+// host → equal-cost egress port indices, read through the dense
+// per-destination index and its shared choice sets.
 func (n *Network) RouteTables() map[NodeID]map[NodeID][]int {
 	out := make(map[NodeID]map[NodeID][]int, len(n.switches))
 	for _, s := range n.switches {
-		out[s.id] = s.routes
+		table := make(map[NodeID][]int)
+		for dst := range s.route {
+			for _, i := range s.routeTo(NodeID(dst)) {
+				table[NodeID(dst)] = append(table[NodeID(dst)], int(i))
+			}
+		}
+		out[s.id] = table
 	}
 	return out
+}
+
+// ChoiceSets returns how many distinct non-empty equal-cost port sets
+// the switch's table holds.
+func (s *Switch) ChoiceSets() int {
+	n := 0
+	for _, set := range s.routeSets {
+		if len(set) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ReferenceRouteTables computes the tables the way ComputeRoutes did

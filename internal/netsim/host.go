@@ -157,7 +157,7 @@ func hostWake(a, _ any) { a.(*Host).nic[0].kick() }
 func hostCNPReady(a, b any) {
 	h := a.(*Host)
 	pkt := b.(*Packet)
-	if f := h.net.flows[pkt.Flow]; f != nil {
+	if f := h.net.Flow(pkt.Flow); f != nil {
 		f.CC.OnCNP(h.eng.Now(), pkt)
 		h.nic[0].kick()
 	}
@@ -180,7 +180,7 @@ func (h *Host) Arrive(pkt *Packet, inPort int) {
 		h.net.ReleasePacket(pkt)
 	case KindData:
 		h.RxDataBytes += uint64(pkt.Size)
-		f := h.net.flows[pkt.Flow]
+		f := h.net.Flow(pkt.Flow)
 		if f != nil {
 			if h.Receiver != nil {
 				if resp := h.Receiver.OnData(now, pkt); resp != nil {
@@ -191,14 +191,14 @@ func (h *Host) Arrive(pkt *Packet, inPort int) {
 		}
 		h.net.ReleasePacket(pkt)
 	case KindAck:
-		f := h.net.flows[pkt.Flow]
+		f := h.net.Flow(pkt.Flow)
 		if f != nil {
 			f.onAckArrive(now, pkt)
 		}
 		h.net.ReleasePacket(pkt)
 	case KindCNP:
 		h.CNPsRx++
-		if h.net.flows[pkt.Flow] == nil {
+		if h.net.Flow(pkt.Flow) == nil {
 			h.net.ReleasePacket(pkt)
 			return
 		}

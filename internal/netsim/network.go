@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"rocc/internal/sim"
 	"rocc/internal/telemetry"
@@ -23,8 +24,18 @@ type Network struct {
 	hosts    []*Host
 	switches []*Switch
 
-	flows    map[FlowID]*Flow
-	nextFlow FlowID
+	// flows is the flow registry, a window over the FlowID space: flows[i]
+	// is flow flowBase+i, nil once removed. FlowIDs are dense and never
+	// reused, so an index replaces a map. flowHead is the first live
+	// entry: the removed prefix before it is dropped when the window next
+	// has to grow. Only global-lane code writes the registry (StartFlow,
+	// flowRemove — between windows); shard code reads it through Flow
+	// inside windows, the discipline a map needed too.
+	flows       []*Flow
+	flowBase    FlowID
+	flowHead    int
+	activeFlows int
+	nextFlow    FlowID
 
 	// OnFlowDone is invoked when a flow's last byte reaches its receiver.
 	OnFlowDone func(*Flow)
@@ -120,7 +131,7 @@ func New(engine *sim.Engine, seed int64) *Network {
 	n := &Network{
 		Engine:         engine,
 		Rand:           sim.NewRand(seed),
-		flows:          make(map[FlowID]*Flow),
+		flowBase:       1,
 		DefaultRPDelay: 15 * sim.Microsecond,
 		PauseStormSpan: sim.Millisecond,
 	}
@@ -143,7 +154,6 @@ func (n *Network) AddSwitch(name string, buf BufferConfig) *Switch {
 		id:     NodeID(len(n.nodes)),
 		Name:   name,
 		Buffer: buf,
-		routes: make(map[NodeID][]int),
 		eng:    n.group.Shard(0),
 	}
 	n.nodes = append(n.nodes, s)
@@ -160,8 +170,14 @@ func (n *Network) Switches() []*Switch { return n.switches }
 // Node returns the node with the given id.
 func (n *Network) Node(id NodeID) Node { return n.nodes[id] }
 
-// Flow returns a registered flow, or nil after it completed.
-func (n *Network) Flow(id FlowID) *Flow { return n.flows[id] }
+// Flow returns a registered flow, or nil after it completed (and for IDs
+// never issued).
+func (n *Network) Flow(id FlowID) *Flow {
+	if i := uint64(id - n.flowBase); i < uint64(len(n.flows)) {
+		return n.flows[i]
+	}
+	return nil
+}
 
 // Connect links two nodes with a full-duplex link of the given rate and
 // propagation delay, returning the two port ends (a's, then b's).
@@ -209,31 +225,86 @@ func (n *Network) attach(node Node, p *Port) {
 // reconvergence machinery (topofail.go) calls it again after every
 // FailLink/FailSwitch/Restore window.
 func (n *Network) ComputeRoutes() {
-	for _, s := range n.switches {
-		s.routes = make(map[NodeID][]int)
+	// One block holds every switch's per-destination index, and each
+	// switch interns its few distinct port sets, so a table costs a few
+	// allocations however many destinations it serves.
+	nodes := len(n.nodes)
+	block := make([]int32, len(n.switches)*nodes)
+	sets := make([]choiceSets, len(n.switches))
+	for i, s := range n.switches {
+		s.route = block[i*nodes : (i+1)*nodes : (i+1)*nodes]
 	}
 	// NodeIDs are dense, so one distance slice and one queue (a node is
 	// queued at most once) serve every destination's search.
-	dist := make([]int32, len(n.nodes))
-	queue := make([]Node, 0, len(n.nodes))
+	dist := make([]int32, nodes)
+	queue := make([]Node, 0, nodes)
+	var next []int32
 	for _, dst := range n.hosts {
 		n.bfs(dst, dist, queue)
-		for _, s := range n.switches {
+		for i, s := range n.switches {
 			ds := dist[s.id]
 			if s.failed || ds < 0 {
 				continue
 			}
-			var next []int
-			for i, p := range s.ports {
+			next = next[:0]
+			for pi, p := range s.ports {
 				if !p.linkDown && dist[p.PeerNode.ID()] == ds-1 {
-					next = append(next, i)
+					next = append(next, int32(pi))
 				}
 			}
 			if len(next) > 0 {
-				s.routes[dst.id] = next
+				s.route[dst.id] = sets[i].intern(next)
 			}
 		}
 	}
+	for i, s := range n.switches {
+		s.routeSets = sets[i].table()
+	}
+}
+
+// choiceSets collects one switch's distinct equal-cost port sets while
+// ComputeRoutes runs: set k (from 1; 0 is the empty set) is
+// ports[end[k-2]:end[k-1]].
+type choiceSets struct {
+	ports []int32
+	end   []int32
+	last  int32 // the set interned most recently: the next host's likeliest
+}
+
+// intern returns the number of the set equal to next, adding it if new.
+func (c *choiceSets) intern(next []int32) int32 {
+	if c.last > 0 && slices.Equal(c.set(c.last), next) {
+		return c.last
+	}
+	for k := int32(1); k <= int32(len(c.end)); k++ {
+		if slices.Equal(c.set(k), next) {
+			c.last = k
+			return k
+		}
+	}
+	c.ports = append(c.ports, next...)
+	c.end = append(c.end, int32(len(c.ports)))
+	c.last = int32(len(c.end))
+	return c.last
+}
+
+// set returns set k, capped at its own end: the sets share one backing
+// array, and invalidatePort filters them in place.
+func (c *choiceSets) set(k int32) []int32 {
+	start := int32(0)
+	if k > 1 {
+		start = c.end[k-2]
+	}
+	return c.ports[start:c.end[k-1]:c.end[k-1]]
+}
+
+// table returns the sets indexed by number, set 0 empty.
+func (c *choiceSets) table() [][]int32 {
+	out := make([][]int32, len(c.end)+1)
+	for k := 1; k < len(out); k++ {
+		out[k] = c.set(int32(k))
+	}
+	return out
 }
 
 // bfs fills dist with the hop distance from every node to dst over live
@@ -296,9 +367,25 @@ func (n *Network) StartFlow(src, dst *Host, cfg FlowConfig) *Flow {
 		ExtraHeader: cfg.ExtraHeader,
 		StartTime:   n.Engine.Now(),
 	}
-	n.flows[f.ID] = f
+	n.register(f)
 	src.addFlow(f)
 	return f
+}
+
+// register appends f, the newest flow, to the registry window. When the
+// window is full and at least half of it is the removed prefix, the live
+// part moves down instead of the window growing, so steady churn
+// allocates nothing.
+func (n *Network) register(f *Flow) {
+	if h := n.flowHead; len(n.flows) == cap(n.flows) && h > 0 && 2*h >= len(n.flows) {
+		live := copy(n.flows, n.flows[h:])
+		clear(n.flows[live:])
+		n.flows = n.flows[:live]
+		n.flowBase += FlowID(h)
+		n.flowHead = 0
+	}
+	n.flows = append(n.flows, f)
+	n.activeFlows++
 }
 
 // removeFlowLater tears down a completed flow's controller timers and
@@ -317,8 +404,12 @@ func (n *Network) removeFlowLater(f *Flow) {
 // allocates no closure.
 func flowRemove(a, b any) {
 	n, f := a.(*Network), b.(*Flow)
-	if n.flows[f.ID] == f {
-		delete(n.flows, f.ID)
+	if n.Flow(f.ID) == f {
+		n.flows[f.ID-n.flowBase] = nil
+		n.activeFlows--
+		for n.flowHead < len(n.flows) && n.flows[n.flowHead] == nil {
+			n.flowHead++
+		}
 		if n.OnFlowRemoved != nil {
 			n.OnFlowRemoved(f)
 		}
@@ -330,7 +421,7 @@ func flowRemove(a, b any) {
 const removeGrace = 200 * sim.Microsecond
 
 // ActiveFlowCount returns the number of registered (incomplete) flows.
-func (n *Network) ActiveFlowCount() int { return len(n.flows) }
+func (n *Network) ActiveFlowCount() int { return n.activeFlows }
 
 // TotalPFCFrames sums Xoff pause frames across all switches.
 func (n *Network) TotalPFCFrames() int {

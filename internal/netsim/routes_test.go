@@ -59,3 +59,63 @@ func TestComputeRoutesMatchesReference(t *testing.T) {
 		check("restored")
 	}
 }
+
+// TestInvalidateSharedChoiceSet fails uplinks of one edge switch of the
+// paper's fat-tree. Every remote host sits behind the edge's one uplink
+// set, so removing a port from it must leave all of them with the same
+// survivors at once, local hosts untouched; a set emptied by invalidation
+// must blackhole.
+func TestInvalidateSharedChoiceSet(t *testing.T) {
+	ft := topology.BuildFatTree(sim.New(), 1, topology.PaperFatTree())
+	net, edge := ft.Net, ft.Edges[0]
+	if got, want := edge.ChoiceSets(), len(ft.Hosts[0])+1; got != want {
+		t.Fatalf("edge switch holds %d choice sets, want %d (one per local host plus the uplinks)", got, want)
+	}
+	if got, want := ft.Cores[0].ChoiceSets(), len(ft.Edges); got != want {
+		t.Fatalf("core switch holds %d choice sets, want %d (one per edge)", got, want)
+	}
+	var remote []netsim.NodeID
+	for _, hosts := range ft.Hosts[1:] {
+		for _, h := range hosts {
+			remote = append(remote, h.ID())
+		}
+	}
+	var uplinks []int
+	for _, p := range ft.EdgeUp {
+		if p.Owner() == netsim.Node(edge) {
+			uplinks = append(uplinks, p.Index)
+		}
+	}
+	before := net.RouteTables()[edge.ID()]
+	for _, dst := range remote {
+		if !reflect.DeepEqual(before[dst], uplinks) {
+			t.Fatalf("edge routes to remote host %d over %v, want the uplinks %v", dst, before[dst], uplinks)
+		}
+	}
+
+	for k, dead := range uplinks {
+		net.FailLink(edge.Port(dead))
+		tables := net.RouteTables()[edge.ID()]
+		survivors := uplinks[k+1:]
+		if len(survivors) == 0 {
+			survivors = nil // no entry at all
+		}
+		for _, dst := range remote {
+			if got := tables[dst]; !reflect.DeepEqual(got, survivors) {
+				t.Fatalf("after failing %d uplinks: route to host %d = %v, want %v", k+1, dst, got, survivors)
+			}
+		}
+		for _, h := range ft.Hosts[0] {
+			if !reflect.DeepEqual(tables[h.ID()], before[h.ID()]) {
+				t.Fatalf("failing an uplink changed the route to local host %s", h.Name)
+			}
+		}
+	}
+
+	pkt := net.AcquirePacket(edge)
+	pkt.Dst, pkt.Kind, pkt.Cls, pkt.Size = remote[0], netsim.KindData, netsim.ClassData, 1000
+	edge.Arrive(pkt, 0)
+	if edge.BlackholeDrops != 1 {
+		t.Errorf("packet toward an emptied set: %d blackhole drops, want 1", edge.BlackholeDrops)
+	}
+}

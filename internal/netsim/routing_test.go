@@ -30,7 +30,7 @@ func diamond() (*sim.Engine, *Network, *Host, *Host, *Switch) {
 
 func TestECMPEqualCostPathsDiscovered(t *testing.T) {
 	_, _, _, dst, s0 := diamond()
-	routes := s0.routes[dst.ID()]
+	routes := s0.routeTo(dst.ID())
 	if len(routes) != 2 {
 		t.Fatalf("s0 has %d equal-cost ports toward dst, want 2", len(routes))
 	}

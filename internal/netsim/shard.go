@@ -87,7 +87,7 @@ func (n *Network) EnableSharding(g *sim.Group, assign []int) {
 	if len(assign) != len(n.nodes) {
 		panic("netsim: shard assignment must cover every node")
 	}
-	if len(n.flows) > 0 || n.nextFlow != 0 {
+	if n.nextFlow != 0 {
 		panic("netsim: EnableSharding must run before any traffic")
 	}
 	n.adopt(g, n.PoolingEnabled())
@@ -149,7 +149,7 @@ func (n *Network) movePacket(pkt *Packet, dst int) {
 // partition-independent order, on the global lane. Completion callbacks
 // (OnFlowDone) may start new flows or stop the engine; registry
 // mutation (removeFlowLater) happens here too, so in-window code only
-// ever reads the flow map.
+// ever reads the flow registry.
 func (n *Network) drainShardCompletions(now sim.Time) {
 	nd, nr := 0, 0
 	for i := range n.shardSt {

@@ -58,8 +58,14 @@ type Switch struct {
 	id     NodeID
 	Name   string
 	ports  []*Port
-	routes map[NodeID][]int // destination -> equal-cost egress ports
 	Buffer BufferConfig
+
+	// route[dst] indexes routeSets, the switch's distinct equal-cost
+	// egress port sets: every destination reached over the same next hops
+	// shares one set. Set 0 is empty and so is "no route"; an empty route
+	// (a switch before ComputeRoutes, or a failed one) routes nothing.
+	route     []int32
+	routeSets [][]int32
 
 	bufferUsed    int
 	ingressUsage  []int
@@ -289,7 +295,7 @@ func (s *Switch) FlushPortData(p *Port) (pkts, bytes int) {
 // egressFor picks the egress port for a packet, hashing flows across
 // equal-cost paths (ECMP).
 func (s *Switch) egressFor(pkt *Packet) *Port {
-	choices := s.routes[pkt.Dst]
+	choices := s.routeTo(pkt.Dst)
 	switch len(choices) {
 	case 0:
 		return nil
@@ -298,6 +304,15 @@ func (s *Switch) egressFor(pkt *Packet) *Port {
 	}
 	h := ecmpHash(uint64(pkt.Flow), uint64(s.id))
 	return s.ports[choices[h%uint64(len(choices))]]
+}
+
+// routeTo returns the equal-cost egress port indices toward dst, in port
+// order; empty when the switch has no route there.
+func (s *Switch) routeTo(dst NodeID) []int32 {
+	if uint(dst) >= uint(len(s.route)) {
+		return nil
+	}
+	return s.routeSets[s.route[dst]]
 }
 
 // resetPFC clears the sent-Xoff record for one ingress after its link

@@ -133,10 +133,14 @@ func (n *Network) recordPauseSpan(p *Port, start, end sim.Time) {
 // into the histogram and as a counter-track event for the Chrome trace.
 // The event is deliberately not flow-tagged: queue depth is a port
 // property, and skipping the per-flow ring keeps this per-packet hook to
-// a single ring push.
+// a single ring push. It runs on every data enqueue, so without a
+// recorder it returns before building the event at all.
 func (n *Network) recordQueueDepth(p *Port) {
 	q := p.queueBytes[ClassData]
 	n.tm.queueDepth.Observe(int64(q))
+	if n.rec == nil {
+		return
+	}
 	n.rec.Record(telemetry.Event{
 		At:    int64(p.eng.Now()),
 		Kind:  telemetry.KindCounter,

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,5 +120,46 @@ func TestTelemetryDropCounterMatchesSwitch(t *testing.T) {
 	}
 	if got := reg.Counter("netsim.drops").Value(); got != uint64(sw.Drops) {
 		t.Errorf("telemetry drops = %d, switch says %d", got, sw.Drops)
+	}
+}
+
+// TestQueueDepthEventPerEnqueue pins the per-packet telemetry hook: with
+// a recorder attached every data enqueue files one qdepth_bytes counter
+// event carrying the port's backlog, and without one the histogram is
+// still fed.
+func TestQueueDepthEventPerEnqueue(t *testing.T) {
+	engine, net, _, b, sw := pair(Gbps(40))
+	engine.RunUntil(7 * sim.Microsecond)
+	egress := sw.PortTo(b)
+	egress.SetPaused(true) // keep the packets queued
+	enqueue := func(size int) {
+		pkt := net.AcquirePacket(sw)
+		pkt.Dst, pkt.Kind, pkt.Cls, pkt.Size = b.ID(), KindData, ClassData, size
+		egress.Enqueue(pkt)
+	}
+
+	reg := telemetry.New()
+	rec := telemetry.NewRecorder(64, 0, 0)
+	net.SetTelemetry(reg, rec)
+	enqueue(1000)
+	enqueue(1500)
+	want := []telemetry.Event{
+		{At: int64(7 * sim.Microsecond), Kind: telemetry.KindCounter, Cat: "netsim", Name: "qdepth_bytes",
+			Node: int64(sw.ID()), Tid: int64(egress.Index), Value: 1000},
+		{At: int64(7 * sim.Microsecond), Kind: telemetry.KindCounter, Cat: "netsim", Name: "qdepth_bytes",
+			Node: int64(sw.ID()), Tid: int64(egress.Index), Value: 2500},
+	}
+	if got := rec.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded events:\n got %+v\nwant %+v", got, want)
+	}
+	if n := reg.Histogram("netsim.queue_depth_bytes").Count(); n != 2 {
+		t.Errorf("queue depth histogram has %d samples, want 2", n)
+	}
+
+	reg = telemetry.New()
+	net.SetTelemetry(reg, nil)
+	enqueue(500)
+	if n := reg.Histogram("netsim.queue_depth_bytes").Count(); n != 1 {
+		t.Errorf("without a recorder the histogram has %d samples, want 1", n)
 	}
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"rocc/internal/sim"
 	"rocc/internal/telemetry"
@@ -98,7 +97,7 @@ func (n *Network) RestoreLink(p *Port) {
 func (n *Network) FailSwitch(s *Switch) {
 	n.routesDynamic = true
 	s.failed = true
-	s.routes = make(map[NodeID][]int)
+	s.route, s.routeSets = nil, nil
 	for _, p := range s.ports {
 		peer := peerPort(p)
 		p.SetLinkDown(true)
@@ -123,27 +122,24 @@ func (n *Network) RestoreSwitch(s *Switch) {
 	n.scheduleReconverge()
 }
 
-// invalidatePort removes a downed port from every ECMP entry of the
-// switch that owns it; entries left with no choices are deleted, and
-// packets for those destinations blackhole until reconvergence finds an
-// alternate path (or the restore brings this one back).
+// invalidatePort removes a downed port from every ECMP set of the
+// switch that owns it. A set is shared by every destination behind the
+// same next hops, so each is filtered once; destinations whose set
+// empties blackhole until reconvergence finds an alternate path (or the
+// restore brings this one back).
 func (n *Network) invalidatePort(p *Port) {
 	s, ok := p.owner.(*Switch)
 	if !ok {
 		return
 	}
-	for dst, choices := range s.routes {
+	for k, choices := range s.routeSets {
 		kept := choices[:0]
 		for _, i := range choices {
-			if i != p.Index {
+			if int(i) != p.Index {
 				kept = append(kept, i)
 			}
 		}
-		if len(kept) == 0 {
-			delete(s.routes, dst)
-		} else {
-			s.routes[dst] = kept
-		}
+		s.routeSets[k] = kept
 	}
 }
 
@@ -178,16 +174,14 @@ func (n *Network) reconverge(eventAt sim.Time) {
 
 // notifyReroute delivers OnReroute to every registered flow whose
 // controller opts in, in FlowID order so the callback sequence is
-// deterministic regardless of map layout.
+// deterministic. Flows started by a callback are not notified.
 func (n *Network) notifyReroute(now sim.Time) {
-	ids := make([]FlowID, 0, len(n.flows))
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if ra, ok := n.flows[id].CC.(RouteAware); ok {
-			ra.OnReroute(now)
+	last := n.nextFlow
+	for id := n.flowBase + FlowID(n.flowHead); id <= last; id++ {
+		if f := n.Flow(id); f != nil {
+			if ra, ok := f.CC.(RouteAware); ok {
+				ra.OnReroute(now)
+			}
 		}
 	}
 }
@@ -203,8 +197,8 @@ func (n *Network) RoutesComplete() (string, bool) {
 			return fmt.Sprintf("switch %s still failed", s.Name), false
 		}
 		for _, h := range n.hosts {
-			choices, ok := s.routes[h.id]
-			if !ok {
+			choices := s.routeTo(h.id)
+			if len(choices) == 0 {
 				return fmt.Sprintf("switch %s has no route to host %s", s.Name, h.Name), false
 			}
 			live := false

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"rocc/internal/harness"
@@ -11,8 +11,8 @@ import (
 )
 
 // failover reports s0's live ECMP choices toward dst in the diamond.
-func failover(s0 *Switch, dst *Host) []int {
-	return s0.routes[dst.ID()]
+func failover(s0 *Switch, dst *Host) []int32 {
+	return s0.routeTo(dst.ID())
 }
 
 func TestFailLinkLocalRepair(t *testing.T) {
@@ -24,7 +24,7 @@ func TestFailLinkLocalRepair(t *testing.T) {
 	sentBefore := f.SentBytes()
 
 	var deadPort *Port
-	for _, i := range s0.routes[dst.ID()] {
+	for _, i := range s0.routeTo(dst.ID()) {
 		deadPort = s0.ports[i]
 		break
 	}
@@ -59,7 +59,7 @@ func TestFailLinkBlackholeWindowAndRecovery(t *testing.T) {
 		t.Error("no blackhole drops while the only path was invalidated")
 	}
 	// Reconvergence over the broken fabric cannot resurrect the route.
-	if _, ok := sw.routes[b.ID()]; ok {
+	if len(sw.routeTo(b.ID())) != 0 {
 		t.Error("switch still routes to dst over a dead link")
 	}
 	if detail, ok := net.RoutesComplete(); ok {
@@ -82,7 +82,7 @@ func TestFailLinkBlackholeWindowAndRecovery(t *testing.T) {
 
 func TestRestoreReadoptsEqualCostPath(t *testing.T) {
 	engine, net, _, dst, s0 := diamond()
-	deadPort := s0.ports[s0.routes[dst.ID()][0]]
+	deadPort := s0.ports[s0.routeTo(dst.ID())[0]]
 	net.FailLink(deadPort)
 	engine.RunUntil(sim.Millisecond) // past reconvergence
 	if got := len(failover(s0, dst)); got != 1 {
@@ -138,8 +138,10 @@ func TestRestoredSwitchForwardsOnlyAfterReconverge(t *testing.T) {
 	net.RestoreSwitch(sw)
 	// Table cleared at fail, links back up at restore: an early arrival
 	// must blackhole rather than loop or panic.
-	if len(sw.routes) != 0 {
-		t.Fatal("failed switch kept forwarding state")
+	for dst := range net.nodes {
+		if len(sw.routeTo(NodeID(dst))) != 0 {
+			t.Fatal("failed switch kept forwarding state")
+		}
 	}
 	pkt := net.AcquirePacket(sw)
 	pkt.Dst = b.ID()
@@ -202,7 +204,7 @@ func TestReconvergeNotifiesRouteAware(t *testing.T) {
 	spy := &rerouteSpy{}
 	f := net.StartFlow(src, dst, FlowConfig{Size: -1, CC: spy})
 	failAt := 100 * sim.Microsecond
-	engine.At(failAt, func() { net.FailLink(s0.ports[s0.routes[dst.ID()][0]]) })
+	engine.At(failAt, func() { net.FailLink(s0.ports[s0.routeTo(dst.ID())[0]]) })
 	engine.RunUntil(sim.Millisecond)
 	if len(spy.calls) != 1 {
 		t.Fatalf("OnReroute called %d times, want 1", len(spy.calls))
@@ -220,7 +222,7 @@ func TestTopoFailTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	rec := telemetry.NewRecorder(4096, 0, 0)
 	net.SetTelemetry(reg, rec)
-	deadPort := s0.ports[s0.routes[dst.ID()][0]]
+	deadPort := s0.ports[s0.routeTo(dst.ID())[0]]
 	engine.At(100*sim.Microsecond, func() { net.FailLink(deadPort) })
 	engine.At(500*sim.Microsecond, func() { net.RestoreLink(deadPort) })
 	engine.RunUntil(sim.Millisecond)
@@ -256,14 +258,13 @@ func TestTopoFailTelemetry(t *testing.T) {
 func routeTable(net *Network) string {
 	var sb []string
 	for _, s := range net.switches {
-		dsts := make([]NodeID, 0, len(s.routes))
-		for d := range s.routes {
-			dsts = append(dsts, d)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, d := range dsts {
-			choices := append([]int(nil), s.routes[d]...)
-			sort.Ints(choices)
+		for d := range s.route {
+			choices := s.routeTo(NodeID(d))
+			if len(choices) == 0 {
+				continue
+			}
+			choices = append([]int32(nil), choices...)
+			slices.Sort(choices)
 			sb = append(sb, fmt.Sprintf("%s->%d:%v", s.Name, d, choices))
 		}
 	}
@@ -278,7 +279,7 @@ func TestECMPTablesDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	build := func() string {
 		_, net, _, _, _ := diamond()
 		// A failure/restore cycle exercises the dynamic recompute path too.
-		p := net.switches[0].ports[net.switches[0].routes[net.hosts[1].id][0]]
+		p := net.switches[0].ports[net.switches[0].routeTo(net.hosts[1].id)[0]]
 		net.FailLink(p)
 		net.RestoreLink(p)
 		net.ComputeRoutes()

@@ -56,6 +56,9 @@ type CP struct {
 	opts  Options
 	tick  *sim.Ticker
 
+	// recipients is update's reused Flows buffer (see roccnet.CP).
+	recipients []flowtable.FlowID
+
 	CNPsSent uint64
 }
 
@@ -121,7 +124,8 @@ func (cp *CP) update() {
 		return
 	}
 	cpid := netsim.CPID{Node: cp.sw.ID(), Port: cp.port.Index}
-	for _, fid := range cp.table.Flows(now, nil) {
+	cp.recipients = cp.table.Flows(now, cp.recipients[:0])
+	for _, fid := range cp.recipients {
 		f := cp.net.Flow(netsim.FlowID(fid))
 		if f == nil {
 			continue

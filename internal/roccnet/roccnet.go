@@ -56,6 +56,10 @@ type CP struct {
 	tick     *sim.Ticker
 	hostQold int // previous observation in ΔQ units (host-computed mode)
 
+	// recipients is update's reused Flows buffer. Injecting a CNP never
+	// re-enters update, so one buffer per CP is enough.
+	recipients []flowtable.FlowID
+
 	// CNPsSent counts feedback messages generated.
 	CNPsSent uint64
 
@@ -157,12 +161,12 @@ func (cp *CP) update() {
 		// than trapping the flow at a stale value.
 		return
 	}
-	recipients := cp.table.Flows(now, nil)
-	if len(recipients) == 0 {
+	cp.recipients = cp.table.Flows(now, cp.recipients[:0])
+	if len(cp.recipients) == 0 {
 		return
 	}
 	cpid := cp.ID()
-	for _, fid := range recipients {
+	for _, fid := range cp.recipients {
 		f := cp.net.Flow(netsim.FlowID(fid))
 		if f == nil {
 			continue
