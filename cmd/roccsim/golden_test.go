@@ -81,6 +81,15 @@ var goldenRuns = []struct {
 	{"fig8_dcqcn", "-dur 3ms -protocol dcqcn fig8", nil},
 	{"fig9_dcqcn", "-dur 3ms -protocol dcqcn fig9", nil},
 	{"rogue_blast", "-dur 3ms -rogue-kind blast rogue", nil},
+
+	// The chaos soak campaigns CI smokes, at small counts, and one re-run
+	// on four workers and two engine shards.
+	{"soak", "-seed 1 -count 16 soak", nil},
+	{"soak", "-seed 1 -count 16 -workers 4 -shards 2 soak", nil},
+	{"soak_mix", "-seed 1 -count 12 -mix-prob 1 soak", nil},
+	{"soak_fail", "-seed 7 -count 12 -fail-prob 1 soak", nil},
+	{"soak_mode", "-seed 3 -count 12 -mode-prob 1 soak", nil},
+	{"soak_rogue", "-seed 777 -count 12 -rogue-prob 1 soak", nil},
 }
 
 // TestGoldenOutputs runs each entry of goldenRuns in a child process and

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"rocc/internal/chaos"
 )
@@ -57,10 +56,9 @@ func runSoak() {
 				v.Index, v.Seed, v.ProtocolLabel(), v.Topology, v.ModeLabel(), v.Flows, v.Faults, rogues, status)
 		},
 	}
-	start := time.Now()
 	rep := chaos.Soak(opts)
-	fmt.Printf("soak: %d scenarios (%d mixed-protocol, %d non-default mode, %d rogue-laden), %d failures (%v)\n",
-		rep.Scenarios, rep.Mixed, rep.Moded, rep.Rogued, rep.Failures, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("soak: %d scenarios (%d mixed-protocol, %d non-default mode, %d rogue-laden), %d failures\n",
+		rep.Scenarios, rep.Mixed, rep.Moded, rep.Rogued, rep.Failures)
 	for _, r := range rep.Repros {
 		o, m := r.Shrink.Original, r.Shrink.Minimized
 		fmt.Printf("  repro seed=%d invariant=%s: %d flows/%d faults -> %d flows/%d faults in %d runs",
