@@ -158,6 +158,11 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		"-dur 1ms -ranks 2 -kill bogus collective",
 		"nosuchfig",
 		"fig8 fig9",
+		// Run-wide flags the subcommand does not read.
+		"-shards 2 fig8",
+		"-reps 5 fig9",
+		"-protocol dcqcn fig11",
+		"-trace t.json fig14",
 	} {
 		r := clitest.Run(t, nil, strings.Fields(args)...)
 		if r.Code != 2 || strings.Contains(r.Stderr, "panic:") || r.Stdout != "" {

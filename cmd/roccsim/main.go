@@ -10,7 +10,8 @@
 // `all` runs the paper's tables and figures in its order. Output is
 // seeded and deterministic: -workers and -shards move only wall time. A
 // failed cell still lets every other row print, then makes roccsim exit
-// 1; a flag value a run cannot honour exits 2 before anything runs.
+// 1; a flag value a run cannot honour, or a run-wide flag the experiment
+// does not read, exits 2 before anything runs.
 package main
 
 import (
@@ -22,6 +23,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"rocc/internal/collective"
@@ -43,7 +46,7 @@ var (
 	durFlag  = flag.Duration("dur", 0, "duration of timed experiments (virtual time)")
 	seedFlag = flag.Int64("seed", 1, "RNG seed")
 	loadFlag = flag.Float64("load", 0.7, "average load level for §6.3 runs")
-	repsFlag = flag.Int("reps", 1, "repetitions per experiment cell (paper: 5); rep r runs with -seed+r, results merged as mean ± 95% CI")
+	repsFlag = flag.Int("reps", 1, "repetitions per experiment cell (paper: 5) for fig8, fig11, fig14-18, fig20 and table3; rep r runs with -seed+r, results merged as mean ± 95% CI")
 	workFlag = flag.Int("workers", 0, "parallel workers for the cells of every multi-cell table (0 = GOMAXPROCS); output is identical at any count")
 	plotFlag = flag.Bool("plot", false, "render ASCII charts of the queue/rate series (fig8, fig9)")
 	csvFlag  = flag.String("csv", "", "directory to write raw CSV outputs into (series, FCT bins, metrics; fluid writes fluid.csv)")
@@ -51,7 +54,7 @@ var (
 	cnpFlag  = flag.Float64("cnp-loss", -1, "faults: CNP loss probability in [0, 1] (-1 = sweep 5/10/20%)")
 	flapFlag = flag.Duration("link-flap", 0, "faults: link-flap period >= 0 (0 = default 5ms, down 10% of it)")
 
-	protoFlag   = flag.String("protocol", "rocc", "protocol under test for fig8/fig9 (rocc|dcqcn|dcqcn+pi|hpcc|timely|qcn|dctcp)")
+	protoFlag   = flag.String("protocol", "rocc", "protocol under test for fig8, fig9 and scale (rocc|dcqcn|dcqcn+pi|hpcc|timely|qcn|dctcp)")
 	traceFlag   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file, for chrome://tracing or ui.perfetto.dev (fig8, fig9, all)")
 	metricsFlag = flag.Bool("metrics", false, "print the telemetry metrics snapshot after the run, and with -csv write metrics.csv (fig8, fig9, all)")
 
@@ -70,40 +73,50 @@ var (
 type subcommand struct {
 	name  string
 	run   func()
-	inAll bool // run by `roccsim all`
+	inAll bool     // run by `roccsim all`
+	reads []string // the run-wide flags (runWideFlags) it reads
 }
 
+// runWideFlags configure a run in general, but each subcommand reads only
+// some of them; setting one that the subcommand does not read is a usage
+// error (checkRunFlags).
+var runWideFlags = []string{"shards", "reps", "protocol", "trace", "metrics"}
+
+// The run-wide flags of the §6.3 fat-tree tables.
+var fctReads = []string{"reps", "shards"}
+
 // subcommands defines every experiment once, in the order `all` runs
-// those it includes; usage, dispatch and `all` are derived from it.
+// those it includes; usage, dispatch, `all` and the flag check are
+// derived from it.
 var subcommands = []subcommand{
-	{"table1", runTable1, true},
-	{"fig5", runFig5, true},
-	{"fig6", runFig6, true},
-	{"fig7a", func() { runFig7("fig7a") }, true},
-	{"fig7b", func() { runFig7("fig7b") }, true},
-	{"fig8", runFig8, true},
-	{"fig9", runFig9, true},
-	{"fig11", runFig11, true},
-	{"fig12a", runFig12a, true},
-	{"fig12b", runFig12b, true},
-	{"fig13", runFig13, true},
-	{"fig14", func() { runFCTFigs("fig14") }, true},
-	{"fig15", func() { runFCTFigs("fig15") }, true},
-	{"fig16", func() { runFCTFigs("fig16") }, true},
-	{"table3", runTable3, true},
-	{"fig17", runFig17, true},
-	{"fig18", func() { runFold("fig18", experiments.Unlimited, workload.FBHadoop()) }, true},
-	{"fig19", runFig19, true},
-	{"fig20", func() { runFold("fig20", experiments.Lossy, workload.FBHadoop()) }, true},
-	{"qos", runQoS, true},
-	{"faults", runFaultsExp, false},
-	{"recovery", runRecoveryExp, false},
-	{"rollout", runRollout, false},
-	{"collective", runCollective, false},
-	{"rogue", runRogueExp, false},
-	{"soak", runSoak, false},
-	{"scale", runScale, false},
-	{"fluid", runFluid, false},
+	{"table1", runTable1, true, nil},
+	{"fig5", runFig5, true, nil},
+	{"fig6", runFig6, true, nil},
+	{"fig7a", func() { runFig7("fig7a") }, true, nil},
+	{"fig7b", func() { runFig7("fig7b") }, true, nil},
+	{"fig8", runFig8, true, []string{"reps", "protocol", "trace", "metrics"}},
+	{"fig9", runFig9, true, []string{"protocol", "trace", "metrics"}},
+	{"fig11", runFig11, true, []string{"reps"}},
+	{"fig12a", runFig12a, true, nil},
+	{"fig12b", runFig12b, true, nil},
+	{"fig13", runFig13, true, nil},
+	{"fig14", func() { runFCTFigs("fig14") }, true, fctReads},
+	{"fig15", func() { runFCTFigs("fig15") }, true, fctReads},
+	{"fig16", func() { runFCTFigs("fig16") }, true, fctReads},
+	{"table3", runTable3, true, fctReads},
+	{"fig17", runFig17, true, fctReads},
+	{"fig18", func() { runFold("fig18", experiments.Unlimited, workload.FBHadoop()) }, true, fctReads},
+	{"fig19", runFig19, true, nil},
+	{"fig20", func() { runFold("fig20", experiments.Lossy, workload.FBHadoop()) }, true, fctReads},
+	{"qos", runQoS, true, nil},
+	{"faults", runFaultsExp, false, nil},
+	{"recovery", runRecoveryExp, false, nil},
+	{"rollout", runRollout, false, nil},
+	{"collective", runCollective, false, nil},
+	{"rogue", runRogueExp, false, nil},
+	{"soak", runSoak, false, []string{"shards"}},
+	{"scale", runScale, false, []string{"protocol"}},
+	{"fluid", runFluid, false, nil},
 }
 
 // lookup returns the run function of the named experiment, or nil. all
@@ -188,10 +201,12 @@ func main() {
 	}
 	var protoErr error
 	proto, protoErr = experiments.ParseProtocol(*protoFlag)
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	for _, err := range []error{
 		protoErr,
 		checkShards(*shardsFlag),
-		checkTelemetry(name, *traceFlag != "" || *metricsFlag),
+		checkRunFlags(name, set),
 		checkFaultFlags(*cnpFlag, *flapFlag, *killFlag),
 	} {
 		if err != nil {
@@ -264,15 +279,31 @@ func startProfiles() (stop func()) {
 	}
 }
 
-// checkTelemetry rejects -trace and -metrics on a subcommand that
-// attaches no telemetry bundle: only fig8 and fig9 record one (and all,
-// which runs them), so anywhere else the flags would write an empty
-// trace.
-func checkTelemetry(name string, asked bool) error {
-	if !asked || name == "fig8" || name == "fig9" || name == "all" {
-		return nil
+// checkRunFlags rejects a run-wide flag, set on the command line, that
+// the named subcommand does not read: the run would print exactly what it
+// prints without the flag. all reads what the subcommands it runs read.
+func checkRunFlags(name string, set []string) error {
+	reads := map[string]bool{}
+	for _, sc := range subcommands {
+		if sc.name == name || name == "all" && sc.inAll {
+			for _, f := range sc.reads {
+				reads[f] = true
+			}
+		}
 	}
-	return fmt.Errorf("-trace/-metrics: %s records no telemetry (only fig8, fig9 and all do)", name)
+	for _, f := range set {
+		if !slices.Contains(runWideFlags, f) || reads[f] {
+			continue
+		}
+		var by []string
+		for _, sc := range subcommands {
+			if slices.Contains(sc.reads, f) {
+				by = append(by, sc.name)
+			}
+		}
+		return fmt.Errorf("-%s: %s does not read it (only %s and all do)", f, name, strings.Join(by, ", "))
+	}
+	return nil
 }
 
 // emitTelemetry writes the -trace Chrome trace and the -metrics snapshot

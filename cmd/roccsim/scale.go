@@ -10,7 +10,7 @@ import (
 )
 
 var (
-	shardsFlag = flag.Int("shards", 1, "engine shards for fat-tree runs (fig14-18, table3, soak): N >= 1; "+
+	shardsFlag = flag.Int("shards", 1, "engine shards for fat-tree runs (fig14-18, fig20, table3, soak): N >= 1; "+
 		"output is byte-identical for every N, so this only moves wall time")
 	flowsFlag = flag.Int("flows", 100_000, "scale: concurrent persistent flows on the k=16 fat-tree")
 )

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCheckShards(t *testing.T) {
 	for _, tc := range []struct {
@@ -24,24 +27,48 @@ func TestCheckShards(t *testing.T) {
 	}
 }
 
-func TestCheckTelemetry(t *testing.T) {
+func TestCheckRunFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		asked bool
-		ok    bool
+		name string
+		set  string
+		ok   bool
 	}{
-		{"fig8", true, true},
-		{"fig9", true, true},
-		{"all", true, true},
-		{"fig14", false, true}, // no flag, nothing to check
-		{"fig14", true, false},
-		{"fig13", true, false},
-		{"collective", true, false},
-		{"soak", true, false},
+		// -trace and -metrics: fig8, fig9 and all record telemetry.
+		{"fig8", "trace metrics", true},
+		{"fig9", "trace", true},
+		{"all", "trace metrics", true},
+		{"fig14", "", true}, // no flag, nothing to check
+		{"fig14", "trace", false},
+		{"fig13", "metrics", false},
+		{"collective", "trace", false},
+		{"soak", "metrics", false},
+		// -shards: the fat-tree tables and soak.
+		{"fig14", "shards", true},
+		{"fig20", "shards", true},
+		{"table3", "shards reps", true},
+		{"soak", "shards workers count", true},
+		{"all", "shards", true},
+		{"fig8", "shards", false},
+		{"scale", "shards", false},
+		// -reps: the repeated tables.
+		{"fig8", "reps", true},
+		{"fig11", "reps", true},
+		{"fig18", "reps fanin", true},
+		{"fig9", "reps", false},
+		{"fig12a", "reps", false},
+		{"soak", "reps", false},
+		// -protocol: fig8, fig9 and scale.
+		{"fig8", "protocol dur", true},
+		{"scale", "protocol flows", true},
+		{"all", "protocol", true},
+		{"fig11", "protocol", false},
+		{"rogue", "protocol", false},
+		// Flags outside the run-wide set are not this check's business.
+		{"fig11", "dur seed workers csv plot", true},
 	} {
-		err := checkTelemetry(tc.name, tc.asked)
+		err := checkRunFlags(tc.name, strings.Fields(tc.set))
 		if (err == nil) != tc.ok {
-			t.Errorf("checkTelemetry(%q, %v) = %v; want ok=%v", tc.name, tc.asked, err, tc.ok)
+			t.Errorf("checkRunFlags(%q, %q) = %v; want ok=%v", tc.name, tc.set, err, tc.ok)
 		}
 	}
 }

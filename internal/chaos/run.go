@@ -8,7 +8,6 @@ import (
 	"rocc/internal/netsim"
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
-	"rocc/internal/topology"
 )
 
 // The monitor calibration, chosen so clean scenarios never trip (pinned
@@ -111,49 +110,21 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 	if o.DisablePacketPool {
 		net.SetPooling(false)
 	}
-	if o.Telemetry != nil {
-		net.SetTelemetry(o.Telemetry.Registry, o.Telemetry.Recorder)
+	spec := experiments.RunSpec{
+		Net:         net,
+		FatTree:     fab.ft,
+		Seed:        sc.Seed,
+		Mode:        sc.OperatingMode(),
+		BufferBytes: max(sc.BufferBytes, 0), // a negative override is none, as in buildFabric
+		Shards:      o.Shards,
+		Telemetry:   o.Telemetry,
+		// Faulted runs lose CNPs; give RoCC flows the paper's staleness
+		// re-homing so feedback loss degrades instead of wedging.
+		RoCCRP:    roccnet.RPOptions{StaleK: core.DefaultStaleK},
+		Protocols: sc.Protocols(),
 	}
-	// Shard before any protocol attachment so CPs, markers and defenses
-	// schedule on their node's shard engine.
-	if fab.ft != nil {
-		topology.PartitionFatTree(fab.ft, o.Shards).Apply(net)
-	} else {
-		topology.PartitionAuto(net, o.Shards).Apply(net)
-	}
-
-	protos := sc.Protocols()
-	mode := sc.OperatingMode()
-	mix := experiments.NewMix(net, 0)
-	// Faulted runs lose CNPs; give RoCC flows the paper's staleness
-	// re-homing so feedback loss degrades instead of wedging.
-	mix.RoCCRP.StaleK = core.DefaultStaleK
-	defended := sc.Defended && mode.CCEnabled()
-	if defended {
-		// The end-host half of the defense: RoCC reaction points refuse
-		// CNPs from congestion points that are not on the flow's path and
-		// stale (replayed) feedback.
-		mix.RoCCRP.VerifyCPPath = true
-		mix.RoCCRP.MaxCNPAge = 250 * sim.Microsecond
-	}
-	for _, p := range protos {
-		mix.Activate(p)
-	}
-	if mode.CCEnabled() {
-		mix.EnableAllSwitchPorts()
-		mix.AttachReceivers()
-	}
-
-	var policers []*adversary.Policer
-	var watchdogs []*adversary.Watchdog
-	if defended {
-		advertised := func(port *netsim.Port) (netsim.Rate, bool) {
-			if cp := mix.CPs[port]; cp != nil {
-				return netsim.Mbps(cp.FairRateMbps()), true
-			}
-			return 0, false
-		}
-		for _, sw := range net.Switches() {
+	if sc.Defended {
+		spec.Defenses = &experiments.Defenses{
 			// The chaos policer is gentler than the benchmark defaults:
 			// random workloads legitimately overshoot stale shares during
 			// incast convergence, and a mis-quarantined honest flow is a
@@ -163,29 +134,23 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 			// — on a random workload the equal-split fallback mistakes a
 			// work-conserving flow absorbing idle capacity for a rogue; the
 			// switch only enforces the contract it actually advertised.
-			policers = append(policers, adversary.NewPolicer(net, sw, adversary.PolicerConfig{
-				Margin:            2,
-				TripAfter:         6,
-				AdvertisedRate:    advertised,
-				RequireAdvertised: true,
-			}))
+			Policer: adversary.PolicerConfig{Margin: 2, TripAfter: 6, RequireAdvertised: true},
 			// The watchdog deadline matches the monitor's pause budget: a
 			// pause that would have tripped the pause-storm invariant is
 			// instead broken by the deployed mitigation, and the
 			// watchdog-liveness invariant guards the mitigation itself.
-			watchdogs = append(watchdogs, adversary.NewWatchdog(net, sw, adversary.WatchdogConfig{
-				Deadline: maxPauseSpan,
-			}))
+			Watchdog: adversary.WatchdogConfig{Deadline: maxPauseSpan},
 		}
 	}
+	run := experiments.Assemble(spec)
 
 	rt := &Runtime{
 		Scenario:  sc,
 		Engine:    engine,
 		Net:       net,
 		Flows:     make([]*netsim.Flow, len(sc.Flows)),
-		Policers:  policers,
-		Watchdogs: watchdogs,
+		Policers:  run.Policers,
+		Watchdogs: run.Watchdogs,
 		fab:       fab,
 	}
 	for _, f := range sc.Faults {
@@ -203,31 +168,20 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 			if fs.MaxRateMbps > 0 {
 				rateCap = netsim.Mbps(fs.MaxRateMbps)
 			}
-			var f *netsim.Flow
-			if mode.CCEnabled() {
-				var wrap func(netsim.FlowCC) netsim.FlowCC
-				if fs.Rogue != "" {
-					// Rogue sender: the genuine controller is built and
-					// wired, then wrapped in the named misbehaviour. The
-					// kind adapts to the protocol's actual feedback channel
-					// (CNP-deaf is vacuous for schemes that never see a CNP).
-					kind, _ := adversary.ParseRogueKind(fs.Rogue) // Validate vetted it
-					kind = experiments.EffectiveRogueKind(sc.FlowProtocol(i), kind)
-					blastRate := src.Ports()[0].LinkRate
-					wrap = func(cc netsim.FlowCC) netsim.FlowCC {
-						return adversary.WrapRogue(kind, cc, blastRate)
-					}
+			var wrap func(netsim.FlowCC) netsim.FlowCC
+			if fs.Rogue != "" {
+				// Rogue sender: the genuine controller is built and wired,
+				// then wrapped in the named misbehaviour. The kind adapts to
+				// the protocol's actual feedback channel (CNP-deaf is vacuous
+				// for schemes that never see a CNP).
+				kind, _ := adversary.ParseRogueKind(fs.Rogue) // Validate vetted it
+				kind = experiments.EffectiveRogueKind(sc.FlowProtocol(i), kind)
+				blastRate := src.Ports()[0].LinkRate
+				wrap = func(cc netsim.FlowCC) netsim.FlowCC {
+					return adversary.WrapRogue(kind, cc, blastRate)
 				}
-				f = mix.StartWrappedFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable, wrap)
-			} else {
-				// PFC-only: no controller — sources blast at their caps and
-				// hop-by-hop pause is the only brake.
-				f = net.StartFlow(src, dst, netsim.FlowConfig{
-					Size:     fs.SizeBytes,
-					MaxRate:  rateCap,
-					Reliable: fs.Reliable,
-				})
 			}
+			f := run.StartFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable, wrap)
 			rt.Flows[i] = f
 			if cc, ok := f.CC.(*roccnet.FlowCC); ok {
 				rt.RoCCRPs = append(rt.RoCCRPs, cc.RP())
@@ -251,7 +205,7 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 	})
 
 	if len(sc.Faults) > 0 {
-		rt.Injector = faults.New(net, sc.Seed+experiments.FaultSeedOffset)
+		rt.Injector = run.Injector()
 		for _, f := range sc.Faults {
 			attachFault(rt.Injector, fab, f, dur)
 		}
@@ -358,11 +312,11 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 	if rt.Injector != nil {
 		res.FaultStats = rt.Injector.Stats()
 	}
-	for _, p := range policers {
+	for _, p := range rt.Policers {
 		res.Quarantines += p.Stats().Detections
 		res.Releases += p.Stats().Releases
 	}
-	for _, w := range watchdogs {
+	for _, w := range rt.Watchdogs {
 		res.WatchdogTrips += w.Stats().Trips
 	}
 	res.PolicedDrops = net.PolicedDrops()

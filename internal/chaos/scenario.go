@@ -449,6 +449,10 @@ func (sc Scenario) buildFabric(engine *sim.Engine) *fabric {
 	default:
 		panic("chaos: buildFabric on unvalidated scenario")
 	}
+	// Planted buffer overrides. The operating mode is applied after them
+	// by the run assembly and derives from the (possibly overridden)
+	// thresholds; hybrid rewrites nothing, so planted violations survive
+	// as planted.
 	if sc.PFCThresholdBytes > 0 || sc.BufferBytes > 0 {
 		for _, s := range f.net.Switches() {
 			if sc.PFCThresholdBytes > 0 {
@@ -456,19 +460,6 @@ func (sc Scenario) buildFabric(engine *sim.Engine) *fabric {
 				s.Buffer.PFCResume = 0
 			}
 			if sc.BufferBytes > 0 {
-				s.Buffer.TotalBytes = sc.BufferBytes
-			}
-		}
-	}
-	// The operating mode rewrites buffer configs last, deriving from the
-	// (possibly overridden) thresholds. Hybrid applies nothing: it is the
-	// builders' default, and planted buffer violations must survive as
-	// planted.
-	if mode := sc.OperatingMode(); mode != netsim.ModeHybrid {
-		mode.Apply(f.net.Switches())
-		if mode == netsim.ModeCCOnlyLossy && sc.BufferBytes > 0 {
-			// An explicit buffer override outranks the mode's 3x sizing.
-			for _, s := range f.net.Switches() {
 				s.Buffer.TotalBytes = sc.BufferBytes
 			}
 		}

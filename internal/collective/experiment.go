@@ -4,8 +4,8 @@ import (
 	"rocc/internal/chaos"
 	"rocc/internal/core"
 	"rocc/internal/experiments"
-	"rocc/internal/faults"
 	"rocc/internal/netsim"
+	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/telemetry"
@@ -112,22 +112,14 @@ func RunExp(cfg ExpConfig) ExpResult {
 		CoreRate:     netsim.Gbps(up / 2),
 	})
 	net := ft.Net
-	cfg.Mode.Apply(net.Switches())
+	// In PFC-only mode the assembly wires no congestion control and flows
+	// run without a controller: PFC is the brake.
+	run := experiments.Assemble(experiments.RunSpec{Net: net, FatTree: ft, Seed: cfg.Seed, Mode: cfg.Mode,
+		RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}, Protocols: []experiments.Protocol{cfg.Protocol}})
 
 	hosts := make([]*netsim.Host, ranks)
 	for r := 0; r < ranks; r++ {
 		hosts[r] = ft.Hosts[r%2][r/2]
-	}
-
-	// CC wiring only when the mode runs congestion control; in PFC-only
-	// mode flows get the default NoCC controller and PFC is the brake.
-	var mix *experiments.Mix
-	if cfg.Mode.CCEnabled() {
-		mix = experiments.NewMix(net, 0)
-		mix.RoCCRP.StaleK = core.DefaultStaleK
-		mix.Activate(cfg.Protocol)
-		mix.EnableAllSwitchPorts()
-		mix.AttachReceivers(net.Hosts()...)
 	}
 
 	// Lossy fabrics drop; a collective transfer must deliver every byte,
@@ -140,42 +132,35 @@ func RunExp(cfg ExpConfig) ExpResult {
 		Cfg: cfg.Collective,
 		Reg: reg,
 		Start: func(t Transfer) *netsim.Flow {
-			src, dst := hosts[t.From], hosts[t.To]
-			if mix != nil {
-				return mix.StartWrappedFlow(cfg.Protocol, src, dst, t.Bytes, 0, reliable, nil)
-			}
-			return net.StartFlow(src, dst, netsim.FlowConfig{Size: t.Bytes, Reliable: reliable})
+			return run.StartFlow(cfg.Protocol, hosts[t.From], hosts[t.To], t.Bytes, 0, reliable, nil)
 		},
 	}
 	runner.Begin(net)
 
 	if cfg.Kill == KillLink {
-		inj := faults.New(net, cfg.Seed+experiments.FaultSeedOffset)
 		a := ft.EdgeUp[0]
 		b := a.PeerNode.Ports()[a.PeerPort]
-		inj.KillLink(a, b, cfg.FailAt, cfg.RestoreAt)
+		run.Injector().KillLink(a, b, cfg.FailAt, cfg.RestoreAt)
 	}
 
 	// Deadlock probe: a pause-wait cycle never drains, so the moment one
 	// appears the cell's fate is sealed — stop and report it instead of
 	// simulating pause frames until the deadline.
 	deadlock := ""
-	probe := engine.NewTicker(sim.Millisecond, func() {
+	engine.NewTicker(sim.Millisecond, func() {
 		if cycle := chaos.PauseWaitCycle(net.Switches()); cycle != "" {
 			deadlock = cycle
 			engine.Stop()
 		}
 	})
 	// Stop the engine as soon as the collective completes; no idle tail.
-	finish := engine.NewTicker(100*sim.Microsecond, func() {
+	engine.NewTicker(100*sim.Microsecond, func() {
 		if runner.Done() {
 			engine.Stop()
 		}
 	})
 
 	engine.RunUntil(cfg.Deadline)
-	probe.Stop()
-	finish.Stop()
 
 	res := ExpResult{
 		Config:    cfg,

@@ -93,25 +93,17 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	cfg = cfg.fill()
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, faultsN, netsim.Gbps(faultsGbps))
-	roccnet.Attach(star.Net, star.Switch, star.Bottleneck, roccnet.CPOptions{})
-
-	// Flows are wired by hand (not through Mix) so the per-flow RPs
-	// stay reachable for the staleness and rejection counters.
+	// Staleness handling on: the point of the scenario is measuring how
+	// fast flows re-home when feedback stops.
+	run := Assemble(RunSpec{Net: star.Net, Seed: cfg.Seed, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK},
+		Protocols: []Protocol{ProtoRoCC}, Ports: []*netsim.Port{star.Bottleneck}})
 	offered := netsim.Gbps(faultsGbps * 0.9)
-	ccs := make([]*roccnet.FlowCC, faultsN)
 	flows := make([]*netsim.Flow, faultsN)
 	for i, src := range star.Sources {
-		// Staleness handling on: the point of the scenario is measuring
-		// how fast flows re-home when feedback stops.
-		ccs[i] = roccnet.NewFlowCC(src, roccnet.RPOptions{StaleK: core.DefaultStaleK})
-		flows[i] = star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
-			Size:    -1,
-			MaxRate: offered,
-			CC:      ccs[i],
-		})
+		flows[i] = run.Mix.StartFlow(ProtoRoCC, src, star.Dst, -1, offered)
 	}
 
-	inj := faults.New(star.Net, cfg.Seed+FaultSeedOffset)
+	inj := run.Injector()
 	inj.DropCNPs(star.Switch, cfg.CNPLoss)
 	if cfg.CNPCorrupt > 0 {
 		// Corruption strikes CNPs in flight on the switch→source wires.
@@ -132,15 +124,11 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	queue := sampler.Queue("queue", star.Bottleneck)
 
 	half := cfg.Duration / 2
-	engine.RunUntil(half)
-	mid := delivered(flows)
-	engine.RunUntil(cfg.Duration)
-
-	perFlow := windowGbps(delivered(flows), mid, cfg.Duration-half)
+	perFlow := runMeasured(engine, flows, half, cfg.Duration)
 	res := FaultsResult{Config: cfg, Faults: inj.Stats(), PFCFrames: star.Net.TotalPFCFrames()}
-	for i := range flows {
+	for i, f := range flows {
 		res.ThroughputGbps += perFlow[i]
-		rp := ccs[i].RP()
+		rp := f.CC.(*roccnet.FlowCC).RP()
 		res.StaleRecoveries += rp.StaleRecoveries
 		res.CNPsRejected += rp.CNPsRejected
 		res.CNPsAccepted += rp.CNPsAccepted

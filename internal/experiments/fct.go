@@ -105,19 +105,16 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	cfg.fill()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
-	applyBufferMode(ft, cfg.Mode)
-	// Shard before any protocol attachment so CP tickers and markers land
-	// on their node's shard engine.
-	topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
-
-	mix := NewMix(ft.Net, 16*sim.Microsecond)
-	mix.Activate(cfg.Protocol)
-	mix.EnableAllSwitchPorts()
-	for _, hosts := range ft.Hosts {
-		for _, h := range hosts {
-			mix.AttachReceiver(cfg.Protocol, h)
-		}
+	spec := RunSpec{Net: ft.Net, FatTree: ft, Shards: cfg.Shards,
+		BaseRTT: 16 * sim.Microsecond, Protocols: []Protocol{cfg.Protocol}}
+	switch cfg.Mode {
+	case Lossy:
+		spec.Mode = netsim.ModeCCOnlyLossy
+	case Unlimited:
+		// Fig. 18's regime: the CC-only mode with the buffer cap removed.
+		spec.Mode, spec.BufferBytes = netsim.ModeCCOnlyLossy, -1
 	}
+	run := Assemble(spec)
 
 	rec := &stats.FCTRecorder{}
 	warmupSec := (cfg.Duration / 6).Seconds()
@@ -142,11 +139,7 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	senders := (len(ft.Hosts) - 1) * cfg.FatTree.HostsPerEdge
 	lambda := workload.ArrivalRate(cfg.Workload, uplinkCapacity/float64(senders), cfg.Load)
 	start := func(src, dst *netsim.Host, size int) {
-		if cfg.Mode == Lossy {
-			mix.StartWrappedFlow(cfg.Protocol, src, dst, int64(size), 0, true, nil)
-		} else {
-			mix.StartFlow(cfg.Protocol, src, dst, int64(size), 0)
-		}
+		run.StartFlow(cfg.Protocol, src, dst, int64(size), 0, cfg.Mode == Lossy, nil)
 	}
 	var gens []*workload.Poisson
 	if cfg.IncastFanIn > 1 {
@@ -242,22 +235,6 @@ func RunFCT(cfg FCTConfig) FCTResult {
 	}
 	res.RetxBytes = ft.Net.RetxBytesTotal
 	return res
-}
-
-func applyBufferMode(ft *topology.FatTree, mode BufferMode) {
-	switch mode {
-	case Lossless:
-		// Keep the builder's PFC-enabled configuration (identical to
-		// netsim.ModeHybrid.Apply on a fresh fabric).
-	case Unlimited:
-		// Not an operating mode a deployment runs — a diagnostic regime
-		// (Fig. 18) with neither PFC nor a buffer cap.
-		ft.SetBuffers(netsim.BufferConfig{})
-	case Lossy:
-		// The CC-only lossy operating mode: PFC off, buffer capped at 3x
-		// the tier threshold, sized in one place by the mode helper.
-		netsim.ModeCCOnlyLossy.Apply(ft.Net.Switches())
-	}
 }
 
 // meanQueueKB averages the backlog over the tier's ports that currently

@@ -50,10 +50,8 @@ func RunFig13Sim(scenario Fig13Scenario, duration sim.Time, seed int64) Fig13Res
 	}
 	engine := sim.New()
 	star := topology.BuildStar(engine, seed, 3, netsim.Gbps(10))
-	mix := NewMix(star.Net, 0)
-	mix.RoCCOpts = roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond}
-	mix.Activate(ProtoRoCC)
-	mix.EnablePort(ProtoRoCC, star.Bottleneck)
+	mix := Assemble(RunSpec{Net: star.Net, RoCCOpts: roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond},
+		Protocols: []Protocol{ProtoRoCC}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
 
 	offered := []netsim.Rate{netsim.Gbps(10), netsim.Gbps(10), netsim.Gbps(10)}
 	if scenario == Fig13Mixed {
@@ -64,8 +62,7 @@ func RunFig13Sim(scenario Fig13Scenario, duration sim.Time, seed int64) Fig13Res
 	}
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	cp := mix.CPs[star.Bottleneck]
-	rate := sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
+	rate := sampler.FairRate(mix, star.Bottleneck)
 	engine.RunUntil(duration)
 
 	half := duration.Seconds() / 2

@@ -52,24 +52,15 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 	}
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, cfg.N, netsim.Gbps(cfg.Gbps))
-	cfg.Telemetry.attach(star.Net)
-	mix := NewMix(star.Net, 0)
-	mix.Activate(cfg.Protocol)
-	mix.EnablePort(cfg.Protocol, star.Bottleneck)
-	mix.AttachReceiver(cfg.Protocol, star.Dst)
+	mix := Assemble(RunSpec{Net: star.Net, Telemetry: cfg.Telemetry,
+		Protocols: []Protocol{cfg.Protocol}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
 	offered := netsim.Gbps(cfg.Gbps * 0.9)
 	for _, src := range star.Sources {
 		mix.StartFlow(cfg.Protocol, src, star.Dst, -1, offered)
 	}
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	var rate *stats.Series
-	if cfg.Protocol == ProtoRoCC {
-		cp := mix.CPs[star.Bottleneck]
-		rate = sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
-	} else {
-		rate = sampler.PortThroughput("bottleneck", star.Bottleneck)
-	}
+	rate := sampler.FairRate(mix, star.Bottleneck)
 	engine.RunUntil(cfg.Duration)
 
 	half := cfg.Duration.Seconds() / 2
@@ -168,11 +159,8 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, fig9Peak, netsim.Gbps(fig9Gbps))
-	cfg.Telemetry.attach(star.Net)
-	mix := NewMix(star.Net, 0)
-	mix.Activate(cfg.Protocol)
-	mix.EnablePort(cfg.Protocol, star.Bottleneck)
-	mix.AttachReceiver(cfg.Protocol, star.Dst)
+	mix := Assemble(RunSpec{Net: star.Net, Telemetry: cfg.Telemetry,
+		Protocols: []Protocol{cfg.Protocol}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
 	offered := netsim.Gbps(fig9Gbps * 0.9)
 
 	flows := make([]*netsim.Flow, 0, fig9Peak)
@@ -198,13 +186,7 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	var rate *stats.Series
-	if cfg.Protocol == ProtoRoCC {
-		cp := mix.CPs[star.Bottleneck]
-		rate = sampler.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
-	} else {
-		rate = sampler.PortThroughput("bottleneck", star.Bottleneck)
-	}
+	rate := sampler.FairRate(mix, star.Bottleneck)
 	total := sim.Time(len(counts)) * cfg.Phase
 	engine.RunUntil(total)
 
@@ -271,10 +253,8 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 	}
 	engine := sim.New()
 	star := topology.BuildStar(engine, cfg.Seed, fig11N, netsim.Gbps(fig11Gbps))
-	mix := NewMix(star.Net, 8*sim.Microsecond)
-	mix.Activate(proto)
-	mix.EnablePort(proto, star.Bottleneck)
-	mix.AttachReceiver(proto, star.Dst)
+	mix := Assemble(RunSpec{Net: star.Net, BaseRTT: 8 * sim.Microsecond,
+		Protocols: []Protocol{proto}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
 	offered := netsim.Gbps(fig11Gbps * 0.9)
 	flows := make([]*netsim.Flow, fig11N)
 	for i, src := range star.Sources {
@@ -285,11 +265,7 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 	tput := sampler.PortThroughput("bottleneck", star.Bottleneck)
 
 	half := cfg.Duration / 2
-	engine.RunUntil(half)
-	mid := delivered(flows)
-	engine.RunUntil(cfg.Duration)
-
-	perFlow := windowGbps(delivered(flows), mid, cfg.Duration-half)
+	perFlow := runMeasured(engine, flows, half, cfg.Duration)
 	sum := stats.Summarize(perFlow)
 	row := Fig11Row{
 		Protocol:     proto,
@@ -329,22 +305,19 @@ func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12a
 	}
 	engine := sim.New()
 	m := topology.BuildMultiBottleneck(engine, seed)
-	topology.PartitionAuto(m.Net, shards).Apply(m.Net)
-	mix := NewMix(m.Net, 10*sim.Microsecond)
-	mix.Activate(proto)
-	mix.EnablePorts(proto, m.Inter, m.Access)
-	// Also enable every other egress port so the protocol sees all
-	// potential CPs, as a deployment would.
+	// The two bottlenecks first, then every other egress port so the
+	// protocol sees all potential CPs, as a deployment would. The order is
+	// output: DCQCN's markers split their random streams in wiring order.
+	ports := []*netsim.Port{m.Inter, m.Access}
 	for _, sw := range m.Net.Switches() {
 		for _, p := range sw.Ports() {
-			if p != m.Inter && p != m.Access && p.CC == nil {
-				mix.EnablePort(proto, p)
+			if p != m.Inter && p != m.Access {
+				ports = append(ports, p)
 			}
 		}
 	}
-	for _, b := range m.B {
-		mix.AttachReceiver(proto, b)
-	}
+	mix := Assemble(RunSpec{Net: m.Net, Shards: shards, BaseRTT: 10 * sim.Microsecond,
+		Protocols: []Protocol{proto}, Ports: ports}).Mix
 	offered := netsim.Gbps(10 * 0.9)
 	flows := make([]*netsim.Flow, 6)
 	flows[0] = mix.StartFlow(proto, m.A[0], m.B[0], -1, offered) // D0: two CPs
@@ -353,12 +326,8 @@ func runFig12a(proto Protocol, duration sim.Time, seed int64, shards int) Fig12a
 	}
 	flows[5] = mix.StartFlow(proto, m.B5, m.B[0], -1, offered) // D5: access CP only
 
-	half := duration / 2
-	engine.RunUntil(half)
-	mid := delivered(flows)
-	engine.RunUntil(duration)
 	row := Fig12aRow{Protocol: proto}
-	copy(row.D[:], windowGbps(delivered(flows), mid, duration-half))
+	copy(row.D[:], runMeasured(engine, flows, duration/2, duration))
 	return row
 }
 
@@ -379,10 +348,7 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 	}
 	engine := sim.New()
 	a := topology.BuildAsymmetric(engine, seed)
-	mix := NewMix(a.Net, 12*sim.Microsecond)
-	mix.Activate(proto)
-	mix.EnableAllSwitchPorts()
-	mix.AttachReceiver(proto, a.Dst)
+	mix := Assemble(RunSpec{Net: a.Net, BaseRTT: 12 * sim.Microsecond, Protocols: []Protocol{proto}}).Mix
 	flows := make([]*netsim.Flow, 7)
 	for i, src := range a.Slow {
 		flows[i] = mix.StartFlow(proto, src, a.Dst, -1, netsim.Gbps(40*0.9))
@@ -390,12 +356,8 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 	for i, src := range a.Fast {
 		flows[5+i] = mix.StartFlow(proto, src, a.Dst, -1, netsim.Gbps(100*0.9))
 	}
-	half := duration / 2
-	engine.RunUntil(half)
-	mid := delivered(flows)
-	engine.RunUntil(duration)
 	row := Fig12bRow{Protocol: proto}
-	copy(row.D[:], windowGbps(delivered(flows), mid, duration-half))
+	copy(row.D[:], runMeasured(engine, flows, duration/2, duration))
 	for i := 0; i < 5; i++ {
 		row.SlowAvg += row.D[i] / 5
 	}
@@ -424,10 +386,8 @@ func RunFig19(proto Protocol, phase sim.Time, seed int64) Fig19Result {
 	counts := []int{1, 2, 3, 4, 3, 2, 1}
 	engine := sim.New()
 	star := topology.BuildStar(engine, seed, 4, netsim.Gbps(40))
-	mix := NewMix(star.Net, 8*sim.Microsecond)
-	mix.Activate(proto)
-	mix.EnablePort(proto, star.Bottleneck)
-	mix.AttachReceiver(proto, star.Dst)
+	mix := Assemble(RunSpec{Net: star.Net, BaseRTT: 8 * sim.Microsecond,
+		Protocols: []Protocol{proto}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
 
 	var flows []*netsim.Flow
 	setCount := func(n int) {

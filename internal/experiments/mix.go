@@ -211,13 +211,6 @@ func (m *Mix) placePortCC(port *netsim.Port, ps *portState) {
 	}
 }
 
-// EnablePorts attaches one protocol's switch-side element to many ports.
-func (m *Mix) EnablePorts(proto Protocol, ports ...*netsim.Port) {
-	for _, p := range ports {
-		m.EnablePort(proto, p)
-	}
-}
-
 // EnableAllSwitchPorts attaches every active protocol on every switch
 // egress port — the wiring sweep. Activate the protocols first.
 func (m *Mix) EnableAllSwitchPorts() {
@@ -357,13 +350,10 @@ func (m *Mix) placeReceiver(h *netsim.Host, rs *receiverState) {
 	}
 }
 
-// AttachReceivers installs every active protocol's receiver hook on the
-// given hosts (all hosts when none are given).
-func (m *Mix) AttachReceivers(hosts ...*netsim.Host) {
-	if len(hosts) == 0 {
-		hosts = m.Net.Hosts()
-	}
-	for _, h := range hosts {
+// AttachReceivers installs every active protocol's receiver hook on
+// every host.
+func (m *Mix) AttachReceivers() {
+	for _, h := range m.Net.Hosts() {
 		for _, proto := range m.active {
 			m.AttachReceiver(proto, h)
 		}

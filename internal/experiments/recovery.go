@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"rocc/internal/core"
-	"rocc/internal/faults"
 	"rocc/internal/netsim"
+	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/topology"
@@ -113,14 +113,10 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 		CoreRate:     netsim.Gbps(up / 2),
 	})
 	net := ft.Net
-
-	mix := NewMix(net, 0)
 	// Outages lose feedback wholesale; RoCC runs with the paper's
 	// staleness re-homing so CP loss degrades instead of wedging.
-	mix.RoCCRP.StaleK = core.DefaultStaleK
-	mix.Activate(cfg.Protocol)
-	mix.EnableAllSwitchPorts()
-	mix.AttachReceivers()
+	run := Assemble(RunSpec{Net: net, FatTree: ft, Seed: cfg.Seed,
+		RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}, Protocols: []Protocol{cfg.Protocol}})
 
 	// Cross-edge persistent flows: host h of edge e sends to host h of
 	// edge e+1, so every flow crosses the core and feels the failure.
@@ -128,13 +124,13 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	for e := range ft.Hosts {
 		for h, src := range ft.Hosts[e] {
 			dst := ft.Hosts[(e+1)%len(ft.Hosts)][h]
-			flows = append(flows, mix.StartWrappedFlow(cfg.Protocol, src, dst,
+			flows = append(flows, run.StartFlow(cfg.Protocol, src, dst,
 				-1, netsim.Mbps(recoveryRateMbps), true, nil))
 		}
 	}
 
 	if cfg.Kill != KillNone {
-		inj := faults.New(net, cfg.Seed+FaultSeedOffset)
+		inj := run.Injector()
 		switch cfg.Kill {
 		case KillLink:
 			a := ft.EdgeUp[0]
@@ -173,9 +169,6 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	engine.At(snapAt, func() { snap = delivered(flows) })
 
 	engine.RunUntil(cfg.Duration)
-	for _, f := range flows {
-		f.Stop()
-	}
 
 	res := RecoveryResult{
 		Config:         cfg,

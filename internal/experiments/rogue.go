@@ -118,36 +118,16 @@ func RunRogue(cfg RogueConfig) RogueResult {
 	linkRate := netsim.Gbps(RogueLinkGbps)
 	star := topology.BuildStar(engine, cfg.Seed, n, linkRate)
 	net := star.Net
-
-	mix := NewMix(net, 0)
-	mix.RoCCRP.StaleK = core.DefaultStaleK
+	spec := RunSpec{Net: net, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}, Protocols: []Protocol{cfg.Protocol}}
 	if cfg.Defended {
-		// The end-host half of the defense: reject CNPs from off-path
-		// congestion points and stale (replayed) feedback.
-		mix.RoCCRP.VerifyCPPath = true
-		mix.RoCCRP.MaxCNPAge = 250 * sim.Microsecond
+		// Default policer and watchdog: RoCC's congestion points advertise
+		// the per-flow fair rate, which the policer holds flows to; other
+		// protocols never told the switch anything, so it falls back to an
+		// equal split.
+		spec.Defenses = &Defenses{}
 	}
-	mix.Activate(cfg.Protocol)
-	mix.EnableAllSwitchPorts()
-	mix.AttachReceivers()
-
-	var policer *adversary.Policer
-	var watchdog *adversary.Watchdog
-	if cfg.Defended {
-		policer = adversary.NewPolicer(net, star.Switch, adversary.PolicerConfig{
-			// RoCC's congestion points advertise the per-flow fair rate;
-			// the policer holds flows to exactly what the switch promised.
-			// Other protocols never told the switch anything, so the hook
-			// reports nothing and the policer falls back to equal split.
-			AdvertisedRate: func(port *netsim.Port) (netsim.Rate, bool) {
-				if cp := mix.CPs[port]; cp != nil {
-					return netsim.Mbps(cp.FairRateMbps()), true
-				}
-				return 0, false
-			},
-		})
-		watchdog = adversary.NewWatchdog(net, star.Switch, adversary.WatchdogConfig{})
-	}
+	run := Assemble(spec)
+	mix := run.Mix
 
 	victims := make([]*netsim.Flow, cfg.Victims)
 	for i := range victims {
@@ -190,29 +170,19 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		res.ProbeFCT = probe.FCT()
 	}
 
-	if policer != nil {
-		st := policer.Stats()
-		res.Detections = st.Detections
-		res.Releases = st.Releases
-		res.Quarantined = policer.CurrentQuarantined()
-		res.PolicedDrops = net.PolicedDrops()
-		policer.Stop()
+	for _, p := range run.Policers {
+		res.Detections += p.Stats().Detections
+		res.Releases += p.Stats().Releases
+		res.Quarantined += p.CurrentQuarantined()
 	}
-	if watchdog != nil {
-		res.WatchdogTrips = watchdog.Stats().Trips
-		watchdog.Stop()
+	res.PolicedDrops = net.PolicedDrops()
+	for _, w := range run.Watchdogs {
+		res.WatchdogTrips += w.Stats().Trips
 	}
 	for _, f := range victims {
 		if cc, ok := f.CC.(*roccnet.FlowCC); ok {
 			res.SpoofRejects += cc.RP().CNPsSpoofed + cc.Replays
 		}
-	}
-
-	for _, f := range victims {
-		f.Stop()
-	}
-	for _, f := range rogues {
-		f.Stop()
 	}
 	return res
 }

@@ -170,14 +170,8 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 		CoreRate: netsim.Gbps(rolloutLinkGbps * float64(n) / 4),
 	})
 	net := ft.Net
-
-	mix := NewMix(net, 16*sim.Microsecond)
 	assign := AssignShares(cfg.Shares, n)
-	for _, p := range assign {
-		mix.Activate(p)
-	}
-	mix.EnableAllSwitchPorts()
-	mix.AttachReceivers()
+	mix := Assemble(RunSpec{Net: net, FatTree: ft, BaseRTT: 16 * sim.Microsecond, Protocols: assign}).Mix
 
 	// Persistent cross-core flows, one per sender, protocol per assign.
 	persistent := make([]*netsim.Flow, n)

@@ -56,6 +56,25 @@ func (s *Sampler) Value(name string, fn func() float64) *stats.Series {
 	return series
 }
 
+// FairRate records the fair rate of the port's RoCC congestion point in
+// Gb/s; a port under a baseline, which advertises no rate, records its
+// throughput instead.
+func (s *Sampler) FairRate(mix *Mix, port *netsim.Port) *stats.Series {
+	if cp := mix.CPs[port]; cp != nil {
+		return s.Value("fair-rate", func() float64 { return cp.FairRateMbps() / 1000 })
+	}
+	return s.PortThroughput("bottleneck", port)
+}
+
+// runMeasured runs the engine to from, then to until, and returns each
+// flow's goodput in Gb/s over that window.
+func runMeasured(engine *sim.Engine, flows []*netsim.Flow, from, until sim.Time) []float64 {
+	engine.RunUntil(from)
+	then := delivered(flows)
+	engine.RunUntil(until)
+	return windowGbps(delivered(flows), then, until-from)
+}
+
 // delivered snapshots every flow's delivered-byte counter, one end of a
 // goodput measurement window.
 func delivered(flows []*netsim.Flow) []int64 {

@@ -51,9 +51,6 @@ func (c *ScaleBenchConfig) fill() {
 	if c.Duration == 0 {
 		c.Duration = sim.Millisecond
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // ScaleBenchResult is one row of the scaling table: throughput of the
@@ -78,20 +75,9 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	cfg.fill()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
-	// Shard before protocol attachment so switch-side elements land on
-	// their node's shard engine.
-	g := topology.PartitionFatTree(ft, cfg.Shards).Apply(ft.Net)
-
-	mix := NewMix(ft.Net, 16*sim.Microsecond)
-	mix.Activate(cfg.Protocol)
-	mix.EnableAllSwitchPorts()
-	var hosts []*netsim.Host
-	for _, hs := range ft.Hosts {
-		for _, h := range hs {
-			mix.AttachReceiver(cfg.Protocol, h)
-			hosts = append(hosts, h)
-		}
-	}
+	run := Assemble(RunSpec{Net: ft.Net, FatTree: ft, Shards: cfg.Shards,
+		BaseRTT: 16 * sim.Microsecond, Protocols: []Protocol{cfg.Protocol}})
+	hosts := ft.Net.Hosts()
 
 	// Persistent flows between seeded random distinct hosts: the flow
 	// population is constant for the whole run (the "concurrent flows"
@@ -104,14 +90,14 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 		for dst == src {
 			dst = hosts[rand.Intn(len(hosts))]
 		}
-		mix.StartFlow(cfg.Protocol, src, dst, -1, 0)
+		run.Mix.StartFlow(cfg.Protocol, src, dst, -1, 0)
 	}
 
 	start := time.Now()
 	engine.RunUntil(cfg.Duration)
 	wall := time.Since(start).Seconds()
 
-	fired := g.Fired()
+	fired := ft.Net.Group().Fired()
 
 	h := fnv.New64a()
 	var buf [8]byte

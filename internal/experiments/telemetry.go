@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"rocc/internal/netsim"
 	"rocc/internal/telemetry"
 )
 
@@ -30,14 +29,6 @@ func NewRunTelemetry() *RunTelemetry {
 		Registry: telemetry.New(),
 		Recorder: telemetry.NewRecorder(1<<14, 256, 4096),
 	}
-}
-
-// attach wires the bundle into a network. Nil-safe on a nil receiver.
-func (t *RunTelemetry) attach(net *netsim.Network) {
-	if t == nil {
-		return
-	}
-	net.SetTelemetry(t.Registry, t.Recorder)
 }
 
 // Events returns the recorder's retained events (nil-safe).

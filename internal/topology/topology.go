@@ -236,11 +236,3 @@ func BuildFatTree(engine *sim.Engine, seed int64, cfg FatTreeConfig) *FatTree {
 	ft.AllPorts = append(ft.AllPorts, ft.EdgeDown...)
 	return ft
 }
-
-// SetBuffers overrides every switch's buffer configuration (used by the
-// unlimited-buffer and lossy experiments).
-func (ft *FatTree) SetBuffers(cfg netsim.BufferConfig) {
-	for _, s := range ft.Net.Switches() {
-		s.Buffer = cfg
-	}
-}

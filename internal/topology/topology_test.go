@@ -150,14 +150,3 @@ func TestFatTreeECMPBalance(t *testing.T) {
 		t.Errorf("only %d of 6 uplinks carried traffic; ECMP not spreading", used)
 	}
 }
-
-func TestSetBuffers(t *testing.T) {
-	engine := sim.New()
-	ft := BuildFatTree(engine, 1, ScaledFatTree(2))
-	ft.SetBuffers(netsim.BufferConfig{TotalBytes: 1234})
-	for _, sw := range ft.Net.Switches() {
-		if sw.Buffer.TotalBytes != 1234 || sw.Buffer.PFCEnabled {
-			t.Fatalf("buffer override not applied to %s", sw.Name)
-		}
-	}
-}
