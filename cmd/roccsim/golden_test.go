@@ -163,6 +163,20 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		"-reps 5 fig9",
 		"-protocol dcqcn fig11",
 		"-trace t.json fig14",
+		// Subcommand flags the subcommand does not read.
+		"-fanin 30 fig14",
+		"-load 0.5 fig8",
+		"-plot fig11",
+		"-cnp-loss 0.1 fig9",
+		"-mix rocc:1 fig12b",
+		"-count 3 fig13",
+		// Values a default used to replace.
+		"-reps 0 fig11",
+		"-reps -4 fig11",
+		"-dur -1ms fig11",
+		"-workers -3 fig11",
+		// Weights whose sum overflows.
+		"-mix rocc:1e308,dcqcn:1e308 rollout",
 	} {
 		r := clitest.Run(t, nil, strings.Fields(args)...)
 		if r.Code != 2 || strings.Contains(r.Stderr, "panic:") || r.Stdout != "" {

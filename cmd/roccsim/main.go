@@ -33,7 +33,6 @@ import (
 	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/plot"
-	"rocc/internal/qos"
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
@@ -74,16 +73,19 @@ type subcommand struct {
 	name  string
 	run   func()
 	inAll bool     // run by `roccsim all`
-	reads []string // the run-wide flags (runWideFlags) it reads
+	reads []string // the flags it reads beyond everyRunFlags
 }
 
-// runWideFlags configure a run in general, but each subcommand reads only
-// some of them; setting one that the subcommand does not read is a usage
-// error (checkRunFlags).
-var runWideFlags = []string{"shards", "reps", "protocol", "trace", "metrics"}
+// everyRunFlags apply to whichever subcommand runs. Every other flag is
+// read by some subcommands only, and setting one the subcommand does not
+// read is a usage error (checkRunFlags).
+var everyRunFlags = []string{"dur", "seed", "workers", "csv", "cpuprofile", "memprofile"}
 
-// The run-wide flags of the §6.3 fat-tree tables.
-var fctReads = []string{"reps", "shards"}
+// The flags the §6.3 fat-tree tables read; the fold figures add -fanin.
+var (
+	fctReads  = []string{"reps", "shards", "load"}
+	foldReads = []string{"reps", "shards", "load", "fanin"}
+)
 
 // subcommands defines every experiment once, in the order `all` runs
 // those it includes; usage, dispatch, `all` and the flag check are
@@ -94,8 +96,8 @@ var subcommands = []subcommand{
 	{"fig6", runFig6, true, nil},
 	{"fig7a", func() { runFig7("fig7a") }, true, nil},
 	{"fig7b", func() { runFig7("fig7b") }, true, nil},
-	{"fig8", runFig8, true, []string{"reps", "protocol", "trace", "metrics"}},
-	{"fig9", runFig9, true, []string{"protocol", "trace", "metrics"}},
+	{"fig8", runFig8, true, []string{"reps", "protocol", "trace", "metrics", "plot"}},
+	{"fig9", runFig9, true, []string{"protocol", "trace", "metrics", "plot"}},
 	{"fig11", runFig11, true, []string{"reps"}},
 	{"fig12a", runFig12a, true, nil},
 	{"fig12b", runFig12b, true, nil},
@@ -105,17 +107,18 @@ var subcommands = []subcommand{
 	{"fig16", func() { runFCTFigs("fig16") }, true, fctReads},
 	{"table3", runTable3, true, fctReads},
 	{"fig17", runFig17, true, fctReads},
-	{"fig18", func() { runFold("fig18", experiments.Unlimited, workload.FBHadoop()) }, true, fctReads},
+	{"fig18", func() { runFold("fig18", experiments.Unlimited, workload.FBHadoop()) }, true, foldReads},
 	{"fig19", runFig19, true, nil},
-	{"fig20", func() { runFold("fig20", experiments.Lossy, workload.FBHadoop()) }, true, fctReads},
+	{"fig20", func() { runFold("fig20", experiments.Lossy, workload.FBHadoop()) }, true, foldReads},
 	{"qos", runQoS, true, nil},
-	{"faults", runFaultsExp, false, nil},
+	{"faults", runFaultsExp, false, []string{"cnp-loss", "link-flap"}},
 	{"recovery", runRecoveryExp, false, nil},
-	{"rollout", runRollout, false, nil},
-	{"collective", runCollective, false, nil},
-	{"rogue", runRogueExp, false, nil},
-	{"soak", runSoak, false, []string{"shards"}},
-	{"scale", runScale, false, []string{"protocol"}},
+	{"rollout", runRollout, false, []string{"mix"}},
+	{"collective", runCollective, false, []string{"pattern", "ranks", "msg", "chunks", "iters", "coll-mode", "kill"}},
+	{"rogue", runRogueExp, false, []string{"rogue-kind"}},
+	{"soak", runSoak, false, []string{"shards", "count", "budget", "soak-out", "shrink",
+		"fault-scale", "mix-prob", "fail-prob", "mode-prob", "rogue-prob"}},
+	{"scale", runScale, false, []string{"protocol", "flows"}},
 	{"fluid", runFluid, false, nil},
 }
 
@@ -206,6 +209,7 @@ func main() {
 	for _, err := range []error{
 		protoErr,
 		checkShards(*shardsFlag),
+		checkCounts(*repsFlag, *durFlag, *workFlag),
 		checkRunFlags(name, set),
 		checkFaultFlags(*cnpFlag, *flapFlag, *killFlag),
 	} {
@@ -226,6 +230,20 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// checkCounts rejects -reps, -dur and -workers values no run can honour,
+// rather than replacing them with a default.
+func checkCounts(reps int, d time.Duration, workers int) error {
+	switch {
+	case reps < 1:
+		return fmt.Errorf("-reps %d: want at least 1 repetition", reps)
+	case d < 0:
+		return fmt.Errorf("-dur %v: want a duration >= 0 (0 = each experiment's default)", d)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: want a count >= 0 (0 = GOMAXPROCS)", workers)
+	}
+	return nil
 }
 
 // checkFaultFlags rejects -cnp-loss, -link-flap and -kill values that the
@@ -279,9 +297,9 @@ func startProfiles() (stop func()) {
 	}
 }
 
-// checkRunFlags rejects a run-wide flag, set on the command line, that
-// the named subcommand does not read: the run would print exactly what it
-// prints without the flag. all reads what the subcommands it runs read.
+// checkRunFlags rejects a flag, set on the command line, that the named
+// subcommand does not read: the run would print exactly what it prints
+// without the flag. all reads what the subcommands it runs read.
 func checkRunFlags(name string, set []string) error {
 	reads := map[string]bool{}
 	for _, sc := range subcommands {
@@ -292,16 +310,21 @@ func checkRunFlags(name string, set []string) error {
 		}
 	}
 	for _, f := range set {
-		if !slices.Contains(runWideFlags, f) || reads[f] {
+		if slices.Contains(everyRunFlags, f) || reads[f] {
 			continue
 		}
 		var by []string
+		inAll := false
 		for _, sc := range subcommands {
 			if slices.Contains(sc.reads, f) {
 				by = append(by, sc.name)
+				inAll = inAll || sc.inAll
 			}
 		}
-		return fmt.Errorf("-%s: %s does not read it (only %s and all do)", f, name, strings.Join(by, ", "))
+		if inAll {
+			by = append(by, "all")
+		}
+		return fmt.Errorf("-%s: %s does not read it (read by %s)", f, name, strings.Join(by, ", "))
 	}
 	return nil
 }
@@ -346,19 +369,11 @@ func dur(def sim.Time) sim.Time {
 	return def
 }
 
-// repCount is -reps, at least one.
-func repCount() int {
-	if *repsFlag < 1 {
-		return 1
-	}
-	return *repsFlag
-}
-
 // repCells expands each cell into -reps repetitions, cell-major:
 // repetition r of cells[i] lands at i*reps+r and runs with seed -seed+r.
 // This is the one place a repetition's seed is derived.
 func repCells[C any](cells []C, seed func(*C) *int64) []C {
-	reps := repCount()
+	reps := *repsFlag
 	out := make([]C, 0, len(cells)*reps)
 	for _, c := range cells {
 		for r := 0; r < reps; r++ {
@@ -453,7 +468,7 @@ func runFig8() {
 		cells[0].Telemetry = runTel
 	}
 	rs := harness.Run(cells, *workFlag, experiments.RunFig8)
-	reps := repCount()
+	reps := *repsFlag
 	for i := 0; i < len(cells); i += reps {
 		c := cells[i]
 		runs := collect(fmt.Sprintf("fig8 B=%.0fG N=%d", c.Gbps, c.N), rs[i:i+reps])
@@ -514,7 +529,7 @@ func runFig11() {
 	}
 	cells = repCells(cells, func(c *cell) *int64 { return &c.cfg.Seed })
 	rs := harness.Run(cells, *workFlag, func(c cell) experiments.Fig11Row { return experiments.RunFig11(c.p, c.cfg) })
-	reps := repCount()
+	reps := *repsFlag
 	for i := 0; i < len(cells); i += reps {
 		rows := collect("fig11 "+string(cells[i].p), rs[i:i+reps])
 		if len(rows) == 0 {
@@ -630,7 +645,7 @@ func runFCTSweep(wl *workload.CDF) ([]experiments.FCTConfig, []harness.Result[ex
 
 func runFCTFigs(name string) {
 	metric := map[string]string{"fig14": "average", "fig15": "90th percentile", "fig16": "99th percentile"}[name]
-	reps := repCount()
+	reps := *repsFlag
 	fmt.Printf("%s: %s FCT per flow-size bin (load %.0f%%)\n", name, metric, *loadFlag*100)
 	for _, wl := range []*workload.CDF{workload.WebSearch(), workload.FBHadoop()} {
 		fmt.Printf("-- %s traffic --\n", wl.Name())
@@ -666,7 +681,7 @@ func runFCTFigs(name string) {
 func runTable3() {
 	fmt.Printf("Table 3: flow-level average rate allocation (FB_Hadoop, load %.0f%%)\n", *loadFlag*100)
 	fmt.Printf("  %-9s %14s %16s\n", "protocol", "avg rate (Mb/s)", "std dev (Mb/s)")
-	reps := repCount()
+	reps := *repsFlag
 	cfgs, rs := runFCTSweep(workload.FBHadoop())
 	for i, cfg := range cfgs {
 		var means, stds []float64
@@ -685,7 +700,7 @@ func runTable3() {
 func runFig17() {
 	fmt.Printf("Fig 17: average queue size and PFC activation per CP tier (WebSearch, load %.0f%%)\n", *loadFlag*100)
 	fmt.Printf("  %-9s %26s %26s\n", "protocol", "avg queue KB (core/in/out)", "PFC frames (core/in/out)")
-	reps := repCount()
+	reps := *repsFlag
 	cfgs, rs := runFCTSweep(workload.WebSearch())
 	for i, cfg := range cfgs {
 		runs := collect("fig17 "+string(cfg.Protocol), rs[i*reps:(i+1)*reps])
@@ -712,7 +727,7 @@ func runFold(name string, mode experiments.BufferMode, wl *workload.CDF) {
 		label = "lossy (buffer = 3x PFC threshold, go-back-N)"
 	}
 	fmt.Printf("%s: FCT fold increase under %s (%s, load %.0f%%, fan-in %d)\n", name, label, wl.Name(), *loadFlag*100, *fanFlag)
-	reps := repCount()
+	reps := *repsFlag
 	protos := experiments.ComparisonProtocols()
 	var cfgs []experiments.FCTConfig
 	for _, p := range protos {
@@ -857,22 +872,21 @@ func runRecoveryExp() {
 }
 
 // runQoS demonstrates the §8 future-work extension: class-level
-// fairness via weighted fair rates.
+// fairness via weighted fair rates on the bottleneck's RoCC CP.
 func runQoS() {
 	fmt.Println("QoS extension: 6 flows, classes gold(w=1.0) / silver(w=0.5), B=40G")
 	engine := sim.New()
 	star := topology.BuildStar(engine, *seedFlag, 6, netsim.Gbps(40))
+	weights := [2]float64{1, 0.5}
 	classIdx := map[netsim.FlowID]int{}
-	qos.Attach(star.Net, star.Switch, star.Bottleneck, qos.Options{
-		Weights:  []float64{1, 0.5},
-		Classify: func(f netsim.FlowID) int { return classIdx[f] },
+	run := experiments.Assemble(experiments.RunSpec{
+		Net: star.Net, Seed: *seedFlag, Protocols: []experiments.Protocol{experiments.ProtoRoCC},
+		Ports:    []*netsim.Port{star.Bottleneck},
+		RoCCOpts: roccnet.CPOptions{Weight: func(f netsim.FlowID) float64 { return weights[classIdx[f]] }},
 	})
 	var flows []*netsim.Flow
 	for i, src := range star.Sources {
-		f := star.Net.StartFlow(src, star.Dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: roccnet.NewFlowCC(src, roccnet.RPOptions{}),
-		})
+		f := run.Mix.StartFlow(experiments.ProtoRoCC, src, star.Dst, -1, netsim.Gbps(36))
 		classIdx[f.ID] = i % 2
 		flows = append(flows, f)
 	}

@@ -63,8 +63,26 @@ func TestCheckRunFlags(t *testing.T) {
 		{"all", "protocol", true},
 		{"fig11", "protocol", false},
 		{"rogue", "protocol", false},
-		// Flags outside the run-wide set are not this check's business.
-		{"fig11", "dur seed workers csv plot", true},
+		// Subcommand flags: each is read where it changes the run.
+		{"fig14", "fanin", false},
+		{"fig8", "load", false},
+		{"fig11", "plot", false},
+		{"fig9", "cnp-loss", false},
+		{"fig12b", "mix", false},
+		{"fig13", "count", false},
+		{"all", "count", false},
+		{"fig14", "load", true},
+		{"fig20", "fanin load", true},
+		{"all", "load fanin plot", true},
+		{"fig9", "plot", true},
+		{"faults", "cnp-loss link-flap", true},
+		{"rollout", "mix", true},
+		{"rogue", "rogue-kind", true},
+		{"collective", "pattern ranks msg chunks iters coll-mode kill", true},
+		{"soak", "count budget soak-out shrink fault-scale mix-prob fail-prob mode-prob rogue-prob", true},
+		// Flags every subcommand takes.
+		{"fig11", "dur seed workers csv cpuprofile memprofile", true},
+		{"fig5", "dur seed workers csv cpuprofile memprofile", true},
 	} {
 		err := checkRunFlags(tc.name, strings.Fields(tc.set))
 		if (err == nil) != tc.ok {

@@ -340,11 +340,11 @@ func attachFault(inj *faults.Injector, fab *fabric, f FaultSpec, dur sim.Time) {
 		})
 	case FaultFlap:
 		link := fab.links[f.Link]
-		inj.FlapWindow(link[0], link[1], sim.Time(f.PeriodNs), sim.Time(f.ActiveNs), dur)
+		inj.Flap(link[0], link[1], sim.Time(f.PeriodNs), sim.Time(f.ActiveNs), dur)
 	case FaultCNPLoss:
 		inj.DropCNPs(fab.net.Switches()[f.Switch], f.Prob)
 	case FaultCPStall:
-		inj.StallCPWindow(fab.net.Switches()[f.Switch], sim.Time(f.PeriodNs), sim.Time(f.ActiveNs), dur)
+		inj.StallCP(fab.net.Switches()[f.Switch], sim.Time(f.PeriodNs), sim.Time(f.ActiveNs), dur)
 	case FaultLinkKill:
 		link := fab.links[f.Link]
 		inj.KillLink(link[0], link[1], sim.Time(f.AtNs), sim.Time(f.RestoreNs))

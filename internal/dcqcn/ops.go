@@ -7,24 +7,13 @@ import (
 
 // Ops is DCQCN's netsim.CongestionOps descriptor: RED-style markers on
 // switch egress ports, CNP-generating receivers, and the g/α rate
-// controller per flow. Config derives parameters from each element's
-// local link rate, so mixed-speed fabrics get correctly scaled marking
-// curves and rate steps.
+// controller per flow. DefaultConfig derives parameters from each
+// element's local link rate, so mixed-speed fabrics get correctly scaled
+// marking curves and rate steps.
 type Ops struct {
 	// Rand seeds probabilistic marking: every marker built by this
 	// descriptor splits its own stream off it, in attach order.
 	Rand *sim.Rand
-
-	// Config maps a link/NIC rate to DCQCN parameters. Nil selects
-	// DefaultConfig.
-	Config func(gbps float64) Config
-}
-
-func (o *Ops) config(gbps float64) Config {
-	if o.Config != nil {
-		return o.Config(gbps)
-	}
-	return DefaultConfig(gbps)
 }
 
 // Name implements netsim.CongestionOps.
@@ -41,18 +30,18 @@ func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Po
 	// from the shared one at attach order: markers on different shards
 	// draw concurrently, and a shared stream would race (and make draw
 	// order partition-dependent).
-	return NewMarker(o.config(port.LinkRate.Gbps()), o.Rand.Split())
+	return NewMarker(DefaultConfig(port.LinkRate.Gbps()), o.Rand.Split())
 }
 
 // NewReceiver implements netsim.CongestionOps: at most one CNP per flow
 // per CNPInterval when marked packets arrive.
 func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHook {
-	return NewReceiver(o.config(h.NIC().LinkRate.Gbps()), h)
+	return NewReceiver(DefaultConfig(h.NIC().LinkRate.Gbps()), h)
 }
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, DefaultConfig(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: DCQCN needs no flow ACKs.

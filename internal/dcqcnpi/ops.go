@@ -13,28 +13,6 @@ type Ops struct {
 	// Rand seeds probabilistic marking; every marker splits its own
 	// stream off it, in attach order.
 	Rand *sim.Rand
-
-	// Config maps a port link rate to PI marker parameters. Nil selects
-	// DefaultConfig.
-	Config func(gbps float64) Config
-
-	// Endpoint maps a NIC rate to the DCQCN endpoint parameters. Nil
-	// selects DefaultEndpoint.
-	Endpoint func(gbps float64) dcqcn.Config
-}
-
-func (o *Ops) config(gbps float64) Config {
-	if o.Config != nil {
-		return o.Config(gbps)
-	}
-	return DefaultConfig(gbps)
-}
-
-func (o *Ops) endpoint(gbps float64) dcqcn.Config {
-	if o.Endpoint != nil {
-		return o.Endpoint(gbps)
-	}
-	return DefaultEndpoint(gbps)
 }
 
 // Name implements netsim.CongestionOps.
@@ -49,18 +27,18 @@ func (o *Ops) Features() netsim.CCFeatures {
 // start its probability-update timer.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
 	// Per-marker stream (see dcqcn.Ops.AttachPort).
-	return Attach(net, port, o.config(port.LinkRate.Gbps()), o.Rand.Split())
+	return Attach(net, port, DefaultConfig(port.LinkRate.Gbps()), o.Rand.Split())
 }
 
 // NewReceiver implements netsim.CongestionOps: DCQCN's receiver,
 // unchanged.
 func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHook {
-	return dcqcn.NewReceiver(o.endpoint(h.NIC().LinkRate.Gbps()), h)
+	return dcqcn.NewReceiver(DefaultEndpoint(h.NIC().LinkRate.Gbps()), h)
 }
 
 // NewFlowCC implements netsim.CongestionOps: DCQCN's sender, unchanged.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return dcqcn.NewFlowCC(src, o.endpoint(src.NIC().LinkRate.Gbps()))
+	return dcqcn.NewFlowCC(src, DefaultEndpoint(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: no flow ACKs needed.

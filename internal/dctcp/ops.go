@@ -11,17 +11,6 @@ import (
 type Ops struct {
 	// BaseRTT parameterizes the window controller's RTT target.
 	BaseRTT sim.Time
-
-	// Config maps a link/NIC rate and the base RTT to DCTCP parameters.
-	// Nil selects DefaultConfig.
-	Config func(gbps float64, baseRTT sim.Time) Config
-}
-
-func (o *Ops) config(gbps float64) Config {
-	if o.Config != nil {
-		return o.Config(gbps, o.BaseRTT)
-	}
-	return DefaultConfig(gbps, o.BaseRTT)
 }
 
 // Name implements netsim.CongestionOps.
@@ -35,7 +24,7 @@ func (o *Ops) Features() netsim.CCFeatures {
 
 // AttachPort implements netsim.CongestionOps.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
-	return NewMarker(o.config(port.LinkRate.Gbps()))
+	return NewMarker(DefaultConfig(port.LinkRate.Gbps(), o.BaseRTT))
 }
 
 // NewReceiver implements netsim.CongestionOps: echo CE marks back to the
@@ -46,7 +35,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, DefaultConfig(src.NIC().LinkRate.Gbps(), o.BaseRTT))
 }
 
 // AckEvery implements netsim.CongestionOps: DCTCP windows on per-packet

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -197,23 +198,21 @@ func TestMixedRunDeterministic(t *testing.T) {
 }
 
 // TestTimelyAckCadenceFollowsConfig pins the satellite bugfix: the flow
-// ACK cadence must come from the TIMELY configuration actually in use,
-// not a hardcoded default.
+// ACK cadence must come from the TIMELY configuration of the source's
+// NIC rate, for the descriptor and the flow it starts alike.
 func TestTimelyAckCadenceFollowsConfig(t *testing.T) {
-	engine := sim.New()
-	star := topology.BuildStar(engine, 1, 2, netsim.Gbps(40))
-	mix := NewMix(star.Net, 0)
-	mix.TimelyConfig = func(src *netsim.Host) timely.Config {
-		cfg := timely.DefaultConfig(src.NIC().LinkRate.Gbps())
-		cfg.AckEvery = 8
-		return cfg
-	}
-	if got := mix.Ops(ProtoTIMELY).AckEvery(star.Sources[0]); got != 8 {
-		t.Errorf("AckEvery = %d, want the configured 8", got)
-	}
-	f := mix.StartFlow(ProtoTIMELY, star.Sources[0], star.Dst, 10_000, 0)
-	if f.AckEvery != 8 {
-		t.Errorf("flow AckEvery = %d, want 8", f.AckEvery)
+	for _, gbps := range []float64{40, 100} {
+		engine := sim.New()
+		star := topology.BuildStar(engine, 1, 2, netsim.Gbps(gbps))
+		mix := NewMix(star.Net, 0)
+		want := timely.DefaultConfig(gbps).AckEvery
+		if got := mix.Ops(ProtoTIMELY).AckEvery(star.Sources[0]); got != want {
+			t.Errorf("%gG: AckEvery = %d, want %d", gbps, got, want)
+		}
+		f := mix.StartFlow(ProtoTIMELY, star.Sources[0], star.Dst, 10_000, 0)
+		if f.AckEvery != want {
+			t.Errorf("%gG: flow AckEvery = %d, want %d", gbps, f.AckEvery, want)
+		}
 	}
 }
 
@@ -377,6 +376,42 @@ func TestParseMixSpec(t *testing.T) {
 	if _, err := ParseMixSpec("rocc:0,dcqcn:0"); err == nil {
 		t.Error("all-zero fractions accepted")
 	}
+	if _, err := ParseMixSpec("rocc:1e308,dcqcn:1e308"); err == nil {
+		t.Error("fractions summing to +Inf accepted")
+	}
+}
+
+// FuzzParseMixSpec: any spec either fails to parse or yields distinct
+// protocols whose fractions lie in [0, 1] and sum to 1.
+func FuzzParseMixSpec(f *testing.F) {
+	for _, seed := range []string{
+		"rocc:0.5,dcqcn:0.5", "rocc:3, hpcc:1", "rocc", "rocc,dcqcn+pi:2",
+		"rocc:0,dcqcn:0", "rocc:1e308,dcqcn:1e308", "rocc:5e-324,qcn:1e-320",
+		"rocc:0.5,rocc:0.5", "nosuch:1", "", ",", "timely:NaN", "dctcp:-1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		shares, err := ParseMixSpec(spec)
+		if err != nil {
+			return
+		}
+		seen := map[Protocol]bool{}
+		sum := 0.0
+		for _, s := range shares {
+			if !(s.Frac >= 0 && s.Frac <= 1) {
+				t.Errorf("%q: %s fraction %v outside [0, 1]", spec, s.Proto, s.Frac)
+			}
+			if seen[s.Proto] {
+				t.Errorf("%q: %s listed twice", spec, s.Proto)
+			}
+			seen[s.Proto] = true
+			sum += s.Frac
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%q: fractions %+v sum to %v, want 1", spec, shares, sum)
+		}
+	})
 }
 
 // TestAssignShares pins the deterministic slot split.

@@ -38,12 +38,14 @@ type FaultsConfig struct {
 	CNPCorrupt float64
 
 	// FlapPeriod/FlapDown flap source 0's access link: every period the
-	// link is down for FlapDown, losing data, CNPs and PFC frames.
+	// link is down for FlapDown, losing data, CNPs and PFC frames. Only
+	// outages that end within Duration start.
 	FlapPeriod sim.Time
 	FlapDown   sim.Time
 
 	// StallPeriod/StallFor silence the switch's CP for StallFor out of
-	// every StallPeriod (a stalled CP timer: late feedback).
+	// every StallPeriod (a stalled CP timer: late feedback). Only windows
+	// that end within Duration open.
 	StallPeriod sim.Time
 	StallFor    sim.Time
 }
@@ -116,9 +118,11 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	}
 	if cfg.FlapPeriod > 0 {
 		sw := star.Switch.PortTo(star.Sources[0])
-		inj.Flap(sw, star.Sources[0].NIC(), cfg.FlapPeriod, cfg.FlapDown)
+		inj.Flap(sw, star.Sources[0].NIC(), cfg.FlapPeriod, cfg.FlapDown, cfg.Duration)
 	}
-	inj.StallCP(star.Switch, cfg.StallPeriod, cfg.StallFor)
+	if cfg.StallPeriod > 0 {
+		inj.StallCP(star.Switch, cfg.StallPeriod, cfg.StallFor, cfg.Duration)
+	}
 
 	sampler := NewSampler(engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)

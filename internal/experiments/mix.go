@@ -36,7 +36,7 @@ var opsRegistry = map[Protocol]OpsFactory{
 		return &hpcc.Ops{BaseRTT: m.BaseRTT}
 	},
 	ProtoTIMELY: func(m *Mix) netsim.CongestionOps {
-		return &timely.Ops{Config: m.timelyConfig}
+		return &timely.Ops{}
 	},
 	ProtoQCN: func(m *Mix) netsim.CongestionOps {
 		return &qcn.Ops{}
@@ -68,9 +68,6 @@ type Mix struct {
 	RoCCOpts roccnet.CPOptions
 	// RoCCRP overrides the default RoCC RP options.
 	RoCCRP roccnet.RPOptions
-	// TimelyConfig, when set, overrides TIMELY's per-source parameters
-	// (and with them the flow ACK cadence).
-	TimelyConfig func(src *netsim.Host) timely.Config
 
 	// CPs collects attached RoCC congestion points for instrumentation.
 	CPs map[*netsim.Port]*roccnet.CP
@@ -107,14 +104,6 @@ func NewMix(net *netsim.Network, baseRTT sim.Time) *Mix {
 		}
 	}
 	return m
-}
-
-// timelyConfig adapts the Mix-level override to the descriptor's shape.
-func (m *Mix) timelyConfig(src *netsim.Host) timely.Config {
-	if m.TimelyConfig != nil {
-		return m.TimelyConfig(src)
-	}
-	return timely.DefaultConfig(src.NIC().LinkRate.Gbps())
 }
 
 // Ops returns the protocol's descriptor, instantiating it on first use.

@@ -60,6 +60,9 @@ func ParseMixSpec(spec string) ([]MixShare, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("mix: fractions sum to zero")
 	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("mix: fractions sum past the float range")
+	}
 	for i := range shares {
 		shares[i].Frac /= total
 	}

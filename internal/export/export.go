@@ -6,7 +6,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"rocc/internal/stats"
@@ -40,57 +39,6 @@ func Series(w io.Writer, series ...*stats.Series) error {
 		row[0] = strconv.FormatFloat(series[0].Points[i].T, 'g', -1, 64)
 		for j, s := range series {
 			row[j+1] = strconv.FormatFloat(s.Points[i].V, 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// SeriesRagged writes series that need not share sampling instants. The
-// "t" column is the sorted union of every series' instants; a series
-// with no point at an instant gets an empty cell there. Use this for
-// series from different samplers (e.g. a fixed-cadence queue series next
-// to event-driven rate updates); Series remains the stricter, denser
-// format when the instants are known to align.
-func SeriesRagged(w io.Writer, series ...*stats.Series) error {
-	if len(series) == 0 {
-		return fmt.Errorf("export: no series")
-	}
-	union := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			union[p.T] = true
-		}
-	}
-	ts := make([]float64, 0, len(union))
-	for t := range union {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
-
-	cw := csv.NewWriter(w)
-	header := []string{"t"}
-	for _, s := range series {
-		header = append(header, s.Name)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	// Each series is consumed with its own cursor; points are assumed to
-	// be in time order (all Sampler-produced series are).
-	idx := make([]int, len(series))
-	row := make([]string, len(series)+1)
-	for _, t := range ts {
-		row[0] = strconv.FormatFloat(t, 'g', -1, 64)
-		for j, s := range series {
-			row[j+1] = ""
-			for idx[j] < len(s.Points) && s.Points[idx[j]].T == t {
-				row[j+1] = strconv.FormatFloat(s.Points[idx[j]].V, 'g', -1, 64)
-				idx[j]++
-			}
 		}
 		if err := cw.Write(row); err != nil {
 			return err

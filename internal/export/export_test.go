@@ -44,54 +44,6 @@ func TestSeriesCSVMismatch(t *testing.T) {
 	}
 }
 
-func TestSeriesRaggedCSV(t *testing.T) {
-	// a samples at t=0,1,2; b only at t=1,3. The union has four rows and
-	// each series fills only the instants it actually sampled.
-	a := &stats.Series{Name: "a"}
-	for i := 0; i < 3; i++ {
-		a.Add(float64(i), float64(10*i))
-	}
-	b := &stats.Series{Name: "b"}
-	b.Add(1, 5)
-	b.Add(3, 7)
-	var sb strings.Builder
-	if err := SeriesRagged(&sb, a, b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	want := []string{"t,a,b", "0,0,", "1,10,5", "2,20,", "3,,7"}
-	if len(lines) != len(want) {
-		t.Fatalf("rows = %d, want %d:\n%s", len(lines), len(want), sb.String())
-	}
-	for i, w := range want {
-		if lines[i] != w {
-			t.Errorf("row %d = %q, want %q", i, lines[i], w)
-		}
-	}
-	if err := SeriesRagged(&sb); err == nil {
-		t.Error("empty call accepted")
-	}
-}
-
-func TestSeriesRaggedMatchesSeriesWhenAligned(t *testing.T) {
-	a := &stats.Series{Name: "x"}
-	b := &stats.Series{Name: "y"}
-	for i := 0; i < 4; i++ {
-		a.Add(float64(i), float64(i*i))
-		b.Add(float64(i), float64(-i))
-	}
-	var dense, ragged strings.Builder
-	if err := Series(&dense, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := SeriesRagged(&ragged, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if dense.String() != ragged.String() {
-		t.Errorf("aligned series diverge:\n%s\nvs\n%s", dense.String(), ragged.String())
-	}
-}
-
 func TestMetricsCSV(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("netsim.drops").Add(3)

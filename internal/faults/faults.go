@@ -249,39 +249,20 @@ func (h *linkHook) corrupt(pkt *netsim.Packet) *netsim.Packet {
 	return c
 }
 
-// Flap schedules a periodic outage on the link between ports a and b:
-// every period the link drops for downFor, losing everything in transit
-// on it (data, CNPs and PFC frames), then re-establishes with pause
-// state cleared on both ends. The first outage starts one period in.
-func (in *Injector) Flap(a, b *netsim.Port, period, downFor sim.Time) {
+// Flap schedules a periodic outage on the link between ports a and b
+// until virtual time until: every period the link drops for downFor,
+// losing everything in transit on it (data, CNPs and PFC frames), then
+// re-establishes with pause state cleared on both ends. The first outage
+// starts one period in; an outage whose down window would extend past
+// until is not started, so the link is up again by until and the
+// schedule quiesces before a run's end. A zero period or down time
+// attaches nothing.
+func (in *Injector) Flap(a, b *netsim.Port, period, downFor, until sim.Time) {
 	if period <= 0 || downFor <= 0 {
 		return
 	}
 	if downFor >= period {
 		panic("faults: flap down time must be shorter than its period")
-	}
-	engine := in.net.Engine
-	var down func()
-	down = func() {
-		a.SetLinkDown(true)
-		b.SetLinkDown(true)
-		engine.After(downFor, func() {
-			a.SetLinkDown(false)
-			b.SetLinkDown(false)
-			atomic.AddUint64(&in.stats.Flaps, 1)
-			engine.After(period-downFor, down)
-		})
-	}
-	engine.After(period, down)
-}
-
-// FlapWindow is Flap bounded in virtual time: outages whose down window
-// would extend past until are not started, and the link is guaranteed
-// back up by until. Chaos scenarios use it so every fault schedule
-// quiesces before the drain phase the end-of-run invariants check.
-func (in *Injector) FlapWindow(a, b *netsim.Port, period, downFor, until sim.Time) {
-	if err := ValidateFlap(period, downFor); err != nil {
-		panic(err)
 	}
 	engine := in.net.Engine
 	var down func()
@@ -414,36 +395,17 @@ func (in *Injector) DropCNPs(sw *netsim.Switch, prob float64) {
 }
 
 // StallCP silences the switch's congestion points for stallFor out of
-// every period, modeling a stalled CP timer (late feedback): CNPs due in
-// the window are suppressed, not queued. The first window opens one
-// period in.
-func (in *Injector) StallCP(sw *netsim.Switch, period, stallFor sim.Time) {
+// every period until virtual time until, modeling a stalled CP timer
+// (late feedback): CNPs due in the window are suppressed, not queued.
+// The first window opens one period in; a window that would extend past
+// until is not opened, so the CP is live again by until. A zero period
+// or window attaches nothing.
+func (in *Injector) StallCP(sw *netsim.Switch, period, stallFor, until sim.Time) {
 	if period <= 0 || stallFor <= 0 {
 		return
 	}
 	if stallFor >= period {
 		panic("faults: stall window must be shorter than its period")
-	}
-	g := in.gate(sw)
-	engine := in.net.Engine
-	var stall func()
-	stall = func() {
-		g.stalled = true
-		atomic.AddUint64(&in.stats.StallWindows, 1)
-		engine.After(stallFor, func() {
-			g.stalled = false
-			engine.After(period-stallFor, stall)
-		})
-	}
-	engine.After(period, stall)
-}
-
-// StallCPWindow is StallCP bounded in virtual time: stall windows that
-// would extend past until are not opened, so the CP is guaranteed live
-// again by until.
-func (in *Injector) StallCPWindow(sw *netsim.Switch, period, stallFor, until sim.Time) {
-	if err := ValidateStall(period, stallFor); err != nil {
-		panic(err)
 	}
 	g := in.gate(sw)
 	engine := in.net.Engine

@@ -26,8 +26,8 @@ func TestZeroConfigInstallsNothing(t *testing.T) {
 	in.Direction(a.NIC(), LinkConfig{})
 	in.Link(a.NIC(), sw.PortTo(a), LinkConfig{})
 	in.DropCNPs(sw, 0)
-	in.Flap(a.NIC(), sw.PortTo(a), 0, 0)
-	in.StallCP(sw, 0, 0)
+	in.Flap(a.NIC(), sw.PortTo(a), 0, 0, sim.Second)
+	in.StallCP(sw, 0, 0, sim.Second)
 	if a.NIC().Fault != nil || sw.PortTo(a).Fault != nil {
 		t.Error("zero link config installed a fault hook")
 	}
@@ -161,7 +161,7 @@ func TestCorruptMangledCNPSurvivesOthersDropped(t *testing.T) {
 func TestFlapDropsInFlightTraffic(t *testing.T) {
 	engine, net, a, b, sw := pair()
 	in := New(net, 3)
-	in.Flap(a.NIC(), sw.PortTo(a), sim.Millisecond, 200*sim.Microsecond)
+	in.Flap(a.NIC(), sw.PortTo(a), sim.Millisecond, 200*sim.Microsecond, sim.Second)
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1, MaxRate: netsim.Gbps(10)})
 	// Outages run 1.0–1.2, 2.0–2.2, 3.0–3.2, 4.0–4.2 ms; at 4.5 ms the
 	// link is in an up phase with four completed flaps.
@@ -202,7 +202,7 @@ func TestDropCNPsGatesInjectedFeedback(t *testing.T) {
 func TestStallCPSuppressesWindows(t *testing.T) {
 	engine, net, a, _, sw := pair()
 	in := New(net, 3)
-	in.StallCP(sw, sim.Millisecond, 500*sim.Microsecond)
+	in.StallCP(sw, sim.Millisecond, 500*sim.Microsecond, sim.Second)
 	inject := func() {
 		sw.Inject(&netsim.Packet{Dst: a.ID(), Kind: netsim.KindCNP, Cls: netsim.ClassCtrl, Size: netsim.CNPBytes})
 	}
@@ -244,10 +244,10 @@ func TestConfigValidation(t *testing.T) {
 	})
 	mustPanic("drop prob > 1", func() { in.DropCNPs(sw, 1.5) })
 	mustPanic("down >= period", func() {
-		in.Flap(a.NIC(), sw.PortTo(a), sim.Millisecond, sim.Millisecond)
+		in.Flap(a.NIC(), sw.PortTo(a), sim.Millisecond, sim.Millisecond, sim.Second)
 	})
 	mustPanic("stall >= period", func() {
-		in.StallCP(sw, sim.Millisecond, 2*sim.Millisecond)
+		in.StallCP(sw, sim.Millisecond, 2*sim.Millisecond, sim.Second)
 	})
 	in.Direction(a.NIC(), LinkConfig{Drop: 0.1})
 	mustPanic("double attach", func() {

@@ -61,30 +61,30 @@ func TestValidateSchedules(t *testing.T) {
 	}
 }
 
-func TestFlapWindowQuiescesByDeadline(t *testing.T) {
+func TestFlapQuiescesByDeadline(t *testing.T) {
 	engine, net, a, _, sw := pair()
 	in := New(net, 7)
 	link := a.NIC()
 	peer := sw.PortTo(a)
 	until := 5 * sim.Millisecond
-	in.FlapWindow(link, peer, sim.Millisecond, 300*sim.Microsecond, until)
+	in.Flap(link, peer, sim.Millisecond, 300*sim.Microsecond, until)
 	engine.RunUntil(20 * sim.Millisecond)
 	if link.LinkDown() || peer.LinkDown() {
-		t.Fatal("link still down after the flap window deadline")
+		t.Fatal("link still down after the flap deadline")
 	}
 	if got := in.Stats().Flaps; got == 0 || got > 5 {
 		t.Fatalf("Flaps = %d, want a handful bounded by the 5ms window", got)
 	}
 }
 
-func TestStallCPWindowQuiescesByDeadline(t *testing.T) {
+func TestStallCPQuiescesByDeadline(t *testing.T) {
 	engine, net, _, _, sw := pair()
 	in := New(net, 7)
 	until := 4 * sim.Millisecond
-	in.StallCPWindow(sw, sim.Millisecond, 400*sim.Microsecond, until)
+	in.StallCP(sw, sim.Millisecond, 400*sim.Microsecond, until)
 	engine.RunUntil(20 * sim.Millisecond)
 	if g := in.gates[sw]; g == nil || g.stalled {
-		t.Fatal("CP gate still stalled after the window deadline")
+		t.Fatal("CP gate still stalled after the stall deadline")
 	}
 	if got := in.Stats().StallWindows; got == 0 || got > 4 {
 		t.Fatalf("StallWindows = %d, want a handful bounded by the 4ms window", got)

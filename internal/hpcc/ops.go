@@ -21,21 +21,6 @@ const DefaultINTHops = 8
 type Ops struct {
 	// BaseRTT is HPCC's T parameter.
 	BaseRTT sim.Time
-
-	// INTHops overrides the packet INT presizing depth; zero selects
-	// DefaultINTHops.
-	INTHops int
-
-	// Config maps a NIC rate and the base RTT to HPCC parameters. Nil
-	// selects DefaultConfig.
-	Config func(gbps float64, baseRTT sim.Time) Config
-}
-
-func (o *Ops) config(gbps float64) Config {
-	if o.Config != nil {
-		return o.Config(gbps, o.BaseRTT)
-	}
-	return DefaultConfig(gbps, o.BaseRTT)
 }
 
 // Name implements netsim.CongestionOps.
@@ -44,11 +29,7 @@ func (o *Ops) Name() string { return "HPCC" }
 // Features implements netsim.CongestionOps: INT presizing depth and the
 // per-packet INT wire overhead.
 func (o *Ops) Features() netsim.CCFeatures {
-	hops := o.INTHops
-	if hops <= 0 {
-		hops = DefaultINTHops
-	}
-	return netsim.CCFeatures{INTHops: hops, ExtraHeaderBytes: INTOverheadBytes}
+	return netsim.CCFeatures{INTHops: DefaultINTHops, ExtraHeaderBytes: INTOverheadBytes}
 }
 
 // AttachPort implements netsim.CongestionOps: stamp per-hop telemetry on
@@ -63,7 +44,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, DefaultConfig(src.NIC().LinkRate.Gbps(), o.BaseRTT))
 }
 
 // AckEvery implements netsim.CongestionOps: HPCC needs the INT echo on

@@ -5,18 +5,7 @@ import "rocc/internal/netsim"
 // Ops is QCN's netsim.CongestionOps descriptor: sampling congestion
 // points on switch egress ports and byte-counter/timer reaction points
 // per flow. Layer-2 feedback needs no receiver hook and no flow ACKs.
-type Ops struct {
-	// Config maps a link/NIC rate to QCN parameters. Nil selects
-	// DefaultConfig.
-	Config func(gbps float64) Config
-}
-
-func (o *Ops) config(gbps float64) Config {
-	if o.Config != nil {
-		return o.Config(gbps)
-	}
-	return DefaultConfig(gbps)
-}
+type Ops struct{}
 
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "QCN" }
@@ -28,7 +17,7 @@ func (o *Ops) Features() netsim.CCFeatures {
 
 // AttachPort implements netsim.CongestionOps.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
-	return AttachCP(net, sw, port, o.config(port.LinkRate.Gbps()))
+	return AttachCP(net, sw, port, DefaultConfig(port.LinkRate.Gbps()))
 }
 
 // NewReceiver implements netsim.CongestionOps: no receiver action.
@@ -36,7 +25,7 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, o.config(src.NIC().LinkRate.Gbps()))
+	return NewFlowCC(src, DefaultConfig(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: QCN needs no flow ACKs.

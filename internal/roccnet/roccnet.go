@@ -43,6 +43,14 @@ type CPOptions struct {
 	// keeps re-trapping transiting flows at its stale-low rate. Zero
 	// defaults to two full packets; negative disables the floor.
 	MinSignalBytes int
+
+	// Weight, when set, scales each CNP's rate by the recipient flow's
+	// class weight (§8's QoS extension): flows of class c converge to
+	// w_c·F, so classes split the link in proportion to their aggregate
+	// weight while flows within a class stay max-min fair. Weights are
+	// conventionally normalized with max(w) == 1, keeping w·Fmax within
+	// the RP's acceptance bounds. Host-computed mode ignores it.
+	Weight func(netsim.FlowID) float64
 }
 
 // CP is a RoCC congestion point attached to one switch egress port.
@@ -166,29 +174,42 @@ func (cp *CP) update() {
 		return
 	}
 	cpid := cp.ID()
-	for _, fid := range cp.recipients {
-		f := cp.net.Flow(netsim.FlowID(fid))
-		if f == nil {
-			continue
+	if w := cp.opts.Weight; w != nil && !cp.opts.HostComputed {
+		for _, fid := range cp.recipients {
+			if f := cp.net.Flow(netsim.FlowID(fid)); f != nil {
+				cp.sendCNP(now, cpid, f, max(1, int(float64(rateUnits)*w(f.ID)+0.5)), 0, 0)
+			}
 		}
-		cnp := cp.net.AcquirePacket(cp.sw)
-		cnp.Flow = f.ID
-		cnp.Src = cp.sw.ID()
-		cnp.Dst = f.Src().ID()
-		cnp.Kind = netsim.KindCNP
-		cnp.Cls = cp.opts.CNPClass
-		cnp.Size = netsim.CNPBytes
-		cnp.SendTS = now
-		info := cnp.EnsureCNP()
-		info.CP = cpid
-		info.RateUnits = rateUnits
-		if cp.opts.HostComputed {
-			info.HostComputed = true
-			info.QCurUnits = qcur / cp.opts.Core.DeltaQBytes
-			info.QOldUnits = qoldUnits
-		}
-		cp.sw.Inject(cnp)
-		cp.CNPsSent++
-		cp.tmCNPs.Inc()
+		return
 	}
+	for _, fid := range cp.recipients {
+		if f := cp.net.Flow(netsim.FlowID(fid)); f != nil {
+			cp.sendCNP(now, cpid, f, rateUnits, qcur, qoldUnits)
+		}
+	}
+}
+
+// sendCNP injects one CNP toward f's source. In host-computed mode it
+// carries the queue observations qcur (bytes) and qoldUnits instead of
+// a rate.
+func (cp *CP) sendCNP(now sim.Time, cpid netsim.CPID, f *netsim.Flow, rateUnits, qcur, qoldUnits int) {
+	cnp := cp.net.AcquirePacket(cp.sw)
+	cnp.Flow = f.ID
+	cnp.Src = cp.sw.ID()
+	cnp.Dst = f.Src().ID()
+	cnp.Kind = netsim.KindCNP
+	cnp.Cls = cp.opts.CNPClass
+	cnp.Size = netsim.CNPBytes
+	cnp.SendTS = now
+	info := cnp.EnsureCNP()
+	info.CP = cpid
+	info.RateUnits = rateUnits
+	if cp.opts.HostComputed {
+		info.HostComputed = true
+		info.QCurUnits = qcur / cp.opts.Core.DeltaQBytes
+		info.QOldUnits = qoldUnits
+	}
+	cp.sw.Inject(cnp)
+	cp.CNPsSent++
+	cp.tmCNPs.Inc()
 }

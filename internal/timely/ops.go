@@ -4,21 +4,9 @@ import "rocc/internal/netsim"
 
 // Ops is TIMELY's netsim.CongestionOps descriptor: no switch element, no
 // receiver hook — just the RTT-gradient controller per flow plus the ACK
-// cadence its RTT sampling needs. The cadence comes from the same Config
-// the flow's controller is built with, so a host's NIC rate (or a custom
-// Config override) drives both consistently.
-type Ops struct {
-	// Config maps a source host to TIMELY parameters. Nil selects
-	// DefaultConfig at the host's NIC rate.
-	Config func(src *netsim.Host) Config
-}
-
-func (o *Ops) config(src *netsim.Host) Config {
-	if o.Config != nil {
-		return o.Config(src)
-	}
-	return DefaultConfig(src.NIC().LinkRate.Gbps())
-}
+// cadence its RTT sampling needs. Both come from DefaultConfig at the
+// source's NIC rate, so the cadence always matches the controller.
+type Ops struct{}
 
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "TIMELY" }
@@ -36,9 +24,11 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, o.config(src))
+	return NewFlowCC(src, DefaultConfig(src.NIC().LinkRate.Gbps()))
 }
 
 // AckEvery implements netsim.CongestionOps: the RTT sampling cadence of
 // the controller configuration for this source.
-func (o *Ops) AckEvery(src *netsim.Host) int { return o.config(src).AckEvery }
+func (o *Ops) AckEvery(src *netsim.Host) int {
+	return DefaultConfig(src.NIC().LinkRate.Gbps()).AckEvery
+}
