@@ -6,8 +6,8 @@ import (
 )
 
 // The pending-event set: a fixed ring of unsorted near-future buckets,
-// loaded one slot at a time into a sorted run, with two key-inline 4-ary
-// heaps for what the ring cannot hold (DESIGN.md §15).
+// drained one slot at a time into a sorted run, with two key-inline
+// 4-ary heaps for what the ring cannot hold (DESIGN.md §15).
 //
 // Virtual time is cut into slots of 1<<slotShift ns. cursor is the first
 // slot not yet loaded; an event with slot s lives in
@@ -16,17 +16,18 @@ import (
 //	       bucket s&ringMask
 //	far    if s >= cursor+ringSize: a heap on (at, k1, seq)
 //	run    if s < cursor and it was pending when its slot was loaded: the
-//	       slot's events, sorted once, popped from the front
-//	late   if s < cursor and it was pushed after that: a heap, small
+//	       slot's events in order, popped from the front
+//	late   if s < cursor and it was pushed after that: a heap
 //
 // Everything in run and late is earlier than everything in the ring and
 // in far, so the smaller of run's head and late's root is the minimum of
 // the queue. When both are empty the cursor jumps to the earliest
 // occupied slot — the next non-empty bucket or far's minimum, whichever
-// is first — and only that slot's events are sorted. The ring window is
-// exactly ringSize slots wide, so a bucket never mixes slots, and far
-// events are pulled when their slot becomes the minimum, never migrated
-// ahead of time.
+// is first — and only that slot's events are loaded: spread over one
+// list per nanosecond, emitted in ascending time, with only the ties of
+// one nanosecond sorted. The ring window is exactly ringSize slots wide,
+// so a bucket never mixes slots, and far events are pulled when their
+// slot becomes the minimum, never migrated ahead of time.
 //
 // The constants are constants, not options; DESIGN.md §15 has the
 // measurements. 16, 32 and 64 ns slots measure level; 64 is kept because
@@ -186,6 +187,10 @@ func (q *queue) peekAt() Time {
 
 // advance loads the earliest occupied slot into the exhausted run. The
 // caller guarantees the ring or far holds at least one event.
+//
+// The slot's events, from its bucket and from far alike, are spread over
+// one list per nanosecond of the slot, which the occupancy mask then
+// emits in ascending time; only each nanosecond's own ties are sorted.
 func (q *queue) advance() {
 	const none = int64(1<<63 - 1)
 	ringSlot, farSlot := none, none
@@ -197,7 +202,8 @@ func (q *queue) advance() {
 	}
 	slot := min(ringSlot, farSlot)
 	q.cursor = slot + 1
-	run := q.run[:0]
+	var heads [1 << slotShift]*event // linked through event.next
+	var mask uint64
 	if ringSlot == slot {
 		b := uint(slot) & ringMask
 		ev := q.bucket[b]
@@ -205,31 +211,45 @@ func (q *queue) advance() {
 		q.clearBucket(b)
 		for ev != nil {
 			next := ev.next
-			ev.next, ev.prev = nil, nil
-			run = append(run, entryOf(ev))
+			ns := uint(ev.at) & (1<<slotShift - 1)
+			ev.next, ev.prev = heads[ns], nil
+			heads[ns] = ev
+			mask |= 1 << ns
 			ev = next
 		}
-		// Scheduling order is close to time order: see sortEntries.
-		slices.Reverse(run)
 	}
 	if farSlot == slot {
 		for len(q.far) > 0 && slotOf(q.far[0].at) == slot {
 			ev := q.far.pop()
-			run = append(run, entryOf(ev))
+			ns := uint(ev.at) & (1<<slotShift - 1)
+			ev.next = heads[ns]
+			heads[ns] = ev
+			mask |= 1 << ns
 		}
 	}
-	sortEntries(run)
-	for i := range run {
-		run[i].ev.index, run[i].ev.loc = i, locRun
+	run := q.run[:0]
+	for ; mask != 0; mask &= mask - 1 {
+		start := len(run)
+		for ev := heads[bits.TrailingZeros64(mask)]; ev != nil; {
+			next := ev.next
+			ev.next, ev.index, ev.loc = nil, len(run), locRun
+			run = append(run, entryOf(ev))
+			ev = next
+		}
+		if len(run)-start > 1 {
+			sortEntries(run[start:])
+			for i := start; i < len(run); i++ {
+				run[i].ev.index = i
+			}
+		}
 	}
 	q.run, q.head = run, 0
 }
 
-// sortEntries orders a loaded slot, handed over in scheduling order. On
-// the paper's fabric that is nearly time order, and a slot of a few dozen
-// events takes an insertion sort four to six moves per event (9–12 % of
-// fct_hadoop against slices.SortFunc alone, DESIGN.md §15); slots of
-// thousands (the k = 16 fabric's synchronized flows) arrive shuffled.
+// sortEntries orders the events of one nanosecond by (k1, seq). On the
+// paper's fabric that is one to three events; the k = 16 fabric's
+// lock-step flows put dozens or more in one nanosecond, where an
+// insertion sort alone would be quadratic.
 func sortEntries(s []entry) {
 	if len(s) > 64 {
 		slices.SortFunc(s, func(a, b entry) int {

@@ -31,14 +31,18 @@ type CDF struct {
 	mean   float64
 }
 
-// NewCDF builds a CDF from support points. Points must be strictly
-// increasing in both size and probability and end at probability 1.
+// NewCDF builds a CDF from support points. Sizes must be positive,
+// probabilities in [0, 1], both strictly increasing, and the last
+// probability 1.
 func NewCDF(name string, points []CDFPoint) *CDF {
 	if len(points) < 2 {
 		panic("workload: CDF needs at least two points")
 	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Bytes <= points[i-1].Bytes || points[i].Prob <= points[i-1].Prob {
+	for i, p := range points {
+		if p.Bytes <= 0 || !(p.Prob >= 0 && p.Prob <= 1) { // NaN fails both
+			panic(fmt.Sprintf("workload: CDF %q point %d out of range: %d bytes at probability %g", name, i, p.Bytes, p.Prob))
+		}
+		if i > 0 && (p.Bytes <= points[i-1].Bytes || p.Prob <= points[i-1].Prob) {
 			panic(fmt.Sprintf("workload: CDF %q not strictly increasing at %d", name, i))
 		}
 	}
@@ -57,18 +61,12 @@ func (c *CDF) Name() string { return c.name }
 func (c *CDF) MeanBytes() float64 { return c.mean }
 
 func (c *CDF) computeMean() float64 {
-	var mean float64
-	prev := CDFPoint{Bytes: 0, Prob: 0}
-	if c.points[0].Prob > 0 {
-		// Mass at/below the first point: treat as uniform (0, first].
-		mean += c.points[0].Prob * float64(c.points[0].Bytes) / 2
-		prev = c.points[0]
-	} else {
-		prev = c.points[0]
-	}
+	// Mass at/below the first point: treat as uniform (0, first].
+	mean := c.points[0].Prob * float64(c.points[0].Bytes) / 2
+	prev := c.points[0]
 	for _, p := range c.points[1:] {
 		w := p.Prob - prev.Prob
-		mean += w * float64(prev.Bytes+p.Bytes) / 2
+		mean += w * (float64(prev.Bytes) + float64(p.Bytes)) / 2
 		prev = p
 	}
 	return mean
@@ -81,23 +79,26 @@ func (c *CDF) Sample(r *sim.Rand) int {
 	return c.Quantile(u)
 }
 
-// Quantile returns the flow size at cumulative probability u in [0, 1).
+// Quantile returns the flow size at cumulative probability u in [0, 1):
+// at least 1 byte and at most the last support size.
 func (c *CDF) Quantile(u float64) int {
 	idx := sort.Search(len(c.points), func(i int) bool { return c.points[i].Prob >= u })
-	if idx == 0 {
-		frac := u / c.points[0].Prob
-		size := frac * float64(c.points[0].Bytes)
-		if size < 1 {
-			return 1
-		}
-		return int(size)
-	}
 	if idx >= len(c.points) {
 		return c.points[len(c.points)-1].Bytes
 	}
-	lo, hi := c.points[idx-1], c.points[idx]
-	frac := (u - lo.Prob) / (hi.Prob - lo.Prob)
-	return lo.Bytes + int(frac*float64(hi.Bytes-lo.Bytes))
+	lo, hi := CDFPoint{}, c.points[idx] // below the first point: (0, first]
+	if idx > 0 {
+		lo = c.points[idx-1]
+	}
+	if hi.Prob == lo.Prob { // u = 0 on a CDF that starts at probability 0
+		return hi.Bytes
+	}
+	span := hi.Bytes - lo.Bytes
+	d := (u - lo.Prob) / (hi.Prob - lo.Prob) * float64(span)
+	if d >= float64(span) { // also where float64(span) rounds up
+		return hi.Bytes
+	}
+	return max(1, lo.Bytes+int(d))
 }
 
 // Bins returns the support sizes, which Figs. 14-16 use as FCT bins.

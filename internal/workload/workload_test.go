@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +26,81 @@ func TestCDFValidation(t *testing.T) {
 	mustPanic("non-monotone-size", []CDFPoint{{100, 0.5}, {100, 1}})
 	mustPanic("non-monotone-prob", []CDFPoint{{100, 0.5}, {200, 0.5}})
 	mustPanic("not-ending-at-1", []CDFPoint{{100, 0.5}, {200, 0.9}})
+	mustPanic("nan-prob", []CDFPoint{{100, math.NaN()}, {200, 1}})
+	mustPanic("negative-prob", []CDFPoint{{100, -0.5}, {200, 1}})
+	mustPanic("zero-bytes", []CDFPoint{{0, 0.5}, {200, 1}})
+	mustPanic("negative-bytes", []CDFPoint{{-100, 0.5}, {200, 1}})
+}
+
+// cdfBytes encodes points as FuzzCDF reads them: 16 bytes each, the size
+// as a big-endian int64, then the probability's float64 bits.
+func cdfBytes(points ...CDFPoint) []byte {
+	var out []byte
+	for _, p := range points {
+		out = binary.BigEndian.AppendUint64(out, uint64(p.Bytes))
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(p.Prob))
+	}
+	return out
+}
+
+// FuzzCDF: any point list either makes NewCDF panic with a workload:
+// message, or yields a CDF whose mean is finite and positive and whose
+// Quantile is monotone in u and within [1, last size] on [0, 1).
+func FuzzCDF(f *testing.F) {
+	for _, seed := range [][]CDFPoint{
+		{{100, 0}, {200, 1}}, // Quantile(0) divided by the first probability
+		WebSearch().points, FBHadoop().points,
+		{{1, 0.5}, {math.MaxInt, 1}},
+		{{math.MaxInt - 1, 0}, {math.MaxInt, 1}},
+		{{100, math.NaN()}, {200, 1}},
+		{{100, 0.5}, {100, 1}},
+	} {
+		f.Add(cdfBytes(seed...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var points []CDFPoint
+		for ; len(data) >= 16; data = data[16:] {
+			points = append(points, CDFPoint{
+				Bytes: int(binary.BigEndian.Uint64(data)),
+				Prob:  math.Float64frombits(binary.BigEndian.Uint64(data[8:])),
+			})
+		}
+		c := func() (c *CDF) {
+			defer func() {
+				if r := recover(); r != nil {
+					if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "workload:") {
+						t.Fatalf("%v: NewCDF panicked with %v", points, r)
+					}
+				}
+			}()
+			return NewCDF("fuzz", points)
+		}()
+		if c == nil {
+			return
+		}
+		if m := c.MeanBytes(); !(m > 0) || math.IsInf(m, 0) {
+			t.Errorf("%v: MeanBytes = %v", points, m)
+		}
+		us := []float64{0}
+		for k := 1; k < 1024; k++ {
+			us = append(us, float64(k)/1024)
+		}
+		for _, p := range points {
+			us = append(us, p.Prob, math.Nextafter(p.Prob, 0), math.Nextafter(p.Prob, 1))
+		}
+		slices.Sort(us)
+		last, prev := points[len(points)-1].Bytes, 1
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue
+			}
+			q := c.Quantile(u)
+			if q < prev || q > last {
+				t.Fatalf("%v: Quantile(%v) = %d, want within [%d, %d]", points, u, q, prev, last)
+			}
+			prev = q
+		}
+	})
 }
 
 func TestPaperBins(t *testing.T) {
