@@ -4,99 +4,90 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"rocc/internal/collective"
 	"rocc/internal/export"
 	"rocc/internal/harness"
 	"rocc/internal/netsim"
-	"rocc/internal/sim"
 )
 
-var (
-	patternFlag  = flag.String("pattern", "ring", "collective: pattern (ring|tree|alltoall|ps)")
-	ranksFlag    = flag.Int("ranks", 8, "collective: participant count (ps adds one server rank)")
-	msgFlag      = flag.Int64("msg", 1<<20, "collective: message bytes per participant")
-	chunksFlag   = flag.Int("chunks", 2, "collective: chunks the message is pipelined into")
-	itersFlag    = flag.Int("iters", 4, "collective: iterations (training steps)")
-	collModeFlag = flag.String("coll-mode", "", "collective: run one operating mode (hybrid|pfconly|cconly) instead of sweeping all three")
-	killFlag     = flag.String("kill", "none", "collective: fault injection (none|link = kill an uplink mid-run and restore it)")
-)
-
-// runCollective sweeps a dependency-structured collective across every
+// collectiveExp sweeps a dependency-structured collective across every
 // protocol × operating mode and prints the completion-time table — the
 // "which stacks can you train on" headline.
-func runCollective() {
-	pat, err := collective.ParsePattern(*patternFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	base := collective.ExpConfig{
-		Collective: collective.Config{
-			Pattern:      pat,
-			Participants: *ranksFlag,
-			MessageBytes: *msgFlag,
-			Chunks:       *chunksFlag,
-			Iterations:   *itersFlag,
-		},
-		Kill: *killFlag,
-		Seed: *seedFlag,
-	}
-	if *durFlag > 0 {
-		base.Deadline = sim.Time(durFlag.Nanoseconds())
-	}
-	modes := netsim.AllOperatingModes()
-	if *collModeFlag != "" {
-		m, err := netsim.ParseOperatingMode(*collModeFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+func collectiveExp(fs *flag.FlagSet, _ string) func(*out) {
+	s, csv := bindSweep(fs), bindCSV(fs)
+	pattern := define(fs, "pattern", collective.Ring, "collective `pattern` (ring|tree|alltoall|ps)", collective.ParsePattern)
+	ranks := define(fs, "ranks", 8, "participant `count` (ps adds one server rank)", check(parseInt, atLeast(2), "at least 2 ranks"))
+	msg := define(fs, "msg", int64(1<<20), "message `bytes` per participant", check(parseInt64, atLeast[int64](1), "a value >= 1"))
+	chunks := define(fs, "chunks", 2, "`count` of chunks the message is pipelined into", parsePositive)
+	iters := define(fs, "iters", 4, "`count` of iterations (training steps)", parsePositive)
+	modes := define(fs, "coll-mode", netsim.AllOperatingModes(), "run one operating `mode` (hybrid|pfconly|cconly), not all three",
+		func(s string) ([]netsim.OperatingMode, error) {
+			if s == "" {
+				return netsim.AllOperatingModes(), nil
+			}
+			m, err := netsim.ParseOperatingMode(s)
+			return []netsim.OperatingMode{m}, err
+		})
+	kill := define(fs, "kill", collective.KillNone, "fault injection `kind` (none|link = kill an uplink mid-run and restore it)",
+		check(parseString, func(k string) bool { return k == collective.KillNone || k == collective.KillLink }, "none or link"))
+	return func(o *out) {
+		base := collective.ExpConfig{
+			Collective: collective.Config{
+				Pattern:      *pattern,
+				Participants: *ranks,
+				MessageBytes: *msg,
+				Chunks:       *chunks,
+				Iterations:   *iters,
+			},
+			Kill:     *kill,
+			Seed:     *s.seed,
+			Deadline: s.dur(0),
 		}
-		modes = []netsim.OperatingMode{m}
-	}
+		modes := *modes
 
-	cells := collective.Cells(base, modes)
-	filled := base.Filled()
-	fmt.Printf("collective: %s, %d ranks x %s x %d chunks, %d iters, fat-tree 2x2 (kill %s, deadline %.0f ms)\n",
-		filled.Collective.Pattern, filled.Collective.Participants,
-		sizeLabel(int(filled.Collective.MessageBytes)), filled.Collective.Chunks,
-		filled.Collective.Iterations, filled.Kill, filled.Deadline.Seconds()*1e3)
-	fmt.Println("  cell = iteration completion time p50/p99 (ms); modes that cannot finish show why")
+		cells := collective.Cells(base, modes)
+		filled := base.Filled()
+		o.printf("collective: %s, %d ranks x %s x %d chunks, %d iters, fat-tree 2x2 (kill %s, deadline %.0f ms)\n",
+			filled.Collective.Pattern, filled.Collective.Participants,
+			sizeLabel(int(filled.Collective.MessageBytes)), filled.Collective.Chunks,
+			filled.Collective.Iterations, filled.Kill, filled.Deadline.Seconds()*1e3)
+		o.println("  cell = iteration completion time p50/p99 (ms); modes that cannot finish show why")
 
-	rs := harness.Run(cells, *workFlag, collective.RunExp)
+		rs := harness.Run(cells, *s.workers, collective.RunExp)
 
-	results := make([]collective.ExpResult, 0, len(rs))
-	fmt.Printf("  %-9s", "protocol")
-	for _, m := range modes {
-		fmt.Printf(" %-22s", m)
-	}
-	fmt.Println()
-	for i, c := range cells {
-		if i%len(modes) == 0 {
-			fmt.Printf("  %-9s", c.Protocol)
+		results := make([]collective.ExpResult, 0, len(rs))
+		o.printf("  %-9s", "protocol")
+		for _, m := range modes {
+			o.printf(" %-22s", m)
 		}
-		label := "error"
-		for _, v := range collect(fmt.Sprintf("collective %s/%s", c.Protocol, c.Mode), rs[i:i+1]) {
-			results = append(results, v)
-			label = cellLabel(v)
+		o.println()
+		for i, c := range cells {
+			if i%len(modes) == 0 {
+				o.printf("  %-9s", c.Protocol)
+			}
+			label := "error"
+			for _, v := range collect(o, fmt.Sprintf("collective %s/%s", c.Protocol, c.Mode), rs[i:i+1]) {
+				results = append(results, v)
+				label = cellLabel(v)
+			}
+			o.printf(" %-22s", label)
+			if i%len(modes) == len(modes)-1 {
+				o.println()
+			}
 		}
-		fmt.Printf(" %-22s", label)
-		if i%len(modes) == len(modes)-1 {
-			fmt.Println()
+
+		o.printf("  %-9s %-8s %-9s %5s %10s %8s %10s\n",
+			"protocol", "mode", "done", "drops", "pfc", "retx KB", "strag p99")
+		for _, v := range results {
+			done := fmt.Sprintf("%d/%d", v.Run.Completed, v.Config.Collective.Iterations)
+			o.printf("  %-9s %-8s %-9s %5d %10d %8.0f %8.0fus\n",
+				v.Config.Protocol, v.Config.Mode, done,
+				v.Drops, v.PFCFrames, float64(v.RetxBytes)/1e3, v.StragglerP99/1e3)
 		}
-	}
 
-	fmt.Printf("  %-9s %-8s %-9s %5s %10s %8s %10s\n",
-		"protocol", "mode", "done", "drops", "pfc", "retx KB", "strag p99")
-	for _, v := range results {
-		done := fmt.Sprintf("%d/%d", v.Run.Completed, v.Config.Collective.Iterations)
-		fmt.Printf("  %-9s %-8s %-9s %5d %10d %8.0f %8.0fus\n",
-			v.Config.Protocol, v.Config.Mode, done,
-			v.Drops, v.PFCFrames, float64(v.RetxBytes)/1e3, v.StragglerP99/1e3)
+		emitCollectiveCSV(o, *csv, results)
 	}
-
-	emitCollectiveCSV(results)
 }
 
 // cellLabel renders one table cell: p50/p99 for completed collectives,
@@ -113,19 +104,19 @@ func cellLabel(v collective.ExpResult) string {
 
 // emitCollectiveCSV writes the sweep summary and the long-form per-step
 // records into the -csv directory.
-func emitCollectiveCSV(results []collective.ExpResult) {
-	if *csvFlag == "" || len(results) == 0 {
+func emitCollectiveCSV(o *out, dir string, results []collective.ExpResult) {
+	if dir == "" || len(results) == 0 {
 		return
 	}
-	writeCSV("collective.csv", func(w io.Writer) error {
+	o.writeCSV(dir, "collective.csv", func(w io.Writer) error {
 		return export.CollectiveSummary(w, results...)
 	})
-	writeCSV("collective_steps.csv", func(w io.Writer) error {
+	o.writeCSV(dir, "collective_steps.csv", func(w io.Writer) error {
 		return export.CollectiveSteps(w, results...)
 	})
 	// One metrics snapshot per cell, long-form, reusing the registry
 	// exporter: kind,name,value rows with the collective.* histograms.
-	writeCSV("collective_metrics.csv", func(w io.Writer) error {
+	o.writeCSV(dir, "collective_metrics.csv", func(w io.Writer) error {
 		for _, v := range results {
 			if _, err := fmt.Fprintf(w, "# %s %s\n", v.Config.Protocol, v.Config.Mode); err != nil {
 				return err

@@ -4,9 +4,10 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"rocc/internal/clitest"
 )
@@ -92,9 +93,33 @@ var goldenRuns = []struct {
 	{"soak_rogue", "-seed 777 -count 12 -rogue-prob 1 soak", nil},
 }
 
-// TestGoldenOutputs runs each entry of goldenRuns in a child process and
-// compares its stdout, minus the trailing wall-time line, with
-// testdata/<golden>.golden.
+// runArgs runs roccsim with args in this process.
+func runArgs(args ...string) clitest.Result {
+	var stdout, stderr strings.Builder
+	code := run(args, &stdout, &stderr)
+	return clitest.Result{Stdout: stdout.String(), Stderr: stderr.String(), Code: code}
+}
+
+// checkGolden fails t unless r is a clean run whose stdout, minus the
+// trailing wall-time line, is testdata/<golden>.golden.
+func checkGolden(t *testing.T, golden, args string, env []string, r clitest.Result) {
+	t.Helper()
+	if r.Code != 0 {
+		t.Fatalf("roccsim %s: exit %d\n%s", args, r.Code, r.Stderr)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", golden+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dropWallTime(r.Stdout); got != string(want) {
+		t.Errorf("roccsim %s %s: stdout differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s",
+			env, args, golden, got, want)
+	}
+}
+
+// TestGoldenOutputs runs each entry of goldenRuns and compares its
+// stdout with its golden. Entries with an environment run in a child
+// process; the others call run in this one.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skipf("runs %d simulations", len(goldenRuns))
@@ -102,19 +127,42 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.golden, func(t *testing.T) {
 			t.Parallel()
-			r := clitest.Run(t, g.env, strings.Fields(g.args)...)
-			if r.Code != 0 {
-				t.Fatalf("roccsim %s: exit %d\n%s", g.args, r.Code, r.Stderr)
+			var r clitest.Result
+			if args := strings.Fields(g.args); g.env != nil {
+				r = clitest.Run(t, g.env, args...)
+			} else {
+				r = runArgs(args...)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", g.golden+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := dropWallTime(r.Stdout); got != string(want) {
-				t.Errorf("roccsim %s %s: stdout differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s",
-					g.env, g.args, g.golden, got, want)
-			}
+			checkGolden(t, g.golden, g.args, g.env, r)
 		})
+	}
+}
+
+// TestConcurrentRuns runs several cheap golden entries at once in this
+// process: each must still print its golden, so runs share no state.
+func TestConcurrentRuns(t *testing.T) {
+	cheap := []string{"fig5", "fig7a", "table1", "fluid", "-dur 3ms qos"}
+	var runs []int // indices into goldenRuns
+	for i, g := range goldenRuns {
+		if g.env == nil && slices.Contains(cheap, g.args) {
+			runs = append(runs, i)
+		}
+	}
+	if len(runs) != len(cheap) {
+		t.Fatalf("%d of the runs %q are golden entries", len(runs), cheap)
+	}
+	results := make([]clitest.Result, len(runs))
+	var wg sync.WaitGroup
+	for k, i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k] = runArgs(strings.Fields(goldenRuns[i].args)...)
+		}()
+	}
+	wg.Wait()
+	for k, i := range runs {
+		checkGolden(t, goldenRuns[i].golden, goldenRuns[i].args, nil, results[k])
 	}
 }
 
@@ -134,7 +182,7 @@ func dropWallTime(out string) string {
 // TestFailedCellFailsRun: a cell that panics is reported, the rest of the
 // table still prints, and roccsim exits 1.
 func TestFailedCellFailsRun(t *testing.T) {
-	r := clitest.Run(t, nil, strings.Fields("-dur 1ms -load -1 fig14")...)
+	r := runArgs(strings.Fields("-dur 1ms -load -1 fig14")...)
 	if r.Code != 1 {
 		t.Errorf("exit %d, want 1\nstderr:\n%s", r.Code, r.Stderr)
 	}
@@ -148,66 +196,29 @@ func TestFailedCellFailsRun(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitTwo: a flag value the run cannot honour is a usage
-// error at parse time, never a panic inside a cell.
-func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range []string{
-		"-dur 1ms -cnp-loss 2 faults",
-		"-dur 1ms -cnp-loss -0.5 faults",
-		"-dur 1ms -link-flap -1ms faults",
-		"-dur 1ms -ranks 2 -kill bogus collective",
-		"nosuchfig",
-		"fig8 fig9",
-		// Run-wide flags the subcommand does not read.
-		"-shards 2 fig8",
-		"-reps 5 fig9",
-		"-protocol dcqcn fig11",
-		"-trace t.json fig14",
-		// Subcommand flags the subcommand does not read.
-		"-fanin 30 fig14",
-		"-load 0.5 fig8",
-		"-plot fig11",
-		"-cnp-loss 0.1 fig9",
-		"-mix rocc:1 fig12b",
-		"-count 3 fig13",
-		// Values a default used to replace.
-		"-reps 0 fig11",
-		"-reps -4 fig11",
-		"-dur -1ms fig11",
-		"-workers -3 fig11",
-		// Weights whose sum overflows.
-		"-mix rocc:1e308,dcqcn:1e308 rollout",
-	} {
-		r := clitest.Run(t, nil, strings.Fields(args)...)
-		if r.Code != 2 || strings.Contains(r.Stderr, "panic:") || r.Stdout != "" {
-			t.Errorf("roccsim %s: exit %d, stdout %q; want exit 2, no output and no panic\nstderr:\n%s",
-				args, r.Code, r.Stdout, r.Stderr)
-		}
+// TestUnwritableOutputFailsRun: an output file that cannot be written is
+// reported, the tables still print, and roccsim exits 1.
+func TestUnwritableOutputFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestCheckFaultFlags(t *testing.T) {
+	missing := filepath.Join(dir, "missing")
 	for _, tc := range []struct {
-		cnpLoss float64
-		flapMs  int
-		kill    string
-		ok      bool
+		args   []string
+		header string // the table's first line
+		what   string // the stderr prefix of the failed output
 	}{
-		{-1, 0, "none", true}, // the defaults
-		{0, 0, "none", true},
-		{0.1, 4, "link", true},
-		{1, 0, "none", true},
-		{1.5, 0, "none", false},
-		{-0.5, 0, "none", false},
-		{-2, 0, "none", false},
-		{0.1, -1, "none", false},
-		{0.1, 0, "bogus", false},
-		{0.1, 0, "", false},
-		{0.1, 0, "switch", false}, // recovery's kill kind, not the collective's
+		{[]string{"-csv", filepath.Join(notDir, "x"), "fluid"}, "fluid stability sweep", "csv:"},
+		{[]string{"-dur", "1ms", "-trace", filepath.Join(missing, "t.json"), "fig9"}, "Fig 9:", "trace:"},
+		{[]string{"-memprofile", filepath.Join(missing, "m"), "fig5"}, "Fig 5:", "memprofile:"},
 	} {
-		err := checkFaultFlags(tc.cnpLoss, time.Duration(tc.flapMs)*time.Millisecond, tc.kill)
-		if (err == nil) != tc.ok {
-			t.Errorf("checkFaultFlags(%g, %dms, %q) = %v; want ok=%v", tc.cnpLoss, tc.flapMs, tc.kill, err, tc.ok)
+		r := runArgs(tc.args...)
+		if r.Code != 1 || !strings.HasPrefix(r.Stdout, tc.header) || !strings.Contains(r.Stdout, "(wall time ") ||
+			!strings.HasPrefix(r.Stderr, tc.what) {
+			t.Errorf("roccsim %q: exit %d, want 1 after the whole table and a %q error\nstdout:\n%s\nstderr:\n%s",
+				tc.args, r.Code, tc.what, r.Stdout, r.Stderr)
 		}
 	}
 }
@@ -216,7 +227,7 @@ func TestCheckFaultFlags(t *testing.T) {
 // cell metric.
 func TestRogueCSV(t *testing.T) {
 	dir := t.TempDir()
-	r := clitest.Run(t, nil, "-dur", "1ms", "-csv", dir, "rogue")
+	r := runArgs("-dur", "1ms", "-csv", dir, "rogue")
 	if r.Code != 0 {
 		t.Fatalf("exit %d\n%s", r.Code, r.Stderr)
 	}

@@ -4,71 +4,57 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"rocc/internal/adversary"
 	"rocc/internal/experiments"
 	"rocc/internal/export"
 	"rocc/internal/harness"
-	"rocc/internal/sim"
 	"rocc/internal/telemetry"
 )
 
-var rogueKindFlag = flag.String("rogue-kind", "",
-	"rogue: rogue behaviour (cnpdeaf|ecnblind|blast; default cnpdeaf, adapted per protocol)")
-
-// runRogueExp sweeps every protocol × rogue count × defense state
+// rogue sweeps every protocol × rogue count × defense state
 // through the rogue-containment benchmark: K feedback-deaf senders
 // against honest victims on a shared bottleneck, with and without the
 // switch-side defenses (compliance policer, PFC storm watchdog, RoCC
 // forged-feedback hardening).
-func runRogueExp() {
-	base := experiments.RogueConfig{Seed: *seedFlag}
-	if *durFlag > 0 {
-		base.Duration = sim.Time(durFlag.Nanoseconds())
-	}
-	if *rogueKindFlag != "" {
-		kind, err := adversary.ParseRogueKind(*rogueKindFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rogue:", err)
-			os.Exit(2)
-		}
-		base.Kind = kind
-	}
-	cfg := base.Filled()
-	fmt.Printf("rogue containment: %d victims + K %s rogues on a %.0fG star, %.0f ms, goodput over the second half\n",
-		cfg.Victims, cfg.Kind, float64(experiments.RogueLinkGbps), cfg.Duration.Seconds()*1e3)
-	cells := experiments.RogueCells(base)
-	rs := harness.Run(cells, *workFlag, experiments.RunRogue)
-	fmt.Printf("  %-8s %2s %-9s %12s %11s %6s %9s %5s %5s %7s %6s %6s\n",
-		"protocol", "K", "defense", "victim Gb/s", "rogue Gb/s", "jain", "probe us", "det", "rel", "pdrops", "wtrips", "spoof")
-	var results []experiments.RogueResult
-	for i, c := range cells {
-		for _, v := range collect(fmt.Sprintf("rogue %s/K=%d", c.Protocol, c.Rogues), rs[i:i+1]) {
-			results = append(results, v)
-			def := "off"
-			if v.Config.Defended {
-				def = "on"
+func rogue(fs *flag.FlagSet, _ string) func(*out) {
+	s, csv := bindSweep(fs), bindCSV(fs)
+	kind := define(fs, "rogue-kind", adversary.RogueCNPDeaf, "rogue behaviour `kind` (cnpdeaf|ecnblind|blast), adapted per protocol",
+		adversary.ParseRogueKind)
+	return func(o *out) {
+		base := experiments.RogueConfig{Seed: *s.seed, Duration: s.dur(0), Kind: *kind}
+		cfg := base.Filled()
+		o.printf("rogue containment: %d victims + K %s rogues on a %.0fG star, %.0f ms, goodput over the second half\n",
+			cfg.Victims, cfg.Kind, float64(experiments.RogueLinkGbps), cfg.Duration.Seconds()*1e3)
+		cells := experiments.RogueCells(base)
+		rs := harness.Run(cells, *s.workers, experiments.RunRogue)
+		o.printf("  %-8s %2s %-9s %12s %11s %6s %9s %5s %5s %7s %6s %6s\n",
+			"protocol", "K", "defense", "victim Gb/s", "rogue Gb/s", "jain", "probe us", "det", "rel", "pdrops", "wtrips", "spoof")
+		var results []experiments.RogueResult
+		for i, c := range cells {
+			for _, v := range collect(o, fmt.Sprintf("rogue %s/K=%d", c.Protocol, c.Rogues), rs[i:i+1]) {
+				results = append(results, v)
+				def := "off"
+				if v.Config.Defended {
+					def = "on"
+				}
+				probe := "never"
+				if v.ProbeFCT >= 0 {
+					probe = fmt.Sprintf("%.0f", v.ProbeFCT.Seconds()*1e6)
+				}
+				o.printf("  %-8s %2d %-9s %12.2f %11.2f %6.3f %9s %5d %5d %7d %6d %6d\n",
+					v.Config.Protocol, v.Config.Rogues, def, v.VictimGbps, v.RogueGbps,
+					v.JainVictims, probe, v.Detections, v.Releases, v.PolicedDrops,
+					v.WatchdogTrips, v.SpoofRejects)
 			}
-			probe := "never"
-			if v.ProbeFCT >= 0 {
-				probe = fmt.Sprintf("%.0f", v.ProbeFCT.Seconds()*1e6)
-			}
-			fmt.Printf("  %-8s %2d %-9s %12.2f %11.2f %6.3f %9s %5d %5d %7d %6d %6d\n",
-				v.Config.Protocol, v.Config.Rogues, def, v.VictimGbps, v.RogueGbps,
-				v.JainVictims, probe, v.Detections, v.Releases, v.PolicedDrops,
-				v.WatchdogTrips, v.SpoofRejects)
 		}
+		writeRogueMetrics(o, *csv, results)
 	}
-	writeRogueMetrics(results)
 }
 
 // writeRogueMetrics exports the sweep as rogue_metrics.csv when -csv is
 // set: one gauge per cell metric, named rogue.<proto>.k<K>.<def>.<what>.
-func writeRogueMetrics(results []experiments.RogueResult) {
-	if *csvFlag == "" {
-		return
-	}
+func writeRogueMetrics(o *out, dir string, results []experiments.RogueResult) {
 	reg := telemetry.New()
 	for _, v := range results {
 		def := "undefended"
@@ -95,5 +81,5 @@ func writeRogueMetrics(results []experiments.RogueResult) {
 			reg.GaugeFunc(prefix+m.name, func() float64 { return val })
 		}
 	}
-	writeCSV("rogue_metrics.csv", func(w io.Writer) error { return export.Metrics(w, reg.Snapshot()) })
+	o.writeCSV(dir, "rogue_metrics.csv", func(w io.Writer) error { return export.Metrics(w, reg.Snapshot()) })
 }
