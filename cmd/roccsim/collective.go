@@ -42,7 +42,7 @@ func collectiveExp(fs *flag.FlagSet, _ string) func(*out) {
 			},
 			Kill:     *kill,
 			Seed:     *s.seed,
-			Deadline: s.dur(0),
+			Deadline: s.dur(),
 		}
 		modes := *modes
 

@@ -93,20 +93,15 @@ func bindProtocol(fs *flag.FlagSet) *experiments.Protocol {
 }
 
 // bindDur binds -dur: the returned function gives the run's virtual
-// duration, or def when -dur is 0.
-func bindDur(fs *flag.FlagSet) func(def sim.Time) sim.Time {
+// duration, 0 when the experiment's own default applies.
+func bindDur(fs *flag.FlagSet) func() sim.Time {
 	d := define(fs, "dur", time.Duration(0), "`duration` of timed experiments (virtual time; 0 = each experiment's default)", parseSpan)
-	return func(def sim.Time) sim.Time {
-		if *d > 0 {
-			return sim.Time(d.Nanoseconds())
-		}
-		return def
-	}
+	return func() sim.Time { return sim.Time(*d) }
 }
 
 // sweep is what a multi-cell table reads.
 type sweep struct {
-	dur     func(def sim.Time) sim.Time
+	dur     func() sim.Time
 	seed    *int64
 	workers *int
 }
@@ -153,5 +148,5 @@ type fctOpts struct {
 }
 
 func bindFCT(fs *flag.FlagSet) fctOpts {
-	return fctOpts{bindSweep(fs), bindReps(fs), bindShards(fs), define(fs, "load", 0.7, "average `load` level for §6.3 runs", parseFloat)}
+	return fctOpts{bindSweep(fs), bindReps(fs), bindShards(fs), define(fs, "load", experiments.DefaultLoad, "average `load` level for §6.3 runs", parseFloat)}
 }

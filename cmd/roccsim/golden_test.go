@@ -2,14 +2,18 @@ package main
 
 import (
 	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rocc/internal/clitest"
+	"rocc/internal/experiments"
+	"rocc/internal/sim"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -249,5 +253,96 @@ func TestRogueCSV(t *testing.T) {
 	}
 	if gauges != 7*3*2*10 {
 		t.Errorf("%d rogue gauges in rogue_metrics.csv, want %d:\n%v", gauges, 7*3*2*10, rows)
+	}
+}
+
+// TestAll runs `-dur 500us all` and checks that its stdout is each
+// experiment `all` includes, run alone with the flags it declares of
+// those given, followed by a blank line.
+func TestAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment of all twice")
+	}
+	start := time.Now()
+	r := runArgs("-dur", "500us", "all")
+	if r.Code != 0 {
+		t.Fatalf("roccsim -dur 500us all: exit %d\n%s", r.Code, r.Stderr)
+	}
+	// runBody is a run's stdout without the blank line and the wall-time
+	// line run prints after the experiment.
+	runBody := func(out string) string { return strings.TrimSuffix(dropWallTime(out), "\n") }
+	var want strings.Builder
+	for _, sc := range subcommands() {
+		if !sc.inAll {
+			continue
+		}
+		args := []string{sc.name}
+		fs := newFlagSet(sc.name, io.Discard)
+		if sc.declare(fs, sc.name); fs.Lookup("dur") != nil {
+			args = append([]string{"-dur", "500us"}, args...)
+		}
+		alone := runArgs(args...)
+		if alone.Code != 0 {
+			t.Fatalf("roccsim %q: exit %d\n%s", args, alone.Code, alone.Stderr)
+		}
+		want.WriteString(runBody(alone.Stdout) + "\n")
+	}
+	got := strings.SplitAfter(runBody(r.Stdout), "\n")
+	wantLines := strings.SplitAfter(want.String(), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
+			t.Fatalf("all differs from its experiments run alone at line %d of %d/%d:\n got: %q\nwant: %q",
+				i+1, len(got), len(wantLines), at(got, i), at(wantLines, i))
+		}
+	}
+	t.Logf("all, then each of its experiments alone: %v", time.Since(start).Round(time.Millisecond))
+}
+
+// at is lines[i], or "" past the end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
+}
+
+// goldenDur is the -dur of the named golden's run.
+func goldenDur(t *testing.T, golden string) sim.Time {
+	for _, g := range goldenRuns {
+		args := strings.Fields(g.args)
+		if i := slices.Index(args, "-dur"); g.golden == golden && i >= 0 {
+			d, err := time.ParseDuration(args[i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim.Time(d)
+		}
+	}
+	t.Fatalf("no golden %q with a -dur", golden)
+	return 0
+}
+
+// TestGoldenFaultRowsFire checks that every fault row of the recovery
+// and faults goldens fired within its short run: fault schedules follow
+// the run length, so a golden cannot pin an outage the run never reached.
+func TestGoldenFaultRowsFire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the recovery and faults sweeps")
+	}
+	recovery := experiments.RecoveryConfig{Seed: 1, Duration: goldenDur(t, "recovery")}
+	for _, c := range experiments.RecoveryCells(recovery) {
+		if r := experiments.RunRecovery(c); r.Reconverges == 0 {
+			t.Errorf("recovery %s/%s: the kill never fired", c.Protocol, c.Kill)
+		}
+	}
+	faults := experiments.FaultsConfig{Seed: 1, Duration: goldenDur(t, "faults")}
+	for _, c := range experiments.FaultsCells(faults, []float64{0.05}, 0)[1:] {
+		s := experiments.RunFaults(c).Faults
+		if fired := s.CNPsLost + s.Corrupted + s.Flaps + s.StallWindows; fired == 0 {
+			t.Errorf("faults %s: no fault fired", c.Label())
+		}
+		if c.FlapPeriod > 0 && s.Flaps == 0 {
+			t.Errorf("faults %s: the link never flapped", c.Label())
+		}
 	}
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -397,7 +398,7 @@ func fig8(fs *flag.FlagSet, _ string) func(*out) {
 		for _, gbps := range []float64{40, 100} {
 			for _, n := range []int{2, 10, 100} {
 				cells = append(cells, experiments.Fig8Config{
-					N: n, Gbps: gbps, Duration: s.dur(20 * sim.Millisecond), Protocol: proto,
+					N: n, Gbps: gbps, Duration: s.dur(), Protocol: proto,
 				})
 			}
 		}
@@ -451,8 +452,7 @@ func fig9(fs *flag.FlagSet, _ string) func(*out) {
 	return func(o *out) {
 		proto := *series.proto
 		o.printf("Fig 9: convergence under exponential load increase/decrease (%s)\n", proto)
-		phase := dur(10 * sim.Millisecond)
-		r := experiments.RunFig9(experiments.Fig9Config{Phase: phase, Seed: *seed, Protocol: proto, Telemetry: o.telemetry(series)})
+		r := experiments.RunFig9(experiments.Fig9Config{Phase: dur(), Seed: *seed, Protocol: proto, Telemetry: o.telemetry(series)})
 		for i := range r.PhaseN {
 			// Per-flow fair share, capped by the 36 Gb/s offered load.
 			ideal := 40.0 / float64(r.PhaseN[i])
@@ -477,7 +477,7 @@ func fig11(fs *flag.FlagSet, _ string) func(*out) {
 		}
 		var cells []cell
 		for _, p := range experiments.MicroProtocols() {
-			cells = append(cells, cell{p, experiments.Fig11Config{Duration: s.dur(40 * sim.Millisecond)}})
+			cells = append(cells, cell{p, experiments.Fig11Config{Duration: s.dur()}})
 		}
 		cells = repCells(cells, *repsFlag, *s.seed, func(c *cell) *int64 { return &c.cfg.Seed })
 		rs := harness.Run(cells, *s.workers, func(c cell) experiments.Fig11Row { return experiments.RunFig11(c.p, c.cfg) })
@@ -528,7 +528,7 @@ func runFig12a(o *out, s sweep) {
 	o.println("Fig 12a: multi-bottleneck fairness (ideal: D0=D5=5, D1..D4=8.75 Gb/s)")
 	protos := experiments.ComparisonProtocols()
 	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig12aRow {
-		return experiments.RunFig12a(p, s.dur(40*sim.Millisecond), *s.seed)
+		return experiments.RunFig12a(p, s.dur(), *s.seed)
 	})
 	for i, p := range protos {
 		for _, r := range collect(o, "fig12a "+string(p), rs[i:i+1]) {
@@ -542,7 +542,7 @@ func runFig12b(o *out, s sweep) {
 	o.println("Fig 12b: asymmetric-topology fairness (ideal: every flow 14.3 Gb/s)")
 	protos := experiments.ComparisonProtocols()
 	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig12bRow {
-		return experiments.RunFig12b(p, s.dur(40*sim.Millisecond), *s.seed)
+		return experiments.RunFig12b(p, s.dur(), *s.seed)
 	})
 	for i, p := range protos {
 		for _, r := range collect(o, "fig12b "+string(p), rs[i:i+1]) {
@@ -555,7 +555,7 @@ func runFig13(o *out, s sweep) {
 	o.println("Fig 13: testbed-twin simulation (3x10G; see cmd/rocclab for real sockets)")
 	scenarios := []experiments.Fig13Scenario{experiments.Fig13Uniform, experiments.Fig13Mixed}
 	rs := harness.Run(scenarios, *s.workers, func(sc experiments.Fig13Scenario) experiments.Fig13Result {
-		return experiments.RunFig13Sim(sc, s.dur(100*sim.Millisecond), *s.seed)
+		return experiments.RunFig13Sim(sc, s.dur(), *s.seed)
 	})
 	for i, sc := range scenarios {
 		want := "3.33"
@@ -575,9 +575,8 @@ func fctConfig(f fctOpts, p experiments.Protocol, wl *workload.CDF) experiments.
 	return experiments.FCTConfig{
 		Protocol: p,
 		Workload: wl,
-		FatTree:  topology.PaperFatTree(),
 		Load:     *f.load,
-		Duration: f.dur(30 * sim.Millisecond),
+		Duration: f.dur(),
 		Shards:   *f.shards,
 	}
 }
@@ -748,7 +747,7 @@ func runFig19(o *out, s sweep) {
 	o.println("Fig 19 (App A.1): baseline verification ladder N: 1->4->1")
 	protos := []experiments.Protocol{experiments.ProtoDCQCN, experiments.ProtoHPCC}
 	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig19Result {
-		return experiments.RunFig19(p, s.dur(20*sim.Millisecond), *s.seed)
+		return experiments.RunFig19(p, s.dur(), *s.seed)
 	})
 	for i, p := range protos {
 		for _, r := range collect(o, "fig19 "+string(p), rs[i:i+1]) {
@@ -779,10 +778,10 @@ func faults(fs *flag.FlagSet, _ string) func(*out) {
 	s := bindSweep(fs)
 	cnpLoss := define(fs, "cnp-loss", -1.0, "CNP loss `probability` in [0, 1] (-1 = sweep 5/10/20%)",
 		check(parseFloat, func(p float64) bool { return p == -1 || isProb(p) }, "a probability in [0, 1], or -1 for the sweep"))
-	flap := define(fs, "link-flap", time.Duration(0), "link-flap `period` (0 = default 5ms, down 10% of it)", parseSpan)
+	flap := define(fs, "link-flap", time.Duration(0), "link-flap `period` (0 = a quarter of the run), down 10% of it", parseSpan)
 	return func(o *out) {
 		o.println("faults: RoCC robustness under lost/late/corrupt feedback (N=10, B=40G)")
-		base := experiments.FaultsConfig{Duration: s.dur(20 * sim.Millisecond), Seed: *s.seed}
+		base := experiments.FaultsConfig{Duration: s.dur(), Seed: *s.seed}
 		losses := []float64{0.05, 0.10, 0.20}
 		if *cnpLoss >= 0 {
 			losses = []float64{*cnpLoss}
@@ -814,7 +813,7 @@ func faults(fs *flag.FlagSet, _ string) func(*out) {
 // and a core-switch kill on the fat-tree, reporting goodput dip depth,
 // time back to 90% of the pre-failure rate, and post-recovery fairness.
 func runRecoveryExp(o *out, s sweep) {
-	base := experiments.RecoveryConfig{Seed: *s.seed, Duration: s.dur(0)}
+	base := experiments.RecoveryConfig{Seed: *s.seed, Duration: s.dur()}
 	cfg := base.Filled()
 	o.printf("recovery: fat-tree 2x3x%d, fail %.1f ms -> restore %.1f ms (+%.0f us reconverge)\n",
 		experiments.RecoveryHostsPerEdge, cfg.FailAt.Seconds()*1e3, cfg.RestoreAt.Seconds()*1e3,
@@ -858,7 +857,7 @@ func qos(fs *flag.FlagSet, _ string) func(*out) {
 			classIdx[f.ID] = i % 2
 			flows = append(flows, f)
 		}
-		engine.RunUntil(dur(20 * sim.Millisecond))
+		engine.RunUntil(cmp.Or(dur(), 20*sim.Millisecond))
 		var shares [2]float64
 		for _, f := range flows {
 			shares[classIdx[f.ID]] += float64(f.DeliveredBytes()) * 8 / engine.Now().Seconds() / 1e9

@@ -22,7 +22,7 @@ func rogue(fs *flag.FlagSet, _ string) func(*out) {
 	kind := define(fs, "rogue-kind", adversary.RogueCNPDeaf, "rogue behaviour `kind` (cnpdeaf|ecnblind|blast), adapted per protocol",
 		adversary.ParseRogueKind)
 	return func(o *out) {
-		base := experiments.RogueConfig{Seed: *s.seed, Duration: s.dur(0), Kind: *kind}
+		base := experiments.RogueConfig{Seed: *s.seed, Duration: s.dur(), Kind: *kind}
 		cfg := base.Filled()
 		o.printf("rogue containment: %d victims + K %s rogues on a %.0fG star, %.0f ms, goodput over the second half\n",
 			cfg.Victims, cfg.Kind, float64(experiments.RogueLinkGbps), cfg.Duration.Seconds()*1e3)

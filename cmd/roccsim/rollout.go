@@ -6,7 +6,6 @@ import (
 
 	"rocc/internal/experiments"
 	"rocc/internal/harness"
-	"rocc/internal/sim"
 )
 
 // rollout reports the incremental-rollout experiment: fractions of
@@ -26,7 +25,7 @@ func rollout(fs *flag.FlagSet, _ string) func(*out) {
 	return func(o *out) {
 		base := experiments.RolloutConfig{
 			Seed:     *s.seed,
-			Duration: s.dur(20 * sim.Millisecond),
+			Duration: s.dur(),
 		}
 		var cells []experiments.RolloutConfig
 		var labels []string

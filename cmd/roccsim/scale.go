@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"rocc/internal/experiments"
-	"rocc/internal/sim"
 )
 
 // scale sweeps the k=16 fat-tree (1024 hosts, -flows concurrent
@@ -26,7 +25,7 @@ func scale(fs *flag.FlagSet, _ string) func(*out) {
 				Seed:     *seed,
 				Protocol: *proto,
 				Flows:    *flows,
-				Duration: dur(sim.Millisecond),
+				Duration: dur(),
 			})
 			results = append(results, r)
 			o.printf("  %-7d %12d %10.2f %14.0f %8s\n", r.Shards, r.Events, r.WallSec, r.EventsPerSec, r.Digest[:8])

@@ -27,10 +27,6 @@ type ForgeConfig struct {
 	// drag the victim's rate toward zero.
 	RateUnits int
 
-	// Period is the injection cadence. Defaults to 40 µs, one CP
-	// update interval — indistinguishable in timing from a real CP.
-	Period sim.Time
-
 	// Until stops the attack (no packets injected after it). Zero
 	// means the attack runs as long as the victim flow exists.
 	Until sim.Time
@@ -40,6 +36,10 @@ type ForgeConfig struct {
 	// current time (a fresh spoof).
 	StampAge sim.Time
 }
+
+// forgePeriod is the injection cadence: one CP update interval, so the
+// forgery is indistinguishable in timing from a real CP.
+const forgePeriod = 40 * sim.Microsecond
 
 // Forger injects spoofed CNPs from a host on a fixed schedule.
 type Forger struct {
@@ -54,11 +54,8 @@ type Forger struct {
 // NewForger builds the attacker and schedules its first injection one
 // period out. Stop cancels future injections.
 func NewForger(host *netsim.Host, cfg ForgeConfig) *Forger {
-	if cfg.Period <= 0 {
-		cfg.Period = 40 * sim.Microsecond
-	}
 	f := &Forger{net: host.Network(), host: host, cfg: cfg}
-	f.net.Engine.AfterCall(cfg.Period, forgeTick, f, nil)
+	f.net.Engine.AfterCall(forgePeriod, forgeTick, f, nil)
 	return f
 }
 
@@ -94,5 +91,5 @@ func forgeTick(a, _ any) {
 	info.RateUnits = f.cfg.RateUnits
 	f.host.Send(pkt)
 	f.Sent++
-	f.net.Engine.AfterCall(f.cfg.Period, forgeTick, f, nil)
+	f.net.Engine.AfterCall(forgePeriod, forgeTick, f, nil)
 }

@@ -7,11 +7,6 @@ import (
 
 // PolicerConfig parameterizes one switch's compliance policer.
 type PolicerConfig struct {
-	// Window is the metering interval (default 100 µs). Per-flow
-	// arrival bytes are accumulated per egress over each window and
-	// compared against the advertised share at its close.
-	Window sim.Time
-
 	// Margin is the compliance slack: a flow is over-share in a window
 	// when its measured arrival rate exceeds Margin × share. Default
 	// 1.5 — transient bursts above fair share are normal (recovery
@@ -21,30 +16,6 @@ type PolicerConfig struct {
 	// TripAfter is the hysteresis on entry: consecutive over-share
 	// windows before the flow is quarantined. Default 4.
 	TripAfter int
-
-	// ReleaseAfter is the hysteresis on exit: consecutive compliant
-	// windows (measured on *offered* arrivals, before policing drops)
-	// before a quarantined flow is released. Default 8. A rogue that
-	// keeps blasting never looks compliant and never gets out; a
-	// reformed or mis-flagged flow drops its offered rate and does.
-	ReleaseAfter int
-
-	// PenaltyFraction scales the quarantine rate: a quarantined flow is
-	// token-bucket limited to PenaltyFraction × share. Default 0.1.
-	PenaltyFraction float64
-
-	// CongestedBytes gates quarantine entry on actual contention: a
-	// window only counts toward a flow's overStreak when the egress's
-	// data backlog peaked at or above this many bytes during it.
-	// Default 20 KB (20 MTUs). The gate exists because advertised rates
-	// lag: on an uncongested egress flows legitimately probe past the
-	// last advertised share (RoCC's fast recovery doubles every 200 µs
-	// while the CP's fair rate climbs additively), and punishing that
-	// probing quarantines honest flows — whose packets then never reach
-	// the queue, never draw fresh feedback, and never look compliant
-	// again. Over-rate flows on an uncongested egress are harmless by
-	// definition; the moment they actually congest it, the gate opens.
-	CongestedBytes int
 
 	// AdvertisedRate, when set, supplies the share the fabric actually
 	// promised flows on an egress — for RoCC, the congestion point's
@@ -68,26 +39,45 @@ type PolicerConfig struct {
 }
 
 func (c PolicerConfig) fill() PolicerConfig {
-	if c.Window <= 0 {
-		c.Window = 100 * sim.Microsecond
-	}
 	if c.Margin <= 0 {
 		c.Margin = 1.5
 	}
 	if c.TripAfter <= 0 {
 		c.TripAfter = 4
 	}
-	if c.ReleaseAfter <= 0 {
-		c.ReleaseAfter = 8
-	}
-	if c.PenaltyFraction <= 0 {
-		c.PenaltyFraction = 0.1
-	}
-	if c.CongestedBytes <= 0 {
-		c.CongestedBytes = 20_000
-	}
 	return c
 }
+
+const (
+	// policerWindow is the metering interval. Per-flow arrival bytes are
+	// accumulated per egress over each window and compared against the
+	// advertised share at its close.
+	policerWindow = 100 * sim.Microsecond
+
+	// releaseAfter is the hysteresis on exit: consecutive compliant
+	// windows (measured on *offered* arrivals, before policing drops)
+	// before a quarantined flow is released. A rogue that keeps blasting
+	// never looks compliant and never gets out; a reformed or
+	// mis-flagged flow drops its offered rate and does.
+	releaseAfter = 8
+
+	// penaltyFraction scales the quarantine rate: a quarantined flow is
+	// token-bucket limited to penaltyFraction × share.
+	penaltyFraction = 0.1
+
+	// congestedBytes (20 MTUs) gates quarantine entry on actual
+	// contention: a window only counts toward a flow's overStreak when
+	// the egress's data backlog peaked at or above it during the window.
+	// The gate exists because advertised rates lag: on an uncongested
+	// egress flows legitimately probe past the last advertised share
+	// (RoCC's fast recovery doubles every 200 µs while the CP's fair
+	// rate climbs additively), and punishing that probing quarantines
+	// honest flows — whose packets then never reach the queue, never
+	// draw fresh feedback, and never look compliant again. Over-rate
+	// flows on an uncongested egress are harmless by definition; the
+	// moment they actually congest it, the gate opens.
+	congestedBytes = 20_000
+)
 
 // penaltyBurstBytes caps a quarantined flow's token bucket: a couple of
 // MTUs of burst tolerance so the penalty rate is enforceable without
@@ -149,7 +139,7 @@ func NewPolicer(net *netsim.Network, sw *netsim.Switch, cfg PolicerConfig) *Poli
 		tm:          metricsFrom(net),
 	}
 	sw.Police = p.police
-	net.Engine.AfterCall(p.cfg.Window, policerTick, p, nil)
+	net.Engine.AfterCall(policerWindow, policerTick, p, nil)
 	return p
 }
 
@@ -249,7 +239,7 @@ func policerTick(a, _ any) {
 	if p.stopped {
 		return
 	}
-	winSeconds := p.cfg.Window.Seconds()
+	winSeconds := policerWindow.Seconds()
 	for portIdx, m := range p.meters {
 		if len(m) == 0 {
 			continue
@@ -270,7 +260,7 @@ func policerTick(a, _ any) {
 			continue
 		}
 		limitBytes := float64(share) / 8 * p.cfg.Margin * winSeconds
-		congested := p.qpeak[portIdx] >= p.cfg.CongestedBytes
+		congested := p.qpeak[portIdx] >= congestedBytes
 		p.qpeak[portIdx] = 0
 		for fid, fm := range m {
 			q := p.quarantined[fid]
@@ -283,7 +273,7 @@ func policerTick(a, _ any) {
 					// the window that counts toward quarantine.
 					fm.overStreak++
 					if fm.overStreak >= p.cfg.TripAfter {
-						penalty := netsim.Rate(float64(share) * p.cfg.PenaltyFraction)
+						penalty := netsim.Rate(float64(share) * penaltyFraction)
 						if penalty < netsim.Mbps(1) {
 							penalty = netsim.Mbps(1)
 						}
@@ -298,7 +288,7 @@ func policerTick(a, _ any) {
 				fm.overStreak = 0
 				if q != nil {
 					q.calmStreak++
-					if q.calmStreak >= p.cfg.ReleaseAfter {
+					if q.calmStreak >= releaseAfter {
 						p.release(fid)
 						q = nil
 					}
@@ -313,7 +303,7 @@ func policerTick(a, _ any) {
 			}
 		}
 	}
-	p.net.Engine.AfterCall(p.cfg.Window, policerTick, p, nil)
+	p.net.Engine.AfterCall(policerWindow, policerTick, p, nil)
 }
 
 // shareFor resolves the per-flow share the policer holds flows to on

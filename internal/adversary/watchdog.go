@@ -12,25 +12,21 @@ type WatchdogConfig struct {
 	// the paper's fabrics last microseconds; the network-level storm
 	// threshold (Network.PauseStormSpan) is 1 ms.
 	Deadline sim.Time
-
-	// Cooldown is how long the lossless class stays disabled after a
-	// trip before it is re-enabled. Default 1 ms. A storm still active
-	// at re-enable re-trips on the next scan.
-	Cooldown sim.Time
-
-	// Scan is the port-scan period. Default 50 µs.
-	Scan sim.Time
 }
+
+const (
+	// watchdogCooldown is how long the lossless class stays disabled
+	// after a trip before it is re-enabled. A storm still active at
+	// re-enable re-trips on the next scan.
+	watchdogCooldown = sim.Millisecond
+
+	// watchdogScanPeriod is the port-scan period.
+	watchdogScanPeriod = 50 * sim.Microsecond
+)
 
 func (c WatchdogConfig) fill() WatchdogConfig {
 	if c.Deadline <= 0 {
 		c.Deadline = 500 * sim.Microsecond
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = sim.Millisecond
-	}
-	if c.Scan <= 0 {
-		c.Scan = 50 * sim.Microsecond
 	}
 	return c
 }
@@ -48,7 +44,7 @@ type WatchdogStats struct {
 // that port is disabled — the stuck queue is flushed (dropped, with
 // normal buffer/PFC accounting so upstream pause state unwinds), new
 // data routed there is dropped, and the storm's continuing pause frames
-// are ignored — until Cooldown re-enables it. Storm-free fabrics see
+// are ignored — until the cooldown re-enables it. Storm-free fabrics see
 // only reads: a watchdog that never trips never mutates, preserving
 // byte-identical trajectories (the zero-fault identity contract).
 type Watchdog struct {
@@ -77,7 +73,7 @@ func NewWatchdog(net *netsim.Network, sw *netsim.Switch, cfg WatchdogConfig) *Wa
 		reenableAt: make(map[int]sim.Time),
 		tm:         metricsFrom(net),
 	}
-	net.Engine.AfterCall(w.cfg.Scan, watchdogScan, w, nil)
+	net.Engine.AfterCall(watchdogScanPeriod, watchdogScan, w, nil)
 	return w
 }
 
@@ -130,9 +126,9 @@ func (w *Watchdog) trip(port *netsim.Port) {
 	w.stats.FlushedPkts += pkts
 	w.stats.FlushedBytes += bytes
 	w.tm.trips.Inc()
-	w.reenableAt[port.Index] = w.net.Engine.Now() + w.cfg.Cooldown
+	w.reenableAt[port.Index] = w.net.Engine.Now() + watchdogCooldown
 	record(w.net, "watchdog_trip", w.sw.ID(), int64(port.Index), float64(bytes))
-	w.net.Engine.AfterCall(w.cfg.Cooldown, watchdogReenable, w, port)
+	w.net.Engine.AfterCall(watchdogCooldown, watchdogReenable, w, port)
 }
 
 // watchdogScan checks every port's in-progress pause span against the
@@ -150,7 +146,7 @@ func watchdogScan(a, _ any) {
 			w.trip(p)
 		}
 	}
-	w.net.Engine.AfterCall(w.cfg.Scan, watchdogScan, w, nil)
+	w.net.Engine.AfterCall(watchdogScanPeriod, watchdogScan, w, nil)
 }
 
 // watchdogReenable restores the lossless class after the cooldown. It

@@ -29,11 +29,7 @@ func chain() (*sim.Engine, *netsim.Network, *netsim.Host, *netsim.Host, *netsim.
 // pause frames ignored), and the cooldown restores it.
 func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 	engine, net, h0, h1, s0, p01 := chain()
-	w := NewWatchdog(net, s0, WatchdogConfig{
-		Deadline: 200 * sim.Microsecond,
-		Cooldown: 400 * sim.Microsecond,
-		Scan:     50 * sim.Microsecond,
-	})
+	w := NewWatchdog(net, s0, WatchdogConfig{Deadline: 200 * sim.Microsecond})
 	// The storm: the egress toward s1 is pause-wedged from t=0 while a
 	// persistent flow keeps stacking data behind it.
 	p01.SetPaused(true)
@@ -104,7 +100,7 @@ func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 // disable → cooldown → re-enable without any pause at all.
 func TestWatchdogForcedTrip(t *testing.T) {
 	engine, net, _, _, s0, p01 := chain()
-	w := NewWatchdog(net, s0, WatchdogConfig{Cooldown: 100 * sim.Microsecond})
+	w := NewWatchdog(net, s0, WatchdogConfig{})
 	w.Trip(p01)
 	if !p01.LosslessOff() || w.Stats().Trips != 1 {
 		t.Fatal("forced trip did not disable the port")
@@ -113,7 +109,7 @@ func TestWatchdogForcedTrip(t *testing.T) {
 	if w.Stats().Trips != 1 {
 		t.Error("re-tripping a disabled port counted twice")
 	}
-	engine.RunUntil(200 * sim.Microsecond)
+	engine.RunUntil(watchdogCooldown + sim.Microsecond)
 	if p01.LosslessOff() || w.Stats().Reenables != 1 {
 		t.Error("forced trip never re-enabled")
 	}
@@ -123,10 +119,10 @@ func TestWatchdogForcedTrip(t *testing.T) {
 // must not strand the port — interventions unwind.
 func TestWatchdogStopStillReenables(t *testing.T) {
 	engine, net, _, _, s0, p01 := chain()
-	w := NewWatchdog(net, s0, WatchdogConfig{Cooldown: 100 * sim.Microsecond})
+	w := NewWatchdog(net, s0, WatchdogConfig{})
 	w.Trip(p01)
 	w.Stop()
-	engine.RunUntil(sim.Millisecond)
+	engine.RunUntil(watchdogCooldown + sim.Microsecond)
 	if p01.LosslessOff() {
 		t.Error("stopped watchdog stranded a disabled port")
 	}

@@ -76,9 +76,9 @@ func TestRunDeterministic(t *testing.T) {
 func TestCleanScenariosTripNoInvariant(t *testing.T) {
 	gen := GenOptions{FaultScale: -1, MaxDuration: 5 * sim.Millisecond}
 	for _, p := range experiments.AllProtocols() {
-		gen.Protocols = []experiments.Protocol{p}
 		for seed := int64(0); seed < 3; seed++ {
 			sc := Generate(seed, gen)
+			sc.Protocol = string(p)
 			if len(sc.Faults) != 0 {
 				t.Fatalf("FaultScale<0 still generated faults: %+v", sc.Faults)
 			}

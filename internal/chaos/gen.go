@@ -11,30 +11,15 @@ import (
 // GenOptions bounds the scenario generator. The zero value selects
 // defaults sized so a single scenario simulates in well under a second.
 type GenOptions struct {
-	// Protocols to draw from. Default: every protocol the repo wires
-	// (experiments.AllProtocols) — the invariants must hold for the
-	// baselines too, not just RoCC.
-	Protocols []experiments.Protocol
-
-	// Topologies to draw from. Default: star, multibottleneck, fattree.
-	Topologies []string
-
-	// MinFlows/MaxFlows bound the per-scenario flow count (incast bursts
-	// can add a few past MaxFlows). Defaults 2 and 16.
-	MinFlows, MaxFlows int
-
-	// MaxFaults bounds the fault-schedule length; the drawn count is
-	// scaled by FaultScale. Default 6.
-	MaxFaults int
-
-	// FaultScale scales how many faults a scenario gets: 0 selects the
-	// default mix (1); any negative value generates clean scenarios —
-	// the invariant-baseline mode in which no monitor may ever trip.
+	// FaultScale scales how many faults a scenario gets (at most
+	// maxFaults): 0 selects the default mix (1); any negative value
+	// generates clean scenarios — the invariant-baseline mode in which no
+	// monitor may ever trip.
 	FaultScale float64
 
-	// MinDuration/MaxDuration bound the scenario length. Defaults 4 ms
-	// and 10 ms.
-	MinDuration, MaxDuration sim.Time
+	// MaxDuration caps the scenario length, drawn from minDuration up.
+	// Values below minDuration select the default, 10 ms.
+	MaxDuration sim.Time
 
 	// MixProb is the probability a scenario mixes a second protocol into
 	// the fabric, reassigning a random subset of its flows (the
@@ -69,30 +54,21 @@ type GenOptions struct {
 	RogueProb float64
 }
 
+// The generator's fixed bounds: a scenario runs for at least
+// minDuration and carries minFlows to maxFlows flows (incast bursts can
+// add a few past maxFlows) and at most maxFaults faults.
+const (
+	minDuration        = 4 * sim.Millisecond
+	minFlows, maxFlows = 2, 16
+	maxFaults          = 6
+)
+
 func (o GenOptions) withDefaults() GenOptions {
-	if len(o.Protocols) == 0 {
-		o.Protocols = experiments.AllProtocols()
-	}
-	if len(o.Topologies) == 0 {
-		o.Topologies = []string{TopoStar, TopoMultiBottleneck, TopoFatTree}
-	}
-	if o.MinFlows <= 0 {
-		o.MinFlows = 2
-	}
-	if o.MaxFlows < o.MinFlows {
-		o.MaxFlows = o.MinFlows + 14
-	}
-	if o.MaxFaults <= 0 {
-		o.MaxFaults = 6
-	}
 	if o.FaultScale == 0 {
 		o.FaultScale = 1
 	}
-	if o.MinDuration <= 0 {
-		o.MinDuration = 4 * sim.Millisecond
-	}
-	if o.MaxDuration < o.MinDuration {
-		o.MaxDuration = o.MinDuration + 6*sim.Millisecond
+	if o.MaxDuration < minDuration {
+		o.MaxDuration = minDuration + 6*sim.Millisecond
 	}
 	return o
 }
@@ -105,19 +81,23 @@ func Generate(seed int64, opts GenOptions) Scenario {
 	o := opts.withDefaults()
 	r := sim.NewRand(seed)
 
+	// Every protocol the repo wires: the invariants must hold for the
+	// baselines too, not just RoCC.
+	protocols := experiments.AllProtocols()
 	sc := Scenario{
 		Seed:     seed,
-		Protocol: string(o.Protocols[r.Intn(len(o.Protocols))]),
+		Protocol: string(protocols[r.Intn(len(protocols))]),
 	}
-	sc.Topology = genTopology(r, o.Topologies[r.Intn(len(o.Topologies))])
-	dur := o.MinDuration + sim.Time(r.Float64()*float64(o.MaxDuration-o.MinDuration))
+	topologies := [...]string{TopoStar, TopoMultiBottleneck, TopoFatTree}
+	sc.Topology = genTopology(r, topologies[r.Intn(len(topologies))])
+	dur := minDuration + sim.Time(r.Float64()*float64(o.MaxDuration-minDuration))
 	sc.DurationNs = int64(dur)
 
-	sc.Flows = genFlows(r, sc.Topology, dur, o)
+	sc.Flows = genFlows(r, sc.Topology, dur)
 	if o.FaultScale > 0 {
 		sc.Faults = genFaults(r, sc.Topology, dur, o)
 	}
-	mixProtocols(seed, o, &sc)
+	mixProtocols(seed, o, protocols, &sc)
 	overlayKill(seed, o, &sc)
 	overlayMode(seed, o, &sc)
 	overlayRogue(seed, o, &sc)
@@ -134,8 +114,8 @@ const mixSeedSalt = 0x6d69780a // "mix\n"
 // scenario's flows with probability MixProb, from its own derived RNG
 // stream. Each reassigned flow carries its protocol explicitly, so the
 // shrinker minimizes mixed scenarios like any other.
-func mixProtocols(seed int64, o GenOptions, sc *Scenario) {
-	if o.MixProb <= 0 || len(o.Protocols) < 2 {
+func mixProtocols(seed int64, o GenOptions, protocols []experiments.Protocol, sc *Scenario) {
+	if o.MixProb <= 0 {
 		return
 	}
 	r := sim.NewRand(seed ^ mixSeedSalt)
@@ -143,7 +123,7 @@ func mixProtocols(seed int64, o GenOptions, sc *Scenario) {
 		return
 	}
 	var others []experiments.Protocol
-	for _, p := range o.Protocols {
+	for _, p := range protocols {
 		if string(p) != sc.Protocol {
 			others = append(others, p)
 		}
@@ -342,7 +322,7 @@ func pickPair(r *sim.Rand, t TopologySpec) (int, int) {
 	}
 }
 
-func genFlows(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FlowSpec {
+func genFlows(r *sim.Rand, t TopologySpec, dur sim.Time) []FlowSpec {
 	cdf := workload.WebSearch()
 	if r.Intn(2) == 1 {
 		cdf = workload.FBHadoop()
@@ -351,7 +331,7 @@ func genFlows(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FlowSpe
 	if t.Gbps > 0 {
 		linkMbps = t.Gbps * 1000
 	}
-	n := o.MinFlows + r.Intn(o.MaxFlows-o.MinFlows+1)
+	n := minFlows + r.Intn(maxFlows-minFlows+1)
 	var flows []FlowSpec
 	for i := 0; i < n; i++ {
 		src, dst := pickPair(r, t)
@@ -391,9 +371,9 @@ func genFlows(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FlowSpe
 }
 
 func genFaults(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FaultSpec {
-	n := int(float64(r.Intn(o.MaxFaults+1)) * o.FaultScale)
-	if n > o.MaxFaults {
-		n = o.MaxFaults
+	n := int(float64(r.Intn(maxFaults+1)) * o.FaultScale)
+	if n > maxFaults {
+		n = maxFaults
 	}
 	links, switches := t.linkCount(), t.switchCount()
 	usedLink := make(map[int]bool)

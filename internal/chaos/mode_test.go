@@ -98,9 +98,9 @@ func TestValidateRejectsUnknownMode(t *testing.T) {
 func TestCleanModedScenariosTripNoInvariant(t *testing.T) {
 	gen := GenOptions{FaultScale: -1, MaxDuration: 5 * sim.Millisecond, ModeProb: 1}
 	for _, p := range experiments.AllProtocols() {
-		gen.Protocols = []experiments.Protocol{p}
 		for seed := int64(0); seed < 3; seed++ {
 			sc := Generate(seed, gen)
+			sc.Protocol = string(p)
 			if sc.Mode == "" {
 				t.Fatalf("ModeProb=1 generated a default-mode scenario")
 			}

@@ -129,11 +129,7 @@ func checkQueueBound(rt *Runtime) (string, bool) {
 		if !sw.Buffer.PFCEnabled {
 			continue
 		}
-		shared := sw.Buffer.SharedFactor
-		if shared <= 0 {
-			shared = 2
-		}
-		bound := shared*sw.Buffer.PFCThreshold + len(sw.Ports())*queueSlackBytes
+		bound := netsim.SharedFactor*sw.Buffer.PFCThreshold + len(sw.Ports())*queueSlackBytes
 		if sw.BufferUsed() > bound {
 			return fmt.Sprintf("switch %s: buffer %d bytes past PFC bound %d",
 				sw.Name, sw.BufferUsed(), bound), true

@@ -34,14 +34,9 @@ type SoakOptions struct {
 	Gen GenOptions
 	Run RunOptions
 
-	// Shrink minimizes failing scenarios after the sweep; MaxShrinkRuns
-	// bounds each minimization (default 400 replays).
-	Shrink        bool
-	MaxShrinkRuns int
-
-	// MaxRepros caps how many failures are shrunk and written out.
-	// Default 5.
-	MaxRepros int
+	// Shrink minimizes up to maxRepros failing scenarios after the
+	// sweep, each in at most maxShrinkRuns replays.
+	Shrink bool
 
 	// OutDir, when non-empty, receives one repro per shrunk failure:
 	// seed-<S>.json (the minimized scenario) and seed-<S>.trace.json
@@ -57,14 +52,14 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	if o.Count <= 0 && o.Budget <= 0 {
 		o.Count = 100
 	}
-	if o.MaxShrinkRuns <= 0 {
-		o.MaxShrinkRuns = 400
-	}
-	if o.MaxRepros <= 0 {
-		o.MaxRepros = 5
-	}
 	return o
 }
+
+// The limits of SoakOptions.Shrink.
+const (
+	maxRepros     = 5
+	maxShrinkRuns = 400
+)
 
 // Verdict is one scenario's outcome in the campaign log. It holds only
 // simulation-derived values — no wall-clock — so a soak with the same
@@ -140,7 +135,7 @@ type Report struct {
 
 // Soak runs a randomized scenario campaign: generate scenario i from
 // seed base+i, run it under the monitor suite on the harness worker
-// pool, and — for up to MaxRepros failures — shrink the scenario and
+// pool, and — for up to maxRepros failures — shrink the scenario and
 // emit its minimized repro. Verdicts come back in scenario order.
 func Soak(opts SoakOptions) Report {
 	o := opts.withDefaults()
@@ -224,7 +219,7 @@ func Soak(opts SoakOptions) Report {
 
 	if o.Shrink {
 		for _, v := range rep.Verdicts {
-			if len(rep.Repros) >= o.MaxRepros {
+			if len(rep.Repros) >= maxRepros {
 				break
 			}
 			if len(v.Result.Violations) == 0 {
@@ -232,7 +227,7 @@ func Soak(opts SoakOptions) Report {
 			}
 			inv := v.Result.Violations[0].Invariant
 			sc := Generate(v.Seed, o.Gen)
-			sr := Shrink(sc, inv, o.Run, o.MaxShrinkRuns)
+			sr := Shrink(sc, inv, o.Run, maxShrinkRuns)
 			r := Repro{Seed: v.Seed, Invariant: inv, Shrink: sr}
 			if o.OutDir != "" {
 				if err := writeRepro(&r, o.OutDir, o.Run); err != nil {

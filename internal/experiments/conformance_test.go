@@ -13,10 +13,11 @@ import (
 	"rocc/internal/topology"
 )
 
-// TestOpsRegistryCoversAllProtocols is the registry half of the
-// CongestionOps conformance suite: every protocol the repo wires has a
-// descriptor whose static surface (name, features, ACK cadence) is sane.
-func TestOpsRegistryCoversAllProtocols(t *testing.T) {
+// TestOpsCoverAllProtocols is the descriptor half of the CongestionOps
+// conformance suite: every protocol the repo wires has a descriptor whose
+// static surface (name, features, ACK cadence) is sane, and any other
+// name panics.
+func TestOpsCoverAllProtocols(t *testing.T) {
 	engine := sim.New()
 	star := topology.BuildStar(engine, 1, 2, netsim.Gbps(40))
 	mix := NewMix(star.Net, 0)
@@ -42,6 +43,12 @@ func TestOpsRegistryCoversAllProtocols(t *testing.T) {
 			t.Errorf("%s: NewFlowCC returned nil", p)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Ops accepted an unknown protocol")
+		}
+	}()
+	mix.Ops("swift")
 }
 
 // TestOpsFlowCCContract drives each descriptor's fresh controller

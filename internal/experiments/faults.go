@@ -65,7 +65,7 @@ func (c FaultsConfig) Label() string {
 	case c.CNPCorrupt > 0:
 		return fmt.Sprintf("cnp-corrupt %.0f%%", c.CNPCorrupt*100)
 	case c.FlapPeriod > 0:
-		return fmt.Sprintf("link-flap %.1f/%.0fms", c.FlapDown.Seconds()*1e3, c.FlapPeriod.Seconds()*1e3)
+		return fmt.Sprintf("link-flap %v/%vms", c.FlapDown.Millis(), c.FlapPeriod.Millis())
 	case c.StallPeriod > 0:
 		return fmt.Sprintf("cp-stall %.1f/%.0fms", c.StallFor.Seconds()*1e3, c.StallPeriod.Seconds()*1e3)
 	}
@@ -149,9 +149,10 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 
 // FaultsCells builds the default robustness sweep around a base
 // configuration: the fault-free baseline first, then CNP loss at each
-// probability in losses, CNP corruption, a link flap (flapPeriod, or
-// 5 ms when zero), and a CP stall.
+// probability in losses, CNP corruption, a link flap (flapPeriod, or a
+// quarter of the run when zero), and a CP stall.
 func FaultsCells(base FaultsConfig, losses []float64, flapPeriod sim.Time) []FaultsConfig {
+	base = base.fill()
 	cells := []FaultsConfig{base}
 	for _, p := range losses {
 		c := base
@@ -159,7 +160,7 @@ func FaultsCells(base FaultsConfig, losses []float64, flapPeriod sim.Time) []Fau
 		cells = append(cells, c)
 	}
 	if flapPeriod == 0 {
-		flapPeriod = 5 * sim.Millisecond
+		flapPeriod = base.Duration / 4
 	}
 	c := base
 	c.CNPCorrupt = 0.05

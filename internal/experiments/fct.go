@@ -60,15 +60,18 @@ type FCTConfig struct {
 	IncastFanIn int
 }
 
+// DefaultLoad is the §6.3 runs' offered load when FCTConfig.Load is 0.
+const DefaultLoad = 0.7
+
 func (c *FCTConfig) fill() {
 	if c.Workload == nil {
 		c.Workload = workload.WebSearch()
 	}
 	if c.Load == 0 {
-		c.Load = 0.7
+		c.Load = DefaultLoad
 	}
 	if c.FatTree.Cores == 0 {
-		c.FatTree = topology.ScaledFatTree(8)
+		c.FatTree = topology.PaperFatTree()
 	}
 	if c.Duration == 0 {
 		c.Duration = 30 * sim.Millisecond

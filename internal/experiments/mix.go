@@ -14,41 +14,6 @@ import (
 	"rocc/internal/timely"
 )
 
-// OpsFactory builds a protocol's CongestionOps descriptor bound to a
-// Mix's live options (base RTT, shared marking RNG, RoCC ablation hooks).
-type OpsFactory func(m *Mix) netsim.CongestionOps
-
-// opsRegistry maps every protocol the repo wires to its descriptor
-// factory. RegisterOps extends it (external protocols, test doubles).
-var opsRegistry = map[Protocol]OpsFactory{
-	ProtoRoCC: func(m *Mix) netsim.CongestionOps {
-		o := roccnet.NewOps(&m.RoCCOpts, &m.RoCCRP)
-		o.CPs = m.CPs
-		return o
-	},
-	ProtoDCQCN: func(m *Mix) netsim.CongestionOps {
-		return &dcqcn.Ops{Rand: m.rand}
-	},
-	ProtoDCQCNPI: func(m *Mix) netsim.CongestionOps {
-		return &dcqcnpi.Ops{Rand: m.rand}
-	},
-	ProtoHPCC: func(m *Mix) netsim.CongestionOps {
-		return &hpcc.Ops{BaseRTT: m.BaseRTT}
-	},
-	ProtoTIMELY: func(m *Mix) netsim.CongestionOps {
-		return &timely.Ops{}
-	},
-	ProtoQCN: func(m *Mix) netsim.CongestionOps {
-		return &qcn.Ops{}
-	},
-	ProtoDCTCP: func(m *Mix) netsim.CongestionOps {
-		return &dctcp.Ops{BaseRTT: m.BaseRTT}
-	},
-}
-
-// RegisterOps installs (or replaces) a protocol's descriptor factory.
-func RegisterOps(p Protocol, f OpsFactory) { opsRegistry[p] = f }
-
 // Mix composes congestion control for a whole fabric, protocol by
 // protocol: it instantiates one CongestionOps descriptor per protocol in
 // play, attaches the union of their switch and receiver elements, sizes
@@ -114,17 +79,37 @@ func (m *Mix) Ops(proto Protocol) netsim.CongestionOps {
 	if ops, ok := m.ops[proto]; ok {
 		return ops
 	}
-	factory, ok := opsRegistry[proto]
-	if !ok {
-		panic("experiments: unknown protocol " + string(proto))
-	}
-	ops := factory(m)
+	ops := m.newOps(proto)
 	m.ops[proto] = ops
 	m.active = append(m.active, proto)
 	if f := ops.Features(); f.INTHops > m.Net.INTHopCap {
 		m.Net.INTHopCap = f.INTHops
 	}
 	return ops
+}
+
+// newOps builds a protocol's descriptor bound to the Mix's live options
+// (base RTT, shared marking RNG, RoCC ablation hooks).
+func (m *Mix) newOps(proto Protocol) netsim.CongestionOps {
+	switch proto {
+	case ProtoRoCC:
+		o := roccnet.NewOps(&m.RoCCOpts, &m.RoCCRP)
+		o.CPs = m.CPs
+		return o
+	case ProtoDCQCN:
+		return &dcqcn.Ops{Rand: m.rand}
+	case ProtoDCQCNPI:
+		return &dcqcnpi.Ops{Rand: m.rand}
+	case ProtoHPCC:
+		return &hpcc.Ops{BaseRTT: m.BaseRTT}
+	case ProtoTIMELY:
+		return &timely.Ops{}
+	case ProtoQCN:
+		return &qcn.Ops{}
+	case ProtoDCTCP:
+		return &dctcp.Ops{BaseRTT: m.BaseRTT}
+	}
+	panic("experiments: unknown protocol " + string(proto))
 }
 
 // Activate instantiates a protocol's descriptor without wiring anything,

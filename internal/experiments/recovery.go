@@ -45,7 +45,8 @@ type RecoveryConfig struct {
 
 	// Duration is the run length. FailAt and RestoreAt bound the outage;
 	// both must leave room for a steady state before and a recovery
-	// after. Defaults: 12 ms run, fail at 4 ms, restore at 6 ms.
+	// after. Defaults: a 12 ms run, failing at a third of it and
+	// restoring at half.
 	Duration  sim.Time
 	FailAt    sim.Time
 	RestoreAt sim.Time
@@ -62,10 +63,10 @@ func (c RecoveryConfig) Filled() RecoveryConfig {
 		c.Duration = 12 * sim.Millisecond
 	}
 	if c.FailAt == 0 {
-		c.FailAt = 4 * sim.Millisecond
+		c.FailAt = c.Duration / 3
 	}
 	if c.RestoreAt == 0 {
-		c.RestoreAt = 6 * sim.Millisecond
+		c.RestoreAt = c.Duration / 2
 	}
 	return c
 }

@@ -40,11 +40,7 @@ type LinkConfig struct {
 	Drop      float64 // packet vanishes on the wire
 	Corrupt   float64 // payload mangled: CNPs carry garbage rate units, other kinds fail CRC and are discarded
 	Duplicate float64 // packet delivered twice
-	Reorder   float64 // packet delayed by ReorderDelay, landing behind later transmissions
-
-	// ReorderDelay is the extra propagation applied to reordered
-	// packets. Zero defaults to 10 µs (several link RTTs).
-	ReorderDelay sim.Time
+	Reorder   float64 // packet delayed by reorderDelay, landing behind later transmissions
 
 	// Match restricts the faults to packets it accepts; nil matches all.
 	Match func(pkt *netsim.Packet) bool
@@ -66,9 +62,6 @@ func (c LinkConfig) Validate() error {
 	if c.Drop+c.Corrupt+c.Duplicate+c.Reorder > 1 {
 		return fmt.Errorf("faults: probabilities sum to %v, past 1",
 			c.Drop+c.Corrupt+c.Duplicate+c.Reorder)
-	}
-	if c.ReorderDelay < 0 {
-		return errors.New("faults: negative reorder delay")
 	}
 	return nil
 }
@@ -183,14 +176,15 @@ func (in *Injector) Direction(p *netsim.Port, cfg LinkConfig) {
 	if !cfg.active() {
 		return
 	}
-	if cfg.ReorderDelay == 0 {
-		cfg.ReorderDelay = 10 * sim.Microsecond
-	}
 	if p.Fault != nil {
 		panic("faults: port already has a fault hook")
 	}
 	p.Fault = &linkHook{in: in, cfg: cfg, rand: in.rand.Split()}
 }
+
+// reorderDelay is the extra propagation applied to reordered packets:
+// several link RTTs.
+const reorderDelay = 10 * sim.Microsecond
 
 // linkHook implements netsim.FaultHook for one link direction.
 type linkHook struct {
@@ -221,7 +215,7 @@ func (h *linkHook) OnTransmit(now sim.Time, pkt *netsim.Packet) netsim.FaultVerd
 		return netsim.FaultVerdict{Pkt: pkt, Duplicate: true}
 	case u < h.cfg.Drop+h.cfg.Corrupt+h.cfg.Duplicate+h.cfg.Reorder:
 		atomic.AddUint64(&h.in.stats.Reordered, 1)
-		return netsim.FaultVerdict{Pkt: pkt, ExtraDelay: h.cfg.ReorderDelay}
+		return netsim.FaultVerdict{Pkt: pkt, ExtraDelay: reorderDelay}
 	}
 	return netsim.Deliver(pkt)
 }

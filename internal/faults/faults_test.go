@@ -118,7 +118,7 @@ func TestDuplicateDeliversTwice(t *testing.T) {
 func TestReorderDelaysDelivery(t *testing.T) {
 	engine, net, a, b, _ := pair()
 	in := New(net, 3)
-	in.Direction(a.NIC(), LinkConfig{Reorder: 1, ReorderDelay: 50 * sim.Microsecond, Match: MatchData})
+	in.Direction(a.NIC(), LinkConfig{Reorder: 1, Match: MatchData})
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: 100_000})
 	engine.RunUntil(5 * sim.Millisecond)
 	if f.DeliveredBytes() != 100_000 {

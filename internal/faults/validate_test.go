@@ -16,7 +16,6 @@ func TestLinkConfigValidate(t *testing.T) {
 		{"typical", LinkConfig{Drop: 0.1, Corrupt: 0.05, Duplicate: 0.02, Reorder: 0.1}, true},
 		{"sum exactly one", LinkConfig{Drop: 0.5, Corrupt: 0.5}, true},
 		{"negative drop", LinkConfig{Drop: -0.1}, false},
-		{"negative reorder delay", LinkConfig{Reorder: 0.1, ReorderDelay: -sim.Microsecond}, false},
 		{"sum past one", LinkConfig{Drop: 0.6, Corrupt: 0.6}, false},
 	}
 	for _, c := range cases {

@@ -162,10 +162,6 @@ func TestBufferConfigDefaults(t *testing.T) {
 	if s.sharedXoff() != 200 {
 		t.Errorf("sharedXoff = %d, want 2x threshold", s.sharedXoff())
 	}
-	s.SharedFactor = 3
-	if s.sharedXoff() != 300 {
-		t.Errorf("sharedXoff = %d with factor 3", s.sharedXoff())
-	}
 }
 
 // TestPFCStateClearedByLinkFlap is the regression test for pause state

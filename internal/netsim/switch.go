@@ -19,22 +19,15 @@ type BufferConfig struct {
 	// PFCResume is the Xon watermark. Zero defaults to PFCThreshold - 20 KB
 	// (floored at half the threshold).
 	PFCResume int
-
-	// SharedFactor scales the shared-buffer Xoff trigger: when total
-	// data-class occupancy exceeds SharedFactor × PFCThreshold, every
-	// contributing ingress is paused (shared-buffer pressure). Zero
-	// defaults to 2. Per-ingress accounting still pauses an individual
-	// ingress at PFCThreshold.
-	SharedFactor int
 }
 
-func (b BufferConfig) sharedXoff() int {
-	f := b.SharedFactor
-	if f <= 0 {
-		f = 2
-	}
-	return f * b.PFCThreshold
-}
+// SharedFactor scales the shared-buffer Xoff trigger: when total
+// data-class occupancy exceeds SharedFactor × PFCThreshold, every
+// contributing ingress is paused (shared-buffer pressure). Per-ingress
+// accounting still pauses an individual ingress at PFCThreshold.
+const SharedFactor = 2
+
+func (b BufferConfig) sharedXoff() int { return SharedFactor * b.PFCThreshold }
 
 func (b BufferConfig) sharedXon() int {
 	return b.sharedXoff() - (b.PFCThreshold - b.resume())

@@ -21,7 +21,7 @@ type CPOptions struct {
 	// the port's link bandwidth via core.CPConfigForGbps.
 	Core core.CPConfig
 
-	// T is the fair-rate update interval (40 µs in §6).
+	// T is the fair-rate update interval; zero selects defaultT.
 	T sim.Time
 
 	// Table selects the flow-table implementation (§3.4). Nil uses the
@@ -36,14 +36,6 @@ type CPOptions struct {
 	// them (ClassCtrl); the ablation benches demote them to ClassData.
 	CNPClass netsim.Class
 
-	// MinSignalBytes suppresses feedback while the egress queue is below
-	// this occupancy: an (almost) empty queue has no congestion to
-	// signal, and §3.4 sends feedback only to flows contributing to
-	// queue buildup. Without this, a CP recovering from an MD floor
-	// keeps re-trapping transiting flows at its stale-low rate. Zero
-	// defaults to two full packets; negative disables the floor.
-	MinSignalBytes int
-
 	// Weight, when set, scales each CNP's rate by the recipient flow's
 	// class weight (§8's QoS extension): flows of class c converge to
 	// w_c·F, so classes split the link in proportion to their aggregate
@@ -52,6 +44,16 @@ type CPOptions struct {
 	// the RP's acceptance bounds. Host-computed mode ignores it.
 	Weight func(netsim.FlowID) float64
 }
+
+// defaultT is the fair-rate update interval of §6.
+const defaultT = 40 * sim.Microsecond
+
+// minSignalBytes, two full packets, suppresses feedback while the egress
+// queue is below it: an (almost) empty queue has no congestion to signal,
+// and §3.4 sends feedback only to flows contributing to queue buildup.
+// Without it, a CP recovering from an MD floor keeps re-trapping
+// transiting flows at its stale-low rate.
+const minSignalBytes = 2 * (netsim.MTUPayload + netsim.HeaderBytes)
 
 // CP is a RoCC congestion point attached to one switch egress port.
 type CP struct {
@@ -84,13 +86,10 @@ func Attach(net *netsim.Network, sw *netsim.Switch, port *netsim.Port, opts CPOp
 		opts.Core = core.CPConfigForGbps(port.LinkRate.Gbps())
 	}
 	if opts.T == 0 {
-		opts.T = 40 * sim.Microsecond
+		opts.T = defaultT
 	}
 	if opts.Table == nil {
 		opts.Table = flowtable.NewQueueTable()
-	}
-	if opts.MinSignalBytes == 0 {
-		opts.MinSignalBytes = 2 * (netsim.MTUPayload + netsim.HeaderBytes)
 	}
 	cp := &CP{
 		net:   net,
@@ -162,7 +161,7 @@ func (cp *CP) update() {
 			Value: cp.core.FairRateMbps(),
 		})
 	}
-	if !cp.opts.HostComputed && qcur < cp.opts.MinSignalBytes {
+	if !cp.opts.HostComputed && qcur < minSignalBytes {
 		// No congestion to signal (§3.4). In host-computed mode CNPs
 		// keep flowing: the queue observation itself is the signal, and
 		// a near-empty observation raises the replica's rate rather

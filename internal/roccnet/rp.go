@@ -9,12 +9,6 @@ import (
 
 // RPOptions configures the per-flow reaction point.
 type RPOptions struct {
-	// RmaxMbps is the maximum send rate (the NIC link bandwidth).
-	RmaxMbps float64
-
-	// DeltaFMbps is ΔF; must match the CPs. Defaults to 10.
-	DeltaFMbps float64
-
 	// RecoveryTimer is the fast-recovery interval (Alg. 2's timer).
 	// It must comfortably exceed the CP update interval T, or a flow
 	// doubles its rate between two consecutive CNPs it legitimately
@@ -27,22 +21,12 @@ type RPOptions struct {
 	// observations using this per-CP parameter registry.
 	HostRegistry func(cp core.CPKey) core.CPConfig
 
-	// HostT is the CP update interval assumed by the host replica in
-	// host-computed mode. When CNPs stop flowing (the flow left the
-	// congested queue), the replica runs catch-up iterations with empty
-	// queue observations for the missed intervals, exactly as the
-	// switch-side controller would have. Defaults to 40 µs.
-	HostT sim.Time
-
 	// StaleK is the feedback-staleness threshold forwarded to the core
 	// RP: after StaleK consecutive recovery expiries without an accepted
 	// CNP the RP unpins its congestion point and accepts the next valid
 	// CNP unconditionally. Zero (the default) disables staleness
 	// handling; fault-tolerant deployments set core.DefaultStaleK.
 	StaleK int
-
-	// MaxRateUnits overrides the core RP's corrupt-feedback bound.
-	MaxRateUnits int
 
 	// VerifyCPPath arms the forged-feedback defense: CNPs claiming a
 	// congestion point off the flow's current ECMP path (per
@@ -62,16 +46,14 @@ type RPOptions struct {
 }
 
 func (o *RPOptions) fill() {
-	if o.DeltaFMbps == 0 {
-		o.DeltaFMbps = 10
-	}
 	if o.RecoveryTimer == 0 {
 		o.RecoveryTimer = 200 * sim.Microsecond
 	}
-	if o.HostT == 0 {
-		o.HostT = 40 * sim.Microsecond
-	}
 }
+
+// rpDeltaFMbps is ΔF, the rate unit CNPs carry; it matches the CPs'
+// (core.CPConfigForGbps).
+const rpDeltaFMbps = 10
 
 // maxQueueUnits bounds a host-computed CNP's raw queue observation: in
 // ΔQ units of 600 B this is ~10 GB of queue, far past any real buffer.
@@ -84,6 +66,7 @@ type FlowCC struct {
 	engine *sim.Engine
 	host   *netsim.Host
 	opts   RPOptions
+	rmax   float64 // Mb/s: the NIC link rate, the most a flow may send
 
 	rp       *core.RP
 	hostCP   *core.HostCP
@@ -107,19 +90,16 @@ type FlowCC struct {
 // recovery timer runs on the host's engine.
 func NewFlowCC(host *netsim.Host, opts RPOptions) *FlowCC {
 	opts.fill()
-	if opts.RmaxMbps == 0 {
-		opts.RmaxMbps = host.NIC().LinkRate.Mbps()
-	}
 	cc := &FlowCC{
 		engine: host.Engine(),
 		host:   host,
 		opts:   opts,
+		rmax:   host.NIC().LinkRate.Mbps(),
 	}
 	cfg := core.RPConfig{
-		DeltaFMbps:   opts.DeltaFMbps,
-		RmaxMbps:     opts.RmaxMbps,
-		StaleK:       opts.StaleK,
-		MaxRateUnits: opts.MaxRateUnits,
+		DeltaFMbps: rpDeltaFMbps,
+		RmaxMbps:   cc.rmax,
+		StaleK:     opts.StaleK,
 	}
 	if opts.VerifyCPPath {
 		cfg.Witness = cc.witnessCP
@@ -191,9 +171,10 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 		}
 		// Catch up on intervals the CP computed but did not signal to
 		// this flow (it was not contributing to the queue then, so the
-		// queue it would have reported is approximated as empty).
+		// queue it would have reported is approximated as empty). The
+		// replica assumes the CP updates every defaultT.
 		if last, ok := cc.lastCNPs[cpKey]; ok {
-			missed := int((now-last)/cc.opts.HostT) - 1
+			missed := int((now-last)/defaultT) - 1
 			if missed > 256 {
 				missed = 256
 			}
@@ -269,7 +250,7 @@ func (cc *FlowCC) recordRate(now sim.Time) {
 // CurrentRate implements netsim.FlowCC.
 func (cc *FlowCC) CurrentRate() netsim.Rate {
 	if !cc.rp.Installed() {
-		return netsim.Mbps(cc.opts.RmaxMbps)
+		return netsim.Mbps(cc.rmax)
 	}
 	return netsim.Mbps(cc.rp.RateMbps())
 }

@@ -7,7 +7,9 @@
 // standing in for the paper's DPDK deployment.
 //
 // This package is the public facade: it re-exports the library's main
-// types so downstream users program against a single import path.
+// types so downstream users program against a single import path. It is
+// the only importable surface of the module; README.md ("Public API")
+// states what it supports and what counts as a breaking change.
 //
 // # Quick start
 //
@@ -72,22 +74,12 @@ type (
 	FlowConfig = netsim.FlowConfig
 	// BufferConfig describes switch buffering and PFC.
 	BufferConfig = netsim.BufferConfig
-	// OperatingMode is the fabric loss discipline: PFC-only, CC-only
-	// lossy, or hybrid (CC with PFC as backstop).
-	OperatingMode = netsim.OperatingMode
 	// Rate is bits per second.
 	Rate = netsim.Rate
 	// FlowCC is the per-flow congestion-controller interface.
 	FlowCC = netsim.FlowCC
 	// PortCC is the switch-side congestion-control attachment.
 	PortCC = netsim.PortCC
-)
-
-// The fabric operating modes.
-const (
-	ModeHybrid      = netsim.ModeHybrid
-	ModePFCOnly     = netsim.ModePFCOnly
-	ModeCCOnlyLossy = netsim.ModeCCOnlyLossy
 )
 
 // Gbps returns a Rate of g gigabits per second.
@@ -188,12 +180,6 @@ type (
 	// Mix wires congestion control into a built network: each scheme's
 	// switch and receiver elements, and a protocol per flow.
 	Mix = experiments.Mix
-	// CongestionOps is the descriptor one scheme implements to plug into
-	// a Mix: switch attachment, receiver hook, flow controller,
-	// ACK cadence and packet-feature requirements.
-	CongestionOps = netsim.CongestionOps
-	// CCFeatures are the packet-level capacities a scheme requires.
-	CCFeatures = netsim.CCFeatures
 )
 
 // The protocols the paper evaluates.
@@ -215,19 +201,8 @@ func NewMix(net *Network, baseRTT Time) *Mix {
 	return experiments.NewMix(net, baseRTT)
 }
 
-// RegisterProtocol installs a custom congestion-control scheme under a
-// name, making it available to Mix and the chaos soak.
-func RegisterProtocol(p Protocol, factory func(m *Mix) CongestionOps) {
-	experiments.RegisterOps(p, factory)
-}
-
-// Workloads (§6.3).
-type (
-	// CDF is a flow-size distribution.
-	CDF = workload.CDF
-	// Poisson is an open-loop flow-arrival process.
-	Poisson = workload.Poisson
-)
+// CDF is a flow-size distribution (§6.3 workloads).
+type CDF = workload.CDF
 
 // WebSearch returns the throughput-heavy flow-size distribution.
 func WebSearch() *CDF { return workload.WebSearch() }

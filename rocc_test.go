@@ -92,10 +92,55 @@ func TestFacadeConstructors(t *testing.T) {
 	port, _ := net.Connect(sw, b, rocc.Gbps(40), 1500*rocc.Nanosecond)
 	net.ComputeRoutes()
 	cp := rocc.EnableRoCC(net, sw, port, rocc.CPOptions{})
+	if port.CC != rocc.PortCC(cp) {
+		t.Error("EnableRoCC did not install its CP on the port")
+	}
 	cc := rocc.NewRoCCFlowCC(a, rocc.RPOptions{})
 	net.StartFlow(a, b, rocc.FlowConfig{Size: -1, MaxRate: rocc.Gbps(36), CC: cc})
 	engine.RunUntil(5 * rocc.Millisecond)
 	if cp.FairRateMbps() <= 0 {
 		t.Error("EnableRoCC CP inert")
+	}
+}
+
+// TestBaselinesViaFacade runs each of the seven protocols the facade
+// names on the quick-start star, wired the way a downstream user wires
+// them: the switch element on the bottleneck, the receiver elements on
+// every host, then flows. Each must let every flow through, losslessly
+// and within the link's capacity. (How fast each converges is the
+// experiments' business: DCQCN and TIMELY ramp up far slower than RoCC.)
+func TestBaselinesViaFacade(t *testing.T) {
+	protocols := []rocc.Protocol{
+		rocc.ProtoRoCC, rocc.ProtoDCQCN, rocc.ProtoDCQCNPI, rocc.ProtoHPCC,
+		rocc.ProtoTIMELY, rocc.ProtoQCN, rocc.ProtoDCTCP,
+	}
+	for _, p := range protocols {
+		engine := rocc.NewEngine()
+		star := rocc.BuildStar(engine, 1, 4, rocc.Gbps(40))
+		mix := rocc.NewMix(star.Net, 8*rocc.Microsecond)
+		mix.EnablePort(p, star.Bottleneck)
+		mix.AttachReceivers()
+		var flows []*rocc.Flow
+		for _, src := range star.Sources {
+			flows = append(flows, mix.StartFlow(p, src, star.Dst, -1, rocc.Gbps(36)))
+		}
+		engine.RunUntil(10 * rocc.Millisecond)
+		secs := float64(engine.Now()) / float64(rocc.Second)
+		var total float64
+		for i, f := range flows {
+			if star.Net.Flow(f.ID) != f {
+				t.Errorf("%s: flow %d not found by its ID", p, i)
+			}
+			if f.DeliveredBytes() == 0 {
+				t.Errorf("%s: flow %d delivered nothing", p, i)
+			}
+			total += float64(f.DeliveredBytes()) * 8 / secs / 1e9
+		}
+		if total > 40 {
+			t.Errorf("%s: %.1f Gb/s through the 40 Gb/s bottleneck", p, total)
+		}
+		if drops := star.Net.TotalDrops(); drops != 0 {
+			t.Errorf("%s: %d drops on the lossless star", p, drops)
+		}
 	}
 }
