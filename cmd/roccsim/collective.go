@@ -7,7 +7,6 @@ import (
 
 	"rocc/internal/collective"
 	"rocc/internal/export"
-	"rocc/internal/harness"
 	"rocc/internal/netsim"
 )
 
@@ -54,9 +53,10 @@ func collectiveExp(fs *flag.FlagSet, _ string) func(*out) {
 			filled.Collective.Iterations, filled.Kill, filled.Deadline.Seconds()*1e3)
 		o.println("  cell = iteration completion time p50/p99 (ms); modes that cannot finish show why")
 
-		rs := harness.Run(cells, *s.workers, collective.RunExp)
+		vals := table(o, s, 1, cells, nil,
+			func(c collective.ExpConfig) string { return fmt.Sprintf("collective %s/%s", c.Protocol, c.Mode) }, collective.RunExp)
 
-		results := make([]collective.ExpResult, 0, len(rs))
+		var results []collective.ExpResult
 		o.printf("  %-9s", "protocol")
 		for _, m := range modes {
 			o.printf(" %-22s", m)
@@ -67,7 +67,7 @@ func collectiveExp(fs *flag.FlagSet, _ string) func(*out) {
 				o.printf("  %-9s", c.Protocol)
 			}
 			label := "error"
-			for _, v := range collect(o, fmt.Sprintf("collective %s/%s", c.Protocol, c.Mode), rs[i:i+1]) {
+			for _, v := range vals[i] {
 				results = append(results, v)
 				label = cellLabel(v)
 			}

@@ -108,20 +108,6 @@ type sweep struct {
 
 func bindSweep(fs *flag.FlagSet) sweep { return sweep{bindDur(fs), bindSeed(fs), bindWorkers(fs)} }
 
-// repCells expands each cell into reps repetitions, cell-major:
-// repetition r of cells[i] lands at i*reps+r and runs with seed seed+r.
-// This is the one place a repetition's seed is derived.
-func repCells[C any](cells []C, reps int, seed int64, at func(*C) *int64) []C {
-	out := make([]C, 0, len(cells)*reps)
-	for _, c := range cells {
-		for r := 0; r < reps; r++ {
-			*at(&c) = seed + int64(r)
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // seriesOpts is what fig8 and fig9 read beside their cells: -protocol,
 // and the outputs of their sampled series and telemetry.
 type seriesOpts struct {

@@ -20,6 +20,7 @@ var badArgs = []string{
 	"-dur 1ms -cnp-loss -0.5 faults",
 	"-dur 1ms -cnp-loss -2 faults",
 	"-dur 1ms -link-flap -1ms faults",
+	"-link-flap 5ns faults",
 	"-dur 1ms -ranks 2 -kill bogus collective",
 	"-dur 1ms -kill= collective",
 	"-dur 1ms -kill switch collective", // recovery's kill kind, not the collective's
@@ -49,6 +50,7 @@ var badArgs = []string{
 	"-count 2 -rogue-prob NaN soak",
 	"-dur 1ms -fanin -3 fig18",
 	"-dur 100us -flows -1 scale",
+	"-flows 0 scale",
 	// Flags the experiment does not read.
 	"-shards 2 fig8",
 	"-dur 100us -flows 100 -shards 2 scale",

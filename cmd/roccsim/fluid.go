@@ -9,7 +9,6 @@ import (
 
 	"rocc/internal/core"
 	"rocc/internal/fluid"
-	"rocc/internal/harness"
 )
 
 // fluidExp sweeps the §5.1 fluid model of the RoCC loop over flow counts
@@ -57,11 +56,11 @@ func fluidExp(fs *flag.FlagSet, _ string) func(*out) {
 			})
 		}
 
-		rs := harness.Run(cells, *workers, func(c cell) fluid.Result {
-			return fluid.Run(fluid.Config{
-				CP: c.cfg, N: c.n, LinkMbps: gbps * 1000, T: 40e-6, Steps: 6000,
+		vals := table(o, sweep{workers: workers}, 1, cells, nil,
+			func(c cell) string { return fmt.Sprintf("fluid %s N=%d", c.label, c.n) },
+			func(c cell) fluid.Result {
+				return fluid.Run(fluid.Config{CP: c.cfg, N: c.n, LinkMbps: gbps * 1000, T: 40e-6, Steps: 6000})
 			})
-		})
 
 		var rows [][]string
 		for i, c := range cells {
@@ -70,7 +69,7 @@ func fluidExp(fs *flag.FlagSet, _ string) func(*out) {
 			}
 			row := []string{c.label, strconv.Itoa(c.n), "err", ""}
 			mark := "err  "
-			for _, r := range collect(o, fmt.Sprintf("fluid %s N=%d", c.label, c.n), rs[i:i+1]) {
+			for _, r := range vals[i] {
 				mark, row[2] = "ok   ", "1"
 				if !r.Converged(tol) {
 					mark, row[2] = "FAIL ", "0"

@@ -56,9 +56,11 @@ var goldenRuns = []struct {
 	{"fig11_reps2", "-dur 3ms -reps 2 fig11", nil},
 	{"fig11_reps2", "-dur 3ms -reps 2 -workers 1 fig11", nil},
 	{"fig14_reps2", "-dur 2ms -reps 2 fig14", nil},
+	{"fig16_reps2", "-dur 2ms -reps 2 fig16", nil},
 	{"table3_reps2", "-dur 2ms -reps 2 table3", nil},
 	{"fig17_reps2", "-dur 2ms -reps 2 fig17", nil},
 	{"fig18_reps2", "-dur 2ms -reps 2 fig18", nil},
+	{"fig20_reps2", "-dur 2ms -reps 2 fig20", nil},
 
 	// The pure subcommands and the fluid sweep.
 	{"fig5", "fig5", nil},
@@ -337,12 +339,8 @@ func TestGoldenFaultRowsFire(t *testing.T) {
 	}
 	faults := experiments.FaultsConfig{Seed: 1, Duration: goldenDur(t, "faults")}
 	for _, c := range experiments.FaultsCells(faults, []float64{0.05}, 0)[1:] {
-		s := experiments.RunFaults(c).Faults
-		if fired := s.CNPsLost + s.Corrupted + s.Flaps + s.StallWindows; fired == 0 {
+		if !experiments.RunFaults(c).Fired() {
 			t.Errorf("faults %s: no fault fired", c.Label())
-		}
-		if c.FlapPeriod > 0 && s.Flaps == 0 {
-			t.Errorf("faults %s: the link never flapped", c.Label())
 		}
 	}
 }

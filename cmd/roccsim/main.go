@@ -16,7 +16,6 @@
 package main
 
 import (
-	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,11 +32,9 @@ import (
 	"rocc/internal/harness"
 	"rocc/internal/netsim"
 	"rocc/internal/plot"
-	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/telemetry"
-	"rocc/internal/topology"
 	"rocc/internal/workload"
 )
 
@@ -241,20 +238,47 @@ func (o *out) check(what string, err error) {
 	}
 }
 
-// collect returns the values of a group of cell results — one table
-// row's repetitions, or one single-run cell. It reports each failed cell
-// (a captured panic) and marks the run failed, without aborting the
-// sweep.
-func collect[R any](o *out, what string, rs []harness.Result[R]) []R {
-	var vals []R
-	for rep, r := range rs {
-		if r.Err != nil {
-			o.check(fmt.Sprintf("%s rep %d failed", what, rep), r.Err)
-			continue
+// table is the one driver of every multi-cell table. It runs each cell
+// reps times on the -workers pool; with seedOf set, repetition r of a
+// cell runs with -seed+r (the one place a repetition's seed is derived),
+// otherwise reps is 1 and each cell carries its seed. It returns, in cell
+// order, the values of each cell's repetitions that did not fail. A
+// failed repetition (a captured panic) is reported under its cell's
+// label and marks the run failed; the rest of the table still runs.
+func table[C, R any](o *out, s sweep, reps int, cells []C, seedOf func(*C) *int64, label func(C) string, run func(C) R) [][]R {
+	var runs []C
+	for _, c := range cells {
+		for r := 0; r < reps; r++ {
+			if seedOf != nil {
+				*seedOf(&c) = *s.seed + int64(r)
+			}
+			runs = append(runs, c)
 		}
-		vals = append(vals, r.Value)
+	}
+	vals := make([][]R, len(cells))
+	for i, r := range harness.Run(runs, *s.workers, run) {
+		if r.Err != nil {
+			o.check(fmt.Sprintf("%s rep %d failed", label(runs[i]), i%reps), r.Err)
+		} else {
+			vals[i/reps] = append(vals[i/reps], r.Value)
+		}
 	}
 	return vals
+}
+
+// mean averages each value cols picks from a row's repetitions, in
+// repetition order.
+func mean[R any](runs []R, cols func(R) []float64) []float64 {
+	m := make([]float64, len(cols(runs[0])))
+	for _, r := range runs {
+		for k, v := range cols(r) {
+			m[k] += v
+		}
+	}
+	for k := range m {
+		m[k] /= float64(len(runs))
+	}
+	return m
 }
 
 // writeFile creates path and fills it.
@@ -390,7 +414,7 @@ func runFig7(o *out, which string) {
 }
 
 func fig8(fs *flag.FlagSet, _ string) func(*out) {
-	s, repsFlag, series := bindSweep(fs), bindReps(fs), bindSeries(fs)
+	s, reps, series := bindSweep(fs), bindReps(fs), bindSeries(fs)
 	return func(o *out) {
 		proto := *series.proto
 		o.printf("Fig 8: fairness and stability as load increases (90%% offered load, %s)\n", proto)
@@ -402,36 +426,34 @@ func fig8(fs *flag.FlagSet, _ string) func(*out) {
 				})
 			}
 		}
-		cells = repCells(cells, *repsFlag, *s.seed, func(c *experiments.Fig8Config) *int64 { return &c.Seed })
-		// All cells aggregate counters into the shared registry; the flight
-		// recorder rides on the first cell only, so the Chrome trace shows one
-		// coherent run instead of interleaved virtual clocks.
-		if tel := o.telemetry(series); tel != nil {
-			regOnly := &experiments.RunTelemetry{Registry: tel.Registry}
-			for i := range cells {
-				cells[i].Telemetry = regOnly
+		tel := o.telemetry(series)
+		run := func(c experiments.Fig8Config) experiments.Fig8Result {
+			// Every run aggregates counters into the shared registry; the
+			// flight recorder rides on the first cell's first repetition only,
+			// so the Chrome trace shows one coherent run instead of
+			// interleaved virtual clocks.
+			if tel != nil {
+				c.Telemetry = &experiments.RunTelemetry{Registry: tel.Registry}
+				if c.N == cells[0].N && c.Gbps == cells[0].Gbps && c.Seed == *s.seed {
+					c.Telemetry = tel
+				}
 			}
-			cells[0].Telemetry = tel
+			return experiments.RunFig8(c)
 		}
-		rs := harness.Run(cells, *s.workers, experiments.RunFig8)
-		reps := *repsFlag
-		for i := 0; i < len(cells); i += reps {
-			c := cells[i]
-			runs := collect(o, fmt.Sprintf("fig8 B=%.0fG N=%d", c.Gbps, c.N), rs[i:i+reps])
+		vals := table(o, s, *reps, cells, func(c *experiments.Fig8Config) *int64 { return &c.Seed },
+			func(c experiments.Fig8Config) string { return fmt.Sprintf("fig8 B=%.0fG N=%d", c.Gbps, c.N) }, run)
+		for i, runs := range vals {
 			if len(runs) == 0 {
 				continue
 			}
-			queKB, rate, conv, pfc := runs[0].SteadyQueKB, runs[0].SteadyRate, runs[0].ConvergedAt, float64(runs[0].PFCFrames)
-			queues, rates := []*stats.Series{runs[0].Queue}, []*stats.Series{runs[0].FairRate}
-			for _, r := range runs[1:] {
-				queKB += r.SteadyQueKB
-				rate += r.SteadyRate
-				conv += r.ConvergedAt
-				pfc += float64(r.PFCFrames)
-				queues = append(queues, r.Queue)
-				rates = append(rates, r.FairRate)
+			c := cells[i]
+			m := mean(runs, func(r experiments.Fig8Result) []float64 {
+				return []float64{r.SteadyQueKB, r.SteadyRate, r.ConvergedAt, float64(r.PFCFrames)}
+			})
+			var queues, rates []*stats.Series
+			for _, r := range runs {
+				queues, rates = append(queues, r.Queue), append(rates, r.FairRate)
 			}
-			nr := float64(len(runs))
 			// RoCC's rate series is the CP fair rate (ideal B/N); baselines
 			// report aggregate bottleneck throughput (ideal B).
 			label, ideal := "fair", runs[0].ExpectedRate
@@ -439,8 +461,8 @@ func fig8(fs *flag.FlagSet, _ string) func(*out) {
 				label, ideal = "tput", c.Gbps
 			}
 			o.printf("  B=%3.0fG N=%-3d queue=%6.0f KB (ref %s)  %s=%7.2f Gb/s (ideal %.2f)  conv=%.1f ms  pfc=%d\n",
-				c.Gbps, c.N, queKB/nr, map[float64]string{40: "150", 100: "300"}[c.Gbps],
-				label, rate/nr, ideal, conv/nr*1e3, int(pfc/nr))
+				c.Gbps, c.N, m[0], map[float64]string{40: "150", 100: "300"}[c.Gbps],
+				label, m[1], ideal, m[2]*1e3, int(m[3]))
 			o.emitSeries(series, fmt.Sprintf("fig8_B%.0f_N%d", c.Gbps, c.N),
 				experiments.AverageSeries(queues...), experiments.AverageSeries(rates...))
 		}
@@ -467,7 +489,7 @@ func fig9(fs *flag.FlagSet, _ string) func(*out) {
 }
 
 func fig11(fs *flag.FlagSet, _ string) func(*out) {
-	s, repsFlag := bindSweep(fs), bindReps(fs)
+	s, reps := bindSweep(fs), bindReps(fs)
 	return func(o *out) {
 		o.println("Fig 11: comparison on N=10, B=40G (fairness / stability / convergence)")
 		o.printf("  %-9s %22s %16s %8s %6s\n", "protocol", "per-flow rate (Gb/s)", "queue (KB)", "util", "Jain")
@@ -479,135 +501,101 @@ func fig11(fs *flag.FlagSet, _ string) func(*out) {
 		for _, p := range experiments.MicroProtocols() {
 			cells = append(cells, cell{p, experiments.Fig11Config{Duration: s.dur()}})
 		}
-		cells = repCells(cells, *repsFlag, *s.seed, func(c *cell) *int64 { return &c.cfg.Seed })
-		rs := harness.Run(cells, *s.workers, func(c cell) experiments.Fig11Row { return experiments.RunFig11(c.p, c.cfg) })
-		reps := *repsFlag
-		for i := 0; i < len(cells); i += reps {
-			rows := collect(o, "fig11 "+string(cells[i].p), rs[i:i+reps])
+		vals := table(o, s, *reps, cells, func(c *cell) *int64 { return &c.cfg.Seed },
+			func(c cell) string { return "fig11 " + string(c.p) },
+			func(c cell) experiments.Fig11Row { return experiments.RunFig11(c.p, c.cfg) })
+		for _, rows := range vals {
 			if len(rows) == 0 {
 				continue
 			}
-			row := averageFig11(rows)
+			// Repetitions average; the rate envelope spans all of them.
+			m := mean(rows, func(r experiments.Fig11Row) []float64 {
+				return []float64{r.FlowRateMean, r.FlowRateStd, r.QueueMeanKB, r.QueueStdKB, r.Utilization, r.JainIndex}
+			})
+			lo, hi := rows[0].FlowRateMin, rows[0].FlowRateMax
+			for _, r := range rows {
+				lo, hi = min(lo, r.FlowRateMin), max(hi, r.FlowRateMax)
+			}
 			o.printf("  %-9s %6.2f ± %-5.2f [%4.1f..%4.1f] %7.0f ± %-6.0f %6.2f %6.4f\n",
-				row.Protocol, row.FlowRateMean, row.FlowRateStd, row.FlowRateMin, row.FlowRateMax,
-				row.QueueMeanKB, row.QueueStdKB, row.Utilization, row.JainIndex)
+				rows[0].Protocol, m[0], m[1], lo, hi, m[2], m[3], m[4], m[5])
 		}
 	}
-}
-
-// averageFig11 merges repetition rows: scalar metrics are averaged, the
-// rate envelope takes the min of mins and max of maxes. A single row is
-// returned unchanged.
-func averageFig11(rows []experiments.Fig11Row) experiments.Fig11Row {
-	out := rows[0]
-	for _, r := range rows[1:] {
-		out.FlowRateMean += r.FlowRateMean
-		out.FlowRateStd += r.FlowRateStd
-		out.QueueMeanKB += r.QueueMeanKB
-		out.QueueStdKB += r.QueueStdKB
-		out.Utilization += r.Utilization
-		out.JainIndex += r.JainIndex
-		if r.FlowRateMin < out.FlowRateMin {
-			out.FlowRateMin = r.FlowRateMin
-		}
-		if r.FlowRateMax > out.FlowRateMax {
-			out.FlowRateMax = r.FlowRateMax
-		}
-	}
-	n := float64(len(rows))
-	out.FlowRateMean /= n
-	out.FlowRateStd /= n
-	out.QueueMeanKB /= n
-	out.QueueStdKB /= n
-	out.Utilization /= n
-	out.JainIndex /= n
-	return out
 }
 
 func runFig12a(o *out, s sweep) {
 	o.println("Fig 12a: multi-bottleneck fairness (ideal: D0=D5=5, D1..D4=8.75 Gb/s)")
-	protos := experiments.ComparisonProtocols()
-	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig12aRow {
-		return experiments.RunFig12a(p, s.dur(), *s.seed)
-	})
-	for i, p := range protos {
-		for _, r := range collect(o, "fig12a "+string(p), rs[i:i+1]) {
+	vals := table(o, s, 1, experiments.ComparisonProtocols(), nil, protoLabel("fig12a"),
+		func(p experiments.Protocol) experiments.Fig12aRow { return experiments.RunFig12a(p, s.dur(), *s.seed) })
+	for _, rs := range vals {
+		for _, r := range rs {
 			o.printf("  %-9s D0=%5.2f  D1..4=%5.2f %5.2f %5.2f %5.2f  D5=%5.2f\n",
-				p, r.D[0], r.D[1], r.D[2], r.D[3], r.D[4], r.D[5])
+				r.Protocol, r.D[0], r.D[1], r.D[2], r.D[3], r.D[4], r.D[5])
 		}
 	}
 }
 
+// protoLabel labels a table's per-protocol cells.
+func protoLabel(name string) func(experiments.Protocol) string {
+	return func(p experiments.Protocol) string { return name + " " + string(p) }
+}
+
 func runFig12b(o *out, s sweep) {
 	o.println("Fig 12b: asymmetric-topology fairness (ideal: every flow 14.3 Gb/s)")
-	protos := experiments.ComparisonProtocols()
-	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig12bRow {
-		return experiments.RunFig12b(p, s.dur(), *s.seed)
-	})
-	for i, p := range protos {
-		for _, r := range collect(o, "fig12b "+string(p), rs[i:i+1]) {
-			o.printf("  %-9s slow(D0..D4)=%6.2f  fast(D5..D6)=%6.2f Gb/s\n", p, r.SlowAvg, r.FastAvg)
+	vals := table(o, s, 1, experiments.ComparisonProtocols(), nil, protoLabel("fig12b"),
+		func(p experiments.Protocol) experiments.Fig12bRow { return experiments.RunFig12b(p, s.dur(), *s.seed) })
+	for _, rs := range vals {
+		for _, r := range rs {
+			o.printf("  %-9s slow(D0..D4)=%6.2f  fast(D5..D6)=%6.2f Gb/s\n", r.Protocol, r.SlowAvg, r.FastAvg)
 		}
 	}
 }
 
 func runFig13(o *out, s sweep) {
 	o.println("Fig 13: testbed-twin simulation (3x10G; see cmd/rocclab for real sockets)")
-	scenarios := []experiments.Fig13Scenario{experiments.Fig13Uniform, experiments.Fig13Mixed}
-	rs := harness.Run(scenarios, *s.workers, func(sc experiments.Fig13Scenario) experiments.Fig13Result {
-		return experiments.RunFig13Sim(sc, s.dur(), *s.seed)
-	})
-	for i, sc := range scenarios {
-		want := "3.33"
-		if sc == experiments.Fig13Mixed {
-			want = "6.00"
-		}
-		for _, r := range collect(o, "fig13 sim-"+string(sc), rs[i:i+1]) {
+	vals := table(o, s, 1, []experiments.Fig13Scenario{experiments.Fig13Uniform, experiments.Fig13Mixed}, nil,
+		func(sc experiments.Fig13Scenario) string { return "fig13 sim-" + string(sc) },
+		func(sc experiments.Fig13Scenario) experiments.Fig13Result {
+			return experiments.RunFig13Sim(sc, s.dur(), *s.seed)
+		})
+	for _, rs := range vals {
+		for _, r := range rs {
+			want := "3.33"
+			if r.Scenario == experiments.Fig13Mixed {
+				want = "6.00"
+			}
 			o.printf("  sim-%s: queue=%5.0f KB (ref 75)  fair=%5.2f Gb/s (ideal %s)\n",
-				sc, r.SteadyQueKB, r.SteadyRate, want)
+				r.Scenario, r.SteadyQueKB, r.SteadyRate, want)
 		}
 	}
 }
 
-// fctConfig is the §6.3 run of one protocol on one workload at -load
-// and -shards; repCells sets its seed.
-func fctConfig(f fctOpts, p experiments.Protocol, wl *workload.CDF) experiments.FCTConfig {
-	return experiments.FCTConfig{
-		Protocol: p,
-		Workload: wl,
-		Load:     *f.load,
-		Duration: f.dur(),
-		Shards:   *f.shards,
-	}
-}
-
-// fctSeed is repCells' seed accessor for FCT cells.
-func fctSeed(c *experiments.FCTConfig) *int64 { return &c.Seed }
-
-// runFCTSweep runs every protocol of the comparison set on wl for -reps
-// repetitions, returning the configurations and their results
-// cell-major: protocol i's repetitions are rs[i*reps : (i+1)*reps].
-func runFCTSweep(f fctOpts, wl *workload.CDF) ([]experiments.FCTConfig, []harness.Result[experiments.FCTResult]) {
-	var cfgs []experiments.FCTConfig
+// fctTable runs the §6.3 run of every comparison protocol on wl at -load,
+// -shards and the given incast fan-in, once in each of modes, -reps times
+// each: row i*len(modes)+k holds protocol i's runs in modes[k].
+func fctTable(o *out, f fctOpts, name string, wl *workload.CDF, fanin int, modes ...experiments.BufferMode) [][]experiments.FCTResult {
+	var cells []experiments.FCTConfig
 	for _, p := range experiments.ComparisonProtocols() {
-		cfgs = append(cfgs, fctConfig(f, p, wl))
+		for _, m := range modes {
+			cells = append(cells, experiments.FCTConfig{
+				Protocol: p, Workload: wl, Load: *f.load, Mode: m, Duration: f.dur(), Shards: *f.shards, IncastFanIn: fanin,
+			})
+		}
 	}
-	return cfgs, harness.Run(repCells(cfgs, *f.reps, *f.seed, fctSeed), *f.workers, experiments.RunFCT)
+	return table(o, f.sweep, *f.reps, cells, func(c *experiments.FCTConfig) *int64 { return &c.Seed },
+		func(c experiments.FCTConfig) string { return fmt.Sprintf("%s %s %v", name, c.Protocol, c.Mode) }, experiments.RunFCT)
 }
 
 func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 	f, csv := bindFCT(fs), bindCSV(fs)
 	return func(o *out) {
 		metric := map[string]string{"fig14": "average", "fig15": "90th percentile", "fig16": "99th percentile"}[name]
-		reps := *f.reps
 		o.printf("%s: %s FCT per flow-size bin (load %.0f%%)\n", name, metric, *f.load*100)
 		for _, wl := range []*workload.CDF{workload.WebSearch(), workload.FBHadoop()} {
 			o.printf("-- %s traffic --\n", wl.Name())
-			cfgs, rs := runFCTSweep(f, wl)
-			for i, cfg := range cfgs {
-				p := cfg.Protocol
+			vals := fctTable(o, f, name, wl, 0, experiments.Lossless)
+			for i, p := range experiments.ComparisonProtocols() {
 				var runs [][]stats.BinStat
-				for _, r := range collect(o, name+" "+string(p), rs[i*reps:(i+1)*reps]) {
+				for _, r := range vals[i] {
 					runs = append(runs, r.Bins)
 				}
 				bins, ci := experiments.MergeBins(runs)
@@ -622,7 +610,7 @@ func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 					case "fig16":
 						v = b.P99Ms
 					}
-					if reps > 1 {
+					if *f.reps > 1 {
 						o.printf(" %s:%.3f±%.3f", sizeLabel(b.UpperBytes), v, ci[k])
 					} else {
 						o.printf(" %s:%.3f", sizeLabel(b.UpperBytes), v)
@@ -637,43 +625,28 @@ func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 func runTable3(o *out, f fctOpts) {
 	o.printf("Table 3: flow-level average rate allocation (FB_Hadoop, load %.0f%%)\n", *f.load*100)
 	o.printf("  %-9s %14s %16s\n", "protocol", "avg rate (Mb/s)", "std dev (Mb/s)")
-	reps := *f.reps
-	cfgs, rs := runFCTSweep(f, workload.FBHadoop())
-	for i, cfg := range cfgs {
-		var means, stds []float64
-		for _, r := range collect(o, "table3 "+string(cfg.Protocol), rs[i*reps:(i+1)*reps]) {
-			row := experiments.Table3FromResult(r)
-			means = append(means, row.MeanMbps)
-			stds = append(stds, row.StdMbps)
-		}
-		if len(means) == 0 {
+	for _, runs := range fctTable(o, f, "table3", workload.FBHadoop(), 0, experiments.Lossless) {
+		if len(runs) == 0 {
 			continue
 		}
-		o.printf("  %-9s %14.2f %16.2f\n", cfg.Protocol, stats.Mean(means), stats.Mean(stds))
+		m := mean(runs, func(r experiments.FCTResult) []float64 { return []float64{r.RateMean, r.RateStd} })
+		o.printf("  %-9s %14.2f %16.2f\n", runs[0].Config.Protocol, m[0], m[1])
 	}
 }
 
 func runFig17(o *out, f fctOpts) {
 	o.printf("Fig 17: average queue size and PFC activation per CP tier (WebSearch, load %.0f%%)\n", *f.load*100)
 	o.printf("  %-9s %26s %26s\n", "protocol", "avg queue KB (core/in/out)", "PFC frames (core/in/out)")
-	reps := *f.reps
-	cfgs, rs := runFCTSweep(f, workload.WebSearch())
-	for i, cfg := range cfgs {
-		runs := collect(o, "fig17 "+string(cfg.Protocol), rs[i*reps:(i+1)*reps])
+	for _, runs := range fctTable(o, f, "fig17", workload.WebSearch(), 0, experiments.Lossless) {
 		if len(runs) == 0 {
 			continue
 		}
-		var tiers [3]experiments.TierStats
-		for _, r := range runs {
-			for t, src := range []experiments.TierStats{r.Core, r.IngressEdge, r.EgressEdge} {
-				tiers[t].AvgQueueKB += src.AvgQueueKB
-				tiers[t].PFCFrames += src.PFCFrames
-			}
-		}
-		n := len(runs)
+		m := mean(runs, func(r experiments.FCTResult) []float64 {
+			return []float64{r.Core.AvgQueueKB, r.IngressEdge.AvgQueueKB, r.EgressEdge.AvgQueueKB,
+				float64(r.Core.PFCFrames), float64(r.IngressEdge.PFCFrames), float64(r.EgressEdge.PFCFrames)}
+		})
 		o.printf("  %-9s %8.0f /%6.0f /%6.0f %10d /%6d /%6d\n",
-			cfg.Protocol, tiers[0].AvgQueueKB/float64(n), tiers[1].AvgQueueKB/float64(n), tiers[2].AvgQueueKB/float64(n),
-			tiers[0].PFCFrames/n, tiers[1].PFCFrames/n, tiers[2].PFCFrames/n)
+			runs[0].Config.Protocol, m[0], m[1], m[2], int(m[3]), int(m[4]), int(m[5]))
 	}
 }
 
@@ -688,24 +661,19 @@ func fold(fs *flag.FlagSet, name string) func(*out) {
 			mode, label = experiments.Lossy, "lossy (buffer = 3x PFC threshold, go-back-N)"
 		}
 		o.printf("%s: FCT fold increase under %s (%s, load %.0f%%, fan-in %d)\n", name, label, wl.Name(), *f.load*100, *fanin)
-		reps := *f.reps
-		protos := experiments.ComparisonProtocols()
-		var cfgs []experiments.FCTConfig
-		for _, p := range protos {
-			cfg := fctConfig(f, p, wl)
-			cfg.IncastFanIn = *fanin // -fanin 30 reproduces the paper's incast level; see EXPERIMENTS.md
-			cfgs = append(cfgs, cfg)
-		}
-		// Every repetition is a [lossless, variant] pair of cells.
-		var cells []experiments.FCTConfig
-		for _, c := range repCells(cfgs, *f.reps, *f.seed, fctSeed) {
-			variant := c
-			variant.Mode = mode
-			cells = append(cells, c, variant)
-		}
-		rs := harness.Run(cells, *f.workers, experiments.RunFCT)
-		for i, p := range protos {
-			runs := collect(o, name+" "+string(p), foldPairs(rs[2*i*reps:2*(i+1)*reps]))
+		// -fanin 30 reproduces the paper's incast level; see EXPERIMENTS.md.
+		vals := fctTable(o, f, name, wl, *fanin, experiments.Lossless, mode)
+		for i, p := range experiments.ComparisonProtocols() {
+			// A repetition folds when both its runs, lossless and variant,
+			// succeeded; each result carries its seed.
+			var runs []experiments.FoldResult
+			for _, base := range vals[2*i] {
+				for _, v := range vals[2*i+1] {
+					if v.Config.Seed == base.Config.Seed {
+						runs = append(runs, experiments.MakeFold(base, v))
+					}
+				}
+			}
 			if len(runs) == 0 {
 				continue
 			}
@@ -713,7 +681,7 @@ func fold(fs *flag.FlagSet, name string) func(*out) {
 			o.printf("  %-9s", p)
 			for k, row := range rows {
 				if row.Fold > 0 {
-					if reps > 1 {
+					if *f.reps > 1 {
 						o.printf(" %s:%.1fx±%.1f", sizeLabel(row.UpperBytes), row.Fold, ci[k])
 					} else {
 						o.printf(" %s:%.1fx", sizeLabel(row.UpperBytes), row.Fold)
@@ -730,31 +698,16 @@ func fold(fs *flag.FlagSet, name string) func(*out) {
 	}
 }
 
-// foldPairs folds consecutive [lossless, variant] results into one
-// result per repetition; a pair fails if either of its cells did.
-func foldPairs(rs []harness.Result[experiments.FCTResult]) []harness.Result[experiments.FoldResult] {
-	folds := make([]harness.Result[experiments.FoldResult], len(rs)/2)
-	for r := range folds {
-		base, variant := rs[2*r], rs[2*r+1]
-		if folds[r].Err = errors.Join(base.Err, variant.Err); folds[r].Err == nil {
-			folds[r].Value = experiments.MakeFold(base.Value, variant.Value)
-		}
-	}
-	return folds
-}
-
 func runFig19(o *out, s sweep) {
 	o.println("Fig 19 (App A.1): baseline verification ladder N: 1->4->1")
-	protos := []experiments.Protocol{experiments.ProtoDCQCN, experiments.ProtoHPCC}
-	rs := harness.Run(protos, *s.workers, func(p experiments.Protocol) experiments.Fig19Result {
-		return experiments.RunFig19(p, s.dur(), *s.seed)
-	})
-	for i, p := range protos {
-		for _, r := range collect(o, "fig19 "+string(p), rs[i:i+1]) {
-			o.printf("  %-9s\n", p)
+	vals := table(o, s, 1, []experiments.Protocol{experiments.ProtoDCQCN, experiments.ProtoHPCC}, nil, protoLabel("fig19"),
+		func(p experiments.Protocol) experiments.Fig19Result { return experiments.RunFig19(p, s.dur(), *s.seed) })
+	for _, rs := range vals {
+		for _, r := range rs {
+			o.printf("  %-9s\n", r.Protocol)
 			for k, n := range r.PhaseN {
 				o.printf("    N=%d rates: %s (ideal %.1f each)\n",
-					n, experiments.FormatGbps(r.PhaseRates[k]), 40.0/float64(n))
+					n, strings.Trim(fmt.Sprintf("%.2f", r.PhaseRates[k]), "[]"), 40.0/float64(n))
 			}
 		}
 	}
@@ -778,7 +731,8 @@ func faults(fs *flag.FlagSet, _ string) func(*out) {
 	s := bindSweep(fs)
 	cnpLoss := define(fs, "cnp-loss", -1.0, "CNP loss `probability` in [0, 1] (-1 = sweep 5/10/20%)",
 		check(parseFloat, func(p float64) bool { return p == -1 || isProb(p) }, "a probability in [0, 1], or -1 for the sweep"))
-	flap := define(fs, "link-flap", time.Duration(0), "link-flap `period` (0 = a quarter of the run), down 10% of it", parseSpan)
+	flap := define(fs, "link-flap", time.Duration(0), "link-flap `period` (0 = a quarter of the run), down 10% of it",
+		check(parseSpan, func(d time.Duration) bool { return d == 0 || d >= 10 }, "0, or a period of 10ns or more"))
 	return func(o *out) {
 		o.println("faults: RoCC robustness under lost/late/corrupt feedback (N=10, B=40G)")
 		base := experiments.FaultsConfig{Duration: s.dur(), Seed: *s.seed}
@@ -787,18 +741,22 @@ func faults(fs *flag.FlagSet, _ string) func(*out) {
 			losses = []float64{*cnpLoss}
 		}
 		cells := experiments.FaultsCells(base, losses, sim.Time(flap.Nanoseconds()))
-		rs := harness.Run(cells, *s.workers, experiments.RunFaults)
+		label := func(c experiments.FaultsConfig) string { return "faults " + c.Label() }
+		vals := table(o, s, 1, cells, nil, label, experiments.RunFaults)
 		var ref float64 // fault-free throughput, cells[0]
 		o.printf("  %-20s %16s %10s %7s %7s %6s %6s\n",
 			"fault", "tput Gb/s", "queue KB", "jain", "stale", "rej", "lost")
-		for i, c := range cells {
-			for _, v := range collect(o, "faults "+c.Label(), rs[i:i+1]) {
+		for i, vs := range vals {
+			for _, v := range vs {
 				if i == 0 {
 					ref = v.ThroughputGbps
 				}
 				degr := ""
 				if i > 0 && ref > 0 {
 					degr = fmt.Sprintf("(%+.1f%%)", (v.ThroughputGbps/ref-1)*100)
+				}
+				if !v.Fired() {
+					o.check(label(v.Config), errors.New("the fault never fired in the run, so the row repeats the fault-free one"))
 				}
 				lost := v.Faults.CNPsLost + v.Faults.CNPsStalled + v.Faults.Corrupted
 				o.printf("  %-20s %7.2f %8s %10.1f %7.4f %7d %6d %6d\n",
@@ -818,12 +776,12 @@ func runRecoveryExp(o *out, s sweep) {
 	o.printf("recovery: fat-tree 2x3x%d, fail %.1f ms -> restore %.1f ms (+%.0f us reconverge)\n",
 		experiments.RecoveryHostsPerEdge, cfg.FailAt.Seconds()*1e3, cfg.RestoreAt.Seconds()*1e3,
 		netsim.DefaultReconvergeDelay.Seconds()*1e6)
-	cells := experiments.RecoveryCells(base)
-	rs := harness.Run(cells, *s.workers, experiments.RunRecovery)
+	vals := table(o, s, 1, experiments.RecoveryCells(base), nil,
+		func(c experiments.RecoveryConfig) string { return fmt.Sprintf("recovery %s/%s", c.Protocol, c.Kill) }, experiments.RunRecovery)
 	o.printf("  %-8s %-7s %10s %9s %7s %9s %6s %7s %8s\n",
 		"protocol", "kill", "base Gb/s", "dip Gb/s", "depth", "t90 us", "jain", "blkhole", "retx KB")
-	for i, c := range cells {
-		for _, v := range collect(o, fmt.Sprintf("recovery %s/%s", c.Protocol, c.Kill), rs[i:i+1]) {
+	for _, vs := range vals {
+		for _, v := range vs {
 			t90 := "never"
 			if v.T90 >= 0 {
 				t90 = fmt.Sprintf("%.0f", v.T90.Seconds()*1e6)
@@ -842,26 +800,7 @@ func qos(fs *flag.FlagSet, _ string) func(*out) {
 	dur, seed := bindDur(fs), bindSeed(fs)
 	return func(o *out) {
 		o.println("QoS extension: 6 flows, classes gold(w=1.0) / silver(w=0.5), B=40G")
-		engine := sim.New()
-		star := topology.BuildStar(engine, *seed, 6, netsim.Gbps(40))
-		weights := [2]float64{1, 0.5}
-		classIdx := map[netsim.FlowID]int{}
-		run := experiments.Assemble(experiments.RunSpec{
-			Net: star.Net, Seed: *seed, Protocols: []experiments.Protocol{experiments.ProtoRoCC},
-			Ports:    []*netsim.Port{star.Bottleneck},
-			RoCCOpts: roccnet.CPOptions{Weight: func(f netsim.FlowID) float64 { return weights[classIdx[f]] }},
-		})
-		var flows []*netsim.Flow
-		for i, src := range star.Sources {
-			f := run.Mix.StartFlow(experiments.ProtoRoCC, src, star.Dst, -1, netsim.Gbps(36))
-			classIdx[f.ID] = i % 2
-			flows = append(flows, f)
-		}
-		engine.RunUntil(cmp.Or(dur(), 20*sim.Millisecond))
-		var shares [2]float64
-		for _, f := range flows {
-			shares[classIdx[f.ID]] += float64(f.DeliveredBytes()) * 8 / engine.Now().Seconds() / 1e9
-		}
+		shares := experiments.RunQoS(dur(), *seed)
 		o.println(plot.Bars("class shares", 40, "Gb/s", []plot.Bar{
 			{Label: "gold", Value: shares[0]},
 			{Label: "silver", Value: shares[1]},

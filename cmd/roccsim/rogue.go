@@ -8,7 +8,6 @@ import (
 	"rocc/internal/adversary"
 	"rocc/internal/experiments"
 	"rocc/internal/export"
-	"rocc/internal/harness"
 	"rocc/internal/telemetry"
 )
 
@@ -26,13 +25,13 @@ func rogue(fs *flag.FlagSet, _ string) func(*out) {
 		cfg := base.Filled()
 		o.printf("rogue containment: %d victims + K %s rogues on a %.0fG star, %.0f ms, goodput over the second half\n",
 			cfg.Victims, cfg.Kind, float64(experiments.RogueLinkGbps), cfg.Duration.Seconds()*1e3)
-		cells := experiments.RogueCells(base)
-		rs := harness.Run(cells, *s.workers, experiments.RunRogue)
+		vals := table(o, s, 1, experiments.RogueCells(base), nil,
+			func(c experiments.RogueConfig) string { return fmt.Sprintf("rogue %s/K=%d", c.Protocol, c.Rogues) }, experiments.RunRogue)
 		o.printf("  %-8s %2s %-9s %12s %11s %6s %9s %5s %5s %7s %6s %6s\n",
 			"protocol", "K", "defense", "victim Gb/s", "rogue Gb/s", "jain", "probe us", "det", "rel", "pdrops", "wtrips", "spoof")
 		var results []experiments.RogueResult
-		for i, c := range cells {
-			for _, v := range collect(o, fmt.Sprintf("rogue %s/K=%d", c.Protocol, c.Rogues), rs[i:i+1]) {
+		for _, vs := range vals {
+			for _, v := range vs {
 				results = append(results, v)
 				def := "off"
 				if v.Config.Defended {

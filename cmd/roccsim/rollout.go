@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rocc/internal/experiments"
-	"rocc/internal/harness"
 )
 
 // rollout reports the incremental-rollout experiment: fractions of
@@ -41,14 +40,15 @@ func rollout(fs *flag.FlagSet, _ string) func(*out) {
 			}
 			o.println("rollout: RoCC fraction sweep vs DCQCN, 2-edge fat-tree, 2:1 oversubscribed core")
 		}
-		rs := harness.Run(cells, *s.workers, experiments.RunRollout)
+		vals := table(o, s, 1, cells, nil,
+			func(c experiments.RolloutConfig) string { return fmt.Sprint("rollout ", c.Shares) }, experiments.RunRollout)
 		for i, label := range labels {
 			if *mixFlag == "" {
 				o.printf("-- %s --\n", label)
 			}
 			o.printf("  %-9s %6s %6s %10s %8s %11s %11s\n",
 				"protocol", "share", "flows", "mean Gb/s", "Jain", "FCT avg ms", "FCT p99 ms")
-			for _, rows := range collect(o, "rollout "+label, rs[i:i+1]) {
+			for _, rows := range vals[i] {
 				for _, r := range rows {
 					o.printf("  %-9s %6.2f %6d %10.2f %8.4f %11.3f %11.3f\n",
 						r.Proto, r.Share, r.Flows, r.MeanGbps, r.Jain, r.FCTMeanMs, r.FCTP99Ms)

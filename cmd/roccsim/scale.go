@@ -13,7 +13,7 @@ import (
 // table here is a digest check with wall times for orientation.
 func scale(fs *flag.FlagSet, _ string) func(*out) {
 	dur, seed, proto := bindDur(fs), bindSeed(fs), bindProtocol(fs)
-	flows := define(fs, "flows", 100_000, "`count` of concurrent persistent flows on the k=16 fat-tree", parseNonNeg)
+	flows := define(fs, "flows", 100_000, "`count` of concurrent persistent flows on the k=16 fat-tree", parsePositive)
 	return func(o *out) {
 		o.printf("scale: k=16 fat-tree engine-scaling check (1024 hosts, %d flows, %d CPUs, GOMAXPROCS %d)\n",
 			*flows, runtime.NumCPU(), runtime.GOMAXPROCS(0))

@@ -175,11 +175,7 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 				// the protocol's actual feedback channel (CNP-deaf is vacuous
 				// for schemes that never see a CNP).
 				kind, _ := adversary.ParseRogueKind(fs.Rogue) // Validate vetted it
-				kind = experiments.EffectiveRogueKind(sc.FlowProtocol(i), kind)
-				blastRate := src.Ports()[0].LinkRate
-				wrap = func(cc netsim.FlowCC) netsim.FlowCC {
-					return adversary.WrapRogue(kind, cc, blastRate)
-				}
+				wrap = experiments.RogueWrap(sc.FlowProtocol(i), kind, src.Ports()[0].LinkRate)
 			}
 			f := run.StartFlow(sc.FlowProtocol(i), src, dst, fs.SizeBytes, rateCap, fs.Reliable, wrap)
 			rt.Flows[i] = f

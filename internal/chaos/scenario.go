@@ -10,6 +10,7 @@
 package chaos
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -429,22 +430,7 @@ func (sc Scenario) buildFabric(engine *sim.Engine) *fabric {
 	case TopoMultiBottleneck:
 		f.net = topology.BuildMultiBottleneck(engine, sc.Seed).Net
 	case TopoFatTree:
-		rate := t.Gbps
-		if rate == 0 {
-			rate = 40
-		}
-		// Keep the paper's 2:1 oversubscription at chaos scale: uplink
-		// capacity is half the edge's host capacity.
-		up := float64(t.HostsPerEdge) * rate / 2
-		cfg := topology.FatTreeConfig{
-			Cores:        t.Cores,
-			Edges:        t.Edges,
-			HostsPerEdge: t.HostsPerEdge,
-			LinksPerPair: 1,
-			HostRate:     netsim.Gbps(rate),
-			CoreRate:     netsim.Gbps(up / float64(t.Cores)),
-		}
-		ft := topology.BuildFatTree(engine, sc.Seed, cfg)
+		ft := topology.BuildFatTree(engine, sc.Seed, topology.SmallFatTree(t.Cores, t.Edges, t.HostsPerEdge, cmp.Or(t.Gbps, 40)))
 		f.net, f.ft = ft.Net, ft
 	default:
 		panic("chaos: buildFabric on unvalidated scenario")

@@ -98,19 +98,7 @@ func RunExp(cfg ExpConfig) ExpResult {
 	// crosses the oversubscribed core — the collective stresses the
 	// fabric, not just host NICs.
 	ranks := cfg.Collective.Ranks()
-	hostsPerEdge := (ranks + 1) / 2
-	// 40 Gb/s edge links; uplinks 2:1 oversubscribed like the recovery
-	// benchmark.
-	hostRate := netsim.Gbps(40)
-	up := float64(hostsPerEdge) * hostRate.Gbps() / 2
-	ft := topology.BuildFatTree(engine, cfg.Seed, topology.FatTreeConfig{
-		Cores:        2,
-		Edges:        2,
-		HostsPerEdge: hostsPerEdge,
-		LinksPerPair: 1,
-		HostRate:     hostRate,
-		CoreRate:     netsim.Gbps(up / 2),
-	})
+	ft := topology.BuildFatTree(engine, cfg.Seed, topology.SmallFatTree(2, 2, (ranks+1)/2, 40))
 	net := ft.Net
 	// In PFC-only mode the assembly wires no congestion control and flows
 	// run without a controller: PFC is the brake.

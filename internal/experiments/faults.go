@@ -9,21 +9,14 @@ import (
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
-	"rocc/internal/topology"
 )
 
 // FaultSeedOffset decorrelates a fault injector's RNG streams from the
 // workload's: every experiment seeds its injector with Seed+FaultSeedOffset.
 const FaultSeedOffset = 0x5eed
 
-// The robustness scenario runs on the Fig. 11 star: N=10, B=40 Gb/s.
-const (
-	faultsN    = 10
-	faultsGbps = 40
-)
-
-// FaultsConfig parameterizes the robustness scenario: RoCC on the star
-// micro-benchmark with faults injected into the control and data paths.
+// FaultsConfig parameterizes the robustness scenario: RoCC on the Fig. 11
+// star (N=10, B=40 Gb/s) with faults injected into the control and data paths.
 // All fault fields at zero reproduce the fault-free baseline exactly.
 type FaultsConfig struct {
 	Duration sim.Time
@@ -90,22 +83,34 @@ type FaultsResult struct {
 	Faults          faults.Stats
 }
 
+// Fired reports whether the cell's fault acted at least once; a row whose
+// fault never fired would only repeat the fault-free baseline. The
+// fault-free cell reports true.
+func (r FaultsResult) Fired() bool {
+	c, s := r.Config, r.Faults
+	switch {
+	case c.CNPLoss > 0:
+		return s.CNPsLost > 0
+	case c.CNPCorrupt > 0:
+		return s.Corrupted > 0
+	case c.FlapPeriod > 0:
+		return s.Flaps > 0
+	case c.StallPeriod > 0:
+		return s.StallWindows > 0
+	}
+	return true
+}
+
 // RunFaults executes one robustness cell.
 func RunFaults(cfg FaultsConfig) FaultsResult {
 	cfg = cfg.fill()
-	engine := sim.New()
-	star := topology.BuildStar(engine, cfg.Seed, faultsN, netsim.Gbps(faultsGbps))
 	// Staleness handling on: the point of the scenario is measuring how
 	// fast flows re-home when feedback stops.
-	run := Assemble(RunSpec{Net: star.Net, Seed: cfg.Seed, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK},
-		Protocols: []Protocol{ProtoRoCC}, Ports: []*netsim.Port{star.Bottleneck}})
-	offered := netsim.Gbps(faultsGbps * 0.9)
-	flows := make([]*netsim.Flow, faultsN)
-	for i, src := range star.Sources {
-		flows[i] = run.Mix.StartFlow(ProtoRoCC, src, star.Dst, -1, offered)
-	}
+	star := newStar(ProtoRoCC, fig11N, fig11Gbps, false,
+		RunSpec{Seed: cfg.Seed, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}})
+	flows := star.startAll(netsim.Gbps(fig11Gbps * 0.9))
 
-	inj := run.Injector()
+	inj := star.Injector()
 	inj.DropCNPs(star.Switch, cfg.CNPLoss)
 	if cfg.CNPCorrupt > 0 {
 		// Corruption strikes CNPs in flight on the switch→source wires.
@@ -124,11 +129,11 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 		inj.StallCP(star.Switch, cfg.StallPeriod, cfg.StallFor, cfg.Duration)
 	}
 
-	sampler := NewSampler(engine, 0)
+	sampler := NewSampler(star.engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
 
 	half := cfg.Duration / 2
-	perFlow := runMeasured(engine, flows, half, cfg.Duration)
+	perFlow := runMeasured(star.engine, flows, half, cfg.Duration)
 	res := FaultsResult{Config: cfg, Faults: inj.Stats(), PFCFrames: star.Net.TotalPFCFrames()}
 	for i, f := range flows {
 		res.ThroughputGbps += perFlow[i]
@@ -139,11 +144,7 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	}
 	res.Jain = stats.JainIndex(perFlow)
 	res.QueueMeanKB = queue.MeanAfter(half.Seconds())
-	for _, p := range queue.Points {
-		if p.V > res.QueueMaxKB {
-			res.QueueMaxKB = p.V
-		}
-	}
+	res.QueueMaxKB = queue.MaxAfter(0)
 	return res
 }
 

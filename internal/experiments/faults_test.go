@@ -73,6 +73,22 @@ func TestFaultsCorruptFeedbackRejected(t *testing.T) {
 	}
 }
 
+// TestFaultsUnfiredRows: a flap period longer than the run and a CP
+// stall window that never opens leave their rows unfired.
+// (TestGoldenFaultRowsFire checks that every row of the golden runs fires.)
+func TestFaultsUnfiredRows(t *testing.T) {
+	long := faultsBase()
+	long.FlapPeriod, long.FlapDown = 2*long.Duration, long.Duration/5
+	if RunFaults(long).Fired() {
+		t.Error("a flap period longer than the run fired")
+	}
+	short := faultsBase()
+	short.Duration = sim.Millisecond
+	if stall := FaultsCells(short, nil, 0)[3]; RunFaults(stall).Fired() {
+		t.Errorf("%s fired in a 1 ms run", stall.Label())
+	}
+}
+
 // TestFaultsCellsShape pins the default sweep layout the CLI relies on:
 // baseline first, then one row per loss rate, corruption, flap, stall.
 func TestFaultsCellsShape(t *testing.T) {

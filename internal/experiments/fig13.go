@@ -6,7 +6,6 @@ import (
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
-	"rocc/internal/topology"
 )
 
 // Fig13Scenario selects the testbed traffic mix (§6.2).
@@ -48,22 +47,19 @@ func RunFig13Sim(scenario Fig13Scenario, duration sim.Time, seed int64) Fig13Res
 	if duration == 0 {
 		duration = 100 * sim.Millisecond
 	}
-	engine := sim.New()
-	star := topology.BuildStar(engine, seed, 3, netsim.Gbps(10))
-	mix := Assemble(RunSpec{Net: star.Net, RoCCOpts: roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond},
-		Protocols: []Protocol{ProtoRoCC}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
-
-	offered := []netsim.Rate{netsim.Gbps(10), netsim.Gbps(10), netsim.Gbps(10)}
+	star := newStar(ProtoRoCC, 3, 10, false,
+		RunSpec{Seed: seed, RoCCOpts: roccnet.CPOptions{Core: Fig13CPConfig(), T: 100 * sim.Microsecond}})
+	offered := []float64{10, 10, 10}
 	if scenario == Fig13Mixed {
-		offered = []netsim.Rate{netsim.Gbps(10), netsim.Gbps(3), netsim.Gbps(1)}
+		offered = []float64{10, 3, 1}
 	}
-	for i, src := range star.Sources {
-		mix.StartFlow(ProtoRoCC, src, star.Dst, -1, offered[i])
+	for i, gbps := range offered {
+		star.start(i, netsim.Gbps(gbps))
 	}
-	sampler := NewSampler(engine, 0)
+	sampler := NewSampler(star.engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	rate := sampler.FairRate(mix, star.Bottleneck)
-	engine.RunUntil(duration)
+	rate := sampler.FairRate(star.Mix, star.Bottleneck)
+	star.engine.RunUntil(duration)
 
 	half := duration.Seconds() / 2
 	return Fig13Result{

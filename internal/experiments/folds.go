@@ -43,18 +43,6 @@ func MakeFold(base, variant FCTResult) FoldResult {
 	return res
 }
 
-// Table3Row is one protocol's flow-level rate allocation (Table 3).
-type Table3Row struct {
-	Protocol Protocol
-	MeanMbps float64
-	StdMbps  float64
-}
-
-// Table3FromResult extracts the Table 3 row from an FCT run.
-func Table3FromResult(r FCTResult) Table3Row {
-	return Table3Row{Protocol: r.Config.Protocol, MeanMbps: r.RateMean, StdMbps: r.RateStd}
-}
-
 // MergeFolds averages the per-bin fold increase across repetitions and
 // reports the Student-t 95% CI of the fold, plus the mean retransmit
 // share and buffer fold. Repetitions with an empty bin on either side

@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"fmt"
+	"cmp"
 
 	"rocc/internal/netsim"
+	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/topology"
@@ -50,18 +51,12 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtoRoCC
 	}
-	engine := sim.New()
-	star := topology.BuildStar(engine, cfg.Seed, cfg.N, netsim.Gbps(cfg.Gbps))
-	mix := Assemble(RunSpec{Net: star.Net, Telemetry: cfg.Telemetry,
-		Protocols: []Protocol{cfg.Protocol}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
-	offered := netsim.Gbps(cfg.Gbps * 0.9)
-	for _, src := range star.Sources {
-		mix.StartFlow(cfg.Protocol, src, star.Dst, -1, offered)
-	}
-	sampler := NewSampler(engine, 0)
+	star := newStar(cfg.Protocol, cfg.N, cfg.Gbps, false, RunSpec{Seed: cfg.Seed, Telemetry: cfg.Telemetry})
+	star.startAll(netsim.Gbps(cfg.Gbps * 0.9))
+	sampler := NewSampler(star.engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	rate := sampler.FairRate(mix, star.Bottleneck)
-	engine.RunUntil(cfg.Duration)
+	rate := sampler.FairRate(star.Mix, star.Bottleneck)
+	star.engine.RunUntil(cfg.Duration)
 
 	half := cfg.Duration.Seconds() / 2
 	res := Fig8Result{
@@ -133,7 +128,6 @@ type Fig9Result struct {
 	Config     Fig9Config
 	Queue      *stats.Series // KB
 	FairRate   *stats.Series // Gb/s
-	PhaseEnds  []float64     // phase boundary times (s)
 	PhaseN     []int         // flow count during each phase
 	PhaseRates []float64     // mean fair rate over each phase's second half (Gb/s)
 	PFCFrames  int
@@ -157,63 +151,22 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 		counts = append(counts, counts[i])
 	}
 
-	engine := sim.New()
-	star := topology.BuildStar(engine, cfg.Seed, fig9Peak, netsim.Gbps(fig9Gbps))
-	mix := Assemble(RunSpec{Net: star.Net, Telemetry: cfg.Telemetry,
-		Protocols: []Protocol{cfg.Protocol}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
+	star := newStar(cfg.Protocol, fig9Peak, fig9Gbps, false, RunSpec{Seed: cfg.Seed, Telemetry: cfg.Telemetry})
 	offered := netsim.Gbps(fig9Gbps * 0.9)
-
-	flows := make([]*netsim.Flow, 0, fig9Peak)
-	setCount := func(n int) {
-		for len(flows) < n {
-			src := star.Sources[len(flows)]
-			flows = append(flows, mix.StartFlow(cfg.Protocol, src, star.Dst, -1, offered))
-		}
-		for len(flows) > n {
-			flows[len(flows)-1].Stop()
-			flows = flows[:len(flows)-1]
-		}
-	}
-	for i, n := range counts {
-		n := n
-		at := sim.Time(i) * cfg.Phase
-		if at == 0 {
-			setCount(n)
-			continue
-		}
-		engine.At(at, func() { setCount(n) })
+	flows := star.setCount(nil, counts[0], offered)
+	for i, n := range counts[1:] {
+		star.engine.At(sim.Time(i+1)*cfg.Phase, func() { flows = star.setCount(flows, n, offered) })
 	}
 
-	sampler := NewSampler(engine, 0)
+	sampler := NewSampler(star.engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
-	rate := sampler.FairRate(mix, star.Bottleneck)
-	total := sim.Time(len(counts)) * cfg.Phase
-	engine.RunUntil(total)
+	rate := sampler.FairRate(star.Mix, star.Bottleneck)
+	star.engine.RunUntil(sim.Time(len(counts)) * cfg.Phase)
 
-	res := Fig9Result{
-		Config:    cfg,
-		Queue:     queue,
-		FairRate:  rate,
-		PFCFrames: star.Net.TotalPFCFrames(),
-	}
-	for i, n := range counts {
+	res := Fig9Result{Config: cfg, Queue: queue, FairRate: rate, PhaseN: counts, PFCFrames: star.Net.TotalPFCFrames()}
+	for i := range counts {
 		start := sim.Time(i) * cfg.Phase
-		mid := (start + cfg.Phase/2).Seconds()
-		end := (start + cfg.Phase).Seconds()
-		mean := 0.0
-		cnt := 0
-		for _, p := range rate.Points {
-			if p.T >= mid && p.T < end {
-				mean += p.V
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			mean /= float64(cnt)
-		}
-		res.PhaseEnds = append(res.PhaseEnds, end)
-		res.PhaseN = append(res.PhaseN, n)
-		res.PhaseRates = append(res.PhaseRates, mean)
+		res.PhaseRates = append(res.PhaseRates, rate.MeanIn((start+cfg.Phase/2).Seconds(), (start+cfg.Phase).Seconds()))
 	}
 	return res
 }
@@ -251,21 +204,14 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 	if cfg.Duration == 0 {
 		cfg.Duration = 40 * sim.Millisecond
 	}
-	engine := sim.New()
-	star := topology.BuildStar(engine, cfg.Seed, fig11N, netsim.Gbps(fig11Gbps))
-	mix := Assemble(RunSpec{Net: star.Net, BaseRTT: 8 * sim.Microsecond,
-		Protocols: []Protocol{proto}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
-	offered := netsim.Gbps(fig11Gbps * 0.9)
-	flows := make([]*netsim.Flow, fig11N)
-	for i, src := range star.Sources {
-		flows[i] = mix.StartFlow(proto, src, star.Dst, -1, offered)
-	}
-	sampler := NewSampler(engine, 0)
+	star := newStar(proto, fig11N, fig11Gbps, false, RunSpec{Seed: cfg.Seed, BaseRTT: 8 * sim.Microsecond})
+	flows := star.startAll(netsim.Gbps(fig11Gbps * 0.9))
+	sampler := NewSampler(star.engine, 0)
 	queue := sampler.Queue("queue", star.Bottleneck)
 	tput := sampler.PortThroughput("bottleneck", star.Bottleneck)
 
 	half := cfg.Duration / 2
-	perFlow := runMeasured(engine, flows, half, cfg.Duration)
+	perFlow := runMeasured(star.engine, flows, half, cfg.Duration)
 	sum := stats.Summarize(perFlow)
 	row := Fig11Row{
 		Protocol:     proto,
@@ -384,43 +330,37 @@ func RunFig19(proto Protocol, phase sim.Time, seed int64) Fig19Result {
 		phase = 20 * sim.Millisecond
 	}
 	counts := []int{1, 2, 3, 4, 3, 2, 1}
-	engine := sim.New()
-	star := topology.BuildStar(engine, seed, 4, netsim.Gbps(40))
-	mix := Assemble(RunSpec{Net: star.Net, BaseRTT: 8 * sim.Microsecond,
-		Protocols: []Protocol{proto}, Ports: []*netsim.Port{star.Bottleneck}}).Mix
-
+	star := newStar(proto, 4, 40, false, RunSpec{Seed: seed, BaseRTT: 8 * sim.Microsecond})
 	var flows []*netsim.Flow
-	setCount := func(n int) {
-		for len(flows) < n {
-			src := star.Sources[len(flows)]
-			flows = append(flows, mix.StartFlow(proto, src, star.Dst, -1, 0))
-		}
-		for len(flows) > n {
-			flows[len(flows)-1].Stop()
-			flows = flows[:len(flows)-1]
-		}
-	}
 	res := Fig19Result{Protocol: proto}
 	for i, n := range counts {
-		setCount(n)
+		flows = star.setCount(flows, n, 0)
 		// Measure over the second half of the phase.
-		engine.RunUntil(sim.Time(i)*phase + phase/2)
+		star.engine.RunUntil(sim.Time(i)*phase + phase/2)
 		mid := delivered(flows)
-		engine.RunUntil(sim.Time(i+1) * phase)
+		star.engine.RunUntil(sim.Time(i+1) * phase)
 		res.PhaseN = append(res.PhaseN, n)
 		res.PhaseRates = append(res.PhaseRates, windowGbps(delivered(flows), mid, phase/2))
 	}
 	return res
 }
 
-// FormatGbps renders a rate list compactly for CLI output.
-func FormatGbps(rates []float64) string {
-	out := ""
-	for i, r := range rates {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%.2f", r)
+// RunQoS runs the §8 future-work extension, class-level fairness through
+// weighted fair rates on the bottleneck's RoCC CP: six flows on a 40 Gb/s
+// star alternate between classes gold (weight 1) and silver (0.5). It
+// returns each class's goodput in Gb/s over the run (default 20 ms).
+func RunQoS(duration sim.Time, seed int64) (shares [2]float64) {
+	weights := [2]float64{1, 0.5}
+	class := map[netsim.FlowID]int{}
+	star := newStar(ProtoRoCC, 6, 40, false,
+		RunSpec{Seed: seed, RoCCOpts: roccnet.CPOptions{Weight: func(f netsim.FlowID) float64 { return weights[class[f]] }}})
+	flows := star.startAll(netsim.Gbps(36))
+	for i, f := range flows {
+		class[f.ID] = i % 2
 	}
-	return out
+	star.engine.RunUntil(cmp.Or(duration, 20*sim.Millisecond))
+	for _, f := range flows {
+		shares[class[f.ID]] += float64(f.DeliveredBytes()) * 8 / star.engine.Now().Seconds() / 1e9
+	}
+	return shares
 }

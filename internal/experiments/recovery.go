@@ -101,18 +101,7 @@ type RecoveryResult struct {
 func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	cfg = cfg.Filled()
 	engine := sim.New()
-	hostRate := netsim.Gbps(40)
-	// 2:1 oversubscription: RecoveryHostsPerEdge×40G offered, half that
-	// across the cores×links uplinks.
-	up := float64(RecoveryHostsPerEdge) * hostRate.Gbps() / 2
-	ft := topology.BuildFatTree(engine, cfg.Seed, topology.FatTreeConfig{
-		Cores:        2,
-		Edges:        3,
-		HostsPerEdge: RecoveryHostsPerEdge,
-		LinksPerPair: 1,
-		HostRate:     hostRate,
-		CoreRate:     netsim.Gbps(up / 2),
-	})
+	ft := topology.BuildFatTree(engine, cfg.Seed, topology.SmallFatTree(2, 3, RecoveryHostsPerEdge, 40))
 	net := ft.Net
 	// Outages lose feedback wholesale; RoCC runs with the paper's
 	// staleness re-homing so CP loss degrades instead of wedging.
@@ -213,8 +202,9 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	}
 
 	// T90: first bin at or after the restore back at 90% of baseline.
-	// Meaningless without a failure, so the baseline cell keeps -1.
-	if cfg.Kill != KillNone {
+	// Meaningless without a failure or without a baseline bin, so those
+	// cells keep -1.
+	if cfg.Kill != KillNone && hi > lo {
 		for i := binAt(cfg.RestoreAt); i < len(bins); i++ {
 			if bins[i] >= 0.9*res.BaselineGbps {
 				res.T90 = sim.Time(i+1)*recoveryBinWidth - cfg.RestoreAt

@@ -38,6 +38,18 @@ func TestRecoveryBaselineHasNoDip(t *testing.T) {
 	}
 }
 
+// TestRecoveryNoBaselineNoT90: a run too short to close one goodput bin
+// before the failure has no baseline, so no cell reports a time back to
+// 90% of it.
+func TestRecoveryNoBaselineNoT90(t *testing.T) {
+	for _, kill := range []string{KillLink, KillSwitch} {
+		r := RunRecovery(RecoveryConfig{Protocol: ProtoRoCC, Kill: kill, Duration: 200 * sim.Microsecond, Seed: 1})
+		if r.BaselineGbps != 0 || r.T90 != -1 {
+			t.Errorf("%s: baseline %.2f Gb/s, T90 %v; want 0 and -1", kill, r.BaselineGbps, r.T90)
+		}
+	}
+}
+
 // TestRecoveryIdleKillScheduleByteIdentical: a kill scheduled past the
 // end of the run must be byte-identical to no kill at all, for every
 // protocol — the failure layer costs nothing until it fires.

@@ -7,7 +7,6 @@ import (
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
-	"rocc/internal/topology"
 )
 
 // Rogue containment benchmark: honest flows of one protocol share a
@@ -88,37 +87,29 @@ type RogueResult struct {
 	SpoofRejects  int // forged/replayed CNPs the hardened RPs refused
 }
 
-// EffectiveRogueKind adapts the attack to its host protocol: a rogue is
-// deaf to the feedback channel its protocol actually listens on, so
-// "CNP-deaf" degrades gracefully for protocols that never see a CNP.
-// HPCC's feedback rides INT echoes on ACKs — blinding those is the
-// equivalent evasion — and TIMELY's rides the RTT itself, which cannot
-// be selectively ignored any cheaper than not listening at all, so its
-// deaf rogue is a line-rate blaster. Explicitly requested kinds other
-// than CNP-deaf are taken literally.
-func EffectiveRogueKind(p Protocol, k adversary.RogueKind) adversary.RogueKind {
-	if k != adversary.RogueCNPDeaf {
-		return k
+// RogueWrap returns the interposer that turns a sender of protocol p
+// into a rogue of kind k, blasting at blastRate when it blasts. The
+// attack adapts to its host protocol: a rogue is deaf to the feedback
+// channel its protocol actually listens on, so "CNP-deaf" degrades
+// gracefully for protocols that never see a CNP. HPCC's feedback rides
+// INT echoes on ACKs — blinding those is the equivalent evasion — and
+// TIMELY's rides the RTT itself, which cannot be selectively ignored any
+// cheaper than not listening at all, so its deaf rogue is a line-rate
+// blaster. Explicitly requested kinds other than CNP-deaf are taken
+// literally.
+func RogueWrap(p Protocol, k adversary.RogueKind, blastRate netsim.Rate) func(netsim.FlowCC) netsim.FlowCC {
+	if k == adversary.RogueCNPDeaf && p == ProtoHPCC {
+		k = adversary.RogueECNBlind
+	} else if k == adversary.RogueCNPDeaf && p == ProtoTIMELY {
+		k = adversary.RogueBlast
 	}
-	switch p {
-	case ProtoHPCC:
-		return adversary.RogueECNBlind
-	case ProtoTIMELY:
-		return adversary.RogueBlast
-	default:
-		return k
-	}
+	return func(cc netsim.FlowCC) netsim.FlowCC { return adversary.WrapRogue(k, cc, blastRate) }
 }
 
 // RunRogue executes one rogue-containment cell.
 func RunRogue(cfg RogueConfig) RogueResult {
 	cfg = cfg.Filled()
-	engine := sim.New()
-	n := cfg.Victims + cfg.Rogues
-	linkRate := netsim.Gbps(RogueLinkGbps)
-	star := topology.BuildStar(engine, cfg.Seed, n, linkRate)
-	net := star.Net
-	spec := RunSpec{Net: net, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}, Protocols: []Protocol{cfg.Protocol}}
+	spec := RunSpec{Seed: cfg.Seed, RoCCRP: roccnet.RPOptions{StaleK: core.DefaultStaleK}}
 	if cfg.Defended {
 		// Default policer and watchdog: RoCC's congestion points advertise
 		// the per-flow fair rate, which the policer holds flows to; other
@@ -126,34 +117,28 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		// equal split.
 		spec.Defenses = &Defenses{}
 	}
-	run := Assemble(spec)
-	mix := run.Mix
+	star := newStar(cfg.Protocol, cfg.Victims+cfg.Rogues, RogueLinkGbps, true, spec)
 
 	victims := make([]*netsim.Flow, cfg.Victims)
 	for i := range victims {
-		victims[i] = mix.StartFlow(cfg.Protocol, star.Sources[i], star.Dst, -1, 0)
+		victims[i] = star.start(i, 0)
 	}
 	rogues := make([]*netsim.Flow, cfg.Rogues)
-	kind := EffectiveRogueKind(cfg.Protocol, cfg.Kind)
-	wrap := func(cc netsim.FlowCC) netsim.FlowCC {
-		return adversary.WrapRogue(kind, cc, linkRate)
-	}
+	wrap := RogueWrap(cfg.Protocol, cfg.Kind, star.LinkRate)
 	for i := range rogues {
-		rogues[i] = mix.StartWrappedFlow(cfg.Protocol, star.Sources[cfg.Victims+i],
-			star.Dst, -1, 0, false, wrap)
+		rogues[i] = star.StartFlow(cfg.Protocol, star.Sources[cfg.Victims+i], star.Dst, -1, 0, false, wrap)
 	}
 
 	// Second-half measurement window plus the FCT probe at its start.
 	half := cfg.Duration / 2
 	var snapV, snapR []int64
 	var probe *netsim.Flow
-	engine.At(half, func() {
+	star.engine.At(half, func() {
 		snapV, snapR = delivered(victims), delivered(rogues)
-		probe = mix.StartFlow(cfg.Protocol, star.Sources[0], star.Dst,
-			rogueProbeKB*netsim.KB, 0)
+		probe = star.Mix.StartFlow(cfg.Protocol, star.Sources[0], star.Dst, rogueProbeKB*netsim.KB, 0)
 	})
 
-	engine.RunUntil(cfg.Duration)
+	star.engine.RunUntil(cfg.Duration)
 
 	res := RogueResult{Config: cfg, ProbeFCT: -1}
 	perVictim := windowGbps(delivered(victims), snapV, cfg.Duration-half)
@@ -170,13 +155,13 @@ func RunRogue(cfg RogueConfig) RogueResult {
 		res.ProbeFCT = probe.FCT()
 	}
 
-	for _, p := range run.Policers {
+	for _, p := range star.Policers {
 		res.Detections += p.Stats().Detections
 		res.Releases += p.Stats().Releases
 		res.Quarantined += p.CurrentQuarantined()
 	}
-	res.PolicedDrops = net.PolicedDrops()
-	for _, w := range run.Watchdogs {
+	res.PolicedDrops = star.Net.PolicedDrops()
+	for _, w := range star.Watchdogs {
 		res.WatchdogTrips += w.Stats().Trips
 	}
 	for _, f := range victims {

@@ -163,15 +163,7 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 	}
 	n := cfg.HostsPerEdge
 	engine := sim.New()
-	ft := topology.BuildFatTree(engine, cfg.Seed, topology.FatTreeConfig{
-		Cores:        2,
-		Edges:        2,
-		HostsPerEdge: n,
-		LinksPerPair: 1,
-		// 2:1 oversubscription: core capacity is half the hosts' aggregate.
-		HostRate: netsim.Gbps(rolloutLinkGbps),
-		CoreRate: netsim.Gbps(rolloutLinkGbps * float64(n) / 4),
-	})
+	ft := topology.BuildFatTree(engine, cfg.Seed, topology.SmallFatTree(2, 2, n, rolloutLinkGbps))
 	net := ft.Net
 	assign := AssignShares(cfg.Shares, n)
 	mix := Assemble(RunSpec{Net: net, FatTree: ft, BaseRTT: 16 * sim.Microsecond, Protocols: assign}).Mix

@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // Point is one sample of a time series: a timestamp in seconds and a value.
 type Point struct {
 	T float64
@@ -26,11 +28,15 @@ func (s *Series) Last() float64 {
 
 // MeanAfter returns the mean of all samples with T >= t0. It is used to
 // measure steady-state values while skipping the transient.
-func (s *Series) MeanAfter(t0 float64) float64 {
+func (s *Series) MeanAfter(t0 float64) float64 { return s.MeanIn(t0, math.Inf(1)) }
+
+// MeanIn returns the mean of the samples with t0 <= T < t1, or 0 when
+// none.
+func (s *Series) MeanIn(t0, t1 float64) float64 {
 	var sum float64
 	var n int
 	for _, p := range s.Points {
-		if p.T >= t0 {
+		if p.T >= t0 && p.T < t1 {
 			sum += p.V
 			n++
 		}

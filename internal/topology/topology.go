@@ -200,6 +200,22 @@ func ScaledFatTree(hostsPerEdge int) FatTreeConfig {
 	return cfg
 }
 
+// SmallFatTree returns a fat-tree with one link per edge-core pair at
+// the paper's 2:1 oversubscription: the uplinks of an edge carry half its
+// hosts' capacity. The recovery, rollout and collective experiments and
+// the chaos fabrics are built from it.
+func SmallFatTree(cores, edges, hostsPerEdge int, hostGbps float64) FatTreeConfig {
+	up := float64(hostsPerEdge) * hostGbps / 2
+	return FatTreeConfig{
+		Cores:        cores,
+		Edges:        edges,
+		HostsPerEdge: hostsPerEdge,
+		LinksPerPair: 1,
+		HostRate:     netsim.Gbps(hostGbps),
+		CoreRate:     netsim.Gbps(up / float64(cores)),
+	}
+}
+
 // BuildFatTree constructs the fat-tree.
 func BuildFatTree(engine *sim.Engine, seed int64, cfg FatTreeConfig) *FatTree {
 	net := netsim.New(engine, seed)
