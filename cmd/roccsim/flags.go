@@ -134,5 +134,6 @@ type fctOpts struct {
 }
 
 func bindFCT(fs *flag.FlagSet) fctOpts {
-	return fctOpts{bindSweep(fs), bindReps(fs), bindShards(fs), define(fs, "load", experiments.DefaultLoad, "average `load` level for §6.3 runs", parseFloat)}
+	return fctOpts{bindSweep(fs), bindReps(fs), bindShards(fs), define(fs, "load", experiments.DefaultLoad, "average `load` level for §6.3 runs, in (0, 1]",
+		check(parseFloat, func(l float64) bool { return l > 0 && l <= 1 }, "a load in (0, 1]"))}
 }

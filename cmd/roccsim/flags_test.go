@@ -49,6 +49,10 @@ var badArgs = []string{
 	"-count 2 -mode-prob -0.1 soak",
 	"-count 2 -rogue-prob NaN soak",
 	"-dur 1ms -fanin -3 fig18",
+	"-dur 1ms -load 0 fig14",     // was: run at the 70% default, printed as 0%
+	"-dur 1ms -load -1 table3",   // was: a panic in every cell
+	"-dur 300us -load NaN fig17", // was: a run that never ended
+	"-dur 1ms -load 1.5 fig20",
 	"-dur 100us -flows -1 scale",
 	"-flows 0 scale",
 	// Flags the experiment does not read.

@@ -185,20 +185,63 @@ func dropWallTime(out string) string {
 	return strings.Join(kept, "")
 }
 
-// TestFailedCellFailsRun: a cell that panics is reported, the rest of the
-// table still prints, and roccsim exits 1.
+// TestFailedCellFailsRun: a cell that panics is reported under its
+// workload, the rest of the table still prints, and roccsim exits 1. The
+// cells of `-dur 1ms fig14` panic on a load of -1, set past the flag check
+// that refuses it.
 func TestFailedCellFailsRun(t *testing.T) {
-	r := runArgs(strings.Fields("-dur 1ms -load -1 fig14")...)
-	if r.Code != 1 {
-		t.Errorf("exit %d, want 1\nstderr:\n%s", r.Code, r.Stderr)
+	fs := newFlagSet("roccsim fig14", io.Discard)
+	j := &job{body: fctFigs(fs, "fig14")}
+	j.cpuprofile, j.memprofile = bindProfiles(fs)
+	if err := fs.Parse([]string{"-dur", "1ms"}); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(r.Stderr, "failed: harness: cell") {
-		t.Errorf("stderr does not report the failed cells:\n%s", r.Stderr)
+	fs.Lookup("load").Value.(*option[float64]).v = -1
+	var stdout, stderr strings.Builder
+	if code := j.run(&out{stdout: &stdout, stderr: &stderr}); code != 1 {
+		t.Errorf("exit %d, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "failed: harness: cell") {
+		t.Errorf("stderr does not report the failed cells:\n%s", stderr.String())
+	}
+	for _, wl := range []string{"WebSearch", "FB_Hadoop"} {
+		if !strings.Contains(stderr.String(), wl) {
+			t.Errorf("stderr does not name the failed %s cells:\n%s", wl, stderr.String())
+		}
 	}
 	for _, row := range []string{"-- WebSearch traffic --", "-- FB_Hadoop traffic --", "(wall time "} {
-		if !strings.Contains(r.Stdout, row) {
-			t.Errorf("stdout lacks %q after failed cells:\n%s", row, r.Stdout)
+		if !strings.Contains(stdout.String(), row) {
+			t.Errorf("stdout lacks %q after failed cells:\n%s", row, stdout.String())
 		}
+	}
+}
+
+// TestGridComputesEachCellOnce counts the §6.3 cell repetitions a run
+// computes: `all` prints seven §6.3 tables from 12 distinct cells (15 at
+// -fanin 30, where the folds' lossless cells are not fig14's), each
+// computed once per repetition, and fig18 alone computes its own 6.
+func TestGridComputesEachCellOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want int
+	}{
+		{"-dur 200us -reps 2 all", 24},
+		{"-dur 200us -reps 2 -fanin 30 all", 30},
+		{"-dur 200us -reps 2 fig18", 12},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			t.Parallel()
+			var stderr strings.Builder
+			j, code := parse(strings.Fields(tc.args), &stderr)
+			if j == nil {
+				t.Fatalf("exit %d\n%s", code, stderr.String())
+			}
+			o := &out{stdout: io.Discard, stderr: &stderr}
+			if code := j.run(o); code != 0 || o.computed != tc.want {
+				t.Errorf("roccsim %s: exit %d, %d cell repetitions computed; want exit 0 and %d\n%s",
+					tc.args, code, o.computed, tc.want, stderr.String())
+			}
+		})
 	}
 }
 

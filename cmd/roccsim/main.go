@@ -123,10 +123,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if j == nil {
 		return code
 	}
-	o := &out{stdout: stdout, stderr: stderr}
+	return j.run(&out{stdout: stdout, stderr: stderr})
+}
+
+// run executes a parsed job, reporting to o, and returns its exit status.
+func (j *job) run(o *out) int {
 	stop, err := startProfiles(o, *j.cpuprofile, *j.memprofile)
 	if err != nil {
-		fmt.Fprintln(stderr, "cpuprofile:", err)
+		fmt.Fprintln(o.stderr, "cpuprofile:", err)
 		return 1
 	}
 	start := time.Now()
@@ -218,12 +222,16 @@ func usage(union *flag.FlagSet) {
 // out is where one run reports: tables to stdout, diagnostics to stderr.
 // failed records that a cell or an output file failed, which makes the
 // run exit 1 once every table has printed. tel is the telemetry bundle
-// fig8 and fig9 attach to when the flags in telOpts ask for one.
+// fig8 and fig9 attach to when the flags in telOpts ask for one. grid
+// holds each §6.3 cell's surviving runs by fctKey; computed counts the
+// runs made to fill it.
 type out struct {
 	stdout, stderr io.Writer
 	failed         bool
 	tel            *experiments.RunTelemetry
 	telOpts        seriesOpts
+	grid           map[string][]experiments.FCTResult
+	computed       int
 }
 
 func (o *out) printf(format string, a ...any) { fmt.Fprintf(o.stdout, format, a...) }
@@ -569,20 +577,41 @@ func runFig13(o *out, s sweep) {
 	}
 }
 
-// fctTable runs the §6.3 run of every comparison protocol on wl at -load,
-// -shards and the given incast fan-in, once in each of modes, -reps times
-// each: row i*len(modes)+k holds protocol i's runs in modes[k].
-func fctTable(o *out, f fctOpts, name string, wl *workload.CDF, fanin int, modes ...experiments.BufferMode) [][]experiments.FCTResult {
-	var cells []experiments.FCTConfig
-	for _, p := range experiments.ComparisonProtocols() {
-		for _, m := range modes {
-			cells = append(cells, experiments.FCTConfig{
-				Protocol: p, Workload: wl, Load: *f.load, Mode: m, Duration: f.dur(), Shards: *f.shards, IncastFanIn: fanin,
-			})
-		}
+// fctKey is a §6.3 cell's identity within a run, its grid key and failure
+// label: every other input (-dur, -load, -shards, -reps, -seed) is the
+// run's own.
+func fctKey(c experiments.FCTConfig) string {
+	return fmt.Sprintf("%s %s %v fan-in %d", c.Workload.Name(), c.Protocol, c.Mode, c.IncastFanIn)
+}
+
+// fctTable returns the -reps runs of the §6.3 cell of every comparison
+// protocol on wl in mode at the given incast fan-in, a row per protocol.
+// It runs only the cells the run's grid lacks, so each cell is computed,
+// and a failed repetition reported, once per run.
+func fctTable(o *out, f fctOpts, wl *workload.CDF, fanin int, mode experiments.BufferMode) [][]experiments.FCTResult {
+	if o.grid == nil {
+		o.grid = map[string][]experiments.FCTResult{}
 	}
-	return table(o, f.sweep, *f.reps, cells, func(c *experiments.FCTConfig) *int64 { return &c.Seed },
-		func(c experiments.FCTConfig) string { return fmt.Sprintf("%s %s %v", name, c.Protocol, c.Mode) }, experiments.RunFCT)
+	var keys []string
+	var missing []experiments.FCTConfig
+	for _, p := range experiments.ComparisonProtocols() {
+		c := experiments.FCTConfig{
+			Protocol: p, Workload: wl, Load: *f.load, Mode: mode, Duration: f.dur(), Shards: *f.shards, IncastFanIn: fanin,
+		}
+		if _, ok := o.grid[fctKey(c)]; !ok {
+			missing = append(missing, c)
+		}
+		keys = append(keys, fctKey(c))
+	}
+	for i, runs := range table(o, f.sweep, *f.reps, missing, func(c *experiments.FCTConfig) *int64 { return &c.Seed }, fctKey, experiments.RunFCT) {
+		o.grid[fctKey(missing[i])] = runs
+	}
+	o.computed += len(missing) * *f.reps
+	rows := make([][]experiments.FCTResult, len(keys))
+	for i, k := range keys {
+		rows[i] = o.grid[k]
+	}
+	return rows
 }
 
 func fctFigs(fs *flag.FlagSet, name string) func(*out) {
@@ -592,7 +621,7 @@ func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 		o.printf("%s: %s FCT per flow-size bin (load %.0f%%)\n", name, metric, *f.load*100)
 		for _, wl := range []*workload.CDF{workload.WebSearch(), workload.FBHadoop()} {
 			o.printf("-- %s traffic --\n", wl.Name())
-			vals := fctTable(o, f, name, wl, 0, experiments.Lossless)
+			vals := fctTable(o, f, wl, 0, experiments.Lossless)
 			for i, p := range experiments.ComparisonProtocols() {
 				var runs [][]stats.BinStat
 				for _, r := range vals[i] {
@@ -603,17 +632,10 @@ func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 					func(w io.Writer) error { return export.Bins(w, string(p), bins) })
 				o.printf("  %-9s", p)
 				for k, b := range bins {
-					v := b.AvgMs
-					switch name {
-					case "fig15":
-						v = b.P90Ms
-					case "fig16":
-						v = b.P99Ms
-					}
+					v := map[string]float64{"fig14": b.AvgMs, "fig15": b.P90Ms, "fig16": b.P99Ms}[name]
+					o.printf(" %s:%.3f", sizeLabel(b.UpperBytes), v)
 					if *f.reps > 1 {
-						o.printf(" %s:%.3f±%.3f", sizeLabel(b.UpperBytes), v, ci[k])
-					} else {
-						o.printf(" %s:%.3f", sizeLabel(b.UpperBytes), v)
+						o.printf("±%.3f", ci[k])
 					}
 				}
 				o.println()
@@ -625,7 +647,7 @@ func fctFigs(fs *flag.FlagSet, name string) func(*out) {
 func runTable3(o *out, f fctOpts) {
 	o.printf("Table 3: flow-level average rate allocation (FB_Hadoop, load %.0f%%)\n", *f.load*100)
 	o.printf("  %-9s %14s %16s\n", "protocol", "avg rate (Mb/s)", "std dev (Mb/s)")
-	for _, runs := range fctTable(o, f, "table3", workload.FBHadoop(), 0, experiments.Lossless) {
+	for _, runs := range fctTable(o, f, workload.FBHadoop(), 0, experiments.Lossless) {
 		if len(runs) == 0 {
 			continue
 		}
@@ -637,7 +659,7 @@ func runTable3(o *out, f fctOpts) {
 func runFig17(o *out, f fctOpts) {
 	o.printf("Fig 17: average queue size and PFC activation per CP tier (WebSearch, load %.0f%%)\n", *f.load*100)
 	o.printf("  %-9s %26s %26s\n", "protocol", "avg queue KB (core/in/out)", "PFC frames (core/in/out)")
-	for _, runs := range fctTable(o, f, "fig17", workload.WebSearch(), 0, experiments.Lossless) {
+	for _, runs := range fctTable(o, f, workload.WebSearch(), 0, experiments.Lossless) {
 		if len(runs) == 0 {
 			continue
 		}
@@ -662,13 +684,13 @@ func fold(fs *flag.FlagSet, name string) func(*out) {
 		}
 		o.printf("%s: FCT fold increase under %s (%s, load %.0f%%, fan-in %d)\n", name, label, wl.Name(), *f.load*100, *fanin)
 		// -fanin 30 reproduces the paper's incast level; see EXPERIMENTS.md.
-		vals := fctTable(o, f, name, wl, *fanin, experiments.Lossless, mode)
+		lossless, variant := fctTable(o, f, wl, *fanin, experiments.Lossless), fctTable(o, f, wl, *fanin, mode)
 		for i, p := range experiments.ComparisonProtocols() {
 			// A repetition folds when both its runs, lossless and variant,
 			// succeeded; each result carries its seed.
 			var runs []experiments.FoldResult
-			for _, base := range vals[2*i] {
-				for _, v := range vals[2*i+1] {
+			for _, base := range lossless[i] {
+				for _, v := range variant[i] {
 					if v.Config.Seed == base.Config.Seed {
 						runs = append(runs, experiments.MakeFold(base, v))
 					}
@@ -681,10 +703,9 @@ func fold(fs *flag.FlagSet, name string) func(*out) {
 			o.printf("  %-9s", p)
 			for k, row := range rows {
 				if row.Fold > 0 {
+					o.printf(" %s:%.1fx", sizeLabel(row.UpperBytes), row.Fold)
 					if *f.reps > 1 {
-						o.printf(" %s:%.1fx±%.1f", sizeLabel(row.UpperBytes), row.Fold, ci[k])
-					} else {
-						o.printf(" %s:%.1fx", sizeLabel(row.UpperBytes), row.Fold)
+						o.printf("±%.1f", ci[k])
 					}
 				}
 			}

@@ -73,7 +73,6 @@ type FaultsResult struct {
 
 	ThroughputGbps float64 // aggregate goodput over the second half
 	QueueMeanKB    float64
-	QueueMaxKB     float64
 	Jain           float64 // fairness across surviving flows
 
 	StaleRecoveries int // RP staleness re-homings (summed over flows)
@@ -144,7 +143,6 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	}
 	res.Jain = stats.JainIndex(perFlow)
 	res.QueueMeanKB = queue.MeanAfter(half.Seconds())
-	res.QueueMaxKB = queue.MaxAfter(0)
 	return res
 }
 

@@ -5,7 +5,6 @@ import (
 	"rocc/internal/netsim"
 	"rocc/internal/roccnet"
 	"rocc/internal/sim"
-	"rocc/internal/stats"
 )
 
 // Fig13Scenario selects the testbed traffic mix (§6.2).
@@ -35,8 +34,6 @@ func Fig13CPConfig() core.CPConfig {
 // Fig13Result is the simulation twin of the DPDK testbed run.
 type Fig13Result struct {
 	Scenario    Fig13Scenario
-	Queue       *stats.Series // KB
-	FairRate    *stats.Series // Gb/s
 	SteadyQueKB float64
 	SteadyRate  float64 // Gb/s
 }
@@ -64,8 +61,6 @@ func RunFig13Sim(scenario Fig13Scenario, duration sim.Time, seed int64) Fig13Res
 	half := duration.Seconds() / 2
 	return Fig13Result{
 		Scenario:    scenario,
-		Queue:       queue,
-		FairRate:    rate,
 		SteadyQueKB: queue.MeanAfter(half),
 		SteadyRate:  rate.MeanAfter(half),
 	}

@@ -6,17 +6,13 @@ import "rocc/internal/stats"
 // lossless baseline (the "fold increase" annotations of Figs. 18 and 20).
 type FoldRow struct {
 	UpperBytes int
-	BaseAvgMs  float64 // PFC enabled, limited buffer
-	VarAvgMs   float64 // the variant (unlimited buffer or lossy)
-	Fold       float64 // VarAvg / BaseAvg
+	Fold       float64 // variant avg FCT / lossless avg FCT
 }
 
 // FoldResult is one protocol's Fig. 18 / Fig. 20 outcome.
 type FoldResult struct {
 	Protocol   Protocol
 	Rows       []FoldRow
-	Base       FCTResult
-	Variant    FCTResult
 	RetxShare  float64 // retransmitted bytes / delivered bytes (Fig. 20)
 	BufferFold float64 // variant avg buffer / base avg buffer (Fig. 18)
 }
@@ -25,10 +21,10 @@ type FoldResult struct {
 // configuration and seed into per-bin fold increases (Fig. 18: variant
 // Unlimited; Fig. 20: variant Lossy). The protocol is read from base.
 func MakeFold(base, variant FCTResult) FoldResult {
-	res := FoldResult{Protocol: base.Config.Protocol, Base: base, Variant: variant}
+	res := FoldResult{Protocol: base.Config.Protocol}
 	for i, b := range base.Bins {
 		v := variant.Bins[i]
-		row := FoldRow{UpperBytes: b.UpperBytes, BaseAvgMs: b.AvgMs, VarAvgMs: v.AvgMs}
+		row := FoldRow{UpperBytes: b.UpperBytes}
 		if b.AvgMs > 0 && b.Count > 0 && v.Count > 0 {
 			row.Fold = v.AvgMs / b.AvgMs
 		}
@@ -55,21 +51,13 @@ func MergeFolds(runs []FoldResult) (rows []FoldRow, ci []float64, retxShare, buf
 	rows = make([]FoldRow, nBins)
 	ci = make([]float64, nBins)
 	for b := 0; b < nBins; b++ {
-		var folds, bases, vars []float64
+		var folds []float64
 		for _, run := range runs {
-			row := run.Rows[b]
-			if row.Fold > 0 {
-				folds = append(folds, row.Fold)
-				bases = append(bases, row.BaseAvgMs)
-				vars = append(vars, row.VarAvgMs)
+			if f := run.Rows[b].Fold; f > 0 {
+				folds = append(folds, f)
 			}
 		}
-		rows[b] = FoldRow{
-			UpperBytes: runs[0].Rows[b].UpperBytes,
-			BaseAvgMs:  stats.Mean(bases),
-			VarAvgMs:   stats.Mean(vars),
-			Fold:       stats.Mean(folds),
-		}
+		rows[b] = FoldRow{UpperBytes: runs[0].Rows[b].UpperBytes, Fold: stats.Mean(folds)}
 		ci[b] = stats.CI95(folds)
 	}
 	var retxs, bufs []float64

@@ -33,7 +33,6 @@ type Fig8Config struct {
 // Fig8Result holds the queue and fair-rate series plus steady-state
 // summaries for one (N, B) point of Fig. 8.
 type Fig8Result struct {
-	Config       Fig8Config
 	Queue        *stats.Series // KB
 	FairRate     *stats.Series // Gb/s
 	ConvergedAt  float64       // seconds until the fair rate stays within 10% of final
@@ -60,7 +59,6 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 
 	half := cfg.Duration.Seconds() / 2
 	res := Fig8Result{
-		Config:       cfg,
 		Queue:        queue,
 		FairRate:     rate,
 		SteadyQueKB:  queue.MeanAfter(half),
@@ -125,7 +123,6 @@ type Fig9Config struct {
 
 // Fig9Result holds the queue/fair-rate series and per-phase steady rates.
 type Fig9Result struct {
-	Config     Fig9Config
 	Queue      *stats.Series // KB
 	FairRate   *stats.Series // Gb/s
 	PhaseN     []int         // flow count during each phase
@@ -163,7 +160,7 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 	rate := sampler.FairRate(star.Mix, star.Bottleneck)
 	star.engine.RunUntil(sim.Time(len(counts)) * cfg.Phase)
 
-	res := Fig9Result{Config: cfg, Queue: queue, FairRate: rate, PhaseN: counts, PFCFrames: star.Net.TotalPFCFrames()}
+	res := Fig9Result{Queue: queue, FairRate: rate, PhaseN: counts, PFCFrames: star.Net.TotalPFCFrames()}
 	for i := range counts {
 		start := sim.Time(i) * cfg.Phase
 		res.PhaseRates = append(res.PhaseRates, rate.MeanIn((start+cfg.Phase/2).Seconds(), (start+cfg.Phase).Seconds()))
@@ -196,7 +193,6 @@ type Fig11Row struct {
 	QueueStdKB   float64
 	Utilization  float64 // bottleneck, fraction of line rate
 	Queue        *stats.Series
-	Throughput   *stats.Series // aggregate bottleneck Gb/s
 }
 
 // RunFig11 reproduces Fig. 11 for one protocol.
@@ -224,7 +220,6 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 		QueueStdKB:   queue.StdDevAfter(half.Seconds()),
 		Utilization:  tput.MeanAfter(half.Seconds()) / fig11Gbps,
 		Queue:        queue,
-		Throughput:   tput,
 	}
 	return row
 }

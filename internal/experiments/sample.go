@@ -14,7 +14,6 @@ import (
 // its own engine and its own Sampler, which is what keeps fan-out
 // deterministic.
 type Sampler struct {
-	engine *sim.Engine
 	period sim.Time
 	tick   *sim.Ticker
 	fns    []func(now sim.Time)
@@ -25,7 +24,7 @@ func NewSampler(engine *sim.Engine, period sim.Time) *Sampler {
 	if period == 0 {
 		period = 100 * sim.Microsecond
 	}
-	s := &Sampler{engine: engine, period: period}
+	s := &Sampler{period: period}
 	s.tick = engine.NewTicker(period, func() {
 		now := engine.Now()
 		for _, fn := range s.fns {

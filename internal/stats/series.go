@@ -47,21 +47,6 @@ func (s *Series) MeanIn(t0, t1 float64) float64 {
 	return sum / float64(n)
 }
 
-// MaxAfter returns the maximum of all samples with T >= t0, or 0 when none.
-func (s *Series) MaxAfter(t0 float64) float64 {
-	var max float64
-	var seen bool
-	for _, p := range s.Points {
-		if p.T >= t0 {
-			if !seen || p.V > max {
-				max = p.V
-				seen = true
-			}
-		}
-	}
-	return max
-}
-
 // StdDevAfter returns the sample standard deviation of samples with T >= t0.
 func (s *Series) StdDevAfter(t0 float64) float64 {
 	var vals []float64

@@ -171,12 +171,6 @@ func TestSeries(t *testing.T) {
 	if got := s.MeanAfter(1); got != 0 {
 		t.Errorf("MeanAfter past end = %v, want 0", got)
 	}
-	if got := s.MaxAfter(0.0015); got != 30 {
-		t.Errorf("MaxAfter = %v, want 30", got)
-	}
-	if got := s.MaxAfter(9); got != 0 {
-		t.Errorf("MaxAfter empty window = %v, want 0", got)
-	}
 	if got := s.StdDevAfter(0.002); !almost(got, StdDev([]float64{20, 30}), 1e-12) {
 		t.Errorf("StdDevAfter = %v", got)
 	}
