@@ -87,6 +87,7 @@ var goldenRuns = []struct {
 	{"fig18_fanin30", "-dur 2ms -fanin 30 fig18", nil},
 	{"fig8_dcqcn", "-dur 3ms -protocol dcqcn fig8", nil},
 	{"fig9_dcqcn", "-dur 3ms -protocol dcqcn fig9", nil},
+	{"fig9_metrics", "-dur 2ms -metrics fig9", nil},
 	{"rogue_blast", "-dur 3ms -rogue-kind blast rogue", nil},
 
 	// The chaos soak campaigns CI smokes, at small counts, and one re-run

@@ -40,25 +40,6 @@ import (
 	"rocc/internal/telemetry"
 )
 
-// metrics bundles the defense instruments, resolved nil-safe from a
-// network's registry (all nil when telemetry is disabled).
-type metrics struct {
-	detections *telemetry.Counter // policer quarantines entered
-	releases   *telemetry.Counter // policer quarantines released
-	trips      *telemetry.Counter // watchdog storm trips
-	reenables  *telemetry.Counter // watchdog lossless re-enables
-}
-
-func metricsFrom(net *netsim.Network) metrics {
-	reg := net.TelemetryRegistry()
-	return metrics{
-		detections: reg.Counter("adversary.police.detections"),
-		releases:   reg.Counter("adversary.police.releases"),
-		trips:      reg.Counter("adversary.watchdog.trips"),
-		reenables:  reg.Counter("adversary.watchdog.reenables"),
-	}
-}
-
 // record files an instant event into the network's flight recorder
 // (nil-safe), tagging the defense action with its switch and flow/port.
 func record(net *netsim.Network, name string, node netsim.NodeID, id int64, value float64) {

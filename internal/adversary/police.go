@@ -120,7 +120,6 @@ type Policer struct {
 
 	stopped bool
 	stats   PolicerStats
-	tm      metrics
 }
 
 // NewPolicer attaches a compliance policer to the switch. Panics if the
@@ -136,7 +135,10 @@ func NewPolicer(net *netsim.Network, sw *netsim.Switch, cfg PolicerConfig) *Poli
 		meters:      make([]map[netsim.FlowID]*flowMeter, len(sw.Ports())),
 		qpeak:       make([]int, len(sw.Ports())),
 		quarantined: make(map[netsim.FlowID]*quarantine),
-		tm:          metricsFrom(net),
+	}
+	if reg := net.TelemetryRegistry(); reg != nil {
+		reg.CounterFunc("adversary.police.detections", func() uint64 { return uint64(p.stats.Detections) })
+		reg.CounterFunc("adversary.police.releases", func() uint64 { return uint64(p.stats.Releases) })
 	}
 	sw.Police = p.police
 	net.Engine.AfterCall(policerWindow, policerTick, p, nil)
@@ -182,14 +184,12 @@ func (p *Policer) admitQuarantine(fid netsim.FlowID, penalty netsim.Rate) {
 		refillAt: p.net.Engine.Now(),
 	}
 	p.stats.Detections++
-	p.tm.detections.Inc()
 	record(p.net, "quarantine", p.sw.ID(), int64(fid), float64(penalty))
 }
 
 func (p *Policer) release(fid netsim.FlowID) {
 	delete(p.quarantined, fid)
 	p.stats.Releases++
-	p.tm.releases.Inc()
 	record(p.net, "release", p.sw.ID(), int64(fid), 0)
 }
 
@@ -218,7 +218,7 @@ func (p *Policer) police(now sim.Time, pkt *netsim.Packet, inPort int, egress *n
 	if q == nil {
 		return true
 	}
-	q.tokens += float64(q.penalty) / 8 * (now - q.refillAt).Seconds()
+	q.tokens += float64(float64(q.penalty) / 8 * (now - q.refillAt).Seconds())
 	q.refillAt = now
 	if q.tokens > penaltyBurstBytes {
 		q.tokens = penaltyBurstBytes

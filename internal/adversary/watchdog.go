@@ -60,7 +60,6 @@ type Watchdog struct {
 
 	stopped bool
 	stats   WatchdogStats
-	tm      metrics
 }
 
 // NewWatchdog attaches a storm watchdog to the switch and starts its
@@ -71,7 +70,10 @@ func NewWatchdog(net *netsim.Network, sw *netsim.Switch, cfg WatchdogConfig) *Wa
 		sw:         sw,
 		cfg:        cfg.fill(),
 		reenableAt: make(map[int]sim.Time),
-		tm:         metricsFrom(net),
+	}
+	if reg := net.TelemetryRegistry(); reg != nil {
+		reg.CounterFunc("adversary.watchdog.trips", func() uint64 { return uint64(w.stats.Trips) })
+		reg.CounterFunc("adversary.watchdog.reenables", func() uint64 { return uint64(w.stats.Reenables) })
 	}
 	net.Engine.AfterCall(watchdogScanPeriod, watchdogScan, w, nil)
 	return w
@@ -125,7 +127,6 @@ func (w *Watchdog) trip(port *netsim.Port) {
 	w.stats.Trips++
 	w.stats.FlushedPkts += pkts
 	w.stats.FlushedBytes += bytes
-	w.tm.trips.Inc()
 	w.reenableAt[port.Index] = w.net.Engine.Now() + watchdogCooldown
 	record(w.net, "watchdog_trip", w.sw.ID(), int64(port.Index), float64(bytes))
 	w.net.Engine.AfterCall(watchdogCooldown, watchdogReenable, w, port)
@@ -158,6 +159,5 @@ func watchdogReenable(a, b any) {
 	port.SetLosslessOff(false)
 	delete(w.reenableAt, port.Index)
 	w.stats.Reenables++
-	w.tm.reenables.Inc()
 	record(w.net, "watchdog_reenable", w.sw.ID(), int64(port.Index), 0)
 }

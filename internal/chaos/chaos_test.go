@@ -162,13 +162,11 @@ func TestPlantedViolationCaughtAndShrunk(t *testing.T) {
 	}
 }
 
-// TestShrinkerIsolatesCoOccurringFaults plants a synthetic invariant
-// that only trips when a link flap AND a CP stall both occur, buries
-// those two faults among decoys, and asserts the shrinker isolates
-// exactly the co-occurring pair.
-func TestShrinkerIsolatesCoOccurringFaults(t *testing.T) {
+// coOccurringFaultsScenario runs two DCQCN flows through a star under
+// one fault of every non-kill kind.
+func coOccurringFaultsScenario() Scenario {
 	ms := int64(sim.Millisecond)
-	sc := Scenario{
+	return Scenario{
 		Seed:       11,
 		Protocol:   "DCQCN",
 		Topology:   TopologySpec{Kind: TopoStar, N: 4, Gbps: 10},
@@ -185,6 +183,14 @@ func TestShrinkerIsolatesCoOccurringFaults(t *testing.T) {
 			{Kind: FaultCPStall, Switch: 0, PeriodNs: ms, ActiveNs: ms / 4},
 		},
 	}
+}
+
+// TestShrinkerIsolatesCoOccurringFaults plants a synthetic invariant
+// that only trips when a link flap AND a CP stall both occur, buries
+// those two faults among decoys, and asserts the shrinker isolates
+// exactly the co-occurring pair.
+func TestShrinkerIsolatesCoOccurringFaults(t *testing.T) {
+	sc := coOccurringFaultsScenario()
 	const inv = "flap_and_stall"
 	opts := RunOptions{Custom: []CustomMonitor{{
 		Name: inv,

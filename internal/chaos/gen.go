@@ -181,8 +181,8 @@ func overlayKill(seed int64, o GenOptions, sc *Scenario) {
 		}
 	}
 	dur := float64(sc.DurationNs)
-	at := int64((0.2 + 0.2*r.Float64()) * dur)
-	restore := at + int64((0.1+0.15*r.Float64())*dur)
+	at := int64((0.2 + float64(0.2*r.Float64())) * dur)
+	restore := at + int64((0.1+float64(0.15*r.Float64()))*dur)
 	f := FaultSpec{AtNs: at, RestoreNs: restore}
 	if r.Intn(2) == 0 {
 		f.Kind = FaultLinkKill
@@ -339,7 +339,7 @@ func genFlows(r *sim.Rand, t TopologySpec, dur sim.Time) []FlowSpec {
 		if r.Float64() < 0.4 {
 			// Persistent, rate-capped: the fairness-convergence subject.
 			f.SizeBytes = -1
-			f.MaxRateMbps = linkMbps * (0.5 + 0.5*r.Float64())
+			f.MaxRateMbps = linkMbps * (0.5 + float64(0.5*r.Float64()))
 			f.StartNs = int64(r.Float64() * 0.2 * float64(dur))
 		} else {
 			f.SizeBytes = int64(cdf.Sample(r))
@@ -410,13 +410,13 @@ func genFaults(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FaultS
 				Kind:     FaultFlap,
 				Link:     r.Intn(links),
 				PeriodNs: int64(period),
-				ActiveNs: int64(float64(period) * (0.1 + 0.15*r.Float64())),
+				ActiveNs: int64(float64(period) * (0.1 + float64(0.15*r.Float64()))),
 			})
 		case 2:
 			fs = append(fs, FaultSpec{
 				Kind:   FaultCNPLoss,
 				Switch: r.Intn(switches),
-				Prob:   0.05 + 0.35*r.Float64(),
+				Prob:   0.05 + float64(0.35*r.Float64()),
 			})
 		case 3:
 			period := sim.Millisecond + sim.Time(r.Float64()*float64(2*sim.Millisecond))
@@ -424,7 +424,7 @@ func genFaults(r *sim.Rand, t TopologySpec, dur sim.Time, o GenOptions) []FaultS
 				Kind:     FaultCPStall,
 				Switch:   r.Intn(switches),
 				PeriodNs: int64(period),
-				ActiveNs: int64(float64(period) * (0.2 + 0.25*r.Float64())),
+				ActiveNs: int64(float64(period) * (0.2 + float64(0.25*r.Float64()))),
 			})
 		}
 	}

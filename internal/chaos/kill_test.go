@@ -124,6 +124,22 @@ func TestValidateRejectsBadKills(t *testing.T) {
 	}
 }
 
+// fatTreeKillScenario kills core switch 0 of a small HPCC fat-tree for
+// 1 ms under two cross-edge flows.
+func fatTreeKillScenario() Scenario {
+	return Scenario{
+		Seed:       2,
+		Protocol:   "HPCC",
+		Topology:   TopologySpec{Kind: TopoFatTree, Cores: 2, Edges: 3, HostsPerEdge: 2, Gbps: 40},
+		DurationNs: int64(5 * sim.Millisecond),
+		Flows: []FlowSpec{
+			{Src: 0, Dst: 3, SizeBytes: -1, MaxRateMbps: 8000, Reliable: true},
+			{Src: 1, Dst: 5, SizeBytes: -1, MaxRateMbps: 8000, Reliable: true},
+		},
+		Faults: []FaultSpec{{Kind: FaultSwitchKill, Switch: 0, AtNs: int64(sim.Millisecond), RestoreNs: int64(2 * sim.Millisecond)}},
+	}
+}
+
 // TestKillScenariosRecover: hand-built link- and switch-kill scenarios
 // across topologies must come out of Run with zero violations — the
 // blackhole, recovery, and stale-pause invariants all armed.
@@ -135,17 +151,7 @@ func TestKillScenariosRecover(t *testing.T) {
 			sc.Faults[0].Link = 0 // source 0's access link, on the flow's path
 			return sc
 		}(),
-		{
-			Seed:       2,
-			Protocol:   "HPCC",
-			Topology:   TopologySpec{Kind: TopoFatTree, Cores: 2, Edges: 3, HostsPerEdge: 2, Gbps: 40},
-			DurationNs: int64(5 * sim.Millisecond),
-			Flows: []FlowSpec{
-				{Src: 0, Dst: 3, SizeBytes: -1, MaxRateMbps: 8000, Reliable: true},
-				{Src: 1, Dst: 5, SizeBytes: -1, MaxRateMbps: 8000, Reliable: true},
-			},
-			Faults: []FaultSpec{{Kind: FaultSwitchKill, Switch: 0, AtNs: int64(sim.Millisecond), RestoreNs: int64(2 * sim.Millisecond)}},
-		},
+		fatTreeKillScenario(),
 	}
 	for i, sc := range scenarios {
 		res, err := Run(sc, RunOptions{})

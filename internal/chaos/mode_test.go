@@ -116,10 +116,9 @@ func TestCleanModedScenariosTripNoInvariant(t *testing.T) {
 	}
 }
 
-// A CC-only lossy scenario that actually drops must NOT trip the
-// lossless-drops invariant — drops are the regime, not a violation —
-// while the rest of the suite stays green.
-func TestLossyModeDropsWithoutLosslessViolation(t *testing.T) {
+// lossyIncastScenario is a 12-to-1 incast of reliable DCQCN transfers
+// through a star in CC-only lossy mode.
+func lossyIncastScenario() Scenario {
 	sc := Scenario{
 		Seed:     11,
 		Protocol: "DCQCN",
@@ -135,6 +134,14 @@ func TestLossyModeDropsWithoutLosslessViolation(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		sc.Flows = append(sc.Flows, FlowSpec{Src: i, Dst: 12, SizeBytes: 400 * 1000, Reliable: true})
 	}
+	return sc
+}
+
+// A CC-only lossy scenario that actually drops must NOT trip the
+// lossless-drops invariant — drops are the regime, not a violation —
+// while the rest of the suite stays green.
+func TestLossyModeDropsWithoutLosslessViolation(t *testing.T) {
+	sc := lossyIncastScenario()
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -376,7 +376,7 @@ func checkFairness(rt *Runtime) (string, bool) {
 		var sum, sumSq float64
 		for _, x := range xs {
 			sum += x
-			sumSq += x * x
+			sumSq += float64(x * x)
 		}
 		if sumSq == 0 {
 			return fmt.Sprintf("%d persistent %s flows delivered nothing in the second half", len(xs), proto), true

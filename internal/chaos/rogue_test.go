@@ -144,10 +144,9 @@ func TestRogueOverlaySkipsPFCOnly(t *testing.T) {
 	}
 }
 
-// TestRogueScenarioContained is the fixed-scenario end-to-end check: a
-// defended star with blasting rogues quarantines them, keeps the
-// victims delivering, and trips no invariant.
-func TestRogueScenarioContained(t *testing.T) {
+// containedRogueScenario is a defended RoCC star where three honest
+// flows share the hub with a blaster and a CNP-deaf rogue.
+func containedRogueScenario() Scenario {
 	sc := Scenario{
 		Seed:       21,
 		Protocol:   "RoCC",
@@ -162,7 +161,14 @@ func TestRogueScenarioContained(t *testing.T) {
 		FlowSpec{Src: 3, Dst: 5, SizeBytes: -1, Rogue: string(adversary.RogueBlast)},
 		FlowSpec{Src: 4, Dst: 5, SizeBytes: -1, Rogue: string(adversary.RogueCNPDeaf)},
 	)
-	res, err := Run(sc, RunOptions{})
+	return sc
+}
+
+// TestRogueScenarioContained is the fixed-scenario end-to-end check: a
+// defended star with blasting rogues quarantines them, keeps the
+// victims delivering, and trips no invariant.
+func TestRogueScenarioContained(t *testing.T) {
+	res, err := Run(containedRogueScenario(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -236,21 +237,53 @@ func (t TopologySpec) switchCount() int {
 	return 0
 }
 
+// minLinkGbps is the slowest link a scenario may build. RoCC's
+// congestion point is the one protocol configuration with a rate floor:
+// its line rate must exceed its 100 Mb/s minimum fair rate
+// (core.CPConfig.Validate), so the bound is that floor plus one 10 Mb/s
+// rate step (ΔF). The other six protocols take any positive rate.
+const minLinkGbps = 0.11
+
+// hostGbps returns the star and fat-tree host link rate; 0 means 40.
+func (t TopologySpec) hostGbps() float64 { return cmp.Or(t.Gbps, 40) }
+
+// fatTree returns the fat-tree configuration the spec builds.
+func (t TopologySpec) fatTree() topology.FatTreeConfig {
+	return topology.SmallFatTree(t.Cores, t.Edges, t.HostsPerEdge, t.hostGbps())
+}
+
 func (t TopologySpec) validate() error {
+	if t.Gbps < 0 {
+		return fmt.Errorf("chaos: negative link rate %v Gb/s", t.Gbps)
+	}
+	var links []netsim.Rate // each link rate the fabric builds
 	switch t.Kind {
 	case TopoStar:
 		if t.N < 1 {
 			return fmt.Errorf("chaos: star needs at least 1 source, got %d", t.N)
 		}
+		links = []netsim.Rate{netsim.Gbps(t.hostGbps())}
 	case TopoMultiBottleneck:
-		// Fully fixed by Fig. 10.
+		return nil // fully fixed by Fig. 10
 	case TopoFatTree:
 		if t.Cores < 1 || t.Edges < 2 || t.HostsPerEdge < 1 {
 			return fmt.Errorf("chaos: fat-tree needs cores>=1, edges>=2, hosts>=1, got %d/%d/%d",
 				t.Cores, t.Edges, t.HostsPerEdge)
 		}
+		ft := t.fatTree()
+		links = []netsim.Rate{ft.HostRate, ft.CoreRate}
 	default:
 		return fmt.Errorf("chaos: unknown topology kind %q", t.Kind)
+	}
+	for _, r := range links {
+		g := r.Gbps()
+		if !(g >= minLinkGbps) {
+			return fmt.Errorf("chaos: a %v Gb/s link is below %v Gb/s, the slowest every protocol accepts", g, minLinkGbps)
+		}
+		if math.IsInf(g, 1) {
+			// A packet would serialize in no time: one instant never ends.
+			return fmt.Errorf("chaos: link rate %v Gb/s overflows", t.Gbps)
+		}
 	}
 	return nil
 }
@@ -396,6 +429,11 @@ func Load(path string) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
+	return decode(data)
+}
+
+// decode parses and validates a repro config.
+func decode(data []byte) (Scenario, error) {
 	var sc Scenario
 	if err := json.Unmarshal(data, &sc); err != nil {
 		return Scenario{}, err
@@ -421,16 +459,12 @@ func (sc Scenario) buildFabric(engine *sim.Engine) *fabric {
 	f := &fabric{}
 	switch t.Kind {
 	case TopoStar:
-		rate := netsim.Gbps(t.Gbps)
-		if t.Gbps == 0 {
-			rate = netsim.Gbps(40)
-		}
-		st := topology.BuildStar(engine, sc.Seed, t.N, rate)
+		st := topology.BuildStar(engine, sc.Seed, t.N, netsim.Gbps(t.hostGbps()))
 		f.net, f.star = st.Net, st
 	case TopoMultiBottleneck:
 		f.net = topology.BuildMultiBottleneck(engine, sc.Seed).Net
 	case TopoFatTree:
-		ft := topology.BuildFatTree(engine, sc.Seed, topology.SmallFatTree(t.Cores, t.Edges, t.HostsPerEdge, cmp.Or(t.Gbps, 40)))
+		ft := topology.BuildFatTree(engine, sc.Seed, t.fatTree())
 		f.net, f.ft = ft.Net, ft
 	default:
 		panic("chaos: buildFabric on unvalidated scenario")

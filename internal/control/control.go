@@ -35,12 +35,12 @@ func (s System) kappa() float64 {
 func (s System) K() float64 { return s.kappa() * s.N * s.Alpha / s.T }
 
 // Z1 returns the controller zero z1 = α/((β+α/2)T) in rad/s.
-func (s System) Z1() float64 { return s.Alpha / ((s.Beta + s.Alpha/2) * s.T) }
+func (s System) Z1() float64 { return s.Alpha / ((s.Beta + float64(s.Alpha/2)) * s.T) }
 
 // GainAt returns |G(jω)| at angular frequency w (rad/s).
 func (s System) GainAt(w float64) float64 {
 	z1 := s.Z1()
-	return s.K() * math.Sqrt(1+(w/z1)*(w/z1)) / (w * w)
+	return s.K() * math.Sqrt(1+float64((w/z1)*(w/z1))) / (w * w)
 }
 
 // PhaseAt returns the phase of G(jω) in degrees: the zero contributes

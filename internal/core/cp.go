@@ -97,8 +97,8 @@ func CPConfigForGbps(gbps float64) CPConfig {
 	if gbps > 40 {
 		// Interpolate the paper's 40G → 100G gain growth.
 		f := (gbps - 40) / 60
-		cfg.AlphaTilde = 0.3 + 0.15*f
-		cfg.BetaTilde = 1.5 + 0.75*f
+		cfg.AlphaTilde = 0.3 + float64(0.15*f)
+		cfg.BetaTilde = 1.5 + float64(0.75*f)
 	}
 	return cfg
 }
@@ -181,7 +181,7 @@ func (cp *CP) Update(qcurBytes int) int {
 		cp.MDHalveCount++
 	default:
 		alpha, beta := cp.autoTune()
-		cp.f = cp.f - alpha*(qcur-cp.qref) - beta*(qcur-cp.qold) // Line 8
+		cp.f = cp.f - float64(alpha*(qcur-cp.qref)) - float64(beta*(qcur-cp.qold)) // Line 8
 	}
 	if cp.f > cp.fmax {
 		cp.f = cp.fmax

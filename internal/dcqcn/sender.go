@@ -69,8 +69,8 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {}
 // OnCNP implements netsim.FlowCC: the DCQCN rate decrease.
 func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 	cc.rt = cc.rc
-	cc.alpha = (1-cc.cfg.G)*cc.alpha + cc.cfg.G
-	cc.rc = cc.rc * (1 - cc.alpha/2)
+	cc.alpha = float64((1-cc.cfg.G)*cc.alpha) + cc.cfg.G
+	cc.rc = cc.rc * (1 - float64(cc.alpha/2))
 	if cc.rc < cc.cfg.RminMbps {
 		cc.rc = cc.cfg.RminMbps
 	}

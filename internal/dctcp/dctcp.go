@@ -161,9 +161,9 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		if cc.ackedInWin > 0 {
 			frac = float64(cc.markedInWin) / float64(cc.ackedInWin)
 		}
-		cc.alpha = (1-cc.cfg.G)*cc.alpha + cc.cfg.G*frac
+		cc.alpha = float64((1-cc.cfg.G)*cc.alpha) + float64(cc.cfg.G*frac)
 		if cc.decreaseArm {
-			cc.cwnd *= 1 - cc.alpha/2
+			cc.cwnd *= 1 - float64(cc.alpha/2)
 			cc.Decreases++
 			cc.decreaseArm = false
 		}

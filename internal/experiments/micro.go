@@ -303,7 +303,7 @@ func RunFig12b(proto Protocol, duration sim.Time, seed int64) Fig12bRow {
 		row.SlowAvg += row.D[i] / 5
 	}
 	for i := 5; i < 7; i++ {
-		row.FastAvg += row.D[i] / 2
+		row.FastAvg += float64(row.D[i] / 2)
 	}
 	return row
 }

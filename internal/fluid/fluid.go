@@ -111,7 +111,7 @@ func Run(cfg Config) Result {
 		// Integrate Eq. 2 over one interval with the applied rate.
 		input := math.Min(applied*float64(cfg.N), cfg.CP.FmaxMbps*float64(cfg.N)) + cfg.MiceMbps
 		for i := 0; i < sub; i++ {
-			q += (input - cfg.LinkMbps) * 1e6 / 8 * dt
+			q += float64((input - cfg.LinkMbps) * 1e6 / 8 * dt)
 			if q < 0 {
 				q = 0
 			}

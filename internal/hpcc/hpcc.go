@@ -181,7 +181,7 @@ func (cc *FlowCC) measureInflight(cur []netsim.INTRecord) float64 {
 	if tau > tBase {
 		tau = tBase
 	}
-	cc.u = (1-tau/tBase)*cc.u + (tau/tBase)*uMax
+	cc.u = float64((1-tau/tBase)*cc.u) + float64((tau/tBase)*uMax)
 	return cc.u
 }
 
@@ -202,7 +202,7 @@ func (cc *FlowCC) computeWind(u float64, updateWc bool) {
 		}
 		cc.AIEvents++
 	}
-	maxW := cc.cfg.RmaxMbps * 1e6 / 8 * cc.cfg.BaseRTT.Seconds() * 2
+	maxW := float64(cc.cfg.RmaxMbps*1e6/8*cc.cfg.BaseRTT.Seconds()) * 2
 	if cc.w > maxW {
 		cc.w = maxW
 	}

@@ -423,13 +423,29 @@ const removeGrace = 200 * sim.Microsecond
 // ActiveFlowCount returns the number of registered (incomplete) flows.
 func (n *Network) ActiveFlowCount() int { return n.activeFlows }
 
-// TotalPFCFrames sums Xoff pause frames across all switches.
-func (n *Network) TotalPFCFrames() int {
-	total := 0
+// sumSwitches totals one per-switch count over the fabric.
+func sumSwitches[T int | uint64](n *Network, count func(*Switch) T) T {
+	var total T
 	for _, s := range n.switches {
-		total += s.PauseFrames
+		total += count(s)
 	}
 	return total
+}
+
+// sumPorts totals one per-port count over every switch port and host NIC.
+func sumPorts(n *Network, count func(*Port) uint64) uint64 {
+	total := uint64(0)
+	for _, node := range n.nodes {
+		for _, p := range node.Ports() {
+			total += count(p)
+		}
+	}
+	return total
+}
+
+// TotalPFCFrames sums Xoff pause frames across all switches.
+func (n *Network) TotalPFCFrames() int {
+	return sumSwitches(n, func(s *Switch) int { return s.PauseFrames })
 }
 
 // LongestPauseSpan returns the longest PFC pause interval observed so
@@ -458,64 +474,35 @@ func (n *Network) PauseStorms() uint64 { return n.pauseStorms }
 
 // TotalDrops sums tail drops across all switches.
 func (n *Network) TotalDrops() int {
-	total := 0
-	for _, s := range n.switches {
-		total += s.Drops
-	}
-	return total
+	return sumSwitches(n, func(s *Switch) int { return s.Drops })
 }
 
 // BlackholeDrops sums packets dropped at switches that had no surviving
 // route for the destination (topology-failure windows).
 func (n *Network) BlackholeDrops() uint64 {
-	total := uint64(0)
-	for _, s := range n.switches {
-		total += s.BlackholeDrops
-	}
-	return total
+	return sumSwitches(n, func(s *Switch) uint64 { return s.BlackholeDrops })
 }
 
 // LoopDrops sums packets dropped for exceeding the hop cap.
 func (n *Network) LoopDrops() uint64 {
-	total := uint64(0)
-	for _, s := range n.switches {
-		total += s.LoopDrops
-	}
-	return total
+	return sumSwitches(n, func(s *Switch) uint64 { return s.LoopDrops })
 }
 
 // LinkDownDrops sums packets lost serializing into downed links, across
 // every switch port and host NIC.
 func (n *Network) LinkDownDrops() uint64 {
-	total := uint64(0)
-	for _, s := range n.switches {
-		for _, p := range s.ports {
-			total += p.LinkDownDrops
-		}
-	}
-	for _, h := range n.hosts {
-		total += h.nic[0].LinkDownDrops
-	}
-	return total
+	return sumPorts(n, func(p *Port) uint64 { return p.LinkDownDrops })
 }
 
 // PolicedDrops sums data packets denied by switch Police hooks.
 func (n *Network) PolicedDrops() int {
-	total := 0
-	for _, s := range n.switches {
-		total += s.PolicedDrops
-	}
-	return total
+	return sumSwitches(n, func(s *Switch) int { return s.PolicedDrops })
 }
 
 // WatchdogDrops sums data packets discarded on storm-disabled egress
 // ports (including stuck-queue flushes at watchdog trips).
 func (n *Network) WatchdogDrops() int {
-	total := 0
-	for _, s := range n.switches {
-		total += s.WatchdogDrops
-	}
-	return total
+	return sumSwitches(n, func(s *Switch) int { return s.WatchdogDrops })
 }
 
 // WatchdogPauseIgnores returns how many PFC frames were discarded on

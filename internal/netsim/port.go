@@ -67,6 +67,7 @@ type Port struct {
 	TxBytes       uint64 // all classes
 	TxDataBytes   uint64
 	TxPackets     uint64
+	ECNMarks      uint64   // CE-marked data packets sent, at every hop after the mark
 	LinkDownDrops uint64   // packets lost to a downed link
 	pausedFor     sim.Time // completed pause intervals
 	pausedAt      sim.Time
@@ -258,12 +259,10 @@ func portTxDone(a, b any) {
 	p.busy = false
 	p.TxBytes += uint64(pkt.Size)
 	p.TxPackets++
-	p.net.tm.txPackets.Inc()
-	p.net.tm.txBytes.Add(uint64(pkt.Size))
 	if pkt.Kind == KindData {
 		p.TxDataBytes += uint64(pkt.Size)
 		if pkt.CE {
-			p.net.tm.ecnMarks.Inc()
+			p.ECNMarks++
 		}
 	}
 	p.deliver(pkt, p.PropDelay)
@@ -277,7 +276,6 @@ func portTxDone(a, b any) {
 func (p *Port) deliver(pkt *Packet, delay sim.Time) {
 	if p.linkDown {
 		p.LinkDownDrops++
-		p.net.tm.linkDownDrops.Inc()
 		p.net.ReleasePacket(pkt)
 		return
 	}
@@ -342,12 +340,10 @@ func (p *Port) acceptPause(pkt *Packet) bool {
 		// pause frames are ignored until the cooldown re-enables it.
 		// Atomic: ports on different shards bump this concurrently.
 		atomic.AddUint64(&p.net.watchdogPauseIgnores, 1)
-		p.net.tm.watchdogPauseIgnores.Inc()
 		return false
 	}
 	if p.linkDown || pkt.SendTS < p.upSince {
 		atomic.AddUint64(&p.net.stalePauseDrops, 1)
-		p.net.tm.stalePauseDrops.Inc()
 		return false
 	}
 	return true

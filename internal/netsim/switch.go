@@ -160,7 +160,7 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 	pkt.hops++
 	if pkt.hops > s.net.maxHops() {
 		s.LoopDrops++
-		s.net.recordLoopDrop(s, pkt)
+		s.net.recordDrop(s, pkt, "route", "loop_drop")
 		s.net.ReleasePacket(pkt)
 		return
 	}
@@ -171,7 +171,7 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 			// the packet falls into the blackhole window and is released
 			// here, before any buffer accounting.
 			s.BlackholeDrops++
-			s.net.recordBlackhole(s, pkt)
+			s.net.recordDrop(s, pkt, "route", "blackhole")
 			s.net.ReleasePacket(pkt)
 			return
 		}
@@ -188,19 +188,19 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 		// data headed into the wedged downstream is dropped instead of
 		// parked behind a pause that will never lift.
 		s.WatchdogDrops++
-		s.net.recordWatchdogDrop(s, pkt)
+		s.net.recordDrop(s, pkt, "adversary", "watchdog_drop")
 		s.net.ReleasePacket(pkt)
 		return
 	}
 	if s.Police != nil && !s.Police(s.eng.Now(), pkt, inPort, egress) {
 		s.PolicedDrops++
-		s.net.recordPolicedDrop(s, pkt)
+		s.net.recordDrop(s, pkt, "adversary", "policed_drop")
 		s.net.ReleasePacket(pkt)
 		return
 	}
 	if s.Buffer.TotalBytes > 0 && s.bufferUsed+pkt.Size > s.Buffer.TotalBytes {
 		s.Drops++
-		s.net.recordDrop(s, pkt)
+		s.net.recordDrop(s, pkt, "netsim", "drop")
 		s.net.ReleasePacket(pkt)
 		return
 	}
@@ -222,7 +222,6 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 			(s.sharedOver || s.ingressUsage[inPort] >= s.Buffer.PFCThreshold) {
 			s.pausedIngress[inPort] = true
 			s.PauseFrames++
-			s.net.tm.pfcPause.Inc()
 			s.ports[inPort].sendPauseFrame(true)
 		}
 	}
@@ -260,7 +259,6 @@ func (s *Switch) onDataDequeue(pkt *Packet, qlen int) {
 func (s *Switch) resume(in int) {
 	s.pausedIngress[in] = false
 	s.ResumeFrames++
-	s.net.tm.pfcResume.Inc()
 	s.ports[in].sendPauseFrame(false)
 }
 
@@ -279,7 +277,7 @@ func (s *Switch) FlushPortData(p *Port) (pkts, bytes int) {
 		bytes += pkt.Size
 		s.onDataDequeue(pkt, p.queueBytes[ClassData])
 		s.WatchdogDrops++
-		s.net.recordWatchdogDrop(s, pkt)
+		s.net.recordDrop(s, pkt, "adversary", "watchdog_drop")
 		s.net.ReleasePacket(pkt)
 	}
 	return pkts, bytes
@@ -327,7 +325,7 @@ func (s *Switch) Inject(pkt *Packet) {
 	if egress == nil {
 		if s.net.routesDynamic {
 			s.BlackholeDrops++
-			s.net.recordBlackhole(s, pkt)
+			s.net.recordDrop(s, pkt, "route", "blackhole")
 			s.net.ReleasePacket(pkt)
 			return
 		}

@@ -7,67 +7,60 @@ import (
 	"rocc/internal/telemetry"
 )
 
-// netMetrics holds the dataplane's resolved telemetry instruments. The
-// zero value (all nil) is the disabled state: every method on a nil
-// metric is a no-op, so the hot paths below instrument unconditionally.
+// netMetrics holds the dataplane's distributions, the one kind of
+// instrument no plain count can stand in for. The zero value (all nil)
+// is the disabled state: every method on a nil histogram is a no-op, so
+// the hot paths below instrument unconditionally.
 type netMetrics struct {
-	drops         *telemetry.Counter
-	pfcPause      *telemetry.Counter
-	pfcResume     *telemetry.Counter
-	txPackets     *telemetry.Counter
-	txBytes       *telemetry.Counter
-	ecnMarks      *telemetry.Counter
-	linkDownDrops *telemetry.Counter
-	pfcStorm      *telemetry.Counter   // completed pauses >= PauseStormSpan
-	queueDepth    *telemetry.Histogram // bytes, sampled at data enqueue
-	pauseSpans    *telemetry.Histogram // ns per completed PFC pause
-
-	// Topology-failure instruments (topofail.go).
-	reconverges       *telemetry.Counter   // route recomputations completed
-	blackholeDrops    *telemetry.Counter   // no-route drops in failure windows
-	loopDrops         *telemetry.Counter   // hop-cap (TTL) drops
-	stalePauseDrops   *telemetry.Counter   // pre-flap PFC frames discarded
+	queueDepth        *telemetry.Histogram // bytes, sampled at data enqueue
+	pauseSpans        *telemetry.Histogram // ns per completed PFC pause
 	reconvergeLatency *telemetry.Histogram // ns from topology event to recompute
-
-	// Defense instruments (internal/adversary seams).
-	policedDrops         *telemetry.Counter // data denied by Police hooks
-	watchdogDrops        *telemetry.Counter // data dropped on storm-disabled ports
-	watchdogPauseIgnores *telemetry.Counter // PFC frames ignored while lossless off
 }
 
 // SetTelemetry attaches a metrics registry and an optional flight
-// recorder to the network. Pass nil for either to leave it disabled;
-// attaching after the simulation started is allowed (counters simply
-// begin at the attach point). Gauges over engine and topology state are
-// registered as lazy funcs, so they cost nothing until a snapshot.
+// recorder to the network. Pass nil for either to leave it disabled.
+// The network's counts are registered as readers of the counts it
+// already keeps, so they cost nothing until a snapshot and report the
+// whole run whenever they are attached; the histograms and the
+// recorder begin at the attach point.
 func (n *Network) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	n.rec = rec
 	n.tm = netMetrics{
-		drops:         reg.Counter("netsim.drops"),
-		pfcPause:      reg.Counter("netsim.pfc_pause_frames"),
-		pfcResume:     reg.Counter("netsim.pfc_resume_frames"),
-		txPackets:     reg.Counter("netsim.tx_packets"),
-		txBytes:       reg.Counter("netsim.tx_bytes"),
-		ecnMarks:      reg.Counter("netsim.ecn_marks"),
-		linkDownDrops: reg.Counter("netsim.link_down_drops"),
-		pfcStorm:      reg.Counter("netsim.pfc.pause_storm"),
-		queueDepth:    reg.Histogram("netsim.queue_depth_bytes"),
-		pauseSpans:    reg.Histogram("netsim.pfc_pause_ns"),
-
-		reconverges:       reg.Counter("netsim.route.reconverges"),
-		blackholeDrops:    reg.Counter("netsim.route.blackhole_drops"),
-		loopDrops:         reg.Counter("netsim.route.loop_drops"),
-		stalePauseDrops:   reg.Counter("netsim.pfc.stale_pause_drops"),
+		queueDepth:        reg.Histogram("netsim.queue_depth_bytes"),
+		pauseSpans:        reg.Histogram("netsim.pfc_pause_ns"),
 		reconvergeLatency: reg.Histogram("netsim.route.reconverge_ns"),
-
-		policedDrops:         reg.Counter("netsim.police.drops"),
-		watchdogDrops:        reg.Counter("netsim.watchdog.drops"),
-		watchdogPauseIgnores: reg.Counter("netsim.watchdog.pause_ignores"),
 	}
 	if reg == nil {
 		return
 	}
 	n.reg = reg
+	ints := func(total func() int) func() uint64 {
+		return func() uint64 { return uint64(total()) }
+	}
+	ports := func(count func(*Port) uint64) func() uint64 {
+		return func() uint64 { return sumPorts(n, count) }
+	}
+	for name, fn := range map[string]func() uint64{
+		"netsim.drops":            ints(n.TotalDrops),
+		"netsim.pfc_pause_frames": ints(n.TotalPFCFrames),
+		"netsim.pfc_resume_frames": ints(func() int {
+			return sumSwitches(n, func(s *Switch) int { return s.ResumeFrames })
+		}),
+		"netsim.police.drops":           ints(n.PolicedDrops),
+		"netsim.watchdog.drops":         ints(n.WatchdogDrops),
+		"netsim.route.blackhole_drops":  n.BlackholeDrops,
+		"netsim.route.loop_drops":       n.LoopDrops,
+		"netsim.link_down_drops":        n.LinkDownDrops,
+		"netsim.tx_packets":             ports(func(p *Port) uint64 { return p.TxPackets }),
+		"netsim.tx_bytes":               ports(func(p *Port) uint64 { return p.TxBytes }),
+		"netsim.ecn_marks":              ports(func(p *Port) uint64 { return p.ECNMarks }),
+		"netsim.pfc.pause_storm":        n.PauseStorms,
+		"netsim.pfc.stale_pause_drops":  n.StalePauseDrops,
+		"netsim.route.reconverges":      n.Reconverges,
+		"netsim.watchdog.pause_ignores": n.WatchdogPauseIgnores,
+	} {
+		reg.CounterFunc(name, fn)
+	}
 	// The sim.* gauges report fabric-wide truth: they aggregate over
 	// every shard engine plus the global lane (the group is consulted at
 	// snapshot time, so attach order vs. EnableSharding does not matter).
@@ -93,10 +86,6 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder)
 // nil when telemetry is disabled.
 func (n *Network) TelemetryRegistry() *telemetry.Registry { return n.reg }
 
-// TelemetryEvents drains the attached flight recorder's retained events,
-// oldest first. Nil-safe: returns nil when no recorder is attached.
-func (n *Network) TelemetryEvents() []telemetry.Event { return n.rec.Events() }
-
 // Recorder returns the attached flight recorder (nil when disabled).
 func (n *Network) Recorder() *telemetry.Recorder { return n.rec }
 
@@ -115,7 +104,6 @@ func (n *Network) recordPauseSpan(p *Port, start, end sim.Time) {
 	}
 	if n.PauseStormSpan > 0 && span >= n.PauseStormSpan {
 		atomic.AddUint64(&n.pauseStorms, 1)
-		n.tm.pfcStorm.Inc()
 	}
 	n.tm.pauseSpans.Observe(int64(end - start))
 	n.rec.Record(telemetry.Event{
@@ -152,43 +140,15 @@ func (n *Network) recordQueueDepth(p *Port) {
 	})
 }
 
-// recordDrop files a tail drop as an instant event.
-func (n *Network) recordDrop(s *Switch, pkt *Packet) {
-	n.tm.drops.Inc()
+// recordDrop files one packet a switch discarded as an instant event,
+// flow-tagged so a flow's losses (tail drops, policed and watchdog
+// drops, loops, blackholes) are identifiable in traces.
+func (n *Network) recordDrop(s *Switch, pkt *Packet, cat, name string) {
 	n.rec.Record(telemetry.Event{
 		At:    int64(s.eng.Now()),
 		Kind:  telemetry.KindInstant,
-		Cat:   "netsim",
-		Name:  "drop",
-		Node:  int64(s.id),
-		Flow:  int64(pkt.Flow),
-		Value: float64(pkt.Size),
-	})
-}
-
-// recordPolicedDrop files a compliance-policer denial as an instant
-// event, flow-tagged so quarantined flows are identifiable in traces.
-func (n *Network) recordPolicedDrop(s *Switch, pkt *Packet) {
-	n.tm.policedDrops.Inc()
-	n.rec.Record(telemetry.Event{
-		At:    int64(s.eng.Now()),
-		Kind:  telemetry.KindInstant,
-		Cat:   "adversary",
-		Name:  "policed_drop",
-		Node:  int64(s.id),
-		Flow:  int64(pkt.Flow),
-		Value: float64(pkt.Size),
-	})
-}
-
-// recordWatchdogDrop files a storm-disabled-port data drop.
-func (n *Network) recordWatchdogDrop(s *Switch, pkt *Packet) {
-	n.tm.watchdogDrops.Inc()
-	n.rec.Record(telemetry.Event{
-		At:    int64(s.eng.Now()),
-		Kind:  telemetry.KindInstant,
-		Cat:   "adversary",
-		Name:  "watchdog_drop",
+		Cat:   cat,
+		Name:  name,
 		Node:  int64(s.id),
 		Flow:  int64(pkt.Flow),
 		Value: float64(pkt.Size),

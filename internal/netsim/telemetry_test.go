@@ -51,7 +51,7 @@ func TestNetworkTelemetryCounters(t *testing.T) {
 		t.Error("max pending gauge not tracked")
 	}
 	// The recorder saw per-port queue-depth counter events.
-	evs := net.TelemetryEvents()
+	evs := rec.Events()
 	if len(evs) == 0 {
 		t.Fatal("recorder captured no events")
 	}
@@ -118,8 +118,8 @@ func TestTelemetryDropCounterMatchesSwitch(t *testing.T) {
 	if sw.Drops == 0 {
 		t.Fatal("test topology did not produce drops")
 	}
-	if got := reg.Counter("netsim.drops").Value(); got != uint64(sw.Drops) {
-		t.Errorf("telemetry drops = %d, switch says %d", got, sw.Drops)
+	if got := snapshotValue(t, reg.Snapshot().Counters, "netsim.drops"); got != float64(sw.Drops) {
+		t.Errorf("telemetry drops = %v, switch says %d", got, sw.Drops)
 	}
 }
 

@@ -159,7 +159,6 @@ func (n *Network) scheduleReconverge() {
 func (n *Network) reconverge(eventAt sim.Time) {
 	n.ComputeRoutes()
 	n.reconverges++
-	n.tm.reconverges.Inc()
 	now := n.Engine.Now()
 	n.tm.reconvergeLatency.Observe(int64(now - eventAt))
 	n.rec.Record(telemetry.Event{
@@ -224,33 +223,5 @@ func (n *Network) recordTopoEvent(name string, node NodeID) {
 		Cat:  "route",
 		Name: name,
 		Node: int64(node),
-	})
-}
-
-// recordLoopDrop files one hop-cap drop (mirrors recordDrop).
-func (n *Network) recordLoopDrop(s *Switch, pkt *Packet) {
-	n.tm.loopDrops.Inc()
-	n.rec.Record(telemetry.Event{
-		At:    int64(s.eng.Now()),
-		Kind:  telemetry.KindInstant,
-		Cat:   "route",
-		Name:  "loop_drop",
-		Node:  int64(s.id),
-		Flow:  int64(pkt.Flow),
-		Value: float64(pkt.Size),
-	})
-}
-
-// recordBlackhole files one no-route drop (mirrors recordDrop).
-func (n *Network) recordBlackhole(s *Switch, pkt *Packet) {
-	n.tm.blackholeDrops.Inc()
-	n.rec.Record(telemetry.Event{
-		At:    int64(s.eng.Now()),
-		Kind:  telemetry.KindInstant,
-		Cat:   "route",
-		Name:  "blackhole",
-		Node:  int64(s.id),
-		Flow:  int64(pkt.Flow),
-		Value: float64(pkt.Size),
 	})
 }

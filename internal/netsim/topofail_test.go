@@ -227,11 +227,12 @@ func TestTopoFailTelemetry(t *testing.T) {
 	engine.At(500*sim.Microsecond, func() { net.RestoreLink(deadPort) })
 	engine.RunUntil(sim.Millisecond)
 
-	if got := reg.Counter("netsim.route.reconverges").Value(); got != net.Reconverges() {
-		t.Errorf("reconverges counter = %d, accessor = %d", got, net.Reconverges())
+	got := snapshotValue(t, reg.Snapshot().Counters, "netsim.route.reconverges")
+	if got != float64(net.Reconverges()) {
+		t.Errorf("reconverges counter = %v, accessor = %d", got, net.Reconverges())
 	}
-	if got := reg.Counter("netsim.route.reconverges").Value(); got != 2 {
-		t.Errorf("reconverges counter = %d, want 2", got)
+	if got != 2 {
+		t.Errorf("reconverges counter = %v, want 2", got)
 	}
 	h := reg.Histogram("netsim.route.reconverge_ns")
 	if h.Count() != 2 {

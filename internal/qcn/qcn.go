@@ -83,7 +83,7 @@ func (cp *CP) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 	qoff := qlen - cp.cfg.QeqBytes
 	qdelta := qlen - cp.qold
 	cp.qold = qlen
-	fb := -(float64(qoff) + cp.cfg.W*float64(qdelta))
+	fb := -(float64(qoff) + float64(cp.cfg.W*float64(qdelta)))
 	if fb >= 0 {
 		return // no congestion; QCN sends nothing
 	}
@@ -174,7 +174,7 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 	}
 	fb := float64(pkt.CNP.RateUnits)
 	cc.rt = cc.rc
-	cc.rc *= 1 - cc.cfg.Gd*fb
+	cc.rc *= 1 - float64(cc.cfg.Gd*fb)
 	if cc.rc < cc.cfg.RminMbps {
 		cc.rc = cc.cfg.RminMbps
 	}

@@ -75,7 +75,6 @@ type CP struct {
 
 	// Telemetry (nil-safe; resolved from the network at Attach).
 	rec    *telemetry.Recorder
-	tmCNPs *telemetry.Counter
 	tmFair *telemetry.Histogram
 }
 
@@ -102,10 +101,11 @@ func Attach(net *netsim.Network, sw *netsim.Switch, port *netsim.Port, opts CPOp
 	port.CC = cp
 	reg := net.TelemetryRegistry()
 	cp.rec = net.Recorder()
-	cp.tmCNPs = reg.Counter("rocc.cp.cnps_sent")
 	cp.tmFair = reg.Histogram("rocc.cp.fair_rate_mbps")
 	if reg != nil {
-		// Per-CP fair-rate gauge, evaluated lazily at snapshot time.
+		// The fabric-wide CNP count and the per-CP fair-rate gauge,
+		// both read at snapshot time.
+		reg.CounterFunc("rocc.cp.cnps_sent", func() uint64 { return cp.CNPsSent })
 		name := fmt.Sprintf("rocc.cp.n%dp%d.fair_rate_mbps", sw.ID(), port.Index)
 		reg.GaugeFunc(name, cp.FairRateMbps)
 	}
@@ -176,7 +176,7 @@ func (cp *CP) update() {
 	if w := cp.opts.Weight; w != nil && !cp.opts.HostComputed {
 		for _, fid := range cp.recipients {
 			if f := cp.net.Flow(netsim.FlowID(fid)); f != nil {
-				cp.sendCNP(now, cpid, f, max(1, int(float64(rateUnits)*w(f.ID)+0.5)), 0, 0)
+				cp.sendCNP(now, cpid, f, max(1, int(float64(float64(rateUnits)*w(f.ID))+0.5)), 0, 0)
 			}
 		}
 		return
@@ -210,5 +210,4 @@ func (cp *CP) sendCNP(now sim.Time, cpid netsim.CPID, f *netsim.Flow, rateUnits,
 	}
 	cp.sw.Inject(cnp)
 	cp.CNPsSent++
-	cp.tmCNPs.Inc()
 }

@@ -31,7 +31,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
@@ -59,14 +59,14 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Summary bundles the statistics the paper reports for a sample set.
@@ -158,7 +158,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 0

@@ -39,14 +39,6 @@ func BenchmarkHistogramEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkGaugeEnabled(b *testing.B) {
-	g := New().Gauge("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
-	}
-}
-
 func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder(4096, 64, 256)
 	e := Event{At: 1, Kind: KindCounter, Cat: "netsim", Name: "qdepth_bytes", Node: 1, Tid: 2, Flow: 3, Value: 4}

@@ -138,7 +138,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 }
 
 func (h *Histogram) quantile(q float64, total, max uint64) uint64 {
-	target := uint64(q*float64(total) + 0.5)
+	target := uint64(float64(q*float64(total)) + 0.5)
 	if target < 1 {
 		target = 1
 	}

@@ -9,7 +9,7 @@ import (
 	"rocc/internal/harness"
 )
 
-// TestConcurrentRegistryUnderHarness hammers shared counters, gauges,
+// TestConcurrentRegistryUnderHarness hammers shared counters,
 // histograms, and a recorder from the same worker pool the experiment
 // harness uses, then verifies the aggregate totals. Run with -race (CI
 // does): the registry's whole contract is that per-flow and per-worker
@@ -25,12 +25,12 @@ func TestConcurrentRegistryUnderHarness(t *testing.T) {
 		ids[i] = i
 	}
 	rs := harness.Run(ids, 8, func(cell int) int {
-		g := reg.Gauge("hammer.gauge") // get-or-create races with other cells
+		// Registration races with other cells' registrations and snapshots.
+		reg.CounterFunc("hammer.owned", func() uint64 { return 1 })
 		for i := 0; i < perCell; i++ {
 			c.Inc()
 			reg.Counter("hammer.count2").Add(2)
 			h.Observe(int64(cell*perCell + i))
-			g.Set(float64(i))
 			rec.Record(Event{At: int64(i), Flow: int64(cell%8 + 1), Name: "e"})
 			if i%100 == 0 {
 				_ = reg.Snapshot() // snapshots race with writers by design
@@ -49,6 +49,11 @@ func TestConcurrentRegistryUnderHarness(t *testing.T) {
 	}
 	if got := reg.Counter("hammer.count2").Value(); got != 2*cells*perCell {
 		t.Errorf("counter2 = %d, want %d", got, 2*cells*perCell)
+	}
+	for _, v := range reg.Snapshot().Counters {
+		if v.Name == "hammer.owned" && v.Value != cells {
+			t.Errorf("hammer.owned = %v, want one per cell (%d)", v.Value, cells)
+		}
 	}
 	s := h.Snapshot()
 	if s.Count != cells*perCell {

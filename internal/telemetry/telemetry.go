@@ -10,6 +10,10 @@
 // branch per operation (see BenchmarkCounterDisabled), and enabling
 // telemetry never changes simulation behaviour, only observes it.
 //
+// The registry reads, it does not mirror: a count its owner already keeps
+// is registered once with CounterFunc (a value with GaugeFunc) and read
+// at snapshot time. Counter and Histogram are for what no owner keeps.
+//
 // Naming scheme: dotted lowercase `<subsystem>.<quantity>[_<unit>]`,
 // e.g. "netsim.drops", "netsim.queue_depth_bytes", "rocc.rp.recoveries",
 // "testbed.switch.fair_rate_mbps". Units are suffixed (_bytes, _ns,
@@ -22,7 +26,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,27 +59,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value-wins float64. The zero value reads 0; a nil
-// Gauge ignores all writes.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last stored value (0 for a nil Gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Registry is a named collection of metrics. Lookups are get-or-create:
 // registering the same name twice returns the same metric, so per-flow
 // components share aggregate counters without coordination. Registration
@@ -87,7 +69,7 @@ func (g *Gauge) Value() float64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	counts   map[string][]func() uint64
 	funcs    map[string]func() float64
 	hists    map[string]*Histogram
 }
@@ -96,7 +78,7 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+		counts:   make(map[string][]func() uint64),
 		funcs:    make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -117,19 +99,20 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
+// CounterFunc registers fn as one source of the named count: a count its
+// owner already keeps (a switch's drops, a congestion point's CNPs), read
+// at snapshot time instead of mirrored on every increment. Every
+// registration of a name adds to the one value the snapshot lists with
+// the counters, a Counter of the same name included: parallel cells
+// share a registry, and one fabric has many congestion points, policers
+// and watchdogs. fn must be safe to call from the snapshotting goroutine.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
+	if r == nil || fn == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	r.counts[name] = append(r.counts[name], fn)
 }
 
 // GaugeFunc registers a gauge evaluated lazily at snapshot time — zero
@@ -173,10 +156,13 @@ type NamedHist struct {
 	HistogramSnapshot
 }
 
-// Snapshot is a race-safe point-in-time copy of every metric, sorted by
-// name within each kind. Writers may run concurrently; each individual
-// value is read atomically (the snapshot as a whole is not a consistent
-// cut, which per-metric monitoring never needs).
+// Snapshot is a point-in-time copy of every metric, sorted by name
+// within each kind. Counter and histogram writers may run concurrently;
+// each of their values is read atomically (the snapshot as a whole is
+// not a consistent cut, which per-metric monitoring never needs).
+// Functions registered with CounterFunc and GaugeFunc read their owner's
+// state, so their owner decides when a snapshot is safe: the simulator
+// snapshots after its runs, the testbed registers atomic loads.
 type Snapshot struct {
 	Counters   []NamedValue
 	Gauges     []NamedValue
@@ -189,13 +175,13 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	totals := make(map[string]uint64, len(r.counters)+len(r.counts))
+	for k, c := range r.counters {
+		totals[k] += c.Value()
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
+	counts := make(map[string][]func() uint64, len(r.counts))
+	for k, v := range r.counts {
+		counts[k] = v
 	}
 	funcs := make(map[string]func() float64, len(r.funcs))
 	for k, v := range r.funcs {
@@ -208,11 +194,13 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Unlock()
 
 	var s Snapshot
-	for name, c := range counters {
-		s.Counters = append(s.Counters, NamedValue{name, float64(c.Value())})
+	for name, fns := range counts {
+		for _, fn := range fns {
+			totals[name] += fn()
+		}
 	}
-	for name, g := range gauges {
-		s.Gauges = append(s.Gauges, NamedValue{name, g.Value()})
+	for name, v := range totals {
+		s.Counters = append(s.Counters, NamedValue{name, float64(v)})
 	}
 	for name, fn := range funcs {
 		s.Gauges = append(s.Gauges, NamedValue{name, fn()})

@@ -16,12 +16,36 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("a.count") != c {
 		t.Error("re-registering a counter did not return the same instance")
 	}
-	g := r.Gauge("a.gauge")
-	g.Set(3.25)
-	if g.Value() != 3.25 {
-		t.Errorf("gauge = %v, want 3.25", g.Value())
-	}
 	r.GaugeFunc("a.func", func() float64 { return 42 })
+	if s := r.Snapshot(); len(s.Gauges) != 1 || s.Gauges[0].Value != 42 {
+		t.Errorf("gauges = %+v, want a.func = 42", s.Gauges)
+	}
+}
+
+// TestCounterFuncSumsRegistrations: every registration of a count adds
+// to one snapshot counter, a Counter of the same name included, and the
+// owners' counts are read at snapshot time.
+func TestCounterFuncSumsRegistrations(t *testing.T) {
+	r := New()
+	a, b := uint64(1), uint64(2)
+	r.CounterFunc("owned", func() uint64 { return a })
+	r.CounterFunc("owned", func() uint64 { return b })
+	r.Counter("owned").Add(4)
+	r.CounterFunc("other", func() uint64 { return 10 })
+	a, b = 100, 200
+	s := r.Snapshot()
+	want := []NamedValue{{"other", 10}, {"owned", 304}}
+	if len(s.Counters) != len(want) {
+		t.Fatalf("counters = %+v, want %+v", s.Counters, want)
+	}
+	for i := range want {
+		if s.Counters[i] != want[i] {
+			t.Errorf("counter %d = %+v, want %+v", i, s.Counters[i], want[i])
+		}
+	}
+	if len(s.Gauges) != 0 {
+		t.Errorf("counts leaked into gauges: %+v", s.Gauges)
+	}
 }
 
 func TestNilSafety(t *testing.T) {
@@ -35,17 +59,13 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter accumulated")
 	}
-	g := r.Gauge("x")
-	g.Set(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge stored")
-	}
 	h := r.Histogram("x")
 	h.Observe(5)
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram recorded")
 	}
 	r.GaugeFunc("x", func() float64 { return 1 })
+	r.CounterFunc("x", func() uint64 { return 1 })
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Error("nil registry snapshot not empty")
 	}
@@ -60,7 +80,7 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	r := New()
 	r.Counter("b").Inc()
 	r.Counter("a").Add(2)
-	r.Gauge("z").Set(9)
+	r.GaugeFunc("z", func() float64 { return 9 })
 	r.GaugeFunc("y", func() float64 { return 8 })
 	r.Histogram("h").Observe(100)
 	s := r.Snapshot()

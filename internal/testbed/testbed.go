@@ -324,7 +324,7 @@ func (s *Switch) drainLoop() {
 		now := time.Now()
 		elapsed := now.Sub(last)
 		last = now
-		credit += s.cfg.DrainRate / 8 * elapsed.Seconds()
+		credit += float64(s.cfg.DrainRate / 8 * elapsed.Seconds())
 		if max := s.cfg.DrainRate / 8 * 0.002; credit > max {
 			credit = max // cap burst at 2 ms worth
 		}
@@ -523,7 +523,7 @@ func (c *Client) sendLoop() {
 		c.mu.Lock()
 		rate := c.currentRateLocked()
 		c.mu.Unlock()
-		credit += rate / 8 * elapsed.Seconds()
+		credit += float64(rate / 8 * elapsed.Seconds())
 		if max := rate / 8 * 0.002; credit > max {
 			credit = max
 		}

@@ -97,7 +97,7 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		return
 	}
 	newDiff := (rtt - cc.prevRTT).Seconds()
-	cc.rttDiff = (1-cc.cfg.EwmaAlpha)*cc.rttDiff + cc.cfg.EwmaAlpha*newDiff
+	cc.rttDiff = float64((1-cc.cfg.EwmaAlpha)*cc.rttDiff) + float64(cc.cfg.EwmaAlpha*newDiff)
 	cc.prevRTT = rtt
 	normGrad := cc.rttDiff / cc.cfg.MinRTT.Seconds()
 
@@ -107,7 +107,7 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		cc.negCount = 0
 		cc.Increases++
 	case rtt > cc.cfg.Thigh:
-		cc.rate *= 1 - cc.cfg.Beta*(1-cc.cfg.Thigh.Seconds()/rtt.Seconds())
+		cc.rate *= 1 - float64(cc.cfg.Beta*(1-cc.cfg.Thigh.Seconds()/rtt.Seconds()))
 		cc.negCount = 0
 		cc.Decreases++
 	case normGrad <= 0:
@@ -123,7 +123,7 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		if grad > 1 {
 			grad = 1
 		}
-		cc.rate *= 1 - cc.cfg.Beta*grad
+		cc.rate *= 1 - float64(cc.cfg.Beta*grad)
 		cc.negCount = 0
 		cc.Decreases++
 	}

@@ -66,7 +66,7 @@ func (c *CDF) computeMean() float64 {
 	prev := c.points[0]
 	for _, p := range c.points[1:] {
 		w := p.Prob - prev.Prob
-		mean += w * (float64(prev.Bytes) + float64(p.Bytes)) / 2
+		mean += float64(w * (float64(prev.Bytes) + float64(p.Bytes)) / 2)
 		prev = p
 	}
 	return mean
