@@ -105,6 +105,13 @@ type FCTResult struct {
 
 // RunFCT executes one §6.3 fat-tree experiment.
 func RunFCT(cfg FCTConfig) FCTResult {
+	res, _ := runFCT(cfg)
+	return res
+}
+
+// runFCT is RunFCT, also returning the network the run left behind: its
+// arrivals stopped, its flows still in flight.
+func runFCT(cfg FCTConfig) (FCTResult, *netsim.Network) {
 	cfg.fill()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, cfg.FatTree)
@@ -237,7 +244,7 @@ func RunFCT(cfg FCTConfig) FCTResult {
 		}
 	}
 	res.RetxBytes = ft.Net.RetxBytesTotal
-	return res
+	return res, ft.Net
 }
 
 // meanQueueKB averages the backlog over the tier's ports that currently

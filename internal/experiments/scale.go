@@ -67,6 +67,11 @@ type ScaleBenchResult struct {
 	// the same digest at every shard count — the determinism contract,
 	// checked here over the full 1024-host fabric.
 	Digest string
+
+	// Windows is how many windows the engine group ran, and
+	// InlineWindows how many of them the coordinator ran itself instead
+	// of dispatching them to the shard workers (sim.Group.Windows).
+	Windows, InlineWindows uint64
 }
 
 // RunScaleBench runs one scaling cell and measures wall-clock event
@@ -112,10 +117,12 @@ func RunScaleBench(cfg ScaleBenchConfig) ScaleBenchResult {
 	put(fired)
 
 	return ScaleBenchResult{
-		Shards:       cfg.Shards,
-		Events:       fired,
-		WallSec:      wall,
-		EventsPerSec: float64(fired) / wall,
-		Digest:       fmt.Sprintf("%016x", h.Sum64()),
+		Shards:        cfg.Shards,
+		Events:        fired,
+		WallSec:       wall,
+		EventsPerSec:  float64(fired) / wall,
+		Digest:        fmt.Sprintf("%016x", h.Sum64()),
+		Windows:       ft.Net.Group().Windows(),
+		InlineWindows: ft.Net.Group().InlineWindows(),
 	}
 }

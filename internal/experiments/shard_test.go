@@ -6,6 +6,7 @@ import (
 
 	"rocc/internal/sim"
 	"rocc/internal/topology"
+	"rocc/internal/workload"
 )
 
 // shardFCTConfig is a small-but-real fat-tree FCT run: enough flows and
@@ -84,5 +85,60 @@ func TestFig12aShardDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(one, two) {
 			t.Errorf("%s: shards=2 diverged from shards=1:\n  1: %v\n  2: %v", p, one.D, two.D)
 		}
+	}
+}
+
+// paperFCTConfig is the bench's fct_hadoop cell — the paper's 3×3×30
+// fat-tree, FB_Hadoop at 70 % load, RoCC — cut to 2 ms.
+func paperFCTConfig(shards int) FCTConfig {
+	return FCTConfig{
+		Protocol: ProtoRoCC,
+		Workload: workload.FBHadoop(),
+		FatTree:  topology.PaperFatTree(),
+		Duration: 2 * sim.Millisecond,
+		Seed:     1,
+		Shards:   shards,
+	}
+}
+
+// TestFCTWindowsAcrossShardCounts: the window sequence is derived from
+// the union of pending times, so the paper's fat-tree runs the same
+// number of windows at every shard count (DESIGN.md §14).
+func TestFCTWindowsAcrossShardCounts(t *testing.T) {
+	_, net := runFCT(paperFCTConfig(1))
+	want := net.Group().Windows()
+	if want == 0 {
+		t.Fatal("no windows ran")
+	}
+	for _, k := range []int{2, 8} {
+		_, net := runFCT(paperFCTConfig(k))
+		if got := net.Group().Windows(); got != want {
+			t.Errorf("shards=%d ran %d windows, want %d as at shards=1", k, got, want)
+		}
+	}
+}
+
+// TestShardedPoolsStayBalanced: on the paper's fat-tree, data packets are
+// acquired behind the sending edges and freed behind the receiving one.
+// At 2 shards that moves free packets from one shard's pool to the
+// other's; rebalancing at the barrier keeps the packet structs two pools
+// allocate near what one pool needs, and the ledger still closes once
+// the flows drain.
+func TestShardedPoolsStayBalanced(t *testing.T) {
+	var slots [3]uint64
+	for _, k := range []int{1, 2} {
+		cfg := paperFCTConfig(k)
+		_, net := runFCT(cfg)
+		net.Engine.RunUntil(cfg.Duration + 10*sim.Millisecond) // arrivals are stopped: drain
+		if n := net.ActiveFlowCount(); n != 0 {
+			t.Fatalf("shards=%d: %d flows still active after the drain", k, n)
+		}
+		if live := net.OutstandingPackets(); live != 0 {
+			t.Errorf("shards=%d: %d pooled packets outstanding after the drain", k, live)
+		}
+		slots[k] = net.PacketSlots()
+	}
+	if 2*slots[2] > 3*slots[1] {
+		t.Errorf("2 shards allocated %d packet structs, over 1.5× the %d of one", slots[2], slots[1])
 	}
 }

@@ -145,6 +145,41 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 	return c
 }
 
+// rebalancePools runs at the window barrier, with every shard quiesced.
+// Traffic that crosses shards one way drains one pool and fills another:
+// a packet acquired by a sender on one shard is released, and freed, on
+// the receiver's, so without a return path the sending shard allocates
+// every packet fresh while the free list behind it only grows. A pool
+// holding less than half the largest pool's free packets is topped up
+// to the mean of the two. Moved packets are free, so live, acquired and
+// released keep their meaning; only their pool stamp changes.
+func (n *Network) rebalancePools() {
+	if len(n.pools) < 2 || n.pools[0].disabled {
+		return
+	}
+	for i := range n.pools {
+		dst := &n.pools[i]
+		src := dst
+		for j := range n.pools {
+			if len(n.pools[j].free) > len(src.free) {
+				src = &n.pools[j]
+			}
+		}
+		if 2*len(dst.free) >= len(src.free) {
+			continue
+		}
+		m := len(src.free)
+		k := (m - len(dst.free)) / 2
+		moved := src.free[m-k:]
+		for _, pkt := range moved {
+			pkt.pool = int32(i)
+		}
+		dst.free = append(dst.free, moved...)
+		clear(moved)
+		src.free = src.free[:m-k]
+	}
+}
+
 // OutstandingPackets returns the number of pooled packets currently owned
 // outside the pool: queued on a port, in flight on a link, or parked in
 // a delayed-delivery event. After a full drain (engine queue empty, all

@@ -64,8 +64,15 @@ func (n *Network) adopt(g *sim.Group, pooling bool) {
 		n.pools[i].disabled = !pooling
 	}
 	n.shardSt = make([]shardState, g.Shards())
-	g.OnBarrier(n.drainShardCompletions)
+	g.OnBarrier(n.barrier)
 	g.SetTransfer(n.transferOwnership)
+}
+
+// barrier is the window-barrier hook: with every shard quiesced it
+// rebalances the packet pools, then replays the deferred completions.
+func (n *Network) barrier(now sim.Time) {
+	n.rebalancePools()
+	n.drainShardCompletions(now)
 }
 
 // EnableSharding re-homes the network from the one-shard group it was
@@ -144,12 +151,11 @@ func (n *Network) movePacket(pkt *Packet, dst int) {
 	pkt.pool = int32(dst)
 }
 
-// drainShardCompletions is the window-barrier hook: it replays the
-// flow completions and retirements each shard deferred, in a
-// partition-independent order, on the global lane. Completion callbacks
-// (OnFlowDone) may start new flows or stop the engine; registry
-// mutation (removeFlowLater) happens here too, so in-window code only
-// ever reads the flow registry.
+// drainShardCompletions replays the flow completions and retirements
+// each shard deferred, in a partition-independent order, on the global
+// lane. Completion callbacks (OnFlowDone) may start new flows or stop
+// the engine; registry mutation (removeFlowLater) happens here too, so
+// in-window code only ever reads the flow registry.
 func (n *Network) drainShardCompletions(now sim.Time) {
 	nd, nr := 0, 0
 	for i := range n.shardSt {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -220,80 +222,133 @@ func TestAtKeyedOrdering(t *testing.T) {
 	}
 }
 
-// TestGroupDeterministicAcrossShardCounts: a synthetic mesh model —
-// nodes exchanging keyed messages with >= lookahead delay — produces an
-// identical message log for 1, 2, 4 and 8 shards when lanes and
-// sequences come from node identity.
-func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
+// meshMsg is one message of the mesh model: the key it fired under and
+// its route.
+type meshMsg struct {
+	At   Time
+	Lane uint64
+	Seq  uint64
+	From int
+	To   int
+	Hop  int
+}
+
+// runMesh runs a synthetic mesh model on k shards — nodes exchanging
+// keyed messages with >= lookahead delay, lanes and sequences from node
+// identity — as one burst of back-to-back windows, a long idle gap, and
+// a second burst started by a global-lane event. prepare, when set, runs
+// on the group before the model starts. It returns every node's
+// deliveries in firing order, node after node, and every shard's.
+func runMesh(k int, prepare func(*Group)) (byNode []meshMsg, byShard [][]meshMsg, g *Group) {
 	const nodes = 8
 	const lookahead = Time(10)
-	type msg struct {
-		At   Time
-		From int
-		To   int
-		Hop  int
+	global := New()
+	g = NewGroup(global, k, lookahead)
+	if prepare != nil {
+		prepare(g)
 	}
-
-	run := func(k int) []msg {
-		global := New()
-		g := NewGroup(global, k, lookahead)
-		var log [nodes][]msg
-		seqs := make([]uint64, nodes)
-		engines := make([]*Engine, nodes)
-		for n := 0; n < nodes; n++ {
-			engines[n] = g.Shard(n % k)
+	var nodeLog [nodes][]meshMsg
+	byShard = make([][]meshMsg, k)
+	seqs := make([]uint64, nodes)
+	shard := func(n int) int { return n % k }
+	engines := make([]*Engine, nodes)
+	for n := range engines {
+		engines[n] = g.Shard(shard(n))
+	}
+	var deliver func(a, b any)
+	send := func(from, to, hop int) {
+		e := engines[from]
+		at := e.Now() + lookahead + Time(from)
+		// Lane per directed (from, to) pair with a per-sender sequence —
+		// the netsim ARR-lane discipline. A lane shared by two senders
+		// would let their independent seq counters collide and fall back
+		// to partition-dependent insertion order.
+		lane := uint64(1)<<32 | uint64(from)<<16 | uint64(to)
+		seq := seqs[from]
+		seqs[from]++
+		m := &meshMsg{At: at, Lane: lane, Seq: seq, From: from, To: to, Hop: hop}
+		if shard(from) != shard(to) && g.InWindow() {
+			g.Send(shard(from), shard(to), at, lane, seq, lane, deliver, m, nil)
+		} else {
+			engines[to].AtKeyed(at, lane, seq, lane, deliver, m, nil)
 		}
-		shard := func(n int) int { return n % k }
-		var deliver func(a, b any)
-		send := func(from, to, hop int) {
-			e := engines[from]
-			at := e.Now() + lookahead + Time(from)
-			// Lane per directed (from, to) pair with a per-sender sequence —
-			// the netsim ARR-lane discipline. A lane shared by two senders
-			// would let their independent seq counters collide and fall
-			// back to partition-dependent insertion order.
-			lane := uint64(1)<<32 | uint64(from)<<16 | uint64(to)
-			seq := seqs[from]
-			seqs[from]++
-			m := &msg{At: at, From: from, To: to, Hop: hop}
-			if shard(from) == shard(to) {
-				engines[to].AtKeyed(at, lane, seq, lane, deliver, m, nil)
-			} else if g.InWindow() {
-				g.Send(shard(from), shard(to), at, lane, seq, lane, deliver, m, nil)
-			} else {
-				engines[to].AtKeyed(at, lane, seq, lane, deliver, m, nil)
+	}
+	deliver = func(a, b any) {
+		m := a.(*meshMsg)
+		nodeLog[m.To] = append(nodeLog[m.To], *m)
+		byShard[shard(m.To)] = append(byShard[shard(m.To)], *m)
+		if m.Hop%16 < 12 {
+			send(m.To, (m.To+3)%nodes, m.Hop+1)
+			if m.Hop%3 == 0 {
+				send(m.To, (m.To+5)%nodes, m.Hop+1)
 			}
 		}
-		deliver = func(a, b any) {
-			m := a.(*msg)
-			log[m.To] = append(log[m.To], *m)
-			if m.Hop < 12 {
-				send(m.To, (m.To+3)%nodes, m.Hop+1)
-				if m.Hop%3 == 0 {
-					send(m.To, (m.To+5)%nodes, m.Hop+1)
-				}
-			}
-		}
-		for n := 0; n < nodes; n++ {
-			n := n
-			engines[n].At(Time(n%3), func() { send(n, (n+1)%nodes, 0) })
-		}
-		global.Run()
-		var all []msg
-		for n := 0; n < nodes; n++ {
-			all = append(all, log[n]...)
-		}
-		return all
 	}
+	for n := 0; n < nodes; n++ {
+		n := n
+		engines[n].At(Time(n%3), func() { send(n, (n+1)%nodes, 0) })
+	}
+	global.At(100_000, func() { // long after the first burst drains
+		for n := 0; n < nodes; n++ {
+			send(n, (n+2)%nodes, 16)
+		}
+	})
+	global.Run()
+	for n := range nodeLog {
+		byNode = append(byNode, nodeLog[n]...)
+	}
+	return byNode, byShard, g
+}
 
-	base := run(1)
+// TestGroupDeterministicAcrossShardCounts: the mesh model produces an
+// identical message log, and runs the same window sequence, for 1, 2, 4
+// and 8 shards.
+func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
+	base, _, g1 := runMesh(1, nil)
 	if len(base) == 0 {
 		t.Fatal("no messages exchanged")
 	}
+	if g1.Windows() == 0 || g1.InlineWindows() != g1.Windows() {
+		t.Fatalf("one shard: %d windows, %d inline; want some, all inline", g1.Windows(), g1.InlineWindows())
+	}
 	for _, k := range []int{2, 4, 8} {
-		if got := run(k); !reflect.DeepEqual(base, got) {
+		got, _, g := runMesh(k, nil)
+		if !reflect.DeepEqual(base, got) {
 			t.Errorf("k=%d: message log diverged (%d vs %d messages)", k, len(base), len(got))
 		}
+		if g.Windows() != g1.Windows() {
+			t.Errorf("k=%d: %d windows, want %d as at k=1", k, g.Windows(), g1.Windows())
+		}
+	}
+}
+
+// TestInlineAndDispatchedWindowsAgree: forcing every window with two busy
+// shards onto the workers, or every window inline on the coordinator,
+// fires the same keys in the same order on each shard and delivers the
+// same messages, across back-to-back windows and a long idle gap.
+func TestInlineAndDispatchedWindowsAgree(t *testing.T) {
+	inlineNode, inlineShard, gi := runMesh(2, func(g *Group) { g.dispatchAt = math.MaxUint64 })
+	dispNode, dispShard, gd := runMesh(2, func(g *Group) { g.dispatchAt = 0 })
+	if gi.InlineWindows() != gi.Windows() {
+		t.Errorf("forced inline: %d of %d windows inline", gi.InlineWindows(), gi.Windows())
+	}
+	if gd.InlineWindows() == gd.Windows() {
+		t.Errorf("forced dispatch: all %d windows ran inline; the model never had two busy shards", gd.Windows())
+	}
+	if gi.Windows() != gd.Windows() {
+		t.Errorf("windows: %d inline, %d dispatched", gi.Windows(), gd.Windows())
+	}
+	for s := range inlineShard {
+		if !reflect.DeepEqual(inlineShard[s], dispShard[s]) {
+			t.Errorf("shard %d fired a different key sequence inline (%d) and dispatched (%d)",
+				s, len(inlineShard[s]), len(dispShard[s]))
+		}
+	}
+	if !reflect.DeepEqual(inlineNode, dispNode) {
+		t.Error("deliveries differ between inline and dispatched windows")
+	}
+	if !slices.ContainsFunc(inlineNode, func(m meshMsg) bool { return m.At > 100_000 }) {
+		t.Error("no delivery after the idle gap")
 	}
 }
 
