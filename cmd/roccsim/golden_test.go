@@ -371,6 +371,24 @@ func goldenDur(t *testing.T, golden string) sim.Time {
 // TestGoldenFaultRowsFire checks that every fault row of the recovery
 // and faults goldens fired within its short run: fault schedules follow
 // the run length, so a golden cannot pin an outage the run never reached.
+// TestEmptyWindowPrintsNoNaN runs fig19 and qos at 1 ns, where every
+// measurement window is empty: rates read 0 Gb/s, and the QoS ratio,
+// undefined with nothing moved, is not printed as a number.
+func TestEmptyWindowPrintsNoNaN(t *testing.T) {
+	for args, want := range map[string]string{
+		"-dur 1ns fig19": "N=1 rates: 0.00 ",
+		"-dur 1ns qos":   "ratio undefined",
+	} {
+		r := runArgs(strings.Fields(args)...)
+		if r.Code != 0 {
+			t.Fatalf("roccsim %s: exit %d\n%s", args, r.Code, r.Stderr)
+		}
+		if strings.Contains(r.Stdout, "NaN") || !strings.Contains(r.Stdout, want) {
+			t.Errorf("roccsim %s printed NaN or lacks %q:\n%s", args, want, r.Stdout)
+		}
+	}
+}
+
 func TestGoldenFaultRowsFire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the recovery and faults sweeps")

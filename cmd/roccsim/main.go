@@ -826,7 +826,11 @@ func qos(fs *flag.FlagSet, _ string) func(*out) {
 			{Label: "gold", Value: shares[0]},
 			{Label: "silver", Value: shares[1]},
 		}))
-		o.printf("ratio %.2f (ideal 2.0)\n", shares[0]/shares[1])
+		if shares[1] > 0 {
+			o.printf("ratio %.2f (ideal 2.0)\n", shares[0]/shares[1])
+		} else {
+			o.println("ratio undefined: silver moved no bytes (ideal 2.0)")
+		}
 	}
 }
 

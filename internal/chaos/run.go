@@ -52,12 +52,6 @@ type RunOptions struct {
 	// captures a Chrome trace of the failing window.
 	Telemetry *experiments.RunTelemetry
 
-	// DisablePacketPool runs the scenario with packet pooling off (every
-	// acquire allocates, releases fall to the GC). Pooling is pure reuse —
-	// verdicts and counters must be identical either way, which the
-	// byte-identity test asserts across all protocols.
-	DisablePacketPool bool
-
 	// Custom monitors run alongside the built-ins.
 	Custom []CustomMonitor
 }
@@ -107,9 +101,6 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 	engine := sim.New()
 	fab := sc.buildFabric(engine)
 	net := fab.net
-	if o.DisablePacketPool {
-		net.SetPooling(false)
-	}
 	spec := experiments.RunSpec{
 		Net:         net,
 		FatTree:     fab.ft,

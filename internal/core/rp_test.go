@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -344,4 +346,64 @@ func TestStaleKDisabledByDefault(t *testing.T) {
 			t.Errorf("StaleK=%d: staleness fired despite being disabled", k)
 		}
 	}
+}
+
+// cnpOps encodes a FuzzProcessCNP op stream: one 10-byte record per CNP
+// (a selector byte, the rate units, and a CP node) and one zero byte per
+// timer expiry.
+func cnpOps(ops ...any) []byte {
+	var out []byte
+	for _, op := range ops {
+		switch v := op.(type) {
+		case int64:
+			out = append(out, 1)
+			out = binary.BigEndian.AppendUint64(out, uint64(v))
+			out = append(out, byte(len(out)))
+		default:
+			out = append(out, 0)
+		}
+	}
+	return out
+}
+
+// FuzzProcessCNP feeds an RP arbitrary CNPs — any rate units, CP keys
+// from a small set — interleaved with fast-recovery expiries. It never
+// panics; a CNP that fails validation (out of range, or from a CP the
+// witness does not know) leaves the rate and the pinned CP unchanged;
+// and the rate stays finite and non-negative.
+func FuzzProcessCNP(f *testing.F) {
+	f.Add(int64(0), int8(0), false, cnpOps(int64(100), nil, int64(50), nil, nil, nil))
+	f.Add(int64(-1), int8(3), true, cnpOps(int64(math.MaxInt64), nil, int64(-5), int64(7), nil, nil, nil, nil, int64(9)))
+	f.Add(int64(10), int8(1), false, cnpOps(int64(11), int64(0), nil, nil, int64(1<<30)))
+	f.Fuzz(func(t *testing.T, maxUnits int64, staleK int8, witness bool, ops []byte) {
+		cfg := RPConfig{DeltaFMbps: 10, RmaxMbps: 40000, MaxRateUnits: int(maxUnits), StaleK: int(staleK)}
+		if witness {
+			cfg.Witness = func(cp CPKey) bool { return cp.Node != 3 }
+		}
+		rp := NewRP(cfg)
+		for len(ops) > 0 {
+			if ops[0]&3 == 0 || len(ops) < 10 {
+				rp.TimerExpired()
+				ops = ops[1:]
+			} else {
+				units := int(int64(binary.BigEndian.Uint64(ops[1:])))
+				cp := CPKey{Node: int64(ops[9] % 4), Port: int(ops[9] / 4 % 2)}
+				ops = ops[10:]
+				rate, pinned, rejected := rp.RateMbps(), rp.CurrentCP(), rp.CNPsRejected
+				accepted := rp.ProcessCNP(units, cp)
+				invalid := units < 0 || rp.cfg.maxRateUnits() > 0 && units > rp.cfg.maxRateUnits() ||
+					witness && cp.Node == 3
+				if invalid && rp.CNPsRejected == rejected {
+					t.Fatalf("CNP %d from %v passed validation (bound %d)", units, cp, rp.cfg.maxRateUnits())
+				}
+				if rp.CNPsRejected != rejected && (accepted || rp.RateMbps() != rate || rp.CurrentCP() != pinned) {
+					t.Fatalf("rejected CNP %d from %v moved the RP: rate %v -> %v, CP %v -> %v",
+						units, cp, rate, rp.RateMbps(), pinned, rp.CurrentCP())
+				}
+			}
+			if r := rp.RateMbps(); !(r >= 0) || math.IsInf(r, 0) {
+				t.Fatalf("rate %v after op", r)
+			}
+		}
+	})
 }

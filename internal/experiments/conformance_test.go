@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"rocc/internal/dcqcn"
 	"rocc/internal/hpcc"
@@ -352,6 +353,23 @@ func TestRolloutProducesPerProtocolRows(t *testing.T) {
 		if r.FCTMeanMs <= 0 {
 			t.Errorf("%s: no FCT probes completed", r.Proto)
 		}
+	}
+}
+
+// TestRolloutShortRunEnds runs the rollout at 3 ns, where a quarter of
+// the duration truncates to 0 and a straggler loop stepping by it never
+// ends. The run goes on a goroutine so a hang fails with a message
+// instead of the suite's timeout.
+func TestRolloutShortRunEnds(t *testing.T) {
+	done := make(chan []RolloutRow, 1)
+	go func() { done <- RunRollout(RolloutConfig{Seed: 1, Duration: 3 * sim.Nanosecond}) }()
+	select {
+	case rows := <-done:
+		if len(rows) != 2 {
+			t.Errorf("got %d rows, want 2", len(rows))
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunRollout at a 3 ns duration did not return within 30 s")
 	}
 }
 

@@ -206,8 +206,10 @@ func RunRollout(cfg RolloutConfig) []RolloutRow {
 	}
 	// Let straggling probes finish (bounded: a probe that hasn't completed
 	// by 4x the run length is genuinely wedged and reported as missing).
-	for t := cfg.Duration; fctDone < n && t < 4*cfg.Duration; t += cfg.Duration / 4 {
-		engine.RunUntil(t + cfg.Duration/4)
+	// The step is at least 1 ns, or a run shorter than 4 ns never ends.
+	step := max(cfg.Duration/4, sim.Nanosecond)
+	for t := cfg.Duration; fctDone < n && t < 4*cfg.Duration; t += step {
+		engine.RunUntil(t + step)
 	}
 
 	goodput := windowGbps(endBytes, startBytes, winEnd-winStart)

@@ -86,8 +86,12 @@ func delivered(flows []*netsim.Flow) []int64 {
 
 // windowGbps is each flow's goodput in Gb/s over a window of the given
 // length, from the delivered snapshots at its start (then) and end (now).
+// An empty window delivered nothing, so its rates are 0.
 func windowGbps(now, then []int64, window sim.Time) []float64 {
 	rates := make([]float64, len(now))
+	if window <= 0 {
+		return rates
+	}
 	for i := range now {
 		rates[i] = float64(now[i]-then[i]) * 8 / window.Seconds() / 1e9
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rocc/internal/faults"
 	"rocc/internal/sim"
 	"rocc/internal/topology"
 	"rocc/internal/workload"
@@ -140,5 +141,59 @@ func TestShardedPoolsStayBalanced(t *testing.T) {
 	}
 	if 2*slots[2] > 3*slots[1] {
 		t.Errorf("2 shards allocated %d packet structs, over 1.5× the %d of one", slots[2], slots[1])
+	}
+}
+
+// faultedShardRun drives 400 persistent RoCC flows for 100 µs on the
+// paper's fat-tree with every edge uplink duplicating 30 % and
+// corrupting 5 % of what it sends, and reports the events fired, the
+// bytes delivered, the fault counts and the fabric's engine group.
+func faultedShardRun(shards int) (uint64, int64, faults.Stats, *sim.Group) {
+	engine := sim.New()
+	ft := topology.BuildFatTree(engine, 3, topology.PaperFatTree())
+	run := Assemble(RunSpec{Net: ft.Net, FatTree: ft, Shards: shards,
+		BaseRTT: 16 * sim.Microsecond, Protocols: []Protocol{ProtoRoCC}})
+	inj := faults.New(ft.Net, 3)
+	for _, p := range ft.EdgeUp {
+		inj.Direction(p, faults.LinkConfig{Duplicate: 0.3, Corrupt: 0.05})
+	}
+	hosts := ft.Net.Hosts()
+	rand := ft.Net.Rand.Split()
+	for i := 0; i < 400; i++ {
+		src := hosts[rand.Intn(len(hosts))]
+		dst := hosts[rand.Intn(len(hosts))]
+		for dst == src {
+			dst = hosts[rand.Intn(len(hosts))]
+		}
+		run.Mix.StartFlow(ProtoRoCC, src, dst, -1, 0)
+	}
+	engine.RunUntil(100 * sim.Microsecond)
+	var bytes int64
+	for _, h := range hosts {
+		bytes += int64(h.RxDataBytes)
+	}
+	return ft.Net.Group().Fired(), bytes, inj.Stats(), ft.Net.Group()
+}
+
+// TestShardedFaultedUplinks: duplicates are cloned on the sending shard
+// and corrupted CNPs mangled in place on uplinks that cross shards, yet
+// two shards run the same events and deliver the same bytes as one.
+// Some windows are dispatched to the shard workers, so under -race this
+// also checks that a duplicate is taken from the sender's pool before
+// the original is handed to the peer shard.
+func TestShardedFaultedUplinks(t *testing.T) {
+	events1, bytes1, stats1, _ := faultedShardRun(1)
+	if stats1.Duplicated == 0 || stats1.Corrupted == 0 || bytes1 == 0 {
+		t.Fatalf("cell too small to prove anything: %d bytes, faults %+v", bytes1, stats1)
+	}
+	events2, bytes2, stats2, g := faultedShardRun(2)
+	if events2 != events1 || bytes2 != bytes1 || stats2 != stats1 {
+		t.Errorf("shards=2 diverged: events %d vs %d, bytes %d vs %d, faults %+v vs %+v",
+			events2, events1, bytes2, bytes1, stats2, stats1)
+	}
+	dispatched := g.Windows() - g.InlineWindows()
+	t.Logf("%d events, %d of %d windows dispatched", events2, dispatched, g.Windows())
+	if dispatched == 0 {
+		t.Errorf("all %d windows ran inline; the shard workers never ran", g.Windows())
 	}
 }

@@ -197,7 +197,7 @@ type linkHook struct {
 // the configured probability ranges.
 func (h *linkHook) OnTransmit(now sim.Time, pkt *netsim.Packet) netsim.FaultVerdict {
 	if h.cfg.Match != nil && !h.cfg.Match(pkt) {
-		return netsim.Deliver(pkt)
+		return netsim.FaultVerdict{}
 	}
 	u := h.rand.Float64()
 	switch {
@@ -206,41 +206,41 @@ func (h *linkHook) OnTransmit(now sim.Time, pkt *netsim.Packet) netsim.FaultVerd
 		if pkt.Kind == netsim.KindCNP {
 			atomic.AddUint64(&h.in.stats.CNPsLost, 1)
 		}
-		return netsim.FaultVerdict{}
+		return netsim.FaultVerdict{Drop: true}
 	case u < h.cfg.Drop+h.cfg.Corrupt:
 		atomic.AddUint64(&h.in.stats.Corrupted, 1)
-		return netsim.FaultVerdict{Pkt: h.corrupt(pkt)}
+		return netsim.FaultVerdict{Drop: !h.corrupt(pkt)}
 	case u < h.cfg.Drop+h.cfg.Corrupt+h.cfg.Duplicate:
 		atomic.AddUint64(&h.in.stats.Duplicated, 1)
-		return netsim.FaultVerdict{Pkt: pkt, Duplicate: true}
+		return netsim.FaultVerdict{Duplicate: true}
 	case u < h.cfg.Drop+h.cfg.Corrupt+h.cfg.Duplicate+h.cfg.Reorder:
 		atomic.AddUint64(&h.in.stats.Reordered, 1)
-		return netsim.FaultVerdict{Pkt: pkt, ExtraDelay: reorderDelay}
+		return netsim.FaultVerdict{ExtraDelay: reorderDelay}
 	}
-	return netsim.Deliver(pkt)
+	return netsim.FaultVerdict{}
 }
 
-// corrupt mangles a packet's payload. CNPs survive the wire with garbage
-// rate units — exercising the reaction point's feedback validation —
-// while every other kind fails its CRC at the receiver and is discarded.
-func (h *linkHook) corrupt(pkt *netsim.Packet) *netsim.Packet {
+// corrupt mangles a packet's payload in place and reports whether the
+// packet survives. CNPs survive the wire with garbage rate units —
+// exercising the reaction point's feedback validation — while every
+// other kind fails its CRC at the receiver and is discarded.
+func (h *linkHook) corrupt(pkt *netsim.Packet) bool {
 	if pkt.Kind != netsim.KindCNP || pkt.CNP == nil {
-		return nil
+		return false
 	}
-	c := pkt.Clone()
 	garbage := func() int {
 		if h.rand.Intn(2) == 0 {
 			return -1 - h.rand.Intn(1<<20) // negative rate
 		}
 		return 1<<30 + h.rand.Intn(1<<20) // absurdly large rate
 	}
-	if c.CNP.HostComputed {
-		c.CNP.QCurUnits = garbage()
-		c.CNP.QOldUnits = garbage()
+	if pkt.CNP.HostComputed {
+		pkt.CNP.QCurUnits = garbage()
+		pkt.CNP.QOldUnits = garbage()
 	} else {
-		c.CNP.RateUnits = garbage()
+		pkt.CNP.RateUnits = garbage()
 	}
-	return c
+	return true
 }
 
 // Flap schedules a periodic outage on the link between ports a and b

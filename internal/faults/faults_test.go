@@ -131,29 +131,21 @@ func TestReorderDelaysDelivery(t *testing.T) {
 
 func TestCorruptMangledCNPSurvivesOthersDropped(t *testing.T) {
 	h := &linkHook{in: &Injector{}, cfg: LinkConfig{}, rand: sim.NewRand(5)}
-	cnp := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 100}}
 	for i := 0; i < 16; i++ {
-		out := h.corrupt(cnp)
-		if out == nil {
+		cnp := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 100}}
+		if !h.corrupt(cnp) {
 			t.Fatal("corrupt CNP must survive the wire (mangled, not lost)")
 		}
-		if out == cnp || out.CNP == cnp.CNP {
-			t.Fatal("corrupt must clone, not mutate the original")
-		}
-		if u := out.CNP.RateUnits; u >= 0 && u < 1<<29 {
+		if u := cnp.CNP.RateUnits; u >= 0 && u < 1<<29 {
 			t.Fatalf("mangled rate units %d still look plausible", u)
 		}
 	}
-	if cnp.CNP.RateUnits != 100 {
-		t.Error("original CNP payload mutated")
-	}
 	host := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{HostComputed: true, QCurUnits: 5, QOldUnits: 4}}
-	out := h.corrupt(host)
-	if out.CNP.QCurUnits == 5 && out.CNP.QOldUnits == 4 {
+	if !h.corrupt(host) || host.CNP.QCurUnits == 5 && host.CNP.QOldUnits == 4 {
 		t.Error("host-computed CNP observations not mangled")
 	}
 	data := &netsim.Packet{Kind: netsim.KindData}
-	if h.corrupt(data) != nil {
+	if h.corrupt(data) {
 		t.Error("corrupt data packet must fail CRC and be dropped")
 	}
 }

@@ -11,48 +11,24 @@ import "rocc/internal/sim"
 // RNG draws), so fault-free runs are byte-identical with or without the
 // layer compiled in.
 type FaultHook interface {
-	// OnTransmit returns the fate of pkt on this link. The returned
-	// verdict's Pkt is what actually propagates: pkt itself (healthy),
-	// a mangled clone (corruption), or nil (the link lost the packet).
+	// OnTransmit returns the fate of pkt on this link. The hook may
+	// mangle pkt in place (a corrupted CNP's payload), but never keeps
+	// or replaces it.
 	OnTransmit(now sim.Time, pkt *Packet) FaultVerdict
 }
 
-// FaultVerdict is a FaultHook's decision for one packet.
+// FaultVerdict is a FaultHook's decision for one packet. The zero
+// verdict delivers the packet unharmed.
 type FaultVerdict struct {
-	// Pkt is the packet to deliver, or nil if the link dropped it.
-	Pkt *Packet
+	// Drop loses the packet on the link.
+	Drop bool
 
 	// ExtraDelay is added to the link's propagation delay, landing the
 	// packet behind later transmissions (reordering / late feedback).
 	ExtraDelay sim.Time
 
-	// Duplicate delivers a second, cloned copy of Pkt.
+	// Duplicate delivers a second, cloned copy of the packet.
 	Duplicate bool
-}
-
-// Deliver is the identity verdict: pkt propagates unharmed.
-func Deliver(pkt *Packet) FaultVerdict { return FaultVerdict{Pkt: pkt} }
-
-// Clone copies a packet outside the pool (fault hooks use it to build
-// corrupted substitutes). Packets are normally owned by exactly one queue
-// or in-flight event, so the copy gets its own CNP payload and INT
-// slices — the receiver and any switch pipeline may mutate them
-// independently, and the clone outlives the original's release. The
-// clone is unpooled: releasing it is a no-op and the GC reclaims it. For
-// a pooled copy use Network.ClonePacket.
-func (pkt *Packet) Clone() *Packet {
-	c := *pkt
-	c.pooled = false
-	c.pc = pcheck{}
-	if pkt.CNP != nil {
-		c.cnpStore = *pkt.CNP
-		c.CNP = &c.cnpStore
-	}
-	// Slices must not share backing arrays with the (releasable) original,
-	// even at zero length — a later append would write into its buffer.
-	c.INT = append([]INTRecord(nil), pkt.INT...)
-	c.EchoINT = append([]INTRecord(nil), pkt.EchoINT...)
-	return &c
 }
 
 // pfcResetter is implemented by nodes whose sent-pause bookkeeping must

@@ -6,6 +6,24 @@ import (
 	"rocc/internal/sim"
 )
 
+// FuzzParseOperatingMode: any name ParseOperatingMode accepts names a
+// mode whose String parses back to it.
+func FuzzParseOperatingMode(f *testing.F) {
+	for _, s := range []string{"", "hybrid", "pfc", "pfc-only", "lossy", "cconlylossy", "unknown", "Hybrid"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseOperatingMode(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseOperatingMode(m.String())
+		if err != nil || back != m {
+			t.Fatalf("%q parsed to %v, whose String %q parses to %v, %v", s, m, m.String(), back, err)
+		}
+	})
+}
+
 func TestOperatingModeRoundTrip(t *testing.T) {
 	for _, m := range AllOperatingModes() {
 		got, err := ParseOperatingMode(m.String())

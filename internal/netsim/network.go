@@ -135,7 +135,7 @@ func New(engine *sim.Engine, seed int64) *Network {
 		DefaultRPDelay: 15 * sim.Microsecond,
 		PauseStormSpan: sim.Millisecond,
 	}
-	n.adopt(sim.NewGroup(engine, 1, DefaultLookahead), true)
+	n.adopt(sim.NewGroup(engine, 1, DefaultLookahead))
 	return n
 }
 

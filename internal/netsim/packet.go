@@ -136,9 +136,9 @@ type Packet struct {
 	pc pcheck
 
 	// pool is the index of the shard-local pool that owns this packet
-	// (always 0 on one shard). Cross-shard handoffs re-stamp it at the
-	// mailbox drain, so acquire and release always touch the pool of the
-	// shard currently holding the packet.
+	// (always 0 on one shard). A cross-shard handoff re-stamps it with
+	// the receiving shard as it leaves (scheduleArrival), so release
+	// always touches the pool of the shard holding the packet.
 	pool int32
 }
 

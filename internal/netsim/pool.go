@@ -20,28 +20,10 @@ package netsim
 type packetPool struct {
 	free []*Packet
 
-	acquired  uint64 // AcquirePacket calls
-	released  uint64 // ReleasePacket calls on pooled packets
+	acquired  uint64 // AcquirePacket calls on this shard
+	released  uint64 // ReleasePacket calls on pooled packets on this shard
 	allocated uint64 // fresh Packet structs ever created by the pool
-	live      int64  // pooled packets currently owned outside the pool
-
-	disabled bool // byte-identity escape hatch: allocate fresh, never reuse
 }
-
-// SetPooling enables or disables packet reuse. With pooling off every
-// acquire allocates a fresh Packet and releases fall to the GC — the
-// pre-pool behaviour, kept as a runtime toggle so fixed-seed runs can
-// assert byte-identity between the two paths. Toggle before the first
-// packet is sent; flipping mid-run is safe (the free list is simply
-// ignored or resumed) but pointless.
-func (n *Network) SetPooling(on bool) {
-	for i := range n.pools {
-		n.pools[i].disabled = !on
-	}
-}
-
-// PoolingEnabled reports whether packet reuse is active.
-func (n *Network) PoolingEnabled() bool { return !n.pools[0].disabled }
 
 // AcquirePacket returns a zeroed packet owned by the caller, drawn from
 // the pool of the shard node lives on. Protocol elements that inject
@@ -56,13 +38,7 @@ func (n *Network) AcquirePacket(node Node) *Packet {
 // acquireFrom pops a packet from one shard-local pool.
 func (n *Network) acquireFrom(idx int32) *Packet {
 	p := &n.pools[idx]
-	if p.disabled {
-		pkt := &Packet{pool: idx}
-		n.preallocINT(pkt)
-		return pkt
-	}
 	p.acquired++
-	p.live++
 	var pkt *Packet
 	if m := len(p.free); m > 0 {
 		pkt = p.free[m-1]
@@ -98,17 +74,12 @@ func (n *Network) ReleasePacket(pkt *Packet) {
 		return
 	}
 	pkt.stampRelease()
-	// The packet returns to the free list of the shard that currently
-	// owns it — cross-shard handoffs re-stamped pkt.pool at the mailbox
-	// drain, so release always lands on the caller's own
+	// The packet returns to the free list of the shard that holds it:
+	// a cross-shard handoff re-stamped pkt.pool with the receiving shard
+	// (scheduleArrival), so release always lands on the caller's own
 	// (data-race-free) pool.
 	p := &n.pools[pkt.pool]
 	p.released++
-	p.live--
-	if p.disabled {
-		pkt.pooled = false // pool drained at toggle time; let the GC take it
-		return
-	}
 	pkt.reset()
 	p.free = append(p.free, pkt)
 }
@@ -117,11 +88,10 @@ func (n *Network) ReleasePacket(pkt *Packet) {
 // the clone owns its own INT/EchoINT backing arrays and CNP payload, so
 // both copies can be mutated and released independently.
 func (n *Network) ClonePacket(pkt *Packet) *Packet {
-	// The clone joins the original's pool: cloning happens on the sending
-	// side of a link, and the duplicate crosses the same link (and the
-	// same ownership transfer) as the original. A clone of an unpooled
-	// packet stays unpooled — its pkt.pool says nothing about which shard
-	// is holding it.
+	// The clone joins the original's pool, which is the caller's shard
+	// only until the original crosses a shard (scheduleArrival re-stamps
+	// it): clone before handing the original on. A clone of an unpooled
+	// packet stays unpooled.
 	var c *Packet
 	if pkt.pooled {
 		c = n.acquireFrom(pkt.pool)
@@ -151,10 +121,10 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 // the receiver's, so without a return path the sending shard allocates
 // every packet fresh while the free list behind it only grows. A pool
 // holding less than half the largest pool's free packets is topped up
-// to the mean of the two. Moved packets are free, so live, acquired and
+// to the mean of the two. Moved packets are free, so acquired and
 // released keep their meaning; only their pool stamp changes.
 func (n *Network) rebalancePools() {
-	if len(n.pools) < 2 || n.pools[0].disabled {
+	if len(n.pools) < 2 {
 		return
 	}
 	for i := range n.pools {
@@ -185,11 +155,13 @@ func (n *Network) rebalancePools() {
 // a delayed-delivery event. After a full drain (engine queue empty, all
 // port queues empty) this must be zero — the chaos packet-accounting
 // invariant — and it can only go negative through a double release.
-// It sums the shard-local pools, so read it between windows.
+// It sums each pool's acquired − released; one pool's share alone may
+// be negative, since packets acquired on one shard are released on
+// another. Read it between windows.
 func (n *Network) OutstandingPackets() int64 {
 	total := int64(0)
 	for i := range n.pools {
-		total += n.pools[i].live
+		total += int64(n.pools[i].acquired) - int64(n.pools[i].released)
 	}
 	return total
 }

@@ -111,41 +111,6 @@ func TestClonePacketIsIndependent(t *testing.T) {
 	}
 }
 
-func TestUnpooledCloneIsIndependent(t *testing.T) {
-	net, h := poolFixture()
-	orig := net.AcquirePacket(h)
-	orig.EnsureCNP().RateUnits = 5
-	c := orig.Clone()
-	if c.pooled {
-		t.Fatal("Packet.Clone produced a pooled packet")
-	}
-	net.ReleasePacket(orig)
-	net.AcquirePacket(h).EnsureCNP().RateUnits = 88
-	if c.CNP.RateUnits != 5 {
-		t.Fatal("recycling the original corrupted the unpooled clone")
-	}
-	net.ReleasePacket(c) // must be a no-op
-	if net.OutstandingPackets() != 1 {
-		t.Fatal("releasing an unpooled clone changed the ledger")
-	}
-}
-
-func TestSetPoolingOffAllocatesFresh(t *testing.T) {
-	net, h := poolFixture()
-	net.SetPooling(false)
-	a := net.AcquirePacket(h)
-	if a.pooled {
-		t.Fatal("pooling disabled but packet marked pooled")
-	}
-	net.ReleasePacket(a)
-	if b := net.AcquirePacket(h); b == a {
-		t.Fatal("pooling disabled but struct was reused")
-	}
-	if net.OutstandingPackets() != 0 {
-		t.Fatal("disabled pool kept accounting")
-	}
-}
-
 func TestAcquireReleaseZeroAlloc(t *testing.T) {
 	net, h := poolFixture()
 	net.ReleasePacket(net.AcquirePacket(h)) // warm the free list

@@ -281,22 +281,21 @@ func (p *Port) deliver(pkt *Packet, delay sim.Time) {
 	}
 	if p.Fault != nil {
 		v := p.Fault.OnTransmit(p.eng.Now(), pkt)
-		if v.Pkt == nil {
+		if v.Drop {
 			// The link lost the packet: this is its terminal point.
 			p.net.ReleasePacket(pkt)
 			return
 		}
-		if v.Pkt != pkt {
-			// The hook substituted a corrupted clone; the original is done.
-			p.net.ReleasePacket(pkt)
-		}
 		delay += v.ExtraDelay
-		pkt = v.Pkt
 		if v.Duplicate {
-			// Schedule the original first so it keeps arriving ahead of its
-			// duplicate (same timestamp, earlier sequence number).
+			// Clone before the original leaves: a cross-shard handoff
+			// moves it to the peer's pool, which this shard must not
+			// touch. Schedule the original first so it keeps arriving
+			// ahead of its duplicate (same timestamp, earlier sequence
+			// number).
+			dup := p.net.ClonePacket(pkt)
 			p.scheduleArrival(delay, pkt)
-			p.scheduleArrival(delay, p.net.ClonePacket(pkt))
+			p.scheduleArrival(delay, dup)
 			return
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // This file is the dataplane's side of the engine group (sim.Group)
 // every network runs on: node→shard assignment, per-shard packet pools
-// with ownership transfer on cross-shard handoff, and the deferred
+// whose packets change pool on a cross-shard handoff, and the deferred
 // flow-completion machinery that keeps flow-registry mutation and user
 // callbacks on the global lane.
 //
@@ -57,15 +57,11 @@ func (n *Network) Group() *sim.Group { return n.group }
 
 // adopt makes g the network's engine group: one packet pool and one
 // deferred-completion list per shard, and the barrier hooks.
-func (n *Network) adopt(g *sim.Group, pooling bool) {
+func (n *Network) adopt(g *sim.Group) {
 	n.group = g
 	n.pools = make([]packetPool, g.Shards())
-	for i := range n.pools {
-		n.pools[i].disabled = !pooling
-	}
 	n.shardSt = make([]shardState, g.Shards())
 	g.OnBarrier(n.barrier)
-	g.SetTransfer(n.transferOwnership)
 }
 
 // barrier is the window-barrier hook: with every shard quiesced it
@@ -97,7 +93,7 @@ func (n *Network) EnableSharding(g *sim.Group, assign []int) {
 	if n.nextFlow != 0 {
 		panic("netsim: EnableSharding must run before any traffic")
 	}
-	n.adopt(g, n.PoolingEnabled())
+	n.adopt(g)
 	k := g.Shards()
 	for id, node := range n.nodes {
 		sh := assign[id]
@@ -129,26 +125,6 @@ func nodeShard(node Node) int {
 		return v.shard
 	}
 	return 0
-}
-
-// transferOwnership moves a mailbox-handoff packet to the destination
-// shard's pool. It runs on the coordinator with every shard quiesced —
-// the only moment a packet may change pools.
-func (n *Network) transferOwnership(_, b any, dst int) {
-	pkt, ok := b.(*Packet)
-	if !ok || !pkt.pooled {
-		return
-	}
-	n.movePacket(pkt, dst)
-}
-
-func (n *Network) movePacket(pkt *Packet, dst int) {
-	if int(pkt.pool) == dst {
-		return
-	}
-	n.pools[pkt.pool].live--
-	n.pools[dst].live++
-	pkt.pool = int32(dst)
 }
 
 // drainShardCompletions replays the flow completions and retirements
@@ -209,7 +185,9 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 // in keyed form, through the cross-shard mailbox when the peer lives
 // elsewhere and a window is executing. The (lane, seq) pair comes from
 // the transmitting port, so arrival order at equal timestamps is
-// partition-independent.
+// partition-independent. A packet that crosses shards joins the peer
+// shard's pool here, so the caller owns neither it nor its pool stamp
+// afterwards.
 func (p *Port) scheduleArrival(delay sim.Time, pkt *Packet) {
 	g := p.net.group
 	if delay < 0 {
@@ -218,20 +196,17 @@ func (p *Port) scheduleArrival(delay sim.Time, pkt *Packet) {
 	at := p.eng.Now() + delay
 	seq := p.linkSeq
 	p.linkSeq++
-	switch {
-	case p.peerShard == p.shard:
+	if p.peerShard == p.shard {
 		p.eng.AtKeyed(at, p.arrLane, seq, p.peerCtx, portArrive, p, pkt)
-	case g.InWindow():
-		g.Send(p.shard, p.peerShard, at, p.arrLane, seq, p.peerCtx, portArrive, p, pkt)
-	default:
-		// Barrier/global context: every heap is quiescent, so push
-		// directly (and move pool ownership inline, as the mailbox
-		// drain would have).
-		if pkt.pooled {
-			p.net.movePacket(pkt, p.peerShard)
-		}
-		g.Shard(p.peerShard).AtKeyed(at, p.arrLane, seq, p.peerCtx, portArrive, p, pkt)
+		return
 	}
+	pkt.pool = int32(p.peerShard)
+	if g.InWindow() {
+		g.Send(p.shard, p.peerShard, at, p.arrLane, seq, p.peerCtx, portArrive, p, pkt)
+		return
+	}
+	// Barrier/global context: every heap is quiescent, so push directly.
+	g.Shard(p.peerShard).AtKeyed(at, p.arrLane, seq, p.peerCtx, portArrive, p, pkt)
 }
 
 // NodeCount returns how many nodes (hosts and switches) the network has —

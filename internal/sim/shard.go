@@ -38,11 +38,6 @@ type Group struct {
 	// synchronization. Slices keep their capacity across barriers.
 	mailboxes [][]mailboxEntry
 
-	// transfer, when set, runs on the coordinator for every drained
-	// mailbox entry, letting the model move resource ownership (e.g. a
-	// packet's shard-local pool) to the destination shard.
-	transfer func(a, b any, dstShard int)
-
 	// onBarrier, when set, runs on the coordinator at every window
 	// barrier after mailboxes drain and before global events execute.
 	// All shard clocks read the barrier time; all workers are quiesced.
@@ -79,8 +74,7 @@ const inlineBelow = 1024
 // mailboxEntry is one deferred cross-shard scheduling request, drained
 // into the destination shard's heap in (src shard, append seq) order.
 // The heap's (at, lane, seq) keys make the insertion order irrelevant to
-// execution order; draining in a fixed order keeps the walk cache-warm
-// and the transfer hook deterministic.
+// execution order; draining in a fixed order keeps the walk cache-warm.
 type mailboxEntry struct {
 	at   Time
 	lane uint64
@@ -162,9 +156,6 @@ func (g *Group) Lookahead() Time { return g.lookahead }
 // true.
 func (g *Group) InWindow() bool { return g.inWindow }
 
-// SetTransfer installs the cross-shard ownership-transfer hook.
-func (g *Group) SetTransfer(fn func(a, b any, dstShard int)) { g.transfer = fn }
-
 // OnBarrier installs the barrier hook.
 func (g *Group) OnBarrier(fn func(now Time)) { g.onBarrier = fn }
 
@@ -192,9 +183,6 @@ func (g *Group) drainMailboxes() {
 			}
 			for i := range *box {
 				e := &(*box)[i]
-				if g.transfer != nil {
-					g.transfer(e.a, e.b, dst)
-				}
 				g.shards[dst].AtKeyed(e.at, e.lane, e.seq, e.ctx, e.cb, e.a, e.b)
 				*e = mailboxEntry{}
 			}
