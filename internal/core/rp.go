@@ -91,8 +91,8 @@ type RP struct {
 
 	rcur        float64 // current send rate in Mb/s
 	cpcur       CPKey   // CP that generated the last accepted CNP
-	installed   bool    // rate limiter active
 	staleStreak int     // consecutive timer expiries without an accepted CNP
+	installed   bool    // rate limiter active
 	stale       bool    // feedback declared stale; next valid CNP re-homes the flow
 
 	// Counters for instrumentation and tests.
@@ -105,16 +105,25 @@ type RP struct {
 	Suspects        int // externally signalled path changes (SuspectStale)
 
 	// tm mirrors the counters above into a registry (SetTelemetry).
-	tm RPTelemetry
+	// Every RP of a network shares one; &noRPTelemetry when disabled.
+	tm *RPTelemetry
 }
 
 // NewRP returns an uninstalled reaction point (the flow transmits at Rmax
 // until the first CNP arrives, per §3.5).
 func NewRP(cfg RPConfig) *RP {
+	rp := new(RP)
+	rp.Init(cfg)
+	return rp
+}
+
+// Init makes rp an uninstalled reaction point, as NewRP does, in place:
+// a controller that holds its RP by value builds it here.
+func (rp *RP) Init(cfg RPConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &RP{cfg: cfg, rcur: cfg.RmaxMbps}
+	*rp = RP{cfg: cfg, rcur: cfg.RmaxMbps, tm: &noRPTelemetry}
 }
 
 // Installed reports whether the rate limiter is active.

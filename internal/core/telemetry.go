@@ -4,8 +4,7 @@ import "rocc/internal/telemetry"
 
 // RPTelemetry mirrors the RP's instrumentation counters into a metrics
 // registry, so per-flow reaction points aggregate into one set of
-// network-wide counters. The zero value is the disabled state: nil
-// telemetry counters ignore Inc, so the RP increments unconditionally.
+// network-wide counters. The RPs of one network share one RPTelemetry.
 type RPTelemetry struct {
 	CNPsAccepted    *telemetry.Counter
 	CNPsIgnored     *telemetry.Counter
@@ -15,9 +14,12 @@ type RPTelemetry struct {
 }
 
 // RPTelemetryFrom resolves the standard rocc.rp.* counter set from a
-// registry. A nil registry yields the zero (disabled) RPTelemetry.
-func RPTelemetryFrom(reg *telemetry.Registry) RPTelemetry {
-	return RPTelemetry{
+// registry. A nil registry yields nil, the disabled state.
+func RPTelemetryFrom(reg *telemetry.Registry) *RPTelemetry {
+	if reg == nil {
+		return nil
+	}
+	return &RPTelemetry{
 		CNPsAccepted:    reg.Counter("rocc.rp.cnps_accepted"),
 		CNPsIgnored:     reg.Counter("rocc.rp.cnps_ignored"),
 		CNPsRejected:    reg.Counter("rocc.rp.cnps_rejected"),
@@ -26,8 +28,18 @@ func RPTelemetryFrom(reg *telemetry.Registry) RPTelemetry {
 	}
 }
 
-// SetTelemetry attaches registry-backed mirrors of the RP counters.
-func (rp *RP) SetTelemetry(t RPTelemetry) { rp.tm = t }
+// noRPTelemetry is the disabled mirror set, every counter nil (a nil
+// counter ignores Inc). It is never written, so every RP may share it.
+var noRPTelemetry RPTelemetry
+
+// SetTelemetry attaches registry-backed mirrors of the RP counters; nil
+// detaches them.
+func (rp *RP) SetTelemetry(t *RPTelemetry) {
+	if t == nil {
+		t = &noRPTelemetry
+	}
+	rp.tm = t
+}
 
 // CountRejected records one malformed CNP discarded before it reached
 // ProcessCNP (callers validate transport-level fields the core never

@@ -41,7 +41,6 @@ type Mix struct {
 	active    []Protocol // instantiation order; the EnableAllSwitchPorts sweep order
 	ports     map[*netsim.Port]*portState
 	receivers map[*netsim.Host]*receiverState
-	flows     map[netsim.FlowID]netsim.CongestionOps
 }
 
 // NewMix builds an empty composer for the network. baseRTT parameterizes
@@ -50,7 +49,7 @@ func NewMix(net *netsim.Network, baseRTT sim.Time) *Mix {
 	if baseRTT == 0 {
 		baseRTT = 10 * sim.Microsecond
 	}
-	m := &Mix{
+	return &Mix{
 		Engine:    net.Engine,
 		Net:       net,
 		BaseRTT:   baseRTT,
@@ -59,16 +58,7 @@ func NewMix(net *netsim.Network, baseRTT sim.Time) *Mix {
 		ops:       make(map[Protocol]netsim.CongestionOps),
 		ports:     make(map[*netsim.Port]*portState),
 		receivers: make(map[*netsim.Host]*receiverState),
-		flows:     make(map[netsim.FlowID]netsim.CongestionOps),
 	}
-	prev := net.OnFlowRemoved
-	net.OnFlowRemoved = func(f *netsim.Flow) {
-		delete(m.flows, f.ID)
-		if prev != nil {
-			prev(f)
-		}
-	}
-	return m
 }
 
 // Ops returns the protocol's descriptor, instantiating it on first use.
@@ -205,8 +195,9 @@ type muxEntry struct {
 }
 
 // portMux demultiplexes a shared port's PortCC callbacks to the element
-// of the protocol that owns each packet's flow. Packets of flows the Mix
-// did not start (or that completed past the removal grace) see no
+// of the protocol that owns each packet's flow: the scheme the flow
+// recorded at start (netsim.Flow.Scheme). Packets of flows the Mix did
+// not start (or that completed past the removal grace) see no
 // switch-side action — each protocol's element observes exactly its own
 // traffic, so e.g. a DCQCN marker never marks RoCC packets and a RoCC
 // flow table never tracks DCQCN flows.
@@ -215,9 +206,18 @@ type portMux struct {
 	entries []muxEntry
 }
 
+// flowScheme returns the scheme a registered flow started under, nil for
+// a flow that is gone or was started outside a composer.
+func (m *Mix) flowScheme(fid netsim.FlowID) netsim.CongestionOps {
+	if f := m.Net.Flow(fid); f != nil {
+		return f.Scheme()
+	}
+	return nil
+}
+
 func (x *portMux) lookup(fid netsim.FlowID) netsim.PortCC {
-	ops, ok := x.mix.flows[fid]
-	if !ok {
+	ops := x.mix.flowScheme(fid)
+	if ops == nil {
 		return nil
 	}
 	for _, e := range x.entries {
@@ -348,8 +348,8 @@ type receiverMux struct {
 
 // OnData implements netsim.ReceiverHook.
 func (x *receiverMux) OnData(now sim.Time, pkt *netsim.Packet) *netsim.Packet {
-	ops, ok := x.mix.flows[pkt.Flow]
-	if !ok {
+	ops := x.mix.flowScheme(pkt.Flow)
+	if ops == nil {
 		return nil
 	}
 	for _, e := range x.entries {
@@ -385,32 +385,26 @@ func (m *Mix) StartWrappedFlow(proto Protocol, src, dst *netsim.Host, size int64
 	if wrap != nil {
 		cc = wrap(cc)
 	}
-	return m.register(ops, m.Net.StartFlow(src, dst, netsim.FlowConfig{
+	return m.Net.StartFlow(src, dst, netsim.FlowConfig{
 		Size:        size,
 		MaxRate:     maxRate,
 		CC:          cc,
 		Reliable:    reliable,
 		AckEvery:    ops.AckEvery(src),
 		ExtraHeader: ops.Features().ExtraHeaderBytes,
-	}))
-}
-
-func (m *Mix) register(ops netsim.CongestionOps, f *netsim.Flow) *netsim.Flow {
-	m.flows[f.ID] = ops
-	return f
+		Scheme:      ops,
+	})
 }
 
 // FlowProtocol reports which protocol a Mix-started flow runs under
 // ("" for flows the Mix did not start or has already retired).
 func (m *Mix) FlowProtocol(fid netsim.FlowID) Protocol {
-	ops, ok := m.flows[fid]
-	if !ok {
-		return ""
-	}
-	for p, o := range m.ops {
-		if o == ops {
-			return p
+	if ops := m.flowScheme(fid); ops != nil {
+		for p, o := range m.ops {
+			if o == ops {
+				return p
+			}
 		}
 	}
-	return Protocol(ops.Name())
+	return ""
 }

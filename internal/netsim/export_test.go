@@ -1,5 +1,7 @@
 package netsim
 
+import "slices"
+
 // RouteTables returns every switch's current table: switch → destination
 // host → equal-cost egress port indices, read through the dense
 // per-destination index and its shared choice sets.
@@ -13,6 +15,48 @@ func (n *Network) RouteTables() map[NodeID]map[NodeID][]int {
 			}
 		}
 		out[s.id] = table
+	}
+	return out
+}
+
+// RouteSetNumbers returns, per switch, the set number its table holds
+// for each host, in host creation order.
+func (n *Network) RouteSetNumbers() map[NodeID][]int32 {
+	out := make(map[NodeID][]int32, len(n.switches))
+	for _, s := range n.switches {
+		nums := make([]int32, len(n.hosts))
+		for i, h := range n.hosts {
+			if int(h.id) < len(s.route) {
+				nums[i] = s.route[h.id]
+			}
+		}
+		out[s.id] = nums
+	}
+	return out
+}
+
+// ReferenceRouteSetNumbers numbers the port sets of tables (from
+// ReferenceRouteTables) the way a search per destination host interns
+// them: at each switch, host by host in creation order, a set taking the
+// next number the first time it is seen (0 is no route).
+func (n *Network) ReferenceRouteSetNumbers(tables map[NodeID]map[NodeID][]int) map[NodeID][]int32 {
+	out := make(map[NodeID][]int32, len(n.switches))
+	for _, s := range n.switches {
+		var seen [][]int
+		nums := make([]int32, len(n.hosts))
+		for i, h := range n.hosts {
+			set := tables[s.id][h.id]
+			if len(set) == 0 {
+				continue
+			}
+			k := slices.IndexFunc(seen, func(x []int) bool { return slices.Equal(x, set) })
+			if k < 0 {
+				seen = append(seen, set)
+				k = len(seen) - 1
+			}
+			nums[i] = int32(k + 1)
+		}
+		out[s.id] = nums
 	}
 	return out
 }

@@ -35,25 +35,29 @@ type FlowConfig struct {
 	// ExtraHeader adds per-packet wire overhead beyond HeaderBytes
 	// (HPCC's in-band telemetry bytes).
 	ExtraHeader int
+
+	// Scheme is the congestion-control scheme that built CC. A composer
+	// running several schemes on one fabric sets it so its switch and
+	// receiver demultiplexers can find each packet's scheme through the
+	// flow registry; nil for flows started outside a composer.
+	Scheme CongestionOps
 }
 
 // Flow is a unidirectional message transfer between two hosts, including
 // sender scheduling state and receiver assembly state.
 type Flow struct {
-	ID    FlowID
-	net   *Network
-	src   *Host
-	dst   *Host
-	srcID NodeID
-	dstID NodeID
+	ID  FlowID
+	net *Network
+	src *Host
+	dst *Host
 
 	Size        int64
 	MaxRate     Rate
 	CC          FlowCC
-	Reliable    bool
 	AckEvery    int
 	RTO         sim.Time
 	ExtraHeader int
+	scheme      CongestionOps
 
 	StartTime sim.Time
 
@@ -61,20 +65,26 @@ type Flow struct {
 	nextSeq  int64
 	sentHigh int64
 	appPacer Pacer
-	stopped  bool
-
-	// Go-back-N sender state.
-	ackedSeq       int64
-	lastRewindSeq  int64
-	lastRewindTime sim.Time
-	RetxBytes      int64
-	rtoEv          sim.Handle
+	ackedSeq int64
+	gbn      *gbnState // go-back-N sender state; nil unless Reliable
 
 	// Receiver state.
 	rcvdContig int64
 	acksOwed   int
-	done       bool
 	FinishTime sim.Time
+
+	Reliable bool
+	stopped  bool
+	done     bool
+}
+
+// gbnState is the go-back-N sender state a Reliable flow adds: its
+// retransmission timer and the rewind-storm filter.
+type gbnState struct {
+	lastRewindSeq  int64
+	lastRewindTime sim.Time
+	retxBytes      int64
+	rtoEv          sim.Handle
 }
 
 // Src returns the sending host.
@@ -95,10 +105,25 @@ func (f *Flow) SentBytes() int64 { return f.sentHigh }
 // FCT returns the flow completion time, valid once Done.
 func (f *Flow) FCT() sim.Time { return f.FinishTime - f.StartTime }
 
+// Scheme returns the congestion-control scheme recorded at start
+// (FlowConfig.Scheme), nil when none was.
+func (f *Flow) Scheme() CongestionOps { return f.scheme }
+
+// RetxBytes returns the payload bytes go-back-N resent for this flow.
+func (f *Flow) RetxBytes() int64 {
+	if f.gbn == nil {
+		return 0
+	}
+	return f.gbn.retxBytes
+}
+
 // Stop halts an unbounded flow at the sender and tears down its controller.
 func (f *Flow) Stop() {
 	f.stopped = true
-	f.rtoEv.Cancel()
+	f.src.mayRemove = true
+	if f.gbn != nil {
+		f.gbn.rtoEv.Cancel()
+	}
 	f.net.removeFlowLater(f)
 }
 
@@ -174,6 +199,9 @@ func (f *Flow) makePacket(now sim.Time) *Packet {
 	if f.nextSeq > f.sentHigh {
 		f.sentHigh = f.nextSeq
 	}
+	if last {
+		f.src.mayRemove = true
+	}
 	if f.Reliable {
 		f.armRTO(now)
 	}
@@ -181,17 +209,17 @@ func (f *Flow) makePacket(now sim.Time) *Packet {
 }
 
 func (f *Flow) armRTO(now sim.Time) {
-	f.rtoEv.Cancel()
+	f.gbn.rtoEv.Cancel()
 	// AfterCall with a package-level func: arming the RTO per packet must
 	// not allocate a bound-method closure. The timer lives on the sender's
 	// engine — RTO state is sender-side.
-	f.rtoEv = f.src.eng.AfterCall(f.RTO, flowRTO, f, nil)
+	f.gbn.rtoEv = f.src.eng.AfterCall(f.RTO, flowRTO, f, nil)
 }
 
 // flowRTO is the go-back-N backstop: rewind to the last acknowledged byte.
 func flowRTO(a, _ any) {
 	f := a.(*Flow)
-	f.rtoEv = sim.Handle{}
+	f.gbn.rtoEv = sim.Handle{}
 	if f.stopped || f.ackedSeq >= f.Size && f.Size >= 0 {
 		return
 	}
@@ -201,17 +229,19 @@ func flowRTO(a, _ any) {
 }
 
 // rewind implements the go-back-N retransmission: resume sending from seq.
+// Only Reliable flows rewind: only their receivers send NACKs.
 func (f *Flow) rewind(now sim.Time, seq int64) {
 	if seq >= f.nextSeq {
 		return
 	}
+	g := f.gbn
 	// Suppress rewind storms from duplicate NACKs for the same gap.
-	if seq == f.lastRewindSeq && now-f.lastRewindTime < 50*sim.Microsecond {
+	if seq == g.lastRewindSeq && now-g.lastRewindTime < 50*sim.Microsecond {
 		return
 	}
-	f.lastRewindSeq = seq
-	f.lastRewindTime = now
-	f.RetxBytes += f.nextSeq - seq
+	g.lastRewindSeq = seq
+	g.lastRewindTime = now
+	g.retxBytes += f.nextSeq - seq
 	// Atomic: flows on different shards rewind concurrently.
 	atomic.AddInt64(&f.net.RetxBytesTotal, f.nextSeq-seq)
 	f.nextSeq = seq
@@ -267,8 +297,8 @@ func (f *Flow) onDataArrive(now sim.Time, pkt *Packet) {
 func (f *Flow) sendAck(now sim.Time, data *Packet, nack bool) {
 	ack := f.net.AcquirePacket(f.dst)
 	ack.Flow = f.ID
-	ack.Src = f.dstID
-	ack.Dst = f.srcID
+	ack.Src = f.dst.id
+	ack.Dst = f.src.id
 	ack.Kind = KindAck
 	ack.Cls = ClassAck
 	ack.Size = AckBytes
@@ -286,7 +316,8 @@ func (f *Flow) onAckArrive(now sim.Time, pkt *Packet) {
 		f.ackedSeq = pkt.AckSeq
 		if f.Reliable {
 			if f.Size >= 0 && f.ackedSeq >= f.Size {
-				f.rtoEv.Cancel()
+				f.gbn.rtoEv.Cancel()
+				f.src.mayRemove = true
 				// Registry mutation and controller teardown defer to the
 				// window barrier (see onDataArrive).
 				st := &f.net.shardSt[f.src.shard]

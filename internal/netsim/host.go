@@ -27,6 +27,11 @@ type Host struct {
 	rrIndex int
 	wake    sim.Handle
 
+	// mayRemove is set when one of flows may have become removable (it
+	// was stopped, or sent or had acknowledged its last byte); refill
+	// compacts flows only then.
+	mayRemove bool
+
 	// eng is the shard engine this host's events run on (shard 0 until
 	// EnableSharding re-homes the host).
 	eng   *sim.Engine
@@ -85,7 +90,9 @@ func (h *Host) addFlow(f *Flow) {
 // schedule a wake-up at the earliest pacing deadline.
 func (h *Host) refill() *Packet {
 	now := h.eng.Now()
-	h.cleanup()
+	if h.mayRemove {
+		h.cleanup()
+	}
 	n := len(h.flows)
 	if n == 0 {
 		return nil
@@ -122,6 +129,7 @@ func (h *Host) refill() *Packet {
 // cleanup drops flows that finished sending (and, when reliable, are fully
 // acknowledged) from the scheduler.
 func (h *Host) cleanup() {
+	h.mayRemove = false
 	out := h.flows[:0]
 	for _, f := range h.flows {
 		if !f.removable() {

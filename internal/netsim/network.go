@@ -42,8 +42,7 @@ type Network struct {
 
 	// OnFlowRemoved is invoked when a completed flow is finally dropped
 	// from the registry, after the post-completion grace period for late
-	// control packets. Composers keyed by FlowID (the experiments Mix)
-	// use it to retire their per-flow routing state.
+	// control packets.
 	OnFlowRemoved func(*Flow)
 
 	// DefaultRPDelay is applied to hosts created after it is set (15 µs
@@ -224,6 +223,13 @@ func (n *Network) attach(node Node, p *Port) {
 // switches carry no routes). Call after the topology is complete; the
 // reconvergence machinery (topofail.go) calls it again after every
 // FailLink/FailSwitch/Restore window.
+//
+// A host has one link, so every path to it runs through the switch its
+// NIC attaches to: one search from that switch gives every other
+// switch's next hops toward all of the switch's hosts, and the switch
+// itself routes each host over its own port. A host whose NIC end is
+// down, or whose attach switch has failed, gets no routes: a search from
+// the host would cross that one link first, and so reach no switch.
 func (n *Network) ComputeRoutes() {
 	// One block holds every switch's per-destination index, and each
 	// switch interns its few distinct port sets, so a table costs a few
@@ -235,31 +241,79 @@ func (n *Network) ComputeRoutes() {
 		s.route = block[i*nodes : (i+1)*nodes : (i+1)*nodes]
 	}
 	// NodeIDs are dense, so one distance slice and one queue (a node is
-	// queued at most once) serve every destination's search.
+	// queued at most once) serve every search.
 	dist := make([]int32, nodes)
 	queue := make([]Node, 0, nodes)
 	var next []int32
+	// Sets are interned host by host, in host order, as a search per host
+	// would: the first host behind an attach switch interns that search's
+	// sets, and later hosts behind it reuse their numbers.
+	type attachRoutes struct {
+		self int     // the attach switch's index in n.switches
+		num  []int32 // per switch, its set toward the attach switch's hosts
+	}
+	byAttach := make(map[*Switch]*attachRoutes)
 	for _, dst := range n.hosts {
-		n.bfs(dst, dist, queue)
-		for i, s := range n.switches {
-			ds := dist[s.id]
-			if s.failed || ds < 0 {
-				continue
-			}
-			next = next[:0]
-			for pi, p := range s.ports {
-				if !p.linkDown && dist[p.PeerNode.ID()] == ds-1 {
-					next = append(next, int32(pi))
+		sw := dst.attachSwitch()
+		if sw == nil {
+			continue
+		}
+		ar := byAttach[sw]
+		if ar == nil {
+			ar = &attachRoutes{num: make([]int32, len(n.switches))}
+			byAttach[sw] = ar
+			n.bfs(sw, dist, queue)
+			for i, s := range n.switches {
+				if s == sw {
+					ar.self = i
+				} else if next = s.nextHops(dist, next[:0]); len(next) > 0 {
+					ar.num[i] = sets[i].intern(next)
 				}
 			}
-			if len(next) > 0 {
-				s.route[dst.id] = sets[i].intern(next)
+		}
+		for i, s := range n.switches {
+			if k := ar.num[i]; k > 0 {
+				s.route[dst.id] = k
 			}
+		}
+		if port := dst.nic[0].PeerPort; !sw.ports[port].linkDown {
+			next = append(next[:0], int32(port))
+			sw.route[dst.id] = sets[ar.self].intern(next)
 		}
 	}
 	for i, s := range n.switches {
 		s.routeSets = sets[i].table()
 	}
+}
+
+// attachSwitch returns the live switch h's NIC links to, or nil when no
+// switch can reach h: no NIC, a NIC end that is down, a failed switch,
+// or a peer that is not a switch (a host, which has no other link).
+func (h *Host) attachSwitch() *Switch {
+	p := h.nic[0]
+	if p == nil || p.linkDown {
+		return nil
+	}
+	if sw, ok := p.PeerNode.(*Switch); ok && !sw.failed {
+		return sw
+	}
+	return nil
+}
+
+// nextHops appends to next the live ports of s whose peer is one hop
+// nearer the search root than s is, by dist. A failed switch, the root
+// and switches the search did not reach have none.
+func (s *Switch) nextHops(dist []int32, next []int32) []int32 {
+	ds := dist[s.id]
+	if s.failed || ds <= 0 {
+		return next
+	}
+	for pi, p := range s.ports {
+		if !p.linkDown && dist[p.PeerNode.ID()] == ds-1 {
+			next = append(next, int32(pi))
+		}
+	}
+	return next
 }
 
 // choiceSets collects one switch's distinct equal-cost port sets while
@@ -268,7 +322,7 @@ func (n *Network) ComputeRoutes() {
 type choiceSets struct {
 	ports []int32
 	end   []int32
-	last  int32 // the set interned most recently: the next host's likeliest
+	last  int32 // the set interned most recently: the next intern's likeliest
 }
 
 // intern returns the number of the set equal to next, adding it if new.
@@ -356,8 +410,6 @@ func (n *Network) StartFlow(src, dst *Host, cfg FlowConfig) *Flow {
 		net:         n,
 		src:         src,
 		dst:         dst,
-		srcID:       src.id,
-		dstID:       dst.id,
 		Size:        cfg.Size,
 		MaxRate:     cfg.MaxRate,
 		CC:          cc,
@@ -365,7 +417,14 @@ func (n *Network) StartFlow(src, dst *Host, cfg FlowConfig) *Flow {
 		AckEvery:    ackEvery,
 		RTO:         rto,
 		ExtraHeader: cfg.ExtraHeader,
+		scheme:      cfg.Scheme,
 		StartTime:   n.Engine.Now(),
+	}
+	if cfg.Reliable {
+		f.gbn = &gbnState{}
+	}
+	if cfg.Size == 0 {
+		src.mayRemove = true // nothing to send: removable at once
 	}
 	n.register(f)
 	src.addFlow(f)

@@ -164,8 +164,8 @@ func (pkt *Packet) reset() {
 func dataPacket(f *Flow, seq int64, payload int, last bool, now sim.Time) *Packet {
 	pkt := f.net.AcquirePacket(f.src)
 	pkt.Flow = f.ID
-	pkt.Src = f.srcID
-	pkt.Dst = f.dstID
+	pkt.Src = f.src.id
+	pkt.Dst = f.dst.id
 	pkt.Kind = KindData
 	pkt.Cls = ClassData
 	pkt.Size = payload + HeaderBytes

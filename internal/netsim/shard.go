@@ -150,7 +150,7 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 		}
 		slices.SortFunc(n.doneScratch, func(x, y *Flow) int {
 			return cmp.Or(cmp.Compare(x.FinishTime, y.FinishTime),
-				cmp.Compare(x.dstID, y.dstID), cmp.Compare(x.ID, y.ID))
+				cmp.Compare(x.dst.id, y.dst.id), cmp.Compare(x.ID, y.ID))
 		})
 		for _, f := range n.doneScratch {
 			if n.OnFlowDone != nil {
@@ -173,7 +173,7 @@ func (n *Network) drainShardCompletions(now sim.Time) {
 		}
 		slices.SortFunc(n.retireScratch, func(x, y retireReq) int {
 			return cmp.Or(cmp.Compare(x.at, y.at),
-				cmp.Compare(x.f.srcID, y.f.srcID), cmp.Compare(x.f.ID, y.f.ID))
+				cmp.Compare(x.f.src.id, y.f.src.id), cmp.Compare(x.f.ID, y.f.ID))
 		})
 		for _, r := range n.retireScratch {
 			n.removeFlowLater(r.f)

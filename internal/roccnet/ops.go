@@ -1,6 +1,10 @@
 package roccnet
 
-import "rocc/internal/netsim"
+import (
+	"rocc/internal/core"
+	"rocc/internal/netsim"
+	"rocc/internal/telemetry"
+)
 
 // Ops is RoCC's netsim.CongestionOps descriptor: congestion points on
 // switch egress ports, reaction points as flow controllers, no receiver
@@ -18,6 +22,12 @@ type Ops struct {
 	// keyed by port. Assign a shared map to observe attachments from
 	// outside; NewOps allocates one otherwise.
 	CPs map[*netsim.Port]*CP
+
+	// rpTM is the rocc.rp.* mirror set every reaction point of the
+	// fabric shares, resolved from rpReg, the registry the network held
+	// when it was resolved.
+	rpTM  *core.RPTelemetry
+	rpReg *telemetry.Registry
 }
 
 // NewOps builds the RoCC descriptor around live CP/RP option structs.
@@ -47,7 +57,10 @@ func (o *Ops) NewReceiver(net *netsim.Network, h *netsim.Host) netsim.ReceiverHo
 
 // NewFlowCC implements netsim.CongestionOps.
 func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
-	return NewFlowCC(src, *o.RP)
+	if reg := net.TelemetryRegistry(); o.rpTM == nil || reg != o.rpReg {
+		o.rpTM, o.rpReg = core.RPTelemetryFrom(reg), reg
+	}
+	return newFlowCC(src, *o.RP, o.rpTM)
 }
 
 // AckEvery implements netsim.CongestionOps: RoCC needs no flow ACKs.

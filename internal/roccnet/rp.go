@@ -63,58 +63,79 @@ const maxQueueUnits = 1 << 24
 // the flow at the fair rate of its most congested CP and exponentially
 // recovers when CNPs stop (§3.5).
 type FlowCC struct {
-	engine *sim.Engine
-	host   *netsim.Host
-	opts   RPOptions
-	rmax   float64 // Mb/s: the NIC link rate, the most a flow may send
+	host *netsim.Host
 
-	rp       *core.RP
-	hostCP   *core.HostCP
-	lastCNPs map[core.CPKey]sim.Time
-	pacer    netsim.Pacer
-	timer    sim.Handle
+	// The RPOptions read after construction.
+	recoveryTimer sim.Time
+	maxCNPAge     sim.Time
+	verifyCPPath  bool
 
-	// Path-witness state (VerifyCPPath): the set of CPKeys on the
-	// flow's path, learned at the first CNP; relearn asks for a
-	// refresh after a reroute. Replays counts CNPs rejected for age.
-	pathCPs map[core.CPKey]bool
-	relearn bool
+	rp    core.RP
+	pacer netsim.Pacer
+	timer sim.Handle
+
+	// rare holds the host-computed and path-witness state, allocated on
+	// first use: most flows never need it.
+	rare *rpRare
+
+	// Replays counts CNPs rejected for age (RPOptions.MaxCNPAge).
 	Replays int
 
-	// Telemetry (nil-safe; resolved from the host's network at build).
-	rec  *telemetry.Recorder
 	flow int64 // learned from the first packet seen, for event labelling
+}
+
+// rpRare is a reaction point's state for the §3.6 host-computed mode
+// (hostCP, lastCNPs) and the forged-feedback defense (pathCPs: the
+// CPKeys on the flow's path, learned at the first CNP; relearn asks for
+// a refresh after a reroute).
+type rpRare struct {
+	hostCP   *core.HostCP
+	lastCNPs map[core.CPKey]sim.Time
+	pathCPs  map[core.CPKey]bool
+	relearn  bool
 }
 
 // NewFlowCC builds a reaction point for a flow originating at host. Its
 // recovery timer runs on the host's engine.
 func NewFlowCC(host *netsim.Host, opts RPOptions) *FlowCC {
+	return newFlowCC(host, opts, core.RPTelemetryFrom(host.Network().TelemetryRegistry()))
+}
+
+// newFlowCC is NewFlowCC with the network's RP counter mirrors resolved.
+func newFlowCC(host *netsim.Host, opts RPOptions, tm *core.RPTelemetry) *FlowCC {
 	opts.fill()
 	cc := &FlowCC{
-		engine: host.Engine(),
-		host:   host,
-		opts:   opts,
-		rmax:   host.NIC().LinkRate.Mbps(),
+		host:          host,
+		recoveryTimer: opts.RecoveryTimer,
+		maxCNPAge:     opts.MaxCNPAge,
+		verifyCPPath:  opts.VerifyCPPath,
 	}
 	cfg := core.RPConfig{
 		DeltaFMbps: rpDeltaFMbps,
-		RmaxMbps:   cc.rmax,
+		RmaxMbps:   host.NIC().LinkRate.Mbps(),
 		StaleK:     opts.StaleK,
 	}
 	if opts.VerifyCPPath {
 		cfg.Witness = cc.witnessCP
 	}
-	cc.rp = core.NewRP(cfg)
+	cc.rp.Init(cfg)
 	if opts.HostRegistry != nil {
-		cc.hostCP = core.NewHostCP(opts.HostRegistry)
+		cc.rare = &rpRare{hostCP: core.NewHostCP(opts.HostRegistry)}
 	}
-	cc.rp.SetTelemetry(core.RPTelemetryFrom(host.Network().TelemetryRegistry()))
-	cc.rec = host.Network().Recorder()
+	cc.rp.SetTelemetry(tm)
 	return cc
 }
 
+// rareState returns the flow's rare state, allocating it on first use.
+func (cc *FlowCC) rareState() *rpRare {
+	if cc.rare == nil {
+		cc.rare = &rpRare{}
+	}
+	return cc.rare
+}
+
 // RP exposes the underlying Alg. 2 state for instrumentation.
-func (cc *FlowCC) RP() *core.RP { return cc.rp }
+func (cc *FlowCC) RP() *core.RP { return &cc.rp }
 
 // Allow implements netsim.FlowCC: unconstrained until the rate limiter is
 // installed, then paced at the accepted fair rate.
@@ -141,14 +162,14 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 	if info == nil {
 		return
 	}
-	if cc.opts.MaxCNPAge > 0 && now-pkt.SendTS > cc.opts.MaxCNPAge {
+	if cc.maxCNPAge > 0 && now-pkt.SendTS > cc.maxCNPAge {
 		// Too old to describe the path's current state: a replayed (or
 		// absurdly delayed) CNP must not steer the rate limiter.
 		cc.Replays++
 		cc.rp.CountRejected()
 		return
 	}
-	if cc.opts.VerifyCPPath && (cc.pathCPs == nil || cc.relearn) {
+	if cc.verifyCPPath && (cc.rare == nil || cc.rare.pathCPs == nil || cc.rare.relearn) {
 		cc.learnPath(pkt.Flow)
 	}
 	cpKey := core.CPKey{Node: int64(info.CP.Node), Port: info.CP.Port}
@@ -163,27 +184,28 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 			cc.rp.CountRejected()
 			return
 		}
-		if cc.hostCP == nil {
-			cc.hostCP = core.NewHostCP(nil)
+		r := cc.rareState()
+		if r.hostCP == nil {
+			r.hostCP = core.NewHostCP(nil)
 		}
-		if cc.lastCNPs == nil {
-			cc.lastCNPs = make(map[core.CPKey]sim.Time)
+		if r.lastCNPs == nil {
+			r.lastCNPs = make(map[core.CPKey]sim.Time)
 		}
 		// Catch up on intervals the CP computed but did not signal to
 		// this flow (it was not contributing to the queue then, so the
 		// queue it would have reported is approximated as empty). The
 		// replica assumes the CP updates every defaultT.
-		if last, ok := cc.lastCNPs[cpKey]; ok {
+		if last, ok := r.lastCNPs[cpKey]; ok {
 			missed := int((now-last)/defaultT) - 1
 			if missed > 256 {
 				missed = 256
 			}
 			for i := 0; i < missed; i++ {
-				cc.hostCP.Compute(cpKey, 0, 0)
+				r.hostCP.Compute(cpKey, 0, 0)
 			}
 		}
-		cc.lastCNPs[cpKey] = now
-		rateUnits = cc.hostCP.Compute(cpKey, info.QCurUnits, info.QOldUnits)
+		r.lastCNPs[cpKey] = now
+		rateUnits = r.hostCP.Compute(cpKey, info.QCurUnits, info.QOldUnits)
 	}
 	cc.flow = int64(pkt.Flow)
 	if cc.rp.ProcessCNP(rateUnits, cpKey) {
@@ -198,7 +220,9 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 // machinery — SuspectStale is a no-op when staleness handling is
 // disabled, preserving byte-identity for fabrics that opt out.
 func (cc *FlowCC) OnReroute(now sim.Time) {
-	cc.relearn = cc.pathCPs != nil // refresh the witness set at the next CNP
+	if r := cc.rare; r != nil {
+		r.relearn = r.pathCPs != nil // refresh the witness set at the next CNP
+	}
 	cc.rp.SuspectStale()
 }
 
@@ -206,7 +230,8 @@ func (cc *FlowCC) OnReroute(now sim.Time) {
 // flow's current ECMP path. Entries accumulate across reroutes so a CNP
 // emitted on the old path just before the switch-over still validates.
 func (cc *FlowCC) learnPath(flow netsim.FlowID) {
-	cc.relearn = false
+	r := cc.rareState()
+	r.relearn = false
 	net := cc.host.Network()
 	f := net.Flow(flow)
 	if f == nil {
@@ -216,11 +241,11 @@ func (cc *FlowCC) learnPath(flow netsim.FlowID) {
 	if len(cps) == 0 {
 		return
 	}
-	if cc.pathCPs == nil {
-		cc.pathCPs = make(map[core.CPKey]bool, len(cps))
+	if r.pathCPs == nil {
+		r.pathCPs = make(map[core.CPKey]bool, len(cps))
 	}
 	for _, id := range cps {
-		cc.pathCPs[core.CPKey{Node: int64(id.Node), Port: id.Port}] = true
+		r.pathCPs[core.CPKey{Node: int64(id.Node), Port: id.Port}] = true
 	}
 }
 
@@ -229,14 +254,19 @@ func (cc *FlowCC) learnPath(flow netsim.FlowID) {
 // and is judged against it — learnPath runs ahead of ProcessCNP in
 // OnCNP, so a spoofed first CNP is still caught).
 func (cc *FlowCC) witnessCP(cp core.CPKey) bool {
-	return cc.pathCPs == nil || cc.pathCPs[cp]
+	return cc.rare == nil || cc.rare.pathCPs == nil || cc.rare.pathCPs[cp]
 }
 
 // recordRate files the RP's current rate as a per-flow counter track, so
 // the Chrome trace shows each flow's rate trajectory next to the CP's
-// fair-rate signal and the queue depth.
+// fair-rate signal and the queue depth. The recorder is the network's,
+// nil when none is attached.
 func (cc *FlowCC) recordRate(now sim.Time) {
-	cc.rec.Record(telemetry.Event{
+	rec := cc.host.Network().Recorder()
+	if rec == nil {
+		return
+	}
+	rec.Record(telemetry.Event{
 		At:    int64(now),
 		Kind:  telemetry.KindCounter,
 		Cat:   "rocc",
@@ -250,7 +280,7 @@ func (cc *FlowCC) recordRate(now sim.Time) {
 // CurrentRate implements netsim.FlowCC.
 func (cc *FlowCC) CurrentRate() netsim.Rate {
 	if !cc.rp.Installed() {
-		return netsim.Mbps(cc.rmax)
+		return netsim.Mbps(cc.rp.RmaxMbps())
 	}
 	return netsim.Mbps(cc.rp.RateMbps())
 }
@@ -264,7 +294,7 @@ func (cc *FlowCC) resetTimer() {
 	cc.timer.Cancel()
 	// AfterCall with a package-level func: the recovery timer re-arms on
 	// every accepted CNP, so it must not allocate a bound-method closure.
-	cc.timer = cc.engine.AfterCall(cc.opts.RecoveryTimer, recoveryExpired, cc, nil)
+	cc.timer = cc.host.Engine().AfterCall(cc.recoveryTimer, recoveryExpired, cc, nil)
 }
 
 // recoveryExpired is Alg. 2's Timer_Expired: double the rate, or uninstall
@@ -277,7 +307,7 @@ func recoveryExpired(a, _ any) {
 		// the next CNP. No timer needed.
 		cc.pacer.Reset()
 	} else {
-		cc.recordRate(cc.engine.Now())
+		cc.recordRate(cc.host.Engine().Now())
 		cc.resetTimer()
 	}
 	cc.host.Kick()
