@@ -40,11 +40,6 @@ type Network struct {
 	// OnFlowDone is invoked when a flow's last byte reaches its receiver.
 	OnFlowDone func(*Flow)
 
-	// OnFlowRemoved is invoked when a completed flow is finally dropped
-	// from the registry, after the post-completion grace period for late
-	// control packets.
-	OnFlowRemoved func(*Flow)
-
 	// DefaultRPDelay is applied to hosts created after it is set (15 µs
 	// per §6). It can be overridden per host.
 	DefaultRPDelay sim.Time
@@ -468,9 +463,6 @@ func flowRemove(a, b any) {
 		n.activeFlows--
 		for n.flowHead < len(n.flows) && n.flows[n.flowHead] == nil {
 			n.flowHead++
-		}
-		if n.OnFlowRemoved != nil {
-			n.OnFlowRemoved(f)
 		}
 	}
 }

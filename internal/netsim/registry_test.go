@@ -54,20 +54,30 @@ func TestFlowRegistryUnknownIDs(t *testing.T) {
 // the window's front, then without it: every live flow stays
 // addressable, every removed one reads nil, ActiveFlowCount matches the
 // live set, and once the front flow is gone the window stops growing.
+// A completed flow is removed removeGrace after the coordinator replays
+// its completion, which is when OnFlowDone runs.
 func TestFlowRegistryWindow(t *testing.T) {
 	engine, net, a, b, _ := pair(Gbps(100))
 	long := net.StartFlow(a, b, FlowConfig{Size: -1})
-	var removed []FlowID
-	net.OnFlowRemoved = func(f *Flow) { removed = append(removed, f.ID) }
+	type done struct {
+		id      FlowID
+		removal sim.Time
+	}
+	var completed []done
+	net.OnFlowDone = func(f *Flow) { completed = append(completed, done{f.ID, engine.Now() + removeGrace}) }
+	removed := 0
 	check := func(round int) {
 		t.Helper()
 		live := liveFlows(net)
 		if len(live) != net.ActiveFlowCount() {
 			t.Fatalf("round %d: ActiveFlowCount = %d, live set %d", round, net.ActiveFlowCount(), len(live))
 		}
-		for _, id := range removed {
-			if net.Flow(id) != nil {
-				t.Fatalf("round %d: removed flow %d still addressable", round, id)
+		for _, d := range completed {
+			if d.removal <= engine.Now() {
+				removed++
+				if net.Flow(d.id) != nil {
+					t.Fatalf("round %d: flow %d still addressable after its removal at %d", round, d.id, d.removal)
+				}
 			}
 		}
 	}
@@ -81,8 +91,8 @@ func TestFlowRegistryWindow(t *testing.T) {
 		}
 		check(round)
 	}
-	if len(removed) == 0 {
-		t.Fatal("no short flow completed; the test exercises nothing")
+	if removed == 0 {
+		t.Fatal("no short flow was removed; the test exercises nothing")
 	}
 
 	long.Stop()

@@ -33,9 +33,10 @@ type event struct {
 	cb   Callback
 	a, b any
 
-	// Position in the pending-event set (queue.go): which structure holds
-	// the event, its index while in a heap, its neighbours while linked
-	// into a ring bucket. A free slot links to the next free one.
+	// Position in the pending-event set (queue.go): which of its three
+	// places holds the event, its index while in far, its neighbours while
+	// linked into a bucket or a list of the loaded slot. A free slot links
+	// to the next free one.
 	index      int
 	next, prev *event
 	loc        uint8
@@ -109,8 +110,9 @@ type Engine struct {
 	group *Group
 
 	// q holds the pending events and pops them in (at, k1, seq) order. It
-	// is last because it embeds the bucket ring (about 8 KB, see
-	// queue.go); the scalars above stay on the leading cache lines.
+	// is last because it embeds the bucket ring and the loaded slot's
+	// lists (about 9 KB, see queue.go); the scalars above stay on the
+	// leading cache lines.
 	q queue
 }
 
@@ -121,7 +123,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return e.q.n }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -175,7 +177,7 @@ func (e *Engine) enqueue(ev *event, t Time) Handle {
 	}
 	ev.at = t
 	e.q.push(ev)
-	if n := e.q.len(); n > e.maxPending {
+	if n := e.q.n; n > e.maxPending {
 		e.maxPending = n
 	}
 	return Handle{ev: ev, gen: ev.gen}
@@ -260,10 +262,11 @@ func (e *Engine) Step() bool {
 // is recycled before the callback runs, so callbacks scheduling new
 // events reuse it immediately.
 func (e *Engine) fire() bool {
-	ev := e.q.pop()
+	ev := e.q.first()
 	if ev == nil {
 		return false
 	}
+	e.q.remove(ev)
 	e.now = ev.at
 	e.curCtx = ev.ctx
 	fn, cb, a, b := ev.fn, ev.cb, ev.a, ev.b

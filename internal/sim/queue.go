@@ -1,60 +1,52 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 )
 
-// The pending-event set: a fixed ring of unsorted near-future buckets,
-// drained one slot at a time into a sorted run, with two key-inline
-// 4-ary heaps for what the ring cannot hold (DESIGN.md §15).
+// The pending-event set, in three places (DESIGN.md §15). Virtual time
+// is cut into slots of 1<<slotShift ns; cursor is the first slot not yet
+// loaded. An event with slot s lives in
 //
-// Virtual time is cut into slots of 1<<slotShift ns. cursor is the first
-// slot not yet loaded; an event with slot s lives in
+//	slot   if s == cursor-1: the loaded slot, one list per nanosecond,
+//	       each in (k1, seq) order
+//	ring   if cursor <= s < cursor+ringSize: bucket s&ringMask, unsorted
+//	far    otherwise (s >= cursor): a 4-ary heap on (at, k1, seq)
 //
-//	ring   if cursor <= s < cursor+ringSize: linked, unsorted, into
-//	       bucket s&ringMask
-//	far    if s >= cursor+ringSize: a heap on (at, k1, seq)
-//	run    if s < cursor and it was pending when its slot was loaded: the
-//	       slot's events in order, popped from the front
-//	late   if s < cursor and it was pushed after that: a heap
-//
-// Everything in run and late is earlier than everything in the ring and
-// in far, so the smaller of run's head and late's root is the minimum of
-// the queue. When both are empty the cursor jumps to the earliest
-// occupied slot — the next non-empty bucket or far's minimum, whichever
-// is first — and only that slot's events are loaded: spread over one
-// list per nanosecond, emitted in ascending time, with only the ties of
-// one nanosecond sorted. The ring window is exactly ringSize slots wide,
-// so a bucket never mixes slots, and far events are pulled when their
-// slot becomes the minimum, never migrated ahead of time.
-//
-// The constants are constants, not options; DESIGN.md §15 has the
-// measurements. 16, 32 and 64 ns slots measure level; 64 is kept because
-// 1024 buckets of it reach 65.5 µs — serialization, propagation, pacing
-// and the 40 µs CP ticker — at a fixed footprint near 8 KB per engine.
+// The head of the lowest occupied list is the minimum. When the loaded
+// slot is empty, the cursor jumps past the earliest occupied slot, the
+// next bucket's or far's minimum's, and that slot is loaded. A push
+// before the loaded slot (peekAt may load past the clock) steps the
+// cursor back. The constants are not options; §15 has their measurements.
 const (
 	slotShift = 6
 	ringSize  = 1024
 	ringMask  = ringSize - 1
+	nsMask    = 1<<slotShift - 1
 )
 
 // Where a scheduled event lives; locNone once popped, cancelled or free.
 const (
 	locNone uint8 = iota
-	locRun
-	locLate
+	locSlot
 	locRing
 	locFar
 )
 
 type queue struct {
-	run    []entry // the loaded slot, sorted; run[head:] is still to pop
-	head   int     // run[head] is live unless the run is exhausted
-	late   heap4   // events pushed behind the cursor
-	far    heap4   // events beyond the ring
-	n      int     // pending events in all four
-	cursor int64   // first slot not yet loaded
+	far    heap4
+	n      int   // pending events in all three places
+	cursor int64 // first slot not yet loaded
+
+	// The loaded slot: list i holds its events of nanosecond i, linked
+	// through event.next/prev; bit i of mask is set while it is
+	// non-empty. ties is advance's scratch for sorting one list.
+	mask  uint64
+	heads [1 << slotShift]*event
+	tails [1 << slotShift]*event
+	ties  []entry
 
 	// Two-level occupancy bitmap over the buckets: bit b of l0 is set
 	// while bucket b is non-empty, bit w of l1 while l0[w] is non-zero.
@@ -67,200 +59,214 @@ type queue struct {
 
 func slotOf(t Time) int64 { return int64(t) >> slotShift }
 
-func (q *queue) len() int { return q.n }
-
 func (q *queue) push(ev *event) {
 	q.n++
-	slot := slotOf(ev.at)
-	switch d := slot - q.cursor; {
-	case d < 0:
-		// Behind the cursor: peekAt may have loaded a slot past the
-		// clock, and a slot being drained still takes new events.
-		ev.loc = locLate
-		q.late.push(ev)
-	case d < ringSize:
-		b := uint(slot) & ringMask
-		head := q.bucket[b]
-		ev.loc = locRing
-		ev.next = head
-		if head != nil {
-			head.prev = ev
-		} else {
-			q.l0[b>>6] |= 1 << (b & 63)
-			q.l1 |= 1 << (b >> 6)
+	if slot := slotOf(ev.at); slot < q.cursor {
+		if slot < q.cursor-1 {
+			q.stepBack(slot)
 		}
-		q.bucket[b] = ev
-	default:
+		q.insert(ev)
+		return
+	}
+	q.place(ev)
+}
+
+// place links an event at or after the cursor into its bucket, or into
+// far when the ring does not reach its slot.
+func (q *queue) place(ev *event) {
+	slot := slotOf(ev.at)
+	if slot-q.cursor >= ringSize {
 		ev.loc = locFar
 		q.far.push(ev)
+		return
+	}
+	b := uint(slot) & ringMask
+	head := q.bucket[b]
+	ev.loc, ev.next, ev.prev = locRing, head, nil
+	if head != nil {
+		head.prev = ev
+	} else {
+		q.l0[b>>6] |= 1 << (b & 63)
+		q.l1 |= 1 << (b >> 6)
+	}
+	q.bucket[b] = ev
+}
+
+// insert links an event of the loaded slot into its nanosecond's list
+// after the last entry that precedes it, walking from the tail.
+func (q *queue) insert(ev *event) {
+	ns := uint(ev.at) & nsMask
+	p := q.tails[ns]
+	for p != nil && (ev.k1 < p.k1 || ev.k1 == p.k1 && ev.seq < p.seq) {
+		p = p.prev
+	}
+	q.link(ev, ns, p)
+}
+
+// link splices an event into list ns after p, or at its head if p is nil.
+func (q *queue) link(ev *event, ns uint, p *event) {
+	ev.loc, ev.prev = locSlot, p
+	if p == nil {
+		ev.next = q.heads[ns]
+		q.heads[ns] = ev
+		q.mask |= 1 << ns
+	} else {
+		ev.next, p.next = p.next, ev
+	}
+	if ev.next == nil {
+		q.tails[ns] = ev
+	} else {
+		ev.next.prev = ev
 	}
 }
 
-// remove takes a pending event out of whichever structure holds it.
-func (q *queue) remove(ev *event) {
-	q.n--
-	switch ev.loc {
-	case locRun:
-		// The event's slot is free at once; its emptied entry stays in
-		// the run until head passes it.
-		q.run[ev.index].ev = nil
-		if ev.index == q.head {
-			q.skipDead()
-		}
-	case locLate:
-		q.late.remove(ev.index)
-	case locFar:
-		q.far.remove(ev.index)
-	case locRing:
-		next, prev := ev.next, ev.prev
-		if next != nil {
-			next.prev = prev
-		}
-		if prev != nil {
-			prev.next = next
-		} else {
-			b := uint(slotOf(ev.at)) & ringMask
-			q.bucket[b] = next
-			if next == nil {
-				q.clearBucket(b)
+// stepBack makes slot the loaded one when a push lands before a slot
+// that peekAt loaded ahead of the clock; the slots in between are empty.
+// The window moves back with the cursor, so buckets it no longer reaches
+// go to far first; then the old loaded slot returns to the ring or far.
+func (q *queue) stepBack(slot int64) {
+	old := q.cursor
+	q.cursor = slot + 1
+	for w1 := q.l1; w1 != 0; w1 &= w1 - 1 {
+		w := uint(bits.TrailingZeros64(w1))
+		for m := q.l0[w]; m != 0; m &= m - 1 {
+			if b := w<<6 | uint(bits.TrailingZeros64(m)); old+int64((b-uint(old))&ringMask) >= q.cursor+ringSize {
+				q.replace(q.take(b))
 			}
 		}
-		ev.next, ev.prev = nil, nil
 	}
-	ev.loc = locNone
+	for ; q.mask != 0; q.mask &= q.mask - 1 {
+		ns := bits.TrailingZeros64(q.mask)
+		q.replace(q.heads[ns])
+		q.heads[ns], q.tails[ns] = nil, nil
+	}
 }
 
-func (q *queue) clearBucket(b uint) {
+// replace places again each event of a chain linked through next.
+func (q *queue) replace(ev *event) {
+	for ev != nil {
+		next := ev.next
+		q.place(ev)
+		ev = next
+	}
+}
+
+// take empties bucket b and returns its chain.
+func (q *queue) take(b uint) *event {
+	ev := q.bucket[b]
+	q.bucket[b] = nil
 	w := b >> 6
 	q.l0[w] &^= 1 << (b & 63)
 	if q.l0[w] == 0 {
 		q.l1 &^= 1 << w
 	}
+	return ev
 }
 
-// skipDead moves head past the entries of cancelled events.
-func (q *queue) skipDead() {
-	for q.head < len(q.run) && q.run[q.head].ev == nil {
-		q.head++
+// remove takes a pending event out of whichever structure holds it.
+func (q *queue) remove(ev *event) {
+	q.n--
+	next, prev := ev.next, ev.prev
+	switch ev.loc {
+	case locFar:
+		q.far.remove(ev.index)
+	case locSlot:
+		ns := uint(ev.at) & nsMask
+		if next != nil {
+			next.prev = prev
+		} else {
+			q.tails[ns] = prev
+		}
+		if prev != nil {
+			prev.next = next
+		} else if q.heads[ns] = next; next == nil {
+			q.mask &^= 1 << ns
+		}
+	case locRing:
+		if next != nil {
+			next.prev = prev
+		}
+		if prev != nil {
+			prev.next = next
+		} else if b := uint(slotOf(ev.at)) & ringMask; next == nil {
+			q.take(b)
+		} else {
+			q.bucket[b] = next
+		}
 	}
+	ev.next, ev.prev, ev.loc = nil, nil, locNone
 }
 
-// pop removes and returns the earliest pending event, nil when empty.
-func (q *queue) pop() *event {
-	if q.head == len(q.run) && len(q.late) == 0 {
+// first returns the earliest pending event, nil when the queue is empty.
+// It may load the next slot, which moves the cursor but no event's order.
+func (q *queue) first() *event {
+	if q.mask == 0 {
 		if q.n == 0 {
 			return nil
 		}
 		q.advance()
 	}
-	q.n--
-	var ev *event
-	if q.head < len(q.run) && (len(q.late) == 0 || !q.late[0].less(&q.run[q.head])) {
-		ev = q.run[q.head].ev
-		q.head++
-		q.skipDead()
-	} else {
-		ev = q.late.pop()
-	}
-	ev.loc = locNone
-	return ev
+	return q.heads[bits.TrailingZeros64(q.mask)]
 }
 
-// peekAt returns the earliest pending timestamp, maxTime when empty. It
-// may load the next slot, which moves the cursor but no event's order.
+// peekAt returns the earliest pending timestamp, maxTime when empty.
 func (q *queue) peekAt() Time {
-	if q.head == len(q.run) && len(q.late) == 0 {
-		if q.n == 0 {
-			return maxTime
-		}
-		q.advance()
+	if ev := q.first(); ev != nil {
+		return ev.at
 	}
-	if q.head == len(q.run) {
-		return q.late[0].at
-	}
-	at := q.run[q.head].at
-	if len(q.late) > 0 && q.late[0].at < at {
-		at = q.late[0].at
-	}
-	return at
+	return maxTime
 }
 
-// advance loads the earliest occupied slot into the exhausted run. The
-// caller guarantees the ring or far holds at least one event.
-//
-// The slot's events, from its bucket and from far alike, are spread over
-// one list per nanosecond of the slot, which the occupancy mask then
-// emits in ascending time; only each nanosecond's own ties are sorted.
+// advance loads the earliest occupied slot into the empty loaded slot.
+// The caller guarantees the ring or far holds an event. The slot's
+// events, from its bucket and from far alike, are stacked on their
+// nanoseconds' lists; then each list of two or more is sorted once.
 func (q *queue) advance() {
-	const none = int64(1<<63 - 1)
-	ringSlot, farSlot := none, none
-	if q.l1 != 0 {
-		ringSlot = q.nextRingSlot()
-	}
+	slot := int64(1<<63 - 1)
 	if len(q.far) > 0 {
-		farSlot = slotOf(q.far[0].at)
+		slot = slotOf(q.far[0].at)
 	}
-	slot := min(ringSlot, farSlot)
+	var ev *event // the slot's events, chained through next
+	if q.l1 != 0 {
+		if s := q.nextRingSlot(); s <= slot {
+			slot, ev = s, q.take(uint(s)&ringMask)
+		}
+	}
 	q.cursor = slot + 1
-	var heads [1 << slotShift]*event // linked through event.next
-	var mask uint64
-	if ringSlot == slot {
-		b := uint(slot) & ringMask
-		ev := q.bucket[b]
-		q.bucket[b] = nil
-		q.clearBucket(b)
-		for ev != nil {
-			next := ev.next
-			ns := uint(ev.at) & (1<<slotShift - 1)
-			ev.next, ev.prev = heads[ns], nil
-			heads[ns] = ev
-			mask |= 1 << ns
-			ev = next
-		}
+	for len(q.far) > 0 && slotOf(q.far[0].at) == slot {
+		f := q.far[0].ev
+		q.far.remove(0)
+		f.next, ev = ev, f
 	}
-	if farSlot == slot {
-		for len(q.far) > 0 && slotOf(q.far[0].at) == slot {
-			ev := q.far.pop()
-			ns := uint(ev.at) & (1<<slotShift - 1)
-			ev.next = heads[ns]
-			heads[ns] = ev
-			mask |= 1 << ns
-		}
+	for ev != nil {
+		next := ev.next
+		q.link(ev, uint(ev.at)&nsMask, nil)
+		ev = next
 	}
-	run := q.run[:0]
-	for ; mask != 0; mask &= mask - 1 {
-		start := len(run)
-		for ev := heads[bits.TrailingZeros64(mask)]; ev != nil; {
-			next := ev.next
-			ev.next, ev.index, ev.loc = nil, len(run), locRun
-			run = append(run, entryOf(ev))
-			ev = next
+	for m := q.mask; m != 0; m &= m - 1 {
+		ns := uint(bits.TrailingZeros64(m))
+		if q.heads[ns].next == nil {
+			continue
 		}
-		if len(run)-start > 1 {
-			sortEntries(run[start:])
-			for i := start; i < len(run); i++ {
-				run[i].ev.index = i
-			}
+		ties := q.ties[:0]
+		for ev := q.heads[ns]; ev != nil; ev = ev.next {
+			ties = append(ties, entryOf(ev))
 		}
+		sortEntries(ties)
+		q.heads[ns], q.tails[ns] = nil, nil
+		for _, t := range ties {
+			q.link(t.ev, ns, q.tails[ns])
+		}
+		q.ties = ties
 	}
-	q.run, q.head = run, 0
 }
 
-// sortEntries orders the events of one nanosecond by (k1, seq). On the
-// paper's fabric that is one to three events; the k = 16 fabric's
-// lock-step flows put dozens or more in one nanosecond, where an
-// insertion sort alone would be quadratic.
+// sortEntries orders the events of one nanosecond by (k1, seq): one to
+// three on the paper's fabric, but hundreds on the k = 16 fabric's
+// lock-step flows, where an insertion sort alone would be quadratic.
 func sortEntries(s []entry) {
 	if len(s) > 64 {
-		slices.SortFunc(s, func(a, b entry) int {
-			switch {
-			case a.less(&b):
-				return -1
-			case b.less(&a):
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(s, func(a, b entry) int { return cmp.Or(cmp.Compare(a.k1, b.k1), cmp.Compare(a.seq, b.seq)) })
 		return
 	}
 	for i := 1; i < len(s); i++ {
@@ -292,8 +298,8 @@ func (q *queue) nextRingSlot() int64 {
 	return q.cursor + int64((b-i)&ringMask)
 }
 
-// entry is one element of the run or of a heap. The ordering key is
-// copied out of the event so that a comparison never dereferences it.
+// entry is one element of far or of advance's tie sort. The ordering key
+// is copied out of the event so that a comparison never dereferences it.
 type entry struct {
 	at  Time
 	k1  uint64
@@ -320,12 +326,6 @@ type heap4 []entry
 func (h *heap4) push(ev *event) {
 	*h = append(*h, entry{})
 	h.up(len(*h)-1, entryOf(ev))
-}
-
-func (h *heap4) pop() *event {
-	ev := (*h)[0].ev
-	h.remove(0)
-	return ev
 }
 
 // remove deletes the element at index i by moving the last one into the

@@ -338,7 +338,8 @@ var queueSeeds = map[string][]byte{
 		op(fzCancel, 0, 4), op(fzCancel, 0, 5), // the bucket empties
 		op(fzPush, dtRing, 1000), // 9 reuses it
 		op(fzPeek, 0, 0),         // loads 9's slot: the cursor is now past the clock
-		// cur: 10, 11, 12 land behind the cursor
+		// 10 lands before the loaded slot and steps the cursor back; 11
+		// and 12 join 10's slot
 		op(fzPush, dtZero, 0), op(fzPush, dtBucket, 9), op(fzPush, dtBucket, 3),
 		op(fzCancel, 0, 10), op(fzCancel, 0, 12), op(fzCancel, 0, 3), op(fzCancel, 0, 8),
 		op(fzPop, 7, 0)),
@@ -348,12 +349,12 @@ var queueSeeds = map[string][]byte{
 		op(fzCancel, 0, 0), op(fzPush, dtRing, 1004), // head out, 4 in
 		op(fzCancel, 0, 3), op(fzPush, dtRing, 1005), // middle out, 5 in
 		op(fzPop, 7, 0)),
-	"cancel inside the loaded run": cat(
-		// 0..4 share a slot; the peek sorts them into the run as 3 1 4 0 2
+	"cancel inside the loaded slot": cat(
+		// 0..4 share a slot; the peek loads them in the order 3 1 4 0 2
 		op(fzPush, dtRing, 1003), op(fzPush, dtRing, 1001), op(fzPush, dtRing, 1002),
 		op(fzPush, dtRing, 1000), op(fzPush, dtRing, 1004), op(fzPeek, 0, 0),
 		op(fzCancel, 0, 4), op(fzPop, 1, 0), // the middle one, then the two before it
-		op(fzPush, dtZero, 0), op(fzPush, dtBucket, 2), // 5 and 6 are late: before 0, and between 0 and 2
+		op(fzPush, dtZero, 0), op(fzPush, dtBucket, 2), // 5 and 6 join it: before 2, and behind 0 in 0's nanosecond
 		op(fzCancel, 0, 0), op(fzPop, 7, 0)), // the head
 	"a slot of hundreds, shuffled": cat(shuffledSlot(300), op(fzCancel, 0, 7), op(fzCancel, 0, 150),
 		rep(50, op(fzPop, 7, 0))),
@@ -369,6 +370,37 @@ var queueSeeds = map[string][]byte{
 	"far events pulled when their slot is next": cat(
 		op(fzPush, dtFar, 0), op(fzPush, dtFar, 0), op(fzPush, dtFar, 1), op(fzPush, dtHuge, 9),
 		op(fzRun, 2*dtRing, 65000), op(fzPush, dtRing, 600), op(fzPush, dtRing, 400),
+		op(fzPop, 7, 0)),
+	"push into a draining nanosecond of many ties, on a smaller lane": cat(
+		rep(20, op(fzKeyed, keyedArg(dtRing, 3), 500), op(fzKeyed, keyedArg(dtRing, 2), 500)),
+		op(fzPop, 0, 0), // the slot is loaded and draining at 500
+		op(fzKeyed, keyedArg(dtZero, 1), 0), op(fzKeyed, keyedArg(dtZero, 2), 0),
+		op(fzPush, dtZero, 0), op(fzKeyed, keyedArg(dtBucket, 1), 3),
+		op(fzPop, 7, 0), op(fzKeyed, keyedArg(dtZero, 1), 0), rep(6, op(fzPop, 7, 0))),
+	"cancel the head, a middle entry and the tail of a loaded nanosecond": cat(
+		// 0..4 share a nanosecond, 5 is one later; the peek loads them
+		// ahead of the clock, then the head, a middle entry and the tail go
+		rep(5, op(fzPush, dtRing, 700)), op(fzPush, dtRing, 701), op(fzPeek, 0, 0),
+		op(fzCancel, 0, 0), op(fzCancel, 0, 2), op(fzCancel, 0, 4),
+		// 6 and 7 join at the tail; then the tail and the head go, and 8 joins
+		op(fzPush, dtRing, 700), op(fzKeyed, keyedArg(dtRing, 1), 700),
+		op(fzCancel, 0, 7), op(fzCancel, 0, 1), op(fzPush, dtRing, 700),
+		op(fzPop, 7, 0)),
+	"step back from a far slot past the clock, dtZero first": cat(
+		op(fzPush, dtFar, 30000), op(fzPeek, 0, 0), // loads slot 4774, 4.7 windows ahead
+		op(fzPush, dtFar, 38128), // slot 5790: near the end of the window past that slot
+		op(fzPush, dtZero, 0), op(fzPush, dtRing, 30000), op(fzPush, dtFar, 38127),
+		op(fzPop, 7, 0)),
+	"step back from a far slot past the clock, dtRing first": cat(
+		op(fzPush, dtFar, 30000), op(fzKeyed, keyedArg(dtFar, 2), 30000), op(fzPeek, 0, 0),
+		op(fzPush, dtFar, 38128), op(fzPush, dtRing, 65000), op(fzPeek, 0, 0),
+		op(fzPush, dtRing, 20), op(fzPush, dtFar, 38128), op(fzRun, 2*dtRing, 60000),
+		op(fzPop, 7, 0)),
+	"far and ring events share a nanosecond": cat(
+		// the pop moves the window over the far events' slot, and two ring
+		// events join their nanosecond with later seqs on the same lanes
+		op(fzPush, dtFar, 0), op(fzKeyed, keyedArg(dtFar, 1), 0), op(fzPush, dtRing, 100),
+		op(fzPop, 0, 0), op(fzPush, dtRing, 65436), op(fzKeyed, keyedArg(dtRing, 1), 65436),
 		op(fzPop, 7, 0)),
 	"one slot split between ring and far": cat(
 		op(fzPush, dtFar, 0), op(fzPush, dtFar, 1), op(fzPush, dtRing, 100), op(fzPop, 0, 0),
@@ -415,12 +447,14 @@ func TestQueueRandomOps(t *testing.T) {
 	}
 }
 
-// TestEngineFootprint pins the fixed per-engine cost of the bucket ring
-// (the heaps start empty): soak builds an engine per scenario and every
+// TestEngineFootprint pins the fixed per-engine cost (far and the tie
+// scratch start empty): soak builds an engine per scenario and every
 // NewGroup adds K.
 func TestEngineFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Engine{}); size > 16<<10 {
-		t.Errorf("Engine is %d bytes, want <= 16 KB", size)
+		var q queue
+		t.Errorf("Engine is %d bytes, want <= 16 KB: %d B of bucket heads, %d B of loaded-slot list heads and tails, %d B of bitmap",
+			size, unsafe.Sizeof(q.bucket), unsafe.Sizeof(q.heads)+unsafe.Sizeof(q.tails), unsafe.Sizeof(q.l0)+unsafe.Sizeof(q.l1)+unsafe.Sizeof(q.mask))
 	}
 }
 
@@ -434,6 +468,13 @@ type benchHolder struct {
 func benchHoldFire(a, _ any) {
 	h := a.(*benchHolder)
 	h.e.AfterCall(Time(1+h.r.Intn(1000)), benchHoldFire, h, nil)
+}
+
+// benchDrainFire schedules its successor 0–56 ns ahead on an 8 ns grid,
+// on its own lane: over half land in the slot being drained.
+func benchDrainFire(a, _ any) {
+	h := a.(*benchHolder)
+	h.e.AfterCall(Time(8*h.r.Intn(8)), benchDrainFire, h, nil)
 }
 
 // BenchmarkHold is one pop plus one push at a constant pending depth.
@@ -457,6 +498,22 @@ func BenchmarkHold(b *testing.B) {
 			}
 		})
 	}
+	// drain: 512 pending events on 16 lanes over about eight timestamps,
+	// dozens of ties per nanosecond as on the k = 16 fabric, where most
+	// pushes land in the loaded slot.
+	b.Run("drain", func(b *testing.B) {
+		h := &benchHolder{e: New(), r: NewRand(1)}
+		for i := uint64(0); i < 512; i++ {
+			h.e.AtKeyed(Time(8*h.r.Intn(8)), i%16, i, i%16, benchDrainFire, h, nil)
+		}
+		for i := 0; i < 512; i++ {
+			h.e.Step()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.e.Step()
+		}
+	})
 }
 
 func benchNop(_, _ any) {}
