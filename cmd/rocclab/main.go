@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -19,15 +20,20 @@ import (
 
 func main() {
 	dur := flag.Duration("dur", 4*time.Second, "scenario duration (real time)")
-	rate := flag.Float64("rate", 400e6, "software switch drain rate, bits/s")
+	rate := flag.Float64("rate", testbed.DefaultConfig().DrainRate, "software switch drain rate, bits/s")
 	flag.Parse()
+	// The CP's Fmax is the drain rate and must exceed its 1 Mb/s Fmin.
+	if !(*rate > 1e6) || math.IsInf(*rate, 1) {
+		fmt.Fprintf(os.Stderr, "-rate %v: want a finite rate above 1e6 bits/s\n", *rate)
+		os.Exit(2)
+	}
 
 	which := "both"
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	cfg := testbed.DefaultConfig()
-	cfg.DrainRate = *rate
+	cfg := testbed.Config{DrainRate: *rate}
+	qrefKB := cfg.CP().QrefBytes / 1000
 
 	scenarios := []testbed.Scenario{testbed.Uniform, testbed.Mixed}
 	switch which {
@@ -42,7 +48,7 @@ func main() {
 	}
 
 	fmt.Printf("software switch: drain %.0f Mb/s, T=%v, Qref=%d KB\n",
-		*rate/1e6, cfg.T, cfg.CP.QrefBytes/1000)
+		*rate/1e6, testbed.T, qrefKB)
 	for _, sc := range scenarios {
 		res, err := testbed.Run(cfg, sc, *dur)
 		if err != nil {
@@ -56,6 +62,6 @@ func main() {
 			ideal = *rate * 0.6 / 1e6
 		}
 		fmt.Printf("  (ideal fair rate %.1f Mb/s, reference queue %d KB)\n",
-			ideal, cfg.CP.QrefBytes/1000)
+			ideal, qrefKB)
 	}
 }

@@ -29,3 +29,14 @@ func TestLiveness(t *testing.T) {
 		}
 	}
 }
+
+// TestBadRateExitsTwo: a drain rate the CP cannot take (Fmax must exceed
+// the 1 Mb/s Fmin and be finite) exits 2 before any socket opens.
+func TestBadRateExitsTwo(t *testing.T) {
+	for _, rate := range []string{"0", "-4e8", "1e6", "NaN", "+Inf"} {
+		r := clitest.Run(t, nil, "-rate", rate)
+		if r.Code != 2 || r.Stdout != "" {
+			t.Errorf("-rate %s: exit %d, stdout %q, want exit 2 and no output", rate, r.Code, r.Stdout)
+		}
+	}
+}

@@ -2,12 +2,12 @@
 // switch-side defenses against them — for the RoCC reproduction. Where
 // internal/faults perturbs the *environment* (lossy links, stalled
 // timers, dead switches), this package perturbs the *actors*: senders
-// that ignore congestion feedback, hosts that forge CNPs, switches that
-// bleach or mis-apply ECN marks. The defenses are the two mechanisms
-// deployed fabrics actually run: a per-flow compliance policer that
-// quarantines flows sustained above their advertised fair share, and a
-// PFC storm watchdog that disables the lossless class on a port whose
-// pause has been asserted past a deadline.
+// that ignore congestion feedback and hosts that forge CNPs. The
+// defenses are the two mechanisms deployed fabrics actually run: a
+// per-flow compliance policer that quarantines flows sustained above
+// their advertised fair share, and a PFC storm watchdog that disables
+// the lossless class on a port whose pause has been asserted past a
+// deadline.
 //
 // The paper's leverage appears exactly here: RoCC's fair rate is
 // computed *by the switch*, so the switch knows what each flow was told
@@ -17,9 +17,9 @@
 // Design rules, shared with internal/faults:
 //
 //   - Deterministic: nothing here draws random numbers. Rogue wrappers,
-//     forgers, overlays, policers and watchdogs are pure functions of
-//     simulated time and the traffic they observe, so two runs with the
-//     same seeds produce identical attack and defense sequences.
+//     forgers, policers and watchdogs are pure functions of simulated
+//     time and the traffic they observe, so two runs with the same seeds
+//     produce identical attack and defense sequences.
 //
 //   - Pay for what you use: a fabric with no adversary attachments runs
 //     byte-identical to one where this package was never imported — the
@@ -30,9 +30,9 @@
 //     contract, tested in watchdog_test.go).
 //
 //   - Injection sits at the simulator's seams (netsim.FlowCC wrapping,
-//     Host.Send, Port.CC overlays, Switch.Police), never inside the
-//     algorithms: every protocol sees rogues only as traffic that
-//     ignores feedback, and defenses only as drops.
+//     Host.Send, Switch.Police), never inside the algorithms: every
+//     protocol sees rogues only as traffic that ignores feedback, and
+//     defenses only as drops.
 package adversary
 
 import (

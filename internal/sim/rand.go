@@ -33,9 +33,6 @@ func (r *Rand) ExpTime(mean Time) Time {
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
 
-// Shuffle permutes a slice in place.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.r.Shuffle(n, swap) }
-
 // Split derives an independent generator, so that subsystems do not perturb
 // each other's random streams when one of them draws more values.
 func (r *Rand) Split() *Rand { return NewRand(r.r.Int63()) }

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 
 	"rocc/internal/harness"
@@ -67,32 +64,5 @@ func TestConcurrentRegistryUnderHarness(t *testing.T) {
 	}
 	if len(rec.Flows()) != 8 {
 		t.Errorf("per-flow rings = %d, want 8", len(rec.Flows()))
-	}
-}
-
-func TestDebugServerServesPprofAndMetrics(t *testing.T) {
-	reg := New()
-	reg.Counter("debug.hits").Add(3)
-	srv, err := ServeDebug("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for path, want := range map[string]string{
-		"/metrics":      "debug.hits",
-		"/debug/pprof/": "profiles",
-	} {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if !strings.Contains(string(body), want) {
-			t.Errorf("GET %s: body missing %q", path, want)
-		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package telemetry is the unified observability layer: a metrics
 // registry whose hot-path operations are single atomic instructions and
 // allocate nothing, a bounded per-flow flight recorder for dataplane
-// events, and exporters (text/CSV snapshots, Chrome trace-event JSON,
-// net/http/pprof).
+// events, and exporters (text/CSV snapshots, Chrome trace-event JSON).
 //
 // Everything is nil-safe: a nil *Registry hands out nil metrics, and
 // every metric method on a nil receiver is a no-op. Subsystems therefore
@@ -16,8 +15,8 @@
 //
 // Naming scheme: dotted lowercase `<subsystem>.<quantity>[_<unit>]`,
 // e.g. "netsim.drops", "netsim.queue_depth_bytes", "rocc.rp.recoveries",
-// "testbed.switch.fair_rate_mbps". Units are suffixed (_bytes, _ns,
-// _mbps) so snapshots read unambiguously.
+// "rocc.cp.fair_rate_mbps". Units are suffixed (_bytes, _ns, _mbps) so
+// snapshots read unambiguously.
 //
 // The package depends only on the standard library, so any layer of the
 // stack (internal/sim upward) may import it without cycles.
@@ -117,7 +116,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 
 // GaugeFunc registers a gauge evaluated lazily at snapshot time — zero
 // hot-path cost for values a subsystem already tracks (engine event
-// counts, atomic testbed counters). fn must be safe to call from the
+// counts, live CP rates). fn must be safe to call from the
 // snapshotting goroutine. Re-registering a name replaces the function
 // (the most recently attached subsystem wins).
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
@@ -162,7 +161,7 @@ type NamedHist struct {
 // not a consistent cut, which per-metric monitoring never needs).
 // Functions registered with CounterFunc and GaugeFunc read their owner's
 // state, so their owner decides when a snapshot is safe: the simulator
-// snapshots after its runs, the testbed registers atomic loads.
+// snapshots after its runs.
 type Snapshot struct {
 	Counters   []NamedValue
 	Gauges     []NamedValue

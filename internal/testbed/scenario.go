@@ -32,10 +32,6 @@ type Result struct {
 // Run executes a scenario for the given duration on a fresh switch and
 // three clients, sampling every 20 ms.
 func Run(cfg Config, scenario Scenario, duration time.Duration) (Result, error) {
-	if cfg.Watchdog > 0 {
-		wd := StartWatchdog(cfg.Watchdog, "scenario-"+string(scenario), nil)
-		defer wd.Stop()
-	}
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		return Result{}, err
@@ -48,7 +44,7 @@ func Run(cfg Config, scenario Scenario, duration time.Duration) (Result, error) 
 	}
 	clients := make([]*Client, len(offered))
 	for i, o := range offered {
-		c, err := NewClient(cfg, uint32(i+1), sw, o)
+		c, err := NewClient(uint32(i+1), sw, o)
 		if err != nil {
 			return Result{}, err
 		}

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,6 @@ import (
 
 	"rocc/internal/core"
 	"rocc/internal/ringq"
-	"rocc/internal/telemetry"
 )
 
 // Message types on the wire.
@@ -88,55 +86,30 @@ func pollRead(conn *net.UDPConn, buf []byte, done <-chan struct{}, errCount *ato
 	}
 }
 
+// Fixed run parameters. The CP thresholds (Config.CP) and T are sized
+// for the default 400 Mb/s drain rate: T·C = 1.5 ms × 50 MB/s = 75 KB,
+// which is Qref, so one update interval of full-rate arrivals fills the
+// reference queue.
+const (
+	T             = 1500 * time.Microsecond // CP update interval
+	Payload       = 1000                    // datagram payload, bytes
+	RecoveryTimer = 6 * time.Millisecond    // RP fast-recovery interval
+)
+
 // Config parameterizes a testbed run.
 type Config struct {
 	// DrainRate is the software switch's egress bandwidth in bits/s.
 	DrainRate float64
-
-	// T is the CP update interval.
-	T time.Duration
-
-	// CP holds the Alg. 1 parameters. Zero selects the §6.2 thresholds
-	// (75/150/210 KB) with ΔF scaled to the drain rate.
-	CP core.CPConfig
-
-	// Payload is the datagram payload size.
-	Payload int
-
-	// RecoveryTimer is the RP fast-recovery interval.
-	RecoveryTimer time.Duration
-
-	// CNPDropProb makes the switch lose each CNP it would send with this
-	// probability — feedback loss on the control path. The clients must
-	// then survive on fast recovery alone until the next CNP lands. Zero
-	// (the default) sends every CNP and draws no random numbers.
-	CNPDropProb float64
-
-	// FaultSeed seeds the CNP-drop randomness; runs with the same seed
-	// drop the same sequence of decisions. Zero selects seed 1.
-	FaultSeed int64
-
-	// Metrics, when non-nil, receives the testbed's gauges and counters.
-	// All values are read from the existing atomics via lazy gauge funcs,
-	// so attaching a registry adds no work to the socket loops.
-	Metrics *telemetry.Registry
-
-	// PprofAddr, when non-empty, serves net/http/pprof and a /metrics
-	// text snapshot on this address (e.g. "127.0.0.1:0") for the
-	// switch's lifetime.
-	PprofAddr string
-
-	// Watchdog, when positive, bounds each scenario run in wall-clock
-	// time: if the run has not finished within the deadline, the
-	// watchdog dumps every goroutine's stack and panics instead of
-	// letting a wedged socket loop hang the process silently.
-	Watchdog time.Duration
 }
 
 // DefaultConfig returns a laptop-friendly configuration: a 400 Mb/s
-// software switch with the paper's testbed queue thresholds and T scaled
-// to keep T·C/2 ≈ Qref.
-func DefaultConfig() Config {
+// software switch.
+func DefaultConfig() Config { return Config{DrainRate: 400e6} }
+
+// CP returns the Alg. 1 parameters: the paper's testbed queue thresholds
+// (75/150/210 KB), ΔF scaled to software speeds, and Fmax (hence every
+// client's Rmax) at the drain rate.
+func (c Config) CP() core.CPConfig {
 	cfg := core.CPConfig40G()
 	cfg.DeltaFMbps = 1 // finer rate units at software speeds
 	// The derivative gain is softened relative to the paper's switch
@@ -148,14 +121,8 @@ func DefaultConfig() Config {
 	cfg.QmidBytes = 150 * 1000
 	cfg.QmaxBytes = 210 * 1000
 	cfg.FminMbps = 1
-	cfg.FmaxMbps = 400
-	return Config{
-		DrainRate:     400e6,
-		T:             1500 * time.Microsecond, // ≈ 2·Qref/C at 400 Mb/s, per §5.2
-		CP:            cfg,
-		Payload:       1000,
-		RecoveryTimer: 6 * time.Millisecond,
-	}
+	cfg.FmaxMbps = c.DrainRate / 1e6
+	return cfg
 }
 
 // Switch is the user-space software switch with one congestion point.
@@ -167,7 +134,6 @@ type Switch struct {
 	mu        sync.Mutex
 	queue     ringq.Queue[[]byte]
 	queueSize int
-	flowBytes map[uint32]int
 	flowSeen  map[uint32]time.Time
 	flowAddr  map[uint32]*net.UDPAddr
 	cp        *core.CP
@@ -178,14 +144,11 @@ type Switch struct {
 	done       chan struct{}
 	wg         sync.WaitGroup
 	sinkExited atomic.Bool // set when sinkLoop returns (close-ordering regression check)
-	cnpRand    *rand.Rand  // CNP-drop fault stream; nil when CNPDropProb is 0 (cpLoop only)
-	dbg        *telemetry.DebugServer
 
 	// Counters.
-	Forwarded   atomic.Int64
-	CNPsSent    atomic.Int64
-	CNPsDropped atomic.Int64 // CNPs lost to injected control-path faults
-	ReadErrors  atomic.Int64 // transient socket read errors survived
+	Forwarded  atomic.Int64
+	CNPsSent   atomic.Int64
+	ReadErrors atomic.Int64 // transient socket read errors survived
 }
 
 // NewSwitch starts a software switch listening on a loopback UDP port.
@@ -202,43 +165,13 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	}
 	sink.SetReadBuffer(4 << 20)
 	s := &Switch{
-		cfg:       cfg,
-		conn:      conn,
-		sink:      sink,
-		flowBytes: make(map[uint32]int),
-		flowSeen:  make(map[uint32]time.Time),
-		flowAddr:  make(map[uint32]*net.UDPAddr),
-		cp:        core.NewCP(cfg.CP),
-		done:      make(chan struct{}),
-	}
-	if cfg.CNPDropProb < 0 || cfg.CNPDropProb > 1 {
-		conn.Close()
-		sink.Close()
-		return nil, fmt.Errorf("testbed: CNP drop probability %v out of range", cfg.CNPDropProb)
-	}
-	if cfg.CNPDropProb > 0 {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		s.cnpRand = rand.New(rand.NewSource(seed))
-	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.GaugeFunc("testbed.switch.forwarded", func() float64 { return float64(s.Forwarded.Load()) })
-		reg.GaugeFunc("testbed.switch.cnps_sent", func() float64 { return float64(s.CNPsSent.Load()) })
-		reg.GaugeFunc("testbed.switch.cnps_dropped", func() float64 { return float64(s.CNPsDropped.Load()) })
-		reg.GaugeFunc("testbed.switch.read_errors", func() float64 { return float64(s.ReadErrors.Load()) })
-		reg.GaugeFunc("testbed.switch.queue_bytes", func() float64 { return float64(s.qlen.Load()) })
-		reg.GaugeFunc("testbed.switch.fair_rate_mbps", s.FairRateMbps)
-	}
-	if cfg.PprofAddr != "" {
-		dbg, err := telemetry.ServeDebug(cfg.PprofAddr, cfg.Metrics)
-		if err != nil {
-			conn.Close()
-			sink.Close()
-			return nil, fmt.Errorf("testbed: debug server: %w", err)
-		}
-		s.dbg = dbg
+		cfg:      cfg,
+		conn:     conn,
+		sink:     sink,
+		flowSeen: make(map[uint32]time.Time),
+		flowAddr: make(map[uint32]*net.UDPAddr),
+		cp:       core.NewCP(cfg.CP()),
+		done:     make(chan struct{}),
 	}
 	s.wg.Add(4)
 	go s.receiveLoop()
@@ -246,15 +179,6 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	go s.cpLoop()
 	go s.sinkLoop()
 	return s, nil
-}
-
-// DebugAddr returns the pprof/metrics listen address, or "" when
-// Config.PprofAddr was empty.
-func (s *Switch) DebugAddr() string {
-	if s.dbg == nil {
-		return ""
-	}
-	return s.dbg.Addr()
 }
 
 // Addr returns the switch's data address clients send to.
@@ -274,9 +198,6 @@ func (s *Switch) Close() {
 	s.wg.Wait()
 	s.conn.Close()
 	s.sink.Close()
-	if s.dbg != nil {
-		s.dbg.Close()
-	}
 }
 
 // receiveLoop ingests client datagrams into the egress queue.
@@ -299,7 +220,6 @@ func (s *Switch) receiveLoop() {
 		s.queueSize += n
 		s.flowAddr[flow] = addr
 		s.flowSeen[flow] = time.Now()
-		s.flowBytes[flow] += n
 		s.qlen.Store(int64(s.queueSize))
 		s.mu.Unlock()
 	}
@@ -334,12 +254,6 @@ func (s *Switch) drainLoop() {
 			if s.queue.Len() > 0 && credit >= float64(len(s.queue.Front())) {
 				pkt = s.queue.Pop()
 				s.queueSize -= len(pkt)
-				flow := binary.BigEndian.Uint32(pkt[0:4])
-				if b := s.flowBytes[flow] - len(pkt); b > 0 {
-					s.flowBytes[flow] = b
-				} else {
-					delete(s.flowBytes, flow)
-				}
 				s.qlen.Store(int64(s.queueSize))
 			}
 			s.mu.Unlock()
@@ -357,7 +271,7 @@ func (s *Switch) drainLoop() {
 // cpLoop runs Alg. 1 every T and sends CNPs to queued flows.
 func (s *Switch) cpLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.T)
+	ticker := time.NewTicker(T)
 	defer ticker.Stop()
 	for {
 		select {
@@ -377,7 +291,7 @@ func (s *Switch) cpLoop() {
 		// Recipients: every flow seen recently (a single-CP deployment
 		// keeps sources pinned to the fair rate; the bounded/age-based
 		// table of §3.4 option 2). Stale flows age out.
-		cutoff := time.Now().Add(-5 * s.cfg.T)
+		cutoff := time.Now().Add(-5 * T)
 		for flow, seen := range s.flowSeen {
 			if seen.Before(cutoff) {
 				delete(s.flowSeen, flow)
@@ -388,10 +302,6 @@ func (s *Switch) cpLoop() {
 		}
 		s.mu.Unlock()
 		for _, d := range dests {
-			if s.cnpRand != nil && s.cnpRand.Float64() < s.cfg.CNPDropProb {
-				s.CNPsDropped.Add(1)
-				continue
-			}
 			cnp := make([]byte, headerLen+4)
 			binary.BigEndian.PutUint32(cnp[0:4], d.flow)
 			cnp[4] = msgCNP
@@ -416,7 +326,6 @@ func (s *Switch) sinkLoop() {
 
 // Client is a traffic source with a RoCC reaction point.
 type Client struct {
-	cfg     Config
 	flow    uint32
 	conn    *net.UDPConn
 	swAddr  *net.UDPAddr
@@ -435,33 +344,27 @@ type Client struct {
 }
 
 // NewClient starts a client sending flow `flow` at the offered rate
-// (bits/s) toward the switch.
-func NewClient(cfg Config, flow uint32, sw *Switch, offeredBps float64) (*Client, error) {
+// (bits/s) toward the switch. Its RP takes ΔF and Rmax from the switch's
+// CP configuration.
+func NewClient(flow uint32, sw *Switch, offeredBps float64) (*Client, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: client listen: %w", err)
 	}
+	cp := sw.cp.Config()
 	c := &Client{
-		cfg:     cfg,
 		flow:    flow,
 		conn:    conn,
 		swAddr:  sw.Addr(),
 		offered: offeredBps,
 		rp: core.NewRP(core.RPConfig{
-			DeltaFMbps: cfg.CP.DeltaFMbps,
-			RmaxMbps:   cfg.CP.FmaxMbps,
-			// The control socket is best-effort UDP (and CNPDropProb can
-			// make it lossy on purpose), so staleness handling stays on.
+			DeltaFMbps: cp.DeltaFMbps,
+			RmaxMbps:   cp.FmaxMbps,
+			// The control socket is best-effort UDP, so staleness
+			// handling stays on.
 			StaleK: core.DefaultStaleK,
 		}),
 		done: make(chan struct{}),
-	}
-	// Mirror the RP's counters into the registry (aggregated across
-	// clients; the counters are atomic, so no lock ordering issues).
-	c.rp.SetTelemetry(core.RPTelemetryFrom(cfg.Metrics))
-	if reg := cfg.Metrics; reg != nil {
-		name := fmt.Sprintf("testbed.client.%d.sent_bytes", flow)
-		reg.GaugeFunc(name, func() float64 { return float64(c.SentBytes.Load()) })
 	}
 	c.wg.Add(2)
 	go c.sendLoop()
@@ -504,7 +407,7 @@ func (c *Client) Close() {
 // sendLoop paces data datagrams at min(offered, RP rate).
 func (c *Client) sendLoop() {
 	defer c.wg.Done()
-	pkt := make([]byte, headerLen+c.cfg.Payload)
+	pkt := make([]byte, headerLen+Payload)
 	binary.BigEndian.PutUint32(pkt[0:4], c.flow)
 	pkt[4] = msgData
 	// Token-bucket pacing with sub-millisecond quanta (see drainLoop).
@@ -563,7 +466,7 @@ func (c *Client) resetTimerLocked() {
 	if c.timer != nil {
 		c.timer.Stop()
 	}
-	c.timer = time.AfterFunc(c.cfg.RecoveryTimer, func() {
+	c.timer = time.AfterFunc(RecoveryTimer, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		select {

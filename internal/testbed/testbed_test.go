@@ -4,7 +4,41 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"rocc/internal/core"
 )
+
+// TestConfigCP pins the CP configuration derived from the drain rate: at
+// the default 400 Mb/s it is the §6.2 configuration the testbed has
+// always run, and Fmax (every client's Rmax) follows the rate, so a
+// faster switch is not capped at 400 Mb/s per client.
+func TestConfigCP(t *testing.T) {
+	want := core.CPConfig{
+		DeltaQBytes: 600,
+		DeltaFMbps:  1,
+		QrefBytes:   75 * 1000,
+		QmidBytes:   150 * 1000,
+		QmaxBytes:   210 * 1000,
+		FminMbps:    1,
+		FmaxMbps:    400,
+		AlphaTilde:  0.3,
+		BetaTilde:   0.5,
+		MaxLevel:    64,
+	}
+	if got := DefaultConfig().CP(); got != want {
+		t.Errorf("CP at 400 Mb/s:\n got %+v\nwant %+v", got, want)
+	}
+	for _, rate := range []float64{2e6, 100e6, 1.5e9, 10e9} {
+		got := Config{DrainRate: rate}.CP()
+		want.FmaxMbps = rate / 1e6
+		if got != want {
+			t.Errorf("CP at %v b/s:\n got %+v\nwant %+v", rate, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("CP at %v b/s: %v", rate, err)
+		}
+	}
+}
 
 func TestSwitchLifecycle(t *testing.T) {
 	sw, err := NewSwitch(DefaultConfig())
@@ -45,7 +79,7 @@ func TestClientLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Close()
-	c, err := NewClient(cfg, 1, sw, 50e6)
+	c, err := NewClient(1, sw, 50e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +97,7 @@ func TestDataFlowsThroughSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Close()
-	c, err := NewClient(cfg, 1, sw, 50e6)
+	c, err := NewClient(1, sw, 50e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +119,7 @@ func TestClientPacingApproximatesOfferedRate(t *testing.T) {
 	}
 	defer sw.Close()
 	const offered = 80e6
-	c, err := NewClient(cfg, 1, sw, offered)
+	c, err := NewClient(1, sw, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +160,7 @@ func TestUniformScenarioConverges(t *testing.T) {
 		if (max-min)/max > 0.15 {
 			missed = append(missed, fmt.Sprintf("client rates spread too wide: %v", res.ClientRates))
 		}
-		if res.SteadyQueKB > float64(cfg.CP.QmaxBytes)/1000 {
+		if res.SteadyQueKB > float64(cfg.CP().QmaxBytes)/1000 {
 			missed = append(missed, fmt.Sprintf("queue %.0f KB above Qmax", res.SteadyQueKB))
 		}
 		if res.CNPs == 0 {
@@ -181,51 +215,6 @@ func runRealTime(t *testing.T, cfg Config, scenario Scenario, check func(Result)
 	t.Fatalf("all %d attempts missed the tolerances", attempts)
 }
 
-func TestCNPDropProbValidated(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.5} {
-		cfg := DefaultConfig()
-		cfg.CNPDropProb = p
-		if _, err := NewSwitch(cfg); err == nil {
-			t.Errorf("CNPDropProb %v accepted", p)
-		}
-	}
-}
-
-// TestCNPDropCounterFires checks the control-path fault injection: with a
-// lossy CNP path the switch must count drops, the client must still
-// receive the surviving CNPs, and the run must shut down cleanly.
-func TestCNPDropCounterFires(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CNPDropProb = 0.5
-	cfg.FaultSeed = 7
-	sw, err := NewSwitch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	c, err := NewClient(cfg, 1, sw, cfg.DrainRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if sw.CNPsDropped.Load() > 0 && c.CNPsRecv.Load() > 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if sw.CNPsDropped.Load() == 0 {
-		t.Error("no CNPs dropped at 50% loss")
-	}
-	if sw.CNPsSent.Load() == 0 {
-		t.Error("no CNPs survived 50% loss")
-	}
-	if c.CNPsRecv.Load() == 0 {
-		t.Error("client received no CNPs")
-	}
-}
-
 // TestCleanShutdownNoReadErrors: a fault-free run followed by an orderly
 // Close must record zero transient read errors — the deadline-polling
 // loops exit on the done channel, never by observing a closed socket.
@@ -235,7 +224,7 @@ func TestCleanShutdownNoReadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(cfg, 1, sw, 50e6)
+	c, err := NewClient(1, sw, 50e6)
 	if err != nil {
 		sw.Close()
 		t.Fatal(err)
@@ -252,5 +241,21 @@ func TestCleanShutdownNoReadErrors(t *testing.T) {
 	}
 	if n := c.ReadErrors.Load(); n != 0 {
 		t.Errorf("client survived %d read errors during a clean run", n)
+	}
+}
+
+// TestScenarioRun runs one short uniform scenario end to end; CI runs it
+// under the race detector, where a hang dumps every goroutine at the
+// test timeout.
+func TestScenarioRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time testbed run")
+	}
+	res, err := Run(DefaultConfig(), Uniform, 400*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CNPs == 0 {
+		t.Error("no CNPs observed in a congested uniform run")
 	}
 }
