@@ -63,5 +63,7 @@ func main() {
 		}
 		fmt.Printf("  (ideal fair rate %.1f Mb/s, reference queue %d KB)\n",
 			ideal, qrefKB)
+		fmt.Printf("  (switch forwarded %.1f Mb/s of its %.1f Mb/s drain rate)\n",
+			res.ForwardedMbps, *rate/1e6)
 	}
 }

@@ -10,23 +10,21 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestLiveness runs both scenarios briefly over real UDP loopback and
-// checks that rocclab finishes and reports each one. The rates depend on
-// goroutine scheduling, so none is asserted here.
+// checks that rocclab finishes and reports each one, with the switch's
+// measured forwarding rate. The rates depend on goroutine scheduling, so
+// none is asserted here.
 func TestLiveness(t *testing.T) {
 	r := clitest.Run(t, nil, "-dur", "300ms")
 	if r.Code != 0 {
 		t.Fatalf("exit %d\n%s", r.Code, r.Stderr)
 	}
-	for _, scenario := range []string{"testbed-uni:", "testbed-mix:"} {
-		n := 0
-		for _, line := range strings.Split(r.Stdout, "\n") {
-			if strings.HasPrefix(line, scenario) {
-				n++
-			}
+	for _, prefix := range []string{"testbed-uni:", "testbed-mix:"} {
+		if n := strings.Count(r.Stdout, "\n"+prefix); n != 1 {
+			t.Errorf("%d %q lines, want 1:\n%s", n, prefix, r.Stdout)
 		}
-		if n != 1 {
-			t.Errorf("%d %q lines, want 1:\n%s", n, scenario, r.Stdout)
-		}
+	}
+	if n := strings.Count(r.Stdout, "\n  (switch forwarded "); n != 2 {
+		t.Errorf("%d forwarding-rate lines, want one per scenario:\n%s", n, r.Stdout)
 	}
 }
 

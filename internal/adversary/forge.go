@@ -47,29 +47,22 @@ type Forger struct {
 	host *netsim.Host
 	cfg  ForgeConfig
 
-	stopped bool
-	Sent    int // forged CNPs injected
+	Sent int // forged CNPs injected
 }
 
 // NewForger builds the attacker and schedules its first injection one
-// period out. Stop cancels future injections.
+// period out.
 func NewForger(host *netsim.Host, cfg ForgeConfig) *Forger {
 	f := &Forger{net: host.Network(), host: host, cfg: cfg}
 	f.net.Engine.AfterCall(forgePeriod, forgeTick, f, nil)
 	return f
 }
 
-// Stop ends the attack.
-func (f *Forger) Stop() { f.stopped = true }
-
 // forgeTick injects one spoofed CNP and re-arms. A missing victim flow
 // (completed, removed) ends the attack; a configured Until bound ends
 // it at its deadline.
 func forgeTick(a, _ any) {
 	f := a.(*Forger)
-	if f.stopped {
-		return
-	}
 	now := f.net.Engine.Now()
 	if f.cfg.Until > 0 && now > f.cfg.Until {
 		return

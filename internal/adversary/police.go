@@ -118,8 +118,7 @@ type Policer struct {
 	qpeak       []int                          // per-egress peak data backlog this window
 	quarantined map[netsim.FlowID]*quarantine
 
-	stopped bool
-	stats   PolicerStats
+	stats PolicerStats
 }
 
 // NewPolicer attaches a compliance policer to the switch. Panics if the
@@ -143,15 +142,6 @@ func NewPolicer(net *netsim.Network, sw *netsim.Switch, cfg PolicerConfig) *Poli
 	sw.Police = p.police
 	net.Engine.AfterCall(policerWindow, policerTick, p, nil)
 	return p
-}
-
-// Stop detaches the policer: the hook comes off (any remaining
-// quarantines stop being enforced) and the ticker winds down.
-func (p *Policer) Stop() {
-	p.stopped = true
-	if p.sw.Police != nil {
-		p.sw.Police = nil
-	}
 }
 
 // Stats returns the activity counters.
@@ -236,9 +226,6 @@ func (p *Policer) police(now sim.Time, pkt *netsim.Packet, inPort int, egress *n
 // hysteresis streaks, and reset the meters.
 func policerTick(a, _ any) {
 	p := a.(*Policer)
-	if p.stopped {
-		return
-	}
 	winSeconds := policerWindow.Seconds()
 	for portIdx, m := range p.meters {
 		if len(m) == 0 {

@@ -80,9 +80,6 @@ func WrapRogue(kind RogueKind, inner netsim.FlowCC, blastRate netsim.Rate) *Rogu
 	return &Rogue{kind: kind, inner: inner, rate: blastRate}
 }
 
-// Kind returns the wrapped misbehaviour.
-func (r *Rogue) Kind() RogueKind { return r.kind }
-
 // Allow implements netsim.FlowCC.
 func (r *Rogue) Allow(now sim.Time, payload int) (sim.Time, bool) {
 	if r.kind == RogueBlast {

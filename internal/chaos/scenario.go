@@ -183,9 +183,6 @@ func (sc Scenario) Protocols() []experiments.Protocol {
 	return out
 }
 
-// Mixed reports whether two or more protocols share the fabric.
-func (sc Scenario) Mixed() bool { return len(sc.Protocols()) > 1 }
-
 // RogueCount returns how many of the scenario's flows are rogue senders.
 func (sc Scenario) RogueCount() int {
 	n := 0

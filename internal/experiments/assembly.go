@@ -93,16 +93,15 @@ func Assemble(s RunSpec) *Assembly {
 		net.SetTelemetry(s.Telemetry.Registry, s.Telemetry.Recorder)
 	}
 
-	a.Mix = NewMix(net, s.BaseRTT)
-	a.Mix.RoCCOpts = s.RoCCOpts
-	a.Mix.RoCCRP = s.RoCCRP
 	defended := s.Defenses != nil && s.Mode.CCEnabled()
 	if defended {
 		// The end-host half of the defense: reject CNPs from off-path
 		// congestion points and stale (replayed) feedback.
-		a.Mix.RoCCRP.VerifyCPPath = true
-		a.Mix.RoCCRP.MaxCNPAge = 250 * sim.Microsecond
+		s.RoCCRP.VerifyCPPath = true
+		s.RoCCRP.MaxCNPAge = 250 * sim.Microsecond
 	}
+	a.Mix = NewMix(net, s.BaseRTT)
+	a.Mix.roccCP, a.Mix.roccRP = s.RoCCOpts, s.RoCCRP
 	for _, p := range s.Protocols {
 		a.Mix.Activate(p)
 	}

@@ -62,7 +62,7 @@ func TestOpsFlowCCContract(t *testing.T) {
 			engine := sim.New()
 			star := topology.BuildStar(engine, 1, 2, netsim.Gbps(40))
 			mix := NewMix(star.Net, 0)
-			cc := mix.NewFlowCC(p, star.Sources[0])
+			cc := mix.Ops(p).NewFlowCC(star.Net, star.Sources[0])
 			at, ok := cc.Allow(0, 1000)
 			if !ok {
 				t.Fatal("fresh controller refuses the first packet")
@@ -162,7 +162,7 @@ func TestMixedFabricEngagesBothMachineries(t *testing.T) {
 	}
 	for i, f := range flows {
 		if f.DeliveredBytes() == 0 {
-			t.Errorf("flow %d (%s) delivered nothing", i, mix.FlowProtocol(f.ID))
+			t.Errorf("flow %d (%s) delivered nothing", i, f.Scheme().Name())
 		}
 	}
 	if d := star.Net.TotalDrops(); d != 0 {

@@ -29,10 +29,10 @@ type Mix struct {
 
 	rand *sim.Rand
 
-	// RoCCOpts overrides the default RoCC CP options (ablation hooks).
-	RoCCOpts roccnet.CPOptions
-	// RoCCRP overrides the default RoCC RP options.
-	RoCCRP roccnet.RPOptions
+	// roccCP and roccRP are the RoCC descriptor's options; Assemble sets
+	// them from its RunSpec before any protocol is instantiated.
+	roccCP roccnet.CPOptions
+	roccRP roccnet.RPOptions
 
 	// CPs collects attached RoCC congestion points for instrumentation.
 	CPs map[*netsim.Port]*roccnet.CP
@@ -78,12 +78,12 @@ func (m *Mix) Ops(proto Protocol) netsim.CongestionOps {
 	return ops
 }
 
-// newOps builds a protocol's descriptor bound to the Mix's live options
-// (base RTT, shared marking RNG, RoCC ablation hooks).
+// newOps builds a protocol's descriptor from the Mix's options (base
+// RTT, shared marking RNG, RoCC options).
 func (m *Mix) newOps(proto Protocol) netsim.CongestionOps {
 	switch proto {
 	case ProtoRoCC:
-		o := roccnet.NewOps(&m.RoCCOpts, &m.RoCCRP)
+		o := roccnet.NewOps(m.roccCP, m.roccRP)
 		o.CPs = m.CPs
 		return o
 	case ProtoDCQCN:
@@ -360,12 +360,6 @@ func (x *receiverMux) OnData(now sim.Time, pkt *netsim.Packet) *netsim.Packet {
 	return nil
 }
 
-// NewFlowCC builds a per-flow congestion controller for a source host
-// under the given protocol.
-func (m *Mix) NewFlowCC(proto Protocol, src *netsim.Host) netsim.FlowCC {
-	return m.Ops(proto).NewFlowCC(m.Net, src)
-}
-
 // StartFlow launches a flow under one protocol: its controller, its ACK
 // cadence, its per-packet header overhead.
 func (m *Mix) StartFlow(proto Protocol, src, dst *netsim.Host, size int64, maxRate netsim.Rate) *netsim.Flow {
@@ -394,17 +388,4 @@ func (m *Mix) StartWrappedFlow(proto Protocol, src, dst *netsim.Host, size int64
 		ExtraHeader: ops.Features().ExtraHeaderBytes,
 		Scheme:      ops,
 	})
-}
-
-// FlowProtocol reports which protocol a Mix-started flow runs under
-// ("" for flows the Mix did not start or has already retired).
-func (m *Mix) FlowProtocol(fid netsim.FlowID) Protocol {
-	if ops := m.flowScheme(fid); ops != nil {
-		for p, o := range m.ops {
-			if o == ops {
-				return p
-			}
-		}
-	}
-	return ""
 }

@@ -29,7 +29,7 @@ func TestStackWiresEveryProtocol(t *testing.T) {
 			} else if p != ProtoTIMELY && star.Bottleneck.CC == nil {
 				t.Fatal("switch-side element missing")
 			}
-			if cc := mix.NewFlowCC(p, star.Sources[0]); cc == nil {
+			if cc := mix.Ops(p).NewFlowCC(star.Net, star.Sources[0]); cc == nil {
 				t.Fatal("no flow controller")
 			}
 			// A short run with real traffic must complete flows and keep
@@ -128,25 +128,5 @@ func TestEnableAllSwitchPorts(t *testing.T) {
 				t.Fatalf("port %d on %s not enabled", port.Index, sw.Name)
 			}
 		}
-	}
-}
-
-func TestCNPClassAblationStillConverges(t *testing.T) {
-	// With CNPs demoted into the data class they queue behind data, but
-	// the loop must still converge (just with more sluggish feedback).
-	engine := sim.New()
-	star := topology.BuildStar(engine, 1, 4, netsim.Gbps(40))
-	mix := NewMix(star.Net, 0)
-	mix.RoCCOpts.CNPClass = netsim.ClassData
-	mix.Activate(ProtoRoCC)
-	mix.EnablePort(ProtoRoCC, star.Bottleneck)
-	for _, src := range star.Sources {
-		mix.StartFlow(ProtoRoCC, src, star.Dst, -1, netsim.Gbps(36))
-	}
-	engine.RunUntil(20 * sim.Millisecond)
-	cp := mix.CPs[star.Bottleneck]
-	got := cp.FairRateMbps() / 1000
-	if got < 7 || got > 13 {
-		t.Errorf("fair rate %.2f with demoted CNPs, want roughly 10", got)
 	}
 }

@@ -10,8 +10,8 @@ package flowtable
 
 import "rocc/internal/sim"
 
-// FlowID mirrors netsim.FlowID without importing it, keeping this package
-// reusable by the testbed.
+// FlowID mirrors netsim.FlowID without importing it: the tables depend
+// on the event clock (sim) alone, not on the packet simulator.
 type FlowID int64
 
 // Table tracks candidate feedback recipients at one congestion point.
@@ -31,7 +31,7 @@ type Table interface {
 }
 
 // orderedSet is a map plus stable insertion order, shared by the
-// bounded, ElephantTrap and BubbleCache ablation tables so feedback
+// bounded, ElephantTrap and BubbleCache tables so feedback
 // order is deterministic. QueueTable keeps the same order without a map.
 type orderedSet struct {
 	index map[FlowID]int

@@ -9,14 +9,9 @@ import (
 // Ops is RoCC's netsim.CongestionOps descriptor: congestion points on
 // switch egress ports, reaction points as flow controllers, no receiver
 // hook (CNPs come from switches), no ACK cadence requirement.
-//
-// CP and RP point at the composer's live option structs so ablation hooks
-// that mutate options between construction and wiring (fig. 13's table
-// sweep, the chaos runner's StaleK) keep working: options are read at
-// attach / flow-start time, exactly as the pre-descriptor stack did.
 type Ops struct {
-	CP *CPOptions
-	RP *RPOptions
+	cp CPOptions
+	rp RPOptions
 
 	// CPs collects attached congestion points for instrumentation,
 	// keyed by port. Assign a shared map to observe attachments from
@@ -30,9 +25,10 @@ type Ops struct {
 	rpReg *telemetry.Registry
 }
 
-// NewOps builds the RoCC descriptor around live CP/RP option structs.
-func NewOps(cp *CPOptions, rp *RPOptions) *Ops {
-	return &Ops{CP: cp, RP: rp, CPs: make(map[*netsim.Port]*CP)}
+// NewOps builds the RoCC descriptor: every port it wires gets a
+// congestion point with options cp, every flow a reaction point with rp.
+func NewOps(cp CPOptions, rp RPOptions) *Ops {
+	return &Ops{cp: cp, rp: rp, CPs: make(map[*netsim.Port]*CP)}
 }
 
 // Name implements netsim.CongestionOps.
@@ -40,13 +36,13 @@ func (o *Ops) Name() string { return "RoCC" }
 
 // Features implements netsim.CongestionOps.
 func (o *Ops) Features() netsim.CCFeatures {
-	return netsim.CCFeatures{UsesCNP: true, CNPClass: o.CP.CNPClass}
+	return netsim.CCFeatures{UsesCNP: true, CNPClass: o.cp.CNPClass}
 }
 
 // AttachPort implements netsim.CongestionOps: install a congestion point
 // and start its fair-rate timer.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {
-	cp := Attach(net, sw, port, *o.CP)
+	cp := Attach(net, sw, port, o.cp)
 	o.CPs[port] = cp
 	return cp
 }
@@ -60,7 +56,7 @@ func (o *Ops) NewFlowCC(net *netsim.Network, src *netsim.Host) netsim.FlowCC {
 	if reg := net.TelemetryRegistry(); o.rpTM == nil || reg != o.rpReg {
 		o.rpTM, o.rpReg = core.RPTelemetryFrom(reg), reg
 	}
-	return newFlowCC(src, *o.RP, o.rpTM)
+	return newFlowCC(src, o.rp, o.rpTM)
 }
 
 // AckEvery implements netsim.CongestionOps: RoCC needs no flow ACKs.

@@ -25,7 +25,9 @@ type CPOptions struct {
 	T sim.Time
 
 	// Table selects the flow-table implementation (§3.4). Nil uses the
-	// paper's default, the queue-occupancy table.
+	// paper's default, a fresh queue-occupancy table per port. A set
+	// Table is one instance: every port wired with these options shares
+	// it.
 	Table flowtable.Table
 
 	// HostComputed enables the §3.6 mode: CNPs carry raw queue
@@ -33,7 +35,7 @@ type CPOptions struct {
 	HostComputed bool
 
 	// CNPClass is the traffic class CNPs travel in. The paper prioritizes
-	// them (ClassCtrl); the ablation benches demote them to ClassData.
+	// them (ClassCtrl); DESIGN.md §4.4's row demotes them to ClassData.
 	CNPClass netsim.Class
 
 	// Weight, when set, scales each CNP's rate by the recipient flow's

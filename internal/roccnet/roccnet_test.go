@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rocc/internal/core"
-	"rocc/internal/flowtable"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 )
@@ -105,77 +104,6 @@ func TestFastRecoveryUninstallsAfterCongestionEnds(t *testing.T) {
 	gbps := float64(f0.DeliveredBytes()-before) * 8 / 0.005 / 1e9
 	if gbps < 33 {
 		t.Errorf("post-recovery goodput %.1f Gb/s, want ~36", gbps)
-	}
-}
-
-func TestHostComputedModeConverges(t *testing.T) {
-	engine := sim.New()
-	net := netsim.New(engine, 1)
-	sw := net.AddSwitch("s0", netsim.BufferConfig{PFCEnabled: true, PFCThreshold: 500 * netsim.KB})
-	dst := net.AddHost("dst")
-	var srcs []*netsim.Host
-	for i := 0; i < 4; i++ {
-		h := net.AddHost("src")
-		net.Connect(h, sw, netsim.Gbps(40), 1500*sim.Nanosecond)
-		srcs = append(srcs, h)
-	}
-	swPort, _ := net.Connect(sw, dst, netsim.Gbps(40), 1500*sim.Nanosecond)
-	net.ComputeRoutes()
-	cfg := core.CPConfig40G()
-	Attach(net, sw, swPort, CPOptions{HostComputed: true, Core: cfg})
-	registry := func(core.CPKey) core.CPConfig { return cfg }
-	for _, src := range srcs {
-		net.StartFlow(src, dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36),
-			CC: NewFlowCC(src, RPOptions{HostRegistry: registry}),
-		})
-	}
-	engine.RunUntil(15 * sim.Millisecond)
-	q := swPort.DataQueueBytes()
-	if q < 80*netsim.KB || q > 260*netsim.KB {
-		t.Errorf("host-computed queue = %d, want near Qref", q)
-	}
-	tput := float64(dst.RxDataBytes) * 8 / engine.Now().Seconds() / 1e9
-	if tput < 30 {
-		t.Errorf("host-computed throughput = %.1f Gb/s", tput)
-	}
-}
-
-func TestFlowTableVariantsAllConverge(t *testing.T) {
-	tables := map[string]func() flowtable.Table{
-		"queue":        func() flowtable.Table { return flowtable.NewQueueTable() },
-		"bounded":      func() flowtable.Table { return flowtable.NewBoundedTable(400, 500*sim.Microsecond) },
-		"afd":          func() flowtable.Table { return flowtable.NewAFDTable(3000, 64) },
-		"elephanttrap": func() flowtable.Table { return flowtable.NewElephantTrap(0.25, 64, sim.NewRand(7)) },
-		"bubblecache":  func() flowtable.Table { return flowtable.NewBubbleCache(0.5, 16, 64, 2, sim.NewRand(7)) },
-	}
-	for name, mk := range tables {
-		engine := sim.New()
-		net := netsim.New(engine, 1)
-		sw := net.AddSwitch("s0", netsim.BufferConfig{PFCEnabled: true, PFCThreshold: 500 * netsim.KB})
-		dst := net.AddHost("dst")
-		var srcs []*netsim.Host
-		for i := 0; i < 4; i++ {
-			h := net.AddHost("src")
-			net.Connect(h, sw, netsim.Gbps(40), 1500*sim.Nanosecond)
-			srcs = append(srcs, h)
-		}
-		swPort, _ := net.Connect(sw, dst, netsim.Gbps(40), 1500*sim.Nanosecond)
-		net.ComputeRoutes()
-		Attach(net, sw, swPort, CPOptions{Table: mk()})
-		for _, src := range srcs {
-			net.StartFlow(src, dst, netsim.FlowConfig{
-				Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
-			})
-		}
-		engine.RunUntil(15 * sim.Millisecond)
-		tput := float64(dst.RxDataBytes) * 8 / engine.Now().Seconds() / 1e9
-		if tput < 25 {
-			t.Errorf("%s: throughput %.1f Gb/s, want high", name, tput)
-		}
-		if q := swPort.DataQueueBytes(); q > 450*netsim.KB {
-			t.Errorf("%s: queue %d runaway", name, q)
-		}
 	}
 }
 

@@ -19,12 +19,6 @@ func (r *Rand) Float64() float64 { return r.r.Float64() }
 // Intn returns a uniform value in [0, n).
 func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
 
-// Int63 returns a uniform non-negative 63-bit value.
-func (r *Rand) Int63() int64 { return r.r.Int63() }
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *Rand) Exp(mean float64) float64 { return r.r.ExpFloat64() * mean }
-
 // ExpTime returns an exponentially distributed duration with the given mean.
 func (r *Rand) ExpTime(mean Time) Time {
 	return Time(r.r.ExpFloat64() * float64(mean))

@@ -275,15 +275,13 @@ func (g *Group) advance(t Time) {
 	}
 }
 
-// Run executes the group until every heap drains or Stop is called.
+// Run executes the group until every heap drains or Engine.Stop is
+// called.
 func (g *Group) Run() { g.runUntil(maxTime, true) }
 
 // RunUntil executes every event with timestamp <= end across all shards
 // and the global lane, then sets every clock to end.
 func (g *Group) RunUntil(end Time) { g.runUntil(end+1, false) }
-
-// Stop makes the group's run return after the current barrier completes.
-func (g *Group) Stop() { g.stopped = true }
 
 // nextAt returns the earliest pending timestamp across the global lane
 // and every shard, or maxTime when nothing is pending.
@@ -402,16 +400,6 @@ func (g *Group) MaxPending() int {
 	n := g.global.maxPending
 	for _, sh := range g.shards {
 		n += sh.maxPending
-	}
-	return n
-}
-
-// EventSlots returns the total event structs allocated across all
-// engines (the pooled-slot high-water mark).
-func (g *Group) EventSlots() uint64 {
-	n := g.global.allocated
-	for _, sh := range g.shards {
-		n += sh.allocated
 	}
 	return n
 }

@@ -27,6 +27,10 @@ type Result struct {
 	SteadyQueKB  float64
 	SteadyRateMb float64
 	CNPs         int64
+	// ForwardedMbps is what the switch forwarded to the sink over the
+	// 2nd half, Mb/s: on a loaded host it can fall short of DrainRate,
+	// and then so do the clients.
+	ForwardedMbps float64
 }
 
 // Run executes a scenario for the given duration on a fresh switch and
@@ -60,6 +64,7 @@ func Run(cfg Config, scenario Scenario, duration time.Duration) (Result, error) 
 	start := time.Now()
 	half := duration / 2
 	var halfSent []int64
+	var halfForwarded int64
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
 	for now := range ticker.C {
@@ -71,6 +76,7 @@ func Run(cfg Config, scenario Scenario, duration time.Duration) (Result, error) 
 			for i, c := range clients {
 				halfSent[i] = c.SentBytes.Load()
 			}
+			halfForwarded = sw.Forwarded.Load()
 		}
 		if elapsed >= duration {
 			break
@@ -85,6 +91,7 @@ func Run(cfg Config, scenario Scenario, duration time.Duration) (Result, error) 
 		res.ClientRates = append(res.ClientRates, float64(c.SentBytes.Load()-base)*8/window/1e6)
 		res.CNPs += c.CNPsRecv.Load()
 	}
+	res.ForwardedMbps = float64((sw.Forwarded.Load()-halfForwarded)*(headerLen+Payload)) * 8 / window / 1e6
 	halfSec := half.Seconds()
 	res.SteadyQueKB = res.Queue.MeanAfter(halfSec)
 	res.SteadyRateMb = res.FairRate.MeanAfter(halfSec)

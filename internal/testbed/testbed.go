@@ -372,13 +372,6 @@ func NewClient(flow uint32, sw *Switch, offeredBps float64) (*Client, error) {
 	return c, nil
 }
 
-// Rate returns the client's current sending rate in Mb/s.
-func (c *Client) Rate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.currentRateLocked() / 1e6
-}
-
 func (c *Client) currentRateLocked() float64 {
 	rate := c.offered
 	if c.rp.Installed() {
