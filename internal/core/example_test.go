@@ -34,15 +34,15 @@ func ExampleRP() {
 	hop2 := core.CPKey{Node: 2}
 
 	rp.ProcessCNP(500, hop1) // 5 Gb/s from the first congested hop
-	fmt.Printf("rate: %.0f Mb/s via node %d\n", rp.RateMbps(), rp.CurrentCP().Node)
+	fmt.Printf("rate: %.0f Mb/s\n", rp.RateMbps())
 
 	rp.ProcessCNP(800, hop2) // higher rate from another hop: ignored
-	fmt.Printf("rate: %.0f Mb/s via node %d\n", rp.RateMbps(), rp.CurrentCP().Node)
+	fmt.Printf("rate: %.0f Mb/s\n", rp.RateMbps())
 
 	rp.ProcessCNP(300, hop2) // lower rate: the new bottleneck wins
-	fmt.Printf("rate: %.0f Mb/s via node %d\n", rp.RateMbps(), rp.CurrentCP().Node)
+	fmt.Printf("rate: %.0f Mb/s\n", rp.RateMbps())
 	// Output:
-	// rate: 5000 Mb/s via node 1
-	// rate: 5000 Mb/s via node 1
-	// rate: 3000 Mb/s via node 2
+	// rate: 5000 Mb/s
+	// rate: 5000 Mb/s
+	// rate: 3000 Mb/s
 }

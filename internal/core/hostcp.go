@@ -35,6 +35,3 @@ func (h *HostCP) Compute(cp CPKey, qcurUnits, qoldUnits int) int {
 	rep.SetQoldUnits(qoldUnits)
 	return rep.Update(qcurUnits * rep.cfg.DeltaQBytes)
 }
-
-// Replicas returns the number of tracked congestion points.
-func (h *HostCP) Replicas() int { return len(h.replicas) }

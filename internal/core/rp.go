@@ -132,13 +132,6 @@ func (rp *RP) Installed() bool { return rp.installed }
 // RateMbps returns the current send rate; meaningful while Installed.
 func (rp *RP) RateMbps() float64 { return rp.rcur }
 
-// CurrentCP returns the congestion point of the last accepted CNP.
-func (rp *RP) CurrentCP() CPKey { return rp.cpcur }
-
-// RmaxMbps returns the configured NIC line rate — the uninstalled send
-// rate and the fast-recovery ceiling.
-func (rp *RP) RmaxMbps() float64 { return rp.cfg.RmaxMbps }
-
 // RateBoundMbps returns the hard ceiling the RP's state machine can ever
 // hold rcur at: the ValidCNP admission bound (MaxRateUnits × ΔF, default
 // 16×Rmax for cross-speed CPs), or 0 when the bound is disabled. Any

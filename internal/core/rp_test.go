@@ -47,9 +47,9 @@ func TestFirstCNPInstalls(t *testing.T) {
 	if !rp.ProcessCNP(500, cp) {
 		t.Error("first CNP not accepted")
 	}
-	if !rp.Installed() || rp.RateMbps() != 5000 || rp.CurrentCP() != cp {
+	if !rp.Installed() || rp.RateMbps() != 5000 || rp.cpcur != cp {
 		t.Errorf("state after first CNP: installed=%v rate=%v cp=%v",
-			rp.Installed(), rp.RateMbps(), rp.CurrentCP())
+			rp.Installed(), rp.RateMbps(), rp.cpcur)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestAcceptLowerRateFromOtherCP(t *testing.T) {
 	if !rp.ProcessCNP(300, cp2) {
 		t.Error("lower rate from a different CP must be accepted (Alg. 2 line 4)")
 	}
-	if rp.RateMbps() != 3000 || rp.CurrentCP() != cp2 {
-		t.Errorf("rate=%v cp=%v after accepting lower rate", rp.RateMbps(), rp.CurrentCP())
+	if rp.RateMbps() != 3000 || rp.cpcur != cp2 {
+		t.Errorf("rate=%v cp=%v after accepting lower rate", rp.RateMbps(), rp.cpcur)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestRejectHigherRateFromOtherCP(t *testing.T) {
 	if rp.ProcessCNP(500, cp2) {
 		t.Error("higher rate from a different CP must be ignored")
 	}
-	if rp.RateMbps() != 3000 || rp.CurrentCP() != cp1 {
+	if rp.RateMbps() != 3000 || rp.cpcur != cp1 {
 		t.Error("state changed by ignored CNP")
 	}
 	if rp.CNPsIgnored != 1 {
@@ -116,7 +116,7 @@ func TestFastRecoveryDoubles(t *testing.T) {
 	if rp.RateMbps() != 40000 {
 		t.Errorf("rate after uninstall = %v, want Rmax", rp.RateMbps())
 	}
-	if rp.CurrentCP() != NoCP {
+	if rp.cpcur != NoCP {
 		t.Error("CPcur not cleared on uninstall")
 	}
 }
@@ -152,7 +152,7 @@ func TestAcceptRuleNeverRaisesAcrossCPs(t *testing.T) {
 			rate := int(e%1000) + 1
 			cp := CPKey{Node: int64(e % 3)}
 			before := rp.RateMbps()
-			sameCP := rp.Installed() && cp == rp.CurrentCP()
+			sameCP := rp.Installed() && cp == rp.cpcur
 			accepted := rp.ProcessCNP(rate, cp)
 			if accepted && !sameCP && rp.Installed() && float64(rate)*10 > before && before > 0 && rp.CNPsAccepted > 1 {
 				// A different CP may only lower the rate.
@@ -185,8 +185,8 @@ func TestHostCPMatchesSwitchCP(t *testing.T) {
 			t.Fatalf("q=%d: host=%d switch=%d", q, got, want)
 		}
 	}
-	if host.Replicas() != 1 {
-		t.Errorf("replicas = %d", host.Replicas())
+	if len(host.replicas) != 1 {
+		t.Errorf("replicas = %d", len(host.replicas))
 	}
 }
 
@@ -194,8 +194,8 @@ func TestHostCPTracksPerCPState(t *testing.T) {
 	host := NewHostCP(nil) // default registry
 	a := host.Compute(CPKey{Node: 1}, 600, 0)
 	b := host.Compute(CPKey{Node: 2}, 0, 0)
-	if host.Replicas() != 2 {
-		t.Fatalf("replicas = %d, want 2", host.Replicas())
+	if len(host.replicas) != 2 {
+		t.Fatalf("replicas = %d, want 2", len(host.replicas))
 	}
 	// Different queue histories must give independent rates.
 	if a == b {
@@ -230,9 +230,9 @@ func TestRejectMalformedFeedback(t *testing.T) {
 		if rp.ProcessCNP(tc.rateUnits, evil) {
 			t.Errorf("%s: malformed CNP accepted", tc.name)
 		}
-		if rp.RateMbps() != 5000 || rp.CurrentCP() != cp {
+		if rp.RateMbps() != 5000 || rp.cpcur != cp {
 			t.Errorf("%s: rate=%v cp=%v perturbed by rejected CNP",
-				tc.name, rp.RateMbps(), rp.CurrentCP())
+				tc.name, rp.RateMbps(), rp.cpcur)
 		}
 		if rp.CNPsRejected != 1 {
 			t.Errorf("%s: CNPsRejected = %d, want 1", tc.name, rp.CNPsRejected)
@@ -270,12 +270,12 @@ func TestStaleFeedbackUnpinsCP(t *testing.T) {
 	rp.ProcessCNP(100, dead) // install at 1000 Mb/s, pinned to dead
 	for i := 0; i < 2; i++ {
 		rp.TimerExpired()
-		if rp.CurrentCP() != dead || rp.StaleRecoveries != 0 {
+		if rp.cpcur != dead || rp.StaleRecoveries != 0 {
 			t.Fatalf("unpinned after only %d expiries", i+1)
 		}
 	}
 	rp.TimerExpired() // third consecutive silent expiry
-	if rp.CurrentCP() != NoCP {
+	if rp.cpcur != NoCP {
 		t.Error("CP still pinned after StaleK silent expiries")
 	}
 	if rp.StaleRecoveries != 1 {
@@ -289,8 +289,8 @@ func TestStaleFeedbackUnpinsCP(t *testing.T) {
 	if !rp.ProcessCNP(900, other) {
 		t.Error("higher-rate CNP after staleness not accepted")
 	}
-	if rp.CurrentCP() != other || rp.RateMbps() != 9000 {
-		t.Errorf("re-home failed: cp=%v rate=%v", rp.CurrentCP(), rp.RateMbps())
+	if rp.cpcur != other || rp.RateMbps() != 9000 {
+		t.Errorf("re-home failed: cp=%v rate=%v", rp.cpcur, rp.RateMbps())
 	}
 	// Re-homed: normal acceptance applies again.
 	if rp.ProcessCNP(1000, CPKey{Node: 3}) {
@@ -309,9 +309,9 @@ func TestAcceptedCNPResetsStaleStreak(t *testing.T) {
 	rp.ProcessCNP(100, cp) // feedback resumed: streak resets
 	rp.TimerExpired()
 	rp.TimerExpired()
-	if rp.StaleRecoveries != 0 || rp.CurrentCP() != cp {
+	if rp.StaleRecoveries != 0 || rp.cpcur != cp {
 		t.Errorf("streak not reset by accepted CNP: stale=%d cp=%v",
-			rp.StaleRecoveries, rp.CurrentCP())
+			rp.StaleRecoveries, rp.cpcur)
 	}
 	rp.TimerExpired()
 	if rp.StaleRecoveries != 1 {
@@ -342,7 +342,7 @@ func TestStaleKDisabledByDefault(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			rp.TimerExpired()
 		}
-		if rp.StaleRecoveries != 0 || rp.CurrentCP() != cp {
+		if rp.StaleRecoveries != 0 || rp.cpcur != cp {
 			t.Errorf("StaleK=%d: staleness fired despite being disabled", k)
 		}
 	}
@@ -389,16 +389,16 @@ func FuzzProcessCNP(f *testing.F) {
 				units := int(int64(binary.BigEndian.Uint64(ops[1:])))
 				cp := CPKey{Node: int64(ops[9] % 4), Port: int(ops[9] / 4 % 2)}
 				ops = ops[10:]
-				rate, pinned, rejected := rp.RateMbps(), rp.CurrentCP(), rp.CNPsRejected
+				rate, pinned, rejected := rp.RateMbps(), rp.cpcur, rp.CNPsRejected
 				accepted := rp.ProcessCNP(units, cp)
 				invalid := units < 0 || rp.cfg.maxRateUnits() > 0 && units > rp.cfg.maxRateUnits() ||
 					witness && cp.Node == 3
 				if invalid && rp.CNPsRejected == rejected {
 					t.Fatalf("CNP %d from %v passed validation (bound %d)", units, cp, rp.cfg.maxRateUnits())
 				}
-				if rp.CNPsRejected != rejected && (accepted || rp.RateMbps() != rate || rp.CurrentCP() != pinned) {
+				if rp.CNPsRejected != rejected && (accepted || rp.RateMbps() != rate || rp.cpcur != pinned) {
 					t.Fatalf("rejected CNP %d from %v moved the RP: rate %v -> %v, CP %v -> %v",
-						units, cp, rate, rp.RateMbps(), pinned, rp.CurrentCP())
+						units, cp, rate, rp.RateMbps(), pinned, rp.cpcur)
 				}
 			}
 			if r := rp.RateMbps(); !(r >= 0) || math.IsInf(r, 0) {

@@ -60,9 +60,6 @@ func Attach(net *netsim.Network, port *netsim.Port, cfg Config, rand *sim.Rand) 
 // Stop cancels the update timer.
 func (m *Marker) Stop() { m.tick.Stop() }
 
-// MarkProbability returns the current marking probability.
-func (m *Marker) MarkProbability() float64 { return m.p }
-
 // update is the PI iteration: p tracks queue error and queue growth.
 func (m *Marker) update() {
 	q := m.port.DataQueueBytes()

@@ -29,8 +29,8 @@ func TestProbabilityRisesAboveReference(t *testing.T) {
 	// Check while the backlog is still above the reference (it drains at
 	// line rate in ~84 us; two PI updates happen first).
 	engine.RunUntil(80 * sim.Microsecond)
-	if m.MarkProbability() <= 0 {
-		t.Errorf("p = %v with queue above reference", m.MarkProbability())
+	if m.p <= 0 {
+		t.Errorf("p = %v with queue above reference", m.p)
 	}
 	m.Stop()
 }
@@ -40,8 +40,8 @@ func TestProbabilityDecaysWhenEmpty(t *testing.T) {
 	m.p = 0.5
 	m.qold = 200 * netsim.KB
 	engine.RunUntil(2 * sim.Millisecond) // many updates with empty queue
-	if m.MarkProbability() != 0 {
-		t.Errorf("p = %v with empty queue, want 0", m.MarkProbability())
+	if m.p != 0 {
+		t.Errorf("p = %v with empty queue, want 0", m.p)
 	}
 	m.Stop()
 }
@@ -53,7 +53,7 @@ func TestProbabilityClamped(t *testing.T) {
 		port.Enqueue(&netsim.Packet{Kind: netsim.KindData, Cls: netsim.ClassData, Size: 1048, Dst: h.ID()})
 	}
 	engine.RunUntil(10 * sim.Millisecond)
-	if p := m.MarkProbability(); p < 0 || p > 1 {
+	if p := m.p; p < 0 || p > 1 {
 		t.Errorf("p = %v out of [0,1]", p)
 	}
 	m.Stop()
@@ -81,7 +81,7 @@ func TestStopHaltsUpdates(t *testing.T) {
 	m.Stop()
 	m.p = 0.3
 	engine.RunUntil(5 * sim.Millisecond)
-	if m.MarkProbability() != 0.3 {
+	if m.p != 0.3 {
 		t.Error("updates continued after Stop")
 	}
 }

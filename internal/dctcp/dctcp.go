@@ -121,12 +121,6 @@ func NewFlowCC(host *netsim.Host, cfg Config) *FlowCC {
 	return &FlowCC{cfg: cfg, host: host, cwnd: bdp}
 }
 
-// Cwnd returns the congestion window in bytes.
-func (cc *FlowCC) Cwnd() float64 { return cc.cwnd }
-
-// Alpha returns the EWMA marked fraction.
-func (cc *FlowCC) Alpha() float64 { return cc.alpha }
-
 // Allow implements netsim.FlowCC.
 func (cc *FlowCC) Allow(now sim.Time, payload int) (sim.Time, bool) {
 	if float64(cc.sentHigh-cc.acked)+float64(payload) > cc.cwnd {

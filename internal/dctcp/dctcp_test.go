@@ -55,7 +55,7 @@ func TestAlphaTracksMarkingFraction(t *testing.T) {
 	cc := NewFlowCC(h, DefaultConfig(40, 10*sim.Microsecond))
 	// Simulate several fully-marked windows: alpha must rise toward 1
 	// and the window must shrink.
-	w0 := cc.Cwnd()
+	w0 := cc.cwnd
 	seq := int64(0)
 	for win := 0; win < 20; win++ {
 		for i := 0; i < 10; i++ {
@@ -67,13 +67,13 @@ func TestAlphaTracksMarkingFraction(t *testing.T) {
 			cc.OnAck(0, &netsim.Packet{AckSeq: seq - int64((9-i)*1000)})
 		}
 	}
-	if cc.Alpha() < 0.5 {
-		t.Errorf("alpha = %v after sustained marking, want high", cc.Alpha())
+	if cc.alpha < 0.5 {
+		t.Errorf("alpha = %v after sustained marking, want high", cc.alpha)
 	}
-	if cc.Cwnd() >= w0 {
-		t.Errorf("cwnd did not shrink: %v >= %v", cc.Cwnd(), w0)
+	if cc.cwnd >= w0 {
+		t.Errorf("cwnd did not shrink: %v >= %v", cc.cwnd, w0)
 	}
-	if cc.Cwnd() < DefaultConfig(40, 10*sim.Microsecond).MinCwnd {
+	if cc.cwnd < DefaultConfig(40, 10*sim.Microsecond).MinCwnd {
 		t.Error("cwnd under floor")
 	}
 	if cc.Decreases == 0 {

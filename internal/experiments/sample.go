@@ -15,7 +15,6 @@ import (
 // deterministic.
 type Sampler struct {
 	period sim.Time
-	tick   *sim.Ticker
 	fns    []func(now sim.Time)
 }
 
@@ -25,7 +24,7 @@ func NewSampler(engine *sim.Engine, period sim.Time) *Sampler {
 		period = 100 * sim.Microsecond
 	}
 	s := &Sampler{period: period}
-	s.tick = engine.NewTicker(period, func() {
+	engine.NewTicker(period, func() {
 		now := engine.Now()
 		for _, fn := range s.fns {
 			fn(now)
@@ -33,9 +32,6 @@ func NewSampler(engine *sim.Engine, period sim.Time) *Sampler {
 	})
 	return s
 }
-
-// Stop halts sampling.
-func (s *Sampler) Stop() { s.tick.Stop() }
 
 // Queue records a port's data-class backlog in KB.
 func (s *Sampler) Queue(name string, port *netsim.Port) *stats.Series {

@@ -20,14 +20,14 @@ type RunTelemetry struct {
 }
 
 // NewRunTelemetry builds a registry plus a flight recorder sized for a
-// single-run trace. The global ring is kept at 16 Ki events (~2 MB):
+// single-run trace. The ring is kept at 16 Ki events (~2 MB):
 // large enough for several milliseconds of per-packet queue-depth
 // samples, small enough not to evict the simulator's working set from
 // cache (the ring is written on every data enqueue).
 func NewRunTelemetry() *RunTelemetry {
 	return &RunTelemetry{
 		Registry: telemetry.New(),
-		Recorder: telemetry.NewRecorder(1<<14, 256, 4096),
+		Recorder: telemetry.NewRecorder(1 << 14),
 	}
 }
 

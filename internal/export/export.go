@@ -101,23 +101,3 @@ func Bins(w io.Writer, protocol string, bins []stats.BinStat) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Samples writes raw FCT samples (size, fct seconds, rate bits/s) as CSV.
-func Samples(w io.Writer, rec *stats.FCTRecorder) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"size_bytes", "fct_s", "rate_bps"}); err != nil {
-		return err
-	}
-	for _, s := range rec.Samples {
-		err := cw.Write([]string{
-			strconv.Itoa(s.Size),
-			strconv.FormatFloat(s.Seconds, 'g', -1, 64),
-			strconv.FormatFloat(s.Rate, 'g', -1, 64),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -46,7 +46,9 @@ func TestSeriesCSVMismatch(t *testing.T) {
 
 func TestMetricsCSV(t *testing.T) {
 	reg := telemetry.New()
-	reg.Counter("netsim.drops").Add(3)
+	for range 3 {
+		reg.Counter("netsim.drops").Inc()
+	}
 	reg.GaugeFunc("sim.events_pending", func() float64 { return 42 })
 	h := reg.Histogram("netsim.queue_depth_bytes")
 	for i := 1; i <= 4; i++ {
@@ -85,17 +87,5 @@ func TestBinsCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "RoCC,1000,5,0.5,0.9,1.2") {
 		t.Errorf("row missing: %q", out)
-	}
-}
-
-func TestSamplesCSV(t *testing.T) {
-	var rec stats.FCTRecorder
-	rec.Record(1000, 0.001)
-	var sb strings.Builder
-	if err := Samples(&sb, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "1000,0.001,8e+06") {
-		t.Errorf("sample row wrong: %q", sb.String())
 	}
 }

@@ -145,11 +145,3 @@ func (t *QueueTable) Flows(now sim.Time, dst []FlowID) []FlowID {
 
 // Len implements Table.
 func (t *QueueTable) Len() int { return len(t.entries) }
-
-// QueuedBytes returns the bytes the flow currently has in the queue.
-func (t *QueueTable) QueuedBytes(flow FlowID) int {
-	if _, pos := t.lookup(flow); pos >= 0 {
-		return t.entries[pos].bytes
-	}
-	return 0
-}

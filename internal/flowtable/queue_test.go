@@ -252,3 +252,11 @@ func TestQueueTableFlowsReusesDst(t *testing.T) {
 		t.Errorf("Flows returned %d recipients, want 20", len(scratch))
 	}
 }
+
+// QueuedBytes returns the bytes the flow currently has in the queue.
+func (t *QueueTable) QueuedBytes(flow FlowID) int {
+	if _, pos := t.lookup(flow); pos >= 0 {
+		return t.entries[pos].bytes
+	}
+	return 0
+}

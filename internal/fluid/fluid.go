@@ -49,9 +49,6 @@ type Result struct {
 // FinalRate returns the last computed fair rate.
 func (r Result) FinalRate() float64 { return r.RateMbps[len(r.RateMbps)-1] }
 
-// FinalQueue returns the last queue value in bytes.
-func (r Result) FinalQueue() float64 { return r.QueueBytes[len(r.QueueBytes)-1] }
-
 // Converged reports whether the trailing fraction of the run stays
 // within tol (fractional) of the Eq. 1 equilibrium.
 func (r Result) Converged(tol float64) bool {
@@ -65,17 +62,6 @@ func (r Result) Converged(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxOvershootBytes returns the peak queue over the run.
-func (r Result) MaxOvershootBytes() float64 {
-	max := 0.0
-	for _, q := range r.QueueBytes {
-		if q > max {
-			max = q
-		}
-	}
-	return max
 }
 
 // Run integrates the loop. Sources start unthrottled (rate limiters
@@ -122,18 +108,4 @@ func Run(cfg Config) Result {
 		res.RateMbps = append(res.RateMbps, cp.FairRateMbps())
 	}
 	return res
-}
-
-// SweepStability runs the fluid loop over a range of N and reports the
-// largest N for which the loop converges within tol — the §5 stability
-// question answered with the real quantized controller.
-func SweepStability(cfg Config, maxN int, tol float64) (maxStableN int) {
-	for n := 2; n <= maxN; n *= 2 {
-		c := cfg
-		c.N = n
-		if Run(c).Converged(tol) {
-			maxStableN = n
-		}
-	}
-	return maxStableN
 }

@@ -100,9 +100,6 @@ func NewFlowCC(host *netsim.Host, cfg Config) *FlowCC {
 	return &FlowCC{host: host, cfg: cfg, wc: bdp, w: bdp}
 }
 
-// Window returns the current congestion window in bytes.
-func (cc *FlowCC) Window() float64 { return cc.w }
-
 // Allow implements netsim.FlowCC: window limit plus W/T pacing.
 func (cc *FlowCC) Allow(now sim.Time, payload int) (sim.Time, bool) {
 	inflight := cc.sentHigh - cc.acked

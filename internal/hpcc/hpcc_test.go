@@ -32,8 +32,8 @@ func TestDefaultConfig(t *testing.T) {
 func TestInitialWindowIsBDP(t *testing.T) {
 	_, _, _, cc, _ := fixture()
 	bdp := 40e9 / 8 * 10e-6 // 50 KB
-	if math.Abs(cc.Window()-bdp) > 1 {
-		t.Errorf("W0 = %v, want %v", cc.Window(), bdp)
+	if math.Abs(cc.w-bdp) > 1 {
+		t.Errorf("W0 = %v, want %v", cc.w, bdp)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestWindowBlocksAllow(t *testing.T) {
 			t.Fatal("window never closed")
 		}
 	}
-	if float64(seq) < cc.Window()-1000 {
-		t.Errorf("blocked after only %d bytes with W=%v", seq, cc.Window())
+	if float64(seq) < cc.w-1000 {
+		t.Errorf("blocked after only %d bytes with W=%v", seq, cc.w)
 	}
 	// An ack opens the window again.
 	cc.OnAck(0, &netsim.Packet{AckSeq: 2000})
@@ -99,15 +99,15 @@ func ackWithINT(ackSeq int64, txBytes uint64, qlen int, ts sim.Time) *netsim.Pac
 
 func TestCongestedHopShrinksWindow(t *testing.T) {
 	_, _, _, cc, _ := fixture()
-	w0 := cc.Window()
+	w0 := cc.w
 	// Baseline sample, then a sample showing a saturated link: the link
 	// transmitted at full rate over the interval AND holds a deep queue.
 	cc.OnAck(0, ackWithINT(1000, 0, 100000, 0))
 	dt := 10 * sim.Microsecond
 	bytesAtLineRate := uint64(40e9 / 8 * dt.Seconds())
 	cc.OnAck(dt, ackWithINT(2000, bytesAtLineRate, 100000, dt))
-	if cc.Window() >= w0 {
-		t.Errorf("window did not shrink under congestion: %v >= %v", cc.Window(), w0)
+	if cc.w >= w0 {
+		t.Errorf("window did not shrink under congestion: %v >= %v", cc.w, w0)
 	}
 	if cc.MDEvents == 0 {
 		t.Error("no multiplicative event recorded")
@@ -117,11 +117,11 @@ func TestCongestedHopShrinksWindow(t *testing.T) {
 func TestIdleHopGrowsWindowAdditively(t *testing.T) {
 	_, _, _, cc, cfg := fixture()
 	cc.OnAck(0, ackWithINT(1000, 0, 0, 0))
-	w0 := cc.Window()
+	w0 := cc.w
 	dt := 10 * sim.Microsecond
 	// Nearly idle link: tiny tx, empty queue.
 	cc.OnAck(dt, ackWithINT(2000, 1000, 0, dt))
-	w1 := cc.Window()
+	w1 := cc.w
 	if w1 <= w0 {
 		t.Errorf("window did not grow on idle path: %v <= %v", w1, w0)
 	}
@@ -147,8 +147,8 @@ func TestMaxStageForcesMultiplicativeUpdate(t *testing.T) {
 		now += dt
 	}
 	maxW := cfg.RmaxMbps * 1e6 / 8 * cfg.BaseRTT.Seconds() * 2
-	if math.Abs(cc.Window()-maxW) > maxW/10 {
-		t.Errorf("window = %v, want near the 2xBDP cap %v after stages", cc.Window(), maxW)
+	if math.Abs(cc.w-maxW) > maxW/10 {
+		t.Errorf("window = %v, want near the 2xBDP cap %v after stages", cc.w, maxW)
 	}
 }
 
@@ -160,15 +160,15 @@ func TestWindowFloorAtOnePacket(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		cc.OnAck(sim.Time(i)*dt, ackWithINT(int64(100*i), huge*uint64(i), 1_000_000, sim.Time(i)*dt))
 	}
-	if cc.Window() < netsim.MTUPayload {
-		t.Errorf("window %v below one packet", cc.Window())
+	if cc.w < netsim.MTUPayload {
+		t.Errorf("window %v below one packet", cc.w)
 	}
 }
 
 func TestPacingRateTracksWindow(t *testing.T) {
 	_, _, _, cc, cfg := fixture()
 	r := cc.CurrentRate()
-	want := netsim.Rate(cc.Window() * 8 / cfg.BaseRTT.Seconds())
+	want := netsim.Rate(cc.w * 8 / cfg.BaseRTT.Seconds())
 	if want > netsim.Mbps(cfg.RmaxMbps) {
 		want = netsim.Mbps(cfg.RmaxMbps)
 	}
@@ -180,7 +180,7 @@ func TestPacingRateTracksWindow(t *testing.T) {
 func TestHopCountChangeResetsBaseline(t *testing.T) {
 	_, _, _, cc, _ := fixture()
 	cc.OnAck(0, ackWithINT(100, 0, 0, 0))
-	w0 := cc.Window()
+	w0 := cc.w
 	// Two-hop echo after a one-hop baseline: must re-baseline, not panic,
 	// and must not move the window.
 	twoHop := &netsim.Packet{AckSeq: 200, EchoINT: []netsim.INTRecord{
@@ -188,7 +188,7 @@ func TestHopCountChangeResetsBaseline(t *testing.T) {
 		{TxBytes: 1, QLen: 0, TS: 1, Rate: netsim.Gbps(100)},
 	}}
 	cc.OnAck(5, twoHop)
-	if cc.Window() != w0 {
+	if cc.w != w0 {
 		t.Error("window moved on re-baseline")
 	}
 }

@@ -83,7 +83,6 @@ type Flow struct {
 type gbnState struct {
 	lastRewindSeq  int64
 	lastRewindTime sim.Time
-	retxBytes      int64
 	rtoEv          sim.Handle
 }
 
@@ -108,14 +107,6 @@ func (f *Flow) FCT() sim.Time { return f.FinishTime - f.StartTime }
 // Scheme returns the congestion-control scheme recorded at start
 // (FlowConfig.Scheme), nil when none was.
 func (f *Flow) Scheme() CongestionOps { return f.scheme }
-
-// RetxBytes returns the payload bytes go-back-N resent for this flow.
-func (f *Flow) RetxBytes() int64 {
-	if f.gbn == nil {
-		return 0
-	}
-	return f.gbn.retxBytes
-}
 
 // Stop halts an unbounded flow at the sender and tears down its controller.
 func (f *Flow) Stop() {
@@ -241,7 +232,6 @@ func (f *Flow) rewind(now sim.Time, seq int64) {
 	}
 	g.lastRewindSeq = seq
 	g.lastRewindTime = now
-	g.retxBytes += f.nextSeq - seq
 	// Atomic: flows on different shards rewind concurrently.
 	atomic.AddInt64(&f.net.RetxBytesTotal, f.nextSeq-seq)
 	f.nextSeq = seq

@@ -65,17 +65,6 @@ func (h *Host) Ports() []*Port {
 // NIC returns the host's NIC port.
 func (h *Host) NIC() *Port { return h.nic[0] }
 
-// ActiveFlows returns the number of flows with data left to send.
-func (h *Host) ActiveFlows() int {
-	n := 0
-	for _, f := range h.flows {
-		if !f.senderDone() {
-			n++
-		}
-	}
-	return n
-}
-
 // Kick re-arms the NIC scheduler. Flow controllers call this (through
 // Network.Kick) after timers change pacing state.
 func (h *Host) Kick() { h.nic[0].kick() }

@@ -7,29 +7,34 @@ import (
 	"rocc/internal/telemetry"
 )
 
+// TestPausedForAccounting: a port's pause span reads the in-progress
+// pause mid-pause (the Fig 17b-adjacent undercount regression), the
+// network's longest span takes the whole interval once it resumes, and
+// a second resume changes nothing.
 func TestPausedForAccounting(t *testing.T) {
 	engine := sim.New()
 	net := New(engine, 1)
 	sw := net.AddSwitch("s", BufferConfig{})
 	h := net.AddHost("h")
-	_, hp := net.Connect(sw, h, Gbps(40), 1500)
-	_ = hp
+	net.Connect(sw, h, Gbps(40), 1500)
 	port := sw.Port(0)
 	port.SetPaused(true)
-	// Regression: reading mid-pause must include the in-progress pause,
-	// not just completed intervals (the Fig 17b-adjacent undercount).
 	engine.At(60*sim.Microsecond, func() {
-		if got := port.PausedFor(); got != 60*sim.Microsecond {
-			t.Errorf("mid-pause PausedFor = %v, want 60us", got)
+		if got := port.CurrentPauseSpan(); got != 60*sim.Microsecond {
+			t.Errorf("mid-pause CurrentPauseSpan = %v, want 60us", got)
+		}
+		if got := net.LongestPauseSpan(); got != 60*sim.Microsecond {
+			t.Errorf("mid-pause LongestPauseSpan = %v, want 60us", got)
 		}
 	})
 	engine.At(100*sim.Microsecond, func() { port.SetPaused(false) })
 	engine.RunUntil(200 * sim.Microsecond)
-	if port.PausedFor() != 100*sim.Microsecond {
-		t.Errorf("PausedFor = %v, want 100us", port.PausedFor())
+	if port.CurrentPauseSpan() != 0 || net.LongestPauseSpan() != 100*sim.Microsecond {
+		t.Errorf("after resume: CurrentPauseSpan = %v, LongestPauseSpan = %v, want 0, 100us",
+			port.CurrentPauseSpan(), net.LongestPauseSpan())
 	}
 	port.SetPaused(false) // idempotent
-	if port.PausedFor() != 100*sim.Microsecond {
+	if net.LongestPauseSpan() != 100*sim.Microsecond {
 		t.Error("double unpause changed accounting")
 	}
 }
@@ -135,15 +140,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestCPIDZero(t *testing.T) {
-	if !(CPID{}).Zero() {
-		t.Error("zero CPID not Zero")
-	}
-	if (CPID{Node: 1}).Zero() {
-		t.Error("non-zero CPID reported Zero")
-	}
-}
-
 func TestConnectUnknownNodeTypePanics(t *testing.T) {
 	engine := sim.New()
 	net := New(engine, 1)
@@ -170,7 +166,7 @@ func TestTracerPauseEvents(t *testing.T) {
 		PFCEnabled:   true,
 		PFCThreshold: 40 * KB,
 	})
-	rec := telemetry.NewRecorder(1<<14, 0, 0)
+	rec := telemetry.NewRecorder(1 << 14)
 	net.SetTelemetry(telemetry.New(), rec)
 	f1 := net.StartFlow(srcs[0], dst, FlowConfig{Size: -1})
 	f2 := net.StartFlow(srcs[1], dst, FlowConfig{Size: -1})

@@ -204,12 +204,3 @@ func TestCtrlClassBypassesDataBacklog(t *testing.T) {
 	}
 	f.Stop()
 }
-
-func TestUtilizationHelper(t *testing.T) {
-	if got := Utilization(5e9/8, Gbps(10), sim.Second); got != 0.5 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if Utilization(100, Gbps(10), 0) != 0 {
-		t.Error("zero interval should give 0")
-	}
-}

@@ -58,9 +58,6 @@ type CPID struct {
 	Port int
 }
 
-// Zero is the CPID zero value, meaning "no congestion point".
-func (c CPID) Zero() bool { return c == CPID{} }
-
 // CNPInfo is the payload of a RoCC CNP (§3.3). RateUnits carries the fair
 // rate in multiples of ΔF. In host-computed mode (§3.6) the CP instead
 // ships its queue observation and the host runs the PI controller.

@@ -140,8 +140,8 @@ func TestGoBackNWithoutLossHasNoRetx(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if f.RetxBytes() != 0 {
-		t.Errorf("spurious retransmissions: %d bytes", f.RetxBytes())
+	if net.RetxBytesTotal != 0 {
+		t.Errorf("spurious retransmissions: %d bytes", net.RetxBytesTotal)
 	}
 }
 

@@ -67,27 +67,14 @@ type Port struct {
 	TxBytes       uint64 // all classes
 	TxDataBytes   uint64
 	TxPackets     uint64
-	ECNMarks      uint64   // CE-marked data packets sent, at every hop after the mark
-	LinkDownDrops uint64   // packets lost to a downed link
-	pausedFor     sim.Time // completed pause intervals
+	ECNMarks      uint64 // CE-marked data packets sent, at every hop after the mark
+	LinkDownDrops uint64 // packets lost to a downed link
 	pausedAt      sim.Time
-}
-
-// PausedFor returns the cumulative time the data class has spent
-// PFC-paused, including the in-progress pause if the port is currently
-// paused — so sampling a paused port mid-pause does not undercount.
-func (p *Port) PausedFor() sim.Time {
-	t := p.pausedFor
-	if p.paused {
-		t += p.eng.Now() - p.pausedAt
-	}
-	return t
 }
 
 // CurrentPauseSpan returns how long the in-progress PFC pause has been
 // asserted, or zero when the port is not paused. This is the signal a
-// storm watchdog compares against its deadline — PausedFor would also
-// count long-completed healthy pauses.
+// storm watchdog compares against its deadline.
 func (p *Port) CurrentPauseSpan() sim.Time {
 	if !p.paused {
 		return 0
@@ -200,7 +187,6 @@ func (p *Port) SetPaused(on bool) {
 	if on {
 		p.pausedAt = now
 	} else {
-		p.pausedFor += now - p.pausedAt
 		p.net.recordPauseSpan(p, p.pausedAt, now)
 		p.kick()
 	}
@@ -346,13 +332,4 @@ func (p *Port) acceptPause(pkt *Packet) bool {
 		return false
 	}
 	return true
-}
-
-// Utilization returns the fraction of link capacity used by transmissions
-// between two byte counters sampled interval apart.
-func Utilization(txBytesDelta uint64, rate Rate, interval sim.Time) float64 {
-	if interval <= 0 {
-		return 0
-	}
-	return float64(txBytesDelta) * 8 / (float64(rate) * interval.Seconds())
 }

@@ -34,11 +34,15 @@ func TestLinkDownClearsPauseState(t *testing.T) {
 		t.Error("NIC still paused after its link went down")
 	}
 	// The pause span ended at the down-transition; a long outage must
-	// account as LinkDownDrops, not one giant pause interval.
-	spanAtFail := nic.PausedFor()
+	// account as LinkDownDrops, not one giant pause interval, and no new
+	// pause may start behind the downed link (each start moves pausedAt).
+	startAtFail := nic.pausedAt
 	engine.RunUntil(when + sim.Millisecond)
-	if nic.PausedFor() != spanAtFail {
-		t.Error("pause span kept accumulating across the outage")
+	if span := nic.CurrentPauseSpan(); span != 0 {
+		t.Errorf("pause span kept accumulating across the outage: %v", span)
+	}
+	if nic.pausedAt != startAtFail {
+		t.Errorf("a pause started at %v during the outage", nic.pausedAt)
 	}
 	for _, f := range flows {
 		f.Stop()

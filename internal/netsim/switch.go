@@ -111,11 +111,6 @@ type Switch struct {
 // ID returns the switch's node id.
 func (s *Switch) ID() NodeID { return s.id }
 
-// Engine returns the shard engine this switch's events run on.
-// Switch-side congestion points and defense tickers must schedule their
-// timers here, not on the network's global lane.
-func (s *Switch) Engine() *sim.Engine { return s.eng }
-
 // Ports returns the switch's ports.
 func (s *Switch) Ports() []*Port { return s.ports }
 

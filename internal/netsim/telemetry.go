@@ -119,10 +119,9 @@ func (n *Network) recordPauseSpan(p *Port, start, end sim.Time) {
 
 // recordQueueDepth files the data-class backlog after an enqueue, both
 // into the histogram and as a counter-track event for the Chrome trace.
-// The event is deliberately not flow-tagged: queue depth is a port
-// property, and skipping the per-flow ring keeps this per-packet hook to
-// a single ring push. It runs on every data enqueue, so without a
-// recorder it returns before building the event at all.
+// The event is not flow-tagged: queue depth is a port property. It runs
+// on every data enqueue, so without a recorder it returns before
+// building the event at all.
 func (n *Network) recordQueueDepth(p *Port) {
 	q := p.queueBytes[ClassData]
 	n.tm.queueDepth.Observe(int64(q))

@@ -12,7 +12,7 @@ import (
 func TestNetworkTelemetryCounters(t *testing.T) {
 	engine, net, a, b, _ := pair(Gbps(40))
 	reg := telemetry.New()
-	rec := telemetry.NewRecorder(4096, 128, 64)
+	rec := telemetry.NewRecorder(4096)
 	net.SetTelemetry(reg, rec)
 	f := net.StartFlow(a, b, FlowConfig{Size: 200 * 1000})
 	engine.RunUntil(10 * sim.Millisecond)
@@ -68,7 +68,7 @@ func TestTelemetryDropsAndPFC(t *testing.T) {
 	engine := sim.New()
 	net := New(engine, 1)
 	reg := telemetry.New()
-	net.SetTelemetry(reg, telemetry.NewRecorder(1024, 0, 0))
+	net.SetTelemetry(reg, telemetry.NewRecorder(1024))
 	// Tiny shared buffer with PFC on: the 40G->10G dumbbell overloads the
 	// egress, forcing pauses; a second run with PFC off forces drops.
 	sw := net.AddSwitch("s", BufferConfig{TotalBytes: 30 * 1000, PFCEnabled: true, PFCThreshold: 10 * 1000})
@@ -139,7 +139,7 @@ func TestQueueDepthEventPerEnqueue(t *testing.T) {
 	}
 
 	reg := telemetry.New()
-	rec := telemetry.NewRecorder(64, 0, 0)
+	rec := telemetry.NewRecorder(64)
 	net.SetTelemetry(reg, rec)
 	enqueue(1000)
 	enqueue(1500)
@@ -152,14 +152,14 @@ func TestQueueDepthEventPerEnqueue(t *testing.T) {
 	if got := rec.Events(); !reflect.DeepEqual(got, want) {
 		t.Errorf("recorded events:\n got %+v\nwant %+v", got, want)
 	}
-	if n := reg.Histogram("netsim.queue_depth_bytes").Count(); n != 2 {
+	if n := reg.Histogram("netsim.queue_depth_bytes").Snapshot().Count; n != 2 {
 		t.Errorf("queue depth histogram has %d samples, want 2", n)
 	}
 
 	reg = telemetry.New()
 	net.SetTelemetry(reg, nil)
 	enqueue(500)
-	if n := reg.Histogram("netsim.queue_depth_bytes").Count(); n != 1 {
+	if n := reg.Histogram("netsim.queue_depth_bytes").Snapshot().Count; n != 1 {
 		t.Errorf("without a recorder the histogram has %d samples, want 1", n)
 	}
 }

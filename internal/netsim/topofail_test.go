@@ -220,7 +220,7 @@ func TestTopoFailTelemetry(t *testing.T) {
 	// evict the route instants this test is about.
 	engine, net, _, dst, s0 := diamond()
 	reg := telemetry.New()
-	rec := telemetry.NewRecorder(4096, 0, 0)
+	rec := telemetry.NewRecorder(4096)
 	net.SetTelemetry(reg, rec)
 	deadPort := s0.ports[s0.routeTo(dst.ID())[0]]
 	engine.At(100*sim.Microsecond, func() { net.FailLink(deadPort) })
@@ -234,11 +234,11 @@ func TestTopoFailTelemetry(t *testing.T) {
 	if got != 2 {
 		t.Errorf("reconverges counter = %v, want 2", got)
 	}
-	h := reg.Histogram("netsim.route.reconverge_ns")
-	if h.Count() != 2 {
-		t.Errorf("reconvergence latency histogram has %d samples, want 2", h.Count())
+	h := reg.Histogram("netsim.route.reconverge_ns").Snapshot()
+	if h.Count != 2 {
+		t.Errorf("reconvergence latency histogram has %d samples, want 2", h.Count)
 	}
-	if q := h.Quantile(0.5); q < uint64(DefaultReconvergeDelay) {
+	if q := h.P50; q < uint64(DefaultReconvergeDelay) {
 		t.Errorf("median reconvergence latency %d ns below the configured delay", q)
 	}
 	names := map[string]int{}

@@ -120,9 +120,6 @@ func Attach(net *netsim.Network, sw *netsim.Switch, port *netsim.Port, opts CPOp
 // Stop cancels the fair-rate timer.
 func (cp *CP) Stop() { cp.tick.Stop() }
 
-// Core exposes the underlying Alg. 1 state for instrumentation.
-func (cp *CP) Core() *core.CP { return cp.core }
-
 // FairRateMbps returns the current fair rate in Mb/s.
 func (cp *CP) FairRateMbps() float64 { return cp.core.FairRateMbps() }
 
@@ -142,26 +139,29 @@ func (cp *CP) OnDequeue(now sim.Time, pkt *netsim.Packet, qlen int) {
 }
 
 // update runs once per T: compute the fair rate from the egress queue and
-// send a CNP to every flow-table recipient (§3.2-§3.4).
+// send a CNP to every flow-table recipient (§3.2-§3.4). In host-computed
+// mode (§3.6) the CNPs carry the queue observations instead of the rate;
+// the CP still runs Alg. 1 on its queue so the gauge, the Sampler and the
+// defended policer read a real rate, which may differ from the hosts'
+// replicas (ROADMAP 23).
 func (cp *CP) update() {
 	now := cp.port.Engine().Now()
 	qcur := cp.port.DataQueueBytes()
-	var rateUnits, qoldUnits int
+	rateUnits := cp.core.Update(qcur)
+	cp.tmFair.Observe(int64(cp.core.FairRateMbps()))
+	cp.rec.Record(telemetry.Event{
+		At:    int64(now),
+		Kind:  telemetry.KindCounter,
+		Cat:   "rocc",
+		Name:  "fair_rate_mbps",
+		Node:  int64(cp.sw.ID()),
+		Tid:   int64(cp.port.Index),
+		Value: cp.core.FairRateMbps(),
+	})
+	var qoldUnits int
 	if cp.opts.HostComputed {
 		qoldUnits = cp.hostQold
 		cp.hostQold = qcur / cp.opts.Core.DeltaQBytes
-	} else {
-		rateUnits = cp.core.Update(qcur)
-		cp.tmFair.Observe(int64(cp.core.FairRateMbps()))
-		cp.rec.Record(telemetry.Event{
-			At:    int64(now),
-			Kind:  telemetry.KindCounter,
-			Cat:   "rocc",
-			Name:  "fair_rate_mbps",
-			Node:  int64(cp.sw.ID()),
-			Tid:   int64(cp.port.Index),
-			Value: cp.core.FairRateMbps(),
-		})
 	}
 	if !cp.opts.HostComputed && qcur < minSignalBytes {
 		// No congestion to signal (§3.4). In host-computed mode CNPs
@@ -204,11 +204,12 @@ func (cp *CP) sendCNP(now sim.Time, cpid netsim.CPID, f *netsim.Flow, rateUnits,
 	cnp.SendTS = now
 	info := cnp.EnsureCNP()
 	info.CP = cpid
-	info.RateUnits = rateUnits
 	if cp.opts.HostComputed {
 		info.HostComputed = true
 		info.QCurUnits = qcur / cp.opts.Core.DeltaQBytes
 		info.QOldUnits = qoldUnits
+	} else {
+		info.RateUnits = rateUnits
 	}
 	cp.sw.Inject(cnp)
 	cp.CNPsSent++

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rocc/internal/core"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 )
@@ -62,10 +61,21 @@ func TestQueueStabilizesAtQref(t *testing.T) {
 	}
 }
 
+// cnpSpy counts, by congestion point, the CNPs its flow receives.
+type cnpSpy struct {
+	*FlowCC
+	cps map[netsim.CPID]int
+}
+
+func (s *cnpSpy) OnCNP(now sim.Time, pkt *netsim.Packet) {
+	s.cps[pkt.CNP.CP]++
+	s.FlowCC.OnCNP(now, pkt)
+}
+
 func TestCNPCarriesCPIdentity(t *testing.T) {
 	engine := sim.New()
 	net, srcs, dst, cp := buildStar(t, engine, 2, 40)
-	cc := NewFlowCC(srcs[0], RPOptions{})
+	cc := &cnpSpy{FlowCC: NewFlowCC(srcs[0], RPOptions{}), cps: map[netsim.CPID]int{}}
 	net.StartFlow(srcs[0], dst, netsim.FlowConfig{Size: -1, MaxRate: netsim.Gbps(36), CC: cc})
 	net.StartFlow(srcs[1], dst, netsim.FlowConfig{
 		Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(srcs[1], RPOptions{}),
@@ -74,9 +84,9 @@ func TestCNPCarriesCPIdentity(t *testing.T) {
 	if !cc.RP().Installed() {
 		t.Fatal("rate limiter never installed")
 	}
-	want := core.CPKey{Node: int64(cp.sw.ID()), Port: cp.port.Index}
-	if cc.RP().CurrentCP() != want {
-		t.Errorf("CPcur = %+v, want %+v", cc.RP().CurrentCP(), want)
+	want := netsim.CPID{Node: cp.sw.ID(), Port: cp.port.Index}
+	if len(cc.cps) != 1 || cc.cps[want] == 0 {
+		t.Errorf("CNPs by CP = %v, want all from %+v", cc.cps, want)
 	}
 }
 
@@ -123,10 +133,10 @@ func TestMinSignalSuppressesIdleCNPs(t *testing.T) {
 func TestStopCancelsCPTicker(t *testing.T) {
 	engine := sim.New()
 	_, _, _, cp := buildStar(t, engine, 1, 40)
-	updates := cp.Core().Updates
+	updates := cp.core.Updates
 	cp.Stop()
 	engine.RunUntil(5 * sim.Millisecond)
-	if cp.Core().Updates != updates {
+	if cp.core.Updates != updates {
 		t.Error("CP still updating after Stop")
 	}
 }
@@ -140,7 +150,7 @@ func TestMDEngagesOnBurst(t *testing.T) {
 		})
 	}
 	engine.RunUntil(2 * sim.Millisecond)
-	if cp.Core().MDFloorCount+cp.Core().MDHalveCount == 0 {
+	if cp.core.MDFloorCount+cp.core.MDHalveCount == 0 {
 		t.Error("8x36G burst into 40G did not trigger MD")
 	}
 }

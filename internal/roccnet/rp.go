@@ -280,7 +280,7 @@ func (cc *FlowCC) recordRate(now sim.Time) {
 // CurrentRate implements netsim.FlowCC.
 func (cc *FlowCC) CurrentRate() netsim.Rate {
 	if !cc.rp.Installed() {
-		return netsim.Mbps(cc.rp.RmaxMbps())
+		return cc.host.NIC().LinkRate
 	}
 	return netsim.Mbps(cc.rp.RateMbps())
 }

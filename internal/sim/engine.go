@@ -98,7 +98,6 @@ type Engine struct {
 	stopped    bool
 	fired      uint64
 	maxPending int
-	allocated  uint64 // event slots ever allocated (pool high-water mark)
 
 	// curCtx is the lane of the event currently executing (zero between
 	// events and on a bare engine). New events inherit it.
@@ -125,18 +124,6 @@ func (e *Engine) Now() Time { return e.now }
 // Pending returns the number of scheduled (uncancelled) events.
 func (e *Engine) Pending() int { return e.q.n }
 
-// Fired returns the total number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// MaxPending returns the high-water mark of the event queue, a proxy for
-// how bursty the model's scheduling is.
-func (e *Engine) MaxPending() int { return e.maxPending }
-
-// EventSlots returns how many event structs the engine ever allocated.
-// In an allocation-free steady state this stops growing: it equals the
-// peak number of simultaneously pending events, not the number fired.
-func (e *Engine) EventSlots() uint64 { return e.allocated }
-
 // acquire returns a free event slot, allocating only when the free list
 // is empty (cold start or a new pending high-water mark).
 func (e *Engine) acquire() *event {
@@ -144,7 +131,6 @@ func (e *Engine) acquire() *event {
 		e.free, ev.next = ev.next, nil
 		return ev
 	}
-	e.allocated++
 	return &event{engine: e}
 }
 

@@ -208,11 +208,11 @@ func (s *fzState) check() error {
 	if got, want := s.e.Pending(), len(s.r.events); got != want {
 		return fmt.Errorf("Pending = %d, reference %d", got, want)
 	}
-	if got, want := s.e.MaxPending(), s.r.maxPending; got != want {
+	if got, want := s.e.maxPending, s.r.maxPending; got != want {
 		return fmt.Errorf("MaxPending = %d, reference %d", got, want)
 	}
-	if got, want := s.e.EventSlots(), uint64(s.r.maxPending); got != want {
-		return fmt.Errorf("EventSlots = %d, want the pending high-water mark %d", got, want)
+	if got, want := s.e.slots(), s.r.maxPending; got != want {
+		return fmt.Errorf("event slots = %d, want the pending high-water mark %d", got, want)
 	}
 	if s.e.Now() != s.r.now {
 		return fmt.Errorf("Now = %d, reference %d", s.e.Now(), s.r.now)
@@ -410,8 +410,9 @@ var queueSeeds = map[string][]byte{
 
 // FuzzQueueOrder drives the engine and the container/heap reference with
 // the same pushes, cancels, pops, peeks and clock jumps, and requires the
-// same pop order on (at, lane, seq), the same Pending, MaxPending and
-// EventSlots, and the same liveness of every Handle ever issued.
+// same pop order on (at, lane, seq), the same Pending and MaxPending,
+// as many event slots as the reference's pending high-water mark, and
+// the same liveness of every Handle ever issued.
 func FuzzQueueOrder(f *testing.F) {
 	for _, seed := range queueSeeds {
 		f.Add(seed)

@@ -45,7 +45,7 @@ func TestGroupSingleShardMatchesLegacy(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("traces differ:\nlegacy: %v\ngroup:  %v", want, got)
 	}
-	if lf, gf := legacy.Fired(), g.Fired(); lf != gf {
+	if lf, gf := legacy.fired, g.Fired(); lf != gf {
 		t.Errorf("fired %d vs %d", lf, gf)
 	}
 }

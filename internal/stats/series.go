@@ -18,14 +18,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{T: t, V: v}) }
 
-// Last returns the most recent value, or 0 if the series is empty.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
 // MeanAfter returns the mean of all samples with T >= t0. It is used to
 // measure steady-state values while skipping the transient.
 func (s *Series) MeanAfter(t0 float64) float64 { return s.MeanIn(t0, math.Inf(1)) }
@@ -56,13 +48,4 @@ func (s *Series) StdDevAfter(t0 float64) float64 {
 		}
 	}
 	return StdDev(vals)
-}
-
-// Values returns all sample values in order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		vs[i] = p.V
-	}
-	return vs
 }

@@ -144,11 +144,6 @@ func CI95(xs []float64) float64 {
 	return TCrit95(len(xs)) * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
-// MeanCI returns the mean of xs together with its 95% CI half-width.
-func MeanCI(xs []float64) (mean, ci float64) {
-	return Mean(xs), CI95(xs)
-}
-
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²): 1.0 for a
 // perfectly even allocation, 1/n when one member takes everything.
 func JainIndex(xs []float64) float64 {

@@ -40,7 +40,7 @@ func BenchmarkHistogramEnabled(b *testing.B) {
 }
 
 func BenchmarkRecorderRecord(b *testing.B) {
-	r := NewRecorder(4096, 64, 256)
+	r := NewRecorder(4096)
 	e := Event{At: 1, Kind: KindCounter, Cat: "netsim", Name: "qdepth_bytes", Node: 1, Tid: 2, Flow: 3, Value: 4}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -18,6 +18,7 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int64          `json:"pid"`
 	Tid  int64          `json:"tid"`
+	ID   int64          `json:"id,omitempty"`
 	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
@@ -30,8 +31,11 @@ type chromeTrace struct {
 // WriteChromeTrace renders flight-recorder events as Chrome trace-event
 // JSON loadable in chrome://tracing or https://ui.perfetto.dev. Spans
 // become complete ("X") slices, instants thread-scoped ("i") marks, and
-// counters counter ("C") tracks, one per (node, name). Process metadata
-// names each node so the timeline is readable without the source.
+// counters counter ("C") tracks, one per (node, name). A flow-tagged
+// event carries its flow: a counter as the trace id, which gives each
+// flow its own track, since every args key of a counter is plotted as a
+// series; a span or instant as args "flow". Process metadata names each
+// node so the timeline is readable without the source.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	out := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
 	pids := map[int64]bool{}
@@ -52,6 +56,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			ce.Dur = float64(e.Dur) / 1e3
 		case KindCounter:
 			ce.Ph = "C"
+			ce.ID = e.Flow
 			ce.Args = map[string]any{e.Name: e.Value}
 		default:
 			ce.Ph = "i"
@@ -59,6 +64,12 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			if e.Value != 0 {
 				ce.Args = map[string]any{"value": e.Value}
 			}
+		}
+		if e.Flow != 0 && e.Kind != KindCounter {
+			if ce.Args == nil {
+				ce.Args = map[string]any{}
+			}
+			ce.Args["flow"] = e.Flow
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}

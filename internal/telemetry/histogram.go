@@ -82,14 +82,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistogramSnapshot is a point-in-time summary of a histogram.
 type HistogramSnapshot struct {
 	Count uint64
@@ -122,19 +114,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P95 = h.quantile(0.95, s.Count, s.Max)
 	s.P99 = h.quantile(0.99, s.Count, s.Max)
 	return s
-}
-
-// Quantile returns the value at quantile q (0..1) using the current
-// bucket contents, clamped to the observed maximum.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.quantile(q, n, h.max.Load())
 }
 
 func (h *Histogram) quantile(q float64, total, max uint64) uint64 {

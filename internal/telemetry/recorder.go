@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // EventKind discriminates flight-recorder events for export.
 type EventKind uint8
@@ -16,8 +13,8 @@ const (
 )
 
 // Event is one flight-recorder entry. Node/Tid become the Chrome trace
-// pid/tid; Flow, when non-zero, additionally files the event in that
-// flow's bounded ring.
+// pid/tid; Flow, when non-zero, tags the event with the flow it belongs
+// to in the exported trace.
 type Event struct {
 	At    int64 // event time in ns (virtual or wall, producer-defined)
 	Dur   int64 // span duration in ns (KindSpan only)
@@ -26,146 +23,50 @@ type Event struct {
 	Name  string  // e.g. "qdepth_bytes", "pfc_pause", "fair_rate_mbps"
 	Node  int64   // originating node (Chrome pid)
 	Tid   int64   // port or flow lane within the node (Chrome tid)
-	Flow  int64   // flow id for per-flow recording; 0 = not flow-scoped
+	Flow  int64   // flow the event belongs to; 0 = not flow-scoped
 	Value float64 // counter sample (KindCounter only)
 }
 
-// ring is a fixed-capacity event ring buffer.
-type ring struct {
-	buf   []Event
-	next  int
-	total uint64
-}
-
-func newRing(n int) *ring {
-	if n < 1 {
-		n = 1
-	}
-	return &ring{buf: make([]Event, 0, n)}
-}
-
-func (r *ring) push(e Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-func (r *ring) events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf...)
-	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
-// Recorder is the bounded flight recorder: a global ring holding the
-// most recent events across the system, plus an optional per-flow ring
-// so the recent history of any one flow survives even when a busy
-// neighbour floods the global ring. All memory is allocated up front or
-// bounded by maxFlows; recording never grows without bound.
+// Recorder is the bounded flight recorder: one ring holding the most
+// recent events across the system. Its memory is allocated up front;
+// recording never grows it.
 //
 // Recorder is safe for concurrent use. A nil *Recorder drops all events.
 type Recorder struct {
-	mu       sync.Mutex
-	global   *ring
-	perFlow  int
-	maxFlows int
-	flows    map[int64]*ring
-	dropped  uint64 // flow-scoped events not filed per-flow (maxFlows hit)
+	mu   sync.Mutex
+	buf  []Event
+	next int // slot the next event overwrites once buf is full
 }
 
-// NewRecorder creates a flight recorder retaining the last global
-// events overall and, when perFlow > 0, the last perFlow events of each
-// of up to maxFlows distinct flows (maxFlows <= 0 means 1024).
-func NewRecorder(global, perFlow, maxFlows int) *Recorder {
-	if maxFlows <= 0 {
-		maxFlows = 1024
-	}
-	r := &Recorder{
-		global:   newRing(global),
-		perFlow:  perFlow,
-		maxFlows: maxFlows,
-	}
-	if perFlow > 0 {
-		r.flows = make(map[int64]*ring)
-	}
-	return r
+// NewRecorder creates a flight recorder retaining the last n events
+// (at least one).
+func NewRecorder(n int) *Recorder {
+	return &Recorder{buf: make([]Event, 0, max(n, 1))}
 }
 
-// Record files one event.
+// Record files one event, evicting the oldest once the ring is full.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.global.push(e)
-	if r.perFlow > 0 && e.Flow != 0 {
-		fr, ok := r.flows[e.Flow]
-		if !ok {
-			if len(r.flows) >= r.maxFlows {
-				r.dropped++
-				r.mu.Unlock()
-				return
-			}
-			fr = newRing(r.perFlow)
-			r.flows[e.Flow] = fr
-		}
-		fr.push(e)
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.next] = e
+		r.next = (r.next + 1) % cap(r.buf)
 	}
 	r.mu.Unlock()
 }
 
-// Total returns how many events were recorded over the recorder's
-// lifetime, including those since evicted from the rings.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.global.total
-}
-
-// Events returns the retained global events, oldest first.
+// Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.global.events()
-}
-
-// FlowEvents returns the retained events of one flow, oldest first.
-func (r *Recorder) FlowEvents(flow int64) []Event {
-	if r == nil || r.flows == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fr, ok := r.flows[flow]
-	if !ok {
-		return nil
-	}
-	return fr.events()
-}
-
-// Flows returns the ids with per-flow history, ascending.
-func (r *Recorder) Flows() []int64 {
-	if r == nil || r.flows == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]int64, 0, len(r.flows))
-	for id := range r.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }

@@ -7,12 +7,9 @@ import (
 )
 
 func TestRecorderGlobalRingEvicts(t *testing.T) {
-	r := NewRecorder(4, 0, 0)
+	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
 		r.Record(Event{At: int64(i), Name: "e"})
-	}
-	if r.Total() != 10 {
-		t.Errorf("total = %d, want 10", r.Total())
 	}
 	ev := r.Events()
 	if len(ev) != 4 {
@@ -22,32 +19,6 @@ func TestRecorderGlobalRingEvicts(t *testing.T) {
 		if e.At != int64(6+i) {
 			t.Errorf("event %d at %d, want %d (oldest first)", i, e.At, 6+i)
 		}
-	}
-}
-
-func TestRecorderPerFlowRings(t *testing.T) {
-	r := NewRecorder(2, 3, 2)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{At: int64(i), Flow: 1})
-	}
-	r.Record(Event{At: 100, Flow: 2})
-	// Third distinct flow exceeds maxFlows: global ring still sees it,
-	// per-flow history does not.
-	r.Record(Event{At: 200, Flow: 3})
-	if got := r.FlowEvents(1); len(got) != 3 || got[0].At != 2 || got[2].At != 4 {
-		t.Errorf("flow 1 events = %+v", got)
-	}
-	if got := r.FlowEvents(2); len(got) != 1 {
-		t.Errorf("flow 2 events = %+v", got)
-	}
-	if got := r.FlowEvents(3); got != nil {
-		t.Errorf("flow 3 beyond maxFlows should have no per-flow ring, got %+v", got)
-	}
-	if flows := r.Flows(); len(flows) != 2 || flows[0] != 1 || flows[1] != 2 {
-		t.Errorf("flows = %v", flows)
-	}
-	if r.Total() != 7 {
-		t.Errorf("total = %d", r.Total())
 	}
 }
 
@@ -102,6 +73,37 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if m["args"].(map[string]any)["name"].(string) != "node 2" {
 		t.Error("process metadata not named")
+	}
+}
+
+// TestChromeTraceFlowTags: a flow-tagged counter gets the flow as its
+// trace id (its own track), a flow-tagged instant gets args "flow", and
+// an untagged event carries neither.
+func TestChromeTraceFlowTags(t *testing.T) {
+	events := []Event{
+		{At: 1000, Kind: KindCounter, Cat: "rocc", Name: "rp_rate_mbps", Node: 3, Flow: 7, Value: 4000},
+		{At: 2000, Kind: KindInstant, Cat: "netsim", Name: "drop", Node: 2, Flow: 9, Value: 1048},
+		{At: 3000, Kind: KindCounter, Cat: "netsim", Name: "qdepth_bytes", Node: 2, Tid: 1, Value: 1500},
+	}
+	var sb strings.Builder
+	if err := WriteChromeTrace(&sb, events); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatalf("trace not valid JSON: %v", err)
+	}
+	want := []string{
+		`{"name":"rp_rate_mbps","cat":"rocc","ph":"C","ts":1,"pid":3,"tid":0,"id":7,"args":{"rp_rate_mbps":4000}}`,
+		`{"name":"drop","cat":"netsim","ph":"i","ts":2,"pid":2,"tid":0,"s":"t","args":{"flow":9,"value":1048}}`,
+		`{"name":"qdepth_bytes","cat":"netsim","ph":"C","ts":3,"pid":2,"tid":1,"args":{"qdepth_bytes":1500}}`,
+	}
+	for i, w := range want {
+		if got := string(out.TraceEvents[i]); got != w {
+			t.Errorf("event %d:\n got %s\nwant %s", i, got, w)
+		}
 	}
 }
 

@@ -43,13 +43,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 for a nil Counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {

@@ -7,22 +7,20 @@ import (
 
 // Partition maps every node of a built network onto one of K shards of
 // the event engine group (sim.Group). The cut respects the lookahead
-// contract: every link crossing shards keeps at least Lookahead() of
+// contract: every link crossing shards keeps at least the lookahead of
 // propagation delay, so conservative windowed execution never delivers a
 // packet into a shard's past.
 type Partition struct {
 	K      int
 	Assign []int // shard per NodeID, len == net.NodeCount()
 
+	// lookahead is the minimum propagation delay over cross-shard links:
+	// the window width the engine group may run ahead by. A one-shard
+	// partition has no cross-shard links; it keeps
+	// netsim.DefaultLookahead, the window the network was born with, so
+	// applying it changes nothing about the run.
 	lookahead sim.Time
 }
-
-// Lookahead returns the minimum propagation delay over cross-shard
-// links — the window width the engine group may run ahead by. A
-// single-shard partition has no cross-shard links; it keeps
-// netsim.DefaultLookahead, the window the network was born with, so
-// applying it changes nothing about the run.
-func (p Partition) Lookahead() sim.Time { return p.lookahead }
 
 // Apply re-homes the network from the one-shard group it was born on
 // onto a fresh K-shard group over the same engine, and returns that

@@ -75,8 +75,8 @@ func TestPartitionFatTreePodAligned(t *testing.T) {
 		}
 
 		// Lookahead: all links carry LinkDelay, so any cut reports it.
-		if p.Lookahead() != LinkDelay {
-			t.Errorf("k=%d: lookahead %v, want %v", k, p.Lookahead(), LinkDelay)
+		if p.lookahead != LinkDelay {
+			t.Errorf("k=%d: lookahead %v, want %v", k, p.lookahead, LinkDelay)
 		}
 	}
 }
@@ -177,8 +177,8 @@ func TestBornGroupedEqualsOneShardApply(t *testing.T) {
 		}
 		if apply {
 			p := PartitionAuto(m.Net, 1)
-			if p.Lookahead() != netsim.DefaultLookahead {
-				t.Fatalf("one-shard cut lookahead %v, want the born %v", p.Lookahead(), netsim.DefaultLookahead)
+			if p.lookahead != netsim.DefaultLookahead {
+				t.Fatalf("one-shard cut lookahead %v, want the born %v", p.lookahead, netsim.DefaultLookahead)
 			}
 			if g := p.Apply(m.Net); g.Shards() != 1 || m.Net.Group() != g {
 				t.Fatalf("Apply(1): shards=%d, adopted=%v", g.Shards(), m.Net.Group() == g)
@@ -215,7 +215,7 @@ func TestBornGroupedEqualsOneShardApply(t *testing.T) {
 // would be orphaned on the old shard engine, so Apply refuses.
 func TestApplyOnBusyNetworkPanics(t *testing.T) {
 	m := BuildMultiBottleneck(sim.New(), 1)
-	m.S0.Engine().After(sim.Microsecond, func() {})
+	m.S0.Port(0).Engine().After(sim.Microsecond, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("Apply on a network with a pending node-lane event did not panic")

@@ -145,14 +145,3 @@ func FBHadoop() *CDF {
 		{100 * 1000, 1.00},
 	})
 }
-
-// ByName resolves a distribution by its paper name.
-func ByName(name string) (*CDF, error) {
-	switch name {
-	case "WebSearch", "websearch":
-		return WebSearch(), nil
-	case "FB_Hadoop", "fbhadoop", "fb_hadoop":
-		return FBHadoop(), nil
-	}
-	return nil, fmt.Errorf("workload: unknown distribution %q", name)
-}

@@ -187,17 +187,6 @@ func TestHeavyTail(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"WebSearch", "websearch", "FB_Hadoop", "fbhadoop"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestArrivalRate(t *testing.T) {
 	c := NewCDF("unit", []CDFPoint{{999, 0.001}, {1000, 1.0}}) // ~1000B flows
 	lam := ArrivalRate(c, 8e9, 0.5)                            // 4 Gb/s of ~8000-bit flows
