@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 
+	"rocc/internal/experiments"
+	"rocc/internal/hpcc"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/topology"
@@ -61,6 +63,62 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 			perEvent := allocsPerCall / eventsPerCall
 			t.Logf("steady state: %.4f allocs/event (%.1f per ~%.0f-event window batch)",
 				perEvent, allocsPerCall, eventsPerCall)
+			if perEvent > 1 {
+				t.Fatalf("steady state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
+			}
+		})
+	}
+}
+
+// TestProtocolStepAllocs extends the gate to the packets that carry a
+// protocol record: a RoCC star, whose CP sends each flow a CNP with a
+// payload at every update, and an HPCC star, whose switch stamps INT on
+// every data packet and whose receiver echoes it in every ACK. A pool slot
+// allocates its CNP or INT record once and keeps it, so once the pool is
+// primed stepping must stay allocation-free per event.
+func TestProtocolStepAllocs(t *testing.T) {
+	for _, proto := range []experiments.Protocol{experiments.ProtoRoCC, experiments.ProtoHPCC} {
+		t.Run(string(proto), func(t *testing.T) {
+			engine := sim.New()
+			star := topology.BuildStar(engine, 1, 4, netsim.Gbps(40))
+			mix := experiments.NewMix(star.Net, 0)
+			mix.Activate(proto)
+			mix.EnableAllSwitchPorts()
+			mix.AttachReceivers()
+			var flows []*netsim.Flow
+			for _, src := range star.Sources {
+				flows = append(flows, mix.StartFlow(proto, src, star.Dst, -1, 0))
+			}
+			// signals counts the records the run consumes: CNPs received
+			// (RoCC) or INT-driven window updates (HPCC).
+			signals := func() (n int) {
+				for i, src := range star.Sources {
+					if cc, ok := flows[i].CC.(*hpcc.FlowCC); ok {
+						n += cc.MDEvents + cc.AIEvents
+					} else {
+						n += int(src.CNPsRx)
+					}
+				}
+				return n
+			}
+
+			// Prime: by 10 ms the queue has settled, the pool holds its
+			// peak of live slots and each slot its record.
+			engine.RunUntil(10 * sim.Millisecond)
+
+			const batch = 1000
+			signalsBefore := signals()
+			allocsPerBatch := testing.AllocsPerRun(50, func() {
+				for i := 0; i < batch; i++ {
+					engine.Step()
+				}
+			})
+			if signals() == signalsBefore {
+				t.Fatal("no CNP or INT feedback reached a sender while measured; the gate sees no records")
+			}
+			perEvent := allocsPerBatch / batch
+			t.Logf("steady state: %.4f allocs/event, %d feedback signals in %d events",
+				perEvent, signals()-signalsBefore, 51*batch)
 			if perEvent > 1 {
 				t.Fatalf("steady state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
 			}

@@ -111,9 +111,9 @@ func (r *Rogue) OnAck(now sim.Time, pkt *netsim.Packet) {
 	case RogueBlast:
 		return
 	case RogueECNBlind:
-		if pkt.CE || len(pkt.EchoINT) > 0 {
+		if pkt.CE || len(pkt.EchoINT()) > 0 {
 			pkt.CE = false
-			pkt.EchoINT = pkt.EchoINT[:0]
+			pkt.SetEchoINT(nil)
 			r.StrippedAcks++
 		}
 	}

@@ -22,7 +22,7 @@ func (c *recordCC) OnSent(now sim.Time, pkt *netsim.Packet) { c.sents++ }
 func (c *recordCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 	c.acks++
 	c.lastCE = pkt.CE
-	c.lastINT = len(pkt.EchoINT)
+	c.lastINT = len(pkt.EchoINT())
 }
 func (c *recordCC) OnCNP(now sim.Time, pkt *netsim.Packet) { c.cnps++ }
 func (c *recordCC) CurrentRate() netsim.Rate               { return netsim.Gbps(7) }
@@ -45,7 +45,8 @@ func TestParseRogueKind(t *testing.T) {
 func TestCNPDeafSwallowsCNPsOnly(t *testing.T) {
 	inner := &recordCC{}
 	r := WrapRogue(RogueCNPDeaf, inner, 0)
-	ack := &netsim.Packet{Kind: netsim.KindAck, CE: true, EchoINT: make([]netsim.INTRecord, 2)}
+	ack := &netsim.Packet{Kind: netsim.KindAck, CE: true}
+	ack.SetEchoINT(make([]netsim.INTRecord, 2))
 	cnp := &netsim.Packet{Kind: netsim.KindCNP}
 	r.Allow(0, 1000)
 	r.OnSent(0, &netsim.Packet{})
@@ -75,7 +76,8 @@ func TestCNPDeafSwallowsCNPsOnly(t *testing.T) {
 func TestECNBlindStripsAckSignals(t *testing.T) {
 	inner := &recordCC{}
 	r := WrapRogue(RogueECNBlind, inner, 0)
-	ack := &netsim.Packet{Kind: netsim.KindAck, CE: true, EchoINT: make([]netsim.INTRecord, 3)}
+	ack := &netsim.Packet{Kind: netsim.KindAck, CE: true}
+	ack.SetEchoINT(make([]netsim.INTRecord, 3))
 	r.OnAck(0, ack)
 	r.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP})
 	if inner.acks != 1 || inner.lastCE || inner.lastINT != 0 {

@@ -136,11 +136,6 @@ type CP struct {
 
 	f    float64 // current fair rate, ΔF units, fixed-point precision
 	qold float64 // previous queue observation, ΔQ units
-
-	// Counters for instrumentation and tests.
-	MDFloorCount int // times MD set F ← Fmin
-	MDHalveCount int // times MD set F ← F/2
-	Updates      int
 }
 
 // NewCP returns a CP initialized with F = Fmax (no congestion yet).
@@ -168,15 +163,12 @@ func (cp *CP) Config() CPConfig { return cp.cfg }
 // current queue length in bytes, returning the fair rate in whole ΔF units
 // as carried by the CNP.
 func (cp *CP) Update(qcurBytes int) int {
-	cp.Updates++
 	qcur := float64(qcurBytes) / float64(cp.cfg.DeltaQBytes)
 	switch {
 	case !cp.cfg.DisableMD && qcur >= cp.qmax && cp.f > cp.fmax/8:
 		cp.f = cp.fmin // Line 3: queue overrun imminent
-		cp.MDFloorCount++
 	case !cp.cfg.DisableMD && qcur-cp.qold >= cp.qmid && cp.f > cp.fmax/8:
 		cp.f = cp.f / 2 // Line 5: sharp queue growth
-		cp.MDHalveCount++
 	default:
 		alpha, beta := cp.autoTune()
 		cp.f = cp.f - float64(alpha*(qcur-cp.qref)) - float64(beta*(qcur-cp.qold)) // Line 8

@@ -98,45 +98,59 @@ func TestInitialFairRateIsFmax(t *testing.T) {
 	}
 }
 
+// piTwin returns a CP with cfg but multiplicative decrease disabled: fed
+// the same observations, it shows the rate the PI path alone would reach,
+// so an MD test can tell that MD, and not the PI law, set the rate.
+func piTwin(cfg CPConfig) *CP {
+	cfg.DisableMD = true
+	return NewCP(cfg)
+}
+
 func TestMDFloorOnQmax(t *testing.T) {
-	cp := NewCP(CPConfig40G())
+	cp, twin := NewCP(CPConfig40G()), piTwin(CPConfig40G())
 	cp.Update(360000) // Qcur >= Qmax with F = Fmax > Fmax/8
+	twin.Update(360000)
 	if got := cp.FairRateMbps(); got != 100 {
 		t.Errorf("rate after MD floor = %v, want Fmin=100", got)
 	}
-	if cp.MDFloorCount != 1 {
-		t.Errorf("MDFloorCount = %d", cp.MDFloorCount)
+	if twin.FairRateMbps() == 100 {
+		t.Fatal("the PI path alone reaches Fmin here; the test cannot see the floor")
 	}
 }
 
 func TestMDHalveOnGrowth(t *testing.T) {
-	cp := NewCP(CPConfig40G())
+	cp, twin := NewCP(CPConfig40G()), piTwin(CPConfig40G())
 	cp.Update(10000) // establish Qold small; PI path
+	twin.Update(10000)
 	before := cp.FairRateMbps()
 	cp.Update(10000 + 330000) // growth > Qmid (but below Qmax trigger at F high? Qcur=340000 < Qmax)
+	twin.Update(10000 + 330000)
 	if got := cp.FairRateMbps(); math.Abs(got-before/2) > 1 {
 		t.Errorf("rate after MD halve = %v, want ~%v", got, before/2)
 	}
-	if cp.MDHalveCount != 1 {
-		t.Errorf("MDHalveCount = %d", cp.MDHalveCount)
+	if math.Abs(twin.FairRateMbps()-before/2) <= 1 {
+		t.Fatal("the PI path alone halves the rate here; the test cannot see MD")
 	}
 }
 
 func TestMDSkippedWhenRateAlreadyLow(t *testing.T) {
-	cp := NewCP(CPConfig40G())
+	cp, twin := NewCP(CPConfig40G()), piTwin(CPConfig40G())
 	cp.setFairRateMbps(40000.0 / 8) // exactly Fmax/8: not > Fmax/8
+	twin.setFairRateMbps(40000.0 / 8)
 	cp.Update(400000)
-	if cp.MDFloorCount != 0 {
-		t.Error("MD floor fired although F <= Fmax/8")
+	twin.Update(400000)
+	if got, want := cp.FairRateMbps(), twin.FairRateMbps(); got != want || got == 100 {
+		t.Errorf("rate = %v, want the PI result %v: MD fired although F <= Fmax/8", got, want)
 	}
 }
 
 func TestMDFloorPrecedesHalve(t *testing.T) {
 	cp := NewCP(CPConfig40G())
-	// Both conditions true: queue above Qmax and huge growth.
+	// Both conditions true: queue above Qmax and huge growth. The floor
+	// gives Fmin; the halve would give Fmax/2.
 	cp.Update(500000)
-	if cp.MDFloorCount != 1 || cp.MDHalveCount != 0 {
-		t.Errorf("floor/halve = %d/%d, want 1/0", cp.MDFloorCount, cp.MDHalveCount)
+	if got := cp.FairRateMbps(); got != 100 {
+		t.Errorf("rate = %v, want Fmin=100 (floor before halve)", got)
 	}
 }
 
@@ -145,8 +159,8 @@ func TestDisableMD(t *testing.T) {
 	cfg.DisableMD = true
 	cp := NewCP(cfg)
 	cp.Update(500000)
-	if cp.MDFloorCount != 0 {
-		t.Error("MD fired despite DisableMD")
+	if got := cp.FairRateMbps(); got == 100 || got == 20000 {
+		t.Errorf("rate = %v: MD (floor to Fmin or halve to Fmax/2) fired despite DisableMD", got)
 	}
 	if cp.FairRateMbps() >= 40000 {
 		t.Error("PI path did not reduce the rate")

@@ -11,6 +11,20 @@ import (
 	"rocc/internal/topology"
 )
 
+// TestPacketFootprint bounds one pooled packet slot: the scale fabric
+// holds tens of thousands live, most of them CNPs. The header every hop
+// reads and the two pointers to the slot's CNP and INT records fit Go's
+// 112-B size class; the poolcheck stamp adds 8 B, within the 128-B one.
+func TestPacketFootprint(t *testing.T) {
+	limit := uintptr(112)
+	if netsim.PoolcheckEnabled {
+		limit = 128
+	}
+	if size := unsafe.Sizeof(netsim.Packet{}); size > limit {
+		t.Errorf("netsim.Packet is %d bytes, want <= %d (the %d-B size class)", size, limit, limit)
+	}
+}
+
 // TestFlowFootprint bounds what one RoCC flow costs: the scale fabric
 // keeps 100 000 of them live, so each byte here is ~100 KB of heap there.
 // The bounds are Go allocation size classes: a Flow over 192 B takes a

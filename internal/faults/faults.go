@@ -225,7 +225,8 @@ func (h *linkHook) OnTransmit(now sim.Time, pkt *netsim.Packet) netsim.FaultVerd
 // exercising the reaction point's feedback validation — while every
 // other kind fails its CRC at the receiver and is discarded.
 func (h *linkHook) corrupt(pkt *netsim.Packet) bool {
-	if pkt.Kind != netsim.KindCNP || pkt.CNP == nil {
+	info := pkt.CNP()
+	if pkt.Kind != netsim.KindCNP || info == nil {
 		return false
 	}
 	garbage := func() int {
@@ -234,11 +235,11 @@ func (h *linkHook) corrupt(pkt *netsim.Packet) bool {
 		}
 		return 1<<30 + h.rand.Intn(1<<20) // absurdly large rate
 	}
-	if pkt.CNP.HostComputed {
-		pkt.CNP.QCurUnits = garbage()
-		pkt.CNP.QOldUnits = garbage()
+	if info.HostComputed {
+		info.QCurUnits = garbage()
+		info.QOldUnits = garbage()
 	} else {
-		pkt.CNP.RateUnits = garbage()
+		info.RateUnits = garbage()
 	}
 	return true
 }

@@ -132,21 +132,49 @@ func TestReorderDelaysDelivery(t *testing.T) {
 func TestCorruptMangledCNPSurvivesOthersDropped(t *testing.T) {
 	h := &linkHook{in: &Injector{}, cfg: LinkConfig{}, rand: sim.NewRand(5)}
 	for i := 0; i < 16; i++ {
-		cnp := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 100}}
+		cnp := &netsim.Packet{Kind: netsim.KindCNP}
+		cnp.EnsureCNP().RateUnits = 100
 		if !h.corrupt(cnp) {
 			t.Fatal("corrupt CNP must survive the wire (mangled, not lost)")
 		}
-		if u := cnp.CNP.RateUnits; u >= 0 && u < 1<<29 {
+		if u := cnp.CNP().RateUnits; u >= 0 && u < 1<<29 {
 			t.Fatalf("mangled rate units %d still look plausible", u)
 		}
 	}
-	host := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{HostComputed: true, QCurUnits: 5, QOldUnits: 4}}
-	if !h.corrupt(host) || host.CNP.QCurUnits == 5 && host.CNP.QOldUnits == 4 {
+	host := &netsim.Packet{Kind: netsim.KindCNP}
+	*host.EnsureCNP() = netsim.CNPInfo{HostComputed: true, QCurUnits: 5, QOldUnits: 4}
+	if !h.corrupt(host) || host.CNP().QCurUnits == 5 && host.CNP().QOldUnits == 4 {
 		t.Error("host-computed CNP observations not mangled")
 	}
 	data := &netsim.Packet{Kind: netsim.KindData}
 	if h.corrupt(data) {
 		t.Error("corrupt data packet must fail CRC and be dropped")
+	}
+}
+
+// TestCorruptSkipsRecycledPacketWithoutPayload reacquires the pool slot
+// of a released RoCC CNP as a DCQCN CNP, which carries no payload: the
+// slot still holds the old record, but corruption must treat the packet
+// as payload-less (it fails its CRC) rather than mangle a stale payload
+// into a survivor.
+func TestCorruptSkipsRecycledPacketWithoutPayload(t *testing.T) {
+	_, net, a, _, _ := pair()
+	h := &linkHook{in: &Injector{}, cfg: LinkConfig{}, rand: sim.NewRand(5)}
+	rocc := net.AcquirePacket(a)
+	rocc.Kind = netsim.KindCNP
+	rocc.EnsureCNP().RateUnits = 100
+	net.ReleasePacket(rocc)
+
+	dcqcn := net.AcquirePacket(a)
+	if dcqcn != rocc {
+		t.Fatal("pool did not reuse the released slot")
+	}
+	dcqcn.Kind = netsim.KindCNP
+	if h.corrupt(dcqcn) {
+		t.Error("a payload-less CNP survived corruption: a stale payload was mangled")
+	}
+	if dcqcn.CNP() != nil {
+		t.Error("corruption attached a payload to a payload-less CNP")
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *Stamper) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {}
 
 // OnDequeue implements netsim.PortCC: stamp telemetry as the packet leaves.
 func (s *Stamper) OnDequeue(now sim.Time, pkt *netsim.Packet, qlen int) {
-	pkt.INT = append(pkt.INT, netsim.INTRecord{
+	pkt.StampINT(netsim.INTRecord{
 		TxBytes: s.port.TxDataBytes + uint64(pkt.Size),
 		QLen:    qlen,
 		TS:      now,
@@ -133,7 +133,7 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 	if pkt.AckSeq > cc.acked {
 		cc.acked = pkt.AckSeq
 	}
-	intRecs := pkt.EchoINT
+	intRecs := pkt.EchoINT()
 	if len(intRecs) == 0 {
 		return
 	}

@@ -72,29 +72,28 @@ func TestStamperAppendsPerHop(t *testing.T) {
 	pkt := &netsim.Packet{Kind: netsim.KindData, Size: 1048}
 	st.OnDequeue(5, pkt, 3000)
 	st.OnDequeue(6, pkt, 4000) // second "hop" (same stamper for the test)
-	if len(pkt.INT) != 2 {
-		t.Fatalf("INT records = %d, want 2", len(pkt.INT))
+	recs := pkt.INT()
+	if len(recs) != 2 {
+		t.Fatalf("INT records = %d, want 2", len(recs))
 	}
-	if pkt.INT[0].QLen != 3000 || pkt.INT[0].TS != 5 {
-		t.Errorf("record 0 = %+v", pkt.INT[0])
+	if recs[0].QLen != 3000 || recs[0].TS != 5 {
+		t.Errorf("record 0 = %+v", recs[0])
 	}
-	if pkt.INT[0].Rate != netsim.Gbps(40) {
+	if recs[0].Rate != netsim.Gbps(40) {
 		t.Error("bandwidth not stamped")
 	}
 }
 
 // ackWithINT fabricates an INT echo for a single-hop path.
 func ackWithINT(ackSeq int64, txBytes uint64, qlen int, ts sim.Time) *netsim.Packet {
-	return &netsim.Packet{
-		Kind:   netsim.KindAck,
-		AckSeq: ackSeq,
-		EchoINT: []netsim.INTRecord{{
-			TxBytes: txBytes,
-			QLen:    qlen,
-			TS:      ts,
-			Rate:    netsim.Gbps(40),
-		}},
-	}
+	ack := &netsim.Packet{Kind: netsim.KindAck, AckSeq: ackSeq}
+	ack.SetEchoINT([]netsim.INTRecord{{
+		TxBytes: txBytes,
+		QLen:    qlen,
+		TS:      ts,
+		Rate:    netsim.Gbps(40),
+	}})
+	return ack
 }
 
 func TestCongestedHopShrinksWindow(t *testing.T) {
@@ -183,10 +182,11 @@ func TestHopCountChangeResetsBaseline(t *testing.T) {
 	w0 := cc.w
 	// Two-hop echo after a one-hop baseline: must re-baseline, not panic,
 	// and must not move the window.
-	twoHop := &netsim.Packet{AckSeq: 200, EchoINT: []netsim.INTRecord{
+	twoHop := &netsim.Packet{AckSeq: 200}
+	twoHop.SetEchoINT([]netsim.INTRecord{
 		{TxBytes: 1, QLen: 0, TS: 1, Rate: netsim.Gbps(40)},
 		{TxBytes: 1, QLen: 0, TS: 1, Rate: netsim.Gbps(100)},
-	}}
+	})
 	cc.OnAck(5, twoHop)
 	if cc.w != w0 {
 		t.Error("window moved on re-baseline")

@@ -49,7 +49,7 @@ type CongestionOps interface {
 // several schemes share a fabric each capacity is sized to the maximum
 // over the set.
 type CCFeatures struct {
-	// INTHops presizes pooled packets' INT/EchoINT backing arrays to this
+	// INTHops presizes pooled packets' INT and EchoINT stacks to this
 	// hop count so per-hop stamping never grows an allocation in the hot
 	// path. Zero for schemes that do not use INT.
 	INTHops int

@@ -295,7 +295,7 @@ func (f *Flow) sendAck(now sim.Time, data *Packet, nack bool) {
 	ack.AckSeq = f.rcvdContig
 	ack.Nack = nack
 	ack.EchoTS = data.SendTS
-	ack.EchoINT = append(ack.EchoINT[:0], data.INT...)
+	ack.SetEchoINT(data.INT())
 	ack.SendTS = now
 	f.dst.Send(ack)
 }

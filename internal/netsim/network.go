@@ -54,10 +54,11 @@ type Network struct {
 	// millisecond-scale pause means an upstream queue is wedged.
 	PauseStormSpan sim.Time
 
-	// INTHopCap, when positive, presizes the INT/EchoINT slices of every
-	// pool-fresh packet so per-hop telemetry stamping never grows the
-	// backing array. Set it to the topology diameter (the experiment stack
-	// uses 8 for HPCC); zero leaves the slices nil until first use.
+	// INTHopCap, when positive, gives every pool-fresh packet an INT
+	// record whose INT and EchoINT stacks hold this many hops, so per-hop
+	// telemetry stamping never grows them. Set it to the topology diameter
+	// (the experiment stack uses 8 for HPCC); zero leaves the record
+	// unallocated until first use.
 	INTHopCap int
 
 	// ReconvergeDelay is how long after a FailLink/FailSwitch/Restore

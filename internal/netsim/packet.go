@@ -80,47 +80,43 @@ type CNPInfo struct {
 // the terminal points: sink consumption, drop, ACK/CNP absorption, or
 // pause-frame delivery. Protocol hooks (FlowCC, PortCC, ReceiverHook)
 // observe packets but never own them — see the contracts in cc.go.
+//
+// Every packet is a 96-byte header that each hop reads, followed by two
+// pointers to records only some packets use: the congestion payload of a
+// RoCC or QCN CNP (CNP, EnsureCNP) and HPCC's INT stacks (INT, EchoINT,
+// StampINT, SetEchoINT). A slot allocates each record the first time it
+// needs it and keeps it across pool cycles, so a warmed-up run carries
+// payloads and telemetry without allocating, while a data packet or a
+// payload-less CNP pays only the two pointers. The whole struct is 112
+// bytes, one size class of the allocator; the poolcheck stamp makes it
+// 120 (TestPacketFootprint).
 type Packet struct {
-	Flow FlowID
-	Src  NodeID // originating node
-	Dst  NodeID // destination node
-	Kind Kind
-	Cls  Class
-	Size int // bytes on the wire, headers included
+	Flow    FlowID
+	Src     NodeID   // originating node
+	Dst     NodeID   // destination node
+	Size    int      // bytes on the wire, headers included
+	Seq     int64    // data: byte offset of the first payload byte
+	Payload int      // data: payload bytes carried
+	AckSeq  int64    // ACK: cumulative, the receiver expects this byte next
+	EchoTS  sim.Time // ACK: echo of the data packet's SendTS (RTT measurement)
+	SendTS  sim.Time // when the packet was first put on the wire
 
-	// Data packets.
-	Seq     int64 // byte offset of the first payload byte
-	Payload int   // payload bytes carried
-	Last    bool  // last byte of the flow is included
+	ingress int32 // transient: arrival port at the switch currently buffering it
+	hops    int32 // transient: switches traversed, for the loop-drop TTL
 
-	// ACK packets.
-	AckSeq  int64       // cumulative: receiver expects this byte next
-	Nack    bool        // gap detected; go-back-N rewind requested
-	EchoTS  sim.Time    // echo of the data packet's SendTS (RTT measurement)
-	EchoINT []INTRecord // INT records echoed back to the sender (HPCC)
+	// pool is the index of the shard-local pool that owns this packet
+	// (always 0 on one shard). A cross-shard handoff re-stamps it with
+	// the receiving shard as it leaves (scheduleArrival), so release
+	// always touches the pool of the shard holding the packet.
+	pool int32
 
-	// ECN.
-	ECT bool // ECN-capable transport
-	CE  bool // congestion experienced (set by marking switches)
-
-	// In-band telemetry collected hop by hop (HPCC).
-	INT []INTRecord
-
-	// RoCC / DCQCN congestion notification payload.
-	CNP *CNPInfo
-
-	// PFC pause frames.
-	PauseOn bool // true = Xoff, false = Xon/resume
-
-	SendTS sim.Time // when the packet was first put on the wire
-
-	ingress int // transient: arrival port at the switch currently buffering it
-	hops    int // transient: switches traversed, for the loop-drop TTL
-
-	// cnpStore is the pool-cycle-stable backing for CNP: pooled packets
-	// point CNP at their own embedded record (see EnsureCNP) so carrying
-	// a congestion payload costs no allocation.
-	cnpStore CNPInfo
+	Kind    Kind
+	Cls     Class
+	Last    bool // data: last byte of the flow is included
+	Nack    bool // ACK: gap detected; go-back-N rewind requested
+	ECT     bool // ECN-capable transport
+	CE      bool // congestion experienced (set by marking switches)
+	PauseOn bool // PFC pause frame: true = Xoff, false = Xon/resume
 
 	// pooled marks packets acquired from the network pool. Only pooled
 	// packets return to the free list on release and count toward
@@ -128,33 +124,102 @@ type Packet struct {
 	// callers) pass through release unharmed and fall to the GC.
 	pooled bool
 
+	// hasCNP marks cnp as this packet's payload. The record outlives the
+	// packet in its slot, so without the mark a recycled slot would show
+	// a stale payload to DCQCN's payload-less CNPs and to fault injection.
+	hasCNP bool
+
 	// pc is the poolcheck lifecycle stamp. Without the poolcheck build
 	// tag it is an empty struct and every check compiles to nothing.
 	pc pcheck
 
-	// pool is the index of the shard-local pool that owns this packet
-	// (always 0 on one shard). A cross-shard handoff re-stamps it with
-	// the receiving shard as it leaves (scheduleArrival), so release
-	// always touches the pool of the shard holding the packet.
-	pool int32
+	// Records retained by the slot across pool cycles; see the type
+	// comment. reset keeps both, and ClonePacket gives the clone its own.
+	cnp  *CNPInfo
+	ints *intStacks
 }
 
-// EnsureCNP attaches a zeroed congestion payload to the packet, stored
-// inline so pooled CNPs allocate nothing, and returns it for filling.
+// intStacks is a slot's HPCC telemetry: the INT records a data packet
+// collects hop by hop, and the copy an ACK echoes back to the sender.
+type intStacks struct {
+	stamped, echo []INTRecord
+}
+
+// EnsureCNP attaches a zeroed congestion payload to the packet and
+// returns it for filling. The slot's record is reused, so a warmed-up
+// pool carries CNP payloads without allocating.
 func (pkt *Packet) EnsureCNP() *CNPInfo {
-	pkt.cnpStore = CNPInfo{}
-	pkt.CNP = &pkt.cnpStore
-	return pkt.CNP
+	if pkt.cnp == nil {
+		pkt.cnp = new(CNPInfo)
+	} else {
+		*pkt.cnp = CNPInfo{}
+	}
+	pkt.hasCNP = true
+	return pkt.cnp
 }
 
-// reset clears a packet for reuse, preserving the INT/EchoINT backing
-// arrays (capacity survives pool cycles — the point of pooling them) and
-// the poolcheck generation stamp.
+// CNP returns the packet's congestion payload, or nil if it carries none
+// (every kind but a RoCC or QCN CNP, and DCQCN's CNPs).
+func (pkt *Packet) CNP() *CNPInfo {
+	if !pkt.hasCNP {
+		return nil
+	}
+	return pkt.cnp
+}
+
+// INT returns the telemetry records stamped so far, one per hop (HPCC).
+// The slice aliases the packet: it is valid until the packet is released.
+func (pkt *Packet) INT() []INTRecord {
+	if pkt.ints == nil {
+		return nil
+	}
+	return pkt.ints.stamped
+}
+
+// EchoINT returns the INT records an ACK echoes back to the sender
+// (HPCC). The slice aliases the packet, as INT's does.
+func (pkt *Packet) EchoINT() []INTRecord {
+	if pkt.ints == nil {
+		return nil
+	}
+	return pkt.ints.echo
+}
+
+// StampINT appends one hop's telemetry record.
+func (pkt *Packet) StampINT(rec INTRecord) {
+	if pkt.ints == nil {
+		pkt.ints = new(intStacks)
+	}
+	pkt.ints.stamped = append(pkt.ints.stamped, rec)
+}
+
+// SetEchoINT replaces the echoed records with a copy of recs; nil clears
+// them. The copy lands in the packet's own buffer, so recs may alias a
+// packet that is released next.
+func (pkt *Packet) SetEchoINT(recs []INTRecord) {
+	if pkt.ints == nil {
+		if len(recs) == 0 {
+			return
+		}
+		pkt.ints = new(intStacks)
+	}
+	pkt.ints.echo = append(pkt.ints.echo[:0], recs...)
+}
+
+// reset clears a packet for reuse. It zeroes the whole struct and then
+// restores what the slot keeps: its records (INT stacks emptied, their
+// capacity kept — the point of pooling them), its pool and the poolcheck
+// generation stamp. Zeroing first and restoring after, rather than
+// assigning a literal built from saved fields, lets the compiler clear
+// the struct in place instead of copying a temporary over it.
 func (pkt *Packet) reset() {
-	intBuf := pkt.INT[:0]
-	echoBuf := pkt.EchoINT[:0]
-	pc := pkt.pc
-	*pkt = Packet{INT: intBuf, EchoINT: echoBuf, pooled: true, pc: pc, pool: pkt.pool}
+	cnp, stacks, pc, pool := pkt.cnp, pkt.ints, pkt.pc, pkt.pool
+	*pkt = Packet{}
+	pkt.cnp, pkt.ints, pkt.pc, pkt.pool, pkt.pooled = cnp, stacks, pc, pool, true
+	if stacks != nil {
+		stacks.stamped = stacks.stamped[:0]
+		stacks.echo = stacks.echo[:0]
+	}
 }
 
 // dataPacket builds a payload packet for a flow from the network pool.

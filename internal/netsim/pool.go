@@ -3,10 +3,11 @@ package netsim
 // packetPool is one shard's free list of Packet structs. The network
 // owns one per engine shard (Network.pools) and each is touched only
 // from its own shard's event context — or on the coordinator with every
-// shard quiesced — so the pools need no locking. Packets acquired here
-// carry their INT/EchoINT backing arrays across cycles, so a warmed-up
-// simulation sends, stamps and acknowledges without touching the
-// allocator.
+// shard quiesced — so the pools need no locking. A slot keeps its CNP and
+// INT records across cycles, so a warmed-up simulation sends, stamps and
+// acknowledges without touching the allocator. The records move with
+// their slot when rebalancePools moves it, so they need no free list of
+// their own.
 //
 // The lifecycle contract the pool enforces (and poolcheck polices):
 //
@@ -53,14 +54,15 @@ func (n *Network) acquireFrom(idx int32) *Packet {
 	return pkt
 }
 
-// preallocINT reserves INT/EchoINT hop capacity on a fresh packet so the
-// first INT stamping pass never reallocates (HPCC grows one record per
-// hop; without this every new packet pays log2(hops) grows before its
-// backing array reaches steady state).
+// preallocINT gives a fresh packet its INT record with hop capacity
+// reserved, so the first INT stamping pass never reallocates (HPCC grows
+// one record per hop; without this every new packet pays log2(hops)
+// grows before its buffers reach steady state). Both stacks share one
+// backing array, each capped at its own half.
 func (n *Network) preallocINT(pkt *Packet) {
-	if n.INTHopCap > 0 {
-		pkt.INT = make([]INTRecord, 0, n.INTHopCap)
-		pkt.EchoINT = make([]INTRecord, 0, n.INTHopCap)
+	if c := n.INTHopCap; c > 0 {
+		buf := make([]INTRecord, 2*c)
+		pkt.ints = &intStacks{stamped: buf[:0:c], echo: buf[c : c : 2*c]}
 	}
 }
 
@@ -85,8 +87,8 @@ func (n *Network) ReleasePacket(pkt *Packet) {
 }
 
 // ClonePacket copies a packet for duplicate delivery through the pool:
-// the clone owns its own INT/EchoINT backing arrays and CNP payload, so
-// both copies can be mutated and released independently.
+// the clone owns its own CNP and INT records, so both copies can be
+// mutated and released independently.
 func (n *Network) ClonePacket(pkt *Packet) *Packet {
 	// The clone joins the original's pool, which is the caller's shard
 	// only until the original crosses a shard (scheduleArrival re-stamps
@@ -99,19 +101,16 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 		c = &Packet{}
 		n.preallocINT(c)
 	}
-	intBuf, echoBuf := c.INT, c.EchoINT
-	pooled, pc, pool := c.pooled, c.pc, c.pool
+	cnp, stacks, pooled, pc, pool := c.cnp, c.ints, c.pooled, c.pc, c.pool
 	*c = *pkt
-	c.pooled, c.pc, c.pool = pooled, pc, pool
-	c.INT = append(intBuf[:0], pkt.INT...)
-	c.EchoINT = append(echoBuf[:0], pkt.EchoINT...)
-	if pkt.CNP != nil {
-		c.cnpStore = *pkt.CNP
-		c.CNP = &c.cnpStore
-	} else {
-		c.CNP = nil
-		c.cnpStore = CNPInfo{}
+	c.cnp, c.ints, c.pooled, c.pc, c.pool = cnp, stacks, pooled, pc, pool
+	if info := pkt.CNP(); info != nil {
+		*c.EnsureCNP() = *info
 	}
+	for _, rec := range pkt.INT() {
+		c.StampINT(rec)
+	}
+	c.SetEchoINT(pkt.EchoINT())
 	return c
 }
 

@@ -20,16 +20,16 @@ func TestPacketPoolRecyclesStructs(t *testing.T) {
 		t.Fatal("acquired packet not marked pooled")
 	}
 	p1.Seq = 99
-	p1.INT = append(p1.INT, INTRecord{QLen: 7})
+	p1.StampINT(INTRecord{QLen: 7})
 	net.ReleasePacket(p1)
 	p2 := net.AcquirePacket(h)
 	if p2 != p1 {
 		t.Fatal("pool did not reuse the released struct")
 	}
-	if p2.Seq != 0 || len(p2.INT) != 0 {
-		t.Fatalf("recycled packet not reset: seq=%d len(INT)=%d", p2.Seq, len(p2.INT))
+	if p2.Seq != 0 || len(p2.INT()) != 0 {
+		t.Fatalf("recycled packet not reset: seq=%d len(INT)=%d", p2.Seq, len(p2.INT()))
 	}
-	if cap(p2.INT) == 0 {
+	if cap(p2.INT()) == 0 {
 		t.Fatal("INT capacity did not survive the pool cycle")
 	}
 	if net.PacketSlots() != 1 {
@@ -69,45 +69,116 @@ func TestReleaseUnpooledPacketIsNoOp(t *testing.T) {
 	}
 }
 
-func TestEnsureCNPIsInline(t *testing.T) {
+func TestEnsureCNPReusesPacketRecord(t *testing.T) {
 	net, h := poolFixture()
 	pkt := net.AcquirePacket(h)
+	if pkt.CNP() != nil {
+		t.Fatal("fresh packet carries a CNP payload")
+	}
 	info := pkt.EnsureCNP()
 	info.RateUnits = 42
-	if pkt.CNP != &pkt.cnpStore || pkt.CNP.RateUnits != 42 {
-		t.Fatal("EnsureCNP did not attach the embedded store")
+	if pkt.CNP() != info || pkt.CNP().RateUnits != 42 {
+		t.Fatal("EnsureCNP did not attach the slot's record")
 	}
 	net.ReleasePacket(pkt)
 	again := net.AcquirePacket(h)
-	if again.CNP != nil || again.cnpStore.RateUnits != 0 {
+	if again != pkt || again.CNP() != nil {
 		t.Fatal("CNP payload survived the pool cycle")
+	}
+	if got := again.EnsureCNP(); got != info || *got != (CNPInfo{}) {
+		t.Fatalf("EnsureCNP on a recycled slot: record %p (want %p) = %+v, want the zeroed slot record",
+			got, info, *got)
 	}
 }
 
+// TestRecycledPacketCarriesNoStalePayload releases a RoCC CNP that also
+// carries INT stacks, then reacquires its slot as a payload-less (DCQCN)
+// CNP and as a data packet: the slot keeps its records, but neither reuse
+// may see what they held.
+func TestRecycledPacketCarriesNoStalePayload(t *testing.T) {
+	net, h := poolFixture()
+	rocc := net.AcquirePacket(h)
+	rocc.Kind = KindCNP
+	*rocc.EnsureCNP() = CNPInfo{CP: CPID{Node: 4, Port: 2}, RateUnits: 17}
+	rocc.StampINT(INTRecord{QLen: 5})
+	rocc.SetEchoINT([]INTRecord{{QLen: 6}})
+	net.ReleasePacket(rocc)
+
+	for _, kind := range []Kind{KindCNP, KindData} {
+		pkt := net.AcquirePacket(h)
+		if pkt != rocc {
+			t.Fatal("pool did not reuse the released slot")
+		}
+		pkt.Kind = kind
+		if pkt.CNP() != nil {
+			t.Errorf("recycled %s packet shows a stale CNP payload %+v", kind, *pkt.CNP())
+		}
+		if len(pkt.INT()) != 0 || len(pkt.EchoINT()) != 0 {
+			t.Errorf("recycled %s packet shows stale INT stacks %v / %v", kind, pkt.INT(), pkt.EchoINT())
+		}
+		net.ReleasePacket(pkt)
+	}
+}
+
+// TestClonePacketIsIndependent clones a RoCC CNP, an HPCC data packet and
+// an HPCC ACK: each clone must own its CNP and INT records, so mutating
+// either copy, or recycling the original, leaves the other unchanged.
 func TestClonePacketIsIndependent(t *testing.T) {
 	net, h := poolFixture()
-	orig := net.AcquirePacket(h)
-	orig.Flow = 3
-	orig.INT = append(orig.INT, INTRecord{QLen: 1})
-	orig.EnsureCNP().RateUnits = 7
+	net.INTHopCap = 4
 
-	c := net.ClonePacket(orig)
-	if c.Flow != 3 || len(c.INT) != 1 || c.CNP == nil || c.CNP.RateUnits != 7 {
-		t.Fatalf("clone lost fields: %+v", c)
+	cnp := net.AcquirePacket(h)
+	cnp.Flow = 3
+	cnp.Kind = KindCNP
+	cnp.EnsureCNP().RateUnits = 7
+	data := net.AcquirePacket(h)
+	data.StampINT(INTRecord{QLen: 1})
+	ack := net.AcquirePacket(h)
+	ack.Kind = KindAck
+	ack.SetEchoINT([]INTRecord{{QLen: 2}})
+
+	cc, dc, ac := net.ClonePacket(cnp), net.ClonePacket(data), net.ClonePacket(ack)
+	if cc.Flow != 3 || cc.CNP() == nil || cc.CNP().RateUnits != 7 || len(cc.INT()) != 0 {
+		t.Fatalf("CNP clone lost fields: %+v", cc)
 	}
-	if c.CNP == orig.CNP {
-		t.Fatal("clone shares the original's CNP storage")
+	if dc.CNP() != nil || len(dc.INT()) != 1 || dc.INT()[0].QLen != 1 {
+		t.Fatalf("data clone lost fields: %+v", dc)
 	}
-	// Releasing and recycling the original must not disturb the clone.
-	net.ReleasePacket(orig)
-	reused := net.AcquirePacket(h)
-	reused.INT = append(reused.INT, INTRecord{QLen: 99})
-	reused.EnsureCNP().RateUnits = 99
-	if c.INT[0].QLen != 1 || c.CNP.RateUnits != 7 {
-		t.Fatal("recycling the original corrupted the clone")
+	if ac.CNP() != nil || len(ac.EchoINT()) != 1 || ac.EchoINT()[0].QLen != 2 {
+		t.Fatalf("ACK clone lost fields: %+v", ac)
 	}
-	if got := net.OutstandingPackets(); got != 2 {
-		t.Fatalf("outstanding = %d, want 2 (clone + reused)", got)
+	if cc.CNP() == cnp.CNP() {
+		t.Fatal("clone shares the original's CNP record")
+	}
+
+	// Mutating a clone leaves the original alone, and the other way round.
+	cc.CNP().RateUnits = 8
+	dc.INT()[0].QLen = 9
+	ac.EchoINT()[0].QLen = 9
+	if cnp.CNP().RateUnits != 7 || data.INT()[0].QLen != 1 || ack.EchoINT()[0].QLen != 2 {
+		t.Fatal("mutating a clone changed its original")
+	}
+	data.INT()[0].QLen = 10
+	ack.EchoINT()[0].QLen = 10
+	if dc.INT()[0].QLen != 9 || ac.EchoINT()[0].QLen != 9 {
+		t.Fatal("mutating an original changed its clone")
+	}
+
+	// Releasing and recycling the originals must not disturb the clones.
+	for _, p := range []*Packet{cnp, data, ack} {
+		net.ReleasePacket(p)
+	}
+	for range 3 {
+		reused := net.AcquirePacket(h)
+		reused.StampINT(INTRecord{QLen: 99})
+		reused.SetEchoINT([]INTRecord{{QLen: 99}})
+		reused.EnsureCNP().RateUnits = 99
+	}
+	if cc.CNP().RateUnits != 8 || dc.INT()[0].QLen != 9 || ac.EchoINT()[0].QLen != 9 {
+		t.Fatal("recycling an original corrupted its clone")
+	}
+	if got := net.OutstandingPackets(); got != 6 {
+		t.Fatalf("outstanding = %d, want 6 (3 clones + 3 reused)", got)
 	}
 }
 
@@ -116,7 +187,9 @@ func TestAcquireReleaseZeroAlloc(t *testing.T) {
 	net.ReleasePacket(net.AcquirePacket(h)) // warm the free list
 	allocs := testing.AllocsPerRun(1000, func() {
 		pkt := net.AcquirePacket(h)
-		pkt.INT = append(pkt.INT, INTRecord{})
+		pkt.StampINT(INTRecord{})
+		pkt.SetEchoINT(pkt.INT())
+		pkt.EnsureCNP().RateUnits = 1
 		net.ReleasePacket(pkt)
 	})
 	if allocs != 0 {

@@ -153,7 +153,7 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 		return
 	}
 	pkt.hops++
-	if pkt.hops > s.net.maxHops() {
+	if int(pkt.hops) > s.net.maxHops() {
 		s.LoopDrops++
 		s.net.recordDrop(s, pkt, "route", "loop_drop")
 		s.net.ReleasePacket(pkt)
@@ -203,7 +203,7 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 	if s.bufferUsed > s.MaxBufferUsed {
 		s.MaxBufferUsed = s.bufferUsed
 	}
-	pkt.ingress = inPort
+	pkt.ingress = int32(inPort)
 	s.ingressUsage[inPort] += pkt.Size
 	if s.Buffer.PFCEnabled {
 		// 802.1Qbb pauses an upstream sender when the buffer it is
@@ -230,7 +230,7 @@ func (s *Switch) Arrive(pkt *Packet, inPort int) {
 // starts transmission on any egress port.
 func (s *Switch) onDataDequeue(pkt *Packet, qlen int) {
 	s.bufferUsed -= pkt.Size
-	in := pkt.ingress
+	in := int(pkt.ingress)
 	s.ingressUsage[in] -= pkt.Size
 	if !s.Buffer.PFCEnabled {
 		return

@@ -169,10 +169,11 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {}
 
 // OnCNP implements netsim.FlowCC: Fb-proportional rate decrease.
 func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
-	if pkt.CNP == nil {
+	info := pkt.CNP()
+	if info == nil {
 		return
 	}
-	fb := float64(pkt.CNP.RateUnits)
+	fb := float64(info.RateUnits)
 	cc.rt = cc.rc
 	cc.rc *= 1 - float64(cc.cfg.Gd*fb)
 	if cc.rc < cc.cfg.RminMbps {

@@ -59,8 +59,8 @@ func TestRPCutProportionalToFb(t *testing.T) {
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
 	cfg := DefaultConfig(40)
 	cc := NewFlowCC(h, cfg)
-	small := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 1}}
-	big := &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 63}}
+	small := cnpPacket(1)
+	big := cnpPacket(63)
 	cc.OnCNP(0, small)
 	afterSmall := cc.CurrentRate().Mbps()
 	cc2 := NewFlowCC(h, cfg)
@@ -84,7 +84,7 @@ func TestRPRecovery(t *testing.T) {
 	sw := net.AddSwitch("s", netsim.BufferConfig{})
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
 	cc := NewFlowCC(h, DefaultConfig(40))
-	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP, CNP: &netsim.CNPInfo{RateUnits: 40}})
+	cc.OnCNP(0, cnpPacket(40))
 	cut := cc.CurrentRate().Mbps()
 	engine.RunUntil(50 * sim.Millisecond)
 	if got := cc.CurrentRate().Mbps(); got <= cut {
@@ -118,4 +118,11 @@ func TestEndToEndQueueBounded(t *testing.T) {
 		t.Errorf("queue = %d bytes, QCN not controlling", q)
 	}
 	f.Stop()
+}
+
+// cnpPacket builds a QCN CNP carrying feedback fb.
+func cnpPacket(fb int) *netsim.Packet {
+	pkt := &netsim.Packet{Kind: netsim.KindCNP}
+	pkt.EnsureCNP().RateUnits = fb
+	return pkt
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rocc/internal/core"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 )
@@ -68,7 +69,7 @@ type cnpSpy struct {
 }
 
 func (s *cnpSpy) OnCNP(now sim.Time, pkt *netsim.Packet) {
-	s.cps[pkt.CNP.CP]++
+	s.cps[pkt.CNP().CP]++
 	s.FlowCC.OnCNP(now, pkt)
 }
 
@@ -130,28 +131,60 @@ func TestMinSignalSuppressesIdleCNPs(t *testing.T) {
 	}
 }
 
-func TestStopCancelsCPTicker(t *testing.T) {
+// burstStar is buildStar with n sources sending 36G into the 40G
+// bottleneck, its CP configured by cfg.
+func burstStar(t *testing.T, n int, cfg core.CPConfig) (*sim.Engine, *CP) {
 	engine := sim.New()
-	_, _, _, cp := buildStar(t, engine, 1, 40)
-	updates := cp.core.Updates
-	cp.Stop()
-	engine.RunUntil(5 * sim.Millisecond)
-	if cp.core.Updates != updates {
-		t.Error("CP still updating after Stop")
-	}
-}
-
-func TestMDEngagesOnBurst(t *testing.T) {
-	engine := sim.New()
-	net, srcs, dst, cp := buildStar(t, engine, 8, 40)
+	net, srcs, dst, cp := buildStarCP(t, engine, n, 40, CPOptions{Core: cfg})
 	for _, src := range srcs {
 		net.StartFlow(src, dst, netsim.FlowConfig{
 			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
 		})
 	}
-	engine.RunUntil(2 * sim.Millisecond)
-	if cp.core.MDFloorCount+cp.core.MDHalveCount == 0 {
-		t.Error("8x36G burst into 40G did not trigger MD")
+	return engine, cp
+}
+
+// TestStopCancelsCPTicker stops one of two identical congested CPs: the
+// running one keeps sending CNPs, the stopped one's CNP count and fair
+// rate stay frozen.
+func TestStopCancelsCPTicker(t *testing.T) {
+	cfg := core.CPConfigForGbps(40)
+	engine, cp := burstStar(t, 4, cfg)
+	twinEngine, twin := burstStar(t, 4, cfg)
+	engine.RunUntil(sim.Millisecond)
+	twinEngine.RunUntil(sim.Millisecond)
+	cp.Stop()
+	sent, rate, twinSent := cp.CNPsSent, cp.FairRateMbps(), twin.CNPsSent
+	engine.RunUntil(5 * sim.Millisecond)
+	twinEngine.RunUntil(5 * sim.Millisecond)
+	if twin.CNPsSent == twinSent {
+		t.Fatal("the running CP sent no CNPs either; the test cannot see Stop")
+	}
+	if cp.CNPsSent != sent || cp.FairRateMbps() != rate {
+		t.Errorf("CP still updating after Stop: CNPs %d -> %d, fair rate %v -> %v",
+			sent, cp.CNPsSent, rate, cp.FairRateMbps())
+	}
+}
+
+// TestMDEngagesOnBurst samples the fair rate every microsecond of an
+// 8x36G burst into 40G: MD's floor drives it to Fmin, which the PI law
+// alone (the DisableMD twin) does not reach.
+func TestMDEngagesOnBurst(t *testing.T) {
+	minRate := func(disableMD bool) float64 {
+		cfg := core.CPConfigForGbps(40)
+		cfg.DisableMD = disableMD
+		engine, cp := burstStar(t, 8, cfg)
+		lowest := cp.FairRateMbps()
+		engine.NewTicker(sim.Microsecond, func() { lowest = min(lowest, cp.FairRateMbps()) })
+		engine.RunUntil(2 * sim.Millisecond)
+		return lowest
+	}
+	fmin := core.CPConfigForGbps(40).FminMbps
+	if got := minRate(true); got <= fmin {
+		t.Fatalf("the PI law alone reaches Fmin (%v Mb/s); the test cannot see MD", got)
+	}
+	if got := minRate(false); got > fmin {
+		t.Errorf("8x36G burst into 40G did not trigger MD: lowest fair rate %v Mb/s, want Fmin %v", got, fmin)
 	}
 }
 
@@ -187,7 +220,9 @@ func TestOnCNPRejectsMalformedFeedback(t *testing.T) {
 	cpid := netsim.CPID{Node: 3}
 	cnp := func(info netsim.CNPInfo) *netsim.Packet {
 		info.CP = cpid
-		return &netsim.Packet{Kind: netsim.KindCNP, CNP: &info}
+		pkt := &netsim.Packet{Kind: netsim.KindCNP}
+		*pkt.EnsureCNP() = info
+		return pkt
 	}
 	cc.OnCNP(engine.Now(), cnp(netsim.CNPInfo{RateUnits: 200}))
 	if !cc.RP().Installed() {

@@ -158,7 +158,7 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {}
 
 // OnCNP implements netsim.FlowCC: Alg. 2's Process_CNP.
 func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
-	info := pkt.CNP
+	info := pkt.CNP()
 	if info == nil {
 		return
 	}

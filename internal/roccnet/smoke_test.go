@@ -13,6 +13,12 @@ import (
 // sources, the destination, and the congestion point.
 func buildStar(t testing.TB, engine *sim.Engine, n int, gbps float64) (*netsim.Network, []*netsim.Host, *netsim.Host, *CP) {
 	t.Helper()
+	return buildStarCP(t, engine, n, gbps, CPOptions{})
+}
+
+// buildStarCP is buildStar with the CP's options.
+func buildStarCP(t testing.TB, engine *sim.Engine, n int, gbps float64, opts CPOptions) (*netsim.Network, []*netsim.Host, *netsim.Host, *CP) {
+	t.Helper()
 	net := netsim.New(engine, 1)
 	sw := net.AddSwitch("s0", netsim.BufferConfig{
 		PFCEnabled:   true,
@@ -28,7 +34,7 @@ func buildStar(t testing.TB, engine *sim.Engine, n int, gbps float64) (*netsim.N
 	}
 	swPort, _ := net.Connect(sw, dst, rate, delay)
 	net.ComputeRoutes()
-	cp := Attach(net, sw, swPort, CPOptions{})
+	cp := Attach(net, sw, swPort, opts)
 	return net, srcs, dst, cp
 }
 
