@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rocc/internal/experiments"
-	"rocc/internal/hpcc"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/topology"
@@ -89,14 +88,16 @@ func TestProtocolStepAllocs(t *testing.T) {
 			for _, src := range star.Sources {
 				flows = append(flows, mix.StartFlow(proto, src, star.Dst, -1, 0))
 			}
-			// signals counts the records the run consumes: CNPs received
-			// (RoCC) or INT-driven window updates (HPCC).
-			signals := func() (n int) {
-				for i, src := range star.Sources {
-					if cc, ok := flows[i].CC.(*hpcc.FlowCC); ok {
-						n += cc.MDEvents + cc.AIEvents
-					} else {
-						n += int(src.CNPsRx)
+			// signals moves when the run consumes a record: it sums the
+			// CNPs RoCC's congestion points sent and the rates HPCC's INT
+			// echoes set (nothing else moves an HPCC window).
+			signals := func() (n float64) {
+				for _, cp := range mix.CPs {
+					n += float64(cp.CNPsSent)
+				}
+				if proto == experiments.ProtoHPCC {
+					for _, f := range flows {
+						n += float64(f.CC.CurrentRate())
 					}
 				}
 				return n
@@ -117,8 +118,7 @@ func TestProtocolStepAllocs(t *testing.T) {
 				t.Fatal("no CNP or INT feedback reached a sender while measured; the gate sees no records")
 			}
 			perEvent := allocsPerBatch / batch
-			t.Logf("steady state: %.4f allocs/event, %d feedback signals in %d events",
-				perEvent, signals()-signalsBefore, 51*batch)
+			t.Logf("steady state: %.4f allocs/event in %d events", perEvent, 51*batch)
 			if perEvent > 1 {
 				t.Fatalf("steady state allocates %.2f objects/event, want ≤1 (target 0)", perEvent)
 			}

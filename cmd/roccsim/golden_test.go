@@ -395,7 +395,8 @@ func TestGoldenFaultRowsFire(t *testing.T) {
 	}
 	recovery := experiments.RecoveryConfig{Seed: 1, Duration: goldenDur(t, "recovery")}
 	for _, c := range experiments.RecoveryCells(recovery) {
-		if r := experiments.RunRecovery(c); r.Reconverges == 0 {
+		// Until routes reconverge, a fired kill blackholes packets.
+		if r := experiments.RunRecovery(c); r.BlackholeDrops == 0 {
 			t.Errorf("recovery %s/%s: the kill never fired", c.Protocol, c.Kill)
 		}
 	}

@@ -102,7 +102,6 @@ type quarantine struct {
 type PolicerStats struct {
 	Detections int // quarantines entered
 	Releases   int // quarantines released
-	Drops      int // packets denied while quarantined
 }
 
 // Policer is the per-flow byte-accounting non-compliance detector for
@@ -217,7 +216,6 @@ func (p *Policer) police(now sim.Time, pkt *netsim.Packet, inPort int, egress *n
 		q.tokens -= float64(pkt.Size)
 		return true
 	}
-	p.stats.Drops++
 	return false
 }
 

@@ -59,10 +59,6 @@ type Rogue struct {
 	inner netsim.FlowCC
 	rate  netsim.Rate // blast pacing rate; zero = unpaced (line rate)
 	pacer netsim.Pacer
-
-	// Counters.
-	SuppressedCNPs int // feedback packets swallowed
-	StrippedAcks   int // ACKs whose CE/INT signals were cleared
 }
 
 // WrapRogue wraps a protocol controller in the given misbehaviour.
@@ -114,16 +110,13 @@ func (r *Rogue) OnAck(now sim.Time, pkt *netsim.Packet) {
 		if pkt.CE || len(pkt.EchoINT()) > 0 {
 			pkt.CE = false
 			pkt.SetEchoINT(nil)
-			r.StrippedAcks++
 		}
 	}
 	r.inner.OnAck(now, pkt)
 }
 
 // OnCNP implements netsim.FlowCC: every kind is deaf to it.
-func (r *Rogue) OnCNP(now sim.Time, pkt *netsim.Packet) {
-	r.SuppressedCNPs++
-}
+func (r *Rogue) OnCNP(now sim.Time, pkt *netsim.Packet) {}
 
 // CurrentRate implements netsim.FlowCC.
 func (r *Rogue) CurrentRate() netsim.Rate {

@@ -65,9 +65,6 @@ func TestCNPDeafSwallowsCNPsOnly(t *testing.T) {
 	if !inner.lastCE || inner.lastINT != 2 {
 		t.Error("CNP-deaf rogue altered ACK signals (that is ECN-blind's job)")
 	}
-	if r.SuppressedCNPs != 1 {
-		t.Errorf("SuppressedCNPs = %d, want 1", r.SuppressedCNPs)
-	}
 	if r.CurrentRate() != netsim.Gbps(7) {
 		t.Error("CurrentRate not forwarded")
 	}
@@ -85,9 +82,6 @@ func TestECNBlindStripsAckSignals(t *testing.T) {
 	}
 	if inner.cnps != 0 {
 		t.Error("CNP reached an ECN-blind controller")
-	}
-	if r.StrippedAcks != 1 {
-		t.Errorf("StrippedAcks = %d, want 1", r.StrippedAcks)
 	}
 }
 

@@ -33,10 +33,8 @@ func (c WatchdogConfig) fill() WatchdogConfig {
 
 // WatchdogStats summarizes a watchdog's activity.
 type WatchdogStats struct {
-	Trips        int // storms detected (lossless disabled)
-	Reenables    int // cooldowns completed (lossless restored)
-	FlushedPkts  int // stuck-queue packets dropped at trips
-	FlushedBytes int
+	Trips     int // storms detected (lossless disabled)
+	Reenables int // cooldowns completed (lossless restored)
 }
 
 // Watchdog is the deployed PFC storm mitigation for one switch: when a
@@ -119,10 +117,8 @@ func (w *Watchdog) trip(port *netsim.Port) {
 		return
 	}
 	port.SetLosslessOff(true) // releases the in-progress pause span
-	pkts, bytes := w.sw.FlushPortData(port)
+	bytes := w.sw.FlushPortData(port)
 	w.stats.Trips++
-	w.stats.FlushedPkts += pkts
-	w.stats.FlushedBytes += bytes
 	w.reenableAt[port.Index] = w.net.Engine.Now() + watchdogCooldown
 	record(w.net, "watchdog_trip", w.sw.ID(), 0, port.Index, float64(bytes))
 	w.net.Engine.AfterCall(watchdogCooldown, watchdogReenable, w, port)

@@ -35,16 +35,24 @@ func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 	p01.SetPaused(true)
 	f := net.StartFlow(h0, h1, netsim.FlowConfig{Size: -1})
 
-	// Mid-storm: past the deadline, before the cooldown ends.
-	engine.RunUntil(300 * sim.Microsecond)
+	// Step to the trip: the stacked queue is dropped at once, not
+	// drained through the released pause.
+	stacked := 0
+	for !p01.LosslessOff() && engine.Now() < 300*sim.Microsecond {
+		stacked = p01.DataQueueBytes()
+		engine.RunUntil(engine.Now() + sim.Microsecond)
+	}
 	if !p01.LosslessOff() {
 		t.Fatal("watchdog did not disable the stormed port")
 	}
+	if stacked == 0 || p01.DataQueueBytes() != 0 || net.WatchdogDrops() == 0 {
+		t.Errorf("trip left %d B of a %d B stacked queue, %d watchdog drops", p01.DataQueueBytes(), stacked, net.WatchdogDrops())
+	}
+
+	// Mid-storm: past the deadline, before the cooldown ends.
+	engine.RunUntil(300 * sim.Microsecond)
 	if w.Stats().Trips != 1 {
 		t.Fatalf("Trips = %d at 300µs, want 1", w.Stats().Trips)
-	}
-	if w.Stats().FlushedPkts == 0 || w.Stats().FlushedBytes == 0 {
-		t.Error("trip flushed nothing despite a stacked queue")
 	}
 	if p01.Paused() {
 		t.Error("disabling lossless must release the wedged pause")
@@ -81,9 +89,6 @@ func TestWatchdogTripDisableCooldownReenable(t *testing.T) {
 	}
 	if w.StuckDisabled(engine.Now()) {
 		t.Error("StuckDisabled after full recovery")
-	}
-	if net.WatchdogDrops() < st.FlushedPkts {
-		t.Errorf("WatchdogDrops = %d < FlushedPkts = %d", net.WatchdogDrops(), st.FlushedPkts)
 	}
 	// Watchdog drops are interventions, not lossless-contract breaches.
 	if net.TotalDrops() != 0 {

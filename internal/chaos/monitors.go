@@ -68,7 +68,6 @@ type Runtime struct {
 	Policers  []*adversary.Policer
 	Watchdogs []*adversary.Watchdog
 
-	fab        *fabric
 	midBytes   []int64 // per-flow DeliveredBytes at the fairness window start
 	lastNow    sim.Time
 	hasDupData bool // a data-scope duplicate fault is configured

@@ -142,7 +142,6 @@ func Run(sc Scenario, o RunOptions) (Result, error) {
 		Flows:     make([]*netsim.Flow, len(sc.Flows)),
 		Policers:  run.Policers,
 		Watchdogs: run.Watchdogs,
-		fab:       fab,
 	}
 	for _, f := range sc.Faults {
 		if f.Kind == FaultLink && f.Scope == ScopeData && f.Duplicate > 0 {

@@ -444,7 +444,6 @@ type fabric struct {
 	net   *netsim.Network
 	hosts []*netsim.Host
 	links [][2]*netsim.Port
-	star  *topology.Star    // non-nil for TopoStar
 	ft    *topology.FatTree // non-nil for TopoFatTree (pod-aligned sharding)
 }
 
@@ -456,8 +455,7 @@ func (sc Scenario) buildFabric(engine *sim.Engine) *fabric {
 	f := &fabric{}
 	switch t.Kind {
 	case TopoStar:
-		st := topology.BuildStar(engine, sc.Seed, t.N, netsim.Gbps(t.hostGbps()))
-		f.net, f.star = st.Net, st
+		f.net = topology.BuildStar(engine, sc.Seed, t.N, netsim.Gbps(t.hostGbps())).Net
 	case TopoMultiBottleneck:
 		f.net = topology.BuildMultiBottleneck(engine, sc.Seed).Net
 	case TopoFatTree:

@@ -123,7 +123,6 @@ type Repro struct {
 
 // Report is a whole campaign's outcome.
 type Report struct {
-	Seed      int64
 	Scenarios int
 	Failures  int
 	Mixed     int // scenarios running ≥2 protocols on one fabric
@@ -139,7 +138,7 @@ type Report struct {
 // emit its minimized repro. Verdicts come back in scenario order.
 func Soak(opts SoakOptions) Report {
 	o := opts.withDefaults()
-	rep := Report{Seed: o.Seed}
+	var rep Report
 	deadline := time.Time{}
 	if o.Budget > 0 {
 		deadline = time.Now().Add(o.Budget)

@@ -20,8 +20,6 @@ type StepRecord struct {
 
 // Result is the outcome of a collective run after the engine stops.
 type Result struct {
-	Config Config
-
 	// Completed counts fully finished iterations; Stalled is set when
 	// the run ended mid-iteration (the deadline hit with flows pending —
 	// the signature of a deadlocked or collapsed fabric).
@@ -71,7 +69,6 @@ type Runner struct {
 	iterStart sim.Time
 	runStart  sim.Time
 	firstDone sim.Time
-	lastDone  sim.Time
 	done      bool
 
 	result Result
@@ -89,7 +86,6 @@ func (r *Runner) Begin(net *netsim.Network) {
 	r.engine = net.Engine
 	r.steps = Steps(r.Cfg)
 	r.pending = make(map[netsim.FlowID]struct{})
-	r.result = Result{Config: r.Cfg}
 	r.runStart = r.engine.Now()
 
 	prev := net.OnFlowDone
@@ -138,7 +134,6 @@ func (r *Runner) onFlowDone(f *netsim.Flow) {
 	if r.firstDone < 0 {
 		r.firstDone = now
 	}
-	r.lastDone = now
 	if len(r.pending) == 0 {
 		r.completeStep()
 	}

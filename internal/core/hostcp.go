@@ -12,12 +12,8 @@ type HostCP struct {
 }
 
 // NewHostCP builds a host-side fair-rate computer. registry resolves the
-// CP parameters for a congestion point; a nil registry uses the 40G
-// defaults everywhere.
+// CP parameters for a congestion point.
 func NewHostCP(registry func(cp CPKey) CPConfig) *HostCP {
-	if registry == nil {
-		registry = func(CPKey) CPConfig { return CPConfig40G() }
-	}
 	return &HostCP{registry: registry, replicas: make(map[CPKey]*CP)}
 }
 

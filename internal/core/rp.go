@@ -96,15 +96,11 @@ type RP struct {
 	stale       bool    // feedback declared stale; next valid CNP re-homes the flow
 
 	// Counters for instrumentation and tests.
-	CNPsAccepted    int
-	CNPsIgnored     int
 	CNPsRejected    int // malformed feedback discarded by validation
 	CNPsSpoofed     int // CNPs rejected by the path witness (forged origin)
-	Recoveries      int
 	StaleRecoveries int // recoveries past the staleness threshold (feedback lost)
-	Suspects        int // externally signalled path changes (SuspectStale)
 
-	// tm mirrors the counters above into a registry (SetTelemetry).
+	// tm counts the RP's events into a registry (SetTelemetry).
 	// Every RP of a network shares one; &noRPTelemetry when disabled.
 	tm *RPTelemetry
 }
@@ -191,7 +187,6 @@ func (rp *RP) ProcessCNP(rateUnits int, cp CPKey) (accepted bool) {
 		rp.installed = true
 		rp.rcur = rrcvd
 		rp.cpcur = cp
-		rp.CNPsAccepted++
 		rp.tm.CNPsAccepted.Inc()
 		rp.staleStreak = 0
 		rp.stale = false
@@ -205,13 +200,11 @@ func (rp *RP) ProcessCNP(rateUnits int, cp CPKey) (accepted bool) {
 	if rrcvd <= rp.rcur || cp == rp.cpcur || rp.stale {
 		rp.rcur = rrcvd // Line 5
 		rp.cpcur = cp   // Line 6
-		rp.CNPsAccepted++
 		rp.tm.CNPsAccepted.Inc()
 		rp.staleStreak = 0
 		rp.stale = false
 		return true // Line 7: Reset_Timer
 	}
-	rp.CNPsIgnored++
 	rp.tm.CNPsIgnored.Inc()
 	return false
 }
@@ -231,7 +224,6 @@ func (rp *RP) SuspectStale() {
 	}
 	rp.cpcur = NoCP
 	rp.stale = true
-	rp.Suspects++
 }
 
 // TimerExpired implements Timer_Expired (Alg. 2 lines 8-13). It returns
@@ -259,7 +251,6 @@ func (rp *RP) TimerExpired() (uninstall bool) {
 		return true
 	}
 	rp.rcur *= 2 // Line 12: exponential fast recovery
-	rp.Recoveries++
 	rp.tm.Recoveries.Inc()
 	if k := rp.cfg.staleK(); k > 0 {
 		rp.staleStreak++

@@ -2,9 +2,11 @@ package core
 
 import "rocc/internal/telemetry"
 
-// RPTelemetry mirrors the RP's instrumentation counters into a metrics
-// registry, so per-flow reaction points aggregate into one set of
-// network-wide counters. The RPs of one network share one RPTelemetry.
+// RPTelemetry counts the RP's events into a metrics registry, so
+// per-flow reaction points aggregate into one set of network-wide
+// counters. Rejected CNPs and stale recoveries are also counted on the
+// RP itself, for `roccsim faults`; accepted and ignored CNPs and
+// recoveries only here. The RPs of one network share one RPTelemetry.
 type RPTelemetry struct {
 	CNPsAccepted    *telemetry.Counter
 	CNPsIgnored     *telemetry.Counter
@@ -32,8 +34,7 @@ func RPTelemetryFrom(reg *telemetry.Registry) *RPTelemetry {
 // counter ignores Inc). It is never written, so every RP may share it.
 var noRPTelemetry RPTelemetry
 
-// SetTelemetry attaches registry-backed mirrors of the RP counters; nil
-// detaches them.
+// SetTelemetry attaches the registry counters; nil detaches them.
 func (rp *RP) SetTelemetry(t *RPTelemetry) {
 	if t == nil {
 		t = &noRPTelemetry

@@ -68,9 +68,6 @@ func DefaultConfig(gbps float64) Config {
 type Marker struct {
 	cfg  Config
 	rand *sim.Rand
-
-	Marked uint64
-	Seen   uint64
 }
 
 // NewMarker builds an ECN marker; rand drives the marking probability.
@@ -83,7 +80,6 @@ func (m *Marker) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 	if !pkt.ECT {
 		return
 	}
-	m.Seen++
 	switch {
 	case qlen <= m.cfg.KminBytes:
 		return
@@ -94,9 +90,6 @@ func (m *Marker) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 		if m.rand.Float64() < p {
 			pkt.CE = true
 		}
-	}
-	if pkt.CE {
-		m.Marked++
 	}
 }
 
@@ -109,8 +102,6 @@ type Receiver struct {
 	cfg     Config
 	host    *netsim.Host
 	lastCNP map[netsim.FlowID]sim.Time
-
-	CNPsSent uint64
 }
 
 // NewReceiver builds the notification-point hook for a destination host.
@@ -127,7 +118,6 @@ func (r *Receiver) OnData(now sim.Time, pkt *netsim.Packet) *netsim.Packet {
 		return nil
 	}
 	r.lastCNP[pkt.Flow] = now
-	r.CNPsSent++
 	cnp := r.host.Network().AcquirePacket(r.host)
 	cnp.Flow = pkt.Flow
 	cnp.Src = r.host.ID()

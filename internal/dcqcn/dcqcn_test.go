@@ -61,9 +61,6 @@ func TestMarkerIgnoresNonECT(t *testing.T) {
 	if pkt.CE {
 		t.Error("non-ECT packet marked")
 	}
-	if m.Seen != 0 {
-		t.Error("non-ECT packet counted")
-	}
 }
 
 func TestReceiverCNPModeration(t *testing.T) {
@@ -133,9 +130,6 @@ func TestSenderCutSequence(t *testing.T) {
 	if r2 >= r1 {
 		t.Error("second CNP did not cut further")
 	}
-	if cc.Cuts != 2 {
-		t.Errorf("Cuts = %d", cc.Cuts)
-	}
 }
 
 func TestSenderRateFloor(t *testing.T) {
@@ -191,6 +185,7 @@ func TestSenderAlphaDecays(t *testing.T) {
 func TestSenderByteCounterStage(t *testing.T) {
 	engine, _, cc := newSenderFixture()
 	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP})
+	cut := cc.CurrentRate().Mbps()
 	// Push a byte counter's worth of traffic through OnSent.
 	pkt := &netsim.Packet{Size: 1048, Seq: 0, Payload: 1000}
 	for sent := int64(0); sent < 10_000_000; sent += 1048 {
@@ -199,8 +194,8 @@ func TestSenderByteCounterStage(t *testing.T) {
 	if cc.stageByte == 0 {
 		t.Error("byte counter stage never advanced")
 	}
-	if cc.Increases == 0 {
-		t.Error("no increase events from the byte counter")
+	if got := cc.CurrentRate().Mbps(); got <= cut {
+		t.Errorf("rate %v after the byte counter, want above the cut rate %v", got, cut)
 	}
 	_ = engine
 	cc.Stop()

@@ -19,10 +19,8 @@ type Ops struct {
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "DCQCN" }
 
-// Features implements netsim.CongestionOps.
-func (o *Ops) Features() netsim.CCFeatures {
-	return netsim.CCFeatures{UsesCNP: true, CNPClass: netsim.ClassCtrl}
-}
+// Features implements netsim.CongestionOps: no INT, no extra header.
+func (o *Ops) Features() netsim.CCFeatures { return netsim.CCFeatures{} }
 
 // AttachPort implements netsim.CongestionOps.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {

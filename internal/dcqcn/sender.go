@@ -22,10 +22,6 @@ type FlowCC struct {
 	alphaTimer sim.Handle
 	rateTimer  sim.Handle
 	pacer      netsim.Pacer
-
-	// Counters.
-	Cuts      int
-	Increases int
 }
 
 // NewFlowCC builds a DCQCN rate controller starting at line rate. Its
@@ -77,7 +73,6 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 	cc.stageByte = 0
 	cc.stageTime = 0
 	cc.bytesSinceInc = 0
-	cc.Cuts++
 	cc.armAlphaTimer()
 	cc.armRateTimer()
 }
@@ -134,6 +129,5 @@ func (cc *FlowCC) increase() {
 	if cc.rc > cc.cfg.RmaxMbps {
 		cc.rc = cc.cfg.RmaxMbps
 	}
-	cc.Increases++
 	cc.host.Kick()
 }

@@ -44,8 +44,6 @@ type Marker struct {
 
 	p    float64 // marking probability
 	qold int
-
-	Marked uint64
 }
 
 // Attach installs a PI marker on the given egress port and starts its
@@ -81,7 +79,6 @@ func (m *Marker) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 	}
 	if m.rand.Float64() < m.p {
 		pkt.CE = true
-		m.Marked++
 	}
 }
 

@@ -18,10 +18,8 @@ type Ops struct {
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "DCQCN+PI" }
 
-// Features implements netsim.CongestionOps.
-func (o *Ops) Features() netsim.CCFeatures {
-	return netsim.CCFeatures{UsesCNP: true, CNPClass: netsim.ClassCtrl}
-}
+// Features implements netsim.CongestionOps: no INT, no extra header.
+func (o *Ops) Features() netsim.CCFeatures { return netsim.CCFeatures{} }
 
 // AttachPort implements netsim.CongestionOps: install the PI marker and
 // start its probability-update timer.

@@ -42,8 +42,7 @@ func DefaultConfig(gbps float64, baseRTT sim.Time) Config {
 
 // Marker is the DCTCP congestion point: a fixed-threshold ECN marker.
 type Marker struct {
-	cfg    Config
-	Marked uint64
+	cfg Config
 }
 
 // NewMarker builds the threshold marker for egress ports.
@@ -53,7 +52,6 @@ func NewMarker(cfg Config) *Marker { return &Marker{cfg: cfg} }
 func (m *Marker) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 	if pkt.ECT && qlen > m.cfg.MarkBytes {
 		pkt.CE = true
-		m.Marked++
 	}
 }
 
@@ -104,9 +102,6 @@ type FlowCC struct {
 	markedInWin int
 	decreaseArm bool
 	pacer       netsim.Pacer
-
-	// Counters.
-	Decreases int
 }
 
 // NewFlowCC builds a DCTCP window controller starting at one BDP.
@@ -158,7 +153,6 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		cc.alpha = float64((1-cc.cfg.G)*cc.alpha) + float64(cc.cfg.G*frac)
 		if cc.decreaseArm {
 			cc.cwnd *= 1 - float64(cc.alpha/2)
-			cc.Decreases++
 			cc.decreaseArm = false
 		}
 		if cc.cwnd < cc.cfg.MinCwnd {

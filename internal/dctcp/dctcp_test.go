@@ -25,9 +25,6 @@ func TestMarkerThreshold(t *testing.T) {
 	if nonECT.CE {
 		t.Error("non-ECT packet marked")
 	}
-	if m.Marked != 1 {
-		t.Errorf("Marked = %d", m.Marked)
-	}
 }
 
 func TestReceiverEchoesOnlyMarked(t *testing.T) {
@@ -75,9 +72,6 @@ func TestAlphaTracksMarkingFraction(t *testing.T) {
 	}
 	if cc.cwnd < DefaultConfig(40, 10*sim.Microsecond).MinCwnd {
 		t.Error("cwnd under floor")
-	}
-	if cc.Decreases == 0 {
-		t.Error("no decrease events")
 	}
 }
 

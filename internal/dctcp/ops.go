@@ -16,11 +16,8 @@ type Ops struct {
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "DCTCP" }
 
-// Features implements netsim.CongestionOps: the CE echo rides a
-// KindCNP packet in the ACK class.
-func (o *Ops) Features() netsim.CCFeatures {
-	return netsim.CCFeatures{UsesCNP: true, CNPClass: netsim.ClassAck}
-}
+// Features implements netsim.CongestionOps: no INT, no extra header.
+func (o *Ops) Features() netsim.CCFeatures { return netsim.CCFeatures{} }
 
 // AttachPort implements netsim.CongestionOps.
 func (o *Ops) AttachPort(net *netsim.Network, sw *netsim.Switch, port *netsim.Port) netsim.PortCC {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"rocc/internal/dcqcn"
 	"rocc/internal/hpcc"
 	"rocc/internal/netsim"
 	"rocc/internal/sim"
@@ -147,20 +146,11 @@ func TestMixedFabricEngagesBothMachineries(t *testing.T) {
 	if cp.CNPsSent == 0 {
 		t.Error("RoCC CP sent no CNPs — its machinery never engaged")
 	}
-	rs := mix.receivers[star.Dst]
-	if rs == nil {
-		t.Fatal("no receiver state at the destination")
-	}
-	var dcqcnCNPs uint64
-	for i, proto := range rs.protos {
-		if proto == ProtoDCQCN {
-			dcqcnCNPs = rs.hooks[i].(*dcqcn.Receiver).CNPsSent
-		}
-	}
-	if dcqcnCNPs == 0 {
-		t.Error("DCQCN receiver sent no CNPs — its machinery never engaged")
-	}
 	for i, f := range flows {
+		// A DCQCN flow below line rate was cut by a CNP its receiver sent.
+		if i%2 == 1 && f.CC.CurrentRate() >= netsim.Gbps(40) {
+			t.Errorf("DCQCN flow %d at line rate: no CNP reached it", i)
+		}
 		if f.DeliveredBytes() == 0 {
 			t.Errorf("flow %d (%s) delivered nothing", i, f.Scheme().Name())
 		}

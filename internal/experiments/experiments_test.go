@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rocc/internal/netsim"
 	"rocc/internal/sim"
 	"rocc/internal/stats"
 	"rocc/internal/topology"
@@ -177,12 +178,12 @@ func smallFCT(p Protocol, wl *workload.CDF, mode BufferMode) FCTConfig {
 }
 
 func TestFCTRunProducesSamples(t *testing.T) {
-	r := RunFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless))
+	r, net := runFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless))
 	if r.FlowsDone < 500 {
 		t.Fatalf("only %d flows completed", r.FlowsDone)
 	}
-	if r.Drops != 0 {
-		t.Errorf("drops = %d in lossless mode", r.Drops)
+	if d := net.TotalDrops(); d != 0 {
+		t.Errorf("drops = %d in lossless mode", d)
 	}
 	nonEmpty := 0
 	for _, b := range r.Bins {
@@ -218,8 +219,8 @@ func TestFCTLargerFlowsSlower(t *testing.T) {
 }
 
 func TestFCTLossyModeRetransmits(t *testing.T) {
-	r := RunFCT(smallFCT(ProtoDCQCN, workload.FBHadoop(), Lossy))
-	if r.Drops == 0 {
+	r, net := runFCT(smallFCT(ProtoDCQCN, workload.FBHadoop(), Lossy))
+	if net.TotalDrops() == 0 {
 		t.Skip("no drops at this scale; lossy path not exercised")
 	}
 	if r.RetxBytes == 0 {
@@ -228,11 +229,11 @@ func TestFCTLossyModeRetransmits(t *testing.T) {
 }
 
 func TestFCTUnlimitedModeNoPFC(t *testing.T) {
-	r := RunFCT(smallFCT(ProtoDCQCN, workload.FBHadoop(), Unlimited))
+	r, net := runFCT(smallFCT(ProtoDCQCN, workload.FBHadoop(), Unlimited))
 	if r.Core.PFCFrames+r.IngressEdge.PFCFrames+r.EgressEdge.PFCFrames != 0 {
 		t.Error("PFC frames in unlimited mode")
 	}
-	if r.Drops != 0 {
+	if net.TotalDrops() != 0 {
 		t.Error("drops with unlimited buffer")
 	}
 }
@@ -240,9 +241,6 @@ func TestFCTUnlimitedModeNoPFC(t *testing.T) {
 func TestRunFoldShapes(t *testing.T) {
 	r := MakeFold(RunFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Lossless)),
 		RunFCT(smallFCT(ProtoRoCC, workload.FBHadoop(), Unlimited)))
-	if r.Protocol != ProtoRoCC {
-		t.Errorf("fold protocol = %q", r.Protocol)
-	}
 	if len(r.Rows) != 10 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -342,7 +340,7 @@ func TestIncastFanInGroupsArrivals(t *testing.T) {
 	cfg := smallFCT(ProtoRoCC, workload.WebSearch(), Unlimited)
 	cfg.IncastFanIn = 8
 	cfg.Duration = 8 * sim.Millisecond
-	r := RunFCT(cfg)
+	r, fanNet := runFCT(cfg)
 	if r.FlowsDone < 10 {
 		t.Fatalf("only %d flows with fan-in", r.FlowsDone)
 	}
@@ -350,9 +348,9 @@ func TestIncastFanInGroupsArrivals(t *testing.T) {
 	// Poisson at the same load.
 	smooth := smallFCT(ProtoRoCC, workload.WebSearch(), Unlimited)
 	smooth.Duration = 8 * sim.Millisecond
-	s := RunFCT(smooth)
-	if r.MaxBufferKB <= s.MaxBufferKB {
-		t.Errorf("fan-in peak buffer %.0f <= smooth %.0f", r.MaxBufferKB, s.MaxBufferKB)
+	_, smoothNet := runFCT(smooth)
+	if fan, s := peakBufferKB(fanNet), peakBufferKB(smoothNet); fan <= s {
+		t.Errorf("fan-in peak buffer %.0f <= smooth %.0f", fan, s)
 	}
 }
 
@@ -367,8 +365,19 @@ func TestIncastFanInClampedToSenders(t *testing.T) {
 }
 
 func TestAvgBufferReported(t *testing.T) {
-	r := RunFCT(smallFCT(ProtoRoCC, workload.WebSearch(), Lossless))
-	if r.AvgBufferKB < 0 || r.AvgBufferKB > r.MaxBufferKB {
-		t.Errorf("avg buffer %.1f inconsistent with max %.1f", r.AvgBufferKB, r.MaxBufferKB)
+	r, net := runFCT(smallFCT(ProtoRoCC, workload.WebSearch(), Lossless))
+	if max := peakBufferKB(net); r.AvgBufferKB < 0 || r.AvgBufferKB > max {
+		t.Errorf("avg buffer %.1f inconsistent with max %.1f", r.AvgBufferKB, max)
 	}
+}
+
+// peakBufferKB is the most shared buffer any switch of net held.
+func peakBufferKB(net *netsim.Network) float64 {
+	max := 0
+	for _, sw := range net.Switches() {
+		if sw.MaxBufferUsed > max {
+			max = sw.MaxBufferUsed
+		}
+	}
+	return float64(max) / float64(netsim.KB)
 }

@@ -77,8 +77,6 @@ type FaultsResult struct {
 
 	StaleRecoveries int // RP staleness re-homings (summed over flows)
 	CNPsRejected    int // malformed CNPs discarded by RP validation
-	CNPsAccepted    int
-	PFCFrames       int
 	Faults          faults.Stats
 }
 
@@ -133,13 +131,12 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 
 	half := cfg.Duration / 2
 	perFlow := runMeasured(star.engine, flows, half, cfg.Duration)
-	res := FaultsResult{Config: cfg, Faults: inj.Stats(), PFCFrames: star.Net.TotalPFCFrames()}
+	res := FaultsResult{Config: cfg, Faults: inj.Stats()}
 	for i, f := range flows {
 		res.ThroughputGbps += perFlow[i]
 		rp := f.CC.(*roccnet.FlowCC).RP()
 		res.StaleRecoveries += rp.StaleRecoveries
 		res.CNPsRejected += rp.CNPsRejected
-		res.CNPsAccepted += rp.CNPsAccepted
 	}
 	res.Jain = stats.JainIndex(perFlow)
 	res.QueueMeanKB = queue.MeanAfter(half.Seconds())

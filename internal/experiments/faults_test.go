@@ -18,8 +18,7 @@ func faultsBase() FaultsConfig {
 func TestFaultsZeroCellDeterministic(t *testing.T) {
 	a := RunFaults(faultsBase())
 	b := RunFaults(faultsBase())
-	if a.ThroughputGbps != b.ThroughputGbps || a.QueueMeanKB != b.QueueMeanKB ||
-		a.CNPsAccepted != b.CNPsAccepted || a.Jain != b.Jain {
+	if a != b {
 		t.Errorf("fault-free cell diverged:\n%+v\n%+v", a, b)
 	}
 	// Staleness may fire even fault-free (the scenario opts in and CPs go

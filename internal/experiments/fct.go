@@ -88,16 +88,13 @@ type TierStats struct {
 // FCTResult is the outcome of one large-scale run.
 type FCTResult struct {
 	Config      FCTConfig
-	FCT         *stats.FCTRecorder
 	Bins        []stats.BinStat
 	RateMean    float64 // Table 3: per-flow average rate, Mb/s
 	RateStd     float64
 	Core        TierStats // Fig. 17 tiers
 	IngressEdge TierStats
 	EgressEdge  TierStats
-	MaxBufferKB float64 // peak shared-buffer use across switches
 	AvgBufferKB float64 // time-average of the most-loaded switch's buffer (Fig. 18)
-	Drops       int
 	RetxBytes   int64
 	TotalBytes  int64
 	FlowsDone   int
@@ -211,10 +208,8 @@ func runFCT(cfg FCTConfig) (FCTResult, *netsim.Network) {
 
 	res := FCTResult{
 		Config:    cfg,
-		FCT:       rec,
 		Bins:      rec.BinBySize(cfg.Workload.Bins()),
 		FlowsDone: len(rec.Samples),
-		Drops:     ft.Net.TotalDrops(),
 	}
 	res.RateMean, res.RateStd = rec.RateStats()
 	res.Core = TierStats{AvgQueueKB: coreQ.MeanAfter(warmupSec), PFCFrames: sumPFC(ft.Cores)}
@@ -230,13 +225,6 @@ func runFCT(cfg FCTConfig) (FCTResult, *netsim.Network) {
 			res.IngressEdge.PFCFrames += sw.PauseFrames
 		}
 	}
-	maxBuf := 0
-	for _, sw := range ft.Net.Switches() {
-		if sw.MaxBufferUsed > maxBuf {
-			maxBuf = sw.MaxBufferUsed
-		}
-	}
-	res.MaxBufferKB = float64(maxBuf) / float64(netsim.KB)
 	res.AvgBufferKB = bufSeries.MeanAfter(warmupSec)
 	for _, hosts := range ft.Hosts {
 		for _, h := range hosts {

@@ -11,7 +11,6 @@ type FoldRow struct {
 
 // FoldResult is one protocol's Fig. 18 / Fig. 20 outcome.
 type FoldResult struct {
-	Protocol   Protocol
 	Rows       []FoldRow
 	RetxShare  float64 // retransmitted bytes / delivered bytes (Fig. 20)
 	BufferFold float64 // variant avg buffer / base avg buffer (Fig. 18)
@@ -19,9 +18,9 @@ type FoldResult struct {
 
 // MakeFold pairs a lossless run with a variant run of the same
 // configuration and seed into per-bin fold increases (Fig. 18: variant
-// Unlimited; Fig. 20: variant Lossy). The protocol is read from base.
+// Unlimited; Fig. 20: variant Lossy).
 func MakeFold(base, variant FCTResult) FoldResult {
-	res := FoldResult{Protocol: base.Config.Protocol}
+	var res FoldResult
 	for i, b := range base.Bins {
 		v := variant.Bins[i]
 		row := FoldRow{UpperBytes: b.UpperBytes}

@@ -192,7 +192,6 @@ type Fig11Row struct {
 	QueueMeanKB  float64
 	QueueStdKB   float64
 	Utilization  float64 // bottleneck, fraction of line rate
-	Queue        *stats.Series
 }
 
 // RunFig11 reproduces Fig. 11 for one protocol.
@@ -219,7 +218,6 @@ func RunFig11(proto Protocol, cfg Fig11Config) Fig11Row {
 		QueueMeanKB:  queue.MeanAfter(half.Seconds()),
 		QueueStdKB:   queue.StdDevAfter(half.Seconds()),
 		Utilization:  tput.MeanAfter(half.Seconds()) / fig11Gbps,
-		Queue:        queue,
 	}
 	return row
 }

@@ -23,7 +23,6 @@ import (
 // fast path every one-protocol experiment runs on — while sharing by two
 // or more protocols inserts a per-flow demultiplexer.
 type Mix struct {
-	Engine  *sim.Engine
 	Net     *netsim.Network
 	BaseRTT sim.Time // HPCC's T parameter; also used for DCTCP scaling
 
@@ -50,7 +49,6 @@ func NewMix(net *netsim.Network, baseRTT sim.Time) *Mix {
 		baseRTT = 10 * sim.Microsecond
 	}
 	return &Mix{
-		Engine:    net.Engine,
 		Net:       net,
 		BaseRTT:   baseRTT,
 		rand:      net.Rand.Split(),

@@ -88,17 +88,18 @@ type RecoveryResult struct {
 	JainPostRecovery float64
 
 	BlackholeDrops uint64
-	LinkDownDrops  uint64
-	Reconverges    uint64
 	RetxBytes      int64
-	DeliveredBytes int64
-
-	// Bins is the full goodput series in Gb/s (for -csv export).
-	Bins []float64
 }
 
 // RunRecovery executes one recovery cell.
 func RunRecovery(cfg RecoveryConfig) RecoveryResult {
+	res, _, _ := runRecovery(cfg)
+	return res
+}
+
+// runRecovery is RunRecovery, also returning the network the run left
+// behind and its goodput series in Gb/s, one value per bin.
+func runRecovery(cfg RecoveryConfig) (RecoveryResult, *netsim.Network, []float64) {
 	cfg = cfg.Filled()
 	engine := sim.New()
 	ft := topology.BuildFatTree(engine, cfg.Seed, topology.SmallFatTree(2, 3, RecoveryHostsPerEdge, 40))
@@ -137,15 +138,11 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	var bins []float64
 	var lastBytes int64
 	binSeconds := recoveryBinWidth.Seconds()
-	total := func() int64 {
-		var t int64
-		for _, f := range flows {
-			t += f.DeliveredBytes()
-		}
-		return t
-	}
 	ticker := engine.NewTicker(recoveryBinWidth, func() {
-		cur := total()
+		var cur int64
+		for _, f := range flows {
+			cur += f.DeliveredBytes()
+		}
 		bins = append(bins, float64(cur-lastBytes)*8/binSeconds/1e9)
 		lastBytes = cur
 	})
@@ -162,12 +159,8 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 
 	res := RecoveryResult{
 		Config:         cfg,
-		Bins:           bins,
 		BlackholeDrops: net.BlackholeDrops(),
-		LinkDownDrops:  net.LinkDownDrops(),
-		Reconverges:    net.Reconverges(),
 		RetxBytes:      net.RetxBytesTotal,
-		DeliveredBytes: total(),
 		T90:            -1,
 	}
 
@@ -215,7 +208,7 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 
 	// Post-recovery fairness over per-flow deltas since the snapshot.
 	res.JainPostRecovery = stats.JainIndex(windowGbps(delivered(flows), snap, cfg.Duration-snapAt))
-	return res
+	return res, net, bins
 }
 
 // RecoveryCells builds the full sweep: every protocol through a link

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rocc/internal/harness"
+	"rocc/internal/netsim"
 	"rocc/internal/sim"
 )
 
@@ -20,9 +21,17 @@ func shortRecovery(p Protocol, kill string) RecoveryConfig {
 	}
 }
 
+// rxBytes is the data every host of net received.
+func rxBytes(net *netsim.Network) (n uint64) {
+	for _, h := range net.Hosts() {
+		n += h.RxDataBytes
+	}
+	return n
+}
+
 func TestRecoveryBaselineHasNoDip(t *testing.T) {
 	for _, p := range []Protocol{ProtoRoCC, ProtoHPCC} {
-		r := RunRecovery(shortRecovery(p, KillNone))
+		r, net, _ := runRecovery(shortRecovery(p, KillNone))
 		if r.BaselineGbps <= 0 {
 			t.Errorf("%s: zero baseline goodput", p)
 		}
@@ -32,8 +41,9 @@ func TestRecoveryBaselineHasNoDip(t *testing.T) {
 		if r.T90 != -1 {
 			t.Errorf("%s: T90 = %v for the no-kill baseline, want -1", p, r.T90)
 		}
-		if r.Reconverges != 0 || r.BlackholeDrops != 0 || r.LinkDownDrops != 0 {
-			t.Errorf("%s: failure counters nonzero on a clean run: %+v", p, r)
+		if net.Reconverges() != 0 || r.BlackholeDrops != 0 || net.LinkDownDrops() != 0 {
+			t.Errorf("%s: failure counters nonzero on a clean run: %+v, %d reconverges, %d link-down drops",
+				p, r, net.Reconverges(), net.LinkDownDrops())
 		}
 	}
 }
@@ -55,20 +65,20 @@ func TestRecoveryNoBaselineNoT90(t *testing.T) {
 // protocol — the failure layer costs nothing until it fires.
 func TestRecoveryIdleKillScheduleByteIdentical(t *testing.T) {
 	for _, p := range AllProtocols() {
-		base := RunRecovery(shortRecovery(p, KillNone))
+		_, baseNet, baseBins := runRecovery(shortRecovery(p, KillNone))
 		idle := shortRecovery(p, KillLink)
 		idle.FailAt = 10 * sim.Millisecond // beyond Duration: never fires
 		idle.RestoreAt = 11 * sim.Millisecond
-		armed := RunRecovery(idle)
-		if base.DeliveredBytes != armed.DeliveredBytes {
+		armed, armedNet, armedBins := runRecovery(idle)
+		if rxBytes(baseNet) != rxBytes(armedNet) {
 			t.Errorf("%s: idle kill schedule changed delivery: %d vs %d",
-				p, base.DeliveredBytes, armed.DeliveredBytes)
+				p, rxBytes(baseNet), rxBytes(armedNet))
 		}
-		if !reflect.DeepEqual(base.Bins, armed.Bins) {
+		if !reflect.DeepEqual(baseBins, armedBins) {
 			t.Errorf("%s: idle kill schedule perturbed the goodput series", p)
 		}
-		if armed.Reconverges != 0 || armed.BlackholeDrops != 0 {
-			t.Errorf("%s: idle schedule executed: %+v", p, armed)
+		if armedNet.Reconverges() != 0 || armed.BlackholeDrops != 0 {
+			t.Errorf("%s: idle schedule executed: %+v, %d reconverges", p, armed, armedNet.Reconverges())
 		}
 	}
 }
@@ -79,11 +89,11 @@ func TestRecoveryIdleKillScheduleByteIdentical(t *testing.T) {
 func TestRecoveryAllProtocolsSurviveKills(t *testing.T) {
 	for _, p := range AllProtocols() {
 		for _, kill := range []string{KillLink, KillSwitch} {
-			r := RunRecovery(shortRecovery(p, kill))
-			if r.Reconverges != 2 {
-				t.Errorf("%s/%s: reconverges = %d, want 2 (fail + restore)", p, kill, r.Reconverges)
+			r, net, _ := runRecovery(shortRecovery(p, kill))
+			if n := net.Reconverges(); n != 2 {
+				t.Errorf("%s/%s: reconverges = %d, want 2 (fail + restore)", p, kill, n)
 			}
-			if r.BlackholeDrops+r.LinkDownDrops == 0 {
+			if r.BlackholeDrops+net.LinkDownDrops() == 0 {
 				t.Errorf("%s/%s: outage lost no packets; kill never bit", p, kill)
 			}
 			if r.BaselineGbps <= 0 {
@@ -96,7 +106,7 @@ func TestRecoveryAllProtocolsSurviveKills(t *testing.T) {
 				t.Errorf("%s/%s: post-recovery Jain %.3f out of range — flows wedged?",
 					p, kill, r.JainPostRecovery)
 			}
-			if r.DeliveredBytes == 0 {
+			if rxBytes(net) == 0 {
 				t.Errorf("%s/%s: nothing delivered", p, kill)
 			}
 		}

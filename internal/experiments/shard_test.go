@@ -34,16 +34,18 @@ func stripShards(r FCTResult) FCTResult {
 // TestFCTShardDeterminism is the tentpole's contract: a fixed-seed
 // fat-tree run produces byte-identical results at every shard count.
 func TestFCTShardDeterminism(t *testing.T) {
-	base := stripShards(RunFCT(shardFCTConfig(1)))
+	base, baseNet := runFCT(shardFCTConfig(1))
+	base = stripShards(base)
 	if base.FlowsDone == 0 {
 		t.Fatal("no flows completed; config too small to prove anything")
 	}
 	for _, k := range []int{2, 8} {
-		got := stripShards(RunFCT(shardFCTConfig(k)))
-		if !reflect.DeepEqual(base, got) {
+		got, net := runFCT(shardFCTConfig(k))
+		got = stripShards(got)
+		if !reflect.DeepEqual(base, got) || net.TotalDrops() != baseNet.TotalDrops() || peakBufferKB(net) != peakBufferKB(baseNet) {
 			t.Errorf("shards=%d diverged from shards=1:\n  1: flows=%d bytes=%d drops=%d rate=%v/%v\n  %d: flows=%d bytes=%d drops=%d rate=%v/%v",
-				k, base.FlowsDone, base.TotalBytes, base.Drops, base.RateMean, base.RateStd,
-				k, got.FlowsDone, got.TotalBytes, got.Drops, got.RateMean, got.RateStd)
+				k, base.FlowsDone, base.TotalBytes, baseNet.TotalDrops(), base.RateMean, base.RateStd,
+				k, got.FlowsDone, got.TotalBytes, net.TotalDrops(), got.RateMean, got.RateStd)
 		}
 	}
 }

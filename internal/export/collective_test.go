@@ -25,7 +25,6 @@ func cellFixture() []collective.ExpResult {
 	ok := collective.ExpResult{
 		Config: cfg,
 		Run: collective.Result{
-			Config:    cfg.Collective,
 			Completed: 3,
 			Steps: []collective.StepRecord{
 				{Iter: 0, Step: 0, Flows: 4, Start: 0, Duration: 100 * sim.Microsecond, Straggler: 10 * sim.Microsecond},

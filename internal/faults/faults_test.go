@@ -7,6 +7,14 @@ import (
 	"rocc/internal/sim"
 )
 
+// cnpCounter is a flow controller that counts the CNPs reaching it.
+type cnpCounter struct {
+	netsim.NoCC
+	cnps int
+}
+
+func (c *cnpCounter) OnCNP(sim.Time, *netsim.Packet) { c.cnps++ }
+
 // pair builds host → switch → host with 40G links.
 func pair() (*sim.Engine, *netsim.Network, *netsim.Host, *netsim.Host, *netsim.Switch) {
 	engine := sim.New()
@@ -201,15 +209,17 @@ func TestFlapDropsInFlightTraffic(t *testing.T) {
 }
 
 func TestDropCNPsGatesInjectedFeedback(t *testing.T) {
-	engine, net, a, _, sw := pair()
+	engine, net, a, b, sw := pair()
 	in := New(net, 3)
 	in.DropCNPs(sw, 1)
+	rp := &cnpCounter{}
+	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1, CC: rp})
 	for i := 0; i < 10; i++ {
-		sw.Inject(&netsim.Packet{Dst: a.ID(), Kind: netsim.KindCNP, Cls: netsim.ClassCtrl, Size: netsim.CNPBytes})
+		sw.Inject(&netsim.Packet{Flow: f.ID, Dst: a.ID(), Kind: netsim.KindCNP, Cls: netsim.ClassCtrl, Size: netsim.CNPBytes})
 	}
 	engine.RunUntil(sim.Millisecond)
-	if a.CNPsRx != 0 {
-		t.Errorf("%d CNPs arrived through a 100%% drop gate", a.CNPsRx)
+	if rp.cnps != 0 {
+		t.Errorf("%d CNPs arrived through a 100%% drop gate", rp.cnps)
 	}
 	if got := in.Stats().CNPsLost; got != 10 {
 		t.Errorf("CNPsLost = %d, want 10", got)
@@ -220,11 +230,13 @@ func TestDropCNPsGatesInjectedFeedback(t *testing.T) {
 }
 
 func TestStallCPSuppressesWindows(t *testing.T) {
-	engine, net, a, _, sw := pair()
+	engine, net, a, b, sw := pair()
 	in := New(net, 3)
 	in.StallCP(sw, sim.Millisecond, 500*sim.Microsecond, sim.Second)
+	rp := &cnpCounter{}
+	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1, CC: rp})
 	inject := func() {
-		sw.Inject(&netsim.Packet{Dst: a.ID(), Kind: netsim.KindCNP, Cls: netsim.ClassCtrl, Size: netsim.CNPBytes})
+		sw.Inject(&netsim.Packet{Flow: f.ID, Dst: a.ID(), Kind: netsim.KindCNP, Cls: netsim.ClassCtrl, Size: netsim.CNPBytes})
 	}
 	// Before the first window: CNPs flow.
 	engine.At(500*sim.Microsecond, inject)
@@ -233,8 +245,8 @@ func TestStallCPSuppressesWindows(t *testing.T) {
 	// After it: flows again.
 	engine.At(1700*sim.Microsecond, inject)
 	engine.RunUntil(3 * sim.Millisecond)
-	if a.CNPsRx != 2 {
-		t.Errorf("CNPsRx = %d, want 2 (one suppressed)", a.CNPsRx)
+	if rp.cnps != 2 {
+		t.Errorf("%d CNPs reached the flow, want 2 (one suppressed)", rp.cnps)
 	}
 	st := in.Stats()
 	if st.CNPsStalled != 1 {

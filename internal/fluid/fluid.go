@@ -41,9 +41,8 @@ type Config struct {
 
 // Result is the trajectory of one fluid run.
 type Result struct {
-	QueueBytes []float64 // queue at each update instant
-	RateMbps   []float64 // fair rate after each update
-	Equilibr   float64   // Eq. 1 prediction: (C - mice)/N
+	RateMbps []float64 // fair rate after each update
+	Equilibr float64   // Eq. 1 prediction: (C - mice)/N
 }
 
 // FinalRate returns the last computed fair rate.
@@ -67,7 +66,11 @@ func (r Result) Converged(tol float64) bool {
 // Run integrates the loop. Sources start unthrottled (rate limiters
 // uninstalled), as in the paper's experiments, so the initial transient
 // includes the MD phase.
-func Run(cfg Config) Result {
+func Run(cfg Config) Result { return run(cfg, func(float64) {}) }
+
+// run is Run, passing the queue in bytes at each update instant to
+// queue.
+func run(cfg Config, queue func(float64)) Result {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 2000
 	}
@@ -104,7 +107,7 @@ func Run(cfg Config) Result {
 		}
 		units := cp.Update(int(q))
 		pipe[delaySlots-1] = float64(units) * cfg.CP.DeltaFMbps
-		res.QueueBytes = append(res.QueueBytes, q)
+		queue(q)
 		res.RateMbps = append(res.RateMbps, cp.FairRateMbps())
 	}
 	return res

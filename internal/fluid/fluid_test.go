@@ -19,6 +19,13 @@ func base(n int) Config {
 	}
 }
 
+// runQueue is Run, also returning the queue at each update instant.
+func runQueue(cfg Config) (Result, []float64) {
+	var qs []float64
+	r := run(cfg, func(q float64) { qs = append(qs, q) })
+	return r, qs
+}
+
 func TestEquilibriumMatchesEq1(t *testing.T) {
 	for _, n := range []int{2, 4, 10, 50, 100} {
 		r := Run(base(n))
@@ -33,8 +40,8 @@ func TestEquilibriumMatchesEq1(t *testing.T) {
 }
 
 func TestQueueSettlesAtQref(t *testing.T) {
-	r := Run(base(10))
-	q, qref := r.QueueBytes[len(r.QueueBytes)-1], float64(core.CPConfig40G().QrefBytes)
+	_, qs := runQueue(base(10))
+	q, qref := qs[len(qs)-1], float64(core.CPConfig40G().QrefBytes)
 	if math.Abs(q-qref)/qref > 0.2 {
 		t.Errorf("queue = %.0f, want ~%.0f", q, qref)
 	}
@@ -52,10 +59,10 @@ func TestMiceTrafficReducesFairShare(t *testing.T) {
 }
 
 func TestUnthrottledStartTriggersMDOvershoot(t *testing.T) {
-	r := Run(base(10))
+	_, qs := runQueue(base(10))
 	// 10 unthrottled flows blast the queue well past Qmax before the
 	// first cut takes effect.
-	if peak := slices.Max(r.QueueBytes); peak < float64(core.CPConfig40G().QmaxBytes) {
+	if peak := slices.Max(qs); peak < float64(core.CPConfig40G().QmaxBytes) {
 		t.Errorf("overshoot %.0f below Qmax; MD path untested", peak)
 	}
 }
@@ -64,8 +71,9 @@ func TestLongerFeedbackDelayWorsensOvershoot(t *testing.T) {
 	short := base(10)
 	long := base(10)
 	long.FeedbackDelay = 10 * 40e-6
-	a, b := Run(short), Run(long)
-	if pa, pb := slices.Max(a.QueueBytes), slices.Max(b.QueueBytes); pb <= pa {
+	_, a := runQueue(short)
+	_, b := runQueue(long)
+	if pa, pb := slices.Max(a), slices.Max(b); pb <= pa {
 		t.Errorf("delay did not worsen overshoot: %.0f vs %.0f", pa, pb)
 	}
 }

@@ -70,8 +70,7 @@ func (s *Stamper) OnDequeue(now sim.Time, pkt *netsim.Packet, qlen int) {
 
 // FlowCC is the HPCC sender for one flow.
 type FlowCC struct {
-	host *netsim.Host
-	cfg  Config
+	cfg Config
 
 	wc       float64 // reference window, bytes
 	w        float64 // current window, bytes
@@ -85,10 +84,6 @@ type FlowCC struct {
 	acked         int64
 
 	pacer netsim.Pacer
-
-	// Counters.
-	MDEvents int
-	AIEvents int
 }
 
 // NewFlowCC builds an HPCC window controller starting at one BDP.
@@ -97,7 +92,7 @@ func NewFlowCC(host *netsim.Host, cfg Config) *FlowCC {
 		cfg.RmaxMbps = host.NIC().LinkRate.Mbps()
 	}
 	bdp := cfg.RmaxMbps * 1e6 / 8 * cfg.BaseRTT.Seconds()
-	return &FlowCC{host: host, cfg: cfg, wc: bdp, w: bdp}
+	return &FlowCC{cfg: cfg, wc: bdp, w: bdp}
 }
 
 // Allow implements netsim.FlowCC: window limit plus W/T pacing.
@@ -190,14 +185,12 @@ func (cc *FlowCC) computeWind(u float64, updateWc bool) {
 			cc.incStage = 0
 			cc.wc = cc.w
 		}
-		cc.MDEvents++
 	} else {
 		cc.w = cc.wc + cc.cfg.WAIBytes
 		if updateWc {
 			cc.incStage++
 			cc.wc = cc.w
 		}
-		cc.AIEvents++
 	}
 	maxW := float64(cc.cfg.RmaxMbps*1e6/8*cc.cfg.BaseRTT.Seconds()) * 2
 	if cc.w > maxW {

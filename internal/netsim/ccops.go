@@ -57,16 +57,6 @@ type CCFeatures struct {
 	// ExtraHeaderBytes is the per-data-packet wire overhead the scheme
 	// imposes (HPCC's INT stack).
 	ExtraHeaderBytes int
-
-	// CNPClass is the traffic class the scheme's congestion notifications
-	// travel in, when it generates any (UsesCNP). Informational: it
-	// documents the contract and feeds conformance checks; the class on
-	// the wire is set by the generating element.
-	CNPClass Class
-
-	// UsesCNP reports whether the scheme signals congestion with
-	// KindCNP packets at all.
-	UsesCNP bool
 }
 
 // ProtocolNamer is implemented by switch-side attachments that can report

@@ -39,7 +39,6 @@ type Host struct {
 
 	// Counters.
 	RxDataBytes uint64
-	CNPsRx      uint64
 }
 
 // ID returns the host's node id.
@@ -194,7 +193,6 @@ func (h *Host) Arrive(pkt *Packet, inPort int) {
 		}
 		h.net.ReleasePacket(pkt)
 	case KindCNP:
-		h.CNPsRx++
 		if h.net.Flow(pkt.Flow) == nil {
 			h.net.ReleasePacket(pkt)
 			return

@@ -6,6 +6,14 @@ import (
 	"rocc/internal/sim"
 )
 
+// cnpCounter is a flow controller that counts the CNPs reaching it.
+type cnpCounter struct {
+	NoCC
+	cnps int
+}
+
+func (c *cnpCounter) OnCNP(sim.Time, *Packet) { c.cnps++ }
+
 // pair builds host—switch—host with the given link rate.
 func pair(rate Rate) (*sim.Engine, *Network, *Host, *Host, *Switch) {
 	engine := sim.New()
@@ -186,7 +194,9 @@ func TestCtrlClassBypassesDataBacklog(t *testing.T) {
 	net.Connect(a, sw, Gbps(10), 1500)
 	swPort, _ := net.Connect(sw, b, Gbps(1), 1500) // bottleneck builds a queue
 	net.ComputeRoutes()
-	f := net.StartFlow(a, b, FlowConfig{Size: -1})
+	rp := &cnpCounter{}
+	f := net.StartFlow(a, b, FlowConfig{Size: -1, CC: rp})
+	b.RPDelay = 0
 	engine.RunUntil(2 * sim.Millisecond)
 	backlog := swPort.QueueBytes(ClassData)
 	if backlog < 100*KB {
@@ -194,8 +204,11 @@ func TestCtrlClassBypassesDataBacklog(t *testing.T) {
 	}
 	sent := engine.Now()
 	sw.Inject(&Packet{Flow: f.ID, Src: sw.ID(), Dst: b.ID(), Kind: KindCNP, Cls: ClassCtrl, Size: CNPBytes})
-	for b.CNPsRx == 0 && engine.Now() < sent+sim.Millisecond {
+	for rp.cnps == 0 && engine.Now() < sent+sim.Millisecond {
 		engine.Step()
+	}
+	if rp.cnps == 0 {
+		t.Fatal("CNP did not reach the flow within 1 ms")
 	}
 	latency := engine.Now() - sent
 	dataDelay := Rate(1e9).TxTime(backlog)

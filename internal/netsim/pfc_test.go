@@ -221,17 +221,18 @@ func TestPauseFrameStopsOnlyData(t *testing.T) {
 		PFCEnabled:   true,
 		PFCThreshold: 40 * KB,
 	})
-	f := net.StartFlow(srcs[0], dst, FlowConfig{Size: -1})
+	rp := &cnpCounter{}
+	f := net.StartFlow(srcs[0], dst, FlowConfig{Size: -1, CC: rp})
 	net.StartFlow(srcs[1], dst, FlowConfig{Size: -1})
 	for sw.PauseFrames == 0 && engine.Now() < 10*sim.Millisecond {
 		engine.Step()
 	}
 	engine.RunUntil(engine.Now() + 10*sim.Microsecond)
 	// A CNP injected now must still reach the (paused) source.
-	before := srcs[0].CNPsRx
+	before := rp.cnps
 	sw.Inject(&Packet{Flow: f.ID, Src: sw.ID(), Dst: srcs[0].ID(), Kind: KindCNP, Cls: ClassCtrl, Size: CNPBytes})
 	engine.RunUntil(engine.Now() + 100*sim.Microsecond)
-	if srcs[0].CNPsRx != before+1 {
+	if rp.cnps != before+1 {
 		t.Error("control traffic blocked by PFC pause")
 	}
 	_ = egress

@@ -263,19 +263,18 @@ func (s *Switch) resume(in int) {
 // packets had been transmitted. The PFC storm watchdog calls it when it
 // disables the lossless class on a port: the stuck queue is the storm's
 // hostage, and dropping it is the deployed mitigation. Returns the
-// packet and byte counts flushed.
-func (s *Switch) FlushPortData(p *Port) (pkts, bytes int) {
+// bytes flushed.
+func (s *Switch) FlushPortData(p *Port) (bytes int) {
 	for p.queues[ClassData].Len() > 0 {
 		pkt := p.queues[ClassData].Pop()
 		p.queueBytes[ClassData] -= pkt.Size
-		pkts++
 		bytes += pkt.Size
 		s.onDataDequeue(pkt, p.queueBytes[ClassData])
 		s.WatchdogDrops++
 		s.net.recordDrop(s, pkt, "adversary", "watchdog_drop")
 		s.net.ReleasePacket(pkt)
 	}
-	return pkts, bytes
+	return bytes
 }
 
 // egressFor picks the egress port for a packet, hashing flows across

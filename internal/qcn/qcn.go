@@ -62,8 +62,6 @@ type CP struct {
 	cfg  Config
 	acc  int
 	qold int
-
-	FbSent uint64
 }
 
 // AttachCP installs a QCN congestion point on an egress port.
@@ -103,7 +101,6 @@ func (cp *CP) OnEnqueue(now sim.Time, pkt *netsim.Packet, qlen int) {
 	if f == nil {
 		return
 	}
-	cp.FbSent++
 	cnp := cp.net.AcquirePacket(cp.sw)
 	cnp.Flow = pkt.Flow
 	cnp.Src = cp.sw.ID()
@@ -133,8 +130,6 @@ type FlowCC struct {
 	stageTime     int
 	timer         sim.Handle
 	pacer         netsim.Pacer
-
-	Cuts int
 }
 
 // NewFlowCC builds a QCN rate controller starting at line rate. Its
@@ -182,7 +177,6 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 	cc.stageByte = 0
 	cc.stageTime = 0
 	cc.bytesSinceInc = 0
-	cc.Cuts++
 	cc.armTimer()
 }
 

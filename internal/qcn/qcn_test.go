@@ -20,33 +20,42 @@ func cpFixture() (*sim.Engine, *netsim.Network, *netsim.Host, *netsim.Host, *net
 	return engine, net, a, b, sw, cp
 }
 
+// feedback counts the CNPs the switch sends, and drops them.
+func feedback(sw *netsim.Switch) *int {
+	n := new(int)
+	sw.InjectGate = func(*netsim.Packet) bool { *n++; return false }
+	return n
+}
+
 func TestCPSamplingCadence(t *testing.T) {
-	_, net, a, b, _, cp := cpFixture()
+	_, net, a, b, sw, cp := cpFixture()
+	sent := feedback(sw)
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1})
 	pkt := &netsim.Packet{Flow: f.ID, Src: a.ID(), Dst: b.ID(), Kind: netsim.KindData, Size: 1048}
 	// Below one sampling period: no feedback possible.
 	for sent := 0; sent < 149_000; sent += 1048 {
 		cp.OnEnqueue(0, pkt, 500_000) // deep queue: Fb < 0 if sampled
 	}
-	if cp.FbSent != 0 {
-		t.Errorf("feedback before a full sampling period: %d", cp.FbSent)
+	if *sent != 0 {
+		t.Errorf("feedback before a full sampling period: %d", *sent)
 	}
 	cp.OnEnqueue(0, pkt, 500_000) // crosses 150 KB
-	if cp.FbSent != 1 {
-		t.Errorf("FbSent = %d after crossing the sampling period", cp.FbSent)
+	if *sent != 1 {
+		t.Errorf("%d CNPs sent after crossing the sampling period, want 1", *sent)
 	}
 	f.Stop()
 }
 
 func TestCPNoFeedbackWhenUncongested(t *testing.T) {
-	_, net, a, b, _, cp := cpFixture()
+	_, net, a, b, sw, cp := cpFixture()
+	sent := feedback(sw)
 	f := net.StartFlow(a, b, netsim.FlowConfig{Size: -1})
 	pkt := &netsim.Packet{Flow: f.ID, Src: a.ID(), Dst: b.ID(), Kind: netsim.KindData, Size: 1048}
 	for sent := 0; sent < 400_000; sent += 1048 {
 		cp.OnEnqueue(0, pkt, 0) // empty queue: Fb = -(Qoff + w*Qdelta) > 0? Qoff=-Qeq<0 -> Fb>0
 	}
-	if cp.FbSent != 0 {
-		t.Errorf("feedback sent with empty queue: %d", cp.FbSent)
+	if *sent != 0 {
+		t.Errorf("feedback sent with empty queue: %d", *sent)
 	}
 	f.Stop()
 }
@@ -101,8 +110,8 @@ func TestRPIgnoresMalformedCNP(t *testing.T) {
 	net.Connect(h, sw, netsim.Gbps(40), 1500)
 	cc := NewFlowCC(h, DefaultConfig(40))
 	cc.OnCNP(0, &netsim.Packet{Kind: netsim.KindCNP}) // no payload
-	if cc.Cuts != 0 {
-		t.Error("cut on CNP without Fb payload")
+	if got := cc.CurrentRate().Mbps(); got != 40000 {
+		t.Errorf("rate %v after a CNP without Fb payload, want line rate", got)
 	}
 	cc.Stop()
 }

@@ -34,10 +34,8 @@ func NewOps(cp CPOptions, rp RPOptions) *Ops {
 // Name implements netsim.CongestionOps.
 func (o *Ops) Name() string { return "RoCC" }
 
-// Features implements netsim.CongestionOps.
-func (o *Ops) Features() netsim.CCFeatures {
-	return netsim.CCFeatures{UsesCNP: true, CNPClass: o.cp.CNPClass}
-}
+// Features implements netsim.CongestionOps: no INT, no extra header.
+func (o *Ops) Features() netsim.CCFeatures { return netsim.CCFeatures{} }
 
 // AttachPort implements netsim.CongestionOps: install a congestion point
 // and start its fair-rate timer.

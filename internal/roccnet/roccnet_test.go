@@ -191,18 +191,22 @@ func TestMDEngagesOnBurst(t *testing.T) {
 func TestCNPsAreICMPLikeAndPrioritized(t *testing.T) {
 	engine := sim.New()
 	net, srcs, dst, cp := buildStar(t, engine, 4, 40)
+	var rps []*FlowCC
 	for _, src := range srcs {
+		rps = append(rps, NewFlowCC(src, RPOptions{}))
 		net.StartFlow(src, dst, netsim.FlowConfig{
-			Size: -1, MaxRate: netsim.Gbps(36), CC: NewFlowCC(src, RPOptions{}),
+			Size: -1, MaxRate: netsim.Gbps(36), CC: rps[len(rps)-1],
 		})
 	}
 	engine.RunUntil(5 * sim.Millisecond)
 	if cp.CNPsSent == 0 {
 		t.Fatal("no CNPs under congestion")
 	}
-	total := uint64(0)
-	for _, src := range srcs {
-		total += src.CNPsRx
+	total := 0
+	for _, rp := range rps {
+		if rp.RP().Installed() {
+			total++
+		}
 	}
 	if total == 0 {
 		t.Fatal("CNPs never delivered to sources")
@@ -216,7 +220,7 @@ func TestCNPsAreICMPLikeAndPrioritized(t *testing.T) {
 func TestOnCNPRejectsMalformedFeedback(t *testing.T) {
 	engine := sim.New()
 	_, srcs, _, _ := buildStar(t, engine, 1, 40)
-	cc := NewFlowCC(srcs[0], RPOptions{})
+	cc := NewFlowCC(srcs[0], RPOptions{HostRegistry: func(core.CPKey) core.CPConfig { return core.CPConfig40G() }})
 	cpid := netsim.CPID{Node: 3}
 	cnp := func(info netsim.CNPInfo) *netsim.Packet {
 		info.CP = cpid
@@ -246,5 +250,26 @@ func TestOnCNPRejectsMalformedFeedback(t *testing.T) {
 	cc.OnCNP(engine.Now(), cnp(netsim.CNPInfo{HostComputed: true, QCurUnits: 10, QOldUnits: 8}))
 	if cc.RP().CNPsRejected != 4 {
 		t.Error("valid host-computed CNP rejected")
+	}
+}
+
+// TestHostComputedCNPNeedsRegistry: an RP built without a HostRegistry
+// cannot know a CP's parameters, so a host-computed CNP is rejected and
+// counted; it does not run a replica on guessed 40G constants.
+func TestHostComputedCNPNeedsRegistry(t *testing.T) {
+	engine := sim.New()
+	_, srcs, _, _ := buildStar(t, engine, 1, 40)
+	cc := NewFlowCC(srcs[0], RPOptions{})
+	cnp := &netsim.Packet{Kind: netsim.KindCNP}
+	*cnp.EnsureCNP() = netsim.CNPInfo{CP: netsim.CPID{Node: 3}, RateUnits: 200}
+	cc.OnCNP(engine.Now(), cnp)
+	rate := cc.RP().RateMbps()
+	*cnp.EnsureCNP() = netsim.CNPInfo{CP: netsim.CPID{Node: 3}, HostComputed: true, QCurUnits: 10, QOldUnits: 8}
+	cc.OnCNP(engine.Now(), cnp)
+	if got := cc.RP().RateMbps(); got != rate {
+		t.Errorf("host-computed CNP moved the rate from %v to %v without a registry", rate, got)
+	}
+	if got := cc.RP().CNPsRejected; got != 1 {
+		t.Errorf("CNPsRejected = %d, want 1", got)
 	}
 }

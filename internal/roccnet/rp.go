@@ -179,14 +179,13 @@ func (cc *FlowCC) OnCNP(now sim.Time, pkt *netsim.Packet) {
 		// state across CNPs — garbage here would poison every later rate,
 		// not just this one. Reject it before Compute. Real queues are at
 		// most a few MB (thousands of ΔQ units); 1<<24 units is ~10 GB.
-		if info.QCurUnits < 0 || info.QOldUnits < 0 ||
+		// An RP built without RPOptions.HostRegistry has no CP parameters
+		// to compute with, so it rejects the CNP too.
+		r := cc.rare
+		if r == nil || r.hostCP == nil || info.QCurUnits < 0 || info.QOldUnits < 0 ||
 			info.QCurUnits > maxQueueUnits || info.QOldUnits > maxQueueUnits {
 			cc.rp.CountRejected()
 			return
-		}
-		r := cc.rareState()
-		if r.hostCP == nil {
-			r.hostCP = core.NewHostCP(nil)
 		}
 		if r.lastCNPs == nil {
 			r.lastCNPs = make(map[core.CPKey]sim.Time)

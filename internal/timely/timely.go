@@ -61,10 +61,6 @@ type FlowCC struct {
 	haveRTT  bool
 
 	pacer netsim.Pacer
-
-	// Counters.
-	Decreases int
-	Increases int
 }
 
 // NewFlowCC builds a TIMELY controller starting at line rate.
@@ -105,11 +101,9 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 	case rtt < cc.cfg.Tlow:
 		cc.rate += cc.cfg.DeltaMbps
 		cc.negCount = 0
-		cc.Increases++
 	case rtt > cc.cfg.Thigh:
 		cc.rate *= 1 - float64(cc.cfg.Beta*(1-cc.cfg.Thigh.Seconds()/rtt.Seconds()))
 		cc.negCount = 0
-		cc.Decreases++
 	case normGrad <= 0:
 		cc.negCount++
 		step := cc.cfg.DeltaMbps
@@ -117,7 +111,6 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 			step *= float64(cc.cfg.HAICount) // hyper-active increase
 		}
 		cc.rate += step
-		cc.Increases++
 	default:
 		grad := normGrad
 		if grad > 1 {
@@ -125,7 +118,6 @@ func (cc *FlowCC) OnAck(now sim.Time, pkt *netsim.Packet) {
 		}
 		cc.rate *= 1 - float64(cc.cfg.Beta*grad)
 		cc.negCount = 0
-		cc.Decreases++
 	}
 	if cc.rate > cc.cfg.RmaxMbps {
 		cc.rate = cc.cfg.RmaxMbps

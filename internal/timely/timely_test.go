@@ -60,9 +60,6 @@ func TestAboveThighDecreasesProportionally(t *testing.T) {
 	if after <= before*0.5 || after >= before {
 		t.Errorf("rate %v -> %v, want ~%v", before, after, want)
 	}
-	if cc.Decreases != 1 {
-		t.Errorf("Decreases = %d", cc.Decreases)
-	}
 }
 
 func TestGradientDecreaseOnRisingRTT(t *testing.T) {

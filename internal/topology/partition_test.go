@@ -121,7 +121,7 @@ func TestPartitionAutoSwitchAligned(t *testing.T) {
 	if p.K != 2 {
 		t.Fatalf("K = %d, want 2", p.K)
 	}
-	if p.Assign[m.S0.ID()] == p.Assign[m.S1.ID()] {
+	if sw := m.Net.Switches(); p.Assign[sw[0].ID()] == p.Assign[sw[1].ID()] {
 		t.Error("both switches on one shard")
 	}
 	for _, h := range m.Net.Hosts() {
@@ -215,7 +215,7 @@ func TestBornGroupedEqualsOneShardApply(t *testing.T) {
 // would be orphaned on the old shard engine, so Apply refuses.
 func TestApplyOnBusyNetworkPanics(t *testing.T) {
 	m := BuildMultiBottleneck(sim.New(), 1)
-	m.S0.Port(0).Engine().After(sim.Microsecond, func() {})
+	m.Inter.Engine().After(sim.Microsecond, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("Apply on a network with a pending node-lane event did not panic")

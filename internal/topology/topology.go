@@ -66,7 +66,6 @@ func BuildStar(engine *sim.Engine, seed int64, n int, rate netsim.Rate) *Star {
 // access link; D1..D4 only the inter-switch link.
 type MultiBottleneck struct {
 	Net    *netsim.Network
-	S0, S1 *netsim.Switch
 	A      []*netsim.Host // A0..A4 behind S0
 	B5     *netsim.Host   // source behind S1
 	B      []*netsim.Host // B0..B4 behind S1
@@ -82,7 +81,7 @@ func BuildMultiBottleneck(engine *sim.Engine, seed int64) *MultiBottleneck {
 	inter := netsim.Gbps(40)
 	s0 := net.AddSwitch("S0", Buffer(inter))
 	s1 := net.AddSwitch("S1", Buffer(inter))
-	m := &MultiBottleneck{Net: net, S0: s0, S1: s1}
+	m := &MultiBottleneck{Net: net}
 	for i := 0; i < 5; i++ {
 		h := net.AddHost(fmt.Sprintf("A%d", i))
 		net.Connect(h, s0, access, LinkDelay)
@@ -109,12 +108,10 @@ func BuildMultiBottleneck(engine *sim.Engine, seed int64) *MultiBottleneck {
 // destination behind S2 over 100 Gb/s links (2:1 oversubscription at the
 // S2→B0 bottleneck).
 type Asymmetric struct {
-	Net        *netsim.Network
-	S0, S1, S2 *netsim.Switch
-	Slow       []*netsim.Host // A0..A4, 40G access
-	Fast       []*netsim.Host // A5..A6, 100G access
-	Dst        *netsim.Host
-	Bottleneck *netsim.Port // S2 egress toward B0
+	Net  *netsim.Network
+	Slow []*netsim.Host // A0..A4, 40G access
+	Fast []*netsim.Host // A5..A6, 100G access
+	Dst  *netsim.Host   // B0, behind the S2→B0 bottleneck
 }
 
 // BuildAsymmetric constructs the asymmetric topology.
@@ -125,7 +122,7 @@ func BuildAsymmetric(engine *sim.Engine, seed int64) *Asymmetric {
 	s0 := net.AddSwitch("S0", Buffer(g40))
 	s1 := net.AddSwitch("S1", Buffer(g100))
 	s2 := net.AddSwitch("S2", Buffer(g100))
-	a := &Asymmetric{Net: net, S0: s0, S1: s1, S2: s2}
+	a := &Asymmetric{Net: net}
 	for i := 0; i < 5; i++ {
 		h := net.AddHost(fmt.Sprintf("A%d", i))
 		net.Connect(h, s0, g40, LinkDelay)
@@ -139,7 +136,7 @@ func BuildAsymmetric(engine *sim.Engine, seed int64) *Asymmetric {
 	net.Connect(s0, s2, g100, LinkDelay)
 	net.Connect(s1, s2, g100, LinkDelay)
 	a.Dst = net.AddHost("B0")
-	a.Bottleneck, _ = net.Connect(s2, a.Dst, g100, LinkDelay)
+	net.Connect(s2, a.Dst, g100, LinkDelay)
 	net.ComputeRoutes()
 	return a
 }
@@ -154,9 +151,7 @@ type FatTree struct {
 	Cores     []*netsim.Switch
 	Edges     []*netsim.Switch
 	Hosts     [][]*netsim.Host // indexed by edge
-	HostRate  netsim.Rate
 	CoreRate  netsim.Rate
-	AllPorts  []*netsim.Port // every switch egress port (for CC attachment)
 	CorePorts []*netsim.Port // core egress ports (down toward edges)
 	EdgeUp    []*netsim.Port // edge egress ports toward cores
 	EdgeDown  []*netsim.Port // edge egress ports toward hosts
@@ -221,7 +216,6 @@ func BuildFatTree(engine *sim.Engine, seed int64, cfg FatTreeConfig) *FatTree {
 	net := netsim.New(engine, seed)
 	ft := &FatTree{
 		Net:      net,
-		HostRate: cfg.HostRate,
 		CoreRate: cfg.CoreRate,
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -247,8 +241,5 @@ func BuildFatTree(engine *sim.Engine, seed int64, cfg FatTreeConfig) *FatTree {
 		}
 	}
 	net.ComputeRoutes()
-	ft.AllPorts = append(ft.AllPorts, ft.CorePorts...)
-	ft.AllPorts = append(ft.AllPorts, ft.EdgeUp...)
-	ft.AllPorts = append(ft.AllPorts, ft.EdgeDown...)
 	return ft
 }
